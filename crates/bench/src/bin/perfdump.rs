@@ -2,7 +2,8 @@
 //! adaptive, cluster, and failover experiments on a small deterministic
 //! workload and writes one schema-versioned `BENCH_<experiment>.json` per
 //! experiment (see `gspecpal_bench::perf` for the schema). CI runs this on every push and gates on the headline
-//! `total_cycles` against the committed baselines.
+//! `total_cycles` against the committed baselines. Each experiment's stdout
+//! line also gives the host wall-ms it took; the reports carry no host time.
 //!
 //! ```text
 //! cargo run --release -p gspecpal-bench --bin perfdump -- \
@@ -35,6 +36,15 @@ use gspecpal_bench::{
     run_fig8, run_motivation, run_serve, throughput_exp, ClusterExperimentConfig, ExperimentConfig,
     FailoverExperimentConfig, HostPerfConfig,
 };
+
+/// Runs one experiment and returns its report with the host wall-ms it
+/// took. The time is printed to stdout only, so the written reports stay
+/// machine-independent.
+fn timed(run: impl FnOnce() -> Json) -> (Json, f64) {
+    let start = std::time::Instant::now();
+    let doc = run();
+    (doc, start.elapsed().as_secs_f64() * 1e3)
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -116,43 +126,49 @@ fn main() {
         cfg.seed
     );
     let t0 = std::time::Instant::now();
-    let mut reports: Vec<(&'static str, Json)> = vec![
-        ("fig8", fig8_json(&cfg, &run_fig8(&cfg))),
-        ("ablation", ablation_json(&cfg, &run_ablation(&cfg))),
-        ("motivation", motivation_json(&cfg, &run_motivation(&cfg))),
-        ("serve", serve_json(&cfg, &run_serve(&cfg))),
-        ("chaos", chaos_json(&cfg, &run_chaos(&cfg))),
-        ("adaptive", adaptive_json(&cfg, &run_adaptive(&cfg))),
-        {
-            // The cluster experiment shapes its own fleet workload (skew and
-            // priority traces engineered against the router's placement), so
-            // it does not take the single-device ExperimentConfig.
-            let ccfg = ClusterExperimentConfig::default();
-            ("cluster", cluster_json(&ccfg, &run_cluster_exp(&ccfg)))
-        },
-        {
-            // Likewise the failover experiment: it engineers its own outage
-            // scenario (victim choice, crash cycle) against the fleet's
-            // routing, independent of the single-device knobs.
-            let fcfg = FailoverExperimentConfig::default();
-            ("failover", failover_json(&fcfg, &run_failover_exp(&fcfg)))
-        },
+    let mut reports: Vec<(&'static str, (Json, f64))> = vec![
+        ("fig8", timed(|| fig8_json(&cfg, &run_fig8(&cfg)))),
+        ("ablation", timed(|| ablation_json(&cfg, &run_ablation(&cfg)))),
+        ("motivation", timed(|| motivation_json(&cfg, &run_motivation(&cfg)))),
+        ("serve", timed(|| serve_json(&cfg, &run_serve(&cfg)))),
+        ("chaos", timed(|| chaos_json(&cfg, &run_chaos(&cfg)))),
+        ("adaptive", timed(|| adaptive_json(&cfg, &run_adaptive(&cfg)))),
+        // The cluster experiment shapes its own fleet workload (skew and
+        // priority traces engineered against the router's placement), so
+        // it does not take the single-device ExperimentConfig.
+        (
+            "cluster",
+            timed(|| {
+                let ccfg = ClusterExperimentConfig::default();
+                cluster_json(&ccfg, &run_cluster_exp(&ccfg))
+            }),
+        ),
+        // Likewise the failover experiment: it engineers its own outage
+        // scenario (victim choice, crash cycle) against the fleet's
+        // routing, independent of the single-device knobs.
+        (
+            "failover",
+            timed(|| {
+                let fcfg = FailoverExperimentConfig::default();
+                failover_json(&fcfg, &run_failover_exp(&fcfg))
+            }),
+        ),
     ];
     if inflate_percent > 0 {
         eprintln!("[inflating headline totals by {inflate_percent}% — gate self-test]");
-        for (_, doc) in &mut reports {
+        for (_, (doc, _)) in &mut reports {
             inflate_total(doc, inflate_percent);
         }
     }
 
     std::fs::create_dir_all(&out_dir).expect("create output dir");
     let mut failed = false;
-    for (name, doc) in &reports {
+    for (name, (doc, wall_ms)) in &reports {
         let text = doc.render();
         let current = extract_total_cycles(&text).expect("report has a headline total");
         let path = format!("{out_dir}/BENCH_{name}.json");
         std::fs::write(&path, &text).expect("write report");
-        println!("{name}: total_cycles = {current} [wrote {path}]");
+        println!("{name}: total_cycles = {current} [wrote {path}], host wall {wall_ms:.0} ms");
 
         if let Some(dir) = &check_dir {
             let baseline_path = format!("{dir}/BENCH_{name}.json");

@@ -7,12 +7,16 @@
 //! actual CPU cores, and serves as an independent cross-check of the
 //! simulated schemes (its verified output must be identical).
 
+use std::ops::Range;
+
 use crossbeam::thread;
 use gspecpal_fsm::{Dfa, StateId};
 use parking_lot::Mutex;
 
+use crate::config::SchemeConfig;
 use crate::partition::partition;
-use crate::predict::lookback_queue;
+use crate::predict::boundary_queues;
+use crate::specq::SpecQueue;
 
 /// Result of a multicore speculative run.
 #[derive(Clone, Debug)]
@@ -30,6 +34,17 @@ pub struct CpuRunResult {
     pub parallel_time: std::time::Duration,
 }
 
+/// Lookback speculation queues for every chunk, at the framework's default
+/// lookback.
+fn chunk_queues(dfa: &Dfa, input: &[u8], chunks: &[Range<usize>]) -> Vec<SpecQueue> {
+    boundary_queues(dfa, input, chunks, SchemeConfig::default().lookback)
+}
+
+/// Each chunk's top-ranked predicted start state.
+fn top_predictions(dfa: &Dfa, input: &[u8], chunks: &[Range<usize>]) -> Vec<StateId> {
+    chunk_queues(dfa, input, chunks).iter().map(|q| q.front().expect("non-empty queue")).collect()
+}
+
 /// Runs `dfa` over `input` with `n_threads` speculative workers (spec-1 +
 /// sequential verification/recovery — Algorithm 2 on a multicore).
 pub fn run_speculative(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResult {
@@ -38,18 +53,7 @@ pub fn run_speculative(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResul
     let chunks = partition(input.len(), n);
 
     // Phase 1: prediction (host-side, trivially parallelizable; done inline).
-    let starts: Vec<StateId> = chunks
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if i == 0 {
-                dfa.start()
-            } else {
-                let lo = c.start.saturating_sub(2);
-                lookback_queue(dfa, &input[lo..c.start]).front().expect("non-empty queue")
-            }
-        })
-        .collect();
+    let starts = top_predictions(dfa, input, &chunks);
 
     // Phase 2: parallel speculative execution on real threads.
     let results: Mutex<Vec<Option<(StateId, StateId)>>> = Mutex::new(vec![None; n]);
@@ -108,18 +112,7 @@ pub fn run_speculative_sre(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunR
     let n = n_threads.min(input.len().max(1));
     let chunks = partition(input.len(), n);
 
-    let starts: Vec<StateId> = chunks
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if i == 0 {
-                dfa.start()
-            } else {
-                let lo = c.start.saturating_sub(2);
-                lookback_queue(dfa, &input[lo..c.start]).front().expect("non-empty queue")
-            }
-        })
-        .collect();
+    let starts = top_predictions(dfa, input, &chunks);
 
     let t0 = std::time::Instant::now();
     // Records per chunk: (start, end) pairs from execution and recoveries.
@@ -200,19 +193,9 @@ pub fn run_speculative_rr(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunRe
     let chunks = partition(input.len(), n);
 
     // Ranked speculation queues (QS_i), dequeued as recoveries are seeded.
-    let mut queues: Vec<Vec<StateId>> = chunks
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            if i == 0 {
-                vec![dfa.start()]
-            } else {
-                let lo = c.start.saturating_sub(2);
-                lookback_queue(dfa, &input[lo..c.start]).candidates().collect()
-            }
-        })
-        .collect();
-    let starts: Vec<StateId> = queues.iter_mut().map(|q| q.remove(0)).collect();
+    let mut queues = chunk_queues(dfa, input, &chunks);
+    let starts: Vec<StateId> =
+        queues.iter_mut().map(|q| q.dequeue_host().expect("non-empty queue")).collect();
 
     let t0 = std::time::Instant::now();
     let records: Vec<Mutex<Vec<(StateId, StateId)>>> =
@@ -261,8 +244,7 @@ pub fn run_speculative_rr(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunRe
         if !avail.is_empty() {
             for w in 0..n.saturating_sub(1) {
                 let cid = avail[w % avail.len()];
-                if let Some(st) = queues[cid].first().copied() {
-                    queues[cid].remove(0);
+                if let Some(st) = queues[cid].dequeue_host() {
                     if !records[cid].lock().iter().any(|r| r.0 == st) {
                         jobs.push((cid, st));
                     }

@@ -12,8 +12,17 @@
 //! The paper treats prediction cost as a constant `C` (§III-C) because the
 //! per-boundary all-state walk is warp-cooperative and only two symbols
 //! long; the device kernel here charges exactly that cooperative cost.
+//!
+//! The host does not repeat that |Q|-wide walk per boundary. A symbol's
+//! transition column `δ(·, c)` is a state→state map (the mapping view of
+//! simultaneous finite automata), so a window's end-state histogram is the
+//! image histogram of its composed columns. [`LookbackWalker`] caches the
+//! image of each byte class's column the first time a window starts with
+//! that class and pushes the remaining bytes through the sparse histogram,
+//! so a boundary costs O(|image|) host work. The simulated cost is
+//! unaffected: it is a function of |Q|, `lookback` and the queue sizes only.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 use std::ops::Range;
 
 use gspecpal_fsm::{Dfa, StateId};
@@ -44,13 +53,7 @@ pub fn predict(
     spec: &DeviceSpec,
 ) -> Prediction {
     assert!(!chunks.is_empty(), "need at least one chunk");
-    let mut queues = Vec::with_capacity(chunks.len());
-    queues.push(SpecQueue::certain(dfa.start()));
-    for chunk in &chunks[1..] {
-        let boundary = chunk.start;
-        let lo = boundary.saturating_sub(lookback);
-        queues.push(lookback_queue(dfa, &input[lo..boundary]));
-    }
+    let queues = boundary_queues(dfa, input, chunks, lookback);
 
     // Device cost: each thread runs the all-state walk for its boundary
     // cooperatively across its warp (ceil(|Q| / warp) states per lane, each
@@ -67,17 +70,103 @@ pub fn predict(
     Prediction { queues, stats }
 }
 
-/// Builds the ranked queue for one boundary window.
+/// The ranked queue of every chunk: chunk 0 holds the machine's certain
+/// start state, every later chunk the lookback queue of the (up to)
+/// `lookback` bytes before its boundary.
+pub(crate) fn boundary_queues(
+    dfa: &Dfa,
+    input: &[u8],
+    chunks: &[Range<usize>],
+    lookback: usize,
+) -> Vec<SpecQueue> {
+    let mut walker = LookbackWalker::new(dfa);
+    chunks
+        .iter()
+        .enumerate()
+        .map(|(i, c)| match i {
+            0 => SpecQueue::certain(dfa.start()),
+            _ => walker.queue(&input[c.start.saturating_sub(lookback)..c.start]),
+        })
+        .collect()
+}
+
+/// Builds the ranked queue for one boundary window (a one-shot
+/// [`LookbackWalker`]; reuse a walker when ranking many windows).
 pub fn lookback_queue(dfa: &Dfa, window: &[u8]) -> SpecQueue {
-    let mut freq: HashMap<StateId, u32> = HashMap::new();
-    for s in 0..dfa.n_states() {
-        let e = dfa.run_from(s, window);
-        *freq.entry(e).or_insert(0) += 1;
+    LookbackWalker::new(dfa).queue(window)
+}
+
+/// The all-state lookback walk, reusable across the windows of one machine.
+///
+/// Each window's queue holds every end state of running all states over
+/// the window, ranked by descending frequency with ties broken by state id.
+pub struct LookbackWalker<'d> {
+    dfa: &'d Dfa,
+    /// `images[c]`: the `(state, preimage count)` histogram of the column
+    /// `δ(·, c)` over all states, filled the first time a window starts
+    /// with class `c`.
+    images: Vec<Option<Histogram>>,
+    tally: Tally,
+}
+
+impl<'d> LookbackWalker<'d> {
+    /// A walker over `dfa` with an empty column-image cache.
+    pub fn new(dfa: &'d Dfa) -> Self {
+        LookbackWalker {
+            dfa,
+            images: vec![None; usize::from(dfa.alphabet_len())],
+            tally: Tally { counts: vec![0; dfa.n_states() as usize], touched: Vec::new() },
+        }
     }
-    let mut ranked: Vec<(StateId, u32)> = freq.into_iter().collect();
-    // Rank by descending frequency; ties by state id for determinism.
-    ranked.sort_by_key(|&(s, f)| (std::cmp::Reverse(f), s));
-    SpecQueue::from_ranked(ranked)
+
+    /// The ranked queue of end states over `window`.
+    pub fn queue(&mut self, window: &[u8]) -> SpecQueue {
+        let dfa = self.dfa;
+        let Some((&first, rest)) = window.split_first() else {
+            // An empty window maps every state to itself.
+            return SpecQueue::from_ranked((0..dfa.n_states()).map(|s| (s, 1)).collect());
+        };
+        let tally = &mut self.tally;
+        let class = dfa.classes().class(first);
+        let image = self.images[usize::from(class)].get_or_insert_with(|| {
+            tally.sum((0..dfa.n_states()).map(|s| (dfa.next_by_class(s, class), 1)))
+        });
+        let mut hist: Option<Histogram> = None;
+        for &b in rest {
+            let class = dfa.classes().class(b);
+            let from = hist.as_deref().unwrap_or(image);
+            hist = Some(tally.sum(from.iter().map(|&(s, k)| (dfa.next_by_class(s, class), k))));
+        }
+        let mut ranked = hist.map_or_else(|| image.to_vec(), Vec::from);
+        ranked.sort_unstable_by_key(|&(s, f)| (Reverse(f), s));
+        SpecQueue::from_ranked(ranked)
+    }
+}
+
+/// A sparse `(state, count)` histogram of end states.
+type Histogram = Box<[(StateId, u32)]>;
+
+/// Dense per-state counters plus the list of states they touched, so a
+/// histogram is summed without hashing and reset in O(touched).
+struct Tally {
+    /// Zero for every state between calls to [`Tally::sum`].
+    counts: Vec<u32>,
+    touched: Vec<StateId>,
+}
+
+impl Tally {
+    /// Sums `(state, count)` pairs by state, leaving the counters zeroed.
+    fn sum(&mut self, pairs: impl Iterator<Item = (StateId, u32)>) -> Histogram {
+        for (s, k) in pairs {
+            let slot = &mut self.counts[s as usize];
+            if *slot == 0 {
+                self.touched.push(s);
+            }
+            *slot += k;
+        }
+        let counts = &mut self.counts;
+        self.touched.drain(..).map(|s| (s, std::mem::take(&mut counts[s as usize]))).collect()
+    }
 }
 
 struct PredictCost {

@@ -11,7 +11,7 @@
 use gspecpal_fsm::profile::{convergence_profile, ConvergenceProfile};
 use gspecpal_fsm::Dfa;
 
-use crate::predict::lookback_queue;
+use crate::predict::LookbackWalker;
 use crate::run::SchemeKind;
 
 /// Offline profile of one (FSM, training slice) pair — the inputs to the
@@ -109,6 +109,7 @@ impl Selector {
         let mut spec4_hits = 0u32;
         let mut worst_rank = 1usize;
         let mut total = 0u32;
+        let mut walker = LookbackWalker::new(dfa);
         for b in 0..boundaries {
             // Boundary positions spread evenly, skipping position 0.
             let pos = (b + 1) * training.len() / (boundaries + 1);
@@ -116,7 +117,7 @@ impl Selector {
                 continue;
             }
             let truth = trace[pos - 1];
-            let queue = lookback_queue(dfa, &training[pos - self.lookback..pos]);
+            let queue = walker.queue(&training[pos - self.lookback..pos]);
             let rank = queue.rank_of(truth).expect("containment property") + 1;
             total += 1;
             worst_rank = worst_rank.max(rank);
