@@ -283,7 +283,7 @@ pub fn serve_json(cfg: &ExperimentConfig, r: &ServeExperimentReport) -> Json {
         .iter()
         .map(|run| {
             obj(vec![
-                ("policy", Json::Str(run.policy.to_string())),
+                ("policy", Json::Str(run.policy.name().to_string())),
                 ("overlap", Json::Str(run.overlap.to_string())),
                 ("makespan_cycles", Json::U64(run.makespan_cycles)),
                 ("batches", Json::U64(run.batches)),

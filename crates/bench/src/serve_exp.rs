@@ -13,7 +13,9 @@
 use gspecpal_fsm::{FrequencyProfile, TransformedDfa};
 use gspecpal_gpu::{Phase, PhaseProfile};
 use gspecpal_regex::{compile_set, CompileConfig};
-use gspecpal_serve::{serve, BatchPolicy, ServeConfig, ServeMachine, StreamArrival, Trace};
+use gspecpal_serve::{
+    serve, BatchPolicy, PolicyKind, ServeConfig, ServeMachine, StreamArrival, Trace,
+};
 use gspecpal_workloads::inputs;
 
 use crate::experiments::ExperimentConfig;
@@ -21,8 +23,8 @@ use crate::experiments::ExperimentConfig;
 /// One `(policy, overlap)` serve run, summarized for reports.
 #[derive(Clone, Debug)]
 pub struct ServeRunSummary {
-    /// Policy name (`fifo` / `deadline` / `adaptive`).
-    pub policy: &'static str,
+    /// The batch policy of the run.
+    pub policy: PolicyKind,
     /// Whether copy/compute overlap was enabled.
     pub overlap: bool,
     /// Wall-clock of the run in cycles.
@@ -85,7 +87,7 @@ impl ServeExperimentReport {
             out.push_str(&format!(
                 "  {:<9} overlap={:<5} makespan={:>9}cy p50={:>7} p99={:>8} \
                  {:.4} B/cy transfer={}cy hidden={}‰ backpressure={}\n",
-                r.policy,
+                r.policy.name(),
                 r.overlap,
                 r.makespan_cycles,
                 r.p50,
@@ -174,7 +176,7 @@ pub fn run_serve(cfg: &ExperimentConfig) -> ServeExperimentReport {
             let sc = ServeConfig { policy, overlap, ..base.clone() };
             let report = serve(&cfg.device, &machines, &trace, &sc).expect("servable trace");
             ServeRunSummary {
-                policy: report.policy,
+                policy: policy.kind(),
                 overlap: report.overlap,
                 makespan_cycles: report.makespan_cycles,
                 busy_cycles: report.stats.cycles,

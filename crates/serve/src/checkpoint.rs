@@ -28,12 +28,26 @@
 //! under a different setup is refused with
 //! [`ServeError::CheckpointMismatch`] instead of silently diverging), the
 //! snapshot payload, and a trailing FNV-1a-64 checksum over everything
-//! before it. Every length is bounded against the bytes actually present
-//! before any allocation, every enum tag and boolean is range-checked,
-//! and decoded state is semantically validated against the resuming
-//! configuration — corruption of any kind surfaces as a structured
-//! [`ServeError::CorruptCheckpoint`], never a panic and never an
-//! out-of-memory.
+//! before it.
+//!
+//! Every persisted type's layout is written once — a field list in wire
+//! order (`wire_struct!`) or a one-byte tag table (`wire_tags!`) — and one
+//! `Wire` impl per type serves both directions, so encoder and decoder
+//! cannot drift apart. Integers are fixed-width little-endian (`usize` as
+//! `u64`), `bool` and `Option` tags are one byte, and a `Vec` is a `u64`
+//! length then its elements. A type's `MIN_BYTES`, summed from its field
+//! list, bounds every decoded length against the bytes actually present
+//! before any allocation, and decoding failures name the `Type.field`
+//! being read. The types needing more than their fields' own checks are
+//! hand-written impls holding the validators: `Span` (`end >= start`),
+//! the sparse `LatencySketch`, window `StreamArrival`s (arrival-ordered,
+//! non-empty payloads), depth-tracker events (kind ±1, sorted) and
+//! `PhaseProfile` ([`Phase::ALL`] order). Decoded state is then validated
+//! against the resuming configuration by `Engine::restore`. Corruption of
+//! any kind surfaces as a structured [`ServeError::CorruptCheckpoint`],
+//! never a panic and never an out-of-memory; and since every payload byte
+//! is a validated tag or a field value, whatever decodes re-encodes to
+//! the same bytes.
 //!
 //! # Crash simulation and failover
 //!
@@ -47,11 +61,14 @@
 //! on exactly this pair (see `gspecpal-cluster`).
 
 use gspecpal::{SchemeKind, StitchPolicy};
-use gspecpal_gpu::{DeviceSpec, KernelStats, LaunchShape, Phase, Span};
+use gspecpal_gpu::{
+    DeviceSpec, KernelStats, LaunchShape, Phase, PhaseCounters, PhaseProfile, Span,
+};
 
-use crate::controller::{BatchObservation, DecisionRecord, LaunchChoice};
+use crate::controller::{BatchObservation, DecisionRecord, LaunchChoice, MachineArmState};
 use crate::error::ServeError;
-use crate::pipeline::{Engine, EngineSnapshot, ServeConfig, ServeMachine};
+use crate::pipeline::{Engine, EngineSnapshot, ReportDetail, ServeConfig, ServeMachine};
+use crate::policy::{BatchPolicy, PolicyKind, PriorityClass};
 use crate::report::{
     BatchRecord, ExecMode, LatencySummary, RecoveryReport, ResidencyReport, ServeReport,
     StreamOutcome,
@@ -82,40 +99,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // Byte writer / bounds-checked reader
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn usize(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn i64(&mut self, v: i64) {
-        self.u64(v as u64);
-    }
-
-    fn bool(&mut self, v: bool) {
-        self.u8(u8::from(v));
-    }
-
-    fn raw(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-}
+/// The encoder's output: bytes appended in wire order.
+type Writer = Vec<u8>;
 
 /// A cursor over untrusted bytes: every read is bounds-checked and every
 /// failure carries the byte offset it happened at.
@@ -140,816 +125,524 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self, what: &'static str) -> Result<u8, ServeError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, ServeError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, ServeError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn usize(&mut self, what: &'static str) -> Result<usize, ServeError> {
-        usize::try_from(self.u64(what)?).map_err(|_| self.corrupt(what))
-    }
-
-    fn i64(&mut self, what: &'static str) -> Result<i64, ServeError> {
-        Ok(self.u64(what)? as i64)
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, ServeError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(self.corrupt(what)),
-        }
-    }
-
     /// Reads a collection length and bounds it against the bytes actually
     /// remaining (`min_item_bytes` per element), so a corrupted length can
     /// never trigger a huge allocation.
     fn len(&mut self, min_item_bytes: usize, what: &'static str) -> Result<usize, ServeError> {
-        let n = self.usize(what)?;
+        let n = usize::get(self, what)?;
         let remaining = self.bytes.len() - self.pos;
         if n.checked_mul(min_item_bytes.max(1)).is_none_or(|need| need > remaining) {
             return Err(self.corrupt(what));
         }
         Ok(n)
     }
+}
 
-    fn u64_vec(&mut self, what: &'static str) -> Result<Vec<u64>, ServeError> {
-        let n = self.len(8, what)?;
-        let mut v = Vec::with_capacity(n);
+// ---------------------------------------------------------------------------
+// The codec
+// ---------------------------------------------------------------------------
+
+/// One persisted type's wire layout, serving both directions.
+trait Wire: Sized {
+    /// Bytes of the smallest encoding — the per-element bound on decoded
+    /// collection lengths.
+    const MIN_BYTES: usize;
+
+    /// Appends the encoding.
+    fn put(&self, w: &mut Writer);
+
+    /// Decodes and validates one value; `what` labels failures.
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError>;
+
+    /// Whether `next` may follow `prev` in a decoded `Vec` (sorted
+    /// collections override this).
+    fn follows(_prev: &Self, _next: &Self) -> bool {
+        true
+    }
+}
+
+/// Fixed-width little-endian integers.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            const MIN_BYTES: usize = std::mem::size_of::<$t>();
+
+            fn put(&self, w: &mut Writer) {
+                w.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+                let b = r.take(Self::MIN_BYTES, what)?;
+                Ok(<$t>::from_le_bytes(b.try_into().expect("sized slice")))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64, i64);
+
+impl Wire for usize {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut Writer) {
+        (*self as u64).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        usize::try_from(u64::get(r, what)?).map_err(|_| r.corrupt(what))
+    }
+}
+
+impl Wire for bool {
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut Writer) {
+        u8::from(*self).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        match u8::get(r, what)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(r.corrupt(what)),
+        }
+    }
+}
+
+/// A sequence's layout: its `u64` length, then its elements.
+fn put_slice<T: Wire>(items: &[T], w: &mut Writer) {
+    items.len().put(w);
+    for x in items {
+        x.put(w);
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut Writer) {
+        put_slice(self, w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let n = r.len(T::MIN_BYTES, what)?;
+        let mut v: Vec<T> = Vec::with_capacity(n);
         for _ in 0..n {
-            v.push(self.u64(what)?);
+            let x = T::get(r, what)?;
+            if v.last().is_some_and(|prev| !T::follows(prev, &x)) {
+                return Err(r.corrupt(what));
+            }
+            v.push(x);
         }
         Ok(v)
     }
 }
 
-fn write_u64s(w: &mut Writer, v: &[u64]) {
-    w.usize(v.len());
-    for &x in v {
-        w.u64(x);
-    }
-}
+impl<T: Wire> Wire for Option<T> {
+    const MIN_BYTES: usize = 1;
 
-// ---------------------------------------------------------------------------
-// Enum tags (declaration order of the source enums)
-// ---------------------------------------------------------------------------
-
-fn scheme_tag(s: SchemeKind) -> u8 {
-    match s {
-        SchemeKind::Sequential => 0,
-        SchemeKind::Naive => 1,
-        SchemeKind::Enumerative => 2,
-        SchemeKind::Pm => 3,
-        SchemeKind::Sre => 4,
-        SchemeKind::Rr => 5,
-        SchemeKind::Nf => 6,
-        SchemeKind::Sfa => 7,
-    }
-}
-
-fn scheme_from(tag: u8) -> Option<SchemeKind> {
-    Some(match tag {
-        0 => SchemeKind::Sequential,
-        1 => SchemeKind::Naive,
-        2 => SchemeKind::Enumerative,
-        3 => SchemeKind::Pm,
-        4 => SchemeKind::Sre,
-        5 => SchemeKind::Rr,
-        6 => SchemeKind::Nf,
-        7 => SchemeKind::Sfa,
-        _ => return None,
-    })
-}
-
-fn stitch_tag(s: StitchPolicy) -> u8 {
-    match s {
-        StitchPolicy::Sequential => 0,
-        StitchPolicy::Tree => 1,
-    }
-}
-
-fn stitch_from(tag: u8) -> Option<StitchPolicy> {
-    Some(match tag {
-        0 => StitchPolicy::Sequential,
-        1 => StitchPolicy::Tree,
-        _ => return None,
-    })
-}
-
-fn mode_tag(m: ExecMode) -> u8 {
-    match m {
-        ExecMode::StreamParallel => 0,
-        ExecMode::ChunkParallel => 1,
-    }
-}
-
-fn mode_from(tag: u8) -> Option<ExecMode> {
-    Some(match tag {
-        0 => ExecMode::StreamParallel,
-        1 => ExecMode::ChunkParallel,
-        _ => return None,
-    })
-}
-
-fn outcome_tag(o: StreamOutcome) -> u8 {
-    match o {
-        StreamOutcome::Served => 0,
-        StreamOutcome::ShedDeadline => 1,
-        StreamOutcome::ShedCopyFailure => 2,
-        StreamOutcome::ShedBreakerOpen => 3,
-    }
-}
-
-fn outcome_from(tag: u8) -> Option<StreamOutcome> {
-    Some(match tag {
-        0 => StreamOutcome::Served,
-        1 => StreamOutcome::ShedDeadline,
-        2 => StreamOutcome::ShedCopyFailure,
-        3 => StreamOutcome::ShedBreakerOpen,
-        _ => return None,
-    })
-}
-
-/// The report's policy field is a `&'static str` drawn from
-/// [`crate::BatchPolicy::name`]; it round-trips as a tag (3 = the default
-/// report's empty string).
-fn policy_tag(name: &str) -> u8 {
-    match name {
-        "fifo" => 0,
-        "deadline" => 1,
-        "adaptive" => 2,
-        _ => 3,
-    }
-}
-
-fn policy_from(tag: u8) -> Option<&'static str> {
-    Some(match tag {
-        0 => "fifo",
-        1 => "deadline",
-        2 => "adaptive",
-        3 => "",
-        _ => return None,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Component codecs
-// ---------------------------------------------------------------------------
-
-fn write_span(w: &mut Writer, s: Span) {
-    w.u64(s.start);
-    w.u64(s.end);
-}
-
-fn read_span(r: &mut Reader<'_>, what: &'static str) -> Result<Span, ServeError> {
-    let start = r.u64(what)?;
-    let end = r.u64(what)?;
-    if end < start {
-        return Err(r.corrupt(what));
-    }
-    Ok(Span { start, end })
-}
-
-fn write_summary(w: &mut Writer, s: &LatencySummary) {
-    w.u64(s.p50);
-    w.u64(s.p95);
-    w.u64(s.p99);
-    w.u64(s.max);
-}
-
-fn read_summary(r: &mut Reader<'_>) -> Result<LatencySummary, ServeError> {
-    Ok(LatencySummary {
-        p50: r.u64("latency summary")?,
-        p95: r.u64("latency summary")?,
-        p99: r.u64("latency summary")?,
-        max: r.u64("latency summary")?,
-    })
-}
-
-/// Sketches encode sparsely: the (index, count) pairs of nonzero buckets,
-/// in index order, plus the exact total/min/max. A million-stream sketch
-/// has a handful of hot octaves, so this is far smaller than the dense
-/// 114 KiB counter array.
-fn write_sketch(w: &mut Writer, s: &LatencySketch) {
-    let (counts, total, min, max) = s.raw_parts();
-    let nonzero = counts.iter().filter(|&&c| c != 0).count();
-    w.usize(nonzero);
-    for (i, &c) in counts.iter().enumerate() {
-        if c != 0 {
-            w.usize(i);
-            w.u64(c);
+    fn put(&self, w: &mut Writer) {
+        self.is_some().put(w);
+        if let Some(x) = self {
+            x.put(w);
         }
     }
-    w.u64(total);
-    w.u64(min);
-    w.u64(max);
-}
 
-fn read_sketch(r: &mut Reader<'_>) -> Result<LatencySketch, ServeError> {
-    let n = r.len(16, "latency sketch buckets")?;
-    let mut counts = vec![0u64; LatencySketch::BUCKETS];
-    let mut prev: Option<usize> = None;
-    for _ in 0..n {
-        let i = r.usize("latency sketch bucket index")?;
-        if i >= LatencySketch::BUCKETS || prev.is_some_and(|p| i <= p) {
-            return Err(r.corrupt("latency sketch bucket index"));
-        }
-        let c = r.u64("latency sketch bucket count")?;
-        if c == 0 {
-            return Err(r.corrupt("latency sketch bucket count"));
-        }
-        counts[i] = c;
-        prev = Some(i);
-    }
-    let total = r.u64("latency sketch total")?;
-    let min = r.u64("latency sketch min")?;
-    let max = r.u64("latency sketch max")?;
-    LatencySketch::from_raw_parts(counts, total, min, max)
-        .ok_or_else(|| r.corrupt("latency sketch counters do not sum to the total"))
-}
-
-fn write_stats(w: &mut Writer, s: &KernelStats) {
-    w.u64(s.cycles);
-    w.u64(s.rounds);
-    w.u64(s.global_transactions);
-    w.u64(s.global_coalesced_hits);
-    w.u64(s.shared_accesses);
-    w.u64(s.alu_ops);
-    w.u64(s.shuffles);
-    w.u64(s.atomics);
-    w.usize(s.active_per_round.len());
-    for &v in &s.active_per_round {
-        w.u32(v);
-    }
-    w.usize(s.recovering_per_round.len());
-    for &v in &s.recovering_per_round {
-        w.u32(v);
-    }
-    write_u64s(w, &s.round_durations);
-    w.u64(s.recovery_cycles);
-    w.u64(s.recovery_runs);
-    w.u64(s.fault_retries);
-    w.u64(s.fault_watchdog_kills);
-    w.u64(s.fault_degraded_blocks);
-    w.u64(s.fault_cycles);
-    match s.shape {
-        None => w.u8(0),
-        Some(sh) => {
-            w.u8(1);
-            w.u32(sh.resident_per_sm);
-            w.u32(sh.blocks_per_wave);
-            w.u32(sh.waves);
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        if bool::get(r, what)? {
+            T::get(r, what).map(Some)
+        } else {
+            Ok(None)
         }
     }
-    for (_, pc) in s.profile.iter() {
-        w.u64(pc.cycles);
-        w.u64(pc.rounds);
-        w.u64(pc.global_transactions);
-        w.u64(pc.global_coalesced_hits);
-        w.u64(pc.shared_accesses);
-        w.u64(pc.alu_ops);
-        w.u64(pc.shuffles);
-        w.u64(pc.atomics);
-        w.u64(pc.divergent_rounds);
-        w.u64(pc.active_thread_rounds);
-        w.u64(pc.thread_rounds);
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        self.1.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        Ok((A::get(r, what)?, B::get(r, what)?))
     }
 }
 
-fn read_u32_vec(r: &mut Reader<'_>, what: &'static str) -> Result<Vec<u32>, ServeError> {
-    let n = r.len(4, what)?;
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(r.u32(what)?);
-    }
-    Ok(v)
-}
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    const MIN_BYTES: usize = N * T::MIN_BYTES;
 
-fn read_stats(r: &mut Reader<'_>) -> Result<KernelStats, ServeError> {
-    let mut s = KernelStats {
-        cycles: r.u64("stats cycles")?,
-        rounds: r.u64("stats rounds")?,
-        global_transactions: r.u64("stats counters")?,
-        global_coalesced_hits: r.u64("stats counters")?,
-        shared_accesses: r.u64("stats counters")?,
-        alu_ops: r.u64("stats counters")?,
-        shuffles: r.u64("stats counters")?,
-        atomics: r.u64("stats counters")?,
-        ..KernelStats::default()
-    };
-    s.active_per_round = read_u32_vec(r, "stats per-round actives")?;
-    s.recovering_per_round = read_u32_vec(r, "stats per-round recoveries")?;
-    s.round_durations = r.u64_vec("stats round durations")?;
-    s.recovery_cycles = r.u64("stats recovery counters")?;
-    s.recovery_runs = r.u64("stats recovery counters")?;
-    s.fault_retries = r.u64("stats fault counters")?;
-    s.fault_watchdog_kills = r.u64("stats fault counters")?;
-    s.fault_degraded_blocks = r.u64("stats fault counters")?;
-    s.fault_cycles = r.u64("stats fault counters")?;
-    s.shape = match r.u8("stats launch shape")? {
-        0 => None,
-        1 => Some(LaunchShape {
-            resident_per_sm: r.u32("stats launch shape")?,
-            blocks_per_wave: r.u32("stats launch shape")?,
-            waves: r.u32("stats launch shape")?,
-        }),
-        _ => return Err(r.corrupt("stats launch shape")),
-    };
-    for phase in Phase::ALL {
-        let pc = s.profile.get_mut(phase);
-        pc.cycles = r.u64("stats phase profile")?;
-        pc.rounds = r.u64("stats phase profile")?;
-        pc.global_transactions = r.u64("stats phase profile")?;
-        pc.global_coalesced_hits = r.u64("stats phase profile")?;
-        pc.shared_accesses = r.u64("stats phase profile")?;
-        pc.alu_ops = r.u64("stats phase profile")?;
-        pc.shuffles = r.u64("stats phase profile")?;
-        pc.atomics = r.u64("stats phase profile")?;
-        pc.divergent_rounds = r.u64("stats phase profile")?;
-        pc.active_thread_rounds = r.u64("stats phase profile")?;
-        pc.thread_rounds = r.u64("stats phase profile")?;
-    }
-    Ok(s)
-}
-
-fn write_choice(w: &mut Writer, c: &LaunchChoice) {
-    w.u8(scheme_tag(c.scheme));
-    w.usize(c.spec_k);
-    w.u8(stitch_tag(c.stitch));
-    w.u64(c.predicted_millicost);
-}
-
-fn read_choice(r: &mut Reader<'_>) -> Result<LaunchChoice, ServeError> {
-    let scheme = scheme_from(r.u8("launch choice scheme")?)
-        .ok_or_else(|| r.corrupt("launch choice scheme"))?;
-    let spec_k = r.usize("launch choice spec_k")?;
-    let stitch = stitch_from(r.u8("launch choice stitch")?)
-        .ok_or_else(|| r.corrupt("launch choice stitch"))?;
-    let predicted_millicost = r.u64("launch choice prediction")?;
-    Ok(LaunchChoice { scheme, spec_k, stitch, predicted_millicost })
-}
-
-fn write_report(w: &mut Writer, rep: &ServeReport) {
-    w.u8(policy_tag(rep.policy));
-    w.bool(rep.overlap);
-    w.usize(rep.streams);
-    w.usize(rep.total_bytes);
-    w.usize(rep.batches.len());
-    for b in &rep.batches {
-        w.usize(b.first_stream);
-        w.usize(b.streams);
-        w.usize(b.machine);
-        w.u8(scheme_tag(b.scheme));
-        w.u8(mode_tag(b.mode));
-        w.usize(b.bytes);
-        write_span(w, b.h2d);
-        write_span(w, b.compute);
-        write_span(w, b.d2h);
-    }
-    w.u64(rep.makespan_cycles);
-    write_u64s(w, &rep.latencies);
-    write_summary(w, &rep.delivery);
-    write_summary(w, &rep.kernel_latency);
-    w.usize(rep.end_states.len());
-    for &s in &rep.end_states {
-        w.u32(s);
-    }
-    w.usize(rep.accepted.len());
-    for &a in &rep.accepted {
-        w.bool(a);
-    }
-    write_stats(w, &rep.stats);
-    w.usize(rep.queue_depth.len());
-    for &(c, d) in &rep.queue_depth {
-        w.u64(c);
-        w.usize(d);
-    }
-    w.u64(rep.backpressure_events);
-    w.u64(rep.backpressure_wait_cycles);
-    w.u64(rep.overlap_efficiency_permille);
-    w.usize(rep.outcomes.len());
-    for &o in &rep.outcomes {
-        w.u8(outcome_tag(o));
-    }
-    w.u64(rep.recovery.block_retries);
-    w.u64(rep.recovery.watchdog_kills);
-    w.u64(rep.recovery.degraded_blocks);
-    w.u64(rep.recovery.copy_retries);
-    w.u64(rep.recovery.failed_batches);
-    w.u64(rep.recovery.shed_streams);
-    w.u64(rep.recovery.breaker_trips);
-    w.u64(rep.recovery.fault_cycles);
-    w.u64(rep.batches_dispatched);
-    w.usize(rep.peak_queue);
-    w.u64(rep.latency_error_permille);
-    w.usize(rep.decisions.len());
-    for d in &rep.decisions {
-        w.usize(d.batch);
-        w.usize(d.machine);
-        w.usize(d.arm);
-        write_choice(w, &d.choice);
-        w.bool(d.explore);
-        w.u64(d.observation.bytes);
-        w.u64(d.observation.compute_cycles);
-        w.u64(d.observation.verify_cycles);
-        w.u64(d.observation.recovery_cycles);
-        w.u64(d.observation.stitch_cycles);
-        w.u64(d.observation.verification_checks);
-        w.u64(d.observation.verification_matches);
-        w.bool(d.observation.chunk_parallel);
-    }
-    w.u64(rep.decisions_made);
-    w.u64(rep.explore_decisions);
-    w.u64(rep.residency.hits);
-    w.u64(rep.residency.misses);
-    w.u64(rep.residency.evictions);
-    w.u64(rep.residency.copied_bytes);
-    w.u64(rep.preemptions);
-    w.u64(rep.preempted_cycles);
-}
-
-fn read_report(r: &mut Reader<'_>) -> Result<ServeReport, ServeError> {
-    let policy = policy_from(r.u8("report policy")?).ok_or_else(|| r.corrupt("report policy"))?;
-    let overlap = r.bool("report overlap flag")?;
-    let streams = r.usize("report stream count")?;
-    let total_bytes = r.usize("report byte count")?;
-    let n_batches = r.len(66, "report batch records")?;
-    let mut batches = Vec::with_capacity(n_batches);
-    for _ in 0..n_batches {
-        batches.push(BatchRecord {
-            first_stream: r.usize("batch record")?,
-            streams: r.usize("batch record")?,
-            machine: r.usize("batch record")?,
-            scheme: scheme_from(r.u8("batch record scheme")?)
-                .ok_or_else(|| r.corrupt("batch record scheme"))?,
-            mode: mode_from(r.u8("batch record mode")?)
-                .ok_or_else(|| r.corrupt("batch record mode"))?,
-            bytes: r.usize("batch record")?,
-            h2d: read_span(r, "batch record h2d span")?,
-            compute: read_span(r, "batch record compute span")?,
-            d2h: read_span(r, "batch record d2h span")?,
-        });
-    }
-    let makespan_cycles = r.u64("report makespan")?;
-    let latencies = r.u64_vec("report latencies")?;
-    let delivery = read_summary(r)?;
-    let kernel_latency = read_summary(r)?;
-    let n_states = r.len(4, "report end states")?;
-    let mut end_states = Vec::with_capacity(n_states);
-    for _ in 0..n_states {
-        end_states.push(r.u32("report end states")?);
-    }
-    let n_accepted = r.len(1, "report accept flags")?;
-    let mut accepted = Vec::with_capacity(n_accepted);
-    for _ in 0..n_accepted {
-        accepted.push(r.bool("report accept flags")?);
-    }
-    let stats = read_stats(r)?;
-    let n_depth = r.len(16, "report queue-depth samples")?;
-    let mut queue_depth = Vec::with_capacity(n_depth);
-    for _ in 0..n_depth {
-        let c = r.u64("report queue-depth samples")?;
-        let d = r.usize("report queue-depth samples")?;
-        queue_depth.push((c, d));
-    }
-    let backpressure_events = r.u64("report backpressure")?;
-    let backpressure_wait_cycles = r.u64("report backpressure")?;
-    let overlap_efficiency_permille = r.u64("report overlap efficiency")?;
-    let n_outcomes = r.len(1, "report outcomes")?;
-    let mut outcomes = Vec::with_capacity(n_outcomes);
-    for _ in 0..n_outcomes {
-        outcomes.push(
-            outcome_from(r.u8("report outcomes")?).ok_or_else(|| r.corrupt("report outcomes"))?,
-        );
-    }
-    let recovery = RecoveryReport {
-        block_retries: r.u64("report recovery counters")?,
-        watchdog_kills: r.u64("report recovery counters")?,
-        degraded_blocks: r.u64("report recovery counters")?,
-        copy_retries: r.u64("report recovery counters")?,
-        failed_batches: r.u64("report recovery counters")?,
-        shed_streams: r.u64("report recovery counters")?,
-        breaker_trips: r.u64("report recovery counters")?,
-        fault_cycles: r.u64("report recovery counters")?,
-    };
-    let batches_dispatched = r.u64("report batch counter")?;
-    let peak_queue = r.usize("report peak queue")?;
-    let latency_error_permille = r.u64("report latency error")?;
-    let n_decisions = r.len(92, "report decision log")?;
-    let mut decisions = Vec::with_capacity(n_decisions);
-    for _ in 0..n_decisions {
-        decisions.push(DecisionRecord {
-            batch: r.usize("decision record")?,
-            machine: r.usize("decision record")?,
-            arm: r.usize("decision record")?,
-            choice: read_choice(r)?,
-            explore: r.bool("decision record")?,
-            observation: BatchObservation {
-                bytes: r.u64("decision observation")?,
-                compute_cycles: r.u64("decision observation")?,
-                verify_cycles: r.u64("decision observation")?,
-                recovery_cycles: r.u64("decision observation")?,
-                stitch_cycles: r.u64("decision observation")?,
-                verification_checks: r.u64("decision observation")?,
-                verification_matches: r.u64("decision observation")?,
-                chunk_parallel: r.bool("decision observation")?,
-            },
-        });
-    }
-    let decisions_made = r.u64("report decision counters")?;
-    let explore_decisions = r.u64("report decision counters")?;
-    let residency = ResidencyReport {
-        hits: r.u64("report residency counters")?,
-        misses: r.u64("report residency counters")?,
-        evictions: r.u64("report residency counters")?,
-        copied_bytes: r.u64("report residency counters")?,
-    };
-    let preemptions = r.u64("report preemption counters")?;
-    let preempted_cycles = r.u64("report preemption counters")?;
-    Ok(ServeReport {
-        policy,
-        overlap,
-        streams,
-        total_bytes,
-        batches,
-        makespan_cycles,
-        latencies,
-        delivery,
-        kernel_latency,
-        end_states,
-        accepted,
-        stats,
-        queue_depth,
-        backpressure_events,
-        backpressure_wait_cycles,
-        overlap_efficiency_permille,
-        outcomes,
-        recovery,
-        batches_dispatched,
-        peak_queue,
-        latency_error_permille,
-        decisions,
-        decisions_made,
-        explore_decisions,
-        residency,
-        preemptions,
-        preempted_cycles,
-    })
-}
-
-fn write_snapshot(w: &mut Writer, s: &EngineSnapshot) {
-    w.usize(s.pulled);
-    w.u64(s.last_cycle);
-    w.usize(s.next);
-    w.usize(s.batch_idx);
-    w.u32(s.breaker_consecutive);
-    w.u64(s.buffer_free[0]);
-    w.u64(s.buffer_free[1]);
-    w.u64(s.cq_free);
-    w.u64(s.cq_horizon);
-    for f in s.frontiers {
-        w.u64(f);
-    }
-    w.usize(s.window.len());
-    for a in &s.window {
-        w.u64(a.arrival_cycle);
-        w.usize(a.machine);
-        w.usize(a.bytes.len());
-        w.raw(&a.bytes);
-    }
-    w.usize(s.ring_released);
-    write_u64s(w, &s.ring_recent);
-    w.usize(s.depth_pending.len());
-    for &(c, k) in &s.depth_pending {
-        w.u64(c);
-        w.u8(k as u8);
-    }
-    w.i64(s.depth_depth);
-    match s.depth_group {
-        None => w.u8(0),
-        Some(c) => {
-            w.u8(1);
-            w.u64(c);
+    fn put(&self, w: &mut Writer) {
+        for x in self {
+            x.put(w);
         }
     }
-    w.usize(s.depth_samples.len());
-    for &(c, d) in &s.depth_samples {
-        w.u64(c);
-        w.usize(d);
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let mut a = [T::default(); N];
+        for x in &mut a {
+            *x = T::get(r, what)?;
+        }
+        Ok(a)
     }
-    w.usize(s.depth_peak);
-    w.bool(s.depth_zero_pairs);
-    w.usize(s.meter_computes.len());
-    for &sp in &s.meter_computes {
-        write_span(w, sp);
-    }
-    w.usize(s.meter_pending_copies.len());
-    for &sp in &s.meter_pending_copies {
-        write_span(w, sp);
-    }
-    w.u64(s.meter_copy_busy);
-    w.u64(s.meter_hidden);
-    match &s.residency_order {
-        None => w.u8(0),
-        Some(order) => {
-            w.u8(1);
-            w.usize(order.len());
-            for &m in order {
-                w.usize(m);
+}
+
+/// Implements [`Wire`] for a struct from its complete field list, in wire
+/// order: the fields are written and read in that order (failures
+/// labelled `Type.field`), and `MIN_BYTES` sums the fields' minimums.
+macro_rules! wire_struct {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
+
+            fn put(&self, w: &mut Writer) {
+                $(<$fty as Wire>::put(&self.$field, w);)*
+            }
+
+            fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, ServeError> {
+                Ok($ty {
+                    $($field: <$fty as Wire>::get(
+                        r,
+                        concat!(stringify!($ty), ".", stringify!($field)),
+                    )?,)*
+                })
             }
         }
-    }
-    match &s.controller {
-        None => w.u8(0),
-        Some(machines) => {
-            w.u8(1);
-            w.usize(machines.len());
-            for (decided, arms) in machines {
-                w.u64(*decided);
-                w.usize(arms.len());
-                for (window, observations) in arms {
-                    write_u64s(w, window);
-                    w.u64(*observations);
+    };
+}
+
+/// Implements [`Wire`] for an enum as a one-byte tag table; tags outside
+/// the table are rejected.
+macro_rules! wire_tags {
+    ($ty:ty { $($variant:ident $(($inner:path))? = $tag:literal),* $(,)? }) => {
+        impl Wire for $ty {
+            const MIN_BYTES: usize = 1;
+
+            fn put(&self, w: &mut Writer) {
+                let tag: u8 = match self {
+                    $(Self::$variant $(($inner))? => $tag,)*
+                };
+                tag.put(w);
+            }
+
+            fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+                match u8::get(r, what)? {
+                    $($tag => Ok(Self::$variant $(($inner))?),)*
+                    _ => Err(r.corrupt(what)),
                 }
             }
         }
+    };
+}
+
+// Tag tables: declaration order of the source enums.
+
+wire_tags!(SchemeKind {
+    Sequential = 0,
+    Naive = 1,
+    Enumerative = 2,
+    Pm = 3,
+    Sre = 4,
+    Rr = 5,
+    Nf = 6,
+    Sfa = 7,
+});
+
+wire_tags!(StitchPolicy { Sequential = 0, Tree = 1 });
+
+wire_tags!(ExecMode { StreamParallel = 0, ChunkParallel = 1 });
+
+wire_tags!(StreamOutcome {
+    Served = 0,
+    ShedDeadline = 1,
+    ShedCopyFailure = 2,
+    ShedBreakerOpen = 3,
+});
+
+// A report's policy is one tag; 3 is a default-constructed report's `None`.
+wire_tags!(Option<PolicyKind> {
+    Some(PolicyKind::Fifo) = 0,
+    Some(PolicyKind::Deadline) = 1,
+    Some(PolicyKind::Adaptive) = 2,
+    None = 3,
+});
+
+// Field lists.
+
+wire_struct!(PhaseCounters {
+    cycles: u64,
+    rounds: u64,
+    global_transactions: u64,
+    global_coalesced_hits: u64,
+    shared_accesses: u64,
+    alu_ops: u64,
+    shuffles: u64,
+    atomics: u64,
+    divergent_rounds: u64,
+    active_thread_rounds: u64,
+    thread_rounds: u64,
+});
+
+wire_struct!(LaunchShape { resident_per_sm: u32, blocks_per_wave: u32, waves: u32 });
+
+wire_struct!(KernelStats {
+    cycles: u64,
+    rounds: u64,
+    global_transactions: u64,
+    global_coalesced_hits: u64,
+    shared_accesses: u64,
+    alu_ops: u64,
+    shuffles: u64,
+    atomics: u64,
+    active_per_round: Vec<u32>,
+    recovering_per_round: Vec<u32>,
+    round_durations: Vec<u64>,
+    recovery_cycles: u64,
+    recovery_runs: u64,
+    fault_retries: u64,
+    fault_watchdog_kills: u64,
+    fault_degraded_blocks: u64,
+    fault_cycles: u64,
+    shape: Option<LaunchShape>,
+    profile: PhaseProfile,
+});
+
+wire_struct!(LaunchChoice {
+    scheme: SchemeKind,
+    spec_k: usize,
+    stitch: StitchPolicy,
+    predicted_millicost: u64,
+});
+
+wire_struct!(BatchRecord {
+    first_stream: usize,
+    streams: usize,
+    machine: usize,
+    scheme: SchemeKind,
+    mode: ExecMode,
+    bytes: usize,
+    h2d: Span,
+    compute: Span,
+    d2h: Span,
+});
+
+wire_struct!(BatchObservation {
+    bytes: u64,
+    compute_cycles: u64,
+    verify_cycles: u64,
+    recovery_cycles: u64,
+    stitch_cycles: u64,
+    verification_checks: u64,
+    verification_matches: u64,
+    chunk_parallel: bool,
+});
+
+wire_struct!(DecisionRecord {
+    batch: usize,
+    machine: usize,
+    arm: usize,
+    choice: LaunchChoice,
+    explore: bool,
+    observation: BatchObservation,
+});
+
+wire_struct!(RecoveryReport {
+    block_retries: u64,
+    watchdog_kills: u64,
+    degraded_blocks: u64,
+    copy_retries: u64,
+    failed_batches: u64,
+    shed_streams: u64,
+    breaker_trips: u64,
+    fault_cycles: u64,
+});
+
+wire_struct!(ResidencyReport { hits: u64, misses: u64, evictions: u64, copied_bytes: u64 });
+
+wire_struct!(LatencySummary { p50: u64, p95: u64, p99: u64, max: u64 });
+
+wire_struct!(ServeReport {
+    policy: Option<PolicyKind>,
+    overlap: bool,
+    streams: usize,
+    total_bytes: usize,
+    batches: Vec<BatchRecord>,
+    makespan_cycles: u64,
+    latencies: Vec<u64>,
+    delivery: LatencySummary,
+    kernel_latency: LatencySummary,
+    end_states: Vec<u32>,
+    accepted: Vec<bool>,
+    stats: KernelStats,
+    queue_depth: Vec<(u64, usize)>,
+    backpressure_events: u64,
+    backpressure_wait_cycles: u64,
+    overlap_efficiency_permille: u64,
+    outcomes: Vec<StreamOutcome>,
+    recovery: RecoveryReport,
+    batches_dispatched: u64,
+    peak_queue: usize,
+    latency_error_permille: u64,
+    decisions: Vec<DecisionRecord>,
+    decisions_made: u64,
+    explore_decisions: u64,
+    residency: ResidencyReport,
+    preemptions: u64,
+    preempted_cycles: u64,
+});
+
+wire_struct!(EngineSnapshot {
+    pulled: usize,
+    last_cycle: u64,
+    next: usize,
+    batch_idx: usize,
+    breaker_consecutive: u32,
+    buffer_free: [u64; 2],
+    cq_free: u64,
+    cq_horizon: u64,
+    frontiers: [u64; 3],
+    window: Vec<StreamArrival>,
+    ring_released: usize,
+    ring_recent: Vec<u64>,
+    depth_pending: Vec<(u64, i8)>,
+    depth_depth: i64,
+    depth_group: Option<u64>,
+    depth_samples: Vec<(u64, usize)>,
+    depth_peak: usize,
+    depth_zero_pairs: bool,
+    meter_computes: Vec<Span>,
+    meter_pending_copies: Vec<Span>,
+    meter_copy_busy: u64,
+    meter_hidden: u64,
+    residency_order: Option<Vec<usize>>,
+    controller: Option<Vec<MachineArmState>>,
+    report: ServeReport,
+    delivery_exact: Vec<u64>,
+    delivery_sketch: Option<LatencySketch>,
+    kernel_exact: Vec<u64>,
+    kernel_sketch: Option<LatencySketch>,
+});
+
+// Hand-written layouts: the types whose values need more than their
+// fields' own validation.
+
+impl Wire for Span {
+    const MIN_BYTES: usize = 16;
+
+    fn put(&self, w: &mut Writer) {
+        (self.start, self.end).put(w);
     }
-    write_report(w, &s.report);
-    write_u64s(w, &s.delivery_exact);
-    match &s.delivery_sketch {
-        None => w.u8(0),
-        Some(sk) => {
-            w.u8(1);
-            write_sketch(w, sk);
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let (start, end) = <(u64, u64)>::get(r, what)?;
+        if end < start {
+            return Err(r.corrupt(what));
         }
-    }
-    write_u64s(w, &s.kernel_exact);
-    match &s.kernel_sketch {
-        None => w.u8(0),
-        Some(sk) => {
-            w.u8(1);
-            write_sketch(w, sk);
-        }
+        Ok(Span { start, end })
     }
 }
 
-fn read_snapshot(r: &mut Reader<'_>) -> Result<EngineSnapshot, ServeError> {
-    let pulled = r.usize("pull cursor")?;
-    let last_cycle = r.u64("source cycle cursor")?;
-    let next = r.usize("admission cursor")?;
-    let batch_idx = r.usize("batch cursor")?;
-    let breaker_consecutive = r.u32("breaker counter")?;
-    let buffer_free = [r.u64("buffer cursors")?, r.u64("buffer cursors")?];
-    let cq_free = r.u64("compute cursor")?;
-    let cq_horizon = r.u64("compute cursor")?;
-    let frontiers =
-        [r.u64("queue frontiers")?, r.u64("queue frontiers")?, r.u64("queue frontiers")?];
-    let n_window = r.len(24, "admission window")?;
-    let mut window = Vec::with_capacity(n_window);
-    let mut prev_arrival = 0u64;
-    for _ in 0..n_window {
-        let arrival_cycle = r.u64("window arrival")?;
-        if arrival_cycle < prev_arrival {
-            return Err(r.corrupt("window arrivals out of order"));
+/// The phases' counters in [`Phase::ALL`] order.
+impl Wire for PhaseProfile {
+    const MIN_BYTES: usize = Phase::ALL.len() * PhaseCounters::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
+        for (_, c) in self.iter() {
+            c.put(w);
         }
-        prev_arrival = arrival_cycle;
-        let machine = r.usize("window arrival")?;
-        let n_bytes = r.len(1, "window arrival payload")?;
-        if n_bytes == 0 {
-            return Err(r.corrupt("window arrival carries an empty stream"));
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let mut profile = PhaseProfile::default();
+        for phase in Phase::ALL {
+            *profile.get_mut(phase) = PhaseCounters::get(r, what)?;
         }
-        let bytes = r.take(n_bytes, "window arrival payload")?.to_vec();
-        window.push(StreamArrival { arrival_cycle, machine, bytes });
+        Ok(profile)
     }
-    let ring_released = r.usize("release ring")?;
-    let ring_recent = r.u64_vec("release ring")?;
-    let n_pending = r.len(9, "depth tracker events")?;
-    let mut depth_pending = Vec::with_capacity(n_pending);
-    let mut prev: Option<(u64, i8)> = None;
-    for _ in 0..n_pending {
-        let c = r.u64("depth tracker events")?;
-        let k = r.u8("depth tracker events")? as i8;
-        if k != 1 && k != -1 {
-            return Err(r.corrupt("depth tracker event kind"));
-        }
-        if prev.is_some_and(|p| (c, k) < p) {
-            return Err(r.corrupt("depth tracker events out of order"));
-        }
-        prev = Some((c, k));
-        depth_pending.push((c, k));
+}
+
+/// Sketches encode sparsely: the `(index, count)` pairs of nonzero
+/// buckets in strictly increasing index order, then the exact
+/// total/min/max. A million-stream sketch has a handful of hot octaves, so
+/// this is far smaller than the dense 114 KiB counter array.
+impl Wire for LatencySketch {
+    const MIN_BYTES: usize = Vec::<(usize, u64)>::MIN_BYTES + 3 * 8;
+
+    fn put(&self, w: &mut Writer) {
+        let (counts, total, min, max) = self.raw_parts();
+        let buckets: Vec<(usize, u64)> =
+            counts.iter().copied().enumerate().filter(|&(_, c)| c != 0).collect();
+        buckets.put(w);
+        [total, min, max].put(w);
     }
-    let depth_depth = r.i64("depth tracker depth")?;
-    let depth_group = match r.u8("depth tracker group")? {
-        0 => None,
-        1 => Some(r.u64("depth tracker group")?),
-        _ => return Err(r.corrupt("depth tracker group")),
-    };
-    let n_samples = r.len(16, "depth samples")?;
-    let mut depth_samples = Vec::with_capacity(n_samples);
-    for _ in 0..n_samples {
-        let c = r.u64("depth samples")?;
-        let d = r.usize("depth samples")?;
-        depth_samples.push((c, d));
-    }
-    let depth_peak = r.usize("depth peak")?;
-    let depth_zero_pairs = r.bool("depth zero-pair flag")?;
-    let n_computes = r.len(16, "overlap meter computes")?;
-    let mut meter_computes = Vec::with_capacity(n_computes);
-    for _ in 0..n_computes {
-        meter_computes.push(read_span(r, "overlap meter computes")?);
-    }
-    let n_copies = r.len(16, "overlap meter copies")?;
-    let mut meter_pending_copies = Vec::with_capacity(n_copies);
-    for _ in 0..n_copies {
-        meter_pending_copies.push(read_span(r, "overlap meter copies")?);
-    }
-    let meter_copy_busy = r.u64("overlap meter counters")?;
-    let meter_hidden = r.u64("overlap meter counters")?;
-    let residency_order = match r.u8("residency order")? {
-        0 => None,
-        1 => {
-            let n = r.len(8, "residency order")?;
-            let mut order = Vec::with_capacity(n);
-            for _ in 0..n {
-                order.push(r.usize("residency order")?);
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let buckets = Vec::<(usize, u64)>::get(r, what)?;
+        let [total, min, max] = <[u64; 3]>::get(r, what)?;
+        let mut counts = vec![0u64; LatencySketch::BUCKETS];
+        let mut first_free = 0;
+        for (i, c) in buckets {
+            if i < first_free || i >= LatencySketch::BUCKETS || c == 0 {
+                return Err(r.corrupt(what));
             }
-            Some(order)
+            counts[i] = c;
+            first_free = i + 1;
         }
-        _ => return Err(r.corrupt("residency order")),
-    };
-    let controller = match r.u8("controller state")? {
-        0 => None,
-        1 => {
-            let n_machines = r.len(16, "controller state")?;
-            let mut machines = Vec::with_capacity(n_machines);
-            for _ in 0..n_machines {
-                let decided = r.u64("controller state")?;
-                let n_arms = r.len(16, "controller arms")?;
-                let mut arms = Vec::with_capacity(n_arms);
-                for _ in 0..n_arms {
-                    let window = r.u64_vec("controller arm window")?;
-                    let observations = r.u64("controller arm observations")?;
-                    arms.push((window, observations));
-                }
-                machines.push((decided, arms));
-            }
-            Some(machines)
+        LatencySketch::from_raw_parts(counts, total, min, max).ok_or_else(|| r.corrupt(what))
+    }
+}
+
+/// An admission-window arrival: its payload is never empty and is taken
+/// as one slice; the window is in arrival order.
+impl Wire for StreamArrival {
+    const MIN_BYTES: usize = 8 + 8 + 8 + 1;
+
+    fn put(&self, w: &mut Writer) {
+        self.arrival_cycle.put(w);
+        self.machine.put(w);
+        self.bytes.len().put(w);
+        w.extend_from_slice(&self.bytes);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let arrival_cycle = u64::get(r, what)?;
+        let machine = usize::get(r, what)?;
+        let n = r.len(1, what)?;
+        if n == 0 {
+            return Err(r.corrupt(what));
         }
-        _ => return Err(r.corrupt("controller state")),
-    };
-    let report = read_report(r)?;
-    let delivery_exact = r.u64_vec("delivery latencies")?;
-    let delivery_sketch = match r.u8("delivery sketch")? {
-        0 => None,
-        1 => Some(read_sketch(r)?),
-        _ => return Err(r.corrupt("delivery sketch")),
-    };
-    let kernel_exact = r.u64_vec("kernel latencies")?;
-    let kernel_sketch = match r.u8("kernel sketch")? {
-        0 => None,
-        1 => Some(read_sketch(r)?),
-        _ => return Err(r.corrupt("kernel sketch")),
-    };
-    Ok(EngineSnapshot {
-        pulled,
-        last_cycle,
-        next,
-        batch_idx,
-        breaker_consecutive,
-        buffer_free,
-        cq_free,
-        cq_horizon,
-        frontiers,
-        window,
-        ring_released,
-        ring_recent,
-        depth_pending,
-        depth_depth,
-        depth_group,
-        depth_samples,
-        depth_peak,
-        depth_zero_pairs,
-        meter_computes,
-        meter_pending_copies,
-        meter_copy_busy,
-        meter_hidden,
-        residency_order,
-        controller,
-        report,
-        delivery_exact,
-        delivery_sketch,
-        kernel_exact,
-        kernel_sketch,
-    })
+        let bytes = r.take(n, what)?.to_vec();
+        Ok(StreamArrival { arrival_cycle, machine, bytes })
+    }
+
+    fn follows(prev: &Self, next: &Self) -> bool {
+        prev.arrival_cycle <= next.arrival_cycle
+    }
+}
+
+/// A depth-tracker event `(cycle, kind)`: the kind is +1 or -1 (one
+/// two's-complement byte), and the pending events are sorted.
+impl Wire for (u64, i8) {
+    const MIN_BYTES: usize = 9;
+
+    fn put(&self, w: &mut Writer) {
+        self.0.put(w);
+        (self.1 as u8).put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let cycle = u64::get(r, what)?;
+        let kind = u8::get(r, what)? as i8;
+        if kind != 1 && kind != -1 {
+            return Err(r.corrupt(what));
+        }
+        Ok((cycle, kind))
+    }
+
+    fn follows(prev: &Self, next: &Self) -> bool {
+        prev <= next
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -968,117 +661,97 @@ pub(crate) fn run_fingerprint(
     machines: &[ServeMachine<'_>],
     cfg: &ServeConfig,
 ) -> u64 {
-    let mut w = Writer::default();
+    let w = &mut Writer::new();
     // Device cost model (the name and the cycles→wall clock factor never
     // influence engine arithmetic).
-    w.u32(spec.n_sms);
-    w.u32(spec.cores_per_sm);
-    w.usize(spec.shared_mem_bytes);
-    w.u32(spec.warp_size);
-    w.u32(spec.max_threads_per_block);
-    w.u32(spec.max_threads_per_sm);
-    w.u32(spec.registers_per_sm);
-    w.u32(spec.max_blocks_per_sm);
-    w.u64(spec.shared_latency);
-    w.u64(spec.global_latency);
-    w.u64(spec.global_segment_bytes);
-    w.u64(spec.alu_latency);
-    w.u64(spec.shuffle_latency);
-    w.u64(spec.barrier_latency);
-    w.u64(spec.atomic_latency);
-    w.u64(spec.hash_probe_latency);
-    w.u64(spec.bandwidth_millicycles_per_txn);
-    w.u64(spec.copy_latency_cycles);
-    w.u64(spec.copy_millicycles_per_byte);
-    w.u32(spec.copy_engines);
+    spec.n_sms.put(w);
+    spec.cores_per_sm.put(w);
+    spec.shared_mem_bytes.put(w);
+    spec.warp_size.put(w);
+    spec.max_threads_per_block.put(w);
+    spec.max_threads_per_sm.put(w);
+    spec.registers_per_sm.put(w);
+    spec.max_blocks_per_sm.put(w);
+    spec.shared_latency.put(w);
+    spec.global_latency.put(w);
+    spec.global_segment_bytes.put(w);
+    spec.alu_latency.put(w);
+    spec.shuffle_latency.put(w);
+    spec.barrier_latency.put(w);
+    spec.atomic_latency.put(w);
+    spec.hash_probe_latency.put(w);
+    spec.bandwidth_millicycles_per_txn.put(w);
+    spec.copy_latency_cycles.put(w);
+    spec.copy_millicycles_per_byte.put(w);
+    spec.copy_engines.put(w);
     // Machines: everything the engine reads from them.
-    w.usize(machines.len());
+    machines.len().put(w);
     for m in machines {
-        w.u8(scheme_tag(m.scheme()));
-        w.usize(m.table_footprint_bytes());
-        w.u8(match m.class() {
-            crate::policy::PriorityClass::Bulk => 0,
-            crate::policy::PriorityClass::Deadline => 1,
-        });
-        w.u64(m.chunk_work_factor());
-        w.usize(m.arms().len());
-        for c in m.arms() {
-            write_choice(&mut w, c);
-        }
+        m.scheme().put(w);
+        m.table_footprint_bytes().put(w);
+        let class: u8 = match m.class() {
+            PriorityClass::Bulk => 0,
+            PriorityClass::Deadline => 1,
+        };
+        class.put(w);
+        m.chunk_work_factor().put(w);
+        put_slice(m.arms(), w);
     }
     // Serve configuration.
     match cfg.policy {
-        crate::policy::BatchPolicy::Fifo { batch } => {
-            w.u8(0);
-            w.usize(batch);
+        BatchPolicy::Fifo { batch } => (0u8, batch).put(w),
+        BatchPolicy::Deadline { batch, max_wait } => {
+            (1u8, batch).put(w);
+            max_wait.put(w);
         }
-        crate::policy::BatchPolicy::Deadline { batch, max_wait } => {
-            w.u8(1);
-            w.usize(batch);
-            w.u64(max_wait);
-        }
-        crate::policy::BatchPolicy::Adaptive { max_batch } => {
-            w.u8(2);
-            w.usize(max_batch);
-        }
+        BatchPolicy::Adaptive { max_batch } => (2u8, max_batch).put(w),
     }
-    w.bool(cfg.overlap);
-    w.usize(cfg.device_mem_bytes);
-    w.usize(cfg.max_queue_depth);
-    w.usize(cfg.d2h_bytes_per_stream);
-    w.u64(cfg.chunk_overhead_cycles);
+    cfg.overlap.put(w);
+    cfg.device_mem_bytes.put(w);
+    cfg.max_queue_depth.put(w);
+    cfg.d2h_bytes_per_stream.put(w);
+    cfg.chunk_overhead_cycles.put(w);
     let sc = &cfg.scheme_config;
-    w.usize(sc.n_chunks);
-    w.usize(sc.spec_k);
-    w.usize(sc.vr_others_registers);
-    w.usize(sc.vr_end_registers);
-    w.usize(sc.lookback);
-    w.bool(sc.count_matches);
-    w.u32(sc.spec_recovery_budget);
-    w.u8(stitch_tag(sc.stitch));
-    match sc.faults {
-        None => w.u8(0),
-        Some(p) => {
-            w.u8(1);
-            w.u64(p.seed);
-            w.u32(p.abort_permille);
-            w.u32(p.copy_fail_permille);
-            w.u32(p.corrupt_permille);
-            w.u64(p.watchdog_cycles);
-        }
+    sc.n_chunks.put(w);
+    sc.spec_k.put(w);
+    sc.vr_others_registers.put(w);
+    sc.vr_end_registers.put(w);
+    sc.lookback.put(w);
+    sc.count_matches.put(w);
+    sc.spec_recovery_budget.put(w);
+    sc.stitch.put(w);
+    sc.faults.is_some().put(w);
+    if let Some(p) = sc.faults {
+        p.seed.put(w);
+        p.abort_permille.put(w);
+        p.copy_fail_permille.put(w);
+        p.corrupt_permille.put(w);
+        p.watchdog_cycles.put(w);
     }
-    w.u32(sc.recovery.max_retries);
-    w.u64(sc.recovery.backoff_base_cycles);
-    w.u64(sc.recovery.backoff_cap_cycles);
-    w.u32(sc.recovery.misspec_degrade_permille);
-    w.u32(cfg.recovery.copy_max_retries);
-    w.u64(cfg.recovery.copy_backoff_base_cycles);
-    w.u64(cfg.recovery.copy_backoff_cap_cycles);
-    w.u64(cfg.recovery.shed_wait_cycles);
-    w.u32(cfg.recovery.breaker_failure_threshold);
-    w.u8(match cfg.detail {
-        crate::pipeline::ReportDetail::Full => 0,
-        crate::pipeline::ReportDetail::Bounded => 1,
-    });
-    match &cfg.controller {
-        None => w.u8(0),
-        Some(cc) => {
-            w.u8(1);
-            w.usize(cc.window);
-            w.u64(cc.explore_period);
-            w.u64(cc.explore_cutoff_permille);
-            w.usize(cc.max_decisions);
-        }
+    sc.recovery.max_retries.put(w);
+    sc.recovery.backoff_base_cycles.put(w);
+    sc.recovery.backoff_cap_cycles.put(w);
+    sc.recovery.misspec_degrade_permille.put(w);
+    cfg.recovery.copy_max_retries.put(w);
+    cfg.recovery.copy_backoff_base_cycles.put(w);
+    cfg.recovery.copy_backoff_cap_cycles.put(w);
+    cfg.recovery.shed_wait_cycles.put(w);
+    cfg.recovery.breaker_failure_threshold.put(w);
+    let detail: u8 = match cfg.detail {
+        ReportDetail::Full => 0,
+        ReportDetail::Bounded => 1,
+    };
+    detail.put(w);
+    cfg.controller.is_some().put(w);
+    if let Some(cc) = &cfg.controller {
+        cc.window.put(w);
+        cc.explore_period.put(w);
+        cc.explore_cutoff_permille.put(w);
+        cc.max_decisions.put(w);
     }
-    match cfg.residency {
-        None => w.u8(0),
-        Some(rc) => {
-            w.u8(1);
-            w.usize(rc.capacity_bytes);
-        }
-    }
-    w.bool(cfg.preempt);
-    fnv1a(&w.buf)
+    cfg.residency.map(|rc| rc.capacity_bytes).put(w);
+    cfg.preempt.put(w);
+    fnv1a(w)
 }
 
 // ---------------------------------------------------------------------------
@@ -1131,14 +804,13 @@ impl EngineCheckpoint {
     /// Serializes the checkpoint: magic, version, fingerprint, snapshot
     /// payload, FNV-1a-64 checksum. Byte-deterministic.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::default();
-        w.raw(&MAGIC);
-        w.u32(VERSION);
-        w.u64(self.fingerprint);
-        write_snapshot(&mut w, &self.snapshot);
-        let checksum = fnv1a(&w.buf);
-        w.u64(checksum);
-        w.buf
+        let mut w = Writer::from(MAGIC);
+        VERSION.put(&mut w);
+        self.fingerprint.put(&mut w);
+        self.snapshot.put(&mut w);
+        let checksum = fnv1a(&w);
+        checksum.put(&mut w);
+        w
     }
 
     /// Deserializes a checkpoint, verifying the checksum before touching
@@ -1167,15 +839,15 @@ impl EngineCheckpoint {
         if r.take(4, "magic")? != MAGIC {
             return Err(ServeError::CorruptCheckpoint { offset: 0, what: "bad magic" });
         }
-        let version = r.u32("version")?;
+        let version = u32::get(&mut r, "version")?;
         if version != VERSION {
             return Err(ServeError::CorruptCheckpoint {
                 offset: 4,
                 what: "unsupported checkpoint version",
             });
         }
-        let fingerprint = r.u64("fingerprint")?;
-        let snapshot = read_snapshot(&mut r)?;
+        let fingerprint = u64::get(&mut r, "fingerprint")?;
+        let snapshot = EngineSnapshot::get(&mut r, "EngineSnapshot")?;
         if r.pos != body.len() {
             return Err(r.corrupt("trailing bytes after the snapshot"));
         }

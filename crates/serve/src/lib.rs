@@ -92,7 +92,7 @@ pub use pipeline::{
     serve, serve_source, ReportDetail, ResidencyConfig, ServeConfig, ServeMachine,
     ServeRecoveryConfig,
 };
-pub use policy::{BatchPolicy, PriorityClass};
+pub use policy::{BatchPolicy, PolicyKind, PriorityClass};
 pub use report::{
     BatchRecord, ExecMode, LatencySummary, RecoveryReport, ResidencyReport, ServeReport,
     StreamOutcome, EXACT_SUMMARY_MAX,

@@ -978,7 +978,7 @@ impl Collector {
         Collector {
             full,
             report: ServeReport {
-                policy: cfg.policy.name(),
+                policy: Some(cfg.policy.kind()),
                 overlap: cfg.overlap,
                 ..ServeReport::default()
             },
@@ -2096,7 +2096,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
                 // Config-derived statics: pin to this run's config (the
                 // checkpoint layer's fingerprint guarantees they match the
                 // original's anyway).
-                r.policy = cfg.policy.name();
+                r.policy = Some(cfg.policy.kind());
                 r.overlap = cfg.overlap;
                 r
             },

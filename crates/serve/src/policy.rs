@@ -75,14 +75,42 @@ pub enum BatchPolicy {
     },
 }
 
+/// Which [`BatchPolicy`] a run was served under, without its parameters —
+/// what a [`crate::ServeReport`] records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PolicyKind {
+    /// [`BatchPolicy::Fifo`].
+    Fifo,
+    /// [`BatchPolicy::Deadline`].
+    Deadline,
+    /// [`BatchPolicy::Adaptive`].
+    Adaptive,
+}
+
+impl PolicyKind {
+    /// Stable snake_case name for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            PolicyKind::Fifo => "fifo",
+            PolicyKind::Deadline => "deadline",
+            PolicyKind::Adaptive => "adaptive",
+        }
+    }
+}
+
 impl BatchPolicy {
+    /// The policy's kind.
+    pub fn kind(&self) -> PolicyKind {
+        match self {
+            BatchPolicy::Fifo { .. } => PolicyKind::Fifo,
+            BatchPolicy::Deadline { .. } => PolicyKind::Deadline,
+            BatchPolicy::Adaptive { .. } => PolicyKind::Adaptive,
+        }
+    }
+
     /// Stable snake_case name for reports.
     pub fn name(&self) -> &'static str {
-        match self {
-            BatchPolicy::Fifo { .. } => "fifo",
-            BatchPolicy::Deadline { .. } => "deadline",
-            BatchPolicy::Adaptive { .. } => "adaptive",
-        }
+        self.kind().name()
     }
 
     /// The policy's hard cap on streams per batch.

@@ -11,6 +11,7 @@ use gspecpal_fsm::StateId;
 use gspecpal_gpu::{KernelStats, Span};
 
 use crate::controller::DecisionRecord;
+use crate::policy::PolicyKind;
 use crate::sketch::LatencySketch;
 
 /// Largest latency set summarized by an exact sort. Above this,
@@ -229,8 +230,9 @@ pub struct BatchRecord {
 /// The full result of serving a trace.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ServeReport {
-    /// Policy name (`fifo` / `deadline` / `adaptive`).
-    pub policy: &'static str,
+    /// The batch policy the run was served under (`None` on a
+    /// default-constructed report).
+    pub policy: Option<PolicyKind>,
     /// Whether copy/compute overlap was enabled.
     pub overlap: bool,
     /// Streams served (= trace length).
@@ -343,7 +345,7 @@ impl ServeReport {
         format!(
             "{} overlap={} streams={} batches={} makespan={}cy p50={} p95={} p99={} max={} \
              {:.4}B/cy transfer={}cy overlap_eff={}‰ backpressure={} shed={}",
-            self.policy,
+            self.policy.map_or("", PolicyKind::name),
             self.overlap,
             self.streams,
             self.batches.len(),
@@ -387,7 +389,7 @@ mod tests {
 
     #[test]
     fn summary_lines_do_not_panic() {
-        let r = ServeReport { policy: "fifo", ..ServeReport::default() };
+        let r = ServeReport { policy: Some(PolicyKind::Fifo), ..ServeReport::default() };
         assert!(r.summary().contains("fifo"));
         assert_eq!(r.bytes_per_cycle(), 0.0);
         assert_eq!(r.peak_queue_depth(), 0);

@@ -36,7 +36,7 @@ fn main() {
             let transfer = report.stats.profile.get(Phase::Transfer).cycles;
             println!(
                 "{:<9} {:<8} {:>10} {:>8} {:>9} {:>9} {:>8.4} {:>6.1}% {:>6}",
-                report.policy,
+                policy.name(),
                 report.overlap,
                 report.makespan_cycles,
                 report.batches.len(),

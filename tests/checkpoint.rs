@@ -11,8 +11,8 @@ use gspecpal_fsm::Dfa;
 use gspecpal_gpu::{DeviceSpec, FaultPlan};
 use gspecpal_serve::{
     serve, serve_checkpoint, serve_resume, serve_until_crash, BatchPolicy, CheckpointOutcome,
-    ControllerConfig, EngineCheckpoint, ReportDetail, ResidencyConfig, ServeConfig, ServeError,
-    ServeMachine, Trace,
+    ControllerConfig, EngineCheckpoint, PriorityClass, ReportDetail, ResidencyConfig, ServeConfig,
+    ServeError, ServeMachine, ServeReport, StreamArrival, Trace,
 };
 use proptest::prelude::*;
 
@@ -211,5 +211,178 @@ fn checkpoint_fingerprint_pins_the_machine_fleet() {
             assert_ne!(expected, found);
         }
         other => panic!("expected a fingerprint mismatch, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Golden VERSION-1 blobs
+// ---------------------------------------------------------------------------
+
+/// A Full-detail checkpoint taken mid-trace with every optional subsystem
+/// live: the adaptive controller, the residency LRU, a fault plan, and
+/// preemptive deadline classes. Its report carries batches, decisions,
+/// outcomes and queue-depth samples.
+const GOLDEN_FULL: &[u8] = include_bytes!("data/checkpoint_v1_full.bin");
+
+/// A Bounded-detail checkpoint taken after more than `EXACT_SUMMARY_MAX`
+/// served streams, so both latency accumulators have spilled into sketches.
+const GOLDEN_BOUNDED: &[u8] = include_bytes!("data/checkpoint_v1_bounded.bin");
+
+/// The setup behind [`GOLDEN_FULL`]. Under preemption a dispatched bulk
+/// kernel stays open (and the engine unquiesced) for the rest of the run,
+/// so the trace opens with deadline-class machines 1 and 2 only: the
+/// checkpoint lands among their batches on the preempt-mode compute
+/// cursor. Then a large bulk batch for machine 0 is cut into by a
+/// deadline stream, so the resumed run preempts.
+fn golden_full_setup(dfas: &[Dfa]) -> (Vec<ServeMachine<'_>>, ServeConfig, Trace, usize) {
+    let spec = DeviceSpec::test_unit();
+    let machines = serve_machines(&spec, dfas)
+        .into_iter()
+        .enumerate()
+        .map(|(i, m)| if i == 0 { m } else { m.with_class(PriorityClass::Deadline) })
+        .collect();
+    let cfg = ServeConfig { preempt: true, ..config_at(0, true, true, false, true) };
+    let mut arrivals = Trace::synthetic(23, 30, 2, 30, 8..80, b"01").arrivals().to_vec();
+    for a in &mut arrivals {
+        a.machine += 1;
+    }
+    let bulk = arrivals.last().expect("non-empty trace").arrival_cycle + 2_000;
+    arrivals.extend((0..8).map(|_| StreamArrival {
+        arrival_cycle: bulk,
+        machine: 0,
+        bytes: b"10".repeat(300),
+    }));
+    arrivals.push(StreamArrival {
+        arrival_cycle: bulk + 20_000,
+        machine: 1,
+        bytes: b"10".repeat(10),
+    });
+    (machines, cfg, Trace::from_arrivals(arrivals), 6)
+}
+
+/// The setup behind [`GOLDEN_BOUNDED`].
+fn golden_bounded_setup(dfas: &[Dfa]) -> (Vec<ServeMachine<'_>>, ServeConfig, Trace, usize) {
+    let spec = DeviceSpec::test_unit();
+    let machines = serve_machines(&spec, dfas);
+    let cfg = ServeConfig {
+        policy: BatchPolicy::Fifo { batch: 32 },
+        ..config_at(0, false, false, true, false)
+    };
+    let trace = Trace::synthetic(31, 4_300, 1, 30, 8..16, b"01");
+    (machines, cfg, trace, 132)
+}
+
+/// Re-takes a golden checkpoint and holds the committed VERSION-1 bytes to
+/// it: identical encoding, lossless decoding, a bit-identical resume, and an
+/// unchanged setup fingerprint.
+fn check_golden_checkpoint(
+    blob: &[u8],
+    (machines, cfg, trace, at_batch): (Vec<ServeMachine<'_>>, ServeConfig, Trace, usize),
+) -> ServeReport {
+    let spec = DeviceSpec::test_unit();
+    let CheckpointOutcome::Checkpoint(ck) =
+        serve_checkpoint(&spec, &machines, trace.source(), &cfg, at_batch).unwrap()
+    else {
+        panic!("the golden setup must checkpoint mid-trace");
+    };
+    let bytes = ck.encode();
+    let first_diff = bytes.iter().zip(blob).position(|(a, b)| a != b);
+    assert!(
+        bytes == blob,
+        "encoding drifted from VERSION 1: {} vs {} bytes, first difference at {:?}",
+        bytes.len(),
+        blob.len(),
+        first_diff
+    );
+    let decoded = EngineCheckpoint::decode(blob).unwrap();
+    assert_eq!(decoded, *ck);
+    let stored = u64::from_le_bytes(blob[8..16].try_into().unwrap());
+    assert_eq!(stored, ck.fingerprint(), "setup fingerprint drifted");
+    let reference = serve(&spec, &machines, &trace, &cfg).unwrap();
+    let resumed = serve_resume(&spec, &machines, trace.source(), &cfg, &decoded).unwrap();
+    assert_eq!(resumed, reference);
+    resumed
+}
+
+#[test]
+fn checkpoint_golden_v1_full_blob_is_stable() {
+    let dfas = serve_dfas();
+    let report = check_golden_checkpoint(GOLDEN_FULL, golden_full_setup(&dfas));
+    assert!(report.preemptions > 0, "the resumed run must preempt a bulk kernel");
+}
+
+#[test]
+fn checkpoint_golden_v1_bounded_blob_is_stable() {
+    let dfas = serve_dfas();
+    let report = check_golden_checkpoint(GOLDEN_BOUNDED, golden_bounded_setup(&dfas));
+    assert!(report.latency_error_permille > 0, "the summaries must come from sketches");
+}
+
+// ---------------------------------------------------------------------------
+// Fuzzing past the checksum
+// ---------------------------------------------------------------------------
+
+/// FNV-1a-64, the checkpoint trailer's checksum.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Replaces the trailer of `body ++ trailer` with a valid checksum, so a
+/// mutation reaches the structural validators instead of the checksum net.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let sum = fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// Header (magic, version, fingerprint) bytes the mutations leave alone.
+const HEADER: usize = 16;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Mutated-then-resealed payloads — bit flips, a huge value written
+    /// over any eight bytes (every length field is one), truncation inside
+    /// the payload — decode to `Ok` or `CorruptCheckpoint`, never a panic.
+    /// Whatever decodes re-encodes to exactly the mutated bytes: the wire
+    /// format has one encoding per value.
+    #[test]
+    fn checkpoint_fuzzed_payloads_decode_canonically_or_fail_cleanly(
+        bounded in 0u8..2,
+        mutation in 0u8..3,
+        at in 0usize..1_000_000,
+        bit in 0u8..8,
+        huge in 0usize..4,
+    ) {
+        let golden = if bounded == 1 { GOLDEN_BOUNDED } else { GOLDEN_FULL };
+        let payload = golden.len() - 8 - HEADER;
+        let at = HEADER + at % payload;
+        let mutated = match mutation {
+            0 => {
+                let mut b = golden.to_vec();
+                b[at] ^= 1 << bit;
+                reseal(b)
+            }
+            1 => {
+                let value = [u64::MAX, 1 << 32, golden.len() as u64, 1 << 61][huge];
+                let mut b = golden.to_vec();
+                let at = at.min(golden.len() - 16);
+                b[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                reseal(b)
+            }
+            _ => {
+                let mut b = golden[..at].to_vec();
+                b.extend_from_slice(&[0; 8]);
+                reseal(b)
+            }
+        };
+        match EngineCheckpoint::decode(&mutated) {
+            Ok(ck) => prop_assert!(ck.encode() == mutated, "decoded bytes re-encode differently"),
+            Err(ServeError::CorruptCheckpoint { .. }) => {}
+            Err(other) => prop_assert!(false, "unexpected error kind: {:?}", other),
+        }
     }
 }
