@@ -47,8 +47,8 @@ use gspecpal_gpu::{
 };
 use gspecpal_serve::{
     finalize_checkpoint, serve, serve_source, serve_until_crash, IterSource, PriorityClass,
-    ReportDetail, ServeConfig, ServeError, ServeMachine, ServeReport, StreamArrival, Trace,
-    TraceSource, MAX_ARRIVAL_CYCLE,
+    ServeConfig, ServeError, ServeMachine, ServeReport, StreamArrival, Trace, TraceSource,
+    MAX_ARRIVAL_CYCLE,
 };
 
 use crate::report::{assemble, ClusterReport, FailoverReport, RouterStats};
@@ -533,11 +533,10 @@ fn failover_cluster(
         let sub = Trace::from_arrivals(share);
         classes.push(sub.arrivals().iter().map(|a| fleet[a.machine].class).collect());
         let mut report = serve(&devices[d].spec, &machines[d], &sub, &cfg.serve)?;
+        // The charge is built from link copies alone, whose per-round event
+        // streams are empty, so this merge is the same under every detail.
         if let Some(charge) = transfer_charges[d].take() {
-            match cfg.serve.detail {
-                ReportDetail::Full => report.stats.merge_sequential(&charge),
-                ReportDetail::Bounded => report.stats.merge_sequential_compact(&charge),
-            }
+            report.stats.merge_sequential(&charge);
         }
         reports.push(report);
     }

@@ -66,7 +66,9 @@ pub fn predict(
         lookback: lookback as u64,
         queue_sizes: queues.iter().map(|q| q.initial_len() as u64).collect(),
     };
-    let stats = launch_grid(spec, chunks.len(), &mut kernel);
+    let stats = launch_grid(spec, chunks.len(), &mut kernel)
+        .unwrap_or_else(|e| panic!("launch_grid: {e}"))
+        .fold();
     Prediction { queues, stats }
 }
 

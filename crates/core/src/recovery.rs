@@ -278,7 +278,7 @@ mod tests {
     use crate::config::SchemeConfig;
     use crate::table::DeviceTable;
     use gspecpal_fsm::examples::div7;
-    use gspecpal_gpu::{launch_blocks_auto, DeviceSpec};
+    use gspecpal_gpu::{launch_blocks, DeviceSpec};
 
     fn job_fixture() -> (gspecpal_fsm::Dfa, DeviceSpec, Vec<u8>) {
         (div7(), DeviceSpec::test_unit(), b"1011010110101101".repeat(16).to_vec())
@@ -305,7 +305,7 @@ mod tests {
         let config = SchemeConfig { n_chunks: 8, faults, recovery, ..SchemeConfig::default() };
         let job = Job::new(&spec, &table, &input, config).unwrap();
         let mut blocks: Vec<(usize, Busy)> = (0..4).map(|_| (2usize, Busy(50))).collect();
-        let mut grid = launch_blocks_auto(job.spec, &mut blocks);
+        let mut grid = launch_blocks(job.spec, &mut blocks).unwrap();
         let ctxs: Vec<BlockRecoveryCtx> = (0..4)
             .map(|b| BlockRecoveryCtx {
                 window: (b * 32)..((b + 1) * 32),

@@ -5,8 +5,8 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    block_dims_width, try_launch_grid_unfolded, BlockDim, BlockRequirements, FaultDomain,
-    GridKernel, KernelStats, RoundKernel, RoundOutcome, ThreadCtx,
+    block_dims_width, launch_grid, BlockDim, BlockRequirements, FaultDomain, GridKernel,
+    KernelStats, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::predict::{predict, Prediction};
@@ -62,13 +62,13 @@ pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
         spec_starts: vec![0; chunks.len()],
         counts: vec![0; chunks.len()],
     };
-    let (mut grid, width) = try_launch_grid_unfolded(job.spec, chunks.len(), &mut kernel)
+    let mut grid = launch_grid(job.spec, chunks.len(), &mut kernel)
         .unwrap_or_else(|e| panic!("launch_grid: {e}"));
     // Fault overlay: charge retries/backoff/degradation onto struck blocks
-    // (a no-op without a fault plan — `fold` then reproduces `launch_grid`
+    // (a no-op without a fault plan — `fold` then reports the plain launch
     // bit-for-bit). A degraded block's sequential re-exec walks the block's
     // chunk window from the first chunk's speculated start.
-    let dims = block_dims_width(width as usize, chunks.len());
+    let dims = block_dims_width(grid.width as usize, chunks.len());
     let ctxs: Vec<BlockRecoveryCtx> = dims
         .iter()
         .map(|d| BlockRecoveryCtx {

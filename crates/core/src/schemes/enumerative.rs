@@ -11,12 +11,11 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    block_dims_width, fit_block_width, launch_blocks_auto, launch_grid, BlockDim,
-    BlockRequirements, GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
+    block_dims_width, launch_blocks, launch_grid, BlockDim, BlockRequirements, GridKernel,
+    KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::run::{RunOutcome, SchemeKind};
-use crate::schemes::stitch::fold_grid;
 use crate::schemes::Job;
 use crate::table::DeviceTable;
 
@@ -35,7 +34,9 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
         count_matches: job.config.count_matches,
         n_states,
     };
-    let exec_stats = launch_grid(job.spec, n, &mut exec);
+    let exec_grid =
+        launch_grid(job.spec, n, &mut exec).unwrap_or_else(|e| panic!("launch_grid: {e}"));
+    let exec_stats = exec_grid.fold();
     let maps = exec.maps;
     let count_maps = exec.counts;
 
@@ -45,11 +46,9 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
     // walk below is the same composition restricted to the ground-truth path.
     let mut verify = KernelStats::default();
     if n > 1 {
-        // The same occupancy-fitted width the exec grid used, so the merge
-        // cost model sees the real block partition.
-        let width = fit_block_width(job.spec, |w| job.enumerative_requirements(w))
-            .expect("Job::new checked launchability");
-        let dims = block_dims_width(width as usize, n);
+        // The exec grid's block partition, so the merge cost model sees the
+        // real blocks.
+        let dims = block_dims_width(exec_grid.width as usize, n);
         let mut merges: Vec<(usize, ComposeKernel)> = dims
             .iter()
             .filter(|d| d.len() > 1)
@@ -64,7 +63,11 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
             })
             .collect();
         if !merges.is_empty() {
-            fold_grid(&mut verify, &launch_blocks_auto(job.spec, &mut merges));
+            verify.merge_sequential(
+                &launch_blocks(job.spec, &mut merges)
+                    .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
+                    .fold(),
+            );
         }
         if dims.len() > 1 {
             let mut fold = ComposeKernel {

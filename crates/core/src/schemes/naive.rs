@@ -16,7 +16,7 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch_blocks_auto, BlockDim, BlockRequirements, FaultDomain, KernelStats, Phase, RoundKernel,
+    launch_blocks, BlockDim, BlockRequirements, FaultDomain, KernelStats, Phase, RoundKernel,
     RoundOutcome, ThreadCtx,
 };
 
@@ -24,7 +24,7 @@ use crate::records::{VrRecord, VrSlice};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::common::exec_phase;
-use crate::schemes::stitch::{fold_grid, stitch_blocks};
+use crate::schemes::stitch::stitch_blocks;
 use crate::schemes::Job;
 
 pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
@@ -74,7 +74,8 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
                     },
                 ));
             }
-            let mut grid = launch_blocks_auto(job.spec, &mut blocks);
+            let mut grid = launch_blocks(job.spec, &mut blocks)
+                .unwrap_or_else(|e| panic!("launch_blocks: {e}"));
             // Fault overlay on the walk: a struck block retries with backoff
             // and, on exhaustion (or a tripped misspeculation ladder),
             // degrades to a sequential re-walk of its chunk window from its
@@ -89,7 +90,7 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
                 })
                 .collect();
             apply_grid_recovery(job, FaultDomain::Verify, &mut grid, &ctxs);
-            fold_grid(&mut verify, &grid);
+            verify.merge_sequential(&grid.fold());
             for (_, block) in blocks {
                 checks += block.checks;
                 matches += block.matches;

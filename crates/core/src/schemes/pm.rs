@@ -26,14 +26,14 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch_blocks_auto, BlockDim, BlockRequirements, KernelStats, Phase, RoundKernel, RoundOutcome,
+    launch_blocks, BlockDim, BlockRequirements, KernelStats, Phase, RoundKernel, RoundOutcome,
     ThreadCtx,
 };
 
 use crate::records::{VrRecord, VrSlice};
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::common::{exec_phase, ExecPhase};
-use crate::schemes::stitch::{fold_grid, stitch_blocks};
+use crate::schemes::stitch::stitch_blocks;
 use crate::schemes::Job;
 
 pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
@@ -66,7 +66,11 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
             })
             .collect();
         if !merges.is_empty() {
-            fold_grid(&mut verify, &launch_blocks_auto(job.spec, &mut merges));
+            verify.merge_sequential(
+                &launch_blocks(job.spec, &mut merges)
+                    .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
+                    .fold(),
+            );
         }
 
         // Phase 3: per-block sequential verification and recovery along each
@@ -108,7 +112,11 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
                 }
             }
             if !pending.is_empty() {
-                fold_grid(&mut verify, &launch_blocks_auto(job.spec, &mut pending));
+                verify.merge_sequential(
+                    &launch_blocks(job.spec, &mut pending)
+                        .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
+                        .fold(),
+                );
             }
             let mut blocks: Vec<PmBlock<'_, '_>> =
                 idle.into_iter().chain(pending.into_iter().map(|(_, b)| b)).collect();

@@ -38,15 +38,13 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    block_dims_width, launch, launch_blocks_auto, launch_grid, try_launch_grid_unfolded, BlockDim,
-    BlockRequirements, FaultDomain, GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome,
-    ThreadCtx,
+    block_dims_width, launch, launch_blocks, launch_grid, BlockDim, BlockRequirements, FaultDomain,
+    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::config::StitchPolicy;
 use crate::recovery::fault_charges;
 use crate::run::{RunOutcome, SchemeKind};
-use crate::schemes::stitch::fold_grid;
 use crate::schemes::Job;
 use crate::table::DeviceTable;
 
@@ -189,9 +187,8 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
         widths: vec![0; n],
         count_matches: job.config.count_matches,
     };
-    let (grid, width) = try_launch_grid_unfolded(job.spec, n, &mut exec)
-        .unwrap_or_else(|e| panic!("launch_grid: {e}"));
-    let dims = block_dims_width(width as usize, n);
+    let grid = launch_grid(job.spec, n, &mut exec).unwrap_or_else(|e| panic!("launch_grid: {e}"));
+    let dims = block_dims_width(grid.width as usize, n);
     let mut exec_stats = grid.fold();
     // Fault overlay, SFA-flavoured: aborted and watchdog-killed launches
     // price through the shared retry ladder like every other scheme, but a
@@ -258,7 +255,11 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
                 }
             }
             if !rederives.is_empty() {
-                fold_grid(&mut verify, &launch_blocks_auto(job.spec, &mut rederives));
+                verify.merge_sequential(
+                    &launch_blocks(job.spec, &mut rederives)
+                        .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
+                        .fold(),
+                );
                 for (_, k) in rederives {
                     let d = k.out.expect("re-derivation ran");
                     maps[k.cid] = d.map;
@@ -285,7 +286,11 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
             })
             .collect();
         if !merges.is_empty() {
-            fold_grid(&mut verify, &launch_blocks_auto(job.spec, &mut merges));
+            verify.merge_sequential(
+                &launch_blocks(job.spec, &mut merges)
+                    .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
+                    .fold(),
+            );
         }
         let b = dims.len();
         if b > 1 {
@@ -295,11 +300,9 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
                     let mut span = 1usize;
                     while span < b {
                         let seams = (span..b).step_by(2 * span).count();
-                        verify.merge_sequential(&launch_grid(
-                            job.spec,
-                            seams,
-                            &mut SeamComposeGrid { w },
-                        ));
+                        let seam_grid = launch_grid(job.spec, seams, &mut SeamComposeGrid { w })
+                            .unwrap_or_else(|e| panic!("launch_grid: {e}"));
+                        verify.merge_sequential(&seam_grid.fold());
                         span *= 2;
                     }
                 }

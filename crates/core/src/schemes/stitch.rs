@@ -1,5 +1,4 @@
-//! Block-boundary stitching for grid-scale verification (and the shared
-//! grid-stats folding helper).
+//! Block-boundary stitching for grid-scale verification.
 //!
 //! A single thread block can host at most `max_threads_per_block` chunks,
 //! and the verification kernels are *cooperative*: threads exchange end
@@ -38,22 +37,13 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch, launch_blocks_auto, launch_grid, BlockDim, BlockRequirements, GridKernel, GridStats,
-    KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
+    launch, launch_blocks, launch_grid, BlockDim, BlockRequirements, GridKernel, KernelStats,
+    Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::config::StitchPolicy;
 use crate::records::{VrRecord, VrSlice, VrStore};
 use crate::schemes::Job;
-
-/// Folds a heterogeneous grid launch into one sequential-equivalent stats
-/// record (counters summed, event streams concatenated in block order,
-/// cycles = the grid's wave-scheduled completion time, per-phase cycles from
-/// each wave's gating block, occupancy shape attached) and merges it into
-/// `verify` as a back-to-back kernel.
-pub(crate) fn fold_grid(verify: &mut KernelStats, grid: &GridStats) {
-    verify.merge_sequential(&grid.fold());
-}
 
 /// What the boundary stitch did: its simulated cost plus the verification
 /// checks it performed while re-resolving mispredicted blocks.
@@ -146,7 +136,9 @@ fn stitch_tree(
         // cluster at this level. All seams are independent and checked in
         // one concurrent launch (one thread per seam).
         let seams: Vec<usize> = (span..b).step_by(2 * span).collect();
-        out.stats.merge_sequential(&launch_grid(job.spec, seams.len(), &mut SeamGrid));
+        let seam_grid = launch_grid(job.spec, seams.len(), &mut SeamGrid)
+            .unwrap_or_else(|e| panic!("launch_grid: {e}"));
+        out.stats.merge_sequential(&seam_grid.fold());
 
         // Host-side mirror of the seam comparisons: a cluster whose leader
         // speculated the (now known) true boundary state is composed for
@@ -213,8 +205,9 @@ fn stitch_tree(
                     ));
                 }
             }
-            let grid = launch_blocks_auto(job.spec, &mut blocks);
-            fold_grid(&mut out.stats, &grid);
+            let grid = launch_blocks(job.spec, &mut blocks)
+                .unwrap_or_else(|e| panic!("launch_blocks: {e}"));
+            out.stats.merge_sequential(&grid.fold());
             for (_, k) in blocks {
                 out.checks += k.checks;
                 out.matches += k.matches;

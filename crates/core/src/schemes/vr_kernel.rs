@@ -31,7 +31,7 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch_blocks_auto, BlockDim, BlockRequirements, FaultDomain, KernelStats, Phase, RoundKernel,
+    launch_blocks, BlockDim, BlockRequirements, FaultDomain, KernelStats, Phase, RoundKernel,
     RoundOutcome, ThreadCtx,
 };
 
@@ -39,7 +39,7 @@ use crate::records::{VrRecord, VrSlice};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::common::{exec_phase, ExecPhase};
-use crate::schemes::stitch::{fold_grid, stitch_blocks};
+use crate::schemes::stitch::stitch_blocks;
 use crate::schemes::Job;
 use crate::specq::SpecQueue;
 
@@ -121,7 +121,8 @@ pub(crate) fn run_with_policy(job: &Job<'_>, policy: RecoveryPolicy) -> RunOutco
                     ),
                 ));
             }
-            let mut grid = launch_blocks_auto(job.spec, &mut blocks);
+            let mut grid = launch_blocks(job.spec, &mut blocks)
+                .unwrap_or_else(|e| panic!("launch_blocks: {e}"));
             // Fault overlay on verification: struck blocks retry with
             // backoff; exhaustion or a tripped misspeculation ladder
             // degrades the block to a sequential re-walk of its window.
@@ -135,7 +136,7 @@ pub(crate) fn run_with_policy(job: &Job<'_>, policy: RecoveryPolicy) -> RunOutco
                 })
                 .collect();
             apply_grid_recovery(job, FaultDomain::Verify, &mut grid, &ctxs);
-            fold_grid(&mut verify, &grid);
+            verify.merge_sequential(&grid.fold());
             for (_, block) in blocks {
                 checks += block.checks;
                 matches += block.matches;

@@ -11,8 +11,8 @@
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch_blocks_auto, try_launch_grid_detailed, BlockDim, BlockRequirements, DeviceSpec,
-    GridKernel, KernelStats, RoundKernel, RoundOutcome, ThreadCtx,
+    launch_grid, BlockDim, BlockRequirements, DeviceSpec, GridKernel, KernelStats, RoundKernel,
+    RoundOutcome, ThreadCtx,
 };
 
 use crate::table::DeviceTable;
@@ -73,8 +73,8 @@ impl BatchOutcome {
 
 /// Runs `streams` over the same machine, one device thread per stream —
 /// stream-level parallelism exactly as throughput-oriented engines do.
-/// Batches larger than one block become a grid of full blocks scheduled in
-/// SM waves; [`run_stream_parallel_grid`] exposes the block size explicitly.
+/// Batches larger than one block become a grid of occupancy-fitted blocks
+/// scheduled in SM waves.
 pub fn run_stream_parallel(
     spec: &DeviceSpec,
     table: &DeviceTable<'_>,
@@ -87,15 +87,13 @@ pub fn run_stream_parallel(
         end_states: vec![0; streams.len()],
         scan_cycles: vec![0; streams.len()],
     };
-    let detail = try_launch_grid_detailed(spec, streams.len(), &mut kernel)
+    let grid = launch_grid(spec, streams.len(), &mut kernel)
         .unwrap_or_else(|e| panic!("launch_grid: {e}"));
     let accepted = kernel.end_states.iter().map(|&s| table.dfa().is_accepting(s)).collect();
     // Place each stream on the batch timeline: its block's wave start plus
     // its own thread clock at scan completion.
-    let wave_starts = detail.wave_starts();
-    let per_wave =
-        detail.stats.shape.as_ref().map(|s| s.blocks_per_wave.max(1) as usize).unwrap_or(1);
-    let width = detail.width.max(1) as usize;
+    let wave_starts = grid.wave_starts();
+    let (width, per_wave) = (grid.width as usize, grid.blocks_per_wave as usize);
     let stream_cycles = kernel
         .scan_cycles
         .iter()
@@ -105,63 +103,7 @@ pub fn run_stream_parallel(
     BatchOutcome {
         end_states: kernel.end_states,
         accepted,
-        stats: detail.stats,
-        total_bytes: streams.iter().map(|s| s.len()).sum(),
-        stream_cycles,
-    }
-}
-
-/// Like [`run_stream_parallel`] for batches larger than one block: streams
-/// are sharded into blocks of `threads_per_block` which the device schedules
-/// onto its SMs in occupancy-sized waves (the full-device throughput
-/// configuration of the engines §II-B describes).
-pub fn run_stream_parallel_grid(
-    spec: &DeviceSpec,
-    table: &DeviceTable<'_>,
-    streams: &[&[u8]],
-    threads_per_block: usize,
-) -> BatchOutcome {
-    assert!(!streams.is_empty(), "need at least one stream");
-    let tpb = threads_per_block.clamp(1, spec.max_threads_per_block as usize);
-    let mut blocks: Vec<(usize, StreamKernel<'_, '_>)> = streams
-        .chunks(tpb)
-        .map(|shard| {
-            (
-                shard.len(),
-                StreamKernel {
-                    table,
-                    streams: shard,
-                    end_states: vec![0; shard.len()],
-                    scan_cycles: vec![0; shard.len()],
-                },
-            )
-        })
-        .collect();
-    let grid = launch_blocks_auto(spec, &mut blocks);
-
-    // Wave starts: prefix sums of each wave's gating (max) block cycles.
-    let per_wave = grid.blocks_per_wave.max(1) as usize;
-    let mut wave_starts = Vec::with_capacity(grid.blocks.len().div_ceil(per_wave));
-    let mut t = 0u64;
-    for wave in grid.blocks.chunks(per_wave) {
-        wave_starts.push(t);
-        t += wave.iter().map(|b| b.cycles).max().unwrap_or(0);
-    }
-
-    let mut end_states = Vec::with_capacity(streams.len());
-    let mut stream_cycles = Vec::with_capacity(streams.len());
-    for (shard_idx, (_, k)) in blocks.iter().enumerate() {
-        end_states.extend_from_slice(&k.end_states);
-        let start = wave_starts[shard_idx / per_wave];
-        stream_cycles.extend(k.scan_cycles.iter().map(|&scan| start + scan));
-    }
-    let accepted = end_states.iter().map(|&s| table.dfa().is_accepting(s)).collect();
-    // Fold the grid totals into a single KernelStats for uniform reporting.
-    let stats = grid.fold();
-    BatchOutcome {
-        end_states,
-        accepted,
-        stats,
+        stats: grid.fold(),
         total_bytes: streams.iter().map(|s| s.len()).sum(),
         stream_cycles,
     }
@@ -174,24 +116,6 @@ struct StreamKernel<'a, 'j> {
     /// Each stream's thread clock when its scan returned — the stream's
     /// completion time relative to its block's start.
     scan_cycles: Vec<u64>,
-}
-
-impl RoundKernel for StreamKernel<'_, '_> {
-    fn requirements(&self, threads: u32) -> BlockRequirements {
-        stream_requirements(self.table, threads)
-    }
-
-    fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        let stream = self.streams[tid];
-        self.end_states[tid] =
-            self.table.run_chunk(ctx, stream, 0..stream.len(), self.table.dfa().start());
-        self.scan_cycles[tid] = ctx.cycles();
-        RoundOutcome::ACTIVE
-    }
-
-    fn after_sync(&mut self, _round: u64) -> bool {
-        false
-    }
 }
 
 /// One grid block's slice of a [`StreamKernel`]: streams `base..base+len`,
@@ -265,6 +189,16 @@ mod tests {
         (0..n).map(|i| base.repeat(8 + i % 4)).collect()
     }
 
+    /// `test_unit` narrowed so small batches span several blocks and waves:
+    /// `n_sms` SMs holding one block of at most `block` threads each.
+    fn narrow_spec(n_sms: u32, block: u32) -> DeviceSpec {
+        let mut spec = DeviceSpec::test_unit();
+        spec.n_sms = n_sms;
+        spec.max_threads_per_block = block;
+        spec.max_blocks_per_sm = 1;
+        spec
+    }
+
     #[test]
     fn stream_parallel_is_exact_per_stream() {
         let d = div7();
@@ -322,18 +256,18 @@ mod tests {
     fn grid_batches_agree_with_block_batches() {
         let d = div7();
         let table = DeviceTable::transformed(&d, d.n_states());
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 4;
+        // 40 streams in blocks of 8 on 2 one-block SMs: 5 blocks, 3 waves.
+        let spec = narrow_spec(2, 8);
         let streams = streams_of(b"1101", 40);
         let refs: Vec<&[u8]> = streams.iter().map(|s| s.as_slice()).collect();
-        // Shard into blocks of 8 threads; the occupancy calculator decides
-        // how many ride each SM per wave.
-        let grid = run_stream_parallel_grid(&spec, &table, &refs, 8);
+        let grid = run_stream_parallel(&spec, &table, &refs);
+        assert_eq!(grid.stats.shape.expect("grid launches report a shape").waves, 3);
         for (i, s) in refs.iter().enumerate() {
             assert_eq!(grid.end_states[i], d.run(s), "stream {i}");
         }
         // One big block gives the same answers.
-        let block = run_stream_parallel(&spec, &table, &refs);
+        let block = run_stream_parallel(&DeviceSpec::test_unit(), &table, &refs);
+        assert_eq!(block.stats.shape.expect("grid launches report a shape").waves, 1);
         assert_eq!(grid.end_states, block.end_states);
         assert_eq!(grid.total_bytes, block.total_bytes);
     }
@@ -342,16 +276,13 @@ mod tests {
     fn grid_waves_serialize() {
         let d = div7();
         let table = DeviceTable::transformed(&d, d.n_states());
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 1;
         // Only one block may be resident at a time, so 4 blocks of 1 thread
         // on 1 SM serialize into 4 waves.
-        spec.max_blocks_per_sm = 1;
         let stream: Vec<u8> = b"10".repeat(500);
         let refs: Vec<&[u8]> = (0..4).map(|_| stream.as_slice()).collect();
-        let four_waves = run_stream_parallel_grid(&spec, &table, &refs, 1);
+        let four_waves = run_stream_parallel(&narrow_spec(1, 1), &table, &refs);
         // 1 block of 4 threads: a single wave.
-        let one_wave = run_stream_parallel_grid(&spec, &table, &refs, 4);
+        let one_wave = run_stream_parallel(&narrow_spec(1, 4), &table, &refs);
         assert!(four_waves.stats.cycles > 3 * one_wave.stats.cycles);
     }
 
@@ -384,7 +315,7 @@ mod tests {
     fn empty_grid_batches_are_rejected() {
         let d = div7();
         let table = DeviceTable::transformed(&d, d.n_states());
-        let _ = run_stream_parallel_grid(&DeviceSpec::test_unit(), &table, &[], 8);
+        let _ = run_stream_parallel(&narrow_spec(2, 8), &table, &[]);
     }
 
     #[test]
@@ -447,14 +378,11 @@ mod tests {
     fn later_waves_complete_later() {
         let d = div7();
         let table = DeviceTable::transformed(&d, d.n_states());
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 1;
-        spec.max_blocks_per_sm = 1;
         // 4 equal streams in 1-thread blocks on 1 SM: 4 serialized waves,
         // so completions must be strictly increasing.
         let stream: Vec<u8> = b"10".repeat(500);
         let refs: Vec<&[u8]> = (0..4).map(|_| stream.as_slice()).collect();
-        let out = run_stream_parallel_grid(&spec, &table, &refs, 1);
+        let out = run_stream_parallel(&narrow_spec(1, 1), &table, &refs);
         for pair in out.stream_cycles.windows(2) {
             assert!(pair[0] < pair[1], "wave completions {:?}", out.stream_cycles);
         }

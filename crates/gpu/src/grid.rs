@@ -2,30 +2,38 @@
 //!
 //! A single cooperative block (shared memory and `__syncthreads()` are
 //! block-scoped) caps a kernel at `max_threads_per_block` threads — and one
-//! block is not a GPU: the RTX 3090 has 82 SMs. [`launch_grid`] scales a
-//! round-based kernel past that limit by partitioning its threads into
-//! blocks, simulating the blocks **concurrently on host worker threads**
-//! (a rayon pool — blocks never communicate, so they are embarrassingly
-//! parallel), and merging the per-block [`KernelStats`] deterministically:
+//! block is not a GPU: the RTX 3090 has 82 SMs. Two launchers scale a
+//! round-based kernel past that limit:
+//!
+//! * [`launch_grid`] partitions a [`GridKernel`]'s threads into blocks of an
+//!   occupancy-fitted width; block kernels see *global* thread ids;
+//! * [`launch_blocks`] takes a caller-built list of heterogeneous blocks
+//!   (one kernel and thread count each); block kernels see *local* thread
+//!   ids `0..n`.
+//!
+//! Both simulate their blocks **concurrently on host worker threads** (a
+//! rayon pool — blocks never communicate, so they are embarrassingly
+//! parallel) through one runner and return the unfolded [`GridStats`]. The
+//! SM-occupancy wave model (see [`mod@crate::occupancy`]) lives on that type
+//! alone: blocks are scheduled `resident × n_sms` at a time, each wave lasts
+//! as long as its slowest block, and waves serialize.
+//! [`GridStats::reschedule`] computes the waves, [`GridStats::wave_starts`]
+//! places them on the launch timeline, and [`GridStats::fold`] merges the
+//! blocks into one [`KernelStats`]:
 //!
 //! * counters (ALU, memory, atomics, recovery) are summed;
 //! * per-round event streams are concatenated in block order;
-//! * `cycles` follows the SM-occupancy wave model (see [`mod@crate::occupancy`]):
-//!   blocks are scheduled `resident × n_sms` at a time, each wave lasts as
-//!   long as its slowest block, and waves serialize.
+//! * `cycles` is the wave model's completion time, and per-phase cycles come
+//!   from each wave's gating block.
 //!
-//! The merge depends only on block boundaries and kernel behaviour — never
-//! on host scheduling — so the result is bit-identical for every rayon
-//! worker count, including 1 (the sequential reference).
-//!
-//! [`launch_blocks`] is the lower-level API for heterogeneous grids: the
-//! caller brings one pre-built kernel per block (used by throughput-mode
-//! batch scans, where blocks differ in shape).
+//! The result depends only on block boundaries and kernel behaviour — never
+//! on host scheduling — so it is bit-identical for every rayon worker count,
+//! including 1 (the sequential reference).
 
 use rayon::prelude::*;
 
 use crate::error::LaunchError;
-use crate::kernel::{launch, run_block, RoundKernel};
+use crate::kernel::{run_block, RoundKernel};
 use crate::occupancy::{fit_block_width, max_resident_blocks, BlockRequirements};
 use crate::spec::DeviceSpec;
 use crate::stats::{KernelStats, LaunchShape};
@@ -46,16 +54,10 @@ impl BlockDim {
     }
 
     /// Whether the block is empty (never true for dims built by
-    /// [`block_dims`]).
+    /// [`block_dims_width`]).
     pub fn is_empty(&self) -> bool {
         self.tids.is_empty()
     }
-}
-
-/// Partitions `n_threads` global threads into blocks of at most
-/// `max_threads_per_block`: every block full except possibly the last.
-pub fn block_dims(spec: &DeviceSpec, n_threads: usize) -> Vec<BlockDim> {
-    block_dims_width(spec.max_threads_per_block.max(1) as usize, n_threads)
 }
 
 /// Partitions `n_threads` global threads into blocks of at most `width`
@@ -100,13 +102,21 @@ pub trait GridKernel {
     }
 }
 
-/// Launches `kernel` with `n_threads` threads as a grid of blocks of
-/// `max_threads_per_block`, simulating blocks concurrently and merging
-/// their statistics deterministically (see the module docs).
+/// Launches `kernel` with `n_threads` threads as a grid of blocks and
+/// returns the per-block statistics under the wave model (see the module
+/// docs); [`GridStats::fold`] merges them into one [`KernelStats`].
 ///
-/// The single-block case reduces exactly to [`launch`]: same stats, same
-/// cycles. The block simulations run on the ambient rayon pool; the merged
-/// result is bit-identical for every pool size.
+/// The block width comes from [`fit_block_width`] over the kernel's
+/// [`GridKernel::requirements`], and waves are sized from the resulting
+/// occupancy — a kernel hogging shared memory or registers gets narrower
+/// blocks and fewer resident blocks per SM, exactly as on real hardware.
+/// Block `b` hosts global threads `b × width ..` ([`block_dims_width`]).
+/// A single-block grid folds to exactly what [`crate::launch`] reports,
+/// plus the occupancy shape.
+///
+/// Returns [`LaunchError::EmptyGrid`] for zero threads and
+/// [`LaunchError::UnlaunchableShape`] when no block shape of the kernel fits
+/// on an SM.
 ///
 /// ```
 /// use gspecpal_gpu::{
@@ -134,109 +144,15 @@ pub trait GridKernel {
 ///
 /// // 8192 threads on a 64-thread-block device: a 128-block grid.
 /// let spec = DeviceSpec::test_unit();
-/// let stats = launch_grid(&spec, 8192, &mut BurnGrid);
-/// assert_eq!(stats.alu_ops, 81_920);
+/// let grid = launch_grid(&spec, 8192, &mut BurnGrid).unwrap();
+/// assert_eq!((grid.width, grid.blocks.len()), (64, 128));
+/// assert_eq!(grid.fold().alu_ops, 81_920);
 /// ```
 pub fn launch_grid<G: GridKernel>(
     spec: &DeviceSpec,
     n_threads: usize,
     kernel: &mut G,
-) -> KernelStats {
-    try_launch_grid(spec, n_threads, kernel).unwrap_or_else(|e| panic!("launch_grid: {e}"))
-}
-
-/// Fallible [`launch_grid`]: returns a structured [`LaunchError`] instead of
-/// panicking when no block shape of the kernel fits on an SM. The block
-/// width comes from [`fit_block_width`] over the kernel's reported
-/// [`GridKernel::requirements`], and waves are sized from the resulting
-/// occupancy — a kernel hogging shared memory or registers gets narrower
-/// blocks and fewer resident blocks per SM, exactly as on real hardware.
-pub fn try_launch_grid<G: GridKernel>(
-    spec: &DeviceSpec,
-    n_threads: usize,
-    kernel: &mut G,
-) -> Result<KernelStats, LaunchError> {
-    Ok(try_launch_grid_detailed(spec, n_threads, kernel)?.stats)
-}
-
-/// A grid launch with its per-block timing preserved.
-///
-/// [`try_launch_grid`] merges everything into one [`KernelStats`]; callers
-/// that need to place *individual blocks* on the launch timeline (e.g. a
-/// serving pipeline reporting per-stream completion, where each stream is
-/// one block) also need the per-block cycles and the wave geometry. Block
-/// `i` runs in wave `i / shape.blocks_per_wave`; a wave starts when the
-/// previous one ends and lasts as long as its slowest block — which is what
-/// [`GridLaunch::wave_starts`] computes.
-#[derive(Clone, Debug)]
-pub struct GridLaunch {
-    /// The merged statistics — identical to what [`try_launch_grid`]
-    /// returns.
-    pub stats: KernelStats,
-    /// Each block's own completion cycles, in block (= submission) order.
-    pub block_cycles: Vec<u64>,
-    /// The occupancy-fitted block width threads were partitioned by.
-    pub width: u32,
-}
-
-impl GridLaunch {
-    /// Start cycle of each scheduling wave, relative to kernel launch:
-    /// `wave_starts[w]` = sum of the gate (max) cycles of waves `0..w`.
-    /// Block `i` therefore finishes at
-    /// `wave_starts[i / blocks_per_wave] + block_cycles[i]`.
-    pub fn wave_starts(&self) -> Vec<u64> {
-        let per_wave = self
-            .stats
-            .shape
-            .as_ref()
-            .map(|s| s.blocks_per_wave.max(1) as usize)
-            .unwrap_or(usize::MAX);
-        let mut starts = Vec::with_capacity(self.block_cycles.len().div_ceil(per_wave));
-        let mut t = 0u64;
-        for wave in self.block_cycles.chunks(per_wave) {
-            starts.push(t);
-            t += wave.iter().copied().max().unwrap_or(0);
-        }
-        starts
-    }
-
-    /// Absolute completion cycle of block `i` on the launch timeline.
-    pub fn block_completion(&self, i: usize) -> u64 {
-        let per_wave = self
-            .stats
-            .shape
-            .as_ref()
-            .map(|s| s.blocks_per_wave.max(1) as usize)
-            .unwrap_or(usize::MAX);
-        self.wave_starts()[i / per_wave] + self.block_cycles[i]
-    }
-}
-
-/// [`try_launch_grid`] variant that additionally reports per-block cycles
-/// and the fitted block width (see [`GridLaunch`]). The merged `stats` are
-/// bit-identical to [`try_launch_grid`]'s.
-pub fn try_launch_grid_detailed<G: GridKernel>(
-    spec: &DeviceSpec,
-    n_threads: usize,
-    kernel: &mut G,
-) -> Result<GridLaunch, LaunchError> {
-    let (grid, width) = try_launch_grid_unfolded(spec, n_threads, kernel)?;
-    let block_cycles = grid.blocks.iter().map(|b| b.cycles).collect();
-    Ok(GridLaunch { stats: grid.fold(), block_cycles, width })
-}
-
-/// The deepest grid-launch entry point: runs the blocks and returns the
-/// *unfolded* per-block [`GridStats`] plus the fitted block width, without
-/// merging. [`try_launch_grid`] is `unfolded → fold()`. Callers that need to
-/// overlay per-block costs before the merge — the fault-recovery layer
-/// charges retries, backoff, and degraded re-execution onto individual
-/// blocks, then calls [`GridStats::reschedule`] and [`GridStats::fold`] —
-/// use this directly.
-pub fn try_launch_grid_unfolded<G: GridKernel>(
-    spec: &DeviceSpec,
-    n_threads: usize,
-    kernel: &mut G,
-) -> Result<(GridStats, u32), LaunchError> {
+) -> Result<GridStats, LaunchError> {
     if n_threads == 0 {
         return Err(LaunchError::EmptyGrid);
     }
@@ -244,45 +160,73 @@ pub fn try_launch_grid_unfolded<G: GridKernel>(
     let dims = block_dims_width(width as usize, n_threads);
     // The tail (or sole) block may be narrower than the fitted width; the
     // wave model schedules by the widest block's footprint.
-    let req = kernel.requirements(dims[0].len() as u32);
-    let resident = max_resident_blocks(spec, &req);
-    if resident == 0 {
-        return Err(LaunchError::UnlaunchableShape { req });
-    }
-    let blocks = kernel.split(&dims);
+    let resident = resident_per_sm(spec, kernel.requirements(dims[0].len() as u32))?;
+    let mut blocks = kernel.split(&dims);
     assert_eq!(blocks.len(), dims.len(), "GridKernel::split must return one block kernel per dim");
-    let work: Vec<(BlockDim, G::Block<'_>)> = dims.into_iter().zip(blocks).collect();
-    let per_block: Vec<KernelStats> = work
+    let work = dims.iter().zip(&mut blocks).map(|(d, k)| (d.tids.start, d.len(), k)).collect();
+    Ok(run_waves(spec, work, resident, width))
+}
+
+/// Launches one block per entry of `blocks` (each a thread count and its
+/// kernel; threads see local ids `0..n`) and returns the per-block
+/// statistics under the wave model. Each kernel reports its own
+/// [`RoundKernel::requirements`] and the wave width follows the occupancy of
+/// the hungriest block (`min` over blocks of `max_resident_blocks`) — the
+/// conservative choice a driver makes for a heterogeneous grid.
+///
+/// Returns [`LaunchError::EmptyGrid`] for an empty list and
+/// [`LaunchError::UnlaunchableShape`] when some block fits on no SM.
+pub fn launch_blocks<K: RoundKernel + Send>(
+    spec: &DeviceSpec,
+    blocks: &mut [(usize, K)],
+) -> Result<GridStats, LaunchError> {
+    if blocks.is_empty() {
+        return Err(LaunchError::EmptyGrid);
+    }
+    let mut resident = u32::MAX;
+    let mut width = 0;
+    for (n_threads, kernel) in blocks.iter() {
+        resident = resident.min(resident_per_sm(spec, kernel.requirements(*n_threads as u32))?);
+        width = width.max(*n_threads as u32);
+    }
+    let work = blocks.iter_mut().map(|(n_threads, k)| (0, *n_threads, k)).collect();
+    Ok(run_waves(spec, work, resident, width))
+}
+
+/// Resident blocks of shape `req` per SM, or the launch error when none fit.
+fn resident_per_sm(spec: &DeviceSpec, req: BlockRequirements) -> Result<u32, LaunchError> {
+    match max_resident_blocks(spec, &req) {
+        0 => Err(LaunchError::UnlaunchableShape { req }),
+        resident => Ok(resident),
+    }
+}
+
+/// The one block runner behind both launchers: simulates every
+/// `(first thread id, thread count, kernel)` block concurrently and schedules
+/// the results `resident` per SM.
+fn run_waves<K: RoundKernel + Send>(
+    spec: &DeviceSpec,
+    work: Vec<(usize, usize, &mut K)>,
+    resident: u32,
+    width: u32,
+) -> GridStats {
+    let blocks = work
         .into_par_iter()
-        .map(|(dim, mut block)| run_block(spec, dim.tids.start, dim.len(), &mut block))
+        .map(|(base, n_threads, k)| run_block(spec, base, n_threads, k))
         .collect();
-    let per_wave = (resident * spec.n_sms.max(1)) as usize;
     let mut grid = GridStats {
-        blocks: per_block,
+        blocks,
         waves: 0,
         cycles: 0,
         resident_per_sm: resident,
-        blocks_per_wave: per_wave as u32,
+        blocks_per_wave: resident * spec.n_sms.max(1),
+        width,
     };
     grid.reschedule();
-    Ok((grid, width))
+    grid
 }
 
-/// The block that gates (determines the duration of) a scheduling wave: the
-/// slowest block, first one on a tie so the choice is deterministic and —
-/// for a single-block wave — trivially the block itself.
-fn gating_block(wave: &[KernelStats]) -> Option<&KernelStats> {
-    let mut gate: Option<&KernelStats> = None;
-    for b in wave {
-        match gate {
-            Some(g) if g.cycles >= b.cycles => {}
-            _ => gate = Some(b),
-        }
-    }
-    gate
-}
-
-/// Statistics of a whole heterogeneous grid launch ([`launch_blocks`]).
+/// Statistics of a grid launch, per block and under the wave model.
 #[derive(Clone, Debug)]
 pub struct GridStats {
     /// Per-block kernel statistics, in submission order.
@@ -293,8 +237,13 @@ pub struct GridStats {
     pub cycles: u64,
     /// Resident blocks per SM the scheduler assumed when forming waves.
     pub resident_per_sm: u32,
-    /// Blocks scheduled per wave (`resident_per_sm × n_sms`).
+    /// Blocks scheduled per wave (`resident_per_sm × n_sms`): block `b` runs
+    /// in wave `b / blocks_per_wave`.
     pub blocks_per_wave: u32,
+    /// Threads per block: the occupancy-fitted width for [`launch_grid`]
+    /// (stream `i` of a one-thread-per-item grid runs in block `i / width`),
+    /// the widest block for [`launch_blocks`].
+    pub width: u32,
 }
 
 impl GridStats {
@@ -318,6 +267,16 @@ impl GridStats {
         }
     }
 
+    /// The block that gates (determines the duration of) each scheduling
+    /// wave: the slowest block, first one on a tie so the choice is
+    /// deterministic and — for a single-block wave — trivially the block
+    /// itself.
+    fn gates(&self) -> impl Iterator<Item = &KernelStats> {
+        self.blocks
+            .chunks(self.blocks_per_wave.max(1) as usize)
+            .map(|wave| wave.iter().fold(&wave[0], |g, b| if b.cycles > g.cycles { b } else { g }))
+    }
+
     /// Recomputes `waves` and `cycles` from the current per-block stats and
     /// `blocks_per_wave` — the wave model re-applied after block mutation.
     /// The fault-recovery layer charges retry, backoff, and degradation
@@ -325,35 +284,40 @@ impl GridStats {
     /// completion time (and [`GridStats::fold`]'s internal consistency
     /// check) reflect the mutated blocks.
     pub fn reschedule(&mut self) {
-        let per_wave = self.blocks_per_wave.max(1) as usize;
-        let mut waves = 0u32;
-        let mut cycles = 0u64;
-        for wave in self.blocks.chunks(per_wave) {
-            waves += 1;
-            cycles += wave.iter().map(|b| b.cycles).max().unwrap_or(0);
-        }
+        let (waves, cycles) = self.gates().fold((0, 0), |(w, c), g| (w + 1, c + g.cycles));
         self.waves = waves;
         self.cycles = cycles;
+    }
+
+    /// Start cycle of each scheduling wave, relative to kernel launch:
+    /// `wave_starts[w]` = sum of the gate (max) cycles of waves `0..w`.
+    /// Block `b` therefore finishes at
+    /// `wave_starts[b / blocks_per_wave] + blocks[b].cycles`.
+    pub fn wave_starts(&self) -> Vec<u64> {
+        let mut t = 0;
+        self.gates()
+            .map(|g| {
+                let start = t;
+                t += g.cycles;
+                start
+            })
+            .collect()
     }
 
     /// Folds the per-block stats into one merged [`KernelStats`] with the
     /// grid's wave-model `cycles`, this launch's [`LaunchShape`], and
     /// per-phase cycles attributed from each wave's gating (slowest, first
-    /// on ties) block — the same merge [`launch_grid`] performs internally,
-    /// exposed for callers of the heterogeneous-block launchers.
+    /// on ties) block.
     pub fn fold(&self) -> KernelStats {
         let mut merged = KernelStats::default();
         for block in &self.blocks {
             merged.absorb_block(block);
         }
         merged.shape = Some(self.shape());
-        let per_wave = self.blocks_per_wave.max(1) as usize;
-        let mut cycles = 0u64;
-        for wave in self.blocks.chunks(per_wave) {
-            if let Some(gate) = gating_block(wave) {
-                cycles += gate.cycles;
-                merged.profile.absorb_cycles(&gate.profile);
-            }
+        let mut cycles = 0;
+        for gate in self.gates() {
+            cycles += gate.cycles;
+            merged.profile.absorb_cycles(&gate.profile);
         }
         debug_assert_eq!(cycles, self.cycles, "fold must reproduce the wave-model cycles");
         merged.cycles = self.cycles;
@@ -361,110 +325,12 @@ impl GridStats {
     }
 }
 
-/// Launches one block per kernel in `blocks` (each with its thread count)
-/// and schedules them onto the device's SMs in waves, one resident block
-/// per SM. Blocks simulate concurrently on the rayon pool; per-block stats
-/// and wave accounting are deterministic regardless of pool size.
-pub fn launch_blocks<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    blocks: &mut [(usize, K)],
-) -> GridStats {
-    launch_block_waves(spec, blocks, 1)
-}
-
-/// Like [`launch_blocks`], with the wave width derived from the kernel's
-/// resource requirements via the occupancy calculator: blocks per wave =
-/// `max_resident_blocks(spec, req) × n_sms`. Panics on an unlaunchable
-/// shape; use [`try_launch_blocks_occupancy`] to handle it structurally.
-pub fn launch_blocks_occupancy<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    blocks: &mut [(usize, K)],
-    req: &BlockRequirements,
-) -> GridStats {
-    try_launch_blocks_occupancy(spec, blocks, req)
-        .unwrap_or_else(|e| panic!("launch_blocks_occupancy: {e}"))
-}
-
-/// Fallible [`launch_blocks_occupancy`]: a shape with zero resident blocks
-/// (or an empty grid) becomes a [`LaunchError`] instead of a panic.
-pub fn try_launch_blocks_occupancy<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    blocks: &mut [(usize, K)],
-    req: &BlockRequirements,
-) -> Result<GridStats, LaunchError> {
-    if blocks.is_empty() {
-        return Err(LaunchError::EmptyGrid);
-    }
-    let resident = max_resident_blocks(spec, req);
-    if resident == 0 {
-        return Err(LaunchError::UnlaunchableShape { req: *req });
-    }
-    Ok(launch_block_waves(spec, blocks, resident))
-}
-
-/// Like [`launch_blocks`], but each kernel reports its own
-/// [`RoundKernel::requirements`] and the wave width follows the occupancy of
-/// the hungriest block (`min` over blocks of `max_resident_blocks`) — the
-/// conservative choice a driver makes for a heterogeneous grid. Panics on an
-/// unlaunchable shape; use [`try_launch_blocks_auto`] to handle it.
-pub fn launch_blocks_auto<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    blocks: &mut [(usize, K)],
-) -> GridStats {
-    try_launch_blocks_auto(spec, blocks).unwrap_or_else(|e| panic!("launch_blocks_auto: {e}"))
-}
-
-/// Fallible [`launch_blocks_auto`]: an empty grid or an unlaunchable block
-/// shape becomes a [`LaunchError`] instead of a panic.
-pub fn try_launch_blocks_auto<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    blocks: &mut [(usize, K)],
-) -> Result<GridStats, LaunchError> {
-    if blocks.is_empty() {
-        return Err(LaunchError::EmptyGrid);
-    }
-    let mut resident = u32::MAX;
-    for (n_threads, kernel) in blocks.iter() {
-        let req = kernel.requirements(*n_threads as u32);
-        let r = max_resident_blocks(spec, &req);
-        if r == 0 {
-            return Err(LaunchError::UnlaunchableShape { req });
-        }
-        resident = resident.min(r);
-    }
-    Ok(launch_block_waves(spec, blocks, resident))
-}
-
-fn launch_block_waves<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    blocks: &mut [(usize, K)],
-    resident: u32,
-) -> GridStats {
-    assert!(!blocks.is_empty(), "a grid needs at least one block");
-    let resident = resident.max(1);
-    let per_wave = (resident * spec.n_sms.max(1)) as usize;
-    let work: Vec<&mut (usize, K)> = blocks.iter_mut().collect();
-    let stats: Vec<KernelStats> =
-        work.into_par_iter().map(|(n_threads, kernel)| launch(spec, *n_threads, kernel)).collect();
-    let mut cycles = 0u64;
-    let mut waves = 0u32;
-    for wave in stats.chunks(per_wave) {
-        cycles += wave.iter().map(|s| s.cycles).max().unwrap_or(0);
-        waves += 1;
-    }
-    GridStats {
-        blocks: stats,
-        waves,
-        cycles,
-        resident_per_sm: resident,
-        blocks_per_wave: per_wave as u32,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::{RoundOutcome, ThreadCtx};
+    use crate::kernel::{launch, RoundOutcome, ThreadCtx};
+    use crate::stats::Phase;
+    use proptest::prelude::*;
 
     struct Work(u64);
 
@@ -478,22 +344,29 @@ mod tests {
         }
     }
 
+    /// `test_unit` with `n_sms` SMs, each holding at most one block.
+    fn one_resident(n_sms: u32) -> DeviceSpec {
+        let mut spec = DeviceSpec::test_unit();
+        spec.n_sms = n_sms;
+        spec.max_blocks_per_sm = 1;
+        spec
+    }
+
     #[test]
     fn one_wave_runs_blocks_concurrently() {
         let spec = DeviceSpec::test_unit(); // 1 SM
         let mut blocks = vec![(4usize, Work(10))];
-        let g = launch_blocks(&spec, &mut blocks);
+        let g = launch_blocks(&spec, &mut blocks).unwrap();
         assert_eq!(g.waves, 1);
         assert_eq!(g.cycles, g.blocks[0].cycles);
     }
 
     #[test]
     fn waves_serialize_beyond_sm_count() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
-        // 5 equal blocks on 2 SMs: 3 waves, each gated by one block.
+        // 5 equal blocks on 2 one-block SMs: 3 waves, each gated by one block.
+        let spec = one_resident(2);
         let mut blocks: Vec<(usize, Work)> = (0..5).map(|_| (2usize, Work(7))).collect();
-        let g = launch_blocks(&spec, &mut blocks);
+        let g = launch_blocks(&spec, &mut blocks).unwrap();
         assert_eq!(g.waves, 3);
         let per_block = g.blocks[0].cycles;
         assert_eq!(g.cycles, 3 * per_block);
@@ -502,10 +375,9 @@ mod tests {
 
     #[test]
     fn wave_duration_is_gated_by_the_slowest_block() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
+        let spec = one_resident(2);
         let mut blocks = vec![(1usize, Work(5)), (1usize, Work(500))];
-        let g = launch_blocks(&spec, &mut blocks);
+        let g = launch_blocks(&spec, &mut blocks).unwrap();
         assert_eq!(g.waves, 1);
         assert_eq!(g.cycles, g.max_block_cycles());
         assert!(g.cycles >= 500);
@@ -513,28 +385,17 @@ mod tests {
 
     #[test]
     fn occupancy_widens_waves_for_light_kernels() {
-        let mut spec = DeviceSpec::test_unit(); // 1 SM, max 4 blocks/SM
-        spec.n_sms = 1;
-        // 8 light blocks of 2 threads: occupancy allows 4 resident -> 2 waves.
-        let req = BlockRequirements { threads: 2, shared_bytes: 0, regs_per_thread: 8 };
+        // 8 light blocks of 2 threads on 1 SM: occupancy allows 4 resident
+        // -> 2 waves.
+        let spec = DeviceSpec::test_unit();
         let mut blocks: Vec<(usize, Work)> = (0..8).map(|_| (2usize, Work(9))).collect();
-        let g = launch_blocks_occupancy(&spec, &mut blocks, &req);
+        let g = launch_blocks(&spec, &mut blocks).unwrap();
+        assert_eq!(g.resident_per_sm, 4);
         assert_eq!(g.waves, 2);
-        // The naive one-block-per-SM scheduler needs 8 waves.
-        let mut blocks: Vec<(usize, Work)> = (0..8).map(|_| (2usize, Work(9))).collect();
-        let naive = launch_blocks(&spec, &mut blocks);
+        // An SM that holds one block at a time needs 8 waves.
+        let naive = launch_blocks(&one_resident(1), &mut blocks).unwrap();
         assert_eq!(naive.waves, 8);
         assert!(g.cycles < naive.cycles);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the SM's resources")]
-    fn occupancy_rejects_oversized_blocks() {
-        let spec = DeviceSpec::test_unit();
-        let req =
-            BlockRequirements { threads: 2, shared_bytes: usize::MAX / 2, regs_per_thread: 8 };
-        let mut blocks = vec![(2usize, Work(1))];
-        let _ = launch_blocks_occupancy(&spec, &mut blocks, &req);
     }
 
     #[test]
@@ -551,7 +412,7 @@ mod tests {
         }
         let spec = DeviceSpec::test_unit();
         let mut blocks = vec![(3usize, Loader), (3usize, Loader)];
-        let g = launch_blocks(&spec, &mut blocks);
+        let g = launch_blocks(&spec, &mut blocks).unwrap();
         assert_eq!(g.total_global_transactions(), 6);
     }
 
@@ -597,7 +458,7 @@ mod tests {
         let spec = DeviceSpec::test_unit(); // 64-thread blocks
         let n = 1000;
         let mut kernel = SlotGrid { slots: vec![usize::MAX; n] };
-        let stats = launch_grid(&spec, n, &mut kernel);
+        let stats = launch_grid(&spec, n, &mut kernel).unwrap().fold();
         assert_eq!(kernel.slots, (0..n).collect::<Vec<_>>());
         assert_eq!(stats.alu_ops, (0..n as u64).map(|t| t % 7).sum::<u64>());
         // 1000 threads over 64-thread blocks: 16 blocks.
@@ -609,7 +470,7 @@ mod tests {
     fn single_block_grid_equals_launch() {
         let spec = DeviceSpec::test_unit();
         let direct = launch(&spec, 48, &mut Work(13));
-        let mut via_grid = launch_grid(&spec, 48, &mut WorkGrid(13));
+        let mut via_grid = launch_grid(&spec, 48, &mut WorkGrid(13)).unwrap().fold();
         // The grid launch also reports its occupancy shape; everything else
         // (cycles included) must match the single-block launch bit-for-bit.
         let shape = via_grid.shape.take().expect("grid launches report a shape");
@@ -627,15 +488,13 @@ mod tests {
 
     #[test]
     fn grid_cycles_follow_the_wave_model() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
-        spec.max_blocks_per_sm = 1;
+        let mut spec = one_resident(2);
         spec.max_threads_per_sm = spec.max_threads_per_block;
         // 5 full blocks on 2 SMs, one resident each: 3 waves.
         let n = 5 * spec.max_threads_per_block as usize;
-        let stats = launch_grid(&spec, n, &mut WorkGrid(7));
+        let grid = launch_grid(&spec, n, &mut WorkGrid(7)).unwrap();
         let one_block = launch(&spec, spec.max_threads_per_block as usize, &mut Work(7));
-        assert_eq!(stats.cycles, 3 * one_block.cycles);
+        assert_eq!(grid.cycles, 3 * one_block.cycles);
     }
 
     /// A grid kernel that declares a huge shared-memory footprint at every
@@ -657,12 +516,12 @@ mod tests {
     #[test]
     fn impossible_shapes_error_instead_of_one_block_fallback() {
         let spec = DeviceSpec::test_unit();
-        let err = try_launch_grid(&spec, 128, &mut HogGrid).unwrap_err();
+        let err = launch_grid(&spec, 128, &mut HogGrid).unwrap_err();
         let LaunchError::UnlaunchableShape { req } = err else {
             panic!("expected UnlaunchableShape, got {err:?}");
         };
         assert_eq!(req.shared_bytes, usize::MAX / 2);
-        // Auto block launches reject the same shape the same way.
+        // Block-list launches reject the same shape the same way.
         struct HogBlock;
         impl RoundKernel for HogBlock {
             fn round(&mut self, _tid: usize, _ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
@@ -676,14 +535,12 @@ mod tests {
             }
         }
         let mut blocks = vec![(2usize, HogBlock)];
-        assert!(try_launch_blocks_auto(&spec, &mut blocks).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds the SM's resources")]
-    fn launch_grid_panics_on_impossible_shapes() {
-        let spec = DeviceSpec::test_unit();
-        let _ = launch_grid(&spec, 128, &mut HogGrid);
+        let err = launch_blocks(&spec, &mut blocks).unwrap_err();
+        assert!(matches!(err, LaunchError::UnlaunchableShape { .. }), "{err:?}");
+        // So is a block wider than the device's block capacity.
+        let mut wide = vec![(spec.max_threads_per_block as usize + 1, Work(1))];
+        let err = launch_blocks(&spec, &mut wide).unwrap_err();
+        assert!(matches!(err, LaunchError::UnlaunchableShape { .. }), "{err:?}");
     }
 
     /// A register-hungry grid kernel gets a narrower fitted block width, so
@@ -704,25 +561,24 @@ mod tests {
     #[test]
     fn requirements_narrow_the_fitted_block_width() {
         let spec = DeviceSpec::test_unit(); // 64-thread blocks, 4096 regs/SM
-        let light = launch_grid(&spec, 128, &mut WorkGrid(1));
-        let heavy = launch_grid(&spec, 128, &mut HeavyGrid);
+        let light = launch_grid(&spec, 128, &mut WorkGrid(1)).unwrap();
+        let heavy = launch_grid(&spec, 128, &mut HeavyGrid).unwrap();
         // Light: 2 blocks of 64. Heavy: 4 blocks of 32 (4096/128 = 32).
-        assert_eq!(light.active_per_round.len(), 2);
-        assert_eq!(heavy.active_per_round.len(), 4);
-        assert_eq!(heavy.shape.unwrap().resident_per_sm, 1);
+        assert_eq!((light.width, light.blocks.len()), (64, 2));
+        assert_eq!((heavy.width, heavy.blocks.len()), (32, 4));
+        assert_eq!(light.fold().active_per_round.len(), 2);
+        assert_eq!(heavy.fold().active_per_round.len(), 4);
+        assert_eq!(heavy.resident_per_sm, 1);
     }
 
     #[test]
     fn grid_profile_cycles_sum_to_the_wave_model() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
-        spec.max_blocks_per_sm = 1;
+        let mut spec = one_resident(2);
         spec.max_threads_per_sm = spec.max_threads_per_block;
         // 5 full blocks on 2 SMs: 3 waves, all work in SpecExec.
         let n = 5 * spec.max_threads_per_block as usize;
-        let stats = launch_grid(&spec, n, &mut WorkGrid(7));
+        let stats = launch_grid(&spec, n, &mut WorkGrid(7)).unwrap().fold();
         assert_eq!(stats.profile.total_cycles(), stats.cycles);
-        use crate::stats::Phase;
         assert_eq!(stats.profile.get(Phase::SpecExec).cycles, stats.cycles);
         // Event counters still sum over every block, not just the gates.
         assert_eq!(stats.profile.get(Phase::SpecExec).alu_ops, stats.alu_ops);
@@ -731,10 +587,10 @@ mod tests {
 
     #[test]
     fn fold_matches_the_grid_merge() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
+        let spec = one_resident(2);
         let mut blocks: Vec<(usize, Work)> = (1..=5).map(|i| (2usize, Work(i * 3))).collect();
-        let g = launch_blocks(&spec, &mut blocks);
+        let g = launch_blocks(&spec, &mut blocks).unwrap();
+        assert_eq!(g.waves, 3);
         let folded = g.fold();
         assert_eq!(folded.cycles, g.cycles);
         assert_eq!(folded.shape, Some(g.shape()));
@@ -748,50 +604,38 @@ mod tests {
     }
 
     #[test]
-    fn detailed_launch_matches_the_plain_one_and_places_blocks() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
-        spec.max_blocks_per_sm = 1;
+    fn wave_starts_place_blocks_on_the_launch_timeline() {
+        let mut spec = one_resident(2);
         spec.max_threads_per_sm = spec.max_threads_per_block;
         // 5 full blocks on 2 SMs, one resident each: 3 waves of 2 blocks.
         let n = 5 * spec.max_threads_per_block as usize;
-        let plain = try_launch_grid(&spec, n, &mut WorkGrid(7)).unwrap();
-        let detail = try_launch_grid_detailed(&spec, n, &mut WorkGrid(7)).unwrap();
-        assert_eq!(detail.stats, plain, "detailed merge is bit-identical");
-        assert_eq!(detail.block_cycles.len(), 5);
-        assert_eq!(detail.width, spec.max_threads_per_block);
-        let per_block = detail.block_cycles[0];
-        assert!(detail.block_cycles.iter().all(|&c| c == per_block), "equal blocks");
-        assert_eq!(detail.wave_starts(), vec![0, per_block, 2 * per_block]);
-        assert_eq!(detail.block_completion(0), per_block);
-        assert_eq!(detail.block_completion(2), 2 * per_block, "wave 1 block");
-        assert_eq!(detail.block_completion(4), plain.cycles, "last block ends the launch");
+        let grid = launch_grid(&spec, n, &mut WorkGrid(7)).unwrap();
+        assert_eq!(grid.blocks.len(), 5);
+        assert_eq!(grid.width, spec.max_threads_per_block);
+        let per_block = grid.blocks[0].cycles;
+        assert!(grid.blocks.iter().all(|b| b.cycles == per_block), "equal blocks");
+        let starts = grid.wave_starts();
+        assert_eq!(starts, vec![0, per_block, 2 * per_block]);
+        let completion = |b: usize| starts[b / grid.blocks_per_wave as usize] + per_block;
+        assert_eq!(completion(0), per_block);
+        assert_eq!(completion(2), 2 * per_block, "wave 1 block");
+        assert_eq!(completion(4), grid.cycles, "last block ends the launch");
     }
 
     #[test]
     fn empty_grids_error_structurally() {
         let spec = DeviceSpec::test_unit();
         let mut blocks: Vec<(usize, Work)> = vec![];
-        assert_eq!(try_launch_blocks_auto(&spec, &mut blocks).unwrap_err(), LaunchError::EmptyGrid);
-        let req = BlockRequirements::light(2);
-        assert_eq!(
-            try_launch_blocks_occupancy(&spec, &mut blocks, &req).unwrap_err(),
-            LaunchError::EmptyGrid
-        );
-        assert_eq!(
-            try_launch_grid(&spec, 0, &mut WorkGrid(1)).unwrap_err(),
-            LaunchError::EmptyGrid
-        );
+        assert_eq!(launch_blocks(&spec, &mut blocks).unwrap_err(), LaunchError::EmptyGrid);
+        assert_eq!(launch_grid(&spec, 0, &mut WorkGrid(1)).unwrap_err(), LaunchError::EmptyGrid);
     }
 
     #[test]
     fn reschedule_recomputes_the_wave_model_after_mutation() {
-        use crate::stats::Phase;
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
-        // 4 equal blocks on 2 SMs: 2 waves.
+        // 4 equal blocks on 2 one-block SMs: 2 waves.
+        let spec = one_resident(2);
         let mut blocks: Vec<(usize, Work)> = (0..4).map(|_| (2usize, Work(7))).collect();
-        let mut g = launch_blocks(&spec, &mut blocks);
+        let mut g = launch_blocks(&spec, &mut blocks).unwrap();
         let before = g.cycles;
         assert_eq!(g.waves, 2);
         // Charge recovery overhead onto the last block (keeping its own
@@ -800,22 +644,11 @@ mod tests {
         g.blocks[3].profile.get_mut(Phase::Recovery).cycles += 1000;
         g.reschedule();
         assert_eq!(g.cycles, before + 1000, "wave 1's gate slowed by the overlay");
+        assert_eq!(g.wave_starts(), vec![0, before / 2], "wave 0 is untouched");
         let folded = g.fold();
         assert_eq!(folded.cycles, g.cycles);
         assert_eq!(folded.profile.total_cycles(), folded.cycles, "partition survives the fold");
         assert_eq!(folded.profile.get(Phase::Recovery).cycles, 1000);
-    }
-
-    #[test]
-    fn unfolded_launch_folds_to_the_plain_stats() {
-        let mut spec = DeviceSpec::test_unit();
-        spec.n_sms = 2;
-        let n = 5 * spec.max_threads_per_block as usize;
-        let plain = try_launch_grid(&spec, n, &mut WorkGrid(7)).unwrap();
-        let (grid, width) = try_launch_grid_unfolded(&spec, n, &mut WorkGrid(7)).unwrap();
-        assert_eq!(grid.fold(), plain, "unfolded → fold reproduces the merged launch");
-        assert_eq!(width, spec.max_threads_per_block);
-        assert_eq!(grid.blocks.len(), 5);
     }
 
     #[test]
@@ -826,14 +659,96 @@ mod tests {
             let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
             pool.install(|| {
                 let mut kernel = SlotGrid { slots: vec![0; n] };
-                (launch_grid(&spec, n, &mut kernel), kernel.slots)
+                let grid = launch_grid(&spec, n, &mut kernel).unwrap();
+                let block_cycles: Vec<u64> = grid.blocks.iter().map(|b| b.cycles).collect();
+                (grid.fold(), block_cycles, grid.wave_starts(), kernel.slots)
             })
         };
-        let (seq_stats, seq_slots) = run(1);
+        let seq = run(1);
         for workers in [2, 4, 8] {
-            let (stats, slots) = run(workers);
-            assert_eq!(stats, seq_stats, "{workers} workers");
-            assert_eq!(slots, seq_slots, "{workers} workers");
+            assert_eq!(run(workers), seq, "{workers} workers");
+        }
+    }
+
+    /// Thread `i` of a block charges `work[i]` ALU ops under a fixed
+    /// register footprint; `base` maps the ids it is handed to `work`
+    /// (the first global id under [`launch_grid`], 0 under
+    /// [`launch_blocks`]).
+    struct Slice<'s> {
+        base: usize,
+        work: &'s [u64],
+        regs: u32,
+    }
+
+    impl RoundKernel for Slice<'_> {
+        fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            ctx.alu(self.work[tid - self.base]);
+            RoundOutcome::ACTIVE
+        }
+        fn after_sync(&mut self, _round: u64) -> bool {
+            false
+        }
+        fn requirements(&self, threads: u32) -> BlockRequirements {
+            BlockRequirements { threads, shared_bytes: 0, regs_per_thread: self.regs }
+        }
+    }
+
+    struct SliceGrid {
+        work: Vec<u64>,
+        regs: u32,
+    }
+
+    impl GridKernel for SliceGrid {
+        type Block<'s> = Slice<'s>;
+        fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<Slice<'s>> {
+            let (work, regs) = (&self.work, self.regs);
+            dims.iter()
+                .map(|d| Slice { base: d.tids.start, work: &work[d.tids.clone()], regs })
+                .collect()
+        }
+        fn requirements(&self, width: u32) -> BlockRequirements {
+            BlockRequirements { threads: width, shared_bytes: 0, regs_per_thread: self.regs }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One wave model: a grid launch and a block-list launch over the
+        /// same block widths schedule identically, and every block fits on
+        /// the timeline `wave_starts` lays out.
+        #[test]
+        fn grid_and_block_launches_share_one_wave_model(
+            n_sms in 1u32..5,
+            max_blocks_per_sm in 1u32..5,
+            regs in 8u32..129,
+            work in prop::collection::vec(0u64..40, 1..300),
+        ) {
+            let mut spec = DeviceSpec::test_unit();
+            spec.n_sms = n_sms;
+            spec.max_blocks_per_sm = max_blocks_per_sm;
+            let n = work.len();
+            let grid = launch_grid(&spec, n, &mut SliceGrid { work: work.clone(), regs }).unwrap();
+            let mut blocks: Vec<(usize, Slice<'_>)> = block_dims_width(grid.width as usize, n)
+                .into_iter()
+                .map(|d| (d.len(), Slice { base: 0, work: &work[d.tids], regs }))
+                .collect();
+            let list = launch_blocks(&spec, &mut blocks).unwrap();
+            let cycles = |g: &GridStats| g.blocks.iter().map(|b| b.cycles).collect::<Vec<_>>();
+            prop_assert_eq!(cycles(&grid), cycles(&list));
+            prop_assert_eq!(grid.shape(), list.shape());
+            prop_assert_eq!(grid.cycles, list.cycles);
+            prop_assert_eq!(grid.fold(), list.fold());
+
+            let starts = grid.wave_starts();
+            let per_wave = grid.blocks_per_wave as usize;
+            prop_assert_eq!(starts.len(), grid.waves as usize);
+            for (b, block) in grid.blocks.iter().enumerate() {
+                prop_assert!(starts[b / per_wave] + block.cycles <= grid.cycles);
+            }
+            let last = &grid.blocks[(grid.waves as usize - 1) * per_wave..];
+            let gate = last.iter().map(|b| b.cycles).max().unwrap();
+            prop_assert_eq!(starts[starts.len() - 1] + gate, grid.cycles);
         }
     }
 }

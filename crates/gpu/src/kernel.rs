@@ -309,11 +309,12 @@ pub const DEFAULT_MAX_ROUNDS: u64 = 1 << 22;
 /// kernel exceeds `DEFAULT_MAX_ROUNDS` rounds (which indicates a bug in the
 /// kernel's termination logic, the moral equivalent of a hung GPU). Wider
 /// launches go through [`crate::grid::launch_grid`], which partitions the
-/// threads into blocks of this size and runs them as a grid.
+/// threads into occupancy-fitted blocks, or [`crate::grid::launch_blocks`],
+/// which runs a list of blocks; both schedule them as a grid.
 pub fn launch<K: RoundKernel>(spec: &DeviceSpec, n_threads: usize, kernel: &mut K) -> KernelStats {
     assert!(
         n_threads <= spec.max_threads_per_block as usize,
-        "{n_threads} threads exceed the block capacity of {}; use launch_grid",
+        "{n_threads} threads exceed the block capacity of {}; use launch_grid or launch_blocks",
         spec.max_threads_per_block
     );
     run_block(spec, 0, n_threads, kernel)
@@ -321,7 +322,7 @@ pub fn launch<K: RoundKernel>(spec: &DeviceSpec, n_threads: usize, kernel: &mut 
 
 /// Simulates one block whose threads carry *global* ids
 /// `tid_base .. tid_base + n_threads`. This is the primitive behind both
-/// [`launch`] (`tid_base = 0`) and the multi-block grid launcher; warps,
+/// [`launch`] (`tid_base = 0`) and the grid launchers' block runner; warps,
 /// coalescing windows, and barriers are all block-local, exactly as on
 /// hardware.
 pub(crate) fn run_block<K: RoundKernel + ?Sized>(

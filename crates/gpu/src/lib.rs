@@ -19,11 +19,14 @@
 //!   whole verification round;
 //! * **per-round active-thread counts** — Table III's utilization metric.
 //!
-//! Kernels scale past one block through the grid layer: [`launch_grid`]
-//! partitions a [`GridKernel`]'s threads into blocks of
-//! `max_threads_per_block`, simulates the blocks concurrently on host
-//! worker threads, and merges their statistics under the SM-occupancy wave
-//! model — so multi-block scheduling *is* modelled, at block granularity.
+//! There are three launch functions, one per kind of kernel: [`launch`] runs
+//! one block; [`launch_grid`] partitions a [`GridKernel`]'s threads into
+//! blocks of an occupancy-fitted width; [`launch_blocks`] runs a list of
+//! caller-built blocks. The two grid launchers simulate their blocks
+//! concurrently on host worker threads and return a [`GridStats`] that
+//! schedules them under the SM-occupancy wave model and folds them into one
+//! [`KernelStats`] — so multi-block scheduling *is* modelled, at block
+//! granularity.
 //!
 //! What is deliberately not modelled: instruction-level warp divergence,
 //! DRAM banking, L2, and intra-wave block preemption — none of which the
@@ -46,12 +49,7 @@ pub mod transfer;
 pub use error::LaunchError;
 pub use event::{EventTimer, KernelSpan};
 pub use fault::{backoff_cycles, fault_coord, FaultDomain, FaultPlan};
-pub use grid::{
-    block_dims, block_dims_width, launch_blocks, launch_blocks_auto, launch_blocks_occupancy,
-    launch_grid, try_launch_blocks_auto, try_launch_blocks_occupancy, try_launch_grid,
-    try_launch_grid_detailed, try_launch_grid_unfolded, BlockDim, GridKernel, GridLaunch,
-    GridStats,
-};
+pub use grid::{block_dims_width, launch_blocks, launch_grid, BlockDim, GridKernel, GridStats};
 pub use kernel::{launch, RoundKernel, RoundOutcome, ThreadCtx};
 pub use occupancy::{fit_block_width, max_resident_blocks, occupancy, BlockRequirements};
 pub use spec::{DeviceSpec, LinkSpec};

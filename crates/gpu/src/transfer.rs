@@ -248,6 +248,19 @@ mod tests {
         assert_eq!(s.profile.total_cycles(), s.cycles, "profile invariant holds for copies");
     }
 
+    /// Copies record no per-round event streams, so merging them with or
+    /// without those streams gives the same stats.
+    #[test]
+    fn copy_stats_carry_no_round_streams() {
+        let spec = DeviceSpec::test_unit();
+        let link = LinkSpec::test_unit();
+        for s in [transfer_stats(&spec, 1000), link_transfer_stats(&link, &spec, 1000)] {
+            assert!(s.active_per_round.is_empty());
+            assert!(s.recovering_per_round.is_empty());
+            assert!(s.round_durations.is_empty());
+        }
+    }
+
     #[test]
     fn transfer_stats_merge_into_kernel_stats_cleanly() {
         let spec = DeviceSpec::test_unit();

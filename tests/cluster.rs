@@ -9,10 +9,10 @@ use gspecpal_cluster::{
 };
 use gspecpal_fsm::examples::{div7, mod_counter, ones_counter};
 use gspecpal_fsm::Dfa;
-use gspecpal_gpu::{fault_coord, DeviceSpec, FaultDomain};
+use gspecpal_gpu::{fault_coord, DeviceSpec, FaultDomain, Phase};
 use gspecpal_serve::{
-    serve, BatchPolicy, IterSource, PriorityClass, ResidencyConfig, ServeConfig, ServeError,
-    ServeMachine, StreamArrival, Trace,
+    serve, BatchPolicy, IterSource, PriorityClass, ReportDetail, ResidencyConfig, ServeConfig,
+    ServeError, ServeMachine, StreamArrival, Trace,
 };
 use proptest::prelude::*;
 
@@ -422,6 +422,58 @@ fn failover_off_reports_doomed_streams_as_lost_and_on_reports_zero() {
     assert_eq!(recovered.lost_streams, 0, "failover must conserve every doomed stream");
     assert_eq!(recovered.router.doomed_streams, legacy.router.doomed_streams);
     assert_eq!(recovered.streams, trace.len());
+}
+
+/// Failover under `ReportDetail::Bounded` bills the same work as under
+/// `Full`. The one difference is the checkpoint: a `Bounded` snapshot holds
+/// no per-stream report vectors, so it is smaller and its migration copy
+/// cheaper. Every other phase of every device matches cycle for cycle, and
+/// the survivors' extra `Transfer` cycles under `Full` are exactly the
+/// extra replay cycles — the migration charge is merged whole under both
+/// detail levels.
+#[test]
+fn failover_under_bounded_detail_matches_full() {
+    let dfas = fleet_dfas();
+    let machines = fleet_machines(&dfas);
+    let devices = test_devices(3);
+    let trace = Trace::synthetic(29, 60, dfas.len(), 60, 8..64, b"01");
+    let healthy = run_cluster(&devices, &machines, &trace, &ClusterConfig::default()).unwrap();
+    let victim = (0..3).max_by_key(|&d| healthy.devices[d].report.streams).expect("three devices");
+    let mid = trace.arrivals()[trace.len() / 2].arrival_cycle;
+    let full_cfg = ClusterConfig {
+        outage: Some(DeviceOutage { device: victim, at_cycle: mid }),
+        failover: Some(FailoverConfig::default()),
+        ..ClusterConfig::default()
+    };
+    let bounded_cfg = ClusterConfig {
+        serve: ServeConfig { detail: ReportDetail::Bounded, ..full_cfg.serve.clone() },
+        ..full_cfg.clone()
+    };
+    let full = run_cluster(&devices, &machines, &trace, &full_cfg).unwrap();
+    let bounded = run_cluster(&devices, &machines, &trace, &bounded_cfg).unwrap();
+    assert!(full.failover.migrations_replayed > 0, "the crash must orphan streams");
+    assert_eq!((bounded.lost_streams, full.lost_streams), (0, 0));
+    assert_eq!(bounded.streams, full.streams);
+    let (b, f) = (bounded.failover, full.failover);
+    assert_eq!(
+        (b.checkpoints_taken, b.migrations_replayed, b.migration_retries),
+        (f.checkpoints_taken, f.migrations_replayed, f.migration_retries)
+    );
+    assert!(b.checkpoint_bytes < f.checkpoint_bytes, "bounded snapshots drop per-stream vectors");
+    let mut extra_transfer = 0;
+    for (d, (b, f)) in bounded.devices.iter().zip(&full.devices).enumerate() {
+        let (b, f) = (&b.report.stats, &f.report.stats);
+        for (phase, counters) in f.profile.iter() {
+            if phase != Phase::Transfer {
+                assert_eq!(b.profile.get(phase), counters, "device {d} {phase}");
+            }
+        }
+        let (bt, ft) =
+            (b.profile.get(Phase::Transfer).cycles, f.profile.get(Phase::Transfer).cycles);
+        assert_eq!(f.cycles - ft, b.cycles - bt, "device {d}: only the copy differs");
+        extra_transfer += ft - bt;
+    }
+    assert_eq!(extra_transfer, f.replay_cycles - b.replay_cycles);
 }
 
 /// A crash that strikes after the victim finished its whole share has
