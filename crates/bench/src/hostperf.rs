@@ -161,9 +161,11 @@ const FLEET_MACHINES: usize = 8;
 
 /// Runs the cluster row of the host-throughput harness: the same
 /// million-stream synthetic source routed across a heterogeneous
-/// A100/RTX 3090/T4 fleet via [`run_cluster_source`], every device in
-/// bounded-memory mode with residency modeling on. Wall-clock fields are
-/// machine-dependent (warn-only); the simulated fields are deterministic.
+/// A100/RTX 3090/T4 fleet via [`run_cluster_source`] — one host thread
+/// demultiplexing the source into the three device engines — every device
+/// in bounded-memory mode with residency modeling on. Wall-clock fields
+/// are machine-dependent (warn-only); the simulated fields are
+/// deterministic.
 pub fn fleet_throughput_exp(cfg: &HostPerfConfig) -> FleetPerfReport {
     let dfas: Vec<gspecpal_fsm::Dfa> = (0..FLEET_MACHINES)
         .map(|m| gspecpal_fsm::examples::mod_counter(5 + (m as u32 % 8), &[0]))

@@ -1,44 +1,25 @@
 //! The fleet runner: N heterogeneous devices behind a consistent-hash
-//! router, each running the single-device serve engine on its own
-//! timeline.
+//! router (the fleet mechanisms are described in the crate docs).
 //!
-//! A cluster run is a *demultiplex*: the router assigns every arrival to
-//! one device (a pure function of its machine id and the fleet state at
-//! its arrival cycle), and each device serves its share with the ordinary
-//! [`gspecpal_serve`] engine — same batching, same residency LRU, same
-//! preemption, same fault plan, same bit-determinism. Nothing about a
-//! device's simulation depends on any other device, which is the
-//! composability law the tests pin: a device's slice of the cluster report
-//! is byte-identical to serving its sub-trace standalone.
+//! One path serves every run: a single-threaded demand-driven demux. Each
+//! device's [`ServeRun`] pulls through a feed that pops the device's
+//! backlog or, when it is empty, pulls the source, routing and filing
+//! arrivals until one is for this device. The driver steps the live engine
+//! with the longest backlog (lowest index on ties). Each engine sees
+//! exactly its routed sub-sequence, so its slice of the report equals
+//! serving that sub-sequence standalone.
 //!
-//! On top of the demux the router models two fleet events:
-//!
-//! * **Rebalancing** ([`RebalanceConfig`]) — at the epoch boundary the
-//!   router looks at the bytes each device received so far and greedily
-//!   migrates the hottest machines off the most loaded device until the
-//!   load spread stops improving. Each migration ships the machine's
-//!   transition table across the interconnect, priced by the *slower* of
-//!   the two devices' links ([`LinkSpec::slower_of`]); the total migration
-//!   time floors the fleet makespan.
-//! * **Whole-device outage** ([`DeviceOutage`]) — from the outage cycle
-//!   on, arrivals routed at the dead device re-shard over the surviving
-//!   ring ([`HashRing::without`]), touching nobody else's placement.
-//! * **Checkpoint failover** ([`FailoverConfig`]) — the crash-consistent
-//!   twin of the outage path: the victim runs under periodic
-//!   checkpointing ([`gspecpal_serve::serve_until_crash`]) and dies at
-//!   the outage cycle with its in-flight state *recovered*, not
-//!   fictionally completed. Its last checkpoint is finalized into a
-//!   durable report, shipped to the survivors over their attach links
-//!   (priced as real `Phase::Transfer` H2D copies, with
-//!   capped-exponential retry on migration-copy failure), and every
-//!   orphan stream — checkpointed-but-undispatched or routed to the
-//!   victim after its last checkpoint — is replayed where the surviving
-//!   ring routes it. No stream is lost
-//!   ([`ClusterReport::lost_streams`] is zero), and the price shows up
-//!   in the [`crate::FailoverReport`] counters instead of being waved
-//!   away.
+//! Under failover the outage device is a [`CrashRun`] whose pulls since
+//! its last checkpoint are journaled. It gets nothing from the outage cycle
+//! on, so once the source reaches that cycle (or runs dry), and before any
+//! survivor consumes past it, the victim is *settled*: run to its crash,
+//! finalized, its checkpoint copy priced onto each survivor that replays
+//! orphans, and those orphans placed right before the survivor's first
+//! arrival stamped later (the stable sort of share-then-orphans).
 
-use std::sync::mpsc;
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::VecDeque;
 
 use gspecpal_fsm::Dfa;
 use gspecpal_gpu::{
@@ -46,9 +27,8 @@ use gspecpal_gpu::{
     LinkSpec,
 };
 use gspecpal_serve::{
-    finalize_checkpoint, serve, serve_source, serve_until_crash, IterSource, PriorityClass,
-    ServeConfig, ServeError, ServeMachine, ServeReport, StreamArrival, Trace, TraceSource,
-    MAX_ARRIVAL_CYCLE,
+    finalize_checkpoint, CrashRun, PriorityClass, ServeConfig, ServeError, ServeMachine,
+    ServeReport, ServeRun, StreamArrival, Trace, TraceSource, MAX_ARRIVAL_CYCLE,
 };
 
 use crate::report::{assemble, ClusterReport, FailoverReport, RouterStats};
@@ -171,9 +151,7 @@ pub struct ClusterConfig {
     pub outage: Option<DeviceOutage>,
     /// Crash-consistent recovery of the outage device's in-flight state;
     /// `None` keeps the legacy capacity-loss model (the victim's admitted
-    /// streams complete anyway, counted by
-    /// [`ClusterReport::lost_streams`]). Batch path
-    /// ([`run_cluster`]) only.
+    /// streams complete anyway, counted by [`ClusterReport::lost_streams`]).
     pub failover: Option<FailoverConfig>,
 }
 
@@ -303,48 +281,36 @@ fn validate(
     fleet: &[FleetMachine<'_>],
     cfg: &ClusterConfig,
 ) -> Result<(), ServeError> {
+    let invalid =
+        |field, problem: &str| Err(ServeError::InvalidConfig { field, problem: problem.into() });
     if devices.is_empty() {
-        return Err(ServeError::InvalidConfig {
-            field: "devices",
-            problem: "a cluster needs at least one device".into(),
-        });
+        return invalid("devices", "a cluster needs at least one device");
     }
     if fleet.is_empty() {
-        return Err(ServeError::InvalidConfig {
-            field: "machines",
-            problem: "a cluster needs at least one machine".into(),
-        });
+        return invalid("machines", "a cluster needs at least one machine");
     }
     if cfg.vnodes == 0 {
-        return Err(ServeError::InvalidConfig {
-            field: "vnodes",
-            problem: "needs at least one ring point per device".into(),
-        });
+        return invalid("vnodes", "needs at least one ring point per device");
     }
     if let Some(o) = cfg.outage {
         if o.device >= devices.len() {
-            return Err(ServeError::InvalidConfig {
-                field: "outage",
-                problem: format!("device {} out of range ({})", o.device, devices.len()),
-            });
+            return invalid(
+                "outage",
+                &format!("device {} out of range ({})", o.device, devices.len()),
+            );
         }
         if devices.len() == 1 {
-            return Err(ServeError::InvalidConfig {
-                field: "outage",
-                problem: "cannot fail the only device".into(),
-            });
+            return invalid("outage", "cannot fail the only device");
         }
     }
-    if let Some(fo) = cfg.failover {
-        if fo.checkpoint_every_batches == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "failover",
-                problem: "checkpoint cadence needs at least one batch between checkpoints".into(),
-            });
-        }
+    if cfg.failover.is_some_and(|fo| fo.checkpoint_every_batches == 0) {
+        return invalid(
+            "failover",
+            "checkpoint cadence needs at least one batch between checkpoints",
+        );
     }
-    // The per-device engine re-validates `cfg.serve` itself on every
-    // `serve` / `serve_source` call, so fleet validation stops here.
+    // The per-device engine re-validates `cfg.serve` itself when each
+    // device's run is built, so fleet validation stops here.
     Ok(())
 }
 
@@ -367,269 +333,339 @@ fn prepare_all<'a>(
         .collect()
 }
 
-/// Serves `trace` on the fleet: routes every arrival, runs each device's
-/// sub-trace through the single-device engine, and assembles the
-/// [`ClusterReport`]. Deterministic and bit-identical across host thread
-/// counts and reruns — the router is a pure function and the per-device
-/// engines already guarantee it for their shares.
+/// Serves `trace` on the fleet: [`run_cluster_source`] replaying it.
 pub fn run_cluster(
     devices: &[ClusterDevice],
     fleet: &[FleetMachine<'_>],
     trace: &Trace,
     cfg: &ClusterConfig,
 ) -> Result<ClusterReport, ServeError> {
-    validate(devices, fleet, cfg)?;
-    let machines = prepare_all(devices, fleet);
-    let footprints: Vec<u64> =
-        machines[0].iter().map(|m| m.table_footprint_bytes() as u64).collect();
-    let mut router = Router::new(devices, footprints, cfg);
-    let mut shares: Vec<Vec<StreamArrival>> = vec![Vec::new(); devices.len()];
-    for a in trace.arrivals() {
-        if a.machine >= fleet.len() {
-            return Err(ServeError::UnknownMachine {
-                stream: shares.iter().map(Vec::len).sum(),
-                machine: a.machine,
-                n_machines: fleet.len(),
-            });
-        }
-        let d = router.route(a.machine, a.arrival_cycle, a.bytes.len());
-        shares[d].push(a.clone());
-    }
-    if let (Some(outage), Some(fo)) = (cfg.outage, cfg.failover) {
-        return failover_cluster(devices, fleet, cfg, outage, fo, shares, &router, &machines);
-    }
-    let mut reports = Vec::with_capacity(devices.len());
-    let mut classes: Vec<Vec<PriorityClass>> = Vec::with_capacity(devices.len());
-    for (d, share) in shares.into_iter().enumerate() {
-        classes.push(share.iter().map(|a| fleet[a.machine].class).collect());
-        let sub = Trace::from_arrivals(share);
-        reports.push(serve(&devices[d].spec, &machines[d], &sub, &cfg.serve)?);
-    }
-    let lost = router.stats.doomed_streams;
-    Ok(assemble(devices, reports, Some(&classes), router.stats, lost, FailoverReport::default()))
+    run_cluster_source(devices, fleet, trace.source(), cfg)
 }
 
-/// The crash-consistent twin of the outage path. The victim serves its
-/// share under periodic checkpointing and dies at the outage cycle; its
-/// last checkpoint becomes a durable report plus the orphan streams
-/// (checkpointed-but-undispatched, or routed to the victim after its last
-/// checkpoint — the router's journal). The checkpoint ships to every
-/// survivor that must replay orphans, over that survivor's attach link,
-/// with capped-exponential retry on copy failure, and the orphans are
-/// replayed where the surviving ring routes them — stamped no earlier
-/// than the migration's completion, so recovery latency is paid, not
-/// hidden. Stream conservation is exact: `lost_streams` is zero.
-#[allow(clippy::too_many_arguments)]
-fn failover_cluster(
-    devices: &[ClusterDevice],
-    fleet: &[FleetMachine<'_>],
-    cfg: &ClusterConfig,
-    outage: DeviceOutage,
-    fo: FailoverConfig,
-    mut shares: Vec<Vec<StreamArrival>>,
-    router: &Router,
-    machines: &[Vec<ServeMachine<'_>>],
-) -> Result<ClusterReport, ServeError> {
-    let victim = outage.device;
-    let victim_share = std::mem::take(&mut shares[victim]);
-    let fed: usize = shares.iter().map(Vec::len).sum::<usize>() + victim_share.len();
-    let crash = serve_until_crash(
-        &devices[victim].spec,
-        &machines[victim],
-        IterSource(victim_share.iter().cloned()),
-        &cfg.serve,
-        fo.checkpoint_every_batches,
-        outage.at_cycle,
-    )?;
-    let mut failover = FailoverReport {
-        checkpoints_taken: crash.checkpoints_taken,
-        checkpoint_bytes: crash.checkpoint_bytes,
-        ..FailoverReport::default()
-    };
-    let mut orphans: Vec<StreamArrival> = Vec::new();
-    let mut blob: Vec<u8> = Vec::new();
-    let victim_report;
-    let victim_classes: Vec<PriorityClass>;
-    if let Some(report) = crash.completed {
-        // The crash struck an idle device after its whole share finished:
-        // nothing in flight, nothing to migrate.
-        victim_classes = victim_share.iter().map(|a| fleet[a.machine].class).collect();
-        victim_report = *report;
-    } else {
-        let ck = crash.checkpoint.expect("the batch-0 checkpoint always survives");
-        blob = ck.encode();
-        let (durable, window) =
-            finalize_checkpoint(&devices[victim].spec, &machines[victim], &cfg.serve, &ck)?;
-        orphans = window;
-        orphans.extend(victim_share[ck.streams_pulled()..].iter().cloned());
-        victim_classes =
-            victim_share[..durable.streams].iter().map(|a| fleet[a.machine].class).collect();
-        victim_report = durable;
-    }
-
-    // Orphans re-shard over the surviving ring, exactly like post-outage
-    // arrivals do.
-    let survivors = router.survivors.as_ref().expect("an outage implies a survivor ring");
-    let mut orphan_shares: Vec<Vec<StreamArrival>> = vec![Vec::new(); devices.len()];
-    for a in orphans {
-        let d = survivors.route(a.machine);
-        orphan_shares[d].push(a);
-    }
-
-    // Ship the checkpoint to every survivor that replays orphans, priced
-    // on its attach link as Phase::Transfer H2D traffic. A failed copy
-    // backs off and retries; the attempt after the retry budget is forced
-    // through (the control plane escalates rather than dropping streams)
-    // with every attempt and backoff still paid for.
-    let plan = cfg.serve.scheme_config.faults;
-    let mut transfer_charges: Vec<Option<KernelStats>> = vec![None; devices.len()];
-    for (d, dest) in orphan_shares.iter_mut().enumerate() {
-        if dest.is_empty() {
-            continue;
-        }
-        let mut delta = 0u64;
-        let mut attempt = 0u32;
-        let mut charge = KernelStats::default();
-        loop {
-            let stats = link_transfer_stats(&devices[d].link, &devices[d].spec, blob.len());
-            delta += stats.cycles;
-            charge.merge_sequential(&stats);
-            let failed =
-                plan.is_some_and(|p| p.copy_fails(FaultDomain::H2d, fault_coord(d), attempt));
-            if failed && attempt < fo.migration_max_retries {
-                failover.migration_retries += 1;
-                delta += backoff_cycles(
-                    fo.migration_backoff_base_cycles,
-                    fo.migration_backoff_cap_cycles,
-                    attempt,
-                );
-                attempt += 1;
-            } else {
-                break;
-            }
-        }
-        failover.replay_cycles += delta;
-        failover.migrations_replayed += dest.len() as u64;
-        transfer_charges[d] = Some(charge);
-        // An orphan only becomes servable once the survivor holds the
-        // checkpoint: re-stamp it no earlier than the migration's end
-        // (clamped to the clock bound the serve layer enforces).
-        let ready = outage.at_cycle.saturating_add(delta).min(MAX_ARRIVAL_CYCLE);
-        for a in dest.iter_mut() {
-            a.arrival_cycle = a.arrival_cycle.max(ready);
-        }
-    }
-
-    let mut victim_report = Some(victim_report);
-    let mut reports = Vec::with_capacity(devices.len());
-    let mut classes: Vec<Vec<PriorityClass>> = Vec::with_capacity(devices.len());
-    for (d, mut share) in shares.into_iter().enumerate() {
-        if d == victim {
-            reports.push(victim_report.take().expect("one victim"));
-            classes.push(victim_classes.clone());
-            continue;
-        }
-        share.append(&mut orphan_shares[d]);
-        let sub = Trace::from_arrivals(share);
-        classes.push(sub.arrivals().iter().map(|a| fleet[a.machine].class).collect());
-        let mut report = serve(&devices[d].spec, &machines[d], &sub, &cfg.serve)?;
-        // The charge is built from link copies alone, whose per-round event
-        // streams are empty, so this merge is the same under every detail.
-        if let Some(charge) = transfer_charges[d].take() {
-            report.stats.merge_sequential(&charge);
-        }
-        reports.push(report);
-    }
-    let served: u64 = reports.iter().map(|r| r.streams as u64).sum();
-    let lost = (fed as u64).saturating_sub(served);
-    Ok(assemble(devices, reports, Some(&classes), router.stats, lost, failover))
-}
-
-/// A [`TraceSource`] fed by a bounded channel — each device thread's view
-/// of its share of the stream.
-struct ChannelSource(mpsc::Receiver<StreamArrival>);
-
-impl TraceSource for ChannelSource {
-    fn next_arrival(&mut self) -> Option<StreamArrival> {
-        self.0.recv().ok()
-    }
-}
-
-/// Streams per-device channel depth: deep enough to keep device threads
-/// busy, shallow enough that resident memory stays bounded by
-/// `devices × depth` arrivals, not the trace length.
-const CHANNEL_DEPTH: usize = 1024;
-
-/// The streaming twin of [`run_cluster`]: pulls arrivals from `source` one
-/// at a time, routes each, and hands it to the owning device's engine
-/// thread over a bounded channel. Memory is bounded by the channel depths
-/// and each engine's admission queue — pair with
+/// Serves arrivals pulled from `source` on the fleet — the one fleet path
+/// (see the module docs). Memory is bounded by how the devices' arrivals
+/// interleave, not by the trace length: pair with
 /// [`gspecpal_serve::ReportDetail::Bounded`] to serve millions of streams.
-/// Produces bit-identical reports to [`run_cluster`] on the same arrivals:
-/// each device consumes exactly the same sub-sequence either way.
 pub fn run_cluster_source<S: TraceSource>(
     devices: &[ClusterDevice],
     fleet: &[FleetMachine<'_>],
-    mut source: S,
+    source: S,
     cfg: &ClusterConfig,
 ) -> Result<ClusterReport, ServeError> {
     validate(devices, fleet, cfg)?;
-    if cfg.failover.is_some() {
-        return Err(ServeError::InvalidConfig {
-            field: "failover",
-            problem: "checkpoint failover replays orphans from the batch path's routing journal; \
-                      the streaming path keeps no journal, so run it through run_cluster"
-                .into(),
-        });
-    }
     let machines = prepare_all(devices, fleet);
-    let footprints: Vec<u64> =
-        machines[0].iter().map(|m| m.table_footprint_bytes() as u64).collect();
-    let mut router = Router::new(devices, footprints, cfg);
-    let mut classes: Vec<Vec<PriorityClass>> = vec![Vec::new(); devices.len()];
-    let (results, router) =
-        std::thread::scope(|scope| {
-            let mut senders = Vec::with_capacity(devices.len());
-            let mut handles = Vec::with_capacity(devices.len());
-            for (d, dev) in devices.iter().enumerate() {
-                let (tx, rx) = mpsc::sync_channel::<StreamArrival>(CHANNEL_DEPTH);
-                senders.push(tx);
-                let machines_d = &machines[d];
-                let serve_cfg = &cfg.serve;
-                handles.push(scope.spawn(move || {
-                    serve_source(&dev.spec, machines_d, ChannelSource(rx), serve_cfg)
-                }));
+    let footprints = machines[0].iter().map(|m| m.table_footprint_bytes() as u64).collect();
+    let n = devices.len();
+    let crash = cfg.outage.zip(cfg.failover);
+    let failover = crash.map(|(outage, _)| Failover {
+        outage,
+        journal: VecDeque::new(),
+        journal_base: 0,
+        boundary: false,
+        victim: None,
+        charges: vec![KernelStats::default(); n],
+        report: FailoverReport::default(),
+    });
+    let demux = Demux {
+        hub: RefCell::new(Hub {
+            source,
+            router: Router::new(devices, footprints, cfg),
+            n_machines: fleet.len(),
+            backlogs: vec![VecDeque::new(); n],
+            pending: vec![VecDeque::new(); n],
+            routed: 0,
+            dry: false,
+            error: None,
+            failover,
+        }),
+        victim: RefCell::new(None),
+        devices,
+        machines: &machines,
+        cfg,
+    };
+    let mut runs = Vec::with_capacity(n);
+    for (d, dev) in devices.iter().enumerate() {
+        let feed = Feed { device: d, demux: &demux };
+        let (spec, ms, serve) = (&dev.spec, &machines[d], &cfg.serve);
+        runs.push(match crash {
+            Some((outage, fo)) if outage.device == d => {
+                let (every, at) = (fo.checkpoint_every_batches, outage.at_cycle);
+                demux.victim.replace(Some(CrashRun::new(spec, ms, feed, serve, every, at)?));
+                None
             }
-            let mut stream = 0usize;
-            let mut feed_error = None;
-            while let Some(a) = source.next_arrival() {
-                if a.machine >= fleet.len() {
-                    feed_error = Some(ServeError::UnknownMachine {
-                        stream,
-                        machine: a.machine,
-                        n_machines: fleet.len(),
-                    });
-                    break;
-                }
-                let d = router.route(a.machine, a.arrival_cycle, a.bytes.len());
-                let class = fleet[a.machine].class;
-                if senders[d].send(a).is_err() {
-                    // The device engine bailed (its error surfaces below);
-                    // stop feeding so the rest of the fleet can drain.
-                    break;
-                }
-                classes[d].push(class);
-                stream += 1;
-            }
-            drop(senders);
-            let results: Vec<Result<ServeReport, ServeError>> =
-                handles.into_iter().map(|h| h.join().expect("device engine panicked")).collect();
-            (feed_error.map_or(results, |e| vec![Err(e)]), router)
+            _ => Some(ServeRun::new(spec, ms, feed, serve)?),
         });
-    let mut reports = Vec::with_capacity(results.len());
-    for r in results {
-        reports.push(r?);
     }
-    let lost = router.stats.doomed_streams;
-    Ok(assemble(devices, reports, Some(&classes), router.stats, lost, FailoverReport::default()))
+
+    let mut reports: Vec<Option<ServeReport>> = vec![None; n];
+    let mut live_victim = crash.map(|(outage, _)| outage.device);
+    loop {
+        let backlog = |d: usize| demux.hub.borrow().backlogs[d].len();
+        let live = (0..n).filter(|&d| runs[d].is_some() || live_victim == Some(d));
+        let Some(d) = live.max_by_key(|&d| (backlog(d), Reverse(d))) else { break };
+        let stepped = match &mut runs[d] {
+            Some(run) => run.step(),
+            None => demux.step_victim(),
+        };
+        if let Some(e) = demux.hub.borrow_mut().error.take() {
+            return Err(e);
+        }
+        if !stepped? {
+            match runs[d].take() {
+                Some(run) => reports[d] = Some(run.finish()),
+                None => live_victim = None,
+            }
+        }
+    }
+    demux.settle()?;
+    let mut hub = demux.hub.borrow_mut();
+    let router = hub.router.stats;
+    let (lost, failover) = match hub.failover.take() {
+        None => (router.doomed_streams, FailoverReport::default()),
+        Some(f) => {
+            reports[f.outage.device] = f.victim;
+            // Link copies carry no per-round event streams, so this merge
+            // is the same under every detail.
+            for (report, charge) in reports.iter_mut().flatten().zip(&f.charges) {
+                report.stats.merge_sequential(charge);
+            }
+            let served: usize = reports.iter().flatten().map(|r| r.streams).sum();
+            ((hub.routed.saturating_sub(served)) as u64, f.report)
+        }
+    };
+    let reports = reports.into_iter().map(|r| r.expect("every device reports")).collect();
+    Ok(assemble(devices, fleet, reports, router, lost, failover))
+}
+
+/// The outage device's failover state, from its first pull to settlement.
+struct Failover {
+    outage: DeviceOutage,
+    /// The victim's pulls since its latest checkpoint, from pull number
+    /// `journal_base` on.
+    journal: VecDeque<StreamArrival>,
+    journal_base: usize,
+    /// The source reached an arrival at or after the outage cycle.
+    boundary: bool,
+    /// The victim's durable report; `Some` once settled.
+    victim: Option<ServeReport>,
+    /// Per device: the checkpoint migration copies it paid for.
+    charges: Vec<KernelStats>,
+    report: FailoverReport,
+}
+
+/// What the feeds share: the source, the router, one backlog per device.
+struct Hub<S> {
+    source: S,
+    router: Router,
+    n_machines: usize,
+    backlogs: Vec<VecDeque<StreamArrival>>,
+    /// Per survivor: re-stamped orphans not yet filed, in merge order.
+    pending: Vec<VecDeque<StreamArrival>>,
+    routed: usize,
+    dry: bool,
+    /// The first error met while pulling; it ends the run.
+    error: Option<ServeError>,
+    failover: Option<Failover>,
+}
+
+impl<S: TraceSource> Hub<S> {
+    /// Pulls one arrival from the source, routes it, and files it.
+    fn advance(&mut self) {
+        let Some(a) = self.source.next_arrival() else {
+            self.dry = true;
+            return self.flush_pending();
+        };
+        if a.machine >= self.n_machines {
+            self.error = Some(ServeError::UnknownMachine {
+                stream: self.routed,
+                machine: a.machine,
+                n_machines: self.n_machines,
+            });
+            return;
+        }
+        let d = self.router.route(a.machine, a.arrival_cycle, a.bytes.len());
+        if let Some(f) = &mut self.failover {
+            if a.arrival_cycle >= f.outage.at_cycle {
+                f.boundary = true;
+            } else if f.boundary {
+                // Only a source that went back in time gets here.
+                self.error = Some(ServeError::NonMonotonicTrace {
+                    stream: self.routed,
+                    cycle: a.arrival_cycle,
+                    prev: f.outage.at_cycle,
+                });
+                return;
+            }
+        }
+        self.routed += 1;
+        self.file(d, a);
+    }
+
+    /// Appends `a` to device `d`'s backlog after the pending orphans that
+    /// sort before it — the stable sort of a survivor's share followed by
+    /// its orphans.
+    fn file(&mut self, d: usize, a: StreamArrival) {
+        let pending = &mut self.pending[d];
+        while pending.front().is_some_and(|o| o.arrival_cycle < a.arrival_cycle) {
+            self.backlogs[d].extend(pending.pop_front());
+        }
+        self.backlogs[d].push_back(a);
+    }
+
+    /// Once the source is dry, files every pending orphan.
+    fn flush_pending(&mut self) {
+        if self.dry {
+            for (backlog, pending) in self.backlogs.iter_mut().zip(&mut self.pending) {
+                backlog.append(pending);
+            }
+        }
+    }
+}
+
+/// The one owner of a fleet run: the [`Hub`] plus the failover victim, which
+/// a survivor's feed may settle mid-step. Feeds borrow the hub only to pull.
+struct Demux<'a, 'f, S> {
+    hub: RefCell<Hub<S>>,
+    victim: RefCell<Option<CrashRun<'a, 'f, Feed<'a, 'f, S>>>>,
+    devices: &'a [ClusterDevice],
+    machines: &'a [Vec<ServeMachine<'f>>],
+    cfg: &'a ClusterConfig,
+}
+
+/// One device's view of the demux.
+struct Feed<'a, 'f, S> {
+    device: usize,
+    demux: &'a Demux<'a, 'f, S>,
+}
+
+impl<S: TraceSource> TraceSource for Feed<'_, '_, S> {
+    fn next_arrival(&mut self) -> Option<StreamArrival> {
+        self.demux.next_for(self.device)
+    }
+}
+
+impl<'a, 'f, S: TraceSource> Demux<'a, 'f, S> {
+    /// Device `d`'s next arrival, pulling the source until one is for `d`.
+    /// Past the boundary a survivor settles the victim first.
+    fn next_for(&self, d: usize) -> Option<StreamArrival> {
+        loop {
+            let mut hub = self.hub.borrow_mut();
+            let (is_victim, boundary, settled) = match &hub.failover {
+                Some(f) => (f.outage.device == d, f.boundary || hub.dry, f.victim.is_some()),
+                None => (false, false, true),
+            };
+            if hub.error.is_some() {
+                return None;
+            }
+            if boundary && !settled && !is_victim {
+                drop(hub);
+                if let Err(e) = self.settle() {
+                    self.hub.borrow_mut().error = Some(e);
+                }
+                continue;
+            }
+            if let Some(a) = hub.backlogs[d].pop_front() {
+                if let (true, Some(f)) = (is_victim, &mut hub.failover) {
+                    f.journal.push_back(a.clone());
+                }
+                return Some(a);
+            }
+            // The router sends the victim nothing from the outage cycle on.
+            if hub.dry || (is_victim && boundary) {
+                return None;
+            }
+            hub.advance();
+        }
+    }
+
+    /// Steps the victim once and trims its journal to its latest
+    /// checkpoint; `Ok(false)` once it crashed, completed, or settled.
+    fn step_victim(&self) -> Result<bool, ServeError> {
+        let mut victim = self.victim.borrow_mut();
+        let Some(run) = victim.as_mut() else { return Ok(false) };
+        let stepped = run.step();
+        if let (Some(ck), Some(f)) = (run.checkpoint(), &mut self.hub.borrow_mut().failover) {
+            let seen = ck.streams_pulled() - f.journal_base;
+            f.journal.drain(..seen);
+            f.journal_base += seen;
+        }
+        stepped
+    }
+
+    /// Settles the victim unless already settled (see the module docs); its
+    /// input is complete, so running it to its crash pulls nothing new.
+    fn settle(&self) -> Result<(), ServeError> {
+        let Some(run) = self.victim.take() else { return Ok(()) };
+        let crash = run.finish()?;
+        let mut hub = self.hub.borrow_mut();
+        let hub = &mut *hub;
+        let f = hub.failover.as_mut().expect("only a failover run has a victim");
+        let (v, fo) = (f.outage.device, self.cfg.failover.expect("failover is configured"));
+        f.report.checkpoints_taken = crash.checkpoints_taken;
+        f.report.checkpoint_bytes = crash.checkpoint_bytes;
+        let mut blob = Vec::new();
+        f.victim = Some(match crash.completed {
+            // The crash struck an idle device after its whole share
+            // finished: nothing in flight, nothing to migrate.
+            Some(done) => *done,
+            None => {
+                let ck = crash.checkpoint.expect("the batch-0 checkpoint always survives");
+                blob = ck.encode();
+                let (machines, serve_cfg) = (&self.machines[v], &self.cfg.serve);
+                let (durable, window) =
+                    finalize_checkpoint(&self.devices[v].spec, machines, serve_cfg, &ck)?;
+                // Orphans (its window, then every arrival it had not
+                // pulled) re-shard like post-outage arrivals do.
+                let unseen = f.journal.drain(ck.streams_pulled() - f.journal_base..);
+                let survivors = hub.router.survivors.as_ref().expect("an outage has survivors");
+                for a in window.into_iter().chain(unseen).chain(hub.backlogs[v].drain(..)) {
+                    hub.pending[survivors.route(a.machine)].push_back(a);
+                }
+                durable
+            }
+        });
+
+        // Ship the checkpoint to every survivor that replays orphans as
+        // Phase::Transfer H2D copies on its attach link. A failed copy
+        // backs off and retries; the attempt after the budget is forced
+        // through, every attempt and backoff paid for.
+        let plan = self.cfg.serve.scheme_config.faults;
+        for (d, dest) in hub.pending.iter_mut().enumerate().filter(|(_, p)| !p.is_empty()) {
+            let dev = &self.devices[d];
+            let (mut delta, mut attempt) = (0u64, 0u32);
+            loop {
+                let stats = link_transfer_stats(&dev.link, &dev.spec, blob.len());
+                delta += stats.cycles;
+                f.charges[d].merge_sequential(&stats);
+                let failed =
+                    plan.is_some_and(|p| p.copy_fails(FaultDomain::H2d, fault_coord(d), attempt));
+                if !failed || attempt >= fo.migration_max_retries {
+                    break;
+                }
+                f.report.migration_retries += 1;
+                let (base, cap) =
+                    (fo.migration_backoff_base_cycles, fo.migration_backoff_cap_cycles);
+                delta += backoff_cycles(base, cap, attempt);
+                attempt += 1;
+            }
+            f.report.replay_cycles += delta;
+            f.report.migrations_replayed += dest.len() as u64;
+            // An orphan is servable once the survivor holds the checkpoint
+            // (clamped to the clock bound the serve layer enforces).
+            let ready = f.outage.at_cycle.saturating_add(delta).min(MAX_ARRIVAL_CYCLE);
+            for a in dest.iter_mut() {
+                a.arrival_cycle = a.arrival_cycle.max(ready);
+            }
+        }
+
+        // Refile the backlogs so each orphan precedes later-stamped arrivals.
+        for d in 0..hub.backlogs.len() {
+            for a in std::mem::take(&mut hub.backlogs[d]) {
+                hub.file(d, a);
+            }
+        }
+        hub.flush_pending();
+        Ok(())
+    }
 }

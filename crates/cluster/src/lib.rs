@@ -35,10 +35,11 @@
 //! Everything is exact integer arithmetic over the same cost model as the
 //! rest of the repo: a [`ClusterReport`] is bit-identical across host
 //! thread counts and reruns, and each device's slice of it equals serving
-//! that device's sub-trace standalone ([`run_cluster`] composability).
-//! [`run_cluster_source`] is the streaming twin — bounded memory at
-//! million-stream scale when paired with
-//! [`gspecpal_serve::ReportDetail::Bounded`].
+//! that device's sub-trace standalone. [`run_cluster_source`] is the one
+//! fleet path, a single-threaded streaming demux (see [`fleet`]) with
+//! memory bounded at million-stream scale under
+//! [`gspecpal_serve::ReportDetail::Bounded`]; [`run_cluster`] replays a
+//! trace through it.
 
 #![warn(missing_docs)]
 
@@ -248,9 +249,16 @@ mod tests {
             machine: dfas.len(),
             bytes: b"01".to_vec(),
         }]);
-        assert!(matches!(
-            run_cluster(&test_devices(2), &machines, &trace, &ClusterConfig::default()),
-            Err(ServeError::UnknownMachine { machine, .. }) if machine == dfas.len()
-        ));
+        let devices = test_devices(2);
+        let cfg = ClusterConfig::default();
+        for result in [
+            run_cluster(&devices, &machines, &trace, &cfg),
+            run_cluster_source(&devices, &machines, trace.source(), &cfg),
+        ] {
+            assert!(matches!(
+                result,
+                Err(ServeError::UnknownMachine { stream: 0, machine, .. }) if machine == dfas.len()
+            ));
+        }
     }
 }

@@ -7,9 +7,9 @@
 //! is bit-identical across host thread counts and reruns — `PartialEq` on
 //! the whole struct is the test.
 
-use gspecpal_serve::{LatencySummary, PriorityClass, ResidencyReport, ServeReport, StreamOutcome};
+use gspecpal_serve::{LatencySummary, PriorityClass, ResidencyReport, ServeReport};
 
-use crate::fleet::ClusterDevice;
+use crate::fleet::{ClusterDevice, FleetMachine};
 
 /// What the router did during the run: rebalancing migrations and outage
 /// rerouting.
@@ -93,7 +93,7 @@ pub struct ClusterReport {
     pub deadline_delivery: LatencySummary,
     /// Whether `delivery` (and the class splits) were computed exactly from
     /// per-stream latencies, or upper-bounded from per-device summaries
-    /// (the streaming / [`gspecpal_serve::ReportDetail::Bounded`] path).
+    /// (under [`gspecpal_serve::ReportDetail::Bounded`]).
     pub exact_latency: bool,
     /// All devices' residency-LRU counters, merged.
     pub residency: ResidencyReport,
@@ -128,13 +128,12 @@ impl ClusterReport {
     }
 }
 
-/// Folds per-device reports into the fleet report. `classes[d][i]` is the
-/// priority class of device `d`'s `i`-th admitted stream (sub-trace
-/// order); `None` (the streaming path) skips the per-class split.
+/// Folds per-device reports into the fleet report. The class split needs
+/// the batch records only [`gspecpal_serve::ReportDetail::Full`] retains.
 pub(crate) fn assemble(
     devices: &[ClusterDevice],
+    fleet: &[FleetMachine<'_>],
     reports: Vec<ServeReport>,
-    classes: Option<&[Vec<PriorityClass>]>,
     router: RouterStats,
     lost_streams: u64,
     failover: FailoverReport,
@@ -159,20 +158,15 @@ pub(crate) fn assemble(
     // only `ReportDetail::Full` retains.
     let exact_latency = reports.iter().all(|r| r.latencies.len() == r.streams);
     let (delivery, bulk_delivery, deadline_delivery) = if exact_latency {
-        let mut all = Vec::with_capacity(streams);
-        let mut bulk = Vec::new();
-        let mut deadline = Vec::new();
-        for (d, r) in reports.iter().enumerate() {
-            for (i, &lat) in r.latencies.iter().enumerate() {
-                if r.outcomes[i] != StreamOutcome::Served {
-                    continue;
-                }
-                all.push(lat);
-                if let Some(classes) = classes {
-                    match classes[d][i] {
-                        PriorityClass::Bulk => bulk.push(lat),
-                        PriorityClass::Deadline => deadline.push(lat),
-                    }
+        let (mut all, mut bulk, mut deadline) = (Vec::with_capacity(streams), vec![], vec![]);
+        // Every stream of a recorded batch was served; nothing else was.
+        for r in &reports {
+            for b in &r.batches {
+                let lats = &r.latencies[b.first_stream..b.first_stream + b.streams];
+                all.extend_from_slice(lats);
+                match fleet[b.machine].class {
+                    PriorityClass::Bulk => bulk.extend_from_slice(lats),
+                    PriorityClass::Deadline => deadline.extend_from_slice(lats),
                 }
             }
         }

@@ -15,7 +15,7 @@
 //! for every batch policy, fault plan, report detail, controller /
 //! residency / recovery configuration, and host thread count. The
 //! guarantee is structural rather than aspirational: `serve` itself runs
-//! the same resumable engine (`Engine::new` + step-to-dry + `finish`), so
+//! the same resumable engine ([`ServeRun`] stepped to dry, then `finish`), so
 //! a restore is not a parallel implementation that could drift — it is
 //! the production engine handed its own state back.
 //!
@@ -43,7 +43,7 @@
 //! the sparse `LatencySketch`, window `StreamArrival`s (arrival-ordered,
 //! non-empty payloads), depth-tracker events (kind ±1, sorted) and
 //! `PhaseProfile` ([`Phase::ALL`] order). Decoded state is then validated
-//! against the resuming configuration by `Engine::restore`. Corruption of
+//! against the resuming configuration by `ServeRun::restore`. Corruption of
 //! any kind surfaces as a structured [`ServeError::CorruptCheckpoint`],
 //! never a panic and never an out-of-memory; and since every payload byte
 //! is a validated tag or a field value, whatever decodes re-encodes to
@@ -53,7 +53,9 @@
 //!
 //! [`serve_until_crash`] drives a run while taking periodic checkpoints
 //! and stops the moment the device timeline schedules work past a crash
-//! cycle — modeling a device that dies mid-trace. The surviving artifact
+//! cycle — modeling a device that dies mid-trace. [`CrashRun`] is the same
+//! run one step at a time, for a caller that interleaves it with other
+//! devices (the fleet's failover victim). The surviving artifact
 //! is the latest checkpoint: [`finalize_checkpoint`] splits it into the
 //! durable [`ServeReport`] of everything dispatched before the crash plus
 //! the *orphan* arrivals (pulled but not yet dispatched) that a failover
@@ -67,7 +69,7 @@ use gspecpal_gpu::{
 
 use crate::controller::{BatchObservation, DecisionRecord, LaunchChoice, MachineArmState};
 use crate::error::ServeError;
-use crate::pipeline::{Engine, EngineSnapshot, ReportDetail, ServeConfig, ServeMachine};
+use crate::pipeline::{EngineSnapshot, ReportDetail, ServeConfig, ServeMachine, ServeRun};
 use crate::policy::{BatchPolicy, PolicyKind, PriorityClass};
 use crate::report::{
     BatchRecord, ExecMode, LatencySummary, RecoveryReport, ResidencyReport, ServeReport,
@@ -881,18 +883,17 @@ pub fn serve_checkpoint<S: TraceSource>(
     cfg: &ServeConfig,
     at_batch: usize,
 ) -> Result<CheckpointOutcome, ServeError> {
-    cfg.validate()?;
+    let mut run = ServeRun::new(spec, machines, source, cfg)?;
     let fingerprint = run_fingerprint(spec, machines, cfg);
-    let mut engine = Engine::new(spec, machines, source, cfg);
     loop {
-        if engine.batches_formed() >= at_batch && engine.quiescent() {
+        if run.batches_formed() >= at_batch && run.quiescent() {
             return Ok(CheckpointOutcome::Checkpoint(Box::new(EngineCheckpoint {
                 fingerprint,
-                snapshot: engine.snapshot(),
+                snapshot: run.snapshot(),
             })));
         }
-        if !engine.step()? {
-            return Ok(CheckpointOutcome::Completed(Box::new(engine.finish())));
+        if !run.step()? {
+            return Ok(CheckpointOutcome::Completed(Box::new(run.finish())));
         }
     }
 }
@@ -926,13 +927,13 @@ pub fn serve_resume<S: TraceSource>(
             });
         }
     }
-    let mut engine = Engine::restore(spec, machines, source, cfg, &checkpoint.snapshot)?;
-    while engine.step()? {}
-    Ok(engine.finish())
+    let mut run = ServeRun::restore(spec, machines, source, cfg, &checkpoint.snapshot)?;
+    while run.step()? {}
+    Ok(run.finish())
 }
 
 /// What survived a simulated mid-trace device crash.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CrashOutcome {
     /// The finished report, when the whole run completed at or before the
     /// crash cycle — the crash struck an idle device and nothing was lost.
@@ -948,13 +949,77 @@ pub struct CrashOutcome {
     pub checkpoint_bytes: u64,
 }
 
+/// A run that will crash at a given cycle, stepped one batch at a time
+/// under the one checkpoint cadence: [`serve_until_crash`] and the fleet's
+/// failover victim (see `gspecpal-cluster`) both step it.
+pub struct CrashRun<'e, 'm, S> {
+    /// The live run; `None` once it crashed or completed.
+    run: Option<ServeRun<'e, 'm, S>>,
+    fingerprint: u64,
+    every_batches: usize,
+    crash_cycle: u64,
+    outcome: CrashOutcome,
+}
+
+impl<'e, 'm, S: TraceSource> CrashRun<'e, 'm, S> {
+    /// A fresh run that checkpoints every `every_batches` formed batches
+    /// (see [`serve_until_crash`]) and dies once its timeline schedules
+    /// work past `crash_cycle`. Fails when `cfg` is inconsistent.
+    pub fn new(
+        spec: &'e DeviceSpec,
+        machines: &'e [ServeMachine<'m>],
+        source: S,
+        cfg: &'e ServeConfig,
+        every_batches: usize,
+        crash_cycle: u64,
+    ) -> Result<Self, ServeError> {
+        Ok(CrashRun {
+            run: Some(ServeRun::new(spec, machines, source, cfg)?),
+            fingerprint: run_fingerprint(spec, machines, cfg),
+            every_batches: every_batches.max(1),
+            crash_cycle,
+            outcome: CrashOutcome::default(),
+        })
+    }
+
+    /// Takes a checkpoint if one is due, then dies or steps one batch;
+    /// `Ok(false)` once the device has crashed or its run completed.
+    pub fn step(&mut self) -> Result<bool, ServeError> {
+        let Some(run) = self.run.as_mut() else { return Ok(false) };
+        let out = &mut self.outcome;
+        let due = out.checkpoint.as_ref().map_or(0, |c| c.batches_formed() + self.every_batches);
+        if run.quiescent() && run.horizon() <= self.crash_cycle && run.batches_formed() >= due {
+            let ck = EngineCheckpoint { fingerprint: self.fingerprint, snapshot: run.snapshot() };
+            out.checkpoints_taken += 1;
+            out.checkpoint_bytes += ck.encode().len() as u64;
+            out.checkpoint = Some(Box::new(ck));
+        }
+        if run.horizon() > self.crash_cycle {
+            self.run = None; // in-flight state dies with the device
+        } else if !run.step()? {
+            out.completed = self.run.take().map(|r| Box::new(r.finish()));
+        }
+        Ok(self.run.is_some())
+    }
+
+    /// The latest checkpoint taken so far.
+    pub fn checkpoint(&self) -> Option<&EngineCheckpoint> {
+        self.outcome.checkpoint.as_deref()
+    }
+
+    /// Steps the run until it crashes or completes; what survived.
+    pub fn finish(mut self) -> Result<CrashOutcome, ServeError> {
+        while self.step()? {}
+        Ok(self.outcome)
+    }
+}
+
 /// Drives a run that will crash at `crash_cycle`, checkpointing every
-/// `every_batches` formed batches (clamped to at least 1; the fresh
-/// engine is always checkpointed first, so a crash before the first batch
-/// still leaves a resume point). The run stops the moment the device
-/// timeline schedules work past the crash cycle — that in-flight state
-/// dies with the device; what survives is the latest checkpoint, whose
-/// encoded size is accounted as durable-storage traffic.
+/// `every_batches` formed batches (clamped to at least 1; the fresh engine
+/// is always checkpointed first, so there is always a resume point). The
+/// run stops the moment the device timeline schedules work past the crash
+/// cycle; what survives is the latest checkpoint, whose encoded size is
+/// accounted as durable-storage traffic.
 pub fn serve_until_crash<S: TraceSource>(
     spec: &DeviceSpec,
     machines: &[ServeMachine<'_>],
@@ -963,43 +1028,7 @@ pub fn serve_until_crash<S: TraceSource>(
     every_batches: usize,
     crash_cycle: u64,
 ) -> Result<CrashOutcome, ServeError> {
-    cfg.validate()?;
-    let fingerprint = run_fingerprint(spec, machines, cfg);
-    let mut engine = Engine::new(spec, machines, source, cfg);
-    let mut checkpoint: Option<Box<EngineCheckpoint>> = None;
-    let mut checkpoints_taken = 0u64;
-    let mut checkpoint_bytes = 0u64;
-    let mut next_due = 0usize;
-    loop {
-        if engine.quiescent()
-            && engine.horizon() <= crash_cycle
-            && engine.batches_formed() >= next_due
-        {
-            let ck = EngineCheckpoint { fingerprint, snapshot: engine.snapshot() };
-            checkpoints_taken += 1;
-            checkpoint_bytes += ck.encode().len() as u64;
-            checkpoint = Some(Box::new(ck));
-            next_due = engine.batches_formed() + every_batches.max(1);
-        }
-        if engine.horizon() > crash_cycle {
-            return Ok(CrashOutcome {
-                completed: None,
-                checkpoint,
-                checkpoints_taken,
-                checkpoint_bytes,
-            });
-        }
-        if !engine.step()? {
-            // The source ran dry with every scheduled cycle at or before
-            // the crash: the run completed on the doomed device.
-            return Ok(CrashOutcome {
-                completed: Some(Box::new(engine.finish())),
-                checkpoint,
-                checkpoints_taken,
-                checkpoint_bytes,
-            });
-        }
-    }
+    CrashRun::new(spec, machines, source, cfg, every_batches, crash_cycle)?.finish()
 }
 
 /// Seals a crashed run's checkpoint into its durable [`ServeReport`] plus
@@ -1039,9 +1068,9 @@ pub fn finalize_checkpoint(
             .ok_or_else(|| corrupt("window exceeds byte count"))?;
     }
     let source = IterSource(std::iter::empty::<StreamArrival>());
-    let mut engine = Engine::restore(spec, machines, source, cfg, &snap)?;
-    while engine.step()? {}
-    Ok((engine.finish(), orphans))
+    let mut run = ServeRun::restore(spec, machines, source, cfg, &snap)?;
+    while run.step()? {}
+    Ok((run.finish(), orphans))
 }
 
 #[cfg(test)]

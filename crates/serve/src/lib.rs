@@ -31,12 +31,15 @@
 //!   queue depth (pair with [`ReportDetail::Bounded`] and the
 //!   constant-memory [`LatencySketch`] summaries to serve millions of
 //!   streams without O(streams) state);
+//! * [`ServeRun`] — that engine one batch at a time, for a caller that
+//!   interleaves several runs on one thread (the fleet demux);
 //! * [`ResidencyConfig`] / [`PriorityClass`] — fleet-grade serving: a
 //!   per-device transition-table LRU whose misses charge real H2D copies
 //!   (and whose hit rate the report carries), and deadline-class machines
 //!   whose batches preempt the open bulk kernel at its next wave boundary
 //!   ([`ServeConfig::preempt`]) instead of queueing behind it;
-//! * [`serve_checkpoint`] / [`serve_resume`] / [`serve_until_crash`] —
+//! * [`serve_checkpoint`] / [`serve_resume`] / [`serve_until_crash`]
+//!   ([`CrashRun`] stepwise) —
 //!   crash consistency: the engine suspends at any quiescent inter-batch
 //!   boundary into a versioned, checksummed, byte-deterministic
 //!   [`EngineCheckpoint`], and a resumed run's report is bit-identical to
@@ -82,7 +85,7 @@ pub mod trace;
 
 pub use checkpoint::{
     finalize_checkpoint, serve_checkpoint, serve_resume, serve_until_crash, CheckpointOutcome,
-    CrashOutcome, EngineCheckpoint,
+    CrashOutcome, CrashRun, EngineCheckpoint,
 };
 pub use controller::{
     AdaptiveController, BatchObservation, ControllerConfig, Decision, DecisionRecord, LaunchChoice,
@@ -90,7 +93,7 @@ pub use controller::{
 pub use error::ServeError;
 pub use pipeline::{
     serve, serve_source, ReportDetail, ResidencyConfig, ServeConfig, ServeMachine,
-    ServeRecoveryConfig,
+    ServeRecoveryConfig, ServeRun,
 };
 pub use policy::{BatchPolicy, PolicyKind, PriorityClass};
 pub use report::{
@@ -98,7 +101,7 @@ pub use report::{
     StreamOutcome, EXACT_SUMMARY_MAX,
 };
 pub use sketch::LatencySketch;
-pub use source::{IterSource, SyntheticSource, TraceCursor, TraceSource};
+pub use source::{IterSource, SyntheticSource, TraceSource};
 pub use trace::{StreamArrival, Trace, MAX_ARRIVAL_CYCLE};
 
 #[cfg(test)]

@@ -391,38 +391,31 @@ impl ServeConfig {
     }
 
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
+        let invalid = |field, problem: String| Err(ServeError::InvalidConfig { field, problem });
         if self.buffer_bytes() == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "device_mem_bytes",
-                problem: format!(
-                    "must be at least 2 (two staging buffers), got {}",
-                    self.device_mem_bytes
-                ),
-            });
+            let got = self.device_mem_bytes;
+            return invalid(
+                "device_mem_bytes",
+                format!("must be at least 2 (two staging buffers), got {got}"),
+            );
         }
         if self.max_queue_depth == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "max_queue_depth",
-                problem: "must be at least 1".into(),
-            });
+            return invalid("max_queue_depth", "must be at least 1".into());
         }
         if self.policy.max_streams() == 0 {
-            return Err(ServeError::InvalidConfig {
-                field: "policy",
-                problem: format!("{} batch cap must be at least 1", self.policy.name()),
-            });
+            return invalid(
+                "policy",
+                format!("{} batch cap must be at least 1", self.policy.name()),
+            );
         }
         if self.residency.is_some_and(|r| r.capacity_bytes == 0) {
-            return Err(ServeError::InvalidConfig {
-                field: "residency",
-                problem: "capacity_bytes must be at least 1".into(),
-            });
+            return invalid("residency", "capacity_bytes must be at least 1".into());
         }
         if self.preempt && !self.overlap {
-            return Err(ServeError::InvalidConfig {
-                field: "preempt",
-                problem: "preemption needs a separate compute queue (set overlap = true)".into(),
-            });
+            return invalid(
+                "preempt",
+                "preemption needs a separate compute queue (set overlap = true)".into(),
+            );
         }
         Ok(())
     }
@@ -632,8 +625,8 @@ fn copy_with_retries(
 }
 
 /// Pulls and validates arrivals from a [`TraceSource`]: machine bounds,
-/// staging-buffer fit, and arrival-cycle monotonicity — the same checks
-/// [`serve`] applies up front, enforced lazily as the stream is consumed.
+/// staging-buffer fit, and arrival-cycle monotonicity, enforced lazily as
+/// the stream is consumed.
 struct Puller<S> {
     source: S,
     n_machines: usize,
@@ -1343,39 +1336,20 @@ fn close_pending(
 }
 
 /// Serves `trace` on `machines` under `cfg`, returning the full
-/// [`ServeReport`]. Fails up front (before any simulation) when the
-/// configuration is inconsistent, an arrival names an unknown machine, or a
-/// stream cannot fit one staging buffer. Delegates to the streaming engine
-/// behind [`serve_source`], replaying the trace in admission order — the
-/// two produce byte-identical reports.
+/// [`ServeReport`]: [`serve_source`] replaying the trace in admission
+/// order. Fails when the configuration is inconsistent, an arrival names an
+/// unknown machine, or a stream cannot fit one staging buffer.
 pub fn serve(
     spec: &DeviceSpec,
     machines: &[ServeMachine<'_>],
     trace: &Trace,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, ServeError> {
-    cfg.validate()?;
-    let buffer_bytes = cfg.buffer_bytes();
-    for (i, a) in trace.arrivals().iter().enumerate() {
-        if a.machine >= machines.len() {
-            return Err(ServeError::UnknownMachine {
-                stream: i,
-                machine: a.machine,
-                n_machines: machines.len(),
-            });
-        }
-        if a.bytes.len() > buffer_bytes {
-            return Err(ServeError::StreamTooLarge {
-                stream: i,
-                bytes: a.bytes.len(),
-                buffer_bytes,
-            });
-        }
-    }
-    run_engine(spec, machines, trace.source(), cfg)
+    serve_source(spec, machines, trace.source(), cfg)
 }
 
-/// Serves arrivals pulled from `source` — the streaming entry point.
+/// Serves arrivals pulled from `source` — the streaming entry point: a
+/// [`ServeRun`] stepped until the source runs dry.
 ///
 /// Unlike [`serve`], the trace is never materialized: resident memory is
 /// bounded by the admission queue and pipeline depth (plus, under
@@ -1390,19 +1364,31 @@ pub fn serve_source<S: TraceSource>(
     source: S,
     cfg: &ServeConfig,
 ) -> Result<ServeReport, ServeError> {
-    cfg.validate()?;
-    run_engine(spec, machines, source, cfg)
+    let mut run = ServeRun::new(spec, machines, source, cfg)?;
+    while run.step()? {}
+    Ok(run.finish())
 }
 
-fn run_engine<S: TraceSource>(
-    spec: &DeviceSpec,
-    machines: &[ServeMachine<'_>],
-    source: S,
-    cfg: &ServeConfig,
-) -> Result<ServeReport, ServeError> {
-    let mut engine = Engine::new(spec, machines, source, cfg);
-    while engine.step()? {}
-    Ok(engine.finish())
+/// Frees a batch's queue slots at cycle `release`, recording each stream's
+/// stay (depth tracker) and admission wait (backpressure counters).
+fn release_slots(
+    ring: &mut ReleaseRing,
+    depths: &mut DepthTracker,
+    col: &mut Collector,
+    release: u64,
+    admits: &[u64],
+    arrivals: &[StreamArrival],
+) {
+    let floor = ring.floor().unwrap_or(0);
+    for (&admit, a) in admits.iter().zip(arrivals) {
+        ring.push(release);
+        depths.record(admit, release, a.arrival_cycle.max(floor));
+        let wait = admit - a.arrival_cycle;
+        if wait > 0 {
+            col.report.backpressure_events += 1;
+            col.report.backpressure_wait_cycles += wait;
+        }
+    }
 }
 
 /// Admission cycle of stream `k`: its arrival, floored by the release of
@@ -1420,7 +1406,7 @@ fn admit_at(depth: usize, ring: &ReleaseRing, arrival: u64, k: usize) -> u64 {
 /// [`crate::checkpoint::EngineCheckpoint`]. Fields mirror the engine's
 /// internals one-to-one; everything configuration-derived (the fault plan,
 /// detail flags, queue depth, controller arm lists, residency footprints)
-/// is deliberately absent and rebuilt by [`Engine::restore`] from the same
+/// is deliberately absent and rebuilt by [`ServeRun::restore`] from the same
 /// `ServeConfig` and machine list, which the checkpoint layer fingerprints.
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct EngineSnapshot {
@@ -1487,18 +1473,14 @@ pub(crate) struct EngineSnapshot {
     pub(crate) kernel_sketch: Option<LatencySketch>,
 }
 
-/// The streaming serve engine behind [`serve`] and [`serve_source`],
-/// factored into an explicit state machine so a run can be suspended and
-/// resumed: [`Engine::step`] forms and dispatches exactly one batch (one
-/// iteration of the historical dispatch loop), and between steps — when
-/// [`Engine::quiescent`] holds — the engine's entire mutable state is
-/// capturable as an [`EngineSnapshot`] and reconstructible with
-/// [`Engine::restore`]. `run_engine` (and with it `serve`/`serve_source`)
-/// is `new` + step-to-dry + [`Engine::finish`], so the resumable engine
-/// *is* the production path, not a parallel implementation — which is what
-/// makes the checkpoint layer's bit-identity guarantee structural instead
-/// of aspirational.
-pub(crate) struct Engine<'e, 'm, S> {
+/// A serve run in progress, stepped one batch at a time — the one engine
+/// behind [`serve`], [`serve_source`], the checkpoint entry points, and
+/// the fleet demux in `gspecpal-cluster`, which interleaves several runs on
+/// one thread. Between steps a quiescent run's whole state can be captured
+/// and restored ([`crate::EngineCheckpoint`]), so resuming is the
+/// production engine handed its own state back, not a parallel
+/// implementation.
+pub struct ServeRun<'e, 'm, S> {
     spec: &'e DeviceSpec,
     machines: &'e [ServeMachine<'m>],
     cfg: &'e ServeConfig,
@@ -1528,17 +1510,19 @@ pub(crate) struct Engine<'e, 'm, S> {
     batch_idx: usize,
 }
 
-impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
-    /// A fresh engine at cycle 0, about to pull the first arrival.
-    pub(crate) fn new(
+impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
+    /// A fresh run at cycle 0, about to pull the first arrival. Fails when
+    /// `cfg` is inconsistent; arrivals are validated as they are pulled.
+    pub fn new(
         spec: &'e DeviceSpec,
         machines: &'e [ServeMachine<'m>],
         source: S,
         cfg: &'e ServeConfig,
-    ) -> Self {
+    ) -> Result<Self, ServeError> {
+        cfg.validate()?;
         let col = Collector::new(cfg);
         let full = col.full;
-        Engine {
+        Ok(ServeRun {
             spec,
             machines,
             cfg,
@@ -1582,7 +1566,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
             buffer_free: [0u64; 2],
             next: 0,
             batch_idx: 0,
-        }
+        })
     }
 
     /// Whether the engine sits at a checkpointable boundary: no open
@@ -1612,10 +1596,10 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
     /// Forms and dispatches one batch (or sheds the head-of-queue stream,
     /// or trips the breaker and drains the trace). Returns `Ok(false)` when
     /// the run is over — source dry or breaker open — after which
-    /// [`Engine::finish`] seals the report. One call is exactly one
-    /// iteration of the historical `run_engine` dispatch loop, so stepping
-    /// until `Ok(false)` reproduces the uninterrupted run byte for byte.
-    pub(crate) fn step(&mut self) -> Result<bool, ServeError> {
+    /// [`ServeRun::finish`] seals the report. Stepping until `Ok(false)`
+    /// is the uninterrupted run, byte for byte, however the steps are
+    /// interleaved with other work.
+    pub fn step(&mut self) -> Result<bool, ServeError> {
         let spec = self.spec;
         let machines = self.machines;
         let cfg = self.cfg;
@@ -1627,7 +1611,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
         let plan = cfg.scheme_config.faults.unwrap_or_default();
         let rcfg = &cfg.recovery;
         let copy_faults = CopyFaults { plan: &plan, rcfg };
-        let Engine {
+        let ServeRun {
             breaker_consecutive,
             timeline,
             controller,
@@ -1661,11 +1645,8 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
         if rcfg.shed_wait_cycles > 0 {
             let wait = first_admit - head_arrival;
             if wait > rcfg.shed_wait_cycles {
-                let bound = head_arrival.max(ring.floor().unwrap_or(0));
-                ring.push(first_admit);
-                depths.record(first_admit, first_admit, bound);
-                col.report.backpressure_events += 1;
-                col.report.backpressure_wait_cycles += wait;
+                let head = std::slice::from_ref(&window[0]);
+                release_slots(ring, depths, col, first_admit, &[first_admit], head);
                 sink.push(SinkOp::Shed(StreamOutcome::ShedDeadline), col, meter);
                 window.pop_front();
                 *next += 1;
@@ -1752,19 +1733,8 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
                 // Inputs never reached the device: the queue slot still
                 // frees when the first DMA attempt began, but the streams
                 // are shed and the staging buffer holds nothing.
-                let floor = ring.floor().unwrap_or(0);
-                for i in 0..count {
-                    ring.push(h2d_ready);
-                    depths.record(
-                        batch_admits[i],
-                        h2d_ready,
-                        batch_arrivals[i].arrival_cycle.max(floor),
-                    );
-                    let wait = batch_admits[i] - batch_arrivals[i].arrival_cycle;
-                    if wait > 0 {
-                        col.report.backpressure_events += 1;
-                        col.report.backpressure_wait_cycles += wait;
-                    }
+                release_slots(ring, depths, col, h2d_ready, batch_admits, batch_arrivals);
+                for _ in 0..count {
                     sink.push(SinkOp::Shed(StreamOutcome::ShedCopyFailure), col, meter);
                 }
                 fails.push(true);
@@ -1847,20 +1817,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
                 // bulk kernel may have pushed this slot further already.
                 let slot = &mut buffer_free[*batch_idx % 2];
                 *slot = (*slot).max(compute.end);
-                let floor = ring.floor().unwrap_or(0);
-                for i in 0..count {
-                    ring.push(h2d.start);
-                    depths.record(
-                        batch_admits[i],
-                        h2d.start,
-                        batch_arrivals[i].arrival_cycle.max(floor),
-                    );
-                    let wait = batch_admits[i] - batch_arrivals[i].arrival_cycle;
-                    if wait > 0 {
-                        col.report.backpressure_events += 1;
-                        col.report.backpressure_wait_cycles += wait;
-                    }
-                }
+                release_slots(ring, depths, col, h2d.start, batch_admits, batch_arrivals);
                 let points = if cfg.preempt && !deadline_class {
                     preempt_points(&exec, compute)
                 } else {
@@ -1942,8 +1899,9 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
     /// still-open bulk kernel, flushes buffered report effects, and fills
     /// the finalization-only fields (makespan, summaries, queue-depth
     /// samples, overlap efficiency, recovery counter folds).
-    pub(crate) fn finish(self) -> ServeReport {
-        let Engine { cfg, mut timeline, mut col, depths, mut meter, mut sink, open, cq, .. } = self;
+    pub fn finish(self) -> ServeReport {
+        let ServeRun { cfg, mut timeline, mut col, depths, mut meter, mut sink, open, cq, .. } =
+            self;
         let plan = cfg.scheme_config.faults.unwrap_or_default();
         let copy_faults = CopyFaults { plan: &plan, rcfg: &cfg.recovery };
         // A bulk kernel may still be open when the trace runs dry (or the
@@ -1984,7 +1942,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
     }
 
     /// Captures the engine's entire mutable state. Callers must be at a
-    /// quiescent inter-batch boundary ([`Engine::quiescent`]); everything
+    /// quiescent inter-batch boundary ([`ServeRun::quiescent`]); everything
     /// not captured is either configuration-derived or provably empty at
     /// such a boundary (the open kernel, the sink buffer, the undrained
     /// failure list, the per-batch scratch vectors).
@@ -2030,7 +1988,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
     }
 
     /// Rebuilds an engine from a snapshot, the inverse of
-    /// [`Engine::snapshot`] for the same `spec`/`machines`/`cfg` and a
+    /// [`ServeRun::snapshot`] for the same `spec`/`machines`/`cfg` and a
     /// `source` already advanced past the snapshot's `pulled` arrivals.
     /// Structural inconsistencies (a snapshot from a different
     /// configuration, or corrupt-but-checksummed state) are rejected as
@@ -2111,7 +2069,7 @@ impl<'e, 'm, S: TraceSource> Engine<'e, 'm, S> {
                 spill: !full,
             },
         };
-        Ok(Engine {
+        Ok(ServeRun {
             spec,
             machines,
             cfg,

@@ -1,6 +1,6 @@
 //! Streaming arrival sources: traces consumed one arrival at a time.
 //!
-//! [`crate::serve`] takes a fully materialized [`Trace`] — fine for tests
+//! [`crate::serve`] takes a fully materialized [`Trace`](crate::Trace) — fine for tests
 //! and benches, fatal for the million-stream regime the ROADMAP targets,
 //! where holding every arrival (and its payload) in memory defeats the
 //! point. A [`TraceSource`] is the streaming alternative: the pipeline
@@ -9,24 +9,23 @@
 //! the admission queue, not the trace length (see
 //! [`crate::serve_source`]).
 //!
-//! Three sources cover the practical cases:
+//! Two sources cover the practical cases:
 //!
-//! * [`TraceCursor`] — replays an in-memory [`Trace`]; this is how `serve`
-//!   itself runs, so the two entry points share one engine and produce
-//!   byte-identical reports.
 //! * [`IterSource`] — adapts any `Iterator<Item = StreamArrival>` (a log
-//!   parser, a socket decoder, a generator).
-//! * [`SyntheticSource`] — the streaming twin of [`Trace::synthetic`]:
+//!   parser, a socket decoder, a generator). [`Trace::source`](crate::Trace::source) is one over
+//!   the trace's arrivals; this is how `serve` itself runs, so the two
+//!   entry points share one engine and produce byte-identical reports.
+//! * [`SyntheticSource`] — the streaming twin of [`Trace::synthetic`](crate::Trace::synthetic):
 //!   the same seeded LCG, the same sequence, without materializing it.
 //!   `Trace::synthetic` is implemented by collecting this source, so the
 //!   two can never drift apart.
 
-use crate::trace::{Lcg, StreamArrival, Trace};
+use crate::trace::{Lcg, StreamArrival};
 
 /// A pull-based stream of arrivals in admission (non-decreasing
 /// `arrival_cycle`) order.
 ///
-/// The contract matches what [`Trace`] guarantees after sorting: the
+/// The contract matches what [`Trace`](crate::Trace) guarantees after sorting: the
 /// pipeline validates monotonicity as it pulls and rejects a regression
 /// with [`crate::ServeError::NonMonotonicTrace`], because an out-of-order
 /// arrival from a live source is evidence of a broken feed, not something
@@ -43,28 +42,6 @@ pub struct IterSource<I>(pub I);
 impl<I: Iterator<Item = StreamArrival>> TraceSource for IterSource<I> {
     fn next_arrival(&mut self) -> Option<StreamArrival> {
         self.0.next()
-    }
-}
-
-/// A [`TraceSource`] replaying an in-memory [`Trace`] — the impl behind
-/// [`Trace::source`]. Clones each arrival on pull; the trace itself stays
-/// borrowed and untouched.
-pub struct TraceCursor<'a> {
-    arrivals: &'a [StreamArrival],
-    next: usize,
-}
-
-impl<'a> TraceCursor<'a> {
-    pub(crate) fn new(trace: &'a Trace) -> Self {
-        TraceCursor { arrivals: trace.arrivals(), next: 0 }
-    }
-}
-
-impl TraceSource for TraceCursor<'_> {
-    fn next_arrival(&mut self) -> Option<StreamArrival> {
-        let a = self.arrivals.get(self.next)?;
-        self.next += 1;
-        Some(a.clone())
     }
 }
 
@@ -85,7 +62,7 @@ pub struct SyntheticSource {
 }
 
 impl SyntheticSource {
-    /// See [`Trace::synthetic`] for the parameters and panics; the two
+    /// See [`Trace::synthetic`](crate::Trace::synthetic) for the parameters and panics; the two
     /// produce the same sequence by construction.
     pub fn new(
         seed: u64,
@@ -138,6 +115,7 @@ impl TraceSource for SyntheticSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
 
     #[test]
     fn synthetic_source_matches_trace_synthetic_exactly() {

@@ -122,10 +122,10 @@ impl Trace {
         Trace { arrivals: source.collect() }
     }
 
-    /// A [`crate::TraceSource`] replaying this trace in admission order —
-    /// what lets `serve` and [`crate::serve_source`] share one engine.
-    pub fn source(&self) -> crate::source::TraceCursor<'_> {
-        crate::source::TraceCursor::new(self)
+    /// A [`crate::TraceSource`] replaying this trace in admission order,
+    /// one clone per pull: how [`crate::serve`] runs the streaming engine.
+    pub fn source(&self) -> impl crate::TraceSource + '_ {
+        crate::IterSource(self.arrivals.iter().cloned())
     }
 }
 

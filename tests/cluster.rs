@@ -4,15 +4,18 @@
 
 use gspecpal::{FaultPlan, SchemeConfig};
 use gspecpal_cluster::{
-    run_cluster, run_cluster_source, ClusterConfig, ClusterDevice, DeviceOutage, FailoverConfig,
-    FleetMachine, HashRing, RouterStats,
+    run_cluster, run_cluster_source, ClusterConfig, ClusterDevice, ClusterReport, DeviceOutage,
+    FailoverConfig, FailoverReport, FleetMachine, HashRing, RebalanceConfig, Router, RouterStats,
 };
 use gspecpal_fsm::examples::{div7, mod_counter, ones_counter};
 use gspecpal_fsm::Dfa;
-use gspecpal_gpu::{fault_coord, DeviceSpec, FaultDomain, Phase};
+use gspecpal_gpu::{
+    backoff_cycles, fault_coord, link_transfer_stats, DeviceSpec, FaultDomain, KernelStats, Phase,
+};
 use gspecpal_serve::{
-    serve, BatchPolicy, IterSource, PriorityClass, ReportDetail, ResidencyConfig, ServeConfig,
-    ServeError, ServeMachine, StreamArrival, Trace,
+    finalize_checkpoint, serve, serve_until_crash, BatchPolicy, IterSource, LatencySummary,
+    PriorityClass, ReportDetail, ResidencyConfig, ServeConfig, ServeError, ServeMachine,
+    ServeReport, StreamArrival, StreamOutcome, Trace, MAX_ARRIVAL_CYCLE,
 };
 use proptest::prelude::*;
 
@@ -564,27 +567,29 @@ fn failover_migration_retries_follow_the_shared_fault_plan() {
     assert_eq!(faulty.lost_streams, 0, "forced-through migration still conserves streams");
 }
 
-/// The streaming path keeps no routing journal to replay orphans from, so
-/// pairing it with failover is a structured configuration error.
+/// The streaming entry point serves failover configs too, and equals the
+/// trace entry point on the same arrivals bit for bit.
 #[test]
-fn streaming_path_rejects_failover_with_a_structured_error() {
+fn streaming_path_serves_failover_like_the_trace_path() {
     let dfas = fleet_dfas();
     let machines = fleet_machines(&dfas);
-    let trace = Trace::synthetic(11, 8, dfas.len(), 30, 8..32, b"01");
+    let devices = test_devices(3);
+    let trace = Trace::synthetic(29, 60, dfas.len(), 60, 8..64, b"01");
     let cfg = ClusterConfig {
-        outage: Some(DeviceOutage { device: 0, at_cycle: 100 }),
-        failover: Some(FailoverConfig::default()),
+        outage: Some(DeviceOutage {
+            device: 1,
+            at_cycle: trace.arrivals()[trace.len() / 2].arrival_cycle,
+        }),
+        failover: Some(FailoverConfig { checkpoint_every_batches: 2, ..FailoverConfig::default() }),
         ..ClusterConfig::default()
     };
-    match run_cluster_source(
-        &test_devices(2),
-        &machines,
-        IterSource(trace.arrivals().iter().cloned()),
-        &cfg,
-    ) {
-        Err(ServeError::InvalidConfig { field: "failover", .. }) => {}
-        other => panic!("expected the streaming path to reject failover, got {other:?}"),
-    }
+    let batch = run_cluster(&devices, &machines, &trace, &cfg).unwrap();
+    let streamed =
+        run_cluster_source(&devices, &machines, IterSource(trace.arrivals().iter().cloned()), &cfg)
+            .unwrap();
+    assert_eq!(batch, streamed);
+    assert_eq!(streamed.lost_streams, 0);
+    assert!(streamed.failover.checkpoints_taken >= 1);
 }
 
 /// A zero checkpoint cadence can never take the batch-0 checkpoint the
@@ -602,5 +607,271 @@ fn failover_rejects_a_zero_checkpoint_cadence() {
     match run_cluster(&test_devices(2), &machines, &trace, &cfg) {
         Err(ServeError::InvalidConfig { .. }) => {}
         other => panic!("expected a cadence rejection, got {other:?}"),
+    }
+}
+
+/// What the materializing fleet oracle computes: everything
+/// `ClusterReport` is assembled from, plus the per-class delivery split.
+#[derive(Debug, PartialEq)]
+struct FleetParts {
+    devices: Vec<ServeReport>,
+    streams: usize,
+    router: RouterStats,
+    failover: FailoverReport,
+    lost: u64,
+    bulk: LatencySummary,
+    deadline: LatencySummary,
+}
+
+impl From<&ClusterReport> for FleetParts {
+    fn from(r: &ClusterReport) -> Self {
+        FleetParts {
+            devices: r.devices.iter().map(|d| d.report.clone()).collect(),
+            streams: r.streams,
+            router: r.router,
+            failover: r.failover,
+            lost: r.lost_streams,
+            bulk: r.bulk_delivery,
+            deadline: r.deadline_delivery,
+        }
+    }
+}
+
+/// The materializing fleet algorithm, kept as an oracle for the streaming
+/// demux and built from public pieces only: route the whole trace into
+/// per-device shares and serve each share standalone. Under failover the
+/// victim serves its share until the crash, its last checkpoint is
+/// finalized, the orphans (checkpoint window plus every share arrival the
+/// checkpoint had not pulled) re-shard over the surviving ring, each
+/// survivor that replays orphans pays the checkpoint copy (with retries)
+/// and serves its share with the re-stamped orphans appended and stably
+/// sorted. Class splits attribute each served stream to its arrival's
+/// machine.
+fn fleet_oracle(
+    devices: &[ClusterDevice],
+    fleet: &[FleetMachine<'_>],
+    trace: &Trace,
+    cfg: &ClusterConfig,
+) -> FleetParts {
+    let n = devices.len();
+    let machines: Vec<Vec<ServeMachine<'_>>> = devices
+        .iter()
+        .map(|d| {
+            fleet
+                .iter()
+                .map(|m| ServeMachine::prepare(&d.spec, m.dfa, m.training).with_class(m.class))
+                .collect()
+        })
+        .collect();
+    let footprints = machines[0].iter().map(|m| m.table_footprint_bytes() as u64).collect();
+    let mut router = Router::new(devices, footprints, cfg);
+    let mut shares: Vec<Vec<StreamArrival>> = vec![Vec::new(); n];
+    for a in trace.arrivals() {
+        shares[router.route(a.machine, a.arrival_cycle, a.bytes.len())].push(a.clone());
+    }
+    let mut failover = FailoverReport::default();
+    let mut charges: Vec<Option<KernelStats>> = vec![None; n];
+    let mut victim = None;
+    if let Some((outage, fo)) = cfg.outage.zip(cfg.failover) {
+        let v = outage.device;
+        let share = std::mem::take(&mut shares[v]);
+        let crash = serve_until_crash(
+            &devices[v].spec,
+            &machines[v],
+            IterSource(share.iter().cloned()),
+            &cfg.serve,
+            fo.checkpoint_every_batches,
+            outage.at_cycle,
+        )
+        .unwrap();
+        failover.checkpoints_taken = crash.checkpoints_taken;
+        failover.checkpoint_bytes = crash.checkpoint_bytes;
+        let (report, orphans, blob) = match crash.completed {
+            Some(report) => (*report, Vec::new(), Vec::new()),
+            None => {
+                let ck = crash.checkpoint.unwrap();
+                let (durable, mut orphans) =
+                    finalize_checkpoint(&devices[v].spec, &machines[v], &cfg.serve, &ck).unwrap();
+                orphans.extend(share[ck.streams_pulled()..].iter().cloned());
+                (durable, orphans, ck.encode())
+            }
+        };
+        let admitted = share[..report.streams].to_vec();
+        victim = Some((v, report, admitted));
+        let survivors = HashRing::new(n, cfg.vnodes).without(v);
+        let mut orphan_shares: Vec<Vec<StreamArrival>> = vec![Vec::new(); n];
+        for a in orphans {
+            orphan_shares[survivors.route(a.machine)].push(a);
+        }
+        let plan = cfg.serve.scheme_config.faults;
+        for (d, orphans) in orphan_shares.into_iter().enumerate() {
+            if orphans.is_empty() {
+                continue;
+            }
+            let (mut delta, mut attempt, mut charge) = (0u64, 0u32, KernelStats::default());
+            loop {
+                let stats = link_transfer_stats(&devices[d].link, &devices[d].spec, blob.len());
+                delta += stats.cycles;
+                charge.merge_sequential(&stats);
+                let failed =
+                    plan.is_some_and(|p| p.copy_fails(FaultDomain::H2d, fault_coord(d), attempt));
+                if !failed || attempt >= fo.migration_max_retries {
+                    break;
+                }
+                failover.migration_retries += 1;
+                delta += backoff_cycles(
+                    fo.migration_backoff_base_cycles,
+                    fo.migration_backoff_cap_cycles,
+                    attempt,
+                );
+                attempt += 1;
+            }
+            failover.replay_cycles += delta;
+            failover.migrations_replayed += orphans.len() as u64;
+            charges[d] = Some(charge);
+            let ready = outage.at_cycle.saturating_add(delta).min(MAX_ARRIVAL_CYCLE);
+            shares[d].extend(orphans.into_iter().map(|mut a| {
+                a.arrival_cycle = a.arrival_cycle.max(ready);
+                a
+            }));
+        }
+    }
+    let mut devices_out = Vec::with_capacity(n);
+    let mut admitted: Vec<Vec<StreamArrival>> = Vec::with_capacity(n);
+    for (d, share) in shares.into_iter().enumerate() {
+        if let Some((_, report, victim_admitted)) = victim.as_ref().filter(|(v, ..)| *v == d) {
+            devices_out.push(report.clone());
+            admitted.push(victim_admitted.clone());
+            continue;
+        }
+        let sub = Trace::from_arrivals(share);
+        let mut report = serve(&devices[d].spec, &machines[d], &sub, &cfg.serve).unwrap();
+        if let Some(charge) = &charges[d] {
+            report.stats.merge_sequential(charge);
+        }
+        devices_out.push(report);
+        admitted.push(sub.arrivals().to_vec());
+    }
+    let streams: usize = devices_out.iter().map(|r| r.streams).sum();
+    let lost = if cfg.outage.is_some() && cfg.failover.is_some() {
+        (trace.len() - streams) as u64
+    } else {
+        router.stats.doomed_streams
+    };
+    let (mut bulk, mut deadline) = (Vec::new(), Vec::new());
+    if devices_out.iter().all(|r| r.latencies.len() == r.streams) {
+        for (r, arrivals) in devices_out.iter().zip(&admitted) {
+            for (i, a) in arrivals.iter().enumerate() {
+                if r.outcomes[i] == StreamOutcome::Served {
+                    match fleet[a.machine].class {
+                        PriorityClass::Bulk => bulk.push(r.latencies[i]),
+                        PriorityClass::Deadline => deadline.push(r.latencies[i]),
+                    }
+                }
+            }
+        }
+    }
+    FleetParts {
+        devices: devices_out,
+        streams,
+        router: router.stats,
+        failover,
+        lost,
+        bulk: LatencySummary::from_latencies(&bulk),
+        deadline: LatencySummary::from_latencies(&deadline),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one fleet path against the materializing oracle: over random
+    /// traces, fleet sizes, outage cycles, failover on and off, both
+    /// report details, mixed priority classes and fault plans, both entry
+    /// points reproduce the oracle bit for bit (and each other, whole
+    /// report included).
+    #[test]
+    fn fleet_paths_match_the_materializing_failover_oracle(
+        seed in 0u64..10_000,
+        n_devices in 2usize..5,
+        streams in 1usize..80,
+        mean_gap in 5u64..200,
+        victim_salt in 0usize..4,
+        crash_salt in 0usize..100,
+        crash_offset in 0u64..3,
+        pause in 0u8..2,
+        outage_mode in 0u8..3,
+        every_batches in 1usize..5,
+        bounded in 0u8..2,
+        faults in 0u8..2,
+        deadline_machines in 0u8..2,
+        preempt in 0u8..2,
+        rebalance in 0u8..2,
+    ) {
+        let dfas = fleet_dfas();
+        let machines: Vec<FleetMachine<'_>> = dfas
+            .iter()
+            .enumerate()
+            .map(|(m, dfa)| FleetMachine {
+                dfa,
+                training: b"0110",
+                class: if deadline_machines == 1 && m % 3 == 1 {
+                    PriorityClass::Deadline
+                } else {
+                    PriorityClass::Bulk
+                },
+            })
+            .collect();
+        let devices = test_devices(n_devices);
+        let mut arrivals =
+            Trace::synthetic(seed, streams, dfas.len(), mean_gap, 8..64, b"01").arrivals().to_vec();
+        // Crash at (or just after) an arrival, or once in ten after the
+        // whole trace has been served. A pause after the crash puts the
+        // next arrivals past any orphan's re-stamp.
+        let crash_at = crash_salt * streams / 90;
+        if pause == 1 {
+            for a in arrivals.iter_mut().skip(crash_at + 1) {
+                a.arrival_cycle += 50_000;
+            }
+        }
+        let trace = Trace::from_arrivals(arrivals);
+        let at_cycle = match trace.arrivals().get(crash_at) {
+            Some(a) => a.arrival_cycle + crash_offset,
+            None => trace.arrivals()[trace.len() - 1].arrival_cycle + 100_000,
+        };
+        let outage = DeviceOutage { device: victim_salt % n_devices, at_cycle };
+        let cfg = ClusterConfig {
+            serve: ServeConfig {
+                scheme_config: SchemeConfig {
+                    faults: (faults == 1).then(|| FaultPlan {
+                        copy_fail_permille: 150,
+                        ..FaultPlan::chaos(seed, 80)
+                    }),
+                    ..SchemeConfig::default()
+                },
+                detail: if bounded == 1 { ReportDetail::Bounded } else { ReportDetail::Full },
+                preempt: preempt == 1,
+                residency: Some(ResidencyConfig { capacity_bytes: 4096 }),
+                ..ServeConfig::default()
+            },
+            rebalance: (rebalance == 1).then_some(RebalanceConfig { epoch_cycles: at_cycle / 2 }),
+            outage: (outage_mode > 0).then_some(outage),
+            failover: (outage_mode == 2).then_some(FailoverConfig {
+                checkpoint_every_batches: every_batches,
+                ..FailoverConfig::default()
+            }),
+            ..ClusterConfig::default()
+        };
+        let oracle = fleet_oracle(&devices, &machines, &trace, &cfg);
+        let batch = run_cluster(&devices, &machines, &trace, &cfg).unwrap();
+        let streamed = run_cluster_source(
+            &devices,
+            &machines,
+            IterSource(trace.arrivals().iter().cloned()),
+            &cfg,
+        )
+        .unwrap();
+        prop_assert_eq!(FleetParts::from(&batch), oracle);
+        prop_assert_eq!(batch, streamed);
     }
 }
