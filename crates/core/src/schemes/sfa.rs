@@ -34,19 +34,23 @@
 //! (table, chunk bytes), so recomputing it restores the exact result, and
 //! the re-derivation cost lands in [`Phase::Recovery`].
 
+use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Mutex;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
     block_dims_width, launch, launch_blocks, launch_grid, BlockDim, BlockRequirements, FaultDomain,
-    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
+    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx, WindowEpoch,
 };
 
 use crate::config::StitchPolicy;
 use crate::recovery::fault_charges;
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::Job;
+#[cfg(test)]
 use crate::table::DeviceTable;
+use crate::table::{ENTRY_BYTES, REGION_TABLE};
 
 /// Composes two chunk mappings: `inner` is the earlier chunk, `outer` the
 /// later one, and the result maps a state *entering* the inner chunk to the
@@ -58,15 +62,357 @@ pub fn compose_mappings(inner: &[StateId], outer: &[StateId]) -> Vec<StateId> {
 }
 
 /// One chunk's derived transition function.
+#[derive(Debug, PartialEq)]
 struct Derived {
     /// `map[q]` = end state of the chunk when entered in state `q`.
     map: Vec<StateId>,
-    /// `counts[q]` = accepting-state visits along that path (zeros when
-    /// match counting is off).
+    /// `counts[q]` = accepting-state visits along that path; empty when
+    /// match counting is off.
     counts: Vec<u64>,
     /// Distinct live paths surviving at the chunk's end — the effective
     /// mapping width the composition kernels pay for.
     eff_width: u32,
+}
+
+/// Marks an empty slot in the memo's id tables.
+const NONE: u32 = u32::MAX;
+
+/// Host bytes one SFA run's [`SfaMemo`] may hold before it flushes.
+const MEMO_BUDGET_BYTES: usize = 8 << 20;
+
+/// One memoized byte step of the mapping walk: live-path tuple `t` on byte
+/// class `c`.
+struct MemoStep {
+    /// Tuple id of the surviving paths after the step.
+    next: u32,
+    /// Device charges of the whole step: ALU ops (table steps, match
+    /// counting, loop bookkeeping, convergence check, merge-epoch rewrite),
+    /// hot-row shared accesses and hash probes.
+    alu: u32,
+    shared: u32,
+    probes: u32,
+    /// Cold-row table segments, `segs[seg_start..][..n_segs]`.
+    seg_start: u32,
+    n_segs: u32,
+    /// Window epoch in which every cold segment was last charged.
+    epoch: WindowEpoch,
+    /// `NONE` when no paths merged; otherwise `merges[merge..]` holds
+    /// `new_idx` (one entry per path of `t`: its index among the
+    /// survivors), followed, when counting, by `first` (the index of the
+    /// path it merged into, itself for survivors).
+    merge: u32,
+    /// Indices of the paths of `t` whose successor accepts (counting only),
+    /// `accepts[accept_start..][..n_accepts]`.
+    accept_start: u32,
+    n_accepts: u32,
+}
+
+/// Job-wide memo of the mapping walk: Sin'ya & Matsuzaki's SFA construction
+/// used as a host cache. Each live-path tuple the walk reaches is interned
+/// as a state, and `(tuple, byte class)` maps to a [`MemoStep`] holding the
+/// successor tuple, the merge compaction, the accept bits and the step's
+/// device charges, so a repeated step costs one lookup instead of one table
+/// step per live path. The memo is exact: the walk replays every charge
+/// through [`ThreadCtx`], cold segments through
+/// [`ThreadCtx::global_batch`]. Its size is bounded by
+/// [`MEMO_BUDGET_BYTES`]: when a step might not fit, the memo flushes and
+/// starts over from the walk's current tuple.
+struct SfaMemo<'a> {
+    job: &'a Job<'a>,
+    n_classes: usize,
+    /// Interned tuples: tuple `t` is `states[spans[t].0..][..spans[t].1]`.
+    states: Vec<StateId>,
+    spans: Vec<(u32, u32)>,
+    /// Tuple content hash → newest tuple with that hash; `chain[t]` is the
+    /// next older one.
+    index: HashMap<u64, u32>,
+    chain: Vec<u32>,
+    /// `trans[t * n_classes + c]` = the [`MemoStep`] of `(t, c)`, or `NONE`.
+    trans: Vec<u32>,
+    steps: Vec<MemoStep>,
+    segs: Vec<u64>,
+    merges: Vec<u32>,
+    accepts: Vec<u32>,
+    /// The tuple of all |Q| start states, `NONE` until interned.
+    identity: u32,
+    /// Miss scratch: the successor tuple, and a generation-stamped
+    /// duplicate detector over states (`seen[s]` = first path reaching `s`).
+    next: Vec<StateId>,
+    stamp: Vec<u64>,
+    seen: Vec<u32>,
+    generation: u64,
+    flushes: u64,
+}
+
+impl<'a> SfaMemo<'a> {
+    fn new(job: &'a Job<'a>) -> Self {
+        let n = job.table.dfa().n_states() as usize;
+        SfaMemo {
+            job,
+            n_classes: job.table.dfa().stride(),
+            states: Vec::new(),
+            spans: Vec::new(),
+            index: HashMap::new(),
+            chain: Vec::new(),
+            trans: Vec::new(),
+            steps: Vec::new(),
+            segs: Vec::new(),
+            merges: Vec::new(),
+            accepts: Vec::new(),
+            identity: NONE,
+            next: Vec::with_capacity(n),
+            stamp: vec![0; n],
+            seen: vec![0; n],
+            generation: 0,
+            flushes: 0,
+        }
+    }
+
+    /// Host bytes held, counted by length.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.states.len() * size_of::<StateId>()
+            + self.spans.len() * size_of::<(u32, u32)>()
+            // A hash-map entry: key, value and control byte, at a load of
+            // at most 7/8.
+            + self.index.len() * 16
+            + self.chain.len() * 4
+            + self.trans.len() * 4
+            + self.steps.len() * size_of::<MemoStep>()
+            + self.segs.len() * 8
+            + self.merges.len() * 4
+            + self.accepts.len() * 4
+            + self.stamp.len() * 8
+            + self.seen.len() * 4
+            + self.next.capacity() * size_of::<StateId>()
+    }
+
+    /// Upper bound on what memoizing one step from a `len`-wide tuple,
+    /// interning its successor included, adds to [`Self::bytes`].
+    fn worst_case_bytes(&self, len: usize) -> usize {
+        let per_path = std::mem::size_of::<StateId>() // successor tuple
+            + 8 * ENTRY_BYTES as usize // cold segments: at most one per entry byte
+            + 4 // accept index
+            + 8; // new_idx and first
+        let per_tuple = 8 + 16 + 4 + self.n_classes * 4; // span, index, chain, trans row
+        len * per_path + per_tuple + std::mem::size_of::<MemoStep>()
+    }
+
+    /// Whether `bytes` more would push the memo past its budget.
+    fn over_budget(&self, bytes: usize) -> bool {
+        self.bytes() + bytes > MEMO_BUDGET_BYTES
+    }
+
+    /// Forgets every tuple and step; the scratch stays allocated.
+    fn flush(&mut self) {
+        self.states.clear();
+        self.spans.clear();
+        self.index.clear();
+        self.chain.clear();
+        self.trans.clear();
+        self.steps.clear();
+        self.segs.clear();
+        self.merges.clear();
+        self.accepts.clear();
+        self.identity = NONE;
+        self.flushes += 1;
+    }
+
+    fn tuple(&self, t: u32) -> &[StateId] {
+        let (start, len) = self.spans[t as usize];
+        &self.states[start as usize..][..len as usize]
+    }
+
+    /// The id of `tuple`, interning it if new.
+    fn intern(&mut self, tuple: &[StateId]) -> u32 {
+        let h = tuple.iter().fold(tuple.len() as u64, |h, &s| {
+            (h.rotate_left(5) ^ u64::from(s)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        });
+        let mut t = self.index.get(&h).copied().unwrap_or(NONE);
+        while t != NONE {
+            if self.tuple(t) == tuple {
+                return t;
+            }
+            t = self.chain[t as usize];
+        }
+        let t = self.spans.len() as u32;
+        self.spans.push((self.states.len() as u32, tuple.len() as u32));
+        self.states.extend_from_slice(tuple);
+        self.chain.push(self.index.insert(h, t).unwrap_or(NONE));
+        self.trans.resize(self.trans.len() + self.n_classes, NONE);
+        t
+    }
+
+    /// The tuple every chunk walk starts from: all |Q| states, in order.
+    fn start(&mut self) -> u32 {
+        if self.identity == NONE {
+            let n = self.job.table.dfa().n_states();
+            if self.over_budget(self.worst_case_bytes(n as usize)) {
+                self.flush();
+            }
+            let all: Vec<StateId> = (0..n).collect();
+            self.identity = self.intern(&all);
+        }
+        self.identity
+    }
+
+    /// The memoized step of tuple `*t` on `class`, computed on a miss. A
+    /// miss that flushes the memo re-interns `*t` and updates it.
+    #[inline]
+    fn step(&mut self, t: &mut u32, class: u16) -> u32 {
+        match self.trans[*t as usize * self.n_classes + class as usize] {
+            NONE => self.insert(t, class),
+            id => id,
+        }
+    }
+
+    /// Walks every path of tuple `*t` through one table step on `class`,
+    /// summing the charges [`DeviceTable::step_charge`] prices, and
+    /// memoizes the result.
+    #[cold]
+    fn insert(&mut self, t: &mut u32, class: u16) -> u32 {
+        let len = self.spans[*t as usize].1 as usize;
+        if self.over_budget(self.worst_case_bytes(len)) {
+            let tuple = self.tuple(*t).to_vec();
+            self.flush();
+            *t = self.intern(&tuple);
+        }
+        let table = self.job.table;
+        let dfa = table.dfa();
+        let count = self.job.config.count_matches;
+        self.generation += 1;
+        let gen = self.generation;
+        let (seg_start, merge_start, accept_start) =
+            (self.segs.len(), self.merges.len(), self.accepts.len());
+        let (mut alu, mut shared, mut probes) = (0u64, 0u64, 0u64);
+        let mut merged = false;
+        let SfaMemo { job, states, spans, segs, merges, accepts, next, stamp, seen, .. } = self;
+        let from = &states[spans[*t as usize].0 as usize..][..len];
+        next.clear();
+        merges.resize(merge_start + len * (1 + usize::from(count)), 0);
+        let (new_idx, first) = merges[merge_start..].split_at_mut(len);
+        for (i, &s) in from.iter().enumerate() {
+            let c = table.step_charge(s, class);
+            alu += c.alu;
+            probes += c.probes;
+            match c.cold {
+                None => shared += 1,
+                Some(offset) => segs.extend(job.spec.segments(offset, ENTRY_BYTES)),
+            }
+            let succ = dfa.next_by_class(s, class);
+            if count {
+                alu += 1;
+                if dfa.is_accepting(succ) {
+                    accepts.push(i as u32);
+                }
+            }
+            // Paths that reach the same state merge into the first one;
+            // survivors keep their order.
+            let f = if stamp[succ as usize] == gen {
+                merged = true;
+                seen[succ as usize] as usize
+            } else {
+                stamp[succ as usize] = gen;
+                seen[succ as usize] = i as u32;
+                next.push(succ);
+                i
+            };
+            new_idx[i] = if f == i { next.len() as u32 - 1 } else { new_idx[f] };
+            if count {
+                first[i] = f as u32;
+            }
+        }
+        // Loop bookkeeping; with more than one live path, one convergence
+        // compare per path; on a merge, the |Q|-entry indirection rewrite.
+        alu += 1;
+        if len > 1 {
+            alu += len as u64;
+        }
+        if merged {
+            alu += u64::from(dfa.n_states());
+        } else {
+            merges.truncate(merge_start);
+        }
+        let successor = std::mem::take(&mut self.next);
+        let next_t = self.intern(&successor);
+        self.next = successor;
+        let id = self.steps.len() as u32;
+        self.steps.push(MemoStep {
+            next: next_t,
+            alu: alu as u32,
+            shared: shared as u32,
+            probes: probes as u32,
+            seg_start: seg_start as u32,
+            n_segs: (self.segs.len() - seg_start) as u32,
+            epoch: WindowEpoch::default(),
+            merge: if merged { merge_start as u32 } else { NONE },
+            accept_start: accept_start as u32,
+            n_accepts: (self.accepts.len() - accept_start) as u32,
+        });
+        self.trans[*t as usize * self.n_classes + class as usize] = id;
+        debug_assert!(
+            self.bytes() <= MEMO_BUDGET_BYTES || self.steps.len() == 1,
+            "memo holds {} bytes, over its budget",
+            self.bytes()
+        );
+        id
+    }
+
+    /// Charges step `id` to `ctx`: exactly what stepping its tuple's paths
+    /// one by one charges.
+    #[inline]
+    fn replay(&mut self, id: u32, ctx: &mut ThreadCtx<'_>) {
+        let step = &mut self.steps[id as usize];
+        ctx.alu(u64::from(step.alu));
+        ctx.shared(u64::from(step.shared));
+        ctx.probes(u64::from(step.probes));
+        let segs = &self.segs[step.seg_start as usize..][..step.n_segs as usize];
+        ctx.global_batch(REGION_TABLE, segs, &mut step.epoch);
+    }
+}
+
+/// A block's handle on the walk: the job-wide memo when it is free, a
+/// block-local one when another block holds it, and the walk's per-chunk
+/// scratch. Either memo gives the same answer and the same charges, so the
+/// choice never shows in any output.
+struct Walker<'m, 'a> {
+    job: &'a Job<'a>,
+    shared: &'m Mutex<SfaMemo<'a>>,
+    local: Option<SfaMemo<'a>>,
+    scratch: WalkScratch,
+}
+
+impl<'m, 'a> Walker<'m, 'a> {
+    fn new(job: &'a Job<'a>, shared: &'m Mutex<SfaMemo<'a>>) -> Self {
+        Walker { job, shared, local: None, scratch: WalkScratch::default() }
+    }
+
+    fn derive(&mut self, ctx: &mut ThreadCtx<'_>, range: Range<usize>) -> Derived {
+        match self.shared.try_lock() {
+            Ok(mut memo) => derive_mapping(&mut memo, &mut self.scratch, ctx, range),
+            Err(_) => {
+                let job = self.job;
+                let memo = self.local.get_or_insert_with(|| SfaMemo::new(job));
+                derive_mapping(memo, &mut self.scratch, ctx, range)
+            }
+        }
+    }
+}
+
+/// Per-chunk host state of the walk, reused across a block's chunks.
+#[derive(Default)]
+struct WalkScratch {
+    /// `root[q]`: the path start state `q` rides after the first step.
+    root: Vec<u32>,
+    /// `ptr[j]`: the live path that first-step path `j` rides now.
+    ptr: Vec<u32>,
+    /// `offset[j] + matches[ptr[j]]` = accepting visits of first-step path
+    /// `j` (counting only).
+    offset: Vec<i64>,
+    /// Accepting visits per live path since its creation (counting only).
+    matches: Vec<u64>,
+    /// Per live path: its match count minus its merge target's.
+    delta: Vec<i64>,
 }
 
 /// Walks `range` once, maintaining the full state→state mapping with
@@ -76,7 +422,112 @@ struct Derived {
 /// check; each merge epoch additionally pays the |Q|-entry indirection
 /// rewrite, and the chunk ends with one |Q|-entry write-back of the
 /// assembled mapping.
+///
+/// On the host, each byte is one [`SfaMemo`] lookup whose charges are
+/// replayed as sums; only bytes where paths merge touch per-path state, and
+/// that indirection spans the paths alive after the first step, not |Q|.
 fn derive_mapping(
+    memo: &mut SfaMemo<'_>,
+    w: &mut WalkScratch,
+    ctx: &mut ThreadCtx<'_>,
+    range: Range<usize>,
+) -> Derived {
+    let job = memo.job;
+    let table = job.table;
+    let n = table.dfa().n_states();
+    let count = job.config.count_matches;
+    if range.is_empty() {
+        ctx.alu(u64::from(n));
+        let counts = if count { vec![0; n as usize] } else { Vec::new() };
+        return Derived { map: (0..n).collect(), counts, eff_width: n };
+    }
+    let first_pos = range.start;
+    let mut t = memo.start();
+    if count {
+        w.matches.clear();
+        w.matches.resize(n as usize, 0);
+    }
+    for pos in range {
+        let b = table.load_input(ctx, job.input, pos);
+        let id = memo.step(&mut t, table.dfa().classes().class(b));
+        memo.replay(id, ctx);
+        let live = memo.spans[t as usize].1 as usize;
+        let step = &memo.steps[id as usize];
+        let next_live = memo.spans[step.next as usize].1 as usize;
+        if count {
+            for &i in &memo.accepts[step.accept_start as usize..][..step.n_accepts as usize] {
+                w.matches[i as usize] += 1;
+            }
+        }
+        let new_idx = (step.merge != NONE).then(|| &memo.merges[step.merge as usize..][..live]);
+        if pos == first_pos {
+            // Before the first step every counter is zero, so the paths
+            // alive after it start with identity pointers and zero offsets;
+            // `root` records which of them each start state rides.
+            w.root.clear();
+            match new_idx {
+                Some(new_idx) => w.root.extend_from_slice(new_idx),
+                None => w.root.extend(0..n),
+            }
+            w.ptr.clear();
+            w.ptr.extend(0..next_live as u32);
+            w.offset.clear();
+            w.offset.resize(if count { next_live } else { 0 }, 0);
+        }
+        if let Some(new_idx) = new_idx {
+            if count {
+                // Riders keep `offset + matches(path) = true matches` by
+                // absorbing the counter difference to their merge target.
+                let first = &memo.merges[step.merge as usize + live..][..live];
+                w.delta.clear();
+                w.delta.extend(
+                    first
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &f)| w.matches[i] as i64 - w.matches[f as usize] as i64),
+                );
+                for (i, &f) in first.iter().enumerate() {
+                    if f as usize == i {
+                        w.matches[new_idx[i] as usize] = w.matches[i];
+                    }
+                }
+                w.matches.truncate(next_live);
+            }
+            if pos != first_pos {
+                for (j, p) in w.ptr.iter_mut().enumerate() {
+                    if count {
+                        w.offset[j] += w.delta[*p as usize];
+                    }
+                    *p = new_idx[*p as usize];
+                }
+            }
+        }
+        t = step.next;
+    }
+
+    // Final write-back: assemble the per-start-state mapping from the
+    // surviving paths through the indirection.
+    ctx.alu(u64::from(n));
+    let paths = memo.tuple(t);
+    let map: Vec<StateId> = w.root.iter().map(|&j| paths[w.ptr[j as usize] as usize]).collect();
+    let counts: Vec<u64> = if count {
+        w.root
+            .iter()
+            .map(|&j| {
+                let j = j as usize;
+                (w.offset[j] + w.matches[w.ptr[j] as usize] as i64) as u64
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    Derived { map, counts, eff_width: paths.len() as u32 }
+}
+
+/// The uncached walk the memo replaces, kept as the oracle the memoized
+/// walk is tested against.
+#[cfg(test)]
+fn derive_mapping_uncached(
     table: &DeviceTable<'_>,
     ctx: &mut ThreadCtx<'_>,
     input: &[u8],
@@ -123,8 +574,6 @@ fn derive_mapping(
                 }
             }
             if merged {
-                // Compact survivors in place; duplicates record their match
-                // delta against the surviving twin.
                 let live = paths.len();
                 let mut w = 0usize;
                 for i in 0..live {
@@ -136,10 +585,6 @@ fn derive_mapping(
                         delta[i] = 0;
                         w += 1;
                     } else {
-                        // Duplicate: merges into the (already compacted)
-                        // survivor; riders keep the invariant
-                        // offset[q] + matches(path of q) = true matches by
-                        // absorbing the counter difference.
                         new_idx[i] = new_idx[first];
                         delta[i] =
                             path_matches[i] as i64 - path_matches[new_idx[first] as usize] as i64;
@@ -147,9 +592,6 @@ fn derive_mapping(
                 }
                 paths.truncate(w);
                 path_matches.truncate(w);
-                // Merge epoch: rewrite the |Q|-entry indirection. Each merge
-                // strictly shrinks the live set, so at most |Q|−1 epochs
-                // ever run per chunk.
                 ctx.alu(n as u64);
                 for q in 0..n {
                     let p = ptr[q] as usize;
@@ -160,32 +602,34 @@ fn derive_mapping(
         }
     }
 
-    // Final write-back: assemble the per-start-state mapping from the
-    // surviving paths through the indirection.
     ctx.alu(n as u64);
     let map: Vec<StateId> = ptr.iter().map(|&p| paths[p as usize]).collect();
-    let counts: Vec<u64> = ptr
-        .iter()
-        .zip(&offset)
-        .map(|(&p, &off)| (off + path_matches[p as usize] as i64) as u64)
-        .collect();
+    let counts: Vec<u64> = if count_matches {
+        ptr.iter()
+            .zip(&offset)
+            .map(|(&p, &off)| (off + path_matches[p as usize] as i64) as u64)
+            .collect()
+    } else {
+        Vec::new()
+    };
     Derived { map, counts, eff_width: paths.len() as u32 }
 }
 
-pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
+pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     let chunks = job.chunks();
     let n = chunks.len();
     let n_states = job.table.dfa().n_states();
+    // One memo for every walk of the run: the exec grid's blocks and the
+    // fault path's re-derivations.
+    let memo = Mutex::new(SfaMemo::new(job));
 
     let mut exec = SfaExecKernel {
         job,
-        table: job.table,
-        input: job.input,
         chunks: &chunks,
+        memo: &memo,
         maps: vec![Vec::new(); n],
         counts: vec![Vec::new(); n],
         widths: vec![0; n],
-        count_matches: job.config.count_matches,
     };
     let grid = launch_grid(job.spec, n, &mut exec).unwrap_or_else(|e| panic!("launch_grid: {e}"));
     let dims = block_dims_width(grid.width as usize, n);
@@ -215,7 +659,7 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
                 overlay.fault_watchdog_kills += c.kills;
                 if c.degraded {
                     let mut k = SfaRederiveWindow {
-                        job,
+                        walker: Walker::new(job, &memo),
                         chunks: &chunks,
                         cursor: dims[b].tids.start,
                         end: dims[b].tids.end,
@@ -244,14 +688,21 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
     // land in `Phase::Recovery`.
     if let Some(plan) = job.config.faults {
         if plan.corrupt_permille > 0 {
-            let mut rederives: Vec<(usize, SfaRederive<'_>)> = Vec::new();
+            let mut rederives: Vec<(usize, SfaRederive<'_, '_>)> = Vec::new();
             for cid in 0..n {
                 if plan.corrupts(cid) {
                     maps[cid].clear();
                     maps[cid].resize(n_states as usize, StateId::MAX);
                     count_maps[cid].fill(u64::MAX);
-                    rederives
-                        .push((1, SfaRederive { job, cid, range: chunks[cid].clone(), out: None }));
+                    rederives.push((
+                        1,
+                        SfaRederive {
+                            walker: Walker::new(job, &memo),
+                            cid,
+                            range: chunks[cid].clone(),
+                            out: None,
+                        },
+                    ));
                 }
             }
             if !rederives.is_empty() {
@@ -269,6 +720,8 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
             }
         }
     }
+    // Every mapping is derived: the memo has served its purpose.
+    drop(memo);
 
     // Seam composition: the tree stitch generalized from states to
     // mappings. In-block chunk mappings fold pair-wise (log2(width)
@@ -324,8 +777,10 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
     let mut ends = Vec::with_capacity(n);
     let mut cur = job.table.dfa().start();
     let mut total_matches = 0u64;
-    for (map, cmap) in maps.iter().zip(&count_maps) {
-        total_matches += cmap[cur as usize];
+    for (cid, map) in maps.iter().enumerate() {
+        if job.config.count_matches {
+            total_matches += count_maps[cid][cur as usize];
+        }
         cur = map[cur as usize];
         ends.push(cur);
     }
@@ -353,45 +808,34 @@ fn block_width(widths: &[u32], dim: &BlockDim) -> u64 {
     widths[dim.tids.clone()].iter().copied().max().unwrap_or(1).max(1) as u64
 }
 
-struct SfaExecKernel<'a, 'j> {
+struct SfaExecKernel<'m, 'a> {
     job: &'a Job<'a>,
-    table: &'a DeviceTable<'j>,
-    input: &'a [u8],
-    chunks: &'a [Range<usize>],
+    chunks: &'m [Range<usize>],
+    memo: &'m Mutex<SfaMemo<'a>>,
     maps: Vec<Vec<StateId>>,
     counts: Vec<Vec<u64>>,
     widths: Vec<u32>,
-    count_matches: bool,
 }
 
 /// One grid block of the SFA execution: chunks are independent, so a block
 /// is a disjoint window of the per-chunk function tables.
-struct SfaExecBlock<'s, 'j> {
-    job: &'s Job<'s>,
-    table: &'s DeviceTable<'j>,
-    input: &'s [u8],
+struct SfaExecBlock<'s, 'a> {
+    walker: Walker<'s, 'a>,
     chunks: &'s [Range<usize>],
     base: usize,
     maps: &'s mut [Vec<StateId>],
     counts: &'s mut [Vec<u64>],
     widths: &'s mut [u32],
-    count_matches: bool,
 }
 
 impl RoundKernel for SfaExecBlock<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.job.sfa_requirements(threads)
+        self.walker.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let rel = tid - self.base;
-        let d = derive_mapping(
-            self.table,
-            ctx,
-            self.input,
-            self.chunks[tid].clone(),
-            self.count_matches,
-        );
+        let d = self.walker.derive(ctx, self.chunks[tid].clone());
         self.maps[rel] = d.map;
         self.counts[rel] = d.counts;
         self.widths[rel] = d.eff_width;
@@ -403,9 +847,9 @@ impl RoundKernel for SfaExecBlock<'_, '_> {
     }
 }
 
-impl<'j> GridKernel for SfaExecKernel<'_, 'j> {
+impl<'m, 'a> GridKernel for SfaExecKernel<'m, 'a> {
     type Block<'s>
-        = SfaExecBlock<'s, 'j>
+        = SfaExecBlock<'s, 'a>
     where
         Self: 's;
 
@@ -413,7 +857,7 @@ impl<'j> GridKernel for SfaExecKernel<'_, 'j> {
         self.job.sfa_requirements(width)
     }
 
-    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<SfaExecBlock<'s, 'j>> {
+    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<SfaExecBlock<'s, 'a>> {
         let mut maps: &'s mut [Vec<StateId>] = &mut self.maps;
         let mut counts: &'s mut [Vec<u64>] = &mut self.counts;
         let mut widths: &'s mut [u32] = &mut self.widths;
@@ -426,15 +870,12 @@ impl<'j> GridKernel for SfaExecKernel<'_, 'j> {
             counts = c_rest;
             widths = w_rest;
             out.push(SfaExecBlock {
-                job: self.job,
-                table: self.table,
-                input: self.input,
+                walker: Walker::new(self.job, self.memo),
                 chunks: self.chunks,
                 base: dim.tids.start,
                 maps: m,
                 counts: c,
                 widths: w,
-                count_matches: self.count_matches,
             });
         }
         out
@@ -443,27 +884,21 @@ impl<'j> GridKernel for SfaExecKernel<'_, 'j> {
 
 /// One-thread re-derivation of a corrupted chunk's mapping: the same dedup
 /// walk the exec phase ran, credited as recovery.
-struct SfaRederive<'a> {
-    job: &'a Job<'a>,
+struct SfaRederive<'m, 'a> {
+    walker: Walker<'m, 'a>,
     cid: usize,
     range: Range<usize>,
     out: Option<Derived>,
 }
 
-impl RoundKernel for SfaRederive<'_> {
+impl RoundKernel for SfaRederive<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.job.sfa_requirements(threads)
+        self.walker.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let t0 = ctx.cycles();
-        let d = derive_mapping(
-            self.job.table,
-            ctx,
-            self.job.input,
-            self.range.clone(),
-            self.job.config.count_matches,
-        );
+        let d = self.walker.derive(ctx, self.range.clone());
         ctx.credit_recovery(t0);
         self.out = Some(d);
         RoundOutcome::RECOVERING
@@ -483,27 +918,21 @@ impl RoundKernel for SfaRederive<'_> {
 /// per round. The mapping is a pure function of (table, chunk bytes), so
 /// the result is exact by construction — no fall-back to a sequential
 /// walk — and every cycle is recovery.
-struct SfaRederiveWindow<'a> {
-    job: &'a Job<'a>,
-    chunks: &'a [Range<usize>],
+struct SfaRederiveWindow<'m, 'a> {
+    walker: Walker<'m, 'a>,
+    chunks: &'m [Range<usize>],
     cursor: usize,
     end: usize,
 }
 
-impl RoundKernel for SfaRederiveWindow<'_> {
+impl RoundKernel for SfaRederiveWindow<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.job.sfa_requirements(threads)
+        self.walker.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let t0 = ctx.cycles();
-        let _ = derive_mapping(
-            self.job.table,
-            ctx,
-            self.job.input,
-            self.chunks[self.cursor].clone(),
-            self.job.config.count_matches,
-        );
+        let _ = self.walker.derive(ctx, self.chunks[self.cursor].clone());
         ctx.credit_recovery(t0);
         RoundOutcome::RECOVERING
     }
@@ -593,7 +1022,10 @@ mod tests {
     use crate::table::DeviceTable;
     use gspecpal_fsm::combinators::keyword_dfa;
     use gspecpal_fsm::examples::{div7, fig4_dfa};
+    use gspecpal_fsm::random::{random_dfa, random_input};
+    use gspecpal_fsm::{ByteClasses, Dfa, DfaBuilder, FrequencyProfile};
     use gspecpal_gpu::DeviceSpec;
+    use proptest::prelude::*;
 
     #[test]
     fn sfa_exact_and_recovery_free() {
@@ -681,6 +1113,214 @@ mod tests {
             sfa7.execute.shared_accesses >= 6 * seq7.execute.shared_accesses,
             "permutation machine keeps ~|Q|-fold table work"
         );
+    }
+
+    /// A machine on which every byte class permutes the states: no two
+    /// paths ever merge, and a few random permutations generate a huge
+    /// transformation monoid, so nearly every byte of a random input
+    /// reaches a live-path tuple the memo has not seen.
+    fn permutation_dfa(seed: u64, n: u32, n_classes: u16) -> Dfa {
+        let mut map = [0u8; 256];
+        for (b, slot) in map.iter_mut().enumerate() {
+            *slot = (b % n_classes as usize) as u8;
+        }
+        let mut builder = DfaBuilder::new(ByteClasses::from_map(map));
+        for s in 0..n {
+            builder.add_state(s % 3 == 0);
+        }
+        let mut x = seed | 1;
+        for c in 0..n_classes {
+            let mut perm: Vec<StateId> = (0..n).collect();
+            for i in (1..perm.len()).rev() {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                perm.swap(i, (x % (i as u64 + 1)) as usize);
+            }
+            for (s, &t) in perm.iter().enumerate() {
+                builder.set_transition(s as StateId, c, t).unwrap();
+            }
+        }
+        builder.build(0).unwrap()
+    }
+
+    /// Derives chunk `tid` of the job in every one of `rounds_left` rounds,
+    /// through the memoized walk or, without a walker, the uncached oracle.
+    struct DeriveChunks<'m, 'a> {
+        job: &'a Job<'a>,
+        chunks: &'m [Range<usize>],
+        walker: Option<Walker<'m, 'a>>,
+        out: Vec<Option<Derived>>,
+        rounds_left: u32,
+    }
+
+    impl RoundKernel for DeriveChunks<'_, '_> {
+        fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            let range = self.chunks[tid].clone();
+            let job = self.job;
+            self.out[tid] = Some(match &mut self.walker {
+                Some(walker) => walker.derive(ctx, range),
+                None => derive_mapping_uncached(
+                    job.table,
+                    ctx,
+                    job.input,
+                    range,
+                    job.config.count_matches,
+                ),
+            });
+            RoundOutcome::ACTIVE
+        }
+
+        fn after_sync(&mut self, _round: u64) -> bool {
+            self.rounds_left -= 1;
+            self.rounds_left > 0
+        }
+    }
+
+    /// Runs both walks over every chunk of `job` on one block and returns
+    /// (memoized, oracle) stats and outputs. `contended` holds the job
+    /// memo for the launch, so the walk runs on its block-local fallback.
+    #[allow(clippy::type_complexity)]
+    fn both_walks<'a>(
+        job: &'a Job<'a>,
+        rounds: u32,
+        contended: bool,
+    ) -> ((KernelStats, Vec<Option<Derived>>), (KernelStats, Vec<Option<Derived>>)) {
+        let chunks = job.chunks();
+        let memo = Mutex::new(SfaMemo::new(job));
+        let run = |walker: Option<Walker<'_, 'a>>| {
+            let mut k = DeriveChunks {
+                job,
+                chunks: &chunks,
+                walker,
+                out: (0..chunks.len()).map(|_| None).collect(),
+                rounds_left: rounds,
+            };
+            let stats = launch(job.spec, chunks.len(), &mut k);
+            (stats, k.out)
+        };
+        let memoized = if contended {
+            let _held = memo.lock().unwrap();
+            run(Some(Walker::new(job, &memo)))
+        } else {
+            run(Some(Walker::new(job, &memo)))
+        };
+        (memoized, run(None))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The memoized walk is the uncached walk: the same mappings, match
+        /// counts and widths, and the same `KernelStats` field for field —
+        /// clocks, coalescing, per-phase counters — on random and
+        /// permutation machines, both layouts, any hot-row count, with and
+        /// without match counting, over random partitions, across barriers
+        /// (a second round re-derives every chunk) and on the block-local
+        /// fallback memo.
+        #[test]
+        fn memoized_walk_equals_uncached_walk(
+            seed in 0u64..1_000_000,
+            n_states in 1u32..40,
+            n_classes in 1u16..9,
+            permutation in 0u8..3,
+            hot in 0u32..41,
+            hashed in 0u8..2,
+            count_matches in 0u8..2,
+            len in 1usize..400,
+            n_chunks in 1usize..65,
+            rounds in 1u32..3,
+            contended in 0u8..2,
+        ) {
+            let d = if permutation == 0 {
+                permutation_dfa(seed, n_states, n_classes)
+            } else {
+                random_dfa(seed, n_states, n_classes)
+            };
+            let input = random_input(seed, len);
+            let hot = hot.min(n_states);
+            let profile = FrequencyProfile::collect(&d, &input);
+            let table = if hashed == 1 {
+                DeviceTable::hashed(&d, &profile, hot)
+            } else {
+                DeviceTable::transformed(&d, hot)
+            };
+            let spec = DeviceSpec::test_unit();
+            let config = SchemeConfig {
+                n_chunks: n_chunks.min(len),
+                count_matches: count_matches == 1,
+                ..SchemeConfig::default()
+            };
+            let job = Job::new(&spec, &table, &input, config).unwrap();
+            let (memoized, oracle) = both_walks(&job, rounds, contended == 1);
+            prop_assert_eq!(memoized.1, oracle.1);
+            prop_assert_eq!(memoized.0, oracle.0);
+        }
+    }
+
+    /// On a machine whose monoid dwarfs the budget, the memo flushes and
+    /// keeps going: its bytes never pass the budget (`SfaMemo::insert`
+    /// asserts it after every step in debug builds, and this test checks it
+    /// between chunks) and the walk stays exact.
+    #[test]
+    fn memo_stays_under_budget_and_exact() {
+        let d = permutation_dfa(7, 256, 8);
+        let input = random_input(11, 24 * 1024);
+        let table = DeviceTable::transformed(&d, 16);
+        let spec = DeviceSpec::test_unit();
+        let config = SchemeConfig { n_chunks: 4, ..SchemeConfig::default() };
+        let job = Job::new(&spec, &table, &input, config).unwrap();
+        let chunks = job.chunks();
+        let memo = Mutex::new(SfaMemo::new(&job));
+        struct Checked<'m, 'a> {
+            walker: Walker<'m, 'a>,
+            chunks: &'m [Range<usize>],
+            out: Vec<Option<Derived>>,
+        }
+        impl RoundKernel for Checked<'_, '_> {
+            fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+                self.out[tid] = Some(self.walker.derive(ctx, self.chunks[tid].clone()));
+                let bytes = self.walker.shared.lock().unwrap().bytes();
+                assert!(bytes <= MEMO_BUDGET_BYTES, "{bytes} bytes");
+                RoundOutcome::ACTIVE
+            }
+            fn after_sync(&mut self, _round: u64) -> bool {
+                false
+            }
+        }
+        let mut k = Checked {
+            walker: Walker::new(&job, &memo),
+            chunks: &chunks,
+            out: (0..chunks.len()).map(|_| None).collect(),
+        };
+        let stats = launch(&spec, chunks.len(), &mut k);
+        assert!(memo.lock().unwrap().flushes > 0, "the input must overflow the budget");
+        let (_, oracle) = both_walks(&job, 1, false);
+        assert_eq!(k.out, oracle.1);
+        assert_eq!(stats, oracle.0);
+        for (cid, r) in chunks.iter().enumerate() {
+            let out = k.out[cid].as_ref().unwrap();
+            assert_eq!(out.eff_width, 256, "a permutation machine never merges");
+            for q in [0, 17, 255] {
+                assert_eq!(out.map[q as usize], d.run_from(q, &input[r.clone()]));
+            }
+        }
+    }
+
+    #[test]
+    fn counts_are_empty_without_match_counting() {
+        let d = div7();
+        let spec = DeviceSpec::test_unit();
+        let table = DeviceTable::transformed(&d, d.n_states());
+        let input: Vec<u8> = b"110101011001".repeat(8);
+        for count_matches in [false, true] {
+            let config = SchemeConfig { n_chunks: 8, count_matches, ..SchemeConfig::default() };
+            let job = Job::new(&spec, &table, &input, config).unwrap();
+            let ((_, out), _) = both_walks(&job, 1, false);
+            for d in out.iter().map(|o| o.as_ref().unwrap()) {
+                assert_eq!(d.counts.len(), if count_matches { 7 } else { 0 });
+            }
+        }
     }
 
     #[test]

@@ -145,33 +145,31 @@ impl<'a> DeviceTable<'a> {
         }
     }
 
+    /// The device cost of one transition `Table[s][class]` under this
+    /// layout — the one definition of what a step costs. [`Self::step`]
+    /// applies it; the SFA walk's memo sums it over live paths.
+    #[inline]
+    pub(crate) fn step_charge(&self, s: StateId, class: u16) -> StepCharge {
+        // Transformed: the `state < H` test. Hashed: hash(state) plus a
+        // Hots[hash(state)] probe, a shared access that pipelines with the
+        // row fetch; its effective extra latency is the device's probe cost.
+        let probes = match self.layout {
+            TableLayout::Transformed => 0,
+            TableLayout::Hashed => 1,
+        };
+        let cold = (!self.is_hot(s))
+            .then(|| (u64::from(s) * self.dfa.stride() as u64 + u64::from(class)) * ENTRY_BYTES);
+        StepCharge { alu: 1, probes, cold }
+    }
+
     /// One state transition `Table[state][class(b)]`, charging the layout's
     /// device cost. The input byte must already have been loaded (see
     /// [`DeviceTable::load_input`]).
     #[inline]
     pub fn step(&self, ctx: &mut ThreadCtx<'_>, s: StateId, b: u8) -> StateId {
-        match self.layout {
-            TableLayout::Transformed => {
-                // `state < H` test.
-                ctx.alu(1);
-            }
-            TableLayout::Hashed => {
-                // hash(state) + Hots[hash(state)] probe. The probe is a
-                // shared access that pipelines with the row fetch; its
-                // effective extra latency is the device's probe cost.
-                ctx.alu(1);
-                ctx.probe();
-            }
-        }
-        if self.is_hot(s) {
-            ctx.shared(1);
-        } else {
-            let class = self.dfa.classes().class(b) as u64;
-            let offset = (u64::from(s) * self.dfa.stride() as u64 + class)
-                * std::mem::size_of::<StateId>() as u64;
-            ctx.global(REGION_TABLE, offset, std::mem::size_of::<StateId>() as u64);
-        }
-        self.dfa.next(s, b)
+        let class = self.dfa.classes().class(b);
+        self.step_charge(s, class).apply(ctx);
+        self.dfa.next_by_class(s, class)
     }
 
     /// Loads one input byte from global memory (coalesced per warp segment).
@@ -260,6 +258,36 @@ impl<'a> DeviceTable<'a> {
                 }
             }
             ctx.alu(1);
+        }
+    }
+}
+
+/// Bytes of one transition-table entry.
+pub(crate) const ENTRY_BYTES: u64 = std::mem::size_of::<StateId>() as u64;
+
+/// What one table step costs on the device (see
+/// [`DeviceTable::step_charge`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct StepCharge {
+    /// ALU operations.
+    pub(crate) alu: u64,
+    /// Shared-memory hash-table probes.
+    pub(crate) probes: u64,
+    /// `None` for a row resident in shared memory (one shared access);
+    /// otherwise the entry's byte offset in [`REGION_TABLE`], fetched from
+    /// global memory ([`ENTRY_BYTES`] bytes).
+    pub(crate) cold: Option<u64>,
+}
+
+impl StepCharge {
+    /// Charges this step to `ctx`.
+    #[inline]
+    pub(crate) fn apply(self, ctx: &mut ThreadCtx<'_>) {
+        ctx.alu(self.alu);
+        ctx.probes(self.probes);
+        match self.cold {
+            None => ctx.shared(1),
+            Some(offset) => ctx.global(REGION_TABLE, offset, ENTRY_BYTES),
         }
     }
 }

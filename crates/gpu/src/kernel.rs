@@ -14,25 +14,56 @@
 //! barrier), just as it would be on real hardware.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::spec::DeviceSpec;
 use crate::stats::{KernelStats, Phase};
+
+/// Source of [`SegmentWindow`] uids. Starts at 1 so that the default
+/// [`WindowEpoch`] (uid 0) names no window.
+static NEXT_WINDOW_UID: AtomicU64 = AtomicU64::new(1);
+
+/// One epoch of one warp's coalescing window: the window's uid and its
+/// generation. Within an epoch the window only grows, so a list of segments
+/// that was inserted in full during the epoch is still in full in it — the
+/// fact [`ThreadCtx::global_batch`] replays on. The default value matches no
+/// window's epoch.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WindowEpoch {
+    uid: u64,
+    gen: u64,
+}
 
 /// A warp's coalescing window: the set of `(region, segment)` pairs touched
 /// since the last barrier.
 ///
 /// Semantically this is exactly `HashSet<(u32, u64)>::insert`, but shaped
 /// for the simulator's hottest loop (every global access of every thread of
-/// every round goes through it): open addressing with linear probing in a
-/// power-of-two table, a multiply-shift hash instead of SipHash, and
-/// generation-stamped slots so `clear` is a counter bump rather than a
-/// table walk. Only membership is ever queried — the set is never iterated
-/// — so the table layout cannot influence any simulated count.
+/// every round goes through it). Segments below [`Self::DENSE_SEGMENTS`] of
+/// the first [`Self::DENSE_REGIONS`] regions — every input and table access
+/// of the schemes — live in a per-region bitmap, one word per 64 segments;
+/// the rest in an open-addressing table with linear probing and a
+/// multiply-shift hash. Both are generation-stamped (per word, per slot), so
+/// `clear` is a counter bump rather than a walk. Only membership is ever
+/// queried — the set is never iterated — so the layout cannot influence any
+/// simulated count.
+///
+/// **Epoch invariant.** `(uid, gen)` names one epoch of one window, never
+/// reused: `uid` is drawn once, when the window is created, and `gen` only
+/// ever increases — `clear` bumps it and `grow` keeps it. Between two
+/// `clear`s the set only grows. So a [`WindowEpoch`] stamp taken after a
+/// list of segments was inserted certifies, while it equals [`Self::epoch`],
+/// that every segment of the list is still present. No atomic is taken per
+/// `clear`.
 pub(crate) struct SegmentWindow {
+    /// Per dense region: `[stamp, bits]` per 64 segments; the bits are live
+    /// iff the stamp matches `gen`.
+    dense: [Vec<[u64; 2]>; Self::DENSE_REGIONS],
     /// `(segment, region)` per slot; live iff the slot's stamp matches.
     keys: Vec<(u64, u32)>,
     /// Slot generation stamps: `stamps[i] == gen` marks a live entry.
     stamps: Vec<u64>,
+    uid: u64,
     gen: u64,
     len: usize,
 }
@@ -41,15 +72,28 @@ impl SegmentWindow {
     /// Starting capacity; a power of two, sized for a warp's typical
     /// footprint (table rows + input segments) without growth.
     const MIN_CAPACITY: usize = 64;
+    /// Regions `0..DENSE_REGIONS` keep small segment ids in bitmaps.
+    const DENSE_REGIONS: usize = 2;
+    /// Segment ids below this use the bitmaps: at most 64 KiB of bitmap and
+    /// stamps per dense region.
+    const DENSE_SEGMENTS: u64 = 1 << 18;
 
     pub(crate) fn new() -> Self {
         SegmentWindow {
+            dense: Default::default(),
             keys: vec![(0, 0); Self::MIN_CAPACITY],
             stamps: vec![0; Self::MIN_CAPACITY],
+            uid: NEXT_WINDOW_UID.fetch_add(1, Ordering::Relaxed),
             // Stamps start at 0, so the live generation starts at 1.
             gen: 1,
             len: 0,
         }
+    }
+
+    /// The current epoch (see the epoch invariant above).
+    #[inline]
+    pub(crate) fn epoch(&self) -> WindowEpoch {
+        WindowEpoch { uid: self.uid, gen: self.gen }
     }
 
     #[inline]
@@ -65,6 +109,27 @@ impl SegmentWindow {
     /// the same contract as `HashSet::insert`.
     #[inline]
     pub(crate) fn insert(&mut self, region: u32, seg: u64) -> bool {
+        if let Some(words) = self.dense.get_mut(region as usize) {
+            if seg < Self::DENSE_SEGMENTS {
+                let w = (seg / 64) as usize;
+                if w >= words.len() {
+                    words.resize(w + 1, [0, 0]);
+                }
+                let [stamp, bits] = &mut words[w];
+                if *stamp != self.gen {
+                    *stamp = self.gen;
+                    *bits = 0;
+                }
+                let bit = 1u64 << (seg % 64);
+                let fresh = *bits & bit == 0;
+                *bits |= bit;
+                return fresh;
+            }
+        }
+        self.insert_hashed(region, seg)
+    }
+
+    fn insert_hashed(&mut self, region: u32, seg: u64) -> bool {
         // Keep load below 7/8 so linear probes stay short.
         if (self.len + 1) * 8 > self.keys.len() * 7 {
             self.grow();
@@ -95,11 +160,12 @@ impl SegmentWindow {
             .collect();
         let cap = self.keys.len() * 2;
         self.keys = vec![(0, 0); cap];
+        // Fresh stamps are 0 and `gen` is at least 1, so every new slot is
+        // free; `gen` itself stays, which keeps the epoch alive across growth.
         self.stamps = vec![0; cap];
-        self.gen = 1;
         self.len = 0;
         for (seg, region) in live {
-            self.insert(region, seg);
+            self.insert_hashed(region, seg);
         }
     }
 
@@ -204,26 +270,56 @@ impl<'a> ThreadCtx<'a> {
     /// keeping a cached global row no cheaper than a resident shared row.
     #[inline]
     pub fn global(&mut self, region: u32, offset: u64, bytes: u64) {
-        let seg_size = self.spec.global_segment_bytes;
-        let first = offset / seg_size;
-        let last = (offset + bytes.max(1) - 1) / seg_size;
-        for seg in first..=last {
-            if self.window.insert(region, seg) {
-                self.clock += self.spec.global_latency;
-                self.stats.global_transactions += 1;
-            } else {
-                self.clock += self.spec.shared_latency;
-                self.stats.global_coalesced_hits += 1;
-            }
+        for seg in self.spec.segments(offset, bytes) {
+            self.segment(region, seg);
         }
     }
 
-    /// Charges one shared-memory hash-table probe (counted as a shared
-    /// access; latency pipelines with the access it guards).
+    /// Charges one access to segment `seg` of `region`: a transaction if it
+    /// is new to the warp's window, a coalesced hit otherwise.
     #[inline]
-    pub fn probe(&mut self) {
-        self.clock += self.spec.hash_probe_latency;
-        self.stats.shared_accesses += 1;
+    fn segment(&mut self, region: u32, seg: u64) {
+        if self.window.insert(region, seg) {
+            self.clock += self.spec.global_latency;
+            self.stats.global_transactions += 1;
+        } else {
+            self.clock += self.spec.shared_latency;
+            self.stats.global_coalesced_hits += 1;
+        }
+    }
+
+    /// Charges one single-segment global access per entry of `segs` (segment
+    /// ids of `region`, as [`DeviceSpec::segments`] numbers them) — exactly
+    /// what that many [`ThreadCtx::global`] calls charge, in any order.
+    ///
+    /// `stamp` belongs to this one `(region, segs)` list and lets a replayed
+    /// list cost O(1): if it equals the warp window's current epoch, every
+    /// segment was inserted earlier in this epoch and, the window only
+    /// growing within one, each access is a coalesced hit. Otherwise the
+    /// segments take the per-access path and `stamp` is set to the epoch.
+    /// Clocks and counters are sums, so charging the batch at once instead
+    /// of interleaved with the thread's other accesses changes nothing.
+    #[inline]
+    pub fn global_batch(&mut self, region: u32, segs: &[u64], stamp: &mut WindowEpoch) {
+        let epoch = self.window.epoch();
+        if *stamp == epoch {
+            let n = segs.len() as u64;
+            self.clock += n * self.spec.shared_latency;
+            self.stats.global_coalesced_hits += n;
+        } else {
+            for &seg in segs {
+                self.segment(region, seg);
+            }
+            *stamp = epoch;
+        }
+    }
+
+    /// Charges `n` shared-memory hash-table probes (each counted as a
+    /// shared access; latency pipelines with the access it guards).
+    #[inline]
+    pub fn probes(&mut self, n: u64) {
+        self.clock += n * self.spec.hash_probe_latency;
+        self.stats.shared_accesses += n;
     }
 
     /// Charges `n` warp shuffles (register-to-register thread communication,
@@ -731,10 +827,19 @@ mod tests {
             reference.clear();
             for _ in 0..500 {
                 state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                // Regions 0 and 1 are dense below DENSE_SEGMENTS, region 2
+                // never is.
                 let region = ((state >> 33) % 3) as u32;
-                // Small segment space forces duplicates; +round varies the
-                // key set across generations.
-                let seg = (state >> 11) % 200 + round;
+                // Small segment spaces force duplicates; +round varies the
+                // key set across generations. Keys fall near zero, on either
+                // side of the dense limit, on a 64-segment stride (one per
+                // bitmap word), or far past the limit.
+                let seg = match (state >> 40) % 4 {
+                    0 => (state >> 11) % 200 + round,
+                    1 => SegmentWindow::DENSE_SEGMENTS - 100 + (state >> 11) % 200 + round,
+                    2 => (state >> 11) % 100 * 64 + round,
+                    _ => u64::MAX - (state >> 11) % 200 - round,
+                };
                 assert_eq!(
                     window.insert(region, seg),
                     reference.insert((region, seg)),
@@ -742,6 +847,155 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A script of global accesses, run once per round by every thread:
+    /// `(0, pos)` loads one input byte (region 0), `(_, r)` replays record
+    /// `r % records.len()` of region-1 segments. `batched` charges records
+    /// through [`ThreadCtx::global_batch`] with one stamp per record shared
+    /// by every thread and round; otherwise through one
+    /// [`ThreadCtx::global`] call per segment.
+    struct Script<'a> {
+        ops: &'a [(u8, u64)],
+        records: &'a [Vec<u64>],
+        stamps: Vec<WindowEpoch>,
+        batched: bool,
+        rounds_left: u64,
+        /// Launch a one-thread kernel replaying the same records, stamps
+        /// and all, from inside thread 0's round.
+        nested: bool,
+    }
+
+    impl Script<'_> {
+        fn replay(&mut self, ctx: &mut ThreadCtx<'_>, r: usize) {
+            let segs = &self.records[r];
+            if self.batched {
+                ctx.global_batch(1, segs, &mut self.stamps[r]);
+            } else {
+                for &seg in segs {
+                    ctx.global(1, seg * ctx.spec().global_segment_bytes, 1);
+                }
+            }
+        }
+    }
+
+    impl RoundKernel for Script<'_> {
+        fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            for i in 0..self.ops.len() {
+                let (op, arg) = self.ops[(i + tid) % self.ops.len()];
+                if op == 0 {
+                    ctx.global(0, arg, 1);
+                } else {
+                    self.replay(ctx, arg as usize % self.records.len());
+                }
+            }
+            if self.nested && tid == 0 {
+                let mut inner = Script {
+                    ops: self.ops,
+                    records: self.records,
+                    stamps: std::mem::take(&mut self.stamps),
+                    batched: self.batched,
+                    rounds_left: 1,
+                    nested: false,
+                };
+                let stats = launch(ctx.spec(), 1, &mut inner);
+                self.stamps = inner.stamps;
+                ctx.alu(stats.cycles);
+                // Back in the outer window: whatever the inner launch
+                // stamped must not pass for this window's epoch.
+                for r in 0..self.records.len() {
+                    self.replay(ctx, r);
+                }
+            }
+            RoundOutcome::ACTIVE
+        }
+        fn after_sync(&mut self, _round: u64) -> bool {
+            self.rounds_left -= 1;
+            self.rounds_left > 0
+        }
+    }
+
+    /// Segment ids on both sides of the window's dense limit, so both its
+    /// bitmaps and its hashed table (growth included) see traffic.
+    const SEGS: std::ops::Range<u64> =
+        SegmentWindow::DENSE_SEGMENTS - 800..SegmentWindow::DENSE_SEGMENTS + 800;
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
+
+        /// The batched charge is the per-access charge: for random segment
+        /// lists (duplicates included) replayed in any interleaving with
+        /// input loads, by several warps, across barriers (`clear`), across
+        /// window growth (hundreds of distinct segments per round) and
+        /// through a nested launch's scratch windows, every counter and
+        /// clock of the launch is identical.
+        #[test]
+        fn global_batch_equals_per_access_globals(
+            records in proptest::collection::vec(proptest::collection::vec(SEGS, 0..12), 1..8),
+            ops in proptest::collection::vec((0u8..3, SEGS), 1..200),
+            threads in 1usize..10,
+            rounds in 1u64..4,
+            nested in 0u8..2,
+        ) {
+            let spec = DeviceSpec::test_unit();
+            let run = |batched: bool| {
+                let mut k = Script {
+                    ops: &ops,
+                    records: &records,
+                    stamps: vec![WindowEpoch::default(); records.len()],
+                    batched,
+                    rounds_left: rounds,
+                    nested: nested == 1,
+                };
+                launch(&spec, threads, &mut k)
+            };
+            proptest::prop_assert_eq!(run(true), run(false));
+        }
+    }
+
+    #[test]
+    fn window_epochs_are_never_reused() {
+        let mut a = SegmentWindow::new();
+        let b = SegmentWindow::new();
+        assert_ne!(a.epoch(), b.epoch(), "distinct windows");
+        assert_ne!(WindowEpoch::default(), a.epoch(), "the default stamp names no window");
+        let before = a.epoch();
+        for seg in 0..1000 {
+            // Region 2 lives in the hashed table, which grows here.
+            a.insert(2, seg);
+        }
+        assert_eq!(a.epoch(), before, "growth keeps the epoch");
+        let mut seen = vec![before];
+        for _ in 0..5 {
+            a.clear();
+            assert!(!seen.contains(&a.epoch()), "clear starts a new epoch");
+            seen.push(a.epoch());
+        }
+        // Growth after clears still never lands on an earlier generation.
+        for seg in 0..5000 {
+            a.insert(3, seg);
+        }
+        assert_eq!(a.epoch(), *seen.last().unwrap());
+        assert_ne!(a.epoch(), b.epoch());
+    }
+
+    #[test]
+    fn stale_stamp_takes_the_per_access_path() {
+        // A record stamped in one round is charged as fresh transactions in
+        // the next: the barrier cleared the window, so the stamp is stale.
+        let records = vec![vec![3, 4, 5]];
+        let ops = [(1, 0)];
+        let mut k = Script {
+            ops: &ops,
+            records: &records,
+            stamps: vec![WindowEpoch::default()],
+            batched: true,
+            rounds_left: 2,
+            nested: false,
+        };
+        let stats = launch(&DeviceSpec::test_unit(), 1, &mut k);
+        assert_eq!(stats.global_transactions, 6);
+        assert_eq!(stats.global_coalesced_hits, 0);
     }
 
     #[test]

@@ -217,6 +217,16 @@ impl DeviceSpec {
     pub fn copy_cycles(&self, bytes: usize) -> u64 {
         self.copy_latency_cycles + (bytes as u64 * self.copy_millicycles_per_byte).div_ceil(1000)
     }
+
+    /// The coalescing segments a global access of `bytes` bytes at `offset`
+    /// touches: what [`crate::ThreadCtx::global`] charges one transaction or
+    /// hit each for, and what a [`crate::ThreadCtx::global_batch`] list is
+    /// made of.
+    #[inline]
+    pub fn segments(&self, offset: u64, bytes: u64) -> std::ops::RangeInclusive<u64> {
+        let seg_size = self.global_segment_bytes;
+        offset / seg_size..=(offset + bytes.max(1) - 1) / seg_size
+    }
 }
 
 /// Cost parameters of one inter-device link — the fabric a fleet migrates
