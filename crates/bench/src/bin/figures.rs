@@ -5,58 +5,36 @@
 //! ```
 //!
 //! `EXPERIMENT` is one of `table2`, `table3`, `fig3`, `fig7`, `fig8`,
-//! `fig9`, `ablation`, `selector`, or `all` (default).
+//! `fig9`, `ablation`, `selector`, or `all` (default). A bad flag or value
+//! prints one line and exits with status 2.
 
+use gspecpal_bench::cli::{Args, CliError};
 use gspecpal_bench::{
     run_ablation, run_budget_ablation, run_cpu_scaling, run_device_sensitivity, run_fig3, run_fig7,
     run_fig8, run_fig9, run_model_validation, run_motivation, run_table2, run_table3,
     ExperimentConfig,
 };
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+/// The experiment, its configuration, and the CSV directory, if any.
+fn parse_args(mut args: Args) -> Result<(String, ExperimentConfig, Option<String>), CliError> {
     let mut experiment = "all".to_string();
     let mut cfg = ExperimentConfig::default();
-    let mut csv_dir: Option<String> = None;
-
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--input-kb" => {
-                i += 1;
-                cfg.input_len = args[i].parse::<usize>().expect("--input-kb takes a number") * 1024;
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--chunks" => {
-                i += 1;
-                cfg.n_chunks = args[i].parse().expect("--chunks takes a number");
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args[i].clone());
-            }
-            "--device" => {
-                i += 1;
-                cfg.device = match args[i].as_str() {
-                    "rtx3090" => gspecpal_gpu::DeviceSpec::rtx3090(),
-                    "a100" => gspecpal_gpu::DeviceSpec::a100(),
-                    other => {
-                        eprintln!("unknown device {other} (try rtx3090, a100)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            other if !other.starts_with("--") => experiment = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+    let mut csv_dir = None;
+    while let Some(arg) = args.next() {
+        if args.experiment_flag(&arg, &mut cfg)? {
+            continue;
         }
-        i += 1;
+        match arg.as_str() {
+            "--csv" => csv_dir = Some(args.operand(&arg)?),
+            other if !other.starts_with("--") => experiment = arg,
+            other => return Err(CliError(format!("unknown flag {other}"))),
+        }
     }
+    Ok((experiment, cfg, csv_dir))
+}
+
+fn main() {
+    let (experiment, cfg, csv_dir) = parse_args(Args::from_env()).unwrap_or_else(|e| e.exit());
 
     println!(
         "GSpecPal reproduction harness — device: {}, input: {} KiB, N = {}, seed = {}\n",

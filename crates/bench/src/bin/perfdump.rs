@@ -25,7 +25,10 @@
 //!   engine in bounded-memory mode) and write `BENCH_hostperf.json`. The
 //!   report carries wall-clock numbers, so it is never part of `--check` —
 //!   CI keeps it as a warn-only artifact.
+//!
+//! A bad flag or value prints one line and exits with status 2.
 
+use gspecpal_bench::cli::{Args, CliError};
 use gspecpal_bench::perf::{
     ablation_json, adaptive_json, chaos_json, cluster_json, extract_total_cycles, failover_json,
     fig8_json, hostperf_json, inflate_total, motivation_json, regression_check, serve_json, Json,
@@ -46,77 +49,50 @@ fn timed(run: impl FnOnce() -> Json) -> (Json, f64) {
     (doc, start.elapsed().as_secs_f64() * 1e3)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    // The perf gate's default workload is deliberately small: large enough
-    // that every scheme recovers and stitches (the phases CI watches), small
-    // enough to run in seconds in release mode.
-    let mut cfg = ExperimentConfig { input_len: 32 * 1024, n_chunks: 64, ..Default::default() };
-    let mut out_dir = ".".to_string();
-    let mut write_baseline = false;
-    let mut check_dir: Option<String> = None;
-    let mut inflate_percent = 0u64;
-    let mut hostperf_streams: Option<usize> = None;
+/// What the command line asks for.
+struct Options {
+    cfg: ExperimentConfig,
+    out_dir: String,
+    check_dir: Option<String>,
+    inflate_percent: u64,
+    hostperf_streams: Option<usize>,
+}
 
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--input-kb" => {
-                i += 1;
-                cfg.input_len = args[i].parse::<usize>().expect("--input-kb takes a number") * 1024;
-            }
-            "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes a number");
-            }
-            "--chunks" => {
-                i += 1;
-                cfg.n_chunks = args[i].parse().expect("--chunks takes a number");
-            }
-            "--device" => {
-                i += 1;
-                cfg.device = match args[i].as_str() {
-                    "rtx3090" => gspecpal_gpu::DeviceSpec::rtx3090(),
-                    "a100" => gspecpal_gpu::DeviceSpec::a100(),
-                    other => {
-                        eprintln!("unknown device {other} (try rtx3090, a100)");
-                        std::process::exit(2);
-                    }
-                };
-            }
-            "--out" => {
-                i += 1;
-                out_dir = args[i].clone();
-            }
-            "--write-baseline" => write_baseline = true,
-            "--check" => {
-                i += 1;
-                check_dir = Some(args[i].clone());
-            }
-            "--inflate-percent" => {
-                i += 1;
-                inflate_percent = args[i].parse().expect("--inflate-percent takes a number");
-            }
-            "--hostperf" => {
-                // Optional stream-count operand; defaults to a million.
-                hostperf_streams = match args.get(i + 1).and_then(|a| a.parse().ok()) {
-                    Some(n) => {
-                        i += 1;
-                        Some(n)
-                    }
-                    None => Some(1_000_000),
-                };
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+fn parse_args(mut args: Args) -> Result<Options, CliError> {
+    let mut opts = Options {
+        // The perf gate's default workload is deliberately small: large
+        // enough that every scheme recovers and stitches (the phases CI
+        // watches), small enough to run in seconds in release mode.
+        cfg: ExperimentConfig { input_len: 32 * 1024, n_chunks: 64, ..Default::default() },
+        out_dir: ".".to_string(),
+        check_dir: None,
+        inflate_percent: 0,
+        hostperf_streams: None,
+    };
+    let mut write_baseline = false;
+    while let Some(arg) = args.next() {
+        if args.experiment_flag(&arg, &mut opts.cfg)? {
+            continue;
         }
-        i += 1;
+        match arg.as_str() {
+            "--out" => opts.out_dir = args.operand(&arg)?,
+            "--write-baseline" => write_baseline = true,
+            "--check" => opts.check_dir = Some(args.operand(&arg)?),
+            "--inflate-percent" => opts.inflate_percent = args.number(&arg, 0)?,
+            // Optional stream-count operand; defaults to a million.
+            "--hostperf" => opts.hostperf_streams = Some(args.optional().unwrap_or(1_000_000)),
+            other => return Err(CliError(format!("unknown flag {other}"))),
+        }
     }
     if write_baseline {
-        out_dir = "benches/baseline".to_string();
+        opts.out_dir = "benches/baseline".to_string();
     }
+    Ok(opts)
+}
+
+fn main() {
+    let Options { cfg, out_dir, check_dir, inflate_percent, hostperf_streams } =
+        parse_args(Args::from_env()).unwrap_or_else(|e| e.exit());
 
     eprintln!(
         "perfdump — device: {}, input: {} KiB, N = {}, seed = {}",

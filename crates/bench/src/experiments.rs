@@ -918,6 +918,14 @@ mod tests {
             .collect();
         assert!(mean(&sfa) > 0.0, "transformation must help SFA: {:.3}", mean(&sfa));
     }
+
+    #[test]
+    fn ablation_clamps_more_chunks_than_input_bytes() {
+        // Like every other experiment, more chunks than bytes runs one
+        // chunk per byte instead of failing the job.
+        let cfg = ExperimentConfig { input_len: 1024, n_chunks: 4096, ..tiny() };
+        assert_eq!(run_ablation(&cfg).rows.len(), 24);
+    }
 }
 
 /// Ablation report: per benchmark and scheme, hashed-layout time over
@@ -971,7 +979,8 @@ pub fn run_ablation(cfg: &ExperimentConfig) -> AblationReport {
             let tdfa = transformed.dfa();
             // Frequency profile in the transformed numbering (rank order).
             let tfreq = FrequencyProfile::collect(tdfa, &input[..training_len]);
-            let config = cfg.scheme_config();
+            let mut config = cfg.scheme_config();
+            config.n_chunks = config.n_chunks.min(input.len().max(1));
 
             let hot_t =
                 DeviceTable::hot_rows_for_device(tdfa, TableLayout::Transformed, &cfg.device);

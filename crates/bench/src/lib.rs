@@ -8,6 +8,7 @@
 
 pub mod adaptive_exp;
 pub mod chaos_exp;
+pub mod cli;
 pub mod cluster_exp;
 pub mod csv;
 pub mod experiments;

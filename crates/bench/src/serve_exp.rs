@@ -189,7 +189,7 @@ pub fn run_serve(cfg: &ExperimentConfig) -> ServeExperimentReport {
                 bytes_per_cycle: report.bytes_per_cycle(),
                 overlap_efficiency_permille: report.overlap_efficiency_permille,
                 backpressure_events: report.backpressure_events,
-                peak_queue_depth: report.peak_queue_depth() as u64,
+                peak_queue_depth: report.peak_queue as u64,
             }
         })
         .collect();

@@ -364,12 +364,6 @@ impl KernelStats {
         self.active_per_round.extend_from_slice(&other.active_per_round);
         self.recovering_per_round.extend_from_slice(&other.recovering_per_round);
         self.round_durations.extend_from_slice(&other.round_durations);
-        self.absorb_block_counters(other);
-    }
-
-    /// The scalar half of [`KernelStats::absorb_block`]: everything except
-    /// the per-round event streams.
-    fn absorb_block_counters(&mut self, other: &KernelStats) {
         self.rounds += other.rounds;
         self.global_transactions += other.global_transactions;
         self.global_coalesced_hits += other.global_coalesced_hits;
@@ -395,19 +389,6 @@ impl KernelStats {
         self.cycles += other.cycles;
         self.profile.absorb_cycles(&other.profile);
         self.absorb_block(other);
-    }
-
-    /// Like [`KernelStats::merge_sequential`], but drops `other`'s per-round
-    /// event streams (`active_per_round`, `recovering_per_round`,
-    /// `round_durations`) instead of concatenating them. Every scalar
-    /// counter, cycle total, and the per-phase profile merge identically —
-    /// only the O(rounds) vectors are skipped, which is what keeps a
-    /// streaming serve run's merged stats bounded no matter how many
-    /// batches it dispatches.
-    pub fn merge_sequential_compact(&mut self, other: &KernelStats) {
-        self.cycles += other.cycles;
-        self.profile.absorb_cycles(&other.profile);
-        self.absorb_block_counters(other);
     }
 }
 
@@ -462,34 +443,6 @@ mod tests {
         a.merge_sequential(&b);
         assert_eq!(a.fault_retries, 4);
         assert_eq!(a.fault_cycles, 200);
-    }
-
-    #[test]
-    fn compact_merge_matches_full_merge_except_round_streams() {
-        let mk = || KernelStats {
-            cycles: 10,
-            rounds: 2,
-            alu_ops: 7,
-            fault_retries: 1,
-            fault_cycles: 3,
-            active_per_round: vec![4, 2],
-            recovering_per_round: vec![0, 1],
-            round_durations: vec![6, 4],
-            profile: sample_profile(Phase::SpecExec, 10, 7),
-            ..KernelStats::default()
-        };
-        let mut full = mk();
-        full.merge_sequential(&mk());
-        let mut compact = mk();
-        compact.merge_sequential_compact(&mk());
-        // The compact merge keeps its own round streams untouched...
-        assert_eq!(compact.active_per_round, vec![4, 2]);
-        assert_eq!(compact.round_durations, vec![6, 4]);
-        // ...and agrees with the full merge on everything scalar.
-        compact.active_per_round = full.active_per_round.clone();
-        compact.recovering_per_round = full.recovering_per_round.clone();
-        compact.round_durations = full.round_durations.clone();
-        assert_eq!(compact, full);
     }
 
     #[test]

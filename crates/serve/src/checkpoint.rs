@@ -2,8 +2,8 @@
 //!
 //! A long-lived serve run is only as durable as its host process. This
 //! module makes the engine's progress *recoverable*: at any quiescent
-//! inter-batch boundary the engine's entire mutable state (see
-//! [`EngineSnapshot`](crate::pipeline)) can be captured as an
+//! inter-batch boundary the engine's entire mutable state — the engine's
+//! own `EngineState`, cloned — can be captured as an
 //! [`EngineCheckpoint`], serialized to a versioned, checksummed,
 //! byte-deterministic blob, and later rehydrated into a fresh engine that
 //! continues the run — with the hard guarantee that
@@ -27,8 +27,8 @@
 //! the device spec, machine list, and serve configuration — resuming
 //! under a different setup is refused with
 //! [`ServeError::CheckpointMismatch`] instead of silently diverging), the
-//! snapshot payload, and a trailing FNV-1a-64 checksum over everything
-//! before it.
+//! engine state, and a trailing FNV-1a-64 checksum over everything before
+//! it.
 //!
 //! Every persisted type's layout is written once — a field list in wire
 //! order (`wire_struct!`) or a one-byte tag table (`wire_tags!`) — and one
@@ -41,13 +41,15 @@
 //! being read. The types needing more than their fields' own checks are
 //! hand-written impls holding the validators: `Span` (`end >= start`),
 //! the sparse `LatencySketch`, window `StreamArrival`s (arrival-ordered,
-//! non-empty payloads), depth-tracker events (kind ±1, sorted) and
-//! `PhaseProfile` ([`Phase::ALL`] order). Decoded state is then validated
-//! against the resuming configuration by `ServeRun::restore`. Corruption of
-//! any kind surfaces as a structured [`ServeError::CorruptCheckpoint`],
-//! never a panic and never an out-of-memory; and since every payload byte
-//! is a validated tag or a field value, whatever decodes re-encodes to
-//! the same bytes.
+//! non-empty payloads), depth-tracker events (kind ±1, written sorted) and
+//! `PhaseProfile` ([`Phase::ALL`] order). The engine state is a
+//! `wire_struct!` of its components, each with its own field list, so a
+//! persisted engine field is named in its struct and its wire list only.
+//! Decoded state is then validated against the resuming configuration by
+//! `ServeRun::restore`. Corruption of any kind surfaces as a structured
+//! [`ServeError::CorruptCheckpoint`], never a panic and never an
+//! out-of-memory; and since every payload byte is a validated tag or a
+//! field value, whatever decodes re-encodes to the same bytes.
 //!
 //! # Crash simulation and failover
 //!
@@ -62,14 +64,20 @@
 //! peer must replay. The cluster layer builds its device-outage failover
 //! on exactly this pair (see `gspecpal-cluster`).
 
+use std::cmp::Reverse;
+use std::collections::VecDeque;
+
 use gspecpal::{SchemeKind, StitchPolicy};
 use gspecpal_gpu::{
     DeviceSpec, KernelStats, LaunchShape, Phase, PhaseCounters, PhaseProfile, Span,
 };
 
-use crate::controller::{BatchObservation, DecisionRecord, LaunchChoice, MachineArmState};
+use crate::controller::{Arm, BatchObservation, DecisionRecord, LaunchChoice, MachineState};
 use crate::error::ServeError;
-use crate::pipeline::{EngineSnapshot, ReportDetail, ServeConfig, ServeMachine, ServeRun};
+use crate::pipeline::{
+    Collector, ComputeCursor, DepthEvents, DepthTracker, EngineState, LatencyAcc, OverlapMeter,
+    PullCursor, ReleaseRing, ReportDetail, ServeConfig, ServeMachine, ServeRun,
+};
 use crate::policy::{BatchPolicy, PolicyKind, PriorityClass};
 use crate::report::{
     BatchRecord, ExecMode, LatencySummary, RecoveryReport, ResidencyReport, ServeReport,
@@ -240,6 +248,21 @@ impl<T: Wire> Wire for Vec<T> {
     }
 }
 
+impl<T: Wire> Wire for VecDeque<T> {
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut Writer) {
+        self.len().put(w);
+        for x in self {
+            x.put(w);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        Vec::<T>::get(r, what).map(VecDeque::from)
+    }
+}
+
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
 
@@ -352,6 +375,10 @@ wire_tags!(SchemeKind {
 });
 
 wire_tags!(StitchPolicy { Sequential = 0, Tree = 1 });
+
+wire_tags!(PriorityClass { Bulk = 0, Deadline = 1 });
+
+wire_tags!(ReportDetail { Full = 0, Bounded = 1 });
 
 wire_tags!(ExecMode { StreamParallel = 0, ChunkParallel = 1 });
 
@@ -494,37 +521,54 @@ wire_struct!(ServeReport {
     preempted_cycles: u64,
 });
 
-wire_struct!(EngineSnapshot {
-    pulled: usize,
-    last_cycle: u64,
+// The engine state and its components.
+
+wire_struct!(EngineState {
+    cursor: PullCursor,
     next: usize,
     batch_idx: usize,
     breaker_consecutive: u32,
     buffer_free: [u64; 2],
-    cq_free: u64,
-    cq_horizon: u64,
+    cq: ComputeCursor,
     frontiers: [u64; 3],
-    window: Vec<StreamArrival>,
-    ring_released: usize,
-    ring_recent: Vec<u64>,
-    depth_pending: Vec<(u64, i8)>,
-    depth_depth: i64,
-    depth_group: Option<u64>,
-    depth_samples: Vec<(u64, usize)>,
-    depth_peak: usize,
-    depth_zero_pairs: bool,
-    meter_computes: Vec<Span>,
-    meter_pending_copies: Vec<Span>,
-    meter_copy_busy: u64,
-    meter_hidden: u64,
-    residency_order: Option<Vec<usize>>,
-    controller: Option<Vec<MachineArmState>>,
-    report: ServeReport,
-    delivery_exact: Vec<u64>,
-    delivery_sketch: Option<LatencySketch>,
-    kernel_exact: Vec<u64>,
-    kernel_sketch: Option<LatencySketch>,
+    window: VecDeque<StreamArrival>,
+    ring: ReleaseRing,
+    depths: DepthTracker,
+    meter: OverlapMeter,
+    residency: Option<VecDeque<usize>>,
+    controller: Option<Vec<MachineState>>,
+    col: Collector,
 });
+
+wire_struct!(PullCursor { pulled: usize, last_cycle: u64 });
+
+wire_struct!(ComputeCursor { free: u64, horizon: u64 });
+
+wire_struct!(ReleaseRing { released: usize, recent: VecDeque<u64> });
+
+wire_struct!(DepthTracker {
+    pending: DepthEvents,
+    depth: i64,
+    group: Option<u64>,
+    samples: Vec<(u64, usize)>,
+    peak: usize,
+    zero_pairs: bool,
+});
+
+wire_struct!(OverlapMeter {
+    computes: VecDeque<Span>,
+    pending_copies: VecDeque<Span>,
+    copy_busy: u64,
+    hidden: u64,
+});
+
+wire_struct!(MachineState { decided: u64, arms: Vec<Arm> });
+
+wire_struct!(Arm { window: VecDeque<u64>, observations: u64 });
+
+wire_struct!(Collector { report: ServeReport, delivery: LatencyAcc, kernel: LatencyAcc });
+
+wire_struct!(LatencyAcc { exact: Vec<u64>, sketch: Option<LatencySketch> });
 
 // Hand-written layouts: the types whose values need more than their
 // fields' own validation.
@@ -647,6 +691,20 @@ impl Wire for (u64, i8) {
     }
 }
 
+/// The depth tracker's pending events, in their canonical sorted order.
+impl Wire for DepthEvents {
+    const MIN_BYTES: usize = Vec::<(u64, i8)>::MIN_BYTES;
+
+    fn put(&self, w: &mut Writer) {
+        put_slice(&self.sorted(), w);
+    }
+
+    fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
+        let events = Vec::<(u64, i8)>::get(r, what)?;
+        Ok(DepthEvents(events.into_iter().map(Reverse).collect()))
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Setup fingerprint
 // ---------------------------------------------------------------------------
@@ -691,11 +749,7 @@ pub(crate) fn run_fingerprint(
     for m in machines {
         m.scheme().put(w);
         m.table_footprint_bytes().put(w);
-        let class: u8 = match m.class() {
-            PriorityClass::Bulk => 0,
-            PriorityClass::Deadline => 1,
-        };
-        class.put(w);
+        m.class().put(w);
         m.chunk_work_factor().put(w);
         put_slice(m.arms(), w);
     }
@@ -739,11 +793,7 @@ pub(crate) fn run_fingerprint(
     cfg.recovery.copy_backoff_cap_cycles.put(w);
     cfg.recovery.shed_wait_cycles.put(w);
     cfg.recovery.breaker_failure_threshold.put(w);
-    let detail: u8 = match cfg.detail {
-        ReportDetail::Full => 0,
-        ReportDetail::Bounded => 1,
-    };
-    detail.put(w);
+    cfg.detail.put(w);
     cfg.controller.is_some().put(w);
     if let Some(cc) = &cfg.controller {
         cc.window.put(w);
@@ -773,7 +823,7 @@ pub(crate) fn run_fingerprint(
 #[derive(Clone, Debug, PartialEq)]
 pub struct EngineCheckpoint {
     pub(crate) fingerprint: u64,
-    pub(crate) snapshot: EngineSnapshot,
+    pub(crate) state: EngineState,
 }
 
 impl EngineCheckpoint {
@@ -786,13 +836,13 @@ impl EngineCheckpoint {
     /// number of arrivals [`serve_resume`] skips before handing the source
     /// to the restored engine.
     pub fn streams_pulled(&self) -> usize {
-        self.snapshot.pulled
+        self.state.cursor.pulled
     }
 
     /// Batches the run had formed (including abandoned ones) when the
     /// checkpoint was taken.
     pub fn batches_formed(&self) -> usize {
-        self.snapshot.batch_idx
+        self.state.batch_idx
     }
 
     /// Arrivals sitting in the admission window at the boundary: pulled
@@ -800,16 +850,16 @@ impl EngineCheckpoint {
     /// checkpoint's share of the orphans a peer must replay (see
     /// [`finalize_checkpoint`]).
     pub fn window_len(&self) -> usize {
-        self.snapshot.window.len()
+        self.state.window.len()
     }
 
-    /// Serializes the checkpoint: magic, version, fingerprint, snapshot
-    /// payload, FNV-1a-64 checksum. Byte-deterministic.
+    /// Serializes the checkpoint: magic, version, fingerprint, engine
+    /// state, FNV-1a-64 checksum. Byte-deterministic.
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::from(MAGIC);
         VERSION.put(&mut w);
         self.fingerprint.put(&mut w);
-        self.snapshot.put(&mut w);
+        self.state.put(&mut w);
         let checksum = fnv1a(&w);
         checksum.put(&mut w);
         w
@@ -849,11 +899,11 @@ impl EngineCheckpoint {
             });
         }
         let fingerprint = u64::get(&mut r, "fingerprint")?;
-        let snapshot = EngineSnapshot::get(&mut r, "EngineSnapshot")?;
+        let state = EngineState::get(&mut r, "EngineState")?;
         if r.pos != body.len() {
             return Err(r.corrupt("trailing bytes after the snapshot"));
         }
-        Ok(EngineCheckpoint { fingerprint, snapshot })
+        Ok(EngineCheckpoint { fingerprint, state })
     }
 }
 
@@ -889,7 +939,7 @@ pub fn serve_checkpoint<S: TraceSource>(
         if run.batches_formed() >= at_batch && run.quiescent() {
             return Ok(CheckpointOutcome::Checkpoint(Box::new(EngineCheckpoint {
                 fingerprint,
-                snapshot: run.snapshot(),
+                state: run.snapshot(),
             })));
         }
         if !run.step()? {
@@ -919,7 +969,7 @@ pub fn serve_resume<S: TraceSource>(
     if expected != checkpoint.fingerprint {
         return Err(ServeError::CheckpointMismatch { expected, found: checkpoint.fingerprint });
     }
-    for _ in 0..checkpoint.snapshot.pulled {
+    for _ in 0..checkpoint.state.cursor.pulled {
         if source.next_arrival().is_none() {
             return Err(ServeError::CorruptCheckpoint {
                 offset: 0,
@@ -927,7 +977,7 @@ pub fn serve_resume<S: TraceSource>(
             });
         }
     }
-    let mut run = ServeRun::restore(spec, machines, source, cfg, &checkpoint.snapshot)?;
+    let mut run = ServeRun::restore(spec, machines, source, cfg, checkpoint.state.clone())?;
     while run.step()? {}
     Ok(run.finish())
 }
@@ -989,7 +1039,7 @@ impl<'e, 'm, S: TraceSource> CrashRun<'e, 'm, S> {
         let out = &mut self.outcome;
         let due = out.checkpoint.as_ref().map_or(0, |c| c.batches_formed() + self.every_batches);
         if run.quiescent() && run.horizon() <= self.crash_cycle && run.batches_formed() >= due {
-            let ck = EngineCheckpoint { fingerprint: self.fingerprint, snapshot: run.snapshot() };
+            let ck = EngineCheckpoint { fingerprint: self.fingerprint, state: run.snapshot() };
             out.checkpoints_taken += 1;
             out.checkpoint_bytes += ck.encode().len() as u64;
             out.checkpoint = Some(Box::new(ck));
@@ -1052,23 +1102,20 @@ pub fn finalize_checkpoint(
         return Err(ServeError::CheckpointMismatch { expected, found: checkpoint.fingerprint });
     }
     let corrupt = |what: &'static str| ServeError::CorruptCheckpoint { offset: 0, what };
-    let mut snap = checkpoint.snapshot.clone();
-    let orphans = std::mem::take(&mut snap.window);
-    snap.pulled = snap.next;
+    let mut state = checkpoint.state.clone();
+    let orphans = Vec::from(std::mem::take(&mut state.window));
+    state.cursor.pulled = state.next;
+    let report = &mut state.col.report;
     for a in &orphans {
-        snap.report.streams = snap
-            .report
-            .streams
-            .checked_sub(1)
-            .ok_or_else(|| corrupt("window exceeds stream count"))?;
-        snap.report.total_bytes = snap
-            .report
+        report.streams =
+            report.streams.checked_sub(1).ok_or_else(|| corrupt("window exceeds stream count"))?;
+        report.total_bytes = report
             .total_bytes
             .checked_sub(a.bytes.len())
             .ok_or_else(|| corrupt("window exceeds byte count"))?;
     }
     let source = IterSource(std::iter::empty::<StreamArrival>());
-    let mut run = ServeRun::restore(spec, machines, source, cfg, &snap)?;
+    let mut run = ServeRun::restore(spec, machines, source, cfg, state)?;
     while run.step()? {}
     Ok((run.finish(), orphans))
 }

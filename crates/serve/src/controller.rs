@@ -182,11 +182,11 @@ pub struct Decision {
 }
 
 /// One candidate's statistics window.
-#[derive(Clone, Debug)]
-struct Arm {
-    choice: LaunchChoice,
-    window: VecDeque<u64>,
-    observations: u64,
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct Arm {
+    pub(crate) window: VecDeque<u64>,
+    /// Lifetime observation count.
+    pub(crate) observations: u64,
 }
 
 impl Arm {
@@ -201,14 +201,20 @@ impl Arm {
 }
 
 /// Per-machine controller state: the arm windows plus the decided-batch
-/// counter that paces exploration.
-#[derive(Clone, Debug)]
-struct MachineState {
-    arms: Vec<Arm>,
-    decided: u64,
+/// counter that paces exploration. The arms' launch choices are the
+/// machine's, passed in; this is only what the controller learned.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct MachineState {
+    pub(crate) arms: Vec<Arm>,
+    pub(crate) decided: u64,
 }
 
 impl MachineState {
+    /// A machine with `n_arms` candidates, none observed.
+    pub(crate) fn new(n_arms: usize) -> Self {
+        MachineState { arms: vec![Arm::default(); n_arms], decided: 0 }
+    }
+
     /// Best (lowest) windowed mean among observed arms, with its arm index.
     fn incumbent(&self) -> Option<(usize, u64)> {
         self.arms
@@ -226,31 +232,64 @@ impl MachineState {
     /// pick's prediction is not worth a live probe (predictions are only
     /// compared with predictions — the surface's absolute scale never
     /// meets an observed cost).
-    fn cut_off(&self, i: usize, cutoff_permille: u64) -> bool {
+    fn cut_off(&self, choices: &[LaunchChoice], i: usize, cutoff_permille: u64) -> bool {
         match self.arms[i].mean() {
             Some(m) => match self.incumbent() {
                 Some((_, best)) => m.saturating_mul(1000) > best.saturating_mul(cutoff_permille),
                 None => false,
             },
             None => {
-                let prior = self.arms[i].choice.predicted_millicost;
-                let base = self.arms[0].choice.predicted_millicost;
+                let prior = choices[i].predicted_millicost;
+                let base = choices[0].predicted_millicost;
                 prior.saturating_mul(1000) > base.saturating_mul(cutoff_permille)
             }
         }
     }
-}
 
-/// One machine's exported dynamic state, for checkpointing: the
-/// decided-batch counter plus each arm's (cost window, lifetime
-/// observation count).
-pub(crate) type MachineArmState = (u64, Vec<(Vec<u64>, u64)>);
+    /// Decides the machine's next launch among its arm `choices`. A pure
+    /// function of the config, the choices, and the observations fed back
+    /// so far — no clocks, no randomness.
+    pub(crate) fn decide(&mut self, cfg: &ControllerConfig, choices: &[LaunchChoice]) -> Decision {
+        let turn = self.decided;
+        self.decided += 1;
+        let explore_turn = cfg.explore_period > 0
+            && self.arms.len() > 1
+            && turn % cfg.explore_period == cfg.explore_period - 1;
+        if explore_turn {
+            // Least-observed live arm, lowest index on ties.
+            let pick = self
+                .arms
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| !self.cut_off(choices, i, cfg.explore_cutoff_permille))
+                .min_by_key(|&(i, a)| (a.observations, i))
+                .map(|(i, _)| i)
+                .unwrap_or(0);
+            return Decision { arm: pick, choice: choices[pick], explore: true };
+        }
+        // Exploit: lowest observed windowed mean; the offline pick (arm 0)
+        // until anything has been observed.
+        let pick = self.incumbent().map_or(0, |(i, _)| i);
+        Decision { arm: pick, choice: choices[pick], explore: false }
+    }
+
+    /// Feeds one batch's observation back into the decided arm's window.
+    pub(crate) fn observe(&mut self, cfg: &ControllerConfig, arm: usize, obs: &BatchObservation) {
+        let a = &mut self.arms[arm];
+        a.window.push_back(obs.millicost());
+        if a.window.len() > cfg.window.max(1) {
+            a.window.pop_front();
+        }
+        a.observations += 1;
+    }
+}
 
 /// The online feedback controller: one `MachineState` per served
 /// machine, advanced machine-locally by the engine's forward pass.
 #[derive(Clone, Debug)]
 pub struct AdaptiveController {
     cfg: ControllerConfig,
+    arms: Vec<Vec<LaunchChoice>>,
     machines: Vec<MachineState>,
 }
 
@@ -259,17 +298,8 @@ impl AdaptiveController {
     /// machine, in machine order — see `ServeMachine::arms`). Arm 0 of each
     /// list must be the machine's offline pick.
     pub fn new(cfg: ControllerConfig, arms_per_machine: Vec<Vec<LaunchChoice>>) -> Self {
-        let machines = arms_per_machine
-            .into_iter()
-            .map(|arms| MachineState {
-                arms: arms
-                    .into_iter()
-                    .map(|choice| Arm { choice, window: VecDeque::new(), observations: 0 })
-                    .collect(),
-                decided: 0,
-            })
-            .collect();
-        AdaptiveController { cfg, machines }
+        let machines = arms_per_machine.iter().map(|arms| MachineState::new(arms.len())).collect();
+        AdaptiveController { cfg, arms: arms_per_machine, machines }
     }
 
     /// The decision-log cap from the config.
@@ -281,81 +311,12 @@ impl AdaptiveController {
     /// function of the config, the arm lists, and the observations fed back
     /// so far — no clocks, no randomness.
     pub fn decide(&mut self, machine: usize) -> Decision {
-        let cutoff = self.cfg.explore_cutoff_permille;
-        let st = &mut self.machines[machine];
-        let turn = st.decided;
-        st.decided += 1;
-        let explore_turn = self.cfg.explore_period > 0
-            && st.arms.len() > 1
-            && turn % self.cfg.explore_period == self.cfg.explore_period - 1;
-        let st = &self.machines[machine];
-        if explore_turn {
-            // Least-observed live arm, lowest index on ties.
-            let pick = st
-                .arms
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| !st.cut_off(i, cutoff))
-                .min_by_key(|&(i, a)| (a.observations, i))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            return Decision { arm: pick, choice: st.arms[pick].choice, explore: true };
-        }
-        // Exploit: lowest observed windowed mean; the offline pick (arm 0)
-        // until anything has been observed.
-        let pick = st.incumbent().map_or(0, |(i, _)| i);
-        Decision { arm: pick, choice: st.arms[pick].choice, explore: false }
-    }
-
-    /// The controller's entire dynamic state, for checkpointing: per
-    /// machine, the decided-batch counter plus each arm's (cost window,
-    /// lifetime observation count). Everything else — the arm choices, the
-    /// config — rebuilds from the serve configuration and machine list.
-    pub(crate) fn export_state(&self) -> Vec<MachineArmState> {
-        self.machines
-            .iter()
-            .map(|m| {
-                (
-                    m.decided,
-                    m.arms
-                        .iter()
-                        .map(|a| (a.window.iter().copied().collect(), a.observations))
-                        .collect(),
-                )
-            })
-            .collect()
-    }
-
-    /// Restores state exported by [`AdaptiveController::export_state`] into
-    /// a freshly built controller. Returns `false` (leaving the controller
-    /// untouched) when the shape does not match this controller's machine
-    /// and arm lists — a checkpoint from a different fleet must not
-    /// half-apply.
-    pub(crate) fn import_state(&mut self, state: &[MachineArmState]) -> bool {
-        if state.len() != self.machines.len()
-            || self.machines.iter().zip(state).any(|(m, (_, arms))| arms.len() != m.arms.len())
-        {
-            return false;
-        }
-        for (m, (decided, arms)) in self.machines.iter_mut().zip(state) {
-            m.decided = *decided;
-            for (a, (window, observations)) in m.arms.iter_mut().zip(arms) {
-                a.window = window.iter().copied().collect();
-                a.observations = *observations;
-            }
-        }
-        true
+        self.machines[machine].decide(&self.cfg, &self.arms[machine])
     }
 
     /// Feeds one batch's observation back into the decided arm's window.
     pub fn observe(&mut self, machine: usize, arm: usize, obs: &BatchObservation) {
-        let window = self.cfg.window.max(1);
-        let a = &mut self.machines[machine].arms[arm];
-        a.window.push_back(obs.millicost());
-        if a.window.len() > window {
-            a.window.pop_front();
-        }
-        a.observations += 1;
+        self.machines[machine].observe(&self.cfg, arm, obs);
     }
 }
 

@@ -66,10 +66,9 @@
 //! byte-identical to the historical one. Under [`ReportDetail::Bounded`]
 //! those vectors stay empty and the report's memory is O(1) in the stream
 //! count: summaries come from [`LatencySketch`]es past
-//! [`crate::report::EXACT_SUMMARY_MAX`] served streams, merged kernel
-//! stats drop their per-round event streams
-//! ([`KernelStats::merge_sequential_compact`]), and the queue-depth peak is
-//! tracked without the samples.
+//! [`crate::report::EXACT_SUMMARY_MAX`] served streams, the merged kernel
+//! stats' per-round event streams are emptied after every step, and the
+//! queue-depth peak is tracked without the samples.
 //!
 //! [`ServeReport::backpressure_events`]: crate::ServeReport::backpressure_events
 //! [`backpressure_wait_cycles`]: crate::ServeReport::backpressure_wait_cycles
@@ -87,8 +86,7 @@ use gspecpal_gpu::{
 };
 
 use crate::controller::{
-    AdaptiveController, BatchObservation, ControllerConfig, DecisionRecord, LaunchChoice,
-    MachineArmState,
+    BatchObservation, ControllerConfig, DecisionRecord, LaunchChoice, MachineState,
 };
 use crate::error::ServeError;
 use crate::policy::{BatchPolicy, PriorityClass};
@@ -343,7 +341,8 @@ pub struct ServeConfig {
     /// How much detail the report retains (full vectors vs bounded
     /// memory).
     pub detail: ReportDetail,
-    /// Online autotuning: when set, an [`AdaptiveController`] re-selects
+    /// Online autotuning: when set, an
+    /// [`AdaptiveController`](crate::AdaptiveController) re-selects
     /// scheme, spec-k, and stitch policy per (machine, batch) from observed
     /// batch costs, starting from each machine's offline pick. `None` (the
     /// default) serves every batch with the static selector choice — the
@@ -388,6 +387,11 @@ impl ServeConfig {
     /// Bytes one input staging buffer holds.
     pub fn buffer_bytes(&self) -> usize {
         self.device_mem_bytes / 2
+    }
+
+    /// Whether the run keeps per-stream and per-batch detail.
+    fn full_detail(&self) -> bool {
+        self.detail == ReportDetail::Full
     }
 
     pub(crate) fn validate(&self) -> Result<(), ServeError> {
@@ -605,7 +609,7 @@ fn copy_with_retries(
             CopyDir::H2d => timeline.h2d(ready, stats.cycles),
             CopyDir::D2h => timeline.d2h(ready, stats.cycles),
         };
-        col.merge_stats(stats);
+        col.report.stats.merge_sequential(stats);
         if !faults.plan.copy_fails(domain, fault_coord(batch_idx), attempt) {
             return Some(span);
         }
@@ -624,33 +628,39 @@ fn copy_with_retries(
     None
 }
 
-/// Pulls and validates arrivals from a [`TraceSource`]: machine bounds,
-/// staging-buffer fit, and arrival-cycle monotonicity, enforced lazily as
-/// the stream is consumed.
-struct Puller<S> {
-    source: S,
-    n_machines: usize,
-    buffer_bytes: usize,
+/// The source cursor: streams pulled so far and the last arrival cycle,
+/// which [`PullCursor::pull`] checks machine bounds, staging-buffer fit,
+/// and arrival-cycle monotonicity against, lazily as the stream is
+/// consumed.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct PullCursor {
     /// Streams pulled so far — the admission index of the *next* pull.
-    pulled: usize,
-    last_cycle: u64,
+    pub(crate) pulled: usize,
+    pub(crate) last_cycle: u64,
 }
 
-impl<S: TraceSource> Puller<S> {
-    fn pull(&mut self, col: &mut Collector) -> Result<Option<StreamArrival>, ServeError> {
-        let Some(a) = self.source.next_arrival() else { return Ok(None) };
-        if a.machine >= self.n_machines {
+impl PullCursor {
+    fn pull(
+        &mut self,
+        source: &mut impl TraceSource,
+        n_machines: usize,
+        cfg: &ServeConfig,
+        col: &mut Collector,
+    ) -> Result<Option<StreamArrival>, ServeError> {
+        let Some(a) = source.next_arrival() else { return Ok(None) };
+        if a.machine >= n_machines {
             return Err(ServeError::UnknownMachine {
                 stream: self.pulled,
                 machine: a.machine,
-                n_machines: self.n_machines,
+                n_machines,
             });
         }
-        if a.bytes.len() > self.buffer_bytes {
+        let buffer_bytes = cfg.buffer_bytes();
+        if a.bytes.len() > buffer_bytes {
             return Err(ServeError::StreamTooLarge {
                 stream: self.pulled,
                 bytes: a.bytes.len(),
-                buffer_bytes: self.buffer_bytes,
+                buffer_bytes,
             });
         }
         if a.arrival_cycle < self.last_cycle {
@@ -670,12 +680,15 @@ impl<S: TraceSource> Puller<S> {
     /// source ran dry first.
     fn fill(
         &mut self,
+        source: &mut impl TraceSource,
+        n_machines: usize,
+        cfg: &ServeConfig,
         window: &mut VecDeque<StreamArrival>,
         col: &mut Collector,
         n: usize,
     ) -> Result<bool, ServeError> {
         while window.len() < n {
-            match self.pull(col)? {
+            match self.pull(source, n_machines, cfg, col)? {
                 Some(a) => window.push_back(a),
                 None => return Ok(false),
             }
@@ -684,32 +697,29 @@ impl<S: TraceSource> Puller<S> {
     }
 }
 
-/// The last `max_queue_depth` slot-release cycles, by admission index.
-/// Admission of stream `k` waits on the release of stream `k − depth`, and
-/// batches never exceed the queue depth, so this window always covers every
-/// release the forward pass can still ask for.
-struct ReleaseRing {
-    depth: usize,
+/// The last `depth` (= `max_queue_depth`) slot-release cycles, by
+/// admission index. Admission of stream `k` waits on the release of stream
+/// `k − depth`, and batches never exceed the queue depth, so this window
+/// always covers every release the forward pass can still ask for.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct ReleaseRing {
     /// Total releases pushed (one per stream whose fate is sealed).
-    released: usize,
-    recent: VecDeque<u64>,
+    pub(crate) released: usize,
+    /// The retained release cycles, oldest first.
+    pub(crate) recent: VecDeque<u64>,
 }
 
 impl ReleaseRing {
-    fn new(depth: usize) -> Self {
-        ReleaseRing { depth, released: 0, recent: VecDeque::new() }
-    }
-
-    fn push(&mut self, t: u64) {
+    fn push(&mut self, t: u64, depth: usize) {
         self.recent.push_back(t);
         self.released += 1;
-        if self.recent.len() > self.depth {
+        if self.recent.len() > depth {
             self.recent.pop_front();
         }
     }
 
     /// Release cycle of stream `k` (admission index); `k` must be within
-    /// the last `depth` released streams.
+    /// the retained window.
     fn get(&self, k: usize) -> u64 {
         let first_retained = self.released - self.recent.len();
         self.recent[k - first_retained]
@@ -722,8 +732,8 @@ impl ReleaseRing {
     /// admission once the window is full. `None` while fewer than `depth`
     /// streams have released (earlier admissions are unfloored, so only
     /// arrival monotonicity bounds the future).
-    fn floor(&self) -> Option<u64> {
-        if self.released >= self.depth {
+    fn floor(&self, depth: usize) -> Option<u64> {
+        if self.released >= depth {
             self.recent.iter().copied().min()
         } else {
             None
@@ -764,48 +774,60 @@ impl ReleaseRing {
 /// strictly below the bound is sampled immediately, so the heap only holds
 /// events near the admission frontier — O(queue depth + batch size), not
 /// O(streams).
-struct DepthTracker {
-    /// Min-heap of `(cycle, kind)` with kind −1 = release, +1 = admission,
-    /// so releases pop first at equal cycles.
-    pending: BinaryHeap<Reverse<(u64, i8)>>,
-    depth: i64,
+///
+/// Samples are kept only when `keep` is passed (full report detail); the
+/// peak is tracked either way.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct DepthTracker {
+    pub(crate) pending: DepthEvents,
+    /// Running queue depth at the sampling frontier.
+    pub(crate) depth: i64,
     /// Cycle of the currently open (not yet sampled) event group.
-    group: Option<u64>,
-    samples: Vec<(u64, usize)>,
-    keep_samples: bool,
-    peak: usize,
-    cap: usize,
+    pub(crate) group: Option<u64>,
+    pub(crate) samples: Vec<(u64, usize)>,
+    pub(crate) peak: usize,
     /// Whether any breaker-shed stream contributed an `(admit, release)` =
     /// `(0, 0)` pair. Net-zero, so it is tracked as a flag and folded in at
     /// the end instead of being enqueued (by then the cycle-0 group may
     /// already be closed).
-    zero_pairs: bool,
+    pub(crate) zero_pairs: bool,
+}
+
+/// The depth tracker's pending events: a min-heap of `(cycle, kind)` with
+/// kind −1 = release, +1 = admission, so releases pop first at equal
+/// cycles. The heap's layout depends on insertion history; its multiset is
+/// the state, so equality and the checkpoint encoding see the events
+/// sorted, and a heap rebuilt from any permutation of them drains
+/// identically (equal keys are indistinguishable).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct DepthEvents(pub(crate) BinaryHeap<Reverse<(u64, i8)>>);
+
+impl DepthEvents {
+    /// The events in ascending order — the canonical form.
+    pub(crate) fn sorted(&self) -> Vec<(u64, i8)> {
+        let mut events: Vec<(u64, i8)> = self.0.iter().map(|r| r.0).collect();
+        events.sort_unstable();
+        events
+    }
+}
+
+impl PartialEq for DepthEvents {
+    fn eq(&self, other: &Self) -> bool {
+        self.sorted() == other.sorted()
+    }
 }
 
 impl DepthTracker {
-    fn new(keep_samples: bool, cap: usize) -> Self {
-        DepthTracker {
-            pending: BinaryHeap::new(),
-            depth: 0,
-            group: None,
-            samples: Vec::new(),
-            keep_samples,
-            peak: 0,
-            cap,
-            zero_pairs: false,
-        }
-    }
-
     /// Records one stream's admission and slot-release cycles, then folds
     /// out everything pending at or below `bound`. Must be called in
     /// admission order; `release ≥ admit ≥ bound`, and the caller
     /// guarantees every future event is ≥ `bound` (see the type docs).
-    fn record(&mut self, admit: u64, release: u64, bound: u64) {
+    fn record(&mut self, admit: u64, release: u64, bound: u64, keep: bool) {
         debug_assert!(release >= admit, "a slot cannot release before its stream admits");
         debug_assert!(admit >= bound, "recording an event below the finality bound");
-        self.pending.push(Reverse((admit, 1)));
-        self.pending.push(Reverse((release, -1)));
-        self.drain(bound);
+        self.pending.0.push(Reverse((admit, 1)));
+        self.pending.0.push(Reverse((release, -1)));
+        self.drain(bound, keep);
     }
 
     /// A breaker-shed stream: admit = release = 0, net-zero depth.
@@ -816,41 +838,35 @@ impl DepthTracker {
     /// Applies every pending event at or below `bound` (all such events are
     /// final — see the type docs). Events *at* the bound leave their group
     /// open, since future events may still share the cycle.
-    fn drain(&mut self, bound: u64) {
-        while let Some(&Reverse((t, kind))) = self.pending.peek() {
+    fn drain(&mut self, bound: u64, keep: bool) {
+        while let Some(&Reverse((t, kind))) = self.pending.0.peek() {
             if t > bound {
                 break;
             }
-            self.pending.pop();
+            self.pending.0.pop();
             if self.group != Some(t) {
-                self.close_group();
+                self.close_group(keep);
                 self.group = Some(t);
             }
             self.depth += i64::from(kind);
         }
     }
 
-    fn close_group(&mut self) {
+    fn close_group(&mut self, keep: bool) {
         let Some(t) = self.group.take() else { return };
         debug_assert!(self.depth >= 0, "net queue depth at a cycle boundary is never negative");
         let d = self.depth.max(0) as usize;
-        debug_assert!(
-            d <= self.cap,
-            "sampled queue depth {d} exceeds max_queue_depth {}",
-            self.cap
-        );
         self.peak = self.peak.max(d);
-        if self.keep_samples {
+        if keep {
             self.samples.push((t, d));
         }
     }
 
     /// Flushes everything and returns `(samples, peak)`.
-    fn finish(mut self) -> (Vec<(u64, usize)>, usize) {
-        self.drain(u64::MAX);
-        self.close_group();
-        if self.zero_pairs && self.keep_samples && self.samples.first().is_none_or(|&(t, _)| t != 0)
-        {
+    fn finish(mut self, keep: bool) -> (Vec<(u64, usize)>, usize) {
+        self.drain(u64::MAX, keep);
+        self.close_group(keep);
+        if self.zero_pairs && keep && self.samples.first().is_none_or(|&(t, _)| t != 0) {
             // The breaker pairs all sit at cycle 0; if no real event shares
             // that cycle they form their own net-zero sample at the front.
             self.samples.insert(0, (0, 0));
@@ -873,12 +889,14 @@ impl DepthTracker {
 ///
 /// Only successful batches register, matching the historical metric. The
 /// retained windows are O(pipeline depth), not O(batches).
-#[derive(Default)]
-struct OverlapMeter {
-    computes: VecDeque<Span>,
-    pending_copies: VecDeque<Span>,
-    copy_busy: u64,
-    hidden: u64,
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct OverlapMeter {
+    pub(crate) computes: VecDeque<Span>,
+    /// Copies still pending against future computes.
+    pub(crate) pending_copies: VecDeque<Span>,
+    pub(crate) copy_busy: u64,
+    /// Copy cycles hidden under kernels so far.
+    pub(crate) hidden: u64,
 }
 
 impl OverlapMeter {
@@ -911,28 +929,25 @@ impl OverlapMeter {
 }
 
 /// Streams served latencies into either an exact vector or, past
-/// [`EXACT_SUMMARY_MAX`] under bounded detail, a [`LatencySketch`]. The
-/// spill is invisible in the result: [`LatencySummary::from_latencies`]
-/// routes large exact sets through the identical sketch, and sketch
-/// contents are insertion-order independent.
-struct LatencyAcc {
-    exact: Vec<u64>,
-    sketch: Option<LatencySketch>,
-    spill: bool,
+/// [`EXACT_SUMMARY_MAX`] when `spill` is passed (bounded detail), a
+/// [`LatencySketch`]. The spill is invisible in the result:
+/// [`LatencySummary::from_latencies`] routes large exact sets through the
+/// identical sketch, and sketch contents are insertion-order independent.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct LatencyAcc {
+    pub(crate) exact: Vec<u64>,
+    /// The sketch, once spilled.
+    pub(crate) sketch: Option<LatencySketch>,
 }
 
 impl LatencyAcc {
-    fn new(spill: bool) -> Self {
-        LatencyAcc { exact: Vec::new(), sketch: None, spill }
-    }
-
-    fn push(&mut self, v: u64) {
+    fn push(&mut self, v: u64, spill: bool) {
         if let Some(s) = &mut self.sketch {
             s.record(v);
             return;
         }
         self.exact.push(v);
-        if self.spill && self.exact.len() > EXACT_SUMMARY_MAX {
+        if spill && self.exact.len() > EXACT_SUMMARY_MAX {
             let mut s = LatencySketch::new();
             for &x in &self.exact {
                 s.record(x);
@@ -955,28 +970,28 @@ impl LatencyAcc {
 }
 
 /// Accumulates the report as stream fates are decided, in admission order.
-/// Under [`ReportDetail::Full`] the per-stream vectors fill exactly as the
-/// historical batch-indexed writes did; under [`ReportDetail::Bounded`]
-/// they stay empty and only counters, summaries and sketches grow.
-struct Collector {
-    full: bool,
-    report: ServeReport,
-    delivery: LatencyAcc,
-    kernel: LatencyAcc,
+/// Under [`ReportDetail::Full`] (`full`) the per-stream vectors fill
+/// exactly as the historical batch-indexed writes did; under
+/// [`ReportDetail::Bounded`] they stay empty and only counters, summaries
+/// and sketches grow.
+#[derive(Clone, Debug, PartialEq)]
+pub(crate) struct Collector {
+    /// The report so far (finalization fields still default).
+    pub(crate) report: ServeReport,
+    pub(crate) delivery: LatencyAcc,
+    pub(crate) kernel: LatencyAcc,
 }
 
 impl Collector {
     fn new(cfg: &ServeConfig) -> Self {
-        let full = cfg.detail == ReportDetail::Full;
         Collector {
-            full,
             report: ServeReport {
                 policy: Some(cfg.policy.kind()),
                 overlap: cfg.overlap,
                 ..ServeReport::default()
             },
-            delivery: LatencyAcc::new(!full),
-            kernel: LatencyAcc::new(!full),
+            delivery: LatencyAcc::default(),
+            kernel: LatencyAcc::default(),
         }
     }
 
@@ -987,23 +1002,24 @@ impl Collector {
 
     fn served(
         &mut self,
+        full: bool,
         latency: u64,
         kernel_latency: u64,
         end_state: gspecpal_fsm::StateId,
         accepted: bool,
     ) {
-        if self.full {
+        if full {
             self.report.latencies.push(latency);
             self.report.end_states.push(end_state);
             self.report.accepted.push(accepted);
             self.report.outcomes.push(StreamOutcome::Served);
         }
-        self.delivery.push(latency);
-        self.kernel.push(kernel_latency);
+        self.delivery.push(latency, !full);
+        self.kernel.push(kernel_latency, !full);
     }
 
-    fn shed(&mut self, outcome: StreamOutcome) {
-        if self.full {
+    fn shed(&mut self, full: bool, outcome: StreamOutcome) {
+        if full {
             self.report.latencies.push(0);
             self.report.end_states.push(0);
             self.report.accepted.push(false);
@@ -1012,11 +1028,15 @@ impl Collector {
         self.report.recovery.shed_streams += 1;
     }
 
-    fn merge_stats(&mut self, stats: &KernelStats) {
-        if self.full {
-            self.report.stats.merge_sequential(stats);
-        } else {
-            self.report.stats.merge_sequential_compact(stats);
+    /// Under bounded detail, empties the merged stats' per-round event
+    /// streams; called after every step, so they never hold more than one
+    /// step's kernels.
+    fn bound_stats(&mut self, full: bool) {
+        if !full {
+            let stats = &mut self.report.stats;
+            stats.active_per_round.clear();
+            stats.recovering_per_round.clear();
+            stats.round_durations.clear();
         }
     }
 }
@@ -1030,84 +1050,66 @@ enum TableTouch {
     Miss { copy_bytes: usize, evictions: u64 },
 }
 
-/// The per-device transition-table LRU (see [`ResidencyConfig`]). Keyed by
-/// machine id; byte-accounted with each machine's global table footprint.
-struct ResidencyLru {
+/// Looks machine `m`'s table up in the residency LRU (see
+/// [`ResidencyConfig`]): `order` holds the resident machine ids, least
+/// recently used first, byte-accounted with each machine's global table
+/// footprint against `capacity`.
+fn touch_table(
+    order: &mut VecDeque<usize>,
+    m: usize,
     capacity: usize,
-    used: usize,
-    /// Resident machine ids, least recently used first.
-    order: VecDeque<usize>,
-    resident: Vec<bool>,
-    bytes: Vec<usize>,
+    machines: &[ServeMachine<'_>],
+) -> TableTouch {
+    if let Some(pos) = order.iter().position(|&x| x == m) {
+        order.remove(pos);
+        order.push_back(m);
+        return TableTouch::Hit;
+    }
+    let bytes = |m: usize| machines[m].table_footprint_bytes();
+    let b = bytes(m);
+    if b > capacity {
+        // Never cacheable: every batch re-uploads, nothing is evicted for
+        // it.
+        return TableTouch::Miss { copy_bytes: b, evictions: 0 };
+    }
+    let mut used: usize = order.iter().map(|&x| bytes(x)).sum();
+    let mut evictions = 0;
+    while used + b > capacity {
+        let lru = order.pop_front().expect("over-budget LRU must hold a table");
+        used -= bytes(lru);
+        evictions += 1;
+    }
+    order.push_back(m);
+    TableTouch::Miss { copy_bytes: b, evictions }
 }
 
-impl ResidencyLru {
-    fn new(capacity: usize, machines: &[ServeMachine<'_>]) -> Self {
-        ResidencyLru {
-            capacity,
-            used: 0,
-            order: VecDeque::new(),
-            resident: vec![false; machines.len()],
-            bytes: machines.iter().map(|m| m.table.global_footprint_bytes()).collect(),
+/// Whether `order` is a resident set [`touch_table`] could have built:
+/// known machines, none twice, within the byte budget.
+fn valid_resident_set(
+    order: &VecDeque<usize>,
+    capacity: usize,
+    machines: &[ServeMachine<'_>],
+) -> bool {
+    let mut resident = vec![false; machines.len()];
+    let mut used = 0usize;
+    for &m in order {
+        if m >= resident.len() || std::mem::replace(&mut resident[m], true) {
+            return false;
         }
+        used += machines[m].table_footprint_bytes();
     }
-
-    /// Rebuilds an LRU from its resident-order snapshot (least recently
-    /// used first); `used` and the residency flags re-derive from the
-    /// order and the machines' table footprints. `None` when the order is
-    /// not a valid resident set (out-of-range id, duplicate, over budget).
-    fn from_order(capacity: usize, machines: &[ServeMachine<'_>], order: &[usize]) -> Option<Self> {
-        let mut lru = ResidencyLru::new(capacity, machines);
-        for &m in order {
-            if m >= lru.resident.len() || lru.resident[m] {
-                return None;
-            }
-            lru.resident[m] = true;
-            lru.used += lru.bytes[m];
-            lru.order.push_back(m);
-        }
-        if lru.used > capacity {
-            return None;
-        }
-        Some(lru)
-    }
-
-    fn touch(&mut self, m: usize) -> TableTouch {
-        if self.resident[m] {
-            if let Some(pos) = self.order.iter().position(|&x| x == m) {
-                self.order.remove(pos);
-            }
-            self.order.push_back(m);
-            return TableTouch::Hit;
-        }
-        let b = self.bytes[m];
-        if b > self.capacity {
-            // Never cacheable: every batch re-uploads, nothing is evicted
-            // for it.
-            return TableTouch::Miss { copy_bytes: b, evictions: 0 };
-        }
-        let mut evictions = 0;
-        while self.used + b > self.capacity {
-            let lru = self.order.pop_front().expect("over-budget LRU must hold a table");
-            self.resident[lru] = false;
-            self.used -= self.bytes[lru];
-            evictions += 1;
-        }
-        self.resident[m] = true;
-        self.used += b;
-        self.order.push_back(m);
-        TableTouch::Miss { copy_bytes: b, evictions }
-    }
+    used <= capacity
 }
 
 /// Manual compute-queue cursor for preempt mode. Like
 /// [`gspecpal_gpu::Engine`], but owned by the serve layer so an *open*
 /// bulk kernel's end can still be stretched when a deadline kernel splits
 /// it — a hardware engine's schedule is append-only.
-#[derive(Default)]
-struct ComputeCursor {
-    free: u64,
-    horizon: u64,
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct ComputeCursor {
+    /// The next-free cycle.
+    pub(crate) free: u64,
+    pub(crate) horizon: u64,
 }
 
 impl ComputeCursor {
@@ -1163,6 +1165,10 @@ enum SinkOp {
 /// In non-preempt mode `buffering` is never set and every op applies
 /// immediately, which keeps the historical path byte-identical.
 struct Sink {
+    /// Whether stream fates keep per-stream detail: the run's
+    /// [`ReportDetail::Full`], carried here because every fate lands
+    /// through the sink.
+    full: bool,
     buffering: bool,
     buf: Vec<SinkOp>,
 }
@@ -1172,23 +1178,23 @@ impl Sink {
         if self.buffering {
             self.buf.push(op);
         } else {
-            Sink::apply(op, col, meter);
+            Sink::apply(self.full, op, col, meter);
         }
     }
 
     fn flush(&mut self, col: &mut Collector, meter: &mut OverlapMeter) {
         self.buffering = false;
         for op in std::mem::take(&mut self.buf) {
-            Sink::apply(op, col, meter);
+            Sink::apply(self.full, op, col, meter);
         }
     }
 
-    fn apply(op: SinkOp, col: &mut Collector, meter: &mut OverlapMeter) {
+    fn apply(full: bool, op: SinkOp, col: &mut Collector, meter: &mut OverlapMeter) {
         match op {
             SinkOp::Served { latency, kernel_latency, end_state, accepted } => {
-                col.served(latency, kernel_latency, end_state, accepted);
+                col.served(full, latency, kernel_latency, end_state, accepted);
             }
-            SinkOp::Shed(outcome) => col.shed(outcome),
+            SinkOp::Shed(outcome) => col.shed(full, outcome),
             SinkOp::Dispatched => col.report.batches_dispatched += 1,
             SinkOp::Meter { h2d, compute, d2h } => meter.record(h2d, compute, d2h),
             SinkOp::Batch(record) => col.report.batches.push(*record),
@@ -1313,7 +1319,7 @@ fn close_pending(
             }
             sink.push(SinkOp::Dispatched, col, meter);
             sink.push(SinkOp::Meter { h2d: pc.h2d, compute: pc.compute, d2h }, col, meter);
-            if col.full {
+            if sink.full {
                 sink.push(
                     SinkOp::Batch(Box::new(BatchRecord {
                         first_stream: pc.first_stream,
@@ -1372,6 +1378,7 @@ pub fn serve_source<S: TraceSource>(
 /// Frees a batch's queue slots at cycle `release`, recording each stream's
 /// stay (depth tracker) and admission wait (backpressure counters).
 fn release_slots(
+    cfg: &ServeConfig,
     ring: &mut ReleaseRing,
     depths: &mut DepthTracker,
     col: &mut Collector,
@@ -1379,16 +1386,18 @@ fn release_slots(
     admits: &[u64],
     arrivals: &[StreamArrival],
 ) {
-    let floor = ring.floor().unwrap_or(0);
+    let depth = cfg.max_queue_depth;
+    let floor = ring.floor(depth).unwrap_or(0);
     for (&admit, a) in admits.iter().zip(arrivals) {
-        ring.push(release);
-        depths.record(admit, release, a.arrival_cycle.max(floor));
+        ring.push(release, depth);
+        depths.record(admit, release, a.arrival_cycle.max(floor), cfg.full_detail());
         let wait = admit - a.arrival_cycle;
         if wait > 0 {
             col.report.backpressure_events += 1;
             col.report.backpressure_wait_cycles += wait;
         }
     }
+    debug_assert!(depths.peak <= depth, "sampled queue depth exceeds max_queue_depth");
 }
 
 /// Admission cycle of stream `k`: its arrival, floored by the release of
@@ -1401,19 +1410,17 @@ fn admit_at(depth: usize, ring: &ReleaseRing, arrival: u64, k: usize) -> u64 {
     }
 }
 
-/// The engine's entire mutable state at a quiescent inter-batch boundary —
-/// what [`crate::checkpoint`] serializes into an
-/// [`crate::checkpoint::EngineCheckpoint`]. Fields mirror the engine's
-/// internals one-to-one; everything configuration-derived (the fault plan,
-/// detail flags, queue depth, controller arm lists, residency footprints)
-/// is deliberately absent and rebuilt by [`ServeRun::restore`] from the same
-/// `ServeConfig` and machine list, which the checkpoint layer fingerprints.
+/// The engine's entire mutable state between batches — what an
+/// [`crate::checkpoint::EngineCheckpoint`] holds, field for field in wire
+/// order. Everything configuration-derived (queue depth, report detail,
+/// fault plan, controller arms, table footprints) is read from the
+/// `ServeConfig` and machine list instead, which the checkpoint layer
+/// fingerprints.
 #[derive(Clone, Debug, PartialEq)]
-pub(crate) struct EngineSnapshot {
-    /// Streams pulled from the source (the resume point's skip count).
-    pub(crate) pulled: usize,
-    /// Last pulled arrival cycle (the monotonicity cursor).
-    pub(crate) last_cycle: u64,
+pub(crate) struct EngineState {
+    /// The source cursor (the resume point's skip count and the
+    /// monotonicity check).
+    pub(crate) cursor: PullCursor,
     /// Admission index of the window head.
     pub(crate) next: usize,
     /// Batches formed so far (including abandoned ones).
@@ -1422,55 +1429,47 @@ pub(crate) struct EngineSnapshot {
     pub(crate) breaker_consecutive: u32,
     /// When each double buffer frees for its next input copy.
     pub(crate) buffer_free: [u64; 2],
-    /// Preempt-mode compute cursor: next-free cycle.
-    pub(crate) cq_free: u64,
-    /// Preempt-mode compute cursor: horizon.
-    pub(crate) cq_horizon: u64,
-    /// Device timeline queue frontiers `[h2d, compute, d2h]`.
+    /// The preempt-mode compute cursor.
+    pub(crate) cq: ComputeCursor,
+    /// The device timeline's queue frontiers `[h2d, compute, d2h]`.
     pub(crate) frontiers: [u64; 3],
-    /// Pulled-but-undispatched arrivals (the admission window).
-    pub(crate) window: Vec<StreamArrival>,
-    /// Total slot releases pushed into the release ring.
-    pub(crate) ring_released: usize,
-    /// The ring's retained release cycles, oldest first.
-    pub(crate) ring_recent: Vec<u64>,
-    /// The depth tracker's pending events `(cycle, kind)`, canonically
-    /// sorted (the heap's multiset is its state; layout is not).
-    pub(crate) depth_pending: Vec<(u64, i8)>,
-    /// Running queue depth at the tracker's sampling frontier.
-    pub(crate) depth_depth: i64,
-    /// Cycle of the tracker's open (unsampled) event group.
-    pub(crate) depth_group: Option<u64>,
-    /// Queue-depth samples emitted so far (full detail only).
-    pub(crate) depth_samples: Vec<(u64, usize)>,
-    /// Peak sampled queue depth so far.
-    pub(crate) depth_peak: usize,
-    /// Whether any breaker-shed net-zero pair was recorded.
-    pub(crate) depth_zero_pairs: bool,
-    /// The overlap meter's retained compute spans.
-    pub(crate) meter_computes: Vec<Span>,
-    /// The overlap meter's copies still pending against future computes.
-    pub(crate) meter_pending_copies: Vec<Span>,
-    /// Copy-engine busy cycles accumulated.
-    pub(crate) meter_copy_busy: u64,
-    /// Copy cycles hidden under kernels so far.
-    pub(crate) meter_hidden: u64,
-    /// Resident machine ids of the table LRU, least recently used first
+    /// Pulled-but-undispatched arrivals: at most one batch plus one
+    /// look-ahead stream.
+    pub(crate) window: VecDeque<StreamArrival>,
+    pub(crate) ring: ReleaseRing,
+    pub(crate) depths: DepthTracker,
+    pub(crate) meter: OverlapMeter,
+    /// The table LRU's resident machine ids, least recently used first
     /// (`None` when residency modeling is off).
-    pub(crate) residency_order: Option<Vec<usize>>,
-    /// Adaptive-controller dynamic state: per machine, the decided-batch
-    /// counter and each arm's (cost window, observation count).
-    pub(crate) controller: Option<Vec<MachineArmState>>,
-    /// The report accumulated so far (finalization fields still default).
-    pub(crate) report: ServeReport,
-    /// Delivery-latency accumulator: exact values collected so far.
-    pub(crate) delivery_exact: Vec<u64>,
-    /// Delivery-latency accumulator: the sketch, once spilled.
-    pub(crate) delivery_sketch: Option<LatencySketch>,
-    /// Kernel-latency accumulator: exact values collected so far.
-    pub(crate) kernel_exact: Vec<u64>,
-    /// Kernel-latency accumulator: the sketch, once spilled.
-    pub(crate) kernel_sketch: Option<LatencySketch>,
+    pub(crate) residency: Option<VecDeque<usize>>,
+    /// The adaptive controller's per-machine state (`None` without one).
+    pub(crate) controller: Option<Vec<MachineState>>,
+    pub(crate) col: Collector,
+}
+
+impl EngineState {
+    /// The state of a fresh run at cycle 0.
+    fn new(machines: &[ServeMachine<'_>], cfg: &ServeConfig) -> Self {
+        EngineState {
+            cursor: PullCursor::default(),
+            next: 0,
+            batch_idx: 0,
+            breaker_consecutive: 0,
+            buffer_free: [0; 2],
+            cq: ComputeCursor::default(),
+            frontiers: [0; 3],
+            window: VecDeque::new(),
+            ring: ReleaseRing::default(),
+            depths: DepthTracker::default(),
+            meter: OverlapMeter::default(),
+            residency: cfg.residency.map(|_| VecDeque::new()),
+            controller: cfg
+                .controller
+                .as_ref()
+                .map(|_| machines.iter().map(|m| MachineState::new(m.arms.len())).collect()),
+            col: Collector::new(cfg),
+        }
+    }
 }
 
 /// A serve run in progress, stepped one batch at a time — the one engine
@@ -1484,30 +1483,18 @@ pub struct ServeRun<'e, 'm, S> {
     spec: &'e DeviceSpec,
     machines: &'e [ServeMachine<'m>],
     cfg: &'e ServeConfig,
-    breaker_consecutive: u32,
-    timeline: DeviceTimeline,
-    controller: Option<AdaptiveController>,
-    col: Collector,
-    depths: DepthTracker,
-    meter: OverlapMeter,
-    residency: Option<ResidencyLru>,
+    source: S,
+    // Per-step scratch: all of it is empty at a quiescent boundary (see
+    // `quiescent`), so none of it is persisted. Only in preempt mode does
+    // an open bulk batch, with its buffered report effects, outlive a step.
     sink: Sink,
     open: Option<PendingClose>,
-    cq: ComputeCursor,
     fails: Vec<bool>,
-    puller: Puller<S>,
-    /// Pulled-but-undispatched arrivals: at most one batch plus one
-    /// look-ahead stream.
-    window: VecDeque<StreamArrival>,
-    ring: ReleaseRing,
-    /// Reused per batch: the drained arrivals and their admission cycles.
+    /// The drained arrivals of the batch being formed, and their admission
+    /// cycles.
     batch_arrivals: Vec<StreamArrival>,
     batch_admits: Vec<u64>,
-    /// When each double buffer becomes free for the next input copy.
-    buffer_free: [u64; 2],
-    /// Admission index of the window head.
-    next: usize,
-    batch_idx: usize,
+    state: EngineState,
 }
 
 impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
@@ -1520,53 +1507,29 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         cfg: &'e ServeConfig,
     ) -> Result<Self, ServeError> {
         cfg.validate()?;
-        let col = Collector::new(cfg);
-        let full = col.full;
-        Ok(ServeRun {
+        Ok(ServeRun::with_state(spec, machines, source, cfg, EngineState::new(machines, cfg)))
+    }
+
+    /// A run that continues from `state`, with empty per-step scratch.
+    fn with_state(
+        spec: &'e DeviceSpec,
+        machines: &'e [ServeMachine<'m>],
+        source: S,
+        cfg: &'e ServeConfig,
+        state: EngineState,
+    ) -> Self {
+        ServeRun {
             spec,
             machines,
             cfg,
-            breaker_consecutive: 0,
-            timeline: DeviceTimeline::new(cfg.overlap),
-            // The adaptive controller is fed from this single sequential
-            // forward pass over bit-deterministic batch stats, so its
-            // decisions inherit the engine's thread-count independence for
-            // free.
-            controller: cfg.controller.as_ref().map(|cc| {
-                AdaptiveController::new(
-                    cc.clone(),
-                    machines.iter().map(|m| m.arms.clone()).collect(),
-                )
-            }),
-            col,
-            depths: DepthTracker::new(full, cfg.max_queue_depth),
-            meter: OverlapMeter::default(),
-            residency: cfg.residency.map(|rc| ResidencyLru::new(rc.capacity_bytes, machines)),
-            // Report-side effects route through the sink: write-through
-            // normally, buffered while a bulk kernel is open in preempt
-            // mode (so fates replay in admission order once it closes).
-            sink: Sink { buffering: false, buf: Vec::new() },
-            // Preempt-mode state: the open (still preemptible) bulk batch,
-            // the manual compute cursor, and the batch failures sealed
-            // this iteration.
+            source,
+            sink: Sink { full: cfg.full_detail(), buffering: false, buf: Vec::new() },
             open: None,
-            cq: ComputeCursor::default(),
             fails: Vec::new(),
-            puller: Puller {
-                source,
-                n_machines: machines.len(),
-                buffer_bytes: cfg.buffer_bytes(),
-                pulled: 0,
-                last_cycle: 0,
-            },
-            window: VecDeque::new(),
-            ring: ReleaseRing::new(cfg.max_queue_depth),
             batch_arrivals: Vec::new(),
             batch_admits: Vec::new(),
-            buffer_free: [0u64; 2],
-            next: 0,
-            batch_idx: 0,
-        })
+            state,
+        }
     }
 
     /// Whether the engine sits at a checkpointable boundary: no open
@@ -1585,12 +1548,12 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
     /// The pipeline horizon so far: the latest cycle any device queue (or
     /// the preempt-mode compute cursor) is busy until.
     pub(crate) fn horizon(&self) -> u64 {
-        self.timeline.horizon().max(self.cq.horizon)
+        self.state.frontiers.into_iter().max().unwrap_or(0).max(self.state.cq.horizon)
     }
 
     /// Batches formed so far, including abandoned ones.
     pub(crate) fn batches_formed(&self) -> usize {
-        self.batch_idx
+        self.state.batch_idx
     }
 
     /// Forms and dispatches one batch (or sheds the head-of-queue stream,
@@ -1600,41 +1563,45 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
     /// is the uninterrupted run, byte for byte, however the steps are
     /// interleaved with other work.
     pub fn step(&mut self) -> Result<bool, ServeError> {
-        let spec = self.spec;
-        let machines = self.machines;
-        let cfg = self.cfg;
+        let mut timeline = DeviceTimeline::from_frontiers(self.cfg.overlap, self.state.frontiers);
+        let more = self.dispatch(&mut timeline);
+        self.state.frontiers = timeline.queue_frontiers();
+        self.state.col.bound_stats(self.cfg.full_detail());
+        more
+    }
+
+    /// [`ServeRun::step`] on the device timeline rebuilt from the state's
+    /// frontiers.
+    fn dispatch(&mut self, timeline: &mut DeviceTimeline) -> Result<bool, ServeError> {
+        let (spec, machines, cfg) = (self.spec, self.machines, self.cfg);
+        let ServeRun { source, sink, open, fails, batch_arrivals, batch_admits, state, .. } = self;
+        let EngineState {
+            cursor,
+            next,
+            batch_idx,
+            breaker_consecutive,
+            buffer_free,
+            cq,
+            window,
+            ring,
+            depths,
+            meter,
+            residency,
+            controller,
+            col,
+            ..
+        } = state;
         let depth = cfg.max_queue_depth;
         let buffer_bytes = cfg.buffer_bytes();
+        let n_machines = machines.len();
         // One fault plan drives both kernel-side and copy-engine injection;
         // the zero plan never fails a copy, so the retry loops are exact
         // no-ops without one.
         let plan = cfg.scheme_config.faults.unwrap_or_default();
         let rcfg = &cfg.recovery;
         let copy_faults = CopyFaults { plan: &plan, rcfg };
-        let ServeRun {
-            breaker_consecutive,
-            timeline,
-            controller,
-            col,
-            depths,
-            meter,
-            residency,
-            sink,
-            open,
-            cq,
-            fails,
-            puller,
-            window,
-            ring,
-            batch_arrivals,
-            batch_admits,
-            buffer_free,
-            next,
-            batch_idx,
-            ..
-        } = self;
 
-        if !puller.fill(window, col, 1)? {
+        if !cursor.fill(source, n_machines, cfg, window, col, 1)? {
             return Ok(false);
         }
         let head_arrival = window[0].arrival_cycle;
@@ -1646,7 +1613,7 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
             let wait = first_admit - head_arrival;
             if wait > rcfg.shed_wait_cycles {
                 let head = std::slice::from_ref(&window[0]);
-                release_slots(ring, depths, col, first_admit, &[first_admit], head);
+                release_slots(cfg, ring, depths, col, first_admit, &[first_admit], head);
                 sink.push(SinkOp::Shed(StreamOutcome::ShedDeadline), col, meter);
                 window.pop_front();
                 *next += 1;
@@ -1676,7 +1643,7 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         };
         loop {
             let count = batch_admits.len();
-            if count >= cap || !puller.fill(window, col, count + 1)? {
+            if count >= cap || !cursor.fill(source, n_machines, cfg, window, col, count + 1)? {
                 break;
             }
             let a = &window[count];
@@ -1733,7 +1700,7 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
                 // Inputs never reached the device: the queue slot still
                 // frees when the first DMA attempt began, but the streams
                 // are shed and the staging buffer holds nothing.
-                release_slots(ring, depths, col, h2d_ready, batch_admits, batch_arrivals);
+                release_slots(cfg, ring, depths, col, h2d_ready, batch_admits, batch_arrivals);
                 for _ in 0..count {
                     sink.push(SinkOp::Shed(StreamOutcome::ShedCopyFailure), col, meter);
                 }
@@ -1742,22 +1709,24 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
             Some(h2d) => {
                 // Table residency: a miss uploads the machine's table right
                 // after the inputs; the kernel waits for both.
-                let table_ready = match residency.as_mut() {
-                    Some(lru) => match lru.touch(machine_id) {
-                        TableTouch::Hit => {
-                            col.report.residency.hits += 1;
-                            h2d.end
-                        }
-                        TableTouch::Miss { copy_bytes, evictions } => {
-                            col.report.residency.misses += 1;
-                            col.report.residency.evictions += evictions;
-                            col.report.residency.copied_bytes += copy_bytes as u64;
-                            let tstats = transfer_stats(spec, copy_bytes);
-                            let tspan = timeline.h2d(h2d.end, tstats.cycles);
-                            col.merge_stats(&tstats);
-                            tspan.end
-                        }
-                    },
+                let touch = residency
+                    .as_mut()
+                    .zip(cfg.residency)
+                    .map(|(order, rc)| touch_table(order, machine_id, rc.capacity_bytes, machines));
+                let table_ready = match touch {
+                    Some(TableTouch::Hit) => {
+                        col.report.residency.hits += 1;
+                        h2d.end
+                    }
+                    Some(TableTouch::Miss { copy_bytes, evictions }) => {
+                        col.report.residency.misses += 1;
+                        col.report.residency.evictions += evictions;
+                        col.report.residency.copied_bytes += copy_bytes as u64;
+                        let tstats = transfer_stats(spec, copy_bytes);
+                        let tspan = timeline.h2d(h2d.end, tstats.cycles);
+                        col.report.stats.merge_sequential(&tstats);
+                        tspan.end
+                    }
                     None => h2d.end,
                 };
                 let streams: Vec<&[u8]> =
@@ -1766,7 +1735,10 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
                 // inputs are on board), observe as soon as its kernels are
                 // charged — even if the result copy later fails, the cost
                 // was real and the controller must learn from it.
-                let decision = controller.as_mut().map(|c| c.decide(machine_id));
+                let decision = match (&cfg.controller, controller.as_mut()) {
+                    (Some(cc), Some(c)) => Some(c[machine_id].decide(cc, &machine.arms)),
+                    _ => None,
+                };
                 let choice = decision.map(|d| d.choice);
                 let exec = execute_batch(spec, machine, &streams, cfg, choice.as_ref());
                 let deadline_class = machine.class == PriorityClass::Deadline;
@@ -1787,8 +1759,10 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
                 } else {
                     cq.schedule(table_ready, exec.stats.cycles)
                 };
-                col.merge_stats(&exec.stats);
-                if let (Some(c), Some(d)) = (controller.as_mut(), decision) {
+                col.report.stats.merge_sequential(&exec.stats);
+                if let (Some(cc), Some(c), Some(d)) =
+                    (&cfg.controller, controller.as_mut(), decision)
+                {
                     let obs = BatchObservation::from_stats(
                         &exec.stats,
                         exec.checks,
@@ -1796,12 +1770,12 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
                         bytes as u64,
                         exec.mode == ExecMode::ChunkParallel,
                     );
-                    c.observe(machine_id, d.arm, &obs);
+                    c[machine_id].observe(cc, d.arm, &obs);
                     col.report.decisions_made += 1;
                     if d.explore {
                         col.report.explore_decisions += 1;
                     }
-                    if col.report.decisions.len() < c.max_decisions() {
+                    if col.report.decisions.len() < cc.max_decisions {
                         col.report.decisions.push(DecisionRecord {
                             batch: *batch_idx,
                             machine: machine_id,
@@ -1817,7 +1791,7 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
                 // bulk kernel may have pushed this slot further already.
                 let slot = &mut buffer_free[*batch_idx % 2];
                 *slot = (*slot).max(compute.end);
-                release_slots(ring, depths, col, h2d.start, batch_admits, batch_arrivals);
+                release_slots(cfg, ring, depths, col, h2d.start, batch_admits, batch_arrivals);
                 let points = if cfg.preempt && !deadline_class {
                     preempt_points(&exec, compute)
                 } else {
@@ -1882,7 +1856,7 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
             loop {
                 let more = match window.pop_front() {
                     Some(_) => true,
-                    None => puller.pull(col)?.is_some(),
+                    None => cursor.pull(source, n_machines, cfg, col)?.is_some(),
                 };
                 if !more {
                     break;
@@ -1900,8 +1874,9 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
     /// the finalization-only fields (makespan, summaries, queue-depth
     /// samples, overlap efficiency, recovery counter folds).
     pub fn finish(self) -> ServeReport {
-        let ServeRun { cfg, mut timeline, mut col, depths, mut meter, mut sink, open, cq, .. } =
-            self;
+        let ServeRun { cfg, mut sink, open, state, .. } = self;
+        let EngineState { frontiers, cq, depths, mut meter, mut col, .. } = state;
+        let mut timeline = DeviceTimeline::from_frontiers(cfg.overlap, frontiers);
         let plan = cfg.scheme_config.faults.unwrap_or_default();
         let copy_faults = CopyFaults { plan: &plan, rcfg: &cfg.recovery };
         // A bulk kernel may still be open when the trace runs dry (or the
@@ -1916,8 +1891,9 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         }
         sink.flush(&mut col, &mut meter);
         debug_assert!(sink.buf.is_empty(), "every buffered report effect must have flushed");
+        col.bound_stats(sink.full);
 
-        let Collector { mut report, delivery, kernel, .. } = col;
+        let Collector { mut report, delivery, kernel } = col;
         report.makespan_cycles = timeline.horizon().max(cq.horizon);
         // Latency summaries describe delivered results only; shed streams
         // keep zeroed per-stream entries and are excluded.
@@ -1927,7 +1903,8 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         report.kernel_latency = kernel_summary;
         report.latency_error_permille =
             if delivery_sketched || kernel_sketched { LatencySketch::ERROR_PERMILLE } else { 0 };
-        let (samples, peak) = depths.finish();
+        let (samples, peak) = depths.finish(sink.full);
+        debug_assert!(peak <= cfg.max_queue_depth, "sampled queue depth exceeds max_queue_depth");
         report.queue_depth = samples;
         report.peak_queue = peak;
         report.overlap_efficiency_permille = meter.efficiency_permille();
@@ -1942,54 +1919,17 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
     }
 
     /// Captures the engine's entire mutable state. Callers must be at a
-    /// quiescent inter-batch boundary ([`ServeRun::quiescent`]); everything
-    /// not captured is either configuration-derived or provably empty at
-    /// such a boundary (the open kernel, the sink buffer, the undrained
-    /// failure list, the per-batch scratch vectors).
-    pub(crate) fn snapshot(&self) -> EngineSnapshot {
+    /// quiescent inter-batch boundary ([`ServeRun::quiescent`]), where
+    /// everything outside the state (the open kernel, the sink buffer, the
+    /// undrained failure list, the per-batch scratch) is empty.
+    pub(crate) fn snapshot(&self) -> EngineState {
         debug_assert!(self.quiescent(), "snapshots are taken between batches only");
-        let mut depth_pending: Vec<(u64, i8)> = self.depths.pending.iter().map(|r| r.0).collect();
-        // The heap's internal layout depends on insertion history; its
-        // multiset is the state. Sorting canonicalizes the encoding, and a
-        // heap rebuilt from any permutation of the same multiset drains
-        // identically (equal keys are indistinguishable).
-        depth_pending.sort_unstable();
-        EngineSnapshot {
-            pulled: self.puller.pulled,
-            last_cycle: self.puller.last_cycle,
-            next: self.next,
-            batch_idx: self.batch_idx,
-            breaker_consecutive: self.breaker_consecutive,
-            buffer_free: self.buffer_free,
-            cq_free: self.cq.free,
-            cq_horizon: self.cq.horizon,
-            frontiers: self.timeline.queue_frontiers(),
-            window: self.window.iter().cloned().collect(),
-            ring_released: self.ring.released,
-            ring_recent: self.ring.recent.iter().copied().collect(),
-            depth_pending,
-            depth_depth: self.depths.depth,
-            depth_group: self.depths.group,
-            depth_samples: self.depths.samples.clone(),
-            depth_peak: self.depths.peak,
-            depth_zero_pairs: self.depths.zero_pairs,
-            meter_computes: self.meter.computes.iter().copied().collect(),
-            meter_pending_copies: self.meter.pending_copies.iter().copied().collect(),
-            meter_copy_busy: self.meter.copy_busy,
-            meter_hidden: self.meter.hidden,
-            residency_order: self.residency.as_ref().map(|l| l.order.iter().copied().collect()),
-            controller: self.controller.as_ref().map(AdaptiveController::export_state),
-            report: self.col.report.clone(),
-            delivery_exact: self.col.delivery.exact.clone(),
-            delivery_sketch: self.col.delivery.sketch.clone(),
-            kernel_exact: self.col.kernel.exact.clone(),
-            kernel_sketch: self.col.kernel.sketch.clone(),
-        }
+        self.state.clone()
     }
 
     /// Rebuilds an engine from a snapshot, the inverse of
     /// [`ServeRun::snapshot`] for the same `spec`/`machines`/`cfg` and a
-    /// `source` already advanced past the snapshot's `pulled` arrivals.
+    /// `source` already advanced past the snapshot's pulled arrivals.
     /// Structural inconsistencies (a snapshot from a different
     /// configuration, or corrupt-but-checksummed state) are rejected as
     /// [`ServeError::CorruptCheckpoint`] — never a panic.
@@ -1998,125 +1938,57 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         machines: &'e [ServeMachine<'m>],
         source: S,
         cfg: &'e ServeConfig,
-        snap: &EngineSnapshot,
+        state: EngineState,
     ) -> Result<Self, ServeError> {
-        let corrupt = |what: &'static str| ServeError::CorruptCheckpoint { offset: 0, what };
-        let full = cfg.detail == ReportDetail::Full;
-        let depth = cfg.max_queue_depth;
-        let buffer_bytes = cfg.buffer_bytes();
-        if snap.ring_recent.len() > depth || snap.ring_released < snap.ring_recent.len() {
-            return Err(corrupt("release ring inconsistent with max_queue_depth"));
+        let corrupt = |what: &'static str| Err(ServeError::CorruptCheckpoint { offset: 0, what });
+        let EngineState { cursor, next, window, ring, col, .. } = &state;
+        if ring.recent.len() > cfg.max_queue_depth || ring.released < ring.recent.len() {
+            return corrupt("release ring inconsistent with max_queue_depth");
         }
-        if snap.ring_released != snap.next {
-            return Err(corrupt("release count inconsistent with the admission cursor"));
+        if ring.released != *next {
+            return corrupt("release count inconsistent with the admission cursor");
         }
-        if snap.next.checked_add(snap.window.len()) != Some(snap.pulled) {
-            return Err(corrupt("admission window inconsistent with the pull cursor"));
+        if next.checked_add(window.len()) != Some(cursor.pulled) {
+            return corrupt("admission window inconsistent with the pull cursor");
         }
-        for a in &snap.window {
+        for a in window {
             if a.machine >= machines.len() {
-                return Err(corrupt("window arrival names an unknown machine"));
+                return corrupt("window arrival names an unknown machine");
             }
-            if a.bytes.len() > buffer_bytes {
-                return Err(corrupt("window arrival exceeds the staging buffer"));
+            if a.bytes.len() > cfg.buffer_bytes() {
+                return corrupt("window arrival exceeds the staging buffer");
             }
-            if a.arrival_cycle > snap.last_cycle {
-                return Err(corrupt("window arrival beyond the source cursor"));
+            if a.arrival_cycle > cursor.last_cycle {
+                return corrupt("window arrival beyond the source cursor");
             }
         }
-        if full && (snap.delivery_sketch.is_some() || snap.kernel_sketch.is_some()) {
-            return Err(corrupt("latency sketch present under full report detail"));
+        if cfg.full_detail() && (col.delivery.sketch.is_some() || col.kernel.sketch.is_some()) {
+            return corrupt("latency sketch present under full report detail");
         }
-        let mut controller = cfg.controller.as_ref().map(|cc| {
-            AdaptiveController::new(cc.clone(), machines.iter().map(|m| m.arms.clone()).collect())
-        });
-        match (controller.as_mut(), snap.controller.as_ref()) {
+        if col.report.policy != Some(cfg.policy.kind()) || col.report.overlap != cfg.overlap {
+            return corrupt("report policy or overlap does not match the config");
+        }
+        match (&cfg.controller, &state.controller) {
             (None, None) => {}
-            (Some(c), Some(state)) => {
-                if !c.import_state(state) {
-                    return Err(corrupt("controller state shape does not match the machine arms"));
+            (Some(_), Some(c)) => {
+                if c.len() != machines.len()
+                    || machines.iter().zip(c).any(|(m, st)| st.arms.len() != m.arms.len())
+                {
+                    return corrupt("controller state shape does not match the machine arms");
                 }
             }
-            _ => return Err(corrupt("controller state presence does not match the config")),
+            _ => return corrupt("controller state presence does not match the config"),
         }
-        let residency = match (cfg.residency, snap.residency_order.as_ref()) {
-            (None, None) => None,
-            (Some(rc), Some(order)) => Some(
-                ResidencyLru::from_order(rc.capacity_bytes, machines, order)
-                    .ok_or_else(|| corrupt("residency LRU order is not a valid resident set"))?,
-            ),
-            _ => return Err(corrupt("residency state presence does not match the config")),
-        };
-        let col = Collector {
-            full,
-            report: {
-                let mut r = snap.report.clone();
-                // Config-derived statics: pin to this run's config (the
-                // checkpoint layer's fingerprint guarantees they match the
-                // original's anyway).
-                r.policy = Some(cfg.policy.kind());
-                r.overlap = cfg.overlap;
-                r
-            },
-            delivery: LatencyAcc {
-                exact: snap.delivery_exact.clone(),
-                sketch: snap.delivery_sketch.clone(),
-                spill: !full,
-            },
-            kernel: LatencyAcc {
-                exact: snap.kernel_exact.clone(),
-                sketch: snap.kernel_sketch.clone(),
-                spill: !full,
-            },
-        };
-        Ok(ServeRun {
-            spec,
-            machines,
-            cfg,
-            breaker_consecutive: snap.breaker_consecutive,
-            timeline: DeviceTimeline::from_frontiers(cfg.overlap, snap.frontiers),
-            controller,
-            col,
-            depths: DepthTracker {
-                pending: snap.depth_pending.iter().map(|&e| Reverse(e)).collect(),
-                depth: snap.depth_depth,
-                group: snap.depth_group,
-                samples: snap.depth_samples.clone(),
-                keep_samples: full,
-                peak: snap.depth_peak,
-                cap: depth,
-                zero_pairs: snap.depth_zero_pairs,
-            },
-            meter: OverlapMeter {
-                computes: snap.meter_computes.iter().copied().collect(),
-                pending_copies: snap.meter_pending_copies.iter().copied().collect(),
-                copy_busy: snap.meter_copy_busy,
-                hidden: snap.meter_hidden,
-            },
-            residency,
-            sink: Sink { buffering: false, buf: Vec::new() },
-            open: None,
-            cq: ComputeCursor { free: snap.cq_free, horizon: snap.cq_horizon },
-            fails: Vec::new(),
-            puller: Puller {
-                source,
-                n_machines: machines.len(),
-                buffer_bytes,
-                pulled: snap.pulled,
-                last_cycle: snap.last_cycle,
-            },
-            window: snap.window.iter().cloned().collect(),
-            ring: ReleaseRing {
-                depth,
-                released: snap.ring_released,
-                recent: snap.ring_recent.iter().copied().collect(),
-            },
-            batch_arrivals: Vec::new(),
-            batch_admits: Vec::new(),
-            buffer_free: snap.buffer_free,
-            next: snap.next,
-            batch_idx: snap.batch_idx,
-        })
+        match (cfg.residency, &state.residency) {
+            (None, None) => {}
+            (Some(rc), Some(order)) => {
+                if !valid_resident_set(order, rc.capacity_bytes, machines) {
+                    return corrupt("residency LRU order is not a valid resident set");
+                }
+            }
+            _ => return corrupt("residency state presence does not match the config"),
+        }
+        Ok(ServeRun::with_state(spec, machines, source, cfg, state))
     }
 }
 
@@ -2227,7 +2099,7 @@ mod tests {
             pairs.push((admit, release));
             arrivals.push(arrival);
         }
-        let mut tracker = DepthTracker::new(true, depth);
+        let mut tracker = DepthTracker::default();
         for (k, &(a, r)) in pairs.iter().enumerate() {
             // The engine's finality bound: arrival (monotone) maxed with
             // the release-window floor.
@@ -2236,9 +2108,9 @@ mod tests {
             } else {
                 0
             };
-            tracker.record(a, r, arrivals[k].max(floor));
+            tracker.record(a, r, arrivals[k].max(floor), true);
         }
-        let (samples, peak) = tracker.finish();
+        let (samples, peak) = tracker.finish(true);
         let reference = reference_depth_samples(&pairs, true);
         assert_eq!(samples, reference);
         assert_eq!(peak, reference.iter().map(|&(_, d)| d).max().unwrap());
@@ -2275,7 +2147,7 @@ mod tests {
             "sampled depth exceeds max_queue_depth: {:?}",
             report.queue_depth
         );
-        assert!(report.peak_queue_depth() <= 4);
+        assert!(report.peak_queue <= 4);
         assert_eq!(report.peak_queue, report.queue_depth.iter().map(|&(_, d)| d).max().unwrap());
     }
 
@@ -2402,7 +2274,7 @@ mod tests {
         assert_eq!(bounded.backpressure_wait_cycles, full.backpressure_wait_cycles);
         assert_eq!(bounded.recovery, full.recovery);
         assert_eq!(bounded.batches_dispatched, full.batches.len() as u64);
-        assert_eq!(bounded.peak_queue, full.peak_queue_depth());
+        assert_eq!(bounded.peak_queue, full.peak_queue);
         assert_eq!(bounded.served_streams(), full.served_streams());
     }
 
@@ -2441,6 +2313,177 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report, materialized);
+    }
+
+    /// Two machines with 1 KiB of staging (512-byte buffers), so windows
+    /// hold look-ahead arrivals and an oversized one is cheap to build.
+    fn restore_cfg() -> ServeConfig {
+        ServeConfig {
+            policy: BatchPolicy::Fifo { batch: 4 },
+            device_mem_bytes: 1024,
+            max_queue_depth: 8,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Snapshots a run under `cfg` three batches in, checks that the
+    /// untouched snapshot restores, then applies `corrupt` and asserts
+    /// that `restore` rejects the result with exactly `what`.
+    fn assert_restore_rejects(
+        cfg: ServeConfig,
+        corrupt: impl FnOnce(&mut EngineState),
+        what: &'static str,
+    ) {
+        let spec = DeviceSpec::test_unit();
+        let dfa = leaked_div7();
+        let machines = [machine(&spec, dfa), machine(&spec, dfa)];
+        let trace = Trace::synthetic(5, 30, machines.len(), 40, 8..64, b"01");
+        let mut run = ServeRun::new(&spec, &machines, trace.source(), &cfg).unwrap();
+        for _ in 0..3 {
+            assert!(run.step().unwrap(), "the trace outlasts three batches");
+        }
+        let mut snap = run.snapshot();
+        let empty = || IterSource(std::iter::empty::<StreamArrival>());
+        assert!(ServeRun::restore(&spec, &machines, empty(), &cfg, snap.clone()).is_ok());
+        corrupt(&mut snap);
+        let err = ServeRun::restore(&spec, &machines, empty(), &cfg, snap).err();
+        assert_eq!(err, Some(ServeError::CorruptCheckpoint { offset: 0, what }));
+    }
+
+    /// Appends a pulled arrival to the snapshot's window, keeping the pull
+    /// cursor consistent with it.
+    fn push_window_arrival(snap: &mut EngineState, machine: usize, len: usize, cycle: u64) {
+        let arrival = StreamArrival { arrival_cycle: cycle, machine, bytes: vec![b'1'; len] };
+        snap.window.push_back(arrival);
+        snap.cursor.pulled += 1;
+    }
+
+    #[test]
+    fn restore_rejects_a_release_ring_longer_than_the_queue() {
+        let depth = restore_cfg().max_queue_depth;
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| {
+                s.ring.recent = vec![0; depth + 1].into();
+                s.ring.released = s.ring.released.max(depth + 1);
+            },
+            "release ring inconsistent with max_queue_depth",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_release_count_off_the_admission_cursor() {
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| s.ring.released += 1,
+            "release count inconsistent with the admission cursor",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_window_off_the_pull_cursor() {
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| s.cursor.pulled += 1,
+            "admission window inconsistent with the pull cursor",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_window_arrival_for_an_unknown_machine() {
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| push_window_arrival(s, 2, 4, s.cursor.last_cycle),
+            "window arrival names an unknown machine",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_window_arrival_larger_than_the_staging_buffer() {
+        let buffer_bytes = restore_cfg().buffer_bytes();
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| push_window_arrival(s, 0, buffer_bytes + 1, s.cursor.last_cycle),
+            "window arrival exceeds the staging buffer",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_window_arrival_beyond_the_source_cursor() {
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| push_window_arrival(s, 0, 4, s.cursor.last_cycle + 1),
+            "window arrival beyond the source cursor",
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_sketch_under_full_detail() {
+        let what = "latency sketch present under full report detail";
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| s.col.delivery.sketch = Some(LatencySketch::new()),
+            what,
+        );
+        assert_restore_rejects(
+            restore_cfg(),
+            |s| s.col.kernel.sketch = Some(LatencySketch::new()),
+            what,
+        );
+    }
+
+    #[test]
+    fn restore_rejects_a_report_of_another_policy_or_overlap() {
+        let what = "report policy or overlap does not match the config";
+        assert_restore_rejects(restore_cfg(), |s| s.col.report.policy = None, what);
+        assert_restore_rejects(restore_cfg(), |s| s.col.report.overlap = false, what);
+    }
+
+    #[test]
+    fn restore_rejects_controller_state_the_config_does_not_match() {
+        let what = "controller state presence does not match the config";
+        let adaptive =
+            || ServeConfig { controller: Some(ControllerConfig::default()), ..restore_cfg() };
+        assert_restore_rejects(restore_cfg(), |s| s.controller = Some(Vec::new()), what);
+        assert_restore_rejects(adaptive(), |s| s.controller = None, what);
+    }
+
+    #[test]
+    fn restore_rejects_controller_state_of_another_arm_shape() {
+        let what = "controller state shape does not match the machine arms";
+        let adaptive =
+            || ServeConfig { controller: Some(ControllerConfig::default()), ..restore_cfg() };
+        assert_restore_rejects(
+            adaptive(),
+            |s| s.controller.as_mut().unwrap()[1].arms.truncate(1),
+            what,
+        );
+        assert_restore_rejects(adaptive(), |s| s.controller.as_mut().unwrap().truncate(1), what);
+    }
+
+    #[test]
+    fn restore_rejects_residency_state_the_config_does_not_match() {
+        let what = "residency state presence does not match the config";
+        let lru = || ServeConfig {
+            residency: Some(ResidencyConfig { capacity_bytes: 1 << 20 }),
+            ..restore_cfg()
+        };
+        assert_restore_rejects(restore_cfg(), |s| s.residency = Some(VecDeque::new()), what);
+        assert_restore_rejects(lru(), |s| s.residency = None, what);
+    }
+
+    #[test]
+    fn restore_rejects_an_invalid_residency_order() {
+        let what = "residency LRU order is not a valid resident set";
+        let lru = |capacity_bytes| ServeConfig {
+            residency: Some(ResidencyConfig { capacity_bytes }),
+            ..restore_cfg()
+        };
+        // An unknown machine, a machine resident twice, and a resident
+        // set over the byte budget.
+        assert_restore_rejects(lru(1 << 20), |s| s.residency = Some(vec![2].into()), what);
+        assert_restore_rejects(lru(1 << 20), |s| s.residency = Some(vec![0, 0].into()), what);
+        assert_restore_rejects(lru(1), |s| s.residency = Some(vec![0].into()), what);
     }
 
     #[test]

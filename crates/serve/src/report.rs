@@ -324,20 +324,10 @@ impl ServeReport {
         }
     }
 
-    /// Peak queue depth observed.
-    pub fn peak_queue_depth(&self) -> usize {
-        self.queue_depth.iter().map(|&(_, d)| d).max().unwrap_or(0).max(self.peak_queue)
-    }
-
-    /// Streams whose results reached the host. Falls back to
-    /// `streams - shed` when per-stream outcomes were not retained
-    /// ([`crate::ReportDetail::Bounded`]).
+    /// Streams whose results reached the host: every pulled stream that
+    /// was not shed.
     pub fn served_streams(&self) -> usize {
-        if self.outcomes.is_empty() {
-            self.streams - self.recovery.shed_streams as usize
-        } else {
-            self.outcomes.iter().filter(|o| **o == StreamOutcome::Served).count()
-        }
+        self.streams - self.recovery.shed_streams as usize
     }
 
     /// One-line human summary.
@@ -392,6 +382,6 @@ mod tests {
         let r = ServeReport { policy: Some(PolicyKind::Fifo), ..ServeReport::default() };
         assert!(r.summary().contains("fifo"));
         assert_eq!(r.bytes_per_cycle(), 0.0);
-        assert_eq!(r.peak_queue_depth(), 0);
+        assert_eq!(r.peak_queue, 0);
     }
 }

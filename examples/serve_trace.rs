@@ -70,8 +70,6 @@ fn main() {
     }
     println!(
         "\npeak queue depth {}, backpressure events {}, {}‰ of copy cycles hidden under kernels",
-        report.peak_queue_depth(),
-        report.backpressure_events,
-        report.overlap_efficiency_permille,
+        report.peak_queue, report.backpressure_events, report.overlap_efficiency_permille,
     );
 }

@@ -103,7 +103,7 @@ fn bursts_beyond_the_queue_bound_backpressure_admission() {
     let report = serve(&spec, std::slice::from_ref(&m), &trace, &tight).unwrap();
     assert!(report.backpressure_events > 0, "a 3-deep queue must push back on a 12-burst");
     assert!(report.backpressure_wait_cycles > 0);
-    assert!(report.peak_queue_depth() <= 3, "the queue bound holds");
+    assert!(report.peak_queue <= 3, "the queue bound holds");
     // Answers are unaffected by the squeeze.
     for (i, a) in trace.arrivals().iter().enumerate() {
         assert_eq!(report.end_states[i], dfa.run(&a.bytes), "stream {i}");
@@ -118,7 +118,7 @@ fn bursts_beyond_the_queue_bound_backpressure_admission() {
     assert_eq!(report.backpressure_events, 0);
     // Depth samples are taken after all same-cycle events: the burst's 12
     // admissions minus the first batch's 3 instant dispatches.
-    assert_eq!(report.peak_queue_depth(), 9);
+    assert_eq!(report.peak_queue, 9);
 }
 
 #[test]
@@ -281,7 +281,10 @@ fn chaos_serving_stays_exact_for_served_streams_and_reports_recovery() {
         }
     }
     assert!(served > 0, "a 15% fault rate with retries must serve most streams");
+    // Both report identities hold under full detail: served streams are
+    // the `Served` outcomes, and the peak is the largest depth sample.
     assert_eq!(report.served_streams(), served);
+    assert_eq!(report.peak_queue, report.queue_depth.iter().map(|&(_, d)| d).max().unwrap());
     assert_eq!(
         report.recovery.shed_streams as usize + served,
         trace.len(),
