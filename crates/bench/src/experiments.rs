@@ -778,6 +778,112 @@ pub fn debug_benchmark(cfg: &ExperimentConfig, name: &str) -> String {
 // §V-C ablation: frequency-based DFA transformation vs. PM's hash table.
 // ---------------------------------------------------------------------------
 
+/// Ablation report: per benchmark and scheme, hashed-layout time over
+/// transformed-layout time (>1 means the transformation wins).
+#[derive(Clone, Debug)]
+pub struct AblationReport {
+    /// Rows of `(benchmark name, scheme, hashed/transformed cycle ratio)`.
+    pub rows: Vec<(String, SchemeKind, f64)>,
+    /// The absolute measurements behind `rows`, in the same order.
+    pub details: Vec<AblationDetail>,
+}
+
+/// One ablation measurement's absolutes: both layouts' cycle totals and
+/// phase profiles for one (benchmark, scheme) pair (the ratio in
+/// [`AblationReport::rows`] is `hashed_cycles / transformed_cycles`).
+#[derive(Clone, Debug)]
+pub struct AblationDetail {
+    /// Benchmark name.
+    pub name: String,
+    /// Scheme measured under both layouts. RR stresses the recovery path;
+    /// SFA stresses the transform hardest — its width-many simultaneous
+    /// paths multiply every per-transition residency miss.
+    pub scheme: SchemeKind,
+    /// Total cycles under the transformed (frequency-permuted) layout.
+    pub transformed_cycles: u64,
+    /// Total cycles under the hashed layout.
+    pub hashed_cycles: u64,
+    /// Phase profile of the transformed-layout run.
+    pub transformed_profile: PhaseProfile,
+    /// Phase profile of the hashed-layout run.
+    pub hashed_profile: PhaseProfile,
+}
+
+/// Runs the same scheme under both table layouts on a cross-family subset.
+///
+/// Both layouts operate on the *same frequency-permuted machine* with the
+/// same hot states, so speculation behaviour is identical and the measured
+/// difference isolates exactly what §IV-B changes: the per-transition
+/// "is this row cached?" mechanism (one comparison vs. a shared-memory hash
+/// probe) and the shared-memory capacity lost to the hash table.
+pub fn run_ablation(cfg: &ExperimentConfig) -> AblationReport {
+    let suite = build_suite(cfg.seed);
+    let mut rows = Vec::new();
+    let mut details = Vec::new();
+    for family in Family::all() {
+        for b in suite.iter().filter(|b| b.family == family).take(4) {
+            let input = b.generate_input(cfg.input_len, 0);
+            let training_len = ((input.len() as f64 * 0.005) as usize).max(512).min(input.len());
+            let freq = FrequencyProfile::collect(&b.dfa, &input[..training_len]);
+            let transformed = TransformedDfa::from_profile(&b.dfa, &freq);
+            let tdfa = transformed.dfa();
+            // Frequency profile in the transformed numbering (rank order).
+            let tfreq = FrequencyProfile::collect(tdfa, &input[..training_len]);
+            let mut config = cfg.scheme_config();
+            config.n_chunks = config.n_chunks.min(input.len().max(1));
+
+            let hot_t =
+                DeviceTable::hot_rows_for_device(tdfa, TableLayout::Transformed, &cfg.device);
+            let table_t = DeviceTable::transformed(tdfa, hot_t);
+            let job_t = Job::new(&cfg.device, &table_t, &input, config).expect("valid");
+
+            let hot_h = DeviceTable::hot_rows_for_device(tdfa, TableLayout::Hashed, &cfg.device);
+            let table_h = DeviceTable::hashed(tdfa, &tfreq, hot_h);
+            let job_h = Job::new(&cfg.device, &table_h, &input, config).expect("valid");
+
+            for scheme in [SchemeKind::Rr, SchemeKind::Sfa] {
+                let out_t = gspecpal::run_scheme(scheme, &job_t);
+                let t = out_t.total_cycles();
+                let out_h = gspecpal::run_scheme(scheme, &job_h);
+                let h = out_h.total_cycles();
+
+                rows.push((b.name(), scheme, h as f64 / t as f64));
+                details.push(AblationDetail {
+                    name: b.name(),
+                    scheme,
+                    transformed_cycles: t,
+                    hashed_cycles: h,
+                    transformed_profile: out_t.phase_profile(),
+                    hashed_profile: out_h.phase_profile(),
+                });
+            }
+        }
+    }
+    AblationReport { rows, details }
+}
+
+impl AblationReport {
+    /// Mean improvement of the transformation (paper: ~15%).
+    pub fn mean_improvement(&self) -> f64 {
+        mean(&self.rows.iter().map(|r| r.2 - 1.0).collect::<Vec<_>>())
+    }
+
+    /// Paper-style text rendering.
+    pub fn render(&self) -> String {
+        let header: Vec<String> =
+            ["FSM", "scheme", "hashed / transformed"].iter().map(|s| s.to_string()).collect();
+        let rows: Vec<Vec<String>> =
+            self.rows.iter().map(|(n, s, r)| vec![n.clone(), s.to_string(), f2(*r)]).collect();
+        format!(
+            "DFA-transformation ablation (§V-C): hashed-layout time over \
+             transformed-layout time\n{}\
+             mean improvement from the transformation: {}%\n",
+            render_table(&header, &rows),
+            f2(self.mean_improvement() * 100.0),
+        )
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,111 +1031,5 @@ mod tests {
         // chunk per byte instead of failing the job.
         let cfg = ExperimentConfig { input_len: 1024, n_chunks: 4096, ..tiny() };
         assert_eq!(run_ablation(&cfg).rows.len(), 24);
-    }
-}
-
-/// Ablation report: per benchmark and scheme, hashed-layout time over
-/// transformed-layout time (>1 means the transformation wins).
-#[derive(Clone, Debug)]
-pub struct AblationReport {
-    /// Rows of `(benchmark name, scheme, hashed/transformed cycle ratio)`.
-    pub rows: Vec<(String, SchemeKind, f64)>,
-    /// The absolute measurements behind `rows`, in the same order.
-    pub details: Vec<AblationDetail>,
-}
-
-/// One ablation measurement's absolutes: both layouts' cycle totals and
-/// phase profiles for one (benchmark, scheme) pair (the ratio in
-/// [`AblationReport::rows`] is `hashed_cycles / transformed_cycles`).
-#[derive(Clone, Debug)]
-pub struct AblationDetail {
-    /// Benchmark name.
-    pub name: String,
-    /// Scheme measured under both layouts. RR stresses the recovery path;
-    /// SFA stresses the transform hardest — its width-many simultaneous
-    /// paths multiply every per-transition residency miss.
-    pub scheme: SchemeKind,
-    /// Total cycles under the transformed (frequency-permuted) layout.
-    pub transformed_cycles: u64,
-    /// Total cycles under the hashed layout.
-    pub hashed_cycles: u64,
-    /// Phase profile of the transformed-layout run.
-    pub transformed_profile: PhaseProfile,
-    /// Phase profile of the hashed-layout run.
-    pub hashed_profile: PhaseProfile,
-}
-
-/// Runs the same scheme under both table layouts on a cross-family subset.
-///
-/// Both layouts operate on the *same frequency-permuted machine* with the
-/// same hot states, so speculation behaviour is identical and the measured
-/// difference isolates exactly what §IV-B changes: the per-transition
-/// "is this row cached?" mechanism (one comparison vs. a shared-memory hash
-/// probe) and the shared-memory capacity lost to the hash table.
-pub fn run_ablation(cfg: &ExperimentConfig) -> AblationReport {
-    let suite = build_suite(cfg.seed);
-    let mut rows = Vec::new();
-    let mut details = Vec::new();
-    for family in Family::all() {
-        for b in suite.iter().filter(|b| b.family == family).take(4) {
-            let input = b.generate_input(cfg.input_len, 0);
-            let training_len = ((input.len() as f64 * 0.005) as usize).max(512).min(input.len());
-            let freq = FrequencyProfile::collect(&b.dfa, &input[..training_len]);
-            let transformed = TransformedDfa::from_profile(&b.dfa, &freq);
-            let tdfa = transformed.dfa();
-            // Frequency profile in the transformed numbering (rank order).
-            let tfreq = FrequencyProfile::collect(tdfa, &input[..training_len]);
-            let mut config = cfg.scheme_config();
-            config.n_chunks = config.n_chunks.min(input.len().max(1));
-
-            let hot_t =
-                DeviceTable::hot_rows_for_device(tdfa, TableLayout::Transformed, &cfg.device);
-            let table_t = DeviceTable::transformed(tdfa, hot_t);
-            let job_t = Job::new(&cfg.device, &table_t, &input, config).expect("valid");
-
-            let hot_h = DeviceTable::hot_rows_for_device(tdfa, TableLayout::Hashed, &cfg.device);
-            let table_h = DeviceTable::hashed(tdfa, &tfreq, hot_h);
-            let job_h = Job::new(&cfg.device, &table_h, &input, config).expect("valid");
-
-            for scheme in [SchemeKind::Rr, SchemeKind::Sfa] {
-                let out_t = gspecpal::run_scheme(scheme, &job_t);
-                let t = out_t.total_cycles();
-                let out_h = gspecpal::run_scheme(scheme, &job_h);
-                let h = out_h.total_cycles();
-
-                rows.push((b.name(), scheme, h as f64 / t as f64));
-                details.push(AblationDetail {
-                    name: b.name(),
-                    scheme,
-                    transformed_cycles: t,
-                    hashed_cycles: h,
-                    transformed_profile: out_t.phase_profile(),
-                    hashed_profile: out_h.phase_profile(),
-                });
-            }
-        }
-    }
-    AblationReport { rows, details }
-}
-
-impl AblationReport {
-    /// Mean improvement of the transformation (paper: ~15%).
-    pub fn mean_improvement(&self) -> f64 {
-        mean(&self.rows.iter().map(|r| r.2 - 1.0).collect::<Vec<_>>())
-    }
-
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> =
-            ["FSM", "scheme", "hashed / transformed"].iter().map(|s| s.to_string()).collect();
-        let rows: Vec<Vec<String>> =
-            self.rows.iter().map(|(n, s, r)| vec![n.clone(), s.to_string(), f2(*r)]).collect();
-        format!(
-            "DFA-transformation ablation (§V-C): hashed-layout time over \
-             transformed-layout time\n{}\
-             mean improvement from the transformation: {}%\n",
-            render_table(&header, &rows),
-            f2(self.mean_improvement() * 100.0),
-        )
     }
 }

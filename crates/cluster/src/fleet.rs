@@ -289,6 +289,10 @@ fn validate(
     if fleet.is_empty() {
         return invalid("machines", "a cluster needs at least one machine");
     }
+    // Machines are prepared for every device before any engine starts.
+    for d in devices {
+        d.spec.validate().map_err(ServeError::InvalidDevice)?;
+    }
     if cfg.vnodes == 0 {
         return invalid("vnodes", "needs at least one ring point per device");
     }

@@ -238,6 +238,14 @@ mod tests {
             run_cluster(&test_devices(1), &empty, &trace, &ClusterConfig::default()),
             Err(ServeError::InvalidConfig { .. })
         ));
+        // A device the simulator cannot run is refused before any machine
+        // is prepared for it.
+        let mut devices = test_devices(2);
+        devices[1].spec.global_segment_bytes = 0;
+        assert!(matches!(
+            run_cluster(&devices, &machines, &trace, &ClusterConfig::default()),
+            Err(ServeError::InvalidDevice(e)) if e.field == "global_segment_bytes"
+        ));
     }
 
     #[test]

@@ -24,6 +24,9 @@ pub enum CoreError {
         /// Requested chunk count.
         n_chunks: usize,
     },
+    /// The device spec cannot be simulated (see
+    /// [`gspecpal_gpu::DeviceSpec::validate`]).
+    InvalidDevice(gspecpal_gpu::SpecError),
     /// Even a one-thread block of this job's kernels exceeds the device's
     /// per-SM resources (in practice: the hot transition table plus the
     /// per-thread speculation state outgrow shared memory). No block shape
@@ -49,6 +52,7 @@ impl std::fmt::Display for CoreError {
             CoreError::EmptyInput { n_chunks } => {
                 write!(f, "input is empty but {n_chunks} chunk(s) were requested")
             }
+            CoreError::InvalidDevice(e) => e.fmt(f),
             CoreError::Unlaunchable { shared_bytes, shared_available } => {
                 write!(
                     f,

@@ -51,13 +51,14 @@ pub struct Job<'a> {
 }
 
 impl<'a> Job<'a> {
-    /// Creates a job, validating the configuration.
+    /// Creates a job, validating the device and the configuration.
     pub fn new(
         spec: &'a DeviceSpec,
         table: &'a DeviceTable<'a>,
         input: &'a [u8],
         config: SchemeConfig,
     ) -> Result<Self, crate::error::CoreError> {
+        spec.validate().map_err(crate::error::CoreError::InvalidDevice)?;
         config.validate(input.len())?;
         let job = Job { spec, table, input, config };
         // Launchability gate: if even a one-thread block of the execution or

@@ -48,9 +48,7 @@ use crate::config::StitchPolicy;
 use crate::recovery::fault_charges;
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::Job;
-#[cfg(test)]
-use crate::table::DeviceTable;
-use crate::table::{ENTRY_BYTES, REGION_TABLE};
+use crate::table::{ENTRY_BYTES, REGION_INPUT, REGION_TABLE};
 
 /// Composes two chunk mappings: `inner` is the earlier chunk, `outer` the
 /// later one, and the result maps a state *entering* the inner chunk to the
@@ -417,7 +415,8 @@ struct WalkScratch {
 
 /// Walks `range` once, maintaining the full state→state mapping with
 /// converged-path deduplication. Device cost per byte: one input load
-/// (shared across paths, like the spec-k kernel), one table step per
+/// (shared across paths, like the spec-k kernel, and charged for the whole
+/// chunk as one [`ThreadCtx::global_span`]), one table step per
 /// *distinct* live path, and one compare per path for the convergence
 /// check; each merge epoch additionally pays the |Q|-entry indirection
 /// rewrite, and the chunk ends with one |Q|-entry write-back of the
@@ -447,8 +446,8 @@ fn derive_mapping(
         w.matches.clear();
         w.matches.resize(n as usize, 0);
     }
-    for pos in range {
-        let b = table.load_input(ctx, job.input, pos);
+    ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
+    for (pos, &b) in range.clone().zip(&job.input[range]) {
         let id = memo.step(&mut t, table.dfa().classes().class(b));
         memo.replay(id, ctx);
         let live = memo.spans[t as usize].1 as usize;
@@ -517,97 +516,6 @@ fn derive_mapping(
                 let j = j as usize;
                 (w.offset[j] + w.matches[w.ptr[j] as usize] as i64) as u64
             })
-            .collect()
-    } else {
-        Vec::new()
-    };
-    Derived { map, counts, eff_width: paths.len() as u32 }
-}
-
-/// The uncached walk the memo replaces, kept as the oracle the memoized
-/// walk is tested against.
-#[cfg(test)]
-fn derive_mapping_uncached(
-    table: &DeviceTable<'_>,
-    ctx: &mut ThreadCtx<'_>,
-    input: &[u8],
-    range: Range<usize>,
-    count_matches: bool,
-) -> Derived {
-    let n = table.dfa().n_states() as usize;
-    // Distinct live paths (state + matches since the path's creation).
-    let mut paths: Vec<StateId> = (0..n as StateId).collect();
-    let mut path_matches: Vec<u64> = vec![0; n];
-    // Per original start state: which live path it rides, and its match
-    // offset relative to that path's own counter.
-    let mut ptr: Vec<u32> = (0..n as u32).collect();
-    let mut offset: Vec<i64> = vec![0; n];
-    // Generation-stamped duplicate detector (no per-byte clearing).
-    let mut seen: Vec<u32> = vec![0; n];
-    let mut stamp: Vec<u64> = vec![0; n];
-    let mut generation = 0u64;
-    let mut new_idx: Vec<u32> = vec![0; n];
-    let mut delta: Vec<i64> = vec![0; n];
-
-    for pos in range {
-        let b = table.load_input(ctx, input, pos);
-        for (s, m) in paths.iter_mut().zip(path_matches.iter_mut()) {
-            *s = table.step(ctx, *s, b);
-            if count_matches {
-                ctx.alu(1);
-                *m += u64::from(table.dfa().is_accepting(*s));
-            }
-        }
-        ctx.alu(1); // loop bookkeeping
-
-        if paths.len() > 1 {
-            // Convergence check: one compare per live path.
-            ctx.alu(paths.len() as u64);
-            generation += 1;
-            let mut merged = false;
-            for (i, &s) in paths.iter().enumerate() {
-                if stamp[s as usize] == generation {
-                    merged = true;
-                } else {
-                    stamp[s as usize] = generation;
-                    seen[s as usize] = i as u32;
-                }
-            }
-            if merged {
-                let live = paths.len();
-                let mut w = 0usize;
-                for i in 0..live {
-                    let first = seen[paths[i] as usize] as usize;
-                    if first == i {
-                        new_idx[i] = w as u32;
-                        paths[w] = paths[i];
-                        path_matches[w] = path_matches[i];
-                        delta[i] = 0;
-                        w += 1;
-                    } else {
-                        new_idx[i] = new_idx[first];
-                        delta[i] =
-                            path_matches[i] as i64 - path_matches[new_idx[first] as usize] as i64;
-                    }
-                }
-                paths.truncate(w);
-                path_matches.truncate(w);
-                ctx.alu(n as u64);
-                for q in 0..n {
-                    let p = ptr[q] as usize;
-                    offset[q] += delta[p];
-                    ptr[q] = new_idx[p];
-                }
-            }
-        }
-    }
-
-    ctx.alu(n as u64);
-    let map: Vec<StateId> = ptr.iter().map(|&p| paths[p as usize]).collect();
-    let counts: Vec<u64> = if count_matches {
-        ptr.iter()
-            .zip(&offset)
-            .map(|(&p, &off)| (off + path_matches[p as usize] as i64) as u64)
             .collect()
     } else {
         Vec::new()
@@ -1026,6 +934,96 @@ mod tests {
     use gspecpal_fsm::{ByteClasses, Dfa, DfaBuilder, FrequencyProfile};
     use gspecpal_gpu::DeviceSpec;
     use proptest::prelude::*;
+
+    /// The uncached walk the memo replaces, kept as the oracle the memoized
+    /// walk is tested against.
+    fn derive_mapping_uncached(
+        table: &DeviceTable<'_>,
+        ctx: &mut ThreadCtx<'_>,
+        input: &[u8],
+        range: Range<usize>,
+        count_matches: bool,
+    ) -> Derived {
+        let n = table.dfa().n_states() as usize;
+        // Distinct live paths (state + matches since the path's creation).
+        let mut paths: Vec<StateId> = (0..n as StateId).collect();
+        let mut path_matches: Vec<u64> = vec![0; n];
+        // Per original start state: which live path it rides, and its match
+        // offset relative to that path's own counter.
+        let mut ptr: Vec<u32> = (0..n as u32).collect();
+        let mut offset: Vec<i64> = vec![0; n];
+        // Generation-stamped duplicate detector (no per-byte clearing).
+        let mut seen: Vec<u32> = vec![0; n];
+        let mut stamp: Vec<u64> = vec![0; n];
+        let mut generation = 0u64;
+        let mut new_idx: Vec<u32> = vec![0; n];
+        let mut delta: Vec<i64> = vec![0; n];
+
+        for pos in range {
+            let b = table.load_input(ctx, input, pos);
+            for (s, m) in paths.iter_mut().zip(path_matches.iter_mut()) {
+                *s = table.step(ctx, *s, b);
+                if count_matches {
+                    ctx.alu(1);
+                    *m += u64::from(table.dfa().is_accepting(*s));
+                }
+            }
+            ctx.alu(1); // loop bookkeeping
+
+            if paths.len() > 1 {
+                // Convergence check: one compare per live path.
+                ctx.alu(paths.len() as u64);
+                generation += 1;
+                let mut merged = false;
+                for (i, &s) in paths.iter().enumerate() {
+                    if stamp[s as usize] == generation {
+                        merged = true;
+                    } else {
+                        stamp[s as usize] = generation;
+                        seen[s as usize] = i as u32;
+                    }
+                }
+                if merged {
+                    let live = paths.len();
+                    let mut w = 0usize;
+                    for i in 0..live {
+                        let first = seen[paths[i] as usize] as usize;
+                        if first == i {
+                            new_idx[i] = w as u32;
+                            paths[w] = paths[i];
+                            path_matches[w] = path_matches[i];
+                            delta[i] = 0;
+                            w += 1;
+                        } else {
+                            new_idx[i] = new_idx[first];
+                            delta[i] = path_matches[i] as i64
+                                - path_matches[new_idx[first] as usize] as i64;
+                        }
+                    }
+                    paths.truncate(w);
+                    path_matches.truncate(w);
+                    ctx.alu(n as u64);
+                    for q in 0..n {
+                        let p = ptr[q] as usize;
+                        offset[q] += delta[p];
+                        ptr[q] = new_idx[p];
+                    }
+                }
+            }
+        }
+
+        ctx.alu(n as u64);
+        let map: Vec<StateId> = ptr.iter().map(|&p| paths[p as usize]).collect();
+        let counts: Vec<u64> = if count_matches {
+            ptr.iter()
+                .zip(&offset)
+                .map(|(&p, &off)| (off + path_matches[p as usize] as i64) as u64)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        Derived { map, counts, eff_width: paths.len() as u32 }
+    }
 
     #[test]
     fn sfa_exact_and_recovery_free() {

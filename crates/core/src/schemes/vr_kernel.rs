@@ -435,6 +435,11 @@ impl RoundKernel for VrBlock<'_, '_> {
     }
 
     fn after_sync(&mut self, _round: u64) -> bool {
+        if self.f == self.n_local {
+            // A one-chunk block 0 (one-thread blocks): its chunk ran from
+            // the certain start state, so there was nothing to verify.
+            return false;
+        }
         match self.phase {
             VrPhase::Verify => {
                 // Runtime speculation accuracy (Table III) counts the checks

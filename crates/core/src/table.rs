@@ -146,8 +146,8 @@ impl<'a> DeviceTable<'a> {
     }
 
     /// The device cost of one transition `Table[s][class]` under this
-    /// layout — the one definition of what a step costs. [`Self::step`]
-    /// applies it; the SFA walk's memo sums it over live paths.
+    /// layout — the one definition of what a step costs. The chunk walk
+    /// tallies it per path; the SFA walk's memo sums it over live paths.
     #[inline]
     pub(crate) fn step_charge(&self, s: StateId, class: u16) -> StepCharge {
         // Transformed: the `state < H` test. Hashed: hash(state) plus a
@@ -162,26 +162,8 @@ impl<'a> DeviceTable<'a> {
         StepCharge { alu: 1, probes, cold }
     }
 
-    /// One state transition `Table[state][class(b)]`, charging the layout's
-    /// device cost. The input byte must already have been loaded (see
-    /// [`DeviceTable::load_input`]).
-    #[inline]
-    pub fn step(&self, ctx: &mut ThreadCtx<'_>, s: StateId, b: u8) -> StateId {
-        let class = self.dfa.classes().class(b);
-        self.step_charge(s, class).apply(ctx);
-        self.dfa.next_by_class(s, class)
-    }
-
-    /// Loads one input byte from global memory (coalesced per warp segment).
-    #[inline]
-    pub fn load_input(&self, ctx: &mut ThreadCtx<'_>, input: &[u8], pos: usize) -> u8 {
-        ctx.global(REGION_INPUT, pos as u64, 1);
-        input[pos]
-    }
-
-    /// Runs one chunk on the device from `start`, charging per-step costs.
-    /// This is the device-side `FSM_Processing(fsm, Π(i), state)` primitive
-    /// every scheme builds on.
+    /// Runs one chunk on the device from `start`. This is the device-side
+    /// `FSM_Processing(fsm, Π(i), state)` primitive every scheme builds on.
     pub fn run_chunk(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -194,7 +176,8 @@ impl<'a> DeviceTable<'a> {
 
     /// Like [`DeviceTable::run_chunk`], optionally counting accepting-state
     /// visits (the match-reporting output function φ — one extra ALU op per
-    /// transition when enabled).
+    /// transition when enabled): the one-path case of
+    /// [`DeviceTable::run_chunk_multi_with`].
     pub fn run_chunk_with(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -203,41 +186,28 @@ impl<'a> DeviceTable<'a> {
         start: StateId,
         count_matches: bool,
     ) -> ChunkRun {
-        let mut s = start;
-        let mut matches = 0u64;
-        if count_matches {
-            for pos in range {
-                let b = self.load_input(ctx, input, pos);
-                s = self.step(ctx, s, b);
-                ctx.alu(2); // loop bookkeeping + accept test
-                matches += u64::from(self.dfa.is_accepting(s));
-            }
-        } else {
-            for pos in range {
-                let b = self.load_input(ctx, input, pos);
-                s = self.step(ctx, s, b);
-                ctx.alu(1); // loop bookkeeping
-            }
-        }
-        ChunkRun { end: s, matches }
+        let mut end = [start];
+        let mut matches = [0];
+        self.run_chunk_multi_with(ctx, input, range, &mut end, &mut matches, count_matches);
+        ChunkRun { end: end[0], matches: matches[0] }
     }
 
-    /// Runs `k` speculative paths over the same chunk in one thread (PM's
-    /// spec-k execution): the input byte is loaded once per step and all
-    /// paths take their table lookups on it. `starts` is updated in place to
-    /// the per-path end states.
-    pub fn run_chunk_multi(
-        &self,
-        ctx: &mut ThreadCtx<'_>,
-        input: &[u8],
-        range: Range<usize>,
-        states: &mut [StateId],
-    ) {
-        let mut counts = vec![0u64; states.len()];
-        self.run_chunk_multi_with(ctx, input, range, states, &mut counts, false);
-    }
-
-    /// Multi-path execution with optional per-path match counting.
+    /// Runs `states.len()` paths over the same chunk in one thread (PM's
+    /// spec-k execution; one path is [`DeviceTable::run_chunk_with`]): the
+    /// input is loaded once and every path takes its table lookups on it.
+    /// `states` is updated in place to the per-path end states, and with
+    /// `count_matches` each path's accepting-state visits are added to its
+    /// entry of `counts`.
+    ///
+    /// The device cost is what loading each byte and stepping each path
+    /// access by access charges, applied as sums: the chunk's input as one
+    /// [`ThreadCtx::global_span`], and the ALU ops, hash probes and hot-row
+    /// shared accesses of every step (`step_charge`, the one price of a
+    /// step) as one tally at the end. Only cold-row fetches go to the warp
+    /// window one by one, since they dedup against each other and the rest
+    /// of the warp. Clocks and counters are sums and no other thread touches
+    /// the window during the walk, so the totals are those of the
+    /// per-access walk.
     pub fn run_chunk_multi_with(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -248,17 +218,55 @@ impl<'a> DeviceTable<'a> {
         count_matches: bool,
     ) {
         debug_assert_eq!(states.len(), counts.len());
-        for pos in range {
-            let b = self.load_input(ctx, input, pos);
-            for (s, c) in states.iter_mut().zip(counts.iter_mut()) {
-                *s = self.step(ctx, *s, b);
-                if count_matches {
-                    ctx.alu(1);
-                    *c += u64::from(self.dfa.is_accepting(*s));
+        ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
+        let bytes = &input[range];
+        let classes = self.dfa.classes();
+        // One loop-bookkeeping ALU op per byte.
+        let mut tally = StepTally { alu: bytes.len() as u64, probes: 0, shared: 0 };
+        match states {
+            // One uncounted path, the recovery walk: keep its state in a
+            // register.
+            [s] if !count_matches => {
+                *s = bytes
+                    .iter()
+                    .fold(*s, |s, &b| self.tally_step(ctx, &mut tally, s, classes.class(b)));
+            }
+            _ => {
+                for &b in bytes {
+                    let class = classes.class(b);
+                    for (s, c) in states.iter_mut().zip(counts.iter_mut()) {
+                        *s = self.tally_step(ctx, &mut tally, *s, class);
+                        if count_matches {
+                            tally.alu += 1; // accept test
+                            *c += u64::from(self.dfa.is_accepting(*s));
+                        }
+                    }
                 }
             }
-            ctx.alu(1);
         }
+        ctx.alu(tally.alu);
+        ctx.probes(tally.probes);
+        ctx.shared(tally.shared);
+    }
+
+    /// One transition of a walk: adds its [`Self::step_charge`] to `tally`,
+    /// except a cold-row fetch, which goes to the warp window now.
+    #[inline(always)]
+    fn tally_step(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        tally: &mut StepTally,
+        s: StateId,
+        class: u16,
+    ) -> StateId {
+        let charge = self.step_charge(s, class);
+        tally.alu += charge.alu;
+        tally.probes += charge.probes;
+        match charge.cold {
+            None => tally.shared += 1,
+            Some(offset) => ctx.global(REGION_TABLE, offset, ENTRY_BYTES),
+        }
+        self.dfa.next_by_class(s, class)
     }
 }
 
@@ -279,17 +287,12 @@ pub(crate) struct StepCharge {
     pub(crate) cold: Option<u64>,
 }
 
-impl StepCharge {
-    /// Charges this step to `ctx`.
-    #[inline]
-    pub(crate) fn apply(self, ctx: &mut ThreadCtx<'_>) {
-        ctx.alu(self.alu);
-        ctx.probes(self.probes);
-        match self.cold {
-            None => ctx.shared(1),
-            Some(offset) => ctx.global(REGION_TABLE, offset, ENTRY_BYTES),
-        }
-    }
+/// A walk's sums of the step charges that need no warp window: ALU ops,
+/// hash probes and hot-row shared accesses.
+struct StepTally {
+    alu: u64,
+    probes: u64,
+    shared: u64,
 }
 
 /// Result of executing one chunk on the device.
@@ -299,6 +302,56 @@ pub struct ChunkRun {
     pub end: StateId,
     /// Accepting-state visits along the way (0 when counting is off).
     pub matches: u64,
+}
+
+/// The per-access reference of the bulk-charged walk: one [`ThreadCtx`]
+/// call per access, kept as the oracle the walk is tested against.
+#[cfg(test)]
+impl DeviceTable<'_> {
+    /// One state transition `Table[state][class(b)]`, charged access by
+    /// access. The input byte must already have been loaded (see
+    /// [`DeviceTable::load_input`]).
+    pub(crate) fn step(&self, ctx: &mut ThreadCtx<'_>, s: StateId, b: u8) -> StateId {
+        let class = self.dfa.classes().class(b);
+        let c = self.step_charge(s, class);
+        ctx.alu(c.alu);
+        ctx.probes(c.probes);
+        match c.cold {
+            None => ctx.shared(1),
+            Some(offset) => ctx.global(REGION_TABLE, offset, ENTRY_BYTES),
+        }
+        self.dfa.next_by_class(s, class)
+    }
+
+    /// Loads one input byte from global memory (coalesced per warp segment).
+    pub(crate) fn load_input(&self, ctx: &mut ThreadCtx<'_>, input: &[u8], pos: usize) -> u8 {
+        ctx.global(REGION_INPUT, pos as u64, 1);
+        input[pos]
+    }
+
+    /// The walk [`Self::run_chunk_multi_with`] charges in bulk, with every
+    /// byte loaded and every path stepped one access at a time.
+    pub(crate) fn run_chunk_per_access(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        input: &[u8],
+        range: Range<usize>,
+        states: &mut [StateId],
+        counts: &mut [u64],
+        count_matches: bool,
+    ) {
+        for pos in range {
+            let b = self.load_input(ctx, input, pos);
+            for (s, c) in states.iter_mut().zip(counts.iter_mut()) {
+                *s = self.step(ctx, *s, b);
+                if count_matches {
+                    ctx.alu(1);
+                    *c += u64::from(self.dfa.is_accepting(*s));
+                }
+            }
+            ctx.alu(1);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -410,7 +463,7 @@ mod tests {
         let input = b"1011010101";
         let mut states = [0, 3, 5];
         on_device(|ctx| {
-            t.run_chunk_multi(ctx, input, 2..8, &mut states);
+            t.run_chunk_multi_with(ctx, input, 2..8, &mut states, &mut [0; 3], false);
         });
         for (i, &s0) in [0, 3, 5].iter().enumerate() {
             assert_eq!(states[i], d.run_from(s0, &input[2..8]));
@@ -427,7 +480,7 @@ mod tests {
         });
         let mut states = [0, 1, 2, 3];
         let quad = on_device(|ctx| {
-            t.run_chunk_multi(ctx, &input, 0..64, &mut states);
+            t.run_chunk_multi_with(ctx, &input, 0..64, &mut states, &mut [0; 4], false);
         });
         // Input transactions identical; table work roughly 4x.
         assert_eq!(
@@ -439,6 +492,131 @@ mod tests {
         // shared input stream (Fig 3's premise).
         assert!(quad.cycles < 4 * single.cycles);
         assert!(quad.cycles > single.cycles);
+    }
+
+    /// Every thread of every round walks two of `walks` — consecutive
+    /// entries, so the threads of a warp share its window and a thread may
+    /// re-walk bytes already in it — through the bulk-charged walk
+    /// ([`DeviceTable::run_chunk_with`] for one path) or the per-access
+    /// oracle, recording each walk's end states and match counts.
+    struct Walks<'t> {
+        table: &'t DeviceTable<'t>,
+        input: &'t [u8],
+        walks: &'t [(Range<usize>, Vec<StateId>)],
+        count: bool,
+        per_access: bool,
+        rounds: usize,
+        round: usize,
+        results: Vec<(Vec<StateId>, Vec<u64>)>,
+    }
+
+    impl RoundKernel for Walks<'_> {
+        fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            for j in 0..2 {
+                let (range, starts) = &self.walks[(tid + 3 * self.round + j) % self.walks.len()];
+                let (t, input, count) = (self.table, self.input, self.count);
+                let mut states = starts.clone();
+                let mut counts = vec![0; states.len()];
+                if self.per_access {
+                    t.run_chunk_per_access(
+                        ctx,
+                        input,
+                        range.clone(),
+                        &mut states,
+                        &mut counts,
+                        count,
+                    );
+                } else if let [start] = states[..] {
+                    let run = t.run_chunk_with(ctx, input, range.clone(), start, count);
+                    (states, counts) = (vec![run.end], vec![run.matches]);
+                } else {
+                    t.run_chunk_multi_with(
+                        ctx,
+                        input,
+                        range.clone(),
+                        &mut states,
+                        &mut counts,
+                        count,
+                    );
+                }
+                self.results.push((states, counts));
+            }
+            RoundOutcome::ACTIVE
+        }
+        fn after_sync(&mut self, _round: u64) -> bool {
+            self.round += 1;
+            self.round < self.rounds
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
+
+        /// The bulk-charged walk is the per-access walk: over random
+        /// machines, hot-row counts from none to all, both layouts,
+        /// counting on and off, and 1–4 paths, on ranges that are empty,
+        /// shorter than a segment, unaligned or many segments long, walked
+        /// by several threads per warp over 1–3 rounds on 4-byte and
+        /// 32-byte segments, every end state, match count and statistic of
+        /// the launch — per-round vectors and phase counters included — is
+        /// identical.
+        #[test]
+        fn bulk_walk_equals_per_access_walk(
+            seed in 0u64..1000,
+            n_states in 1u32..24,
+            n_classes in 1u16..6,
+            hot in 0u32..25,
+            hashed in 0u8..2,
+            count in 0u8..2,
+            walks in proptest::collection::vec(
+                ((0usize..300, 0u8..4, 0usize..300), (1usize..5, 0u64..1000)),
+                1..6,
+            ),
+            threads in 1usize..10,
+            rounds in 1usize..4,
+            rtx in 0u8..2,
+        ) {
+            use gspecpal_fsm::random::{random_dfa, random_input};
+            let spec = if rtx == 1 { DeviceSpec::rtx3090() } else { DeviceSpec::test_unit() };
+            let d = random_dfa(seed, n_states, n_classes);
+            let input = random_input(seed, 300);
+            let hot = hot % (n_states + 1);
+            let table = if hashed == 1 {
+                DeviceTable::hashed(&d, &FrequencyProfile::collect(&d, &input[..100]), hot)
+            } else {
+                DeviceTable::transformed(&d, hot)
+            };
+            let walks: Vec<(Range<usize>, Vec<StateId>)> = walks
+                .iter()
+                .map(|&((start, kind, len), (k, path_seed))| {
+                    let len = match kind {
+                        0 => 0,
+                        1 => len % 4, // inside one test-unit segment
+                        _ => len,
+                    };
+                    let end = (start + len).min(input.len());
+                    let starts = (0..k as u64)
+                        .map(|i| ((path_seed + 7 * i) % u64::from(n_states)) as StateId)
+                        .collect();
+                    (start..end, starts)
+                })
+                .collect();
+            let run = |per_access: bool| {
+                let mut k = Walks {
+                    table: &table,
+                    input: &input,
+                    walks: &walks,
+                    count: count == 1,
+                    per_access,
+                    rounds,
+                    round: 0,
+                    results: Vec::new(),
+                };
+                let stats = launch(&spec, threads, &mut k);
+                (k.results, stats)
+            };
+            proptest::prop_assert_eq!(run(false), run(true));
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::table::DeviceTable;
 /// Block resources of a stream-scanning kernel: the hot transition table in
 /// shared memory plus a small per-thread register state (cursor, state,
 /// stream bounds).
-fn stream_requirements(table: &DeviceTable<'_>, threads: u32) -> BlockRequirements {
+pub fn stream_requirements(table: &DeviceTable<'_>, threads: u32) -> BlockRequirements {
     BlockRequirements { threads, shared_bytes: table.shared_footprint_bytes(), regs_per_thread: 32 }
 }
 

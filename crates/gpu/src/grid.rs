@@ -219,7 +219,9 @@ fn run_waves<K: RoundKernel + Send>(
         waves: 0,
         cycles: 0,
         resident_per_sm: resident,
-        blocks_per_wave: resident * spec.n_sms.max(1),
+        // Saturating: a product past u32 already exceeds any grid's block
+        // count, so one wave holds them all either way.
+        blocks_per_wave: resident.saturating_mul(spec.n_sms.max(1)),
         width,
     };
     grid.reschedule();

@@ -288,6 +288,25 @@ impl<'a> ThreadCtx<'a> {
         }
     }
 
+    /// Charges `len` one-byte global accesses of `region` at the consecutive
+    /// offsets `offset..offset + len` — exactly what that many
+    /// [`ThreadCtx::global`] calls charge. Each touched segment goes through
+    /// the warp window once, for the span's first access to it; every other
+    /// access finds its segment already there and is a coalesced hit.
+    #[inline]
+    pub fn global_span(&mut self, region: u32, offset: u64, len: u64) {
+        if len == 0 {
+            return;
+        }
+        let segs = self.spec.segments(offset, len);
+        let hits = len - (segs.end() - segs.start() + 1);
+        for seg in segs {
+            self.segment(region, seg);
+        }
+        self.clock += hits * self.spec.shared_latency;
+        self.stats.global_coalesced_hits += hits;
+    }
+
     /// Charges one single-segment global access per entry of `segs` (segment
     /// ids of `region`, as [`DeviceSpec::segments`] numbers them) — exactly
     /// what that many [`ThreadCtx::global`] calls charge, in any order.
@@ -850,11 +869,13 @@ mod tests {
     }
 
     /// A script of global accesses, run once per round by every thread:
-    /// `(0, pos)` loads one input byte (region 0), `(_, r)` replays record
-    /// `r % records.len()` of region-1 segments. `batched` charges records
-    /// through [`ThreadCtx::global_batch`] with one stamp per record shared
-    /// by every thread and round; otherwise through one
-    /// [`ThreadCtx::global`] call per segment.
+    /// `(0, pos)` loads one input byte (region 0), `(3, a)` loads the span
+    /// [`span_of`]`(a)`, and `(_, r)` replays record `r % records.len()` of
+    /// region-1 segments. `batched` charges records through
+    /// [`ThreadCtx::global_batch`] with one stamp per record shared by every
+    /// thread and round, and spans through [`ThreadCtx::global_span`];
+    /// otherwise both take one [`ThreadCtx::global`] call per segment or
+    /// byte.
     struct Script<'a> {
         ops: &'a [(u8, u64)],
         records: &'a [Vec<u64>],
@@ -885,6 +906,15 @@ mod tests {
                 let (op, arg) = self.ops[(i + tid) % self.ops.len()];
                 if op == 0 {
                     ctx.global(0, arg, 1);
+                } else if op == 3 {
+                    let (region, offset, len) = span_of(arg, ctx.spec());
+                    if self.batched {
+                        ctx.global_span(region, offset, len);
+                    } else {
+                        for pos in offset..offset + len {
+                            ctx.global(region, pos, 1);
+                        }
+                    }
                 } else {
                     self.replay(ctx, arg as usize % self.records.len());
                 }
@@ -920,24 +950,34 @@ mod tests {
     const SEGS: std::ops::Range<u64> =
         SegmentWindow::DENSE_SEGMENTS - 800..SegmentWindow::DENSE_SEGMENTS + 800;
 
+    /// The span script op `(3, a)` loads: in region 0 (shared with the
+    /// single-byte loads) or region 2, starting in segment `a` at an
+    /// unaligned byte, 0 to 40 bytes long — empty, inside one segment, or
+    /// across several.
+    fn span_of(a: u64, spec: &DeviceSpec) -> (u32, u64, u64) {
+        (2 * (a % 2) as u32, a * spec.global_segment_bytes + a % 3, a % 41)
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
-        /// The batched charge is the per-access charge: for random segment
-        /// lists (duplicates included) replayed in any interleaving with
-        /// input loads, by several warps, across barriers (`clear`), across
-        /// window growth (hundreds of distinct segments per round) and
-        /// through a nested launch's scratch windows, every counter and
-        /// clock of the launch is identical.
+        /// The bulk charges are the per-access charges: for random segment
+        /// lists (duplicates included) and byte spans, in any interleaving
+        /// with single-byte loads and with each other, by several warps,
+        /// across barriers (`clear`), across window growth (hundreds of
+        /// distinct segments per round) and through a nested launch's
+        /// scratch windows, every counter and clock of the launch is
+        /// identical — on 4-byte and on 32-byte segments.
         #[test]
-        fn global_batch_equals_per_access_globals(
+        fn bulk_charges_equal_per_access_globals(
             records in proptest::collection::vec(proptest::collection::vec(SEGS, 0..12), 1..8),
-            ops in proptest::collection::vec((0u8..3, SEGS), 1..200),
+            ops in proptest::collection::vec((0u8..4, SEGS), 1..200),
             threads in 1usize..10,
             rounds in 1u64..4,
             nested in 0u8..2,
+            rtx in 0u8..2,
         ) {
-            let spec = DeviceSpec::test_unit();
+            let spec = if rtx == 1 { DeviceSpec::rtx3090() } else { DeviceSpec::test_unit() };
             let run = |batched: bool| {
                 let mut k = Script {
                     ops: &ops,

@@ -205,6 +205,68 @@ impl DeviceSpec {
         }
     }
 
+    /// Largest accepted value of a per-access cost field: 2^24 cycles
+    /// (milli-cycles for the bandwidth and copy rates), four orders of
+    /// magnitude above any real device. It keeps the simulator's cycle sums
+    /// far below the `u64` limit.
+    pub const MAX_COST: u64 = 1 << 24;
+
+    /// Largest accepted `max_threads_per_block`. The simulator keeps a
+    /// clock per thread of a block and tries every narrower width when it
+    /// fits a launch, so the block size bounds host memory and time.
+    pub const MAX_BLOCK_THREADS: u32 = 1 << 16;
+
+    /// Checks that the simulator can run on this device without dividing
+    /// by zero or overflowing a cycle count. Every field the simulator
+    /// divides by must be positive: `warp_size` (warps per block),
+    /// `global_segment_bytes` (coalescing segments), `max_threads_per_sm`
+    /// (occupancy) and `clock_ghz` (cycles to time, which must also be
+    /// finite). `max_threads_per_block` must lie in
+    /// `1..=`[`Self::MAX_BLOCK_THREADS`], and every latency and rate at most
+    /// [`Self::MAX_COST`].
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let fail = |field, problem: String| Err(SpecError { field, problem });
+        for (field, value) in [
+            ("warp_size", u64::from(self.warp_size)),
+            ("global_segment_bytes", self.global_segment_bytes),
+            ("max_threads_per_sm", u64::from(self.max_threads_per_sm)),
+        ] {
+            if value == 0 {
+                return fail(field, "must be positive".into());
+            }
+        }
+        if !(1..=Self::MAX_BLOCK_THREADS).contains(&self.max_threads_per_block) {
+            let got = self.max_threads_per_block;
+            return fail(
+                "max_threads_per_block",
+                format!("must be in 1..={}, got {got}", Self::MAX_BLOCK_THREADS),
+            );
+        }
+        if !(self.clock_ghz.is_finite() && self.clock_ghz > 0.0) {
+            return fail(
+                "clock_ghz",
+                format!("must be positive and finite, got {}", self.clock_ghz),
+            );
+        }
+        for (field, value) in [
+            ("shared_latency", self.shared_latency),
+            ("global_latency", self.global_latency),
+            ("alu_latency", self.alu_latency),
+            ("shuffle_latency", self.shuffle_latency),
+            ("barrier_latency", self.barrier_latency),
+            ("atomic_latency", self.atomic_latency),
+            ("hash_probe_latency", self.hash_probe_latency),
+            ("bandwidth_millicycles_per_txn", self.bandwidth_millicycles_per_txn),
+            ("copy_latency_cycles", self.copy_latency_cycles),
+            ("copy_millicycles_per_byte", self.copy_millicycles_per_byte),
+        ] {
+            if value > Self::MAX_COST {
+                return fail(field, format!("must be at most {}, got {value}", Self::MAX_COST));
+            }
+        }
+        Ok(())
+    }
+
     /// Converts cycles to microseconds at this device's clock.
     pub fn cycles_to_us(&self, cycles: u64) -> f64 {
         cycles as f64 / (self.clock_ghz * 1e3)
@@ -228,6 +290,23 @@ impl DeviceSpec {
         offset / seg_size..=(offset + bytes.max(1) - 1) / seg_size
     }
 }
+
+/// Why [`DeviceSpec::validate`] rejected a device.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpecError {
+    /// The offending field.
+    pub field: &'static str,
+    /// What was wrong with it.
+    pub problem: String,
+}
+
+impl std::fmt::Display for SpecError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid device: {} {}", self.field, self.problem)
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 /// Cost parameters of one inter-device link — the fabric a fleet migrates
 /// transition tables and stream state over when it rebalances shards.
@@ -361,6 +440,33 @@ mod tests {
         let cycles = d.copy_cycles(bytes) - d.copy_latency_cycles;
         let gb_per_s = bytes as f64 / (cycles as f64 / (d.clock_ghz * 1e9)) / 1e9;
         assert!((9.0..15.0).contains(&gb_per_s), "{gb_per_s} GB/s");
+    }
+
+    #[test]
+    fn shipped_devices_validate() {
+        for d in
+            [DeviceSpec::rtx3090(), DeviceSpec::a100(), DeviceSpec::t4(), DeviceSpec::test_unit()]
+        {
+            assert_eq!(d.validate(), Ok(()), "{}", d.name);
+        }
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let base = DeviceSpec::rtx3090;
+        for (field, d) in [
+            ("warp_size", DeviceSpec { warp_size: 0, ..base() }),
+            ("global_segment_bytes", DeviceSpec { global_segment_bytes: 0, ..base() }),
+            ("max_threads_per_sm", DeviceSpec { max_threads_per_sm: 0, ..base() }),
+            ("max_threads_per_block", DeviceSpec { max_threads_per_block: 0, ..base() }),
+            ("max_threads_per_block", DeviceSpec { max_threads_per_block: u32::MAX, ..base() }),
+            ("clock_ghz", DeviceSpec { clock_ghz: f64::NAN, ..base() }),
+            ("global_latency", DeviceSpec { global_latency: u64::MAX, ..base() }),
+        ] {
+            let err = d.validate().unwrap_err();
+            assert_eq!(err.field, field);
+            assert!(err.to_string().contains(field), "{err}");
+        }
     }
 
     #[test]

@@ -75,8 +75,8 @@ use gspecpal_gpu::{
 use crate::controller::{Arm, BatchObservation, DecisionRecord, LaunchChoice, MachineState};
 use crate::error::ServeError;
 use crate::pipeline::{
-    Collector, ComputeCursor, DepthEvents, DepthTracker, EngineState, LatencyAcc, OverlapMeter,
-    PullCursor, ReleaseRing, ReportDetail, ServeConfig, ServeMachine, ServeRun,
+    validate_run, Collector, ComputeCursor, DepthEvents, DepthTracker, EngineState, LatencyAcc,
+    OverlapMeter, PullCursor, ReleaseRing, ReportDetail, ServeConfig, ServeMachine, ServeRun,
 };
 use crate::policy::{BatchPolicy, PolicyKind, PriorityClass};
 use crate::report::{
@@ -964,7 +964,7 @@ pub fn serve_resume<S: TraceSource>(
     cfg: &ServeConfig,
     checkpoint: &EngineCheckpoint,
 ) -> Result<ServeReport, ServeError> {
-    cfg.validate()?;
+    validate_run(spec, machines, cfg)?;
     let expected = run_fingerprint(spec, machines, cfg);
     if expected != checkpoint.fingerprint {
         return Err(ServeError::CheckpointMismatch { expected, found: checkpoint.fingerprint });
@@ -1096,7 +1096,7 @@ pub fn finalize_checkpoint(
     cfg: &ServeConfig,
     checkpoint: &EngineCheckpoint,
 ) -> Result<(ServeReport, Vec<StreamArrival>), ServeError> {
-    cfg.validate()?;
+    validate_run(spec, machines, cfg)?;
     let expected = run_fingerprint(spec, machines, cfg);
     if expected != checkpoint.fingerprint {
         return Err(ServeError::CheckpointMismatch { expected, found: checkpoint.fingerprint });

@@ -31,6 +31,9 @@ pub enum ServeError {
         /// What was wrong with it.
         problem: String,
     },
+    /// The device spec cannot be simulated (see
+    /// [`gspecpal_gpu::DeviceSpec::validate`]).
+    InvalidDevice(gspecpal_gpu::SpecError),
     /// An arrival is timestamped earlier than its predecessor, so the trace
     /// is not a valid time-ordered history (see
     /// [`crate::Trace::try_from_arrivals`]).
@@ -94,6 +97,7 @@ impl std::fmt::Display for ServeError {
             ServeError::InvalidConfig { field, problem } => {
                 write!(f, "invalid serve configuration: {field} {problem}")
             }
+            ServeError::InvalidDevice(e) => e.fmt(f),
             ServeError::NonMonotonicTrace { stream, cycle, prev } => write!(
                 f,
                 "arrival {stream} at cycle {cycle} precedes its predecessor at cycle {prev}"

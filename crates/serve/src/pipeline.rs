@@ -77,12 +77,12 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use gspecpal::table::{DeviceTable, TableLayout};
-use gspecpal::throughput::run_stream_parallel;
+use gspecpal::throughput::{run_stream_parallel, stream_requirements};
 use gspecpal::{run_scheme, Job, SchemeConfig, SchemeKind, Selector};
 use gspecpal_fsm::Dfa;
 use gspecpal_gpu::{
-    backoff_cycles, fault_coord, fit_block_width, max_resident_blocks, transfer_stats,
-    BlockRequirements, DeviceSpec, DeviceTimeline, FaultDomain, FaultPlan, KernelStats, Span,
+    backoff_cycles, fault_coord, fit_block_width, max_resident_blocks, transfer_stats, DeviceSpec,
+    DeviceTimeline, FaultDomain, FaultPlan, KernelStats, Span,
 };
 
 use crate::controller::{
@@ -394,7 +394,7 @@ impl ServeConfig {
         self.detail == ReportDetail::Full
     }
 
-    pub(crate) fn validate(&self) -> Result<(), ServeError> {
+    fn validate(&self) -> Result<(), ServeError> {
         let invalid = |field, problem: String| Err(ServeError::InvalidConfig { field, problem });
         if self.buffer_bytes() == 0 {
             let got = self.device_mem_bytes;
@@ -425,15 +425,36 @@ impl ServeConfig {
     }
 }
 
+/// Checks that a run of `machines` on `spec` under `cfg` can start: the
+/// device can be simulated, one block of every machine's stream scan fits
+/// on it (the fallback every batch can take), and `cfg` is consistent.
+pub(crate) fn validate_run(
+    spec: &DeviceSpec,
+    machines: &[ServeMachine<'_>],
+    cfg: &ServeConfig,
+) -> Result<(), ServeError> {
+    spec.validate().map_err(ServeError::InvalidDevice)?;
+    for (i, m) in machines.iter().enumerate() {
+        let req = stream_requirements(&m.table, 1);
+        if max_resident_blocks(spec, &req) == 0 {
+            return Err(ServeError::InvalidConfig {
+                field: "machines",
+                problem: format!(
+                    "machine {i}'s scan kernel does not fit the device: one thread needs {} \
+                     shared bytes and {} registers",
+                    req.shared_bytes, req.regs_per_thread
+                ),
+            });
+        }
+    }
+    cfg.validate()
+}
+
 /// The occupancy-target batch size of [`BatchPolicy::Adaptive`]: how many
 /// one-thread-per-stream scans fill the device (fitted block width ×
 /// resident blocks per SM × SMs).
 fn occupancy_target(spec: &DeviceSpec, table: &DeviceTable<'_>) -> usize {
-    let req = |w: u32| BlockRequirements {
-        threads: w,
-        shared_bytes: table.shared_footprint_bytes(),
-        regs_per_thread: 32,
-    };
+    let req = |w: u32| stream_requirements(table, w);
     match fit_block_width(spec, req) {
         Ok(width) => {
             let resident = max_resident_blocks(spec, &req(width)).max(1);
@@ -1499,6 +1520,7 @@ pub struct ServeRun<'e, 'm, S> {
 
 impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
     /// A fresh run at cycle 0, about to pull the first arrival. Fails when
+    /// `spec` cannot be simulated, a machine's scan does not fit it, or
     /// `cfg` is inconsistent; arrivals are validated as they are pulled.
     pub fn new(
         spec: &'e DeviceSpec,
@@ -1506,7 +1528,7 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         source: S,
         cfg: &'e ServeConfig,
     ) -> Result<Self, ServeError> {
-        cfg.validate()?;
+        validate_run(spec, machines, cfg)?;
         Ok(ServeRun::with_state(spec, machines, source, cfg, EngineState::new(machines, cfg)))
     }
 
@@ -2061,11 +2083,7 @@ mod tests {
         spec.n_sms = u32::MAX;
         let dfa = div7();
         let m = ServeMachine::with_scheme(&spec, &dfa, SchemeKind::Naive);
-        let req = |w: u32| BlockRequirements {
-            threads: w,
-            shared_bytes: m.table().shared_footprint_bytes(),
-            regs_per_thread: 32,
-        };
+        let req = |w: u32| stream_requirements(m.table(), w);
         let width = fit_block_width(&spec, req).unwrap();
         let resident = max_resident_blocks(&spec, &req(width)).max(1);
         let exact = u128::from(width) * u128::from(resident) * u128::from(spec.n_sms);

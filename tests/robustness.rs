@@ -5,13 +5,14 @@ use gspecpal::config::SchemeConfig;
 use gspecpal::error::CoreError;
 use gspecpal::run::SchemeKind;
 use gspecpal::schemes::{run_scheme, Job};
-use gspecpal::table::DeviceTable;
+use gspecpal::table::{DeviceTable, TableLayout};
 use gspecpal_fsm::examples::div7;
 use gspecpal_fsm::nfa::NfaBuilder;
-use gspecpal_fsm::random::random_input;
+use gspecpal_fsm::random::{random_dfa, random_input};
 use gspecpal_fsm::subset::determinize;
 use gspecpal_gpu::DeviceSpec;
 use gspecpal_regex::{compile, parse, CompileConfig};
+use gspecpal_serve::{serve, ServeConfig, ServeError, ServeMachine, StreamArrival, Trace};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -124,6 +125,128 @@ proptest! {
                 dfa.accepts(&probe[..end]),
                 "prefix length {}", end
             );
+        }
+    }
+}
+
+/// One-thread blocks put every chunk in its own block, so block 0's only
+/// chunk is already verified when its verification kernel starts: every
+/// scheme runs and stays exact.
+#[test]
+fn one_thread_blocks_run_every_scheme() {
+    let d = div7();
+    let input = b"110101101011010110101101".repeat(4);
+    let table = DeviceTable::transformed(&d, d.n_states());
+    for warp_size in [1, 32] {
+        let spec = DeviceSpec { max_threads_per_block: 1, warp_size, ..DeviceSpec::rtx3090() };
+        let config = SchemeConfig { n_chunks: 4, ..SchemeConfig::default() };
+        let job = Job::new(&spec, &table, &input, config).unwrap();
+        for kind in SchemeKind::all() {
+            assert_eq!(
+                run_scheme(kind, &job).end_state,
+                d.run(&input),
+                "{kind:?}, warp {warp_size}"
+            );
+        }
+    }
+}
+
+/// A device spec with some fields replaced by adversarial values: zero,
+/// one, small odd numbers, the bounds [`DeviceSpec::validate`] enforces and
+/// one past them, and each type's maximum.
+fn adversarial_spec(rng: &mut StdRng) -> DeviceSpec {
+    const WIDE: [u64; 7] = [0, 1, 3, 32, DeviceSpec::MAX_COST, DeviceSpec::MAX_COST + 1, u64::MAX];
+    const NARROW: [u32; 8] = [
+        0,
+        1,
+        3,
+        32,
+        1024,
+        DeviceSpec::MAX_BLOCK_THREADS,
+        DeviceSpec::MAX_BLOCK_THREADS + 1,
+        u32::MAX,
+    ];
+    const CLOCKS: [f64; 6] = [0.0, -1.0, f64::NAN, f64::INFINITY, 1e-9, 1.5];
+    let mut d =
+        if rng.random_range(0..2u8) == 0 { DeviceSpec::test_unit() } else { DeviceSpec::rtx3090() };
+    let wide = |rng: &mut StdRng| WIDE[rng.random_range(0..WIDE.len())];
+    let narrow = |rng: &mut StdRng| NARROW[rng.random_range(0..NARROW.len())];
+    for field in 0..21 {
+        if rng.random_range(0..8u8) != 0 {
+            continue;
+        }
+        match field {
+            0 => d.n_sms = narrow(rng),
+            1 => d.cores_per_sm = narrow(rng),
+            2 => d.shared_mem_bytes = wide(rng) as usize,
+            3 => d.warp_size = narrow(rng),
+            4 => d.max_threads_per_block = narrow(rng),
+            5 => d.max_threads_per_sm = narrow(rng),
+            6 => d.registers_per_sm = narrow(rng),
+            7 => d.max_blocks_per_sm = narrow(rng),
+            8 => d.shared_latency = wide(rng),
+            9 => d.global_latency = wide(rng),
+            10 => d.global_segment_bytes = wide(rng),
+            11 => d.alu_latency = wide(rng),
+            12 => d.shuffle_latency = wide(rng),
+            13 => d.barrier_latency = wide(rng),
+            14 => d.atomic_latency = wide(rng),
+            15 => d.hash_probe_latency = wide(rng),
+            16 => d.bandwidth_millicycles_per_txn = wide(rng),
+            17 => d.copy_latency_cycles = wide(rng),
+            18 => d.copy_millicycles_per_byte = wide(rng),
+            19 => d.copy_engines = narrow(rng),
+            _ => d.clock_ghz = CLOCKS[rng.random_range(0..CLOCKS.len())],
+        }
+    }
+    d
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Adversarial device specs never panic: `Job::new` and `serve` reject
+    /// a spec `DeviceSpec::validate` rejects with that structured error. On
+    /// a spec it accepts, a job is refused as unlaunchable or every scheme
+    /// runs and stays exact, and `serve` refuses a machine whose scan does
+    /// not fit the device or serves every stream.
+    #[test]
+    fn adversarial_device_specs_never_panic(
+        seed in 0u64..1_000_000,
+        n_states in 1u32..12,
+        input_len in 1usize..300,
+        n_chunks in 1usize..17,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let spec = adversarial_spec(&mut rng);
+        let d = random_dfa(seed, n_states, 3);
+        let input = random_input(seed, input_len);
+        let hot = DeviceTable::hot_rows_for_device(&d, TableLayout::Transformed, &spec);
+        let table = DeviceTable::transformed(&d, hot);
+        let config = SchemeConfig { n_chunks: n_chunks.min(input_len), ..SchemeConfig::default() };
+        match (spec.validate(), Job::new(&spec, &table, &input, config)) {
+            (Err(e), job) => prop_assert_eq!(job.unwrap_err(), CoreError::InvalidDevice(e)),
+            (Ok(()), Err(e)) => {
+                prop_assert!(matches!(e, CoreError::Unlaunchable { .. }), "{e}");
+            }
+            (Ok(()), Ok(job)) => {
+                for kind in SchemeKind::all() {
+                    prop_assert_eq!(run_scheme(kind, &job).end_state, d.run(&input), "{:?}", kind);
+                }
+            }
+        }
+        let machines = [ServeMachine::prepare(&spec, &d, &input)];
+        let trace = Trace::from_arrivals(
+            (0..3)
+                .map(|i| StreamArrival { arrival_cycle: 10 * i, machine: 0, bytes: input.clone() })
+                .collect(),
+        );
+        match (spec.validate(), serve(&spec, &machines, &trace, &ServeConfig::default())) {
+            (Err(e), served) => prop_assert_eq!(served.unwrap_err(), ServeError::InvalidDevice(e)),
+            (Ok(()), Err(e)) => {
+                prop_assert!(matches!(e, ServeError::InvalidConfig { field: "machines", .. }), "{e}");
+            }
+            (Ok(()), Ok(report)) => prop_assert_eq!(report.served_streams(), 3),
         }
     }
 }
