@@ -8,7 +8,7 @@ use gspecpal_fsm::{Dfa, FrequencyProfile, TransformedDfa};
 use gspecpal_gpu::{DeviceSpec, PhaseProfile};
 use gspecpal_workloads::{build_suite, Benchmark, Family, Tier};
 
-use crate::report::{f2, geomean, mean, pct, render_table};
+use crate::report::{f2, mean, pct, render_table};
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
@@ -405,11 +405,6 @@ impl Fig8Report {
     /// Mean speedup of `scheme` over PM across the suite.
     pub fn mean_speedup(&self, scheme: SchemeKind) -> f64 {
         mean(&self.rows.iter().map(|r| r.speedup(scheme)).collect::<Vec<_>>())
-    }
-
-    /// Geometric-mean speedup of `scheme` over PM.
-    pub fn geomean_speedup(&self, scheme: SchemeKind) -> f64 {
-        geomean(&self.rows.iter().map(|r| r.speedup(scheme)).collect::<Vec<_>>())
     }
 
     /// Mean speedup of the selector's pick over PM (the paper's headline

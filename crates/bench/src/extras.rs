@@ -245,8 +245,8 @@ pub struct CpuScalingReport {
 /// Measured rows of the CPU scaling experiment.
 pub type CpuScalingRows = Vec<(String, &'static str, usize, usize, usize, f64, f64)>;
 
-/// Runs the crossbeam-based engines (Algorithm-2 naive speculation and SRE
-/// with parallel recovery) at several thread counts on real cores. Wall
+/// Runs the multicore engines (Algorithm-2 naive speculation and SRE with
+/// parallel recovery) at several thread counts on real cores. Wall
 /// times are hardware-dependent; the interesting, stable columns are the
 /// recovery counts — the same convergence story as the simulated kernels,
 /// told by actual threads.
@@ -300,7 +300,7 @@ impl CpuScalingReport {
             })
             .collect();
         format!(
-            "Multicore engines (crossbeam threads; SRE lineage [21])\n{}",
+            "Multicore engines (scoped threads; SRE lineage [21])\n{}",
             render_table(&header, &rows)
         )
     }

@@ -41,16 +41,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
 }
 
-/// Geometric mean of positive values (the conventional way to average
-/// speedups).
-pub fn geomean(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let s: f64 = xs.iter().map(|x| x.max(1e-12).ln()).sum();
-    (s / xs.len() as f64).exp()
-}
-
 /// Arithmetic mean.
 pub fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
@@ -73,12 +63,6 @@ mod tests {
         let lines: Vec<&str> = t.lines().collect();
         assert_eq!(lines.len(), 4);
         assert!(lines.iter().all(|l| l.len() == lines[0].len()), "{t}");
-    }
-
-    #[test]
-    fn geomean_of_speedups() {
-        assert!((geomean(&[2.0, 8.0]) - 4.0).abs() < 1e-9);
-        assert_eq!(geomean(&[]), 0.0);
     }
 
     #[test]

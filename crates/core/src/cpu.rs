@@ -1,22 +1,23 @@
 //! Multicore speculative FSM parallelization on real threads.
 //!
 //! SRE was originally designed for multicores (\[21\], §III-A); this module
-//! provides that lineage substrate: a host-parallel speculative engine using
-//! crossbeam scoped threads. It runs the same three phases — lookback
-//! prediction, parallel speculative execution, verification & recovery — on
-//! actual CPU cores, and serves as an independent cross-check of the
-//! simulated schemes (its verified output must be identical).
+//! provides that lineage substrate: one round driver on `std::thread::scope`
+//! that runs the same three phases — lookback prediction, parallel
+//! speculative execution, verification & recovery — on actual CPU cores,
+//! and serves as an independent cross-check of the simulated schemes (its
+//! verified output must be identical). Each worker returns its job's
+//! `(start, end)` record through its join handle, so no result is shared
+//! and nothing is locked. The three engines differ only in the `Policy`
+//! that picks each recovery round.
 
 use std::ops::Range;
+use std::time::{Duration, Instant};
 
-use crossbeam::thread;
 use gspecpal_fsm::{Dfa, StateId};
-use parking_lot::Mutex;
 
 use crate::config::SchemeConfig;
 use crate::partition::partition;
 use crate::predict::boundary_queues;
-use crate::specq::SpecQueue;
 
 /// Result of a multicore speculative run.
 #[derive(Clone, Debug)]
@@ -27,77 +28,19 @@ pub struct CpuRunResult {
     pub accepted: bool,
     /// Verified end state per chunk.
     pub chunk_ends: Vec<StateId>,
-    /// Number of chunks whose speculation was wrong and required
-    /// re-execution.
+    /// Number of recovery jobs: chunk re-executions after the speculative
+    /// round, whether or not their start turned out to be right.
     pub recoveries: usize,
-    /// Wall time of the parallel phase.
-    pub parallel_time: std::time::Duration,
-}
-
-/// Lookback speculation queues for every chunk, at the framework's default
-/// lookback.
-fn chunk_queues(dfa: &Dfa, input: &[u8], chunks: &[Range<usize>]) -> Vec<SpecQueue> {
-    boundary_queues(dfa, input, chunks, SchemeConfig::default().lookback)
-}
-
-/// Each chunk's top-ranked predicted start state.
-fn top_predictions(dfa: &Dfa, input: &[u8], chunks: &[Range<usize>]) -> Vec<StateId> {
-    chunk_queues(dfa, input, chunks).iter().map(|q| q.front().expect("non-empty queue")).collect()
+    /// Wall time of the execution rounds and the verification between
+    /// them (everything after prediction).
+    pub parallel_time: Duration,
 }
 
 /// Runs `dfa` over `input` with `n_threads` speculative workers (spec-1 +
-/// sequential verification/recovery — Algorithm 2 on a multicore).
+/// sequential verification/recovery — Algorithm 2 on a multicore): every
+/// mispredicted chunk is re-executed on the calling thread, one at a time.
 pub fn run_speculative(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResult {
-    assert!(n_threads > 0, "need at least one thread");
-    let n = n_threads.min(input.len().max(1));
-    let chunks = partition(input.len(), n);
-
-    // Phase 1: prediction (host-side, trivially parallelizable; done inline).
-    let starts = top_predictions(dfa, input, &chunks);
-
-    // Phase 2: parallel speculative execution on real threads.
-    let results: Mutex<Vec<Option<(StateId, StateId)>>> = Mutex::new(vec![None; n]);
-    let t0 = std::time::Instant::now();
-    thread::scope(|s| {
-        for (i, chunk) in chunks.iter().enumerate() {
-            let starts = &starts;
-            let results = &results;
-            let chunk = chunk.clone();
-            s.spawn(move |_| {
-                let st = starts[i];
-                let end = dfa.run_from(st, &input[chunk]);
-                results.lock()[i] = Some((st, end));
-            });
-        }
-    })
-    .expect("no worker panicked");
-    let parallel_time = t0.elapsed();
-    let records: Vec<(StateId, StateId)> =
-        results.into_inner().into_iter().map(|r| r.expect("every chunk ran")).collect();
-
-    // Phase 3: sequential verification and recovery (Algorithm 2 lines 8-14).
-    let mut chunk_ends = Vec::with_capacity(n);
-    let mut recoveries = 0usize;
-    let mut end_p = records[0].1;
-    chunk_ends.push(end_p);
-    for i in 1..n {
-        let (spec_start, spec_end) = records[i];
-        end_p = if spec_start == end_p {
-            spec_end
-        } else {
-            recoveries += 1;
-            dfa.run_from(end_p, &input[chunks[i].clone()])
-        };
-        chunk_ends.push(end_p);
-    }
-
-    CpuRunResult {
-        end_state: end_p,
-        accepted: dfa.is_accepting(end_p),
-        chunk_ends,
-        recoveries,
-        parallel_time,
-    }
+    run_rounds(dfa, input, n_threads, Policy::Sequential)
 }
 
 /// Runs `dfa` over `input` with SRE-style recovery on real threads
@@ -108,68 +51,83 @@ pub fn run_speculative(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResul
 /// nearly everything; on permutation machines it degenerates to the
 /// sequential walk — the same dynamics as the simulated kernels.
 pub fn run_speculative_sre(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResult {
+    run_rounds(dfa, input, n_threads, Policy::Forward)
+}
+
+/// Runs `dfa` over `input` with RR-style aggressive recovery on real
+/// threads: like [`run_speculative_sre`], but when the frontier stalls, the
+/// already-verified workers are reassigned round-robin over rear chunks and
+/// execute the next states of those chunks' speculation queues (Algorithm 4
+/// on a multicore). On machines that defeat end-state forwarding this is
+/// what keeps the thread pool busy.
+pub fn run_speculative_rr(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResult {
+    run_rounds(dfa, input, n_threads, Policy::RoundRobin)
+}
+
+/// How a stalled frontier picks the next round's speculative recoveries.
+#[derive(Clone, Copy, Debug)]
+enum Policy {
+    /// Algorithm 2: only the must-be-done recovery at the frontier.
+    Sequential,
+    /// SRE: every rear chunk re-runs from its predecessor's last end.
+    Forward,
+    /// RR: the other workers seed rear chunks round-robin from their queues.
+    RoundRobin,
+}
+
+/// A `(chunk, start state)` execution job.
+type Job = (usize, StateId);
+/// A chunk's `(start, end)` execution record.
+type Record = (StateId, StateId);
+
+/// The one round driver behind every engine: a speculative round of every
+/// chunk from its top-ranked start, then, while the verified frontier
+/// stalls short of the input's end, the recovery rounds `policy` asks for.
+fn run_rounds(dfa: &Dfa, input: &[u8], n_threads: usize, policy: Policy) -> CpuRunResult {
     assert!(n_threads > 0, "need at least one thread");
     let n = n_threads.min(input.len().max(1));
     let chunks = partition(input.len(), n);
+    let mut queues = boundary_queues(dfa, input, &chunks, SchemeConfig::default().lookback);
 
-    let starts = top_predictions(dfa, input, &chunks);
-
-    let t0 = std::time::Instant::now();
-    // Records per chunk: (start, end) pairs from execution and recoveries.
-    let records: Vec<Mutex<Vec<(StateId, StateId)>>> =
-        (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let run_round = |jobs: &[(usize, StateId)]| {
-        thread::scope(|s| {
-            for &(cid, st) in jobs {
-                let records = &records;
-                let chunk = chunks[cid].clone();
-                s.spawn(move |_| {
-                    let end = dfa.run_from(st, &input[chunk]);
-                    records[cid].lock().push((st, end));
-                });
-            }
-        })
-        .expect("no worker panicked");
-    };
-
-    // Round 0: speculative execution of every chunk.
-    let initial: Vec<(usize, StateId)> = starts.iter().copied().enumerate().collect();
-    run_round(&initial);
-
-    // Verification with parallel speculative recovery rounds.
-    let mut verified_end = records[0].lock()[0].1;
-    let mut chunk_ends = vec![verified_end];
-    let mut recoveries = 0usize;
-    let mut f = 1usize;
-    while f < n {
-        // Walk as far as existing records allow.
-        while f < n {
-            let hit = records[f].lock().iter().find(|r| r.0 == verified_end).map(|r| r.1);
-            match hit {
-                Some(end) => {
-                    verified_end = end;
-                    chunk_ends.push(end);
-                    f += 1;
-                }
-                None => break,
-            }
+    let t0 = Instant::now();
+    let mut jobs: Vec<Job> =
+        queues.iter_mut().map(|q| q.dequeue_host().expect("non-empty queue")).enumerate().collect();
+    let mut records: Vec<Vec<Record>> = vec![Vec::new(); n];
+    let mut chunk_ends = Vec::with_capacity(n);
+    let mut verified_end = dfa.start();
+    let mut recoveries = 0;
+    loop {
+        for (&(cid, _), record) in jobs.iter().zip(run_round(dfa, input, &chunks, &jobs)) {
+            records[cid].push(record);
         }
-        if f >= n {
+        // Walk the verified frontier as far as the records allow.
+        while let Some(&(_, end)) =
+            records.get(chunk_ends.len()).and_then(|r| r.iter().find(|r| r.0 == verified_end))
+        {
+            verified_end = end;
+            chunk_ends.push(end);
+        }
+        let f = chunk_ends.len();
+        if f == n {
             break;
         }
-        // Must-be-done recovery at the frontier plus one speculative
-        // recovery per rear chunk from its predecessor's current end.
-        let mut jobs = vec![(f, verified_end)];
-        for cid in (f + 1)..n {
-            let pred_end = records[cid - 1].lock().last().map(|r| r.1);
-            if let Some(e) = pred_end {
-                if !records[cid].lock().iter().any(|r| r.0 == e) {
-                    jobs.push((cid, e));
-                }
+        // The must-be-done recovery at the frontier first, then the policy's
+        // speculative jobs on rear chunks that no record covers yet.
+        let fresh = |cid: usize, st| (!records[cid].iter().any(|r| r.0 == st)).then_some((cid, st));
+        jobs = vec![(f, verified_end)];
+        match policy {
+            Policy::Sequential => {}
+            Policy::Forward => {
+                jobs.extend((f + 1..n).filter_map(|cid| fresh(cid, records[cid - 1].last()?.1)))
             }
+            Policy::RoundRobin => jobs.extend(
+                (f + 1..n)
+                    .cycle()
+                    .take(n - 1)
+                    .filter_map(|cid| fresh(cid, queues[cid].dequeue_host()?)),
+            ),
         }
         recoveries += jobs.len();
-        run_round(&jobs);
     }
 
     CpuRunResult {
@@ -181,87 +139,16 @@ pub fn run_speculative_sre(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunR
     }
 }
 
-/// Runs `dfa` over `input` with RR-style aggressive recovery on real
-/// threads: like [`run_speculative_sre`], but when the frontier stalls, the
-/// already-verified workers are reassigned round-robin over rear chunks and
-/// execute the next states of those chunks' speculation queues (Algorithm 4
-/// on a multicore). On machines that defeat end-state forwarding this is
-/// what keeps the thread pool busy.
-pub fn run_speculative_rr(dfa: &Dfa, input: &[u8], n_threads: usize) -> CpuRunResult {
-    assert!(n_threads > 0, "need at least one thread");
-    let n = n_threads.min(input.len().max(1));
-    let chunks = partition(input.len(), n);
-
-    // Ranked speculation queues (QS_i), dequeued as recoveries are seeded.
-    let mut queues = chunk_queues(dfa, input, &chunks);
-    let starts: Vec<StateId> =
-        queues.iter_mut().map(|q| q.dequeue_host().expect("non-empty queue")).collect();
-
-    let t0 = std::time::Instant::now();
-    let records: Vec<Mutex<Vec<(StateId, StateId)>>> =
-        (0..n).map(|_| Mutex::new(Vec::new())).collect();
-    let run_round = |jobs: &[(usize, StateId)]| {
-        thread::scope(|s| {
-            for &(cid, st) in jobs {
-                let records = &records;
-                let chunk = chunks[cid].clone();
-                s.spawn(move |_| {
-                    let end = dfa.run_from(st, &input[chunk]);
-                    records[cid].lock().push((st, end));
-                });
-            }
-        })
-        .expect("no worker panicked");
-    };
-
-    // Speculative execution of every chunk.
-    let initial: Vec<(usize, StateId)> = starts.iter().copied().enumerate().collect();
-    run_round(&initial);
-
-    let mut verified_end = records[0].lock()[0].1;
-    let mut chunk_ends = vec![verified_end];
-    let mut recoveries = 0usize;
-    let mut f = 1usize;
-    while f < n {
-        while f < n {
-            let hit = records[f].lock().iter().find(|r| r.0 == verified_end).map(|r| r.1);
-            match hit {
-                Some(end) => {
-                    verified_end = end;
-                    chunk_ends.push(end);
-                    f += 1;
-                }
-                None => break,
-            }
-        }
-        if f >= n {
-            break;
-        }
-        // Must-be-done recovery at the frontier; every other worker seeds a
-        // rear chunk round-robin from its queue.
-        let mut jobs = vec![(f, verified_end)];
-        let avail: Vec<usize> = ((f + 1)..n).collect();
-        if !avail.is_empty() {
-            for w in 0..n.saturating_sub(1) {
-                let cid = avail[w % avail.len()];
-                if let Some(st) = queues[cid].dequeue_host() {
-                    if !records[cid].lock().iter().any(|r| r.0 == st) {
-                        jobs.push((cid, st));
-                    }
-                }
-            }
-        }
-        recoveries += jobs.len();
-        run_round(&jobs);
-    }
-
-    CpuRunResult {
-        end_state: verified_end,
-        accepted: dfa.is_accepting(verified_end),
-        chunk_ends,
-        recoveries,
-        parallel_time: t0.elapsed(),
-    }
+/// Runs one round: job 0 on the calling thread, every other job on its own
+/// scoped worker. Returns each job's record in job order.
+fn run_round(dfa: &Dfa, input: &[u8], chunks: &[Range<usize>], jobs: &[Job]) -> Vec<Record> {
+    let run = |&(cid, st): &Job| (st, dfa.run_from(st, &input[chunks[cid].clone()]));
+    std::thread::scope(|s| {
+        let workers: Vec<_> = jobs[1..].iter().map(|job| s.spawn(move || run(job))).collect();
+        let first = run(&jobs[0]);
+        let rest = workers.into_iter().map(|w| w.join().expect("no worker panicked"));
+        std::iter::once(first).chain(rest).collect()
+    })
 }
 
 #[cfg(test)]

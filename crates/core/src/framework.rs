@@ -35,7 +35,6 @@ use crate::table::{DeviceTable, TableLayout};
 pub struct GSpecPal {
     device: DeviceSpec,
     config: SchemeConfig,
-    selector: Selector,
     layout: TableLayout,
     /// Fraction of the input used as the offline training slice (the paper
     /// uses 0.5%).
@@ -51,7 +50,6 @@ impl GSpecPal {
         GSpecPal {
             device,
             config: SchemeConfig::default(),
-            selector: Selector::default(),
             layout: TableLayout::Transformed,
             training_fraction: 0.005,
             min_training: 512,
@@ -61,12 +59,6 @@ impl GSpecPal {
     /// Overrides the scheme configuration.
     pub fn with_config(mut self, config: SchemeConfig) -> Self {
         self.config = config;
-        self
-    }
-
-    /// Overrides the selector thresholds.
-    pub fn with_selector(mut self, selector: Selector) -> Self {
-        self.selector = selector;
         self
     }
 
@@ -103,8 +95,9 @@ impl GSpecPal {
     /// regime changes), while the frequency profile for table residency uses
     /// the compact training prefix.
     pub fn process(&self, dfa: &Dfa, input: &[u8]) -> FrameworkReport {
-        let profile = self.selector.profile(dfa, input);
-        let (scheme, reason) = self.selector.select_explained(&profile);
+        let selector = Selector::default();
+        let profile = selector.profile(dfa, input);
+        let (scheme, reason) = selector.select_explained(&profile);
         let outcome = self.run_with(dfa, input, scheme);
         FrameworkReport { selected: scheme, reason, profile, outcome }
     }

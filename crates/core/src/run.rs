@@ -165,11 +165,6 @@ impl RunOutcome {
         self.verify.recovery_runs
     }
 
-    /// Mean recovery cycles per re-executed chunk (Fig 9 numerator).
-    pub fn recovery_cycles_per_chunk(&self) -> f64 {
-        self.verify.recovery_cycles_per_run()
-    }
-
     /// Total retried launches caused by injected faults, summed across the
     /// run's three stages. Zero without a fault plan.
     pub fn fault_retries(&self) -> u64 {

@@ -1,7 +1,5 @@
 //! Kernel execution statistics.
 
-use crate::spec::DeviceSpec;
-
 /// The algorithmic phase a barrier-delimited round belongs to.
 ///
 /// This is the paper's cost taxonomy (§III, Equation 1 and the §III-C
@@ -308,16 +306,6 @@ impl KernelStats {
         }
     }
 
-    /// Mean recovery cycles per re-executed chunk (Fig 9's y-axis before
-    /// normalization). Returns 0.0 if no recovery ran.
-    pub fn recovery_cycles_per_run(&self) -> f64 {
-        if self.recovery_runs == 0 {
-            0.0
-        } else {
-            self.recovery_cycles as f64 / self.recovery_runs as f64
-        }
-    }
-
     /// Mean wall duration of rounds in which at least one thread recovered —
     /// the "recovery execution time per chunk" of Fig 9: under contention a
     /// chunk re-execution round takes longer than a solo one.
@@ -348,11 +336,6 @@ impl KernelStats {
             self.shared_accesses,
             self.alu_ops
         )
-    }
-
-    /// Kernel time in microseconds on `spec`.
-    pub fn time_us(&self, spec: &DeviceSpec) -> f64 {
-        spec.cycles_to_us(self.cycles)
     }
 
     /// Merges another *block's* counters into this one, treating the two as
@@ -443,13 +426,6 @@ mod tests {
         a.merge_sequential(&b);
         assert_eq!(a.fault_retries, 4);
         assert_eq!(a.fault_cycles, 200);
-    }
-
-    #[test]
-    fn recovery_cycles_per_run() {
-        let s = KernelStats { recovery_cycles: 100, recovery_runs: 4, ..KernelStats::default() };
-        assert!((s.recovery_cycles_per_run() - 25.0).abs() < 1e-12);
-        assert_eq!(KernelStats::default().recovery_cycles_per_run(), 0.0);
     }
 
     fn sample_profile(phase: Phase, cycles: u64, alu: u64) -> PhaseProfile {

@@ -188,19 +188,6 @@ impl DeviceTimeline {
         self.engines[0].free_at()
     }
 
-    /// The cycle the compute queue next becomes free.
-    pub fn compute_free_at(&self) -> u64 {
-        self.engines[if self.overlap { 1 } else { 0 }].free_at()
-    }
-
-    /// The cycle the D2H copy engine next becomes free. Together with
-    /// [`DeviceTimeline::h2d_free_at`] this bounds the start of every future
-    /// copy, which is what lets a streaming pipeline retire overlap
-    /// accounting state instead of retaining every span.
-    pub fn d2h_free_at(&self) -> u64 {
-        self.engines[if self.overlap { 2 } else { 0 }].free_at()
-    }
-
     /// The latest cycle any queue is busy until — the pipeline makespan so
     /// far.
     pub fn horizon(&self) -> u64 {

@@ -59,7 +59,7 @@ fn three_engines_agree_on_div7() {
         assert_eq!(o.end_state, host, "{scheme}");
     }
 
-    // Real threads (crossbeam).
+    // Real threads (the multicore engine).
     let cpu = run_speculative(&d, &input, 8);
     assert_eq!(cpu.end_state, host);
     assert_eq!(cpu.accepted, d.is_accepting(host));
