@@ -36,12 +36,14 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
     block_dims_width, launch, launch_blocks, launch_grid, BlockDim, BlockRequirements, FaultDomain,
-    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx, WindowEpoch,
+    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, SegmentMasks, ThreadCtx,
+    WindowEpoch,
 };
 
 use crate::config::StitchPolicy;
@@ -59,30 +61,207 @@ pub fn compose_mappings(inner: &[StateId], outer: &[StateId]) -> Vec<StateId> {
     inner.iter().map(|&s| outer[s as usize]).collect()
 }
 
-/// One chunk's derived transition function.
-#[derive(Debug, PartialEq)]
+/// One chunk's derived transition function, kept as the walk left it: start
+/// state `q` rides first-step path `root(q)`, which ends in
+/// `ends[root(q)]` after `counts[root(q)]` accepting visits. Only the
+/// entries the composition reads are ever looked up.
+#[derive(Debug, Default)]
 struct Derived {
-    /// `map[q]` = end state of the chunk when entered in state `q`.
-    map: Vec<StateId>,
-    /// `counts[q]` = accepting-state visits along that path; empty when
-    /// match counting is off.
+    /// The first step's index map (see [`FirstStep::root`]); `None` when
+    /// `root(q) = q`.
+    root: Option<Arc<[u32]>>,
+    /// Per first-step path: the chunk's end state.
+    ends: Vec<StateId>,
+    /// Per first-step path: accepting-state visits; empty when match
+    /// counting is off.
     counts: Vec<u64>,
     /// Distinct live paths surviving at the chunk's end — the effective
     /// mapping width the composition kernels pay for.
     eff_width: u32,
+    /// Set by a corruption fault until the mapping is re-derived.
+    poisoned: bool,
+}
+
+impl Derived {
+    fn root(&self, q: StateId) -> usize {
+        assert!(!self.poisoned, "read of a poisoned mapping");
+        self.root.as_ref().map_or(q as usize, |root| root[q as usize] as usize)
+    }
+
+    /// The end state of the chunk when entered in state `q`.
+    fn map(&self, q: StateId) -> StateId {
+        self.ends[self.root(q)]
+    }
+
+    /// Accepting-state visits along the path entered in state `q`
+    /// (counting only).
+    fn count(&self, q: StateId) -> u64 {
+        self.counts[self.root(q)]
+    }
+
+    /// Corrupts the mapping: every entry becomes garbage and any read
+    /// panics until it is replaced by a re-derivation.
+    fn poison(&mut self) {
+        self.ends.fill(StateId::MAX);
+        self.counts.fill(u64::MAX);
+        self.poisoned = true;
+    }
 }
 
 /// Marks an empty slot in the memo's id tables.
 const NONE: u32 = u32::MAX;
 
-/// Host bytes one SFA run's [`SfaMemo`] may hold before it flushes.
+/// Host bytes one SFA run's [`SfaMemo`] may hold before it flushes,
+/// [`FirstSteps`] included.
 const MEMO_BUDGET_BYTES: usize = 8 << 20;
+
+/// Host bytes of [`MEMO_BUDGET_BYTES`] the run's [`FirstSteps`] may take; a
+/// step that does not fit is scanned again at every use.
+const FIRST_STEPS_BUDGET_BYTES: usize = MEMO_BUDGET_BYTES / 2;
+
+/// The first step of every chunk walk whose first byte is of class `c`: from
+/// the tuple of all |Q| start states, it is column `c` of the table (Sin'ya
+/// & Matsuzaki), so one pass down the column yields it.
+struct FirstStep {
+    /// The surviving paths: the distinct successors, in first-occurrence
+    /// order.
+    next: Vec<StateId>,
+    /// `root[q]`: the index in `next` of `q`'s successor, shared by every
+    /// chunk starting on this class; `None` when nothing merged, so that
+    /// `root[q] = q`.
+    root: Option<Arc<[u32]>>,
+    /// Device charges of the whole step, as [`MemoStep`] sums them.
+    alu: u64,
+    shared: u64,
+    probes: u64,
+    /// Cold-row table segments: those of each cold state's entry.
+    segs: SegmentMasks,
+}
+
+impl FirstStep {
+    /// One pass down column `class`: every state's successor, deduplicated
+    /// into `next` and indexed by `root`, and the step's charges summed
+    /// from [`crate::table::DeviceTable::step_charge`] exactly as
+    /// [`SfaMemo::insert`] sums them for an |Q|-wide tuple.
+    fn scan(job: &Job<'_>, class: u16) -> FirstStep {
+        let table = job.table;
+        let dfa = table.dfa();
+        let n = dfa.n_states();
+        let mut index = vec![NONE; n as usize];
+        let mut next = Vec::new();
+        let mut root = Vec::with_capacity(n as usize);
+        let (mut alu, mut shared, mut probes) = (0u64, 0u64, 0u64);
+        let mut segs = SegmentMasks::default();
+        // The column pass proper, then the charges: two tight loops run
+        // faster than one that does both.
+        for &succ in dfa.table()[class as usize..].iter().step_by(dfa.stride()) {
+            let j = &mut index[succ as usize];
+            if *j == NONE {
+                *j = next.len() as u32;
+                next.push(succ);
+            }
+            root.push(*j);
+        }
+        for s in 0..n {
+            let c = table.step_charge(s, class);
+            alu += c.alu;
+            probes += c.probes;
+            match c.cold {
+                None => shared += 1,
+                Some(offset) => {
+                    for seg in job.spec.segments(offset, ENTRY_BYTES) {
+                        segs.push(seg);
+                    }
+                }
+            }
+        }
+        let n = u64::from(n);
+        let merged = (next.len() as u64) < n;
+        // Accept tests, loop bookkeeping, the convergence compares and, on
+        // a merge, the |Q|-entry indirection rewrite.
+        alu += if job.config.count_matches { n } else { 0 }
+            + 1
+            + if n > 1 { n } else { 0 }
+            + if merged { n } else { 0 };
+        next.shrink_to_fit();
+        FirstStep { next, root: merged.then(|| root.into()), alu, shared, probes, segs }
+    }
+
+    /// Host bytes held.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.next.capacity() * std::mem::size_of::<StateId>()
+            + self.root.as_ref().map_or(0, |root| root.len() * 4)
+            + self.segs.heap_bytes()
+    }
+
+    /// Charges the step to `ctx`; `stamp` is this step's window stamp.
+    fn replay(&self, ctx: &mut ThreadCtx<'_>, stamp: &mut WindowEpoch) {
+        ctx.alu(self.alu);
+        ctx.shared(self.shared);
+        ctx.probes(self.probes);
+        ctx.global_batch(REGION_TABLE, &self.segs, stamp);
+    }
+}
+
+/// The run's [`FirstStep`] per byte class, each scanned once, on first use,
+/// and shared by every walk of the run.
+struct FirstSteps {
+    /// `None` inside a slot: the step did not fit the budget.
+    steps: Vec<OnceLock<Option<FirstStep>>>,
+    /// Host bytes of the cached steps.
+    bytes: AtomicUsize,
+    /// Column scans run.
+    scans: AtomicUsize,
+}
+
+impl FirstSteps {
+    fn new(n_classes: usize) -> Self {
+        FirstSteps {
+            steps: (0..n_classes).map(|_| OnceLock::new()).collect(),
+            bytes: AtomicUsize::new(0),
+            scans: AtomicUsize::new(0),
+        }
+    }
+
+    fn bytes(&self) -> usize {
+        self.bytes.load(Ordering::Relaxed)
+    }
+
+    /// Runs `f` on the first step of `class`, scanning it if no walk of the
+    /// run has yet.
+    fn with<R>(&self, job: &Job<'_>, class: u16, f: impl FnOnce(&FirstStep) -> R) -> R {
+        let scan = || {
+            self.scans.fetch_add(1, Ordering::Relaxed);
+            FirstStep::scan(job, class)
+        };
+        let mut uncached = None;
+        let cached = self.steps[class as usize].get_or_init(|| {
+            let step = scan();
+            let bytes = step.bytes();
+            let fits = self.bytes.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
+                (held + bytes <= FIRST_STEPS_BUDGET_BYTES).then_some(held + bytes)
+            });
+            if fits.is_ok() {
+                Some(step)
+            } else {
+                uncached = Some(step);
+                None
+            }
+        });
+        match cached {
+            Some(step) => f(step),
+            None => f(&uncached.unwrap_or_else(scan)),
+        }
+    }
+}
 
 /// One memoized byte step of the mapping walk: live-path tuple `t` on byte
 /// class `c`.
 struct MemoStep {
-    /// Tuple id of the surviving paths after the step.
+    /// Tuple id of the surviving paths after the step, and their number.
     next: u32,
+    next_live: u32,
     /// Device charges of the whole step: ALU ops (table steps, match
     /// counting, loop bookkeeping, convergence check, merge-epoch rewrite),
     /// hot-row shared accesses and hash probes.
@@ -105,16 +284,16 @@ struct MemoStep {
     n_accepts: u32,
 }
 
-/// Job-wide memo of the mapping walk: Sin'ya & Matsuzaki's SFA construction
-/// used as a host cache. Each live-path tuple the walk reaches is interned
-/// as a state, and `(tuple, byte class)` maps to a [`MemoStep`] holding the
-/// successor tuple, the merge compaction, the accept bits and the step's
-/// device charges, so a repeated step costs one lookup instead of one table
-/// step per live path. The memo is exact: the walk replays every charge
-/// through [`ThreadCtx`], cold segments through
-/// [`ThreadCtx::global_batch`]. Its size is bounded by
-/// [`MEMO_BUDGET_BYTES`]: when a step might not fit, the memo flushes and
-/// starts over from the walk's current tuple.
+/// Job-wide memo of the mapping walk after its first step: Sin'ya &
+/// Matsuzaki's SFA construction used as a host cache. Each live-path tuple
+/// the walk reaches is interned as a state, and `(tuple, byte class)` maps
+/// to a [`MemoStep`] holding the successor tuple, the merge compaction, the
+/// accept bits and the step's device charges, so a repeated step costs one
+/// lookup instead of one table step per live path. The memo is exact: the
+/// walk replays every charge through [`ThreadCtx`], cold segments through
+/// [`ThreadCtx::global_batch`]. Its size, with the run's [`FirstSteps`], is
+/// bounded by [`MEMO_BUDGET_BYTES`]: when a step might not fit, the memo
+/// flushes and starts over from the walk's current tuple.
 struct SfaMemo<'a> {
     job: &'a Job<'a>,
     n_classes: usize,
@@ -131,8 +310,11 @@ struct SfaMemo<'a> {
     segs: Vec<u64>,
     merges: Vec<u32>,
     accepts: Vec<u32>,
-    /// The tuple of all |Q| start states, `NONE` until interned.
-    identity: u32,
+    /// `first[c]`: the tuple id of [`FirstStep::next`] for class `c`, or
+    /// `NONE` until interned.
+    first: Vec<u32>,
+    /// Host bytes of the run's [`FirstSteps`], as of the walk's start.
+    reserved: usize,
     /// Miss scratch: the successor tuple, and a generation-stamped
     /// duplicate detector over states (`seen[s]` = first path reaching `s`).
     next: Vec<StateId>,
@@ -145,9 +327,10 @@ struct SfaMemo<'a> {
 impl<'a> SfaMemo<'a> {
     fn new(job: &'a Job<'a>) -> Self {
         let n = job.table.dfa().n_states() as usize;
+        let n_classes = job.table.dfa().stride();
         SfaMemo {
             job,
-            n_classes: job.table.dfa().stride(),
+            n_classes,
             states: Vec::new(),
             spans: Vec::new(),
             index: HashMap::new(),
@@ -157,7 +340,8 @@ impl<'a> SfaMemo<'a> {
             segs: Vec::new(),
             merges: Vec::new(),
             accepts: Vec::new(),
-            identity: NONE,
+            first: vec![NONE; n_classes],
+            reserved: 0,
             next: Vec::with_capacity(n),
             stamp: vec![0; n],
             seen: vec![0; n],
@@ -166,7 +350,7 @@ impl<'a> SfaMemo<'a> {
         }
     }
 
-    /// Host bytes held, counted by length.
+    /// Host bytes held, counted by length, plus the run's first steps.
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         self.states.len() * size_of::<StateId>()
@@ -180,9 +364,11 @@ impl<'a> SfaMemo<'a> {
             + self.segs.len() * 8
             + self.merges.len() * 4
             + self.accepts.len() * 4
+            + self.first.len() * 4
             + self.stamp.len() * 8
             + self.seen.len() * 4
             + self.next.capacity() * size_of::<StateId>()
+            + self.reserved
     }
 
     /// Upper bound on what memoizing one step from a `len`-wide tuple,
@@ -212,7 +398,7 @@ impl<'a> SfaMemo<'a> {
         self.segs.clear();
         self.merges.clear();
         self.accepts.clear();
-        self.identity = NONE;
+        self.first.fill(NONE);
         self.flushes += 1;
     }
 
@@ -241,17 +427,20 @@ impl<'a> SfaMemo<'a> {
         t
     }
 
-    /// The tuple every chunk walk starts from: all |Q| states, in order.
-    fn start(&mut self) -> u32 {
-        if self.identity == NONE {
-            let n = self.job.table.dfa().n_states();
-            if self.over_budget(self.worst_case_bytes(n as usize)) {
-                self.flush();
+    /// The tuple the walk is in after the first step on `class`, whose
+    /// surviving paths are `next`.
+    fn first_tuple(&mut self, class: u16, next: &[StateId]) -> u32 {
+        match self.first[class as usize] {
+            NONE => {
+                if self.over_budget(self.worst_case_bytes(next.len())) {
+                    self.flush();
+                }
+                let t = self.intern(next);
+                self.first[class as usize] = t;
+                t
             }
-            let all: Vec<StateId> = (0..n).collect();
-            self.identity = self.intern(&all);
+            t => t,
         }
-        self.identity
     }
 
     /// The memoized step of tuple `*t` on `class`, computed on a miss. A
@@ -337,6 +526,7 @@ impl<'a> SfaMemo<'a> {
         let id = self.steps.len() as u32;
         self.steps.push(MemoStep {
             next: next_t,
+            next_live: self.next.len() as u32,
             alu: alu as u32,
             shared: shared as u32,
             probes: probes as u32,
@@ -369,29 +559,48 @@ impl<'a> SfaMemo<'a> {
     }
 }
 
+/// What every walk of one run shares: the first steps and the job-wide
+/// memo.
+struct SfaShared<'a> {
+    job: &'a Job<'a>,
+    first: FirstSteps,
+    memo: Mutex<SfaMemo<'a>>,
+}
+
+impl<'a> SfaShared<'a> {
+    fn new(job: &'a Job<'a>) -> Self {
+        SfaShared {
+            job,
+            first: FirstSteps::new(job.table.dfa().stride()),
+            memo: Mutex::new(SfaMemo::new(job)),
+        }
+    }
+}
+
 /// A block's handle on the walk: the job-wide memo when it is free, a
 /// block-local one when another block holds it, and the walk's per-chunk
 /// scratch. Either memo gives the same answer and the same charges, so the
 /// choice never shows in any output.
 struct Walker<'m, 'a> {
-    job: &'a Job<'a>,
-    shared: &'m Mutex<SfaMemo<'a>>,
+    shared: &'m SfaShared<'a>,
     local: Option<SfaMemo<'a>>,
     scratch: WalkScratch,
 }
 
 impl<'m, 'a> Walker<'m, 'a> {
-    fn new(job: &'a Job<'a>, shared: &'m Mutex<SfaMemo<'a>>) -> Self {
-        Walker { job, shared, local: None, scratch: WalkScratch::default() }
+    fn new(shared: &'m SfaShared<'a>) -> Self {
+        let stamps = vec![WindowEpoch::default(); shared.first.steps.len()];
+        Walker { shared, local: None, scratch: WalkScratch { stamps, ..WalkScratch::default() } }
     }
 
     fn derive(&mut self, ctx: &mut ThreadCtx<'_>, range: Range<usize>) -> Derived {
-        match self.shared.try_lock() {
-            Ok(mut memo) => derive_mapping(&mut memo, &mut self.scratch, ctx, range),
+        let first = &self.shared.first;
+        match self.shared.memo.try_lock() {
+            Ok(mut memo) => derive_mapping(&mut memo, first, &mut self.scratch, ctx, range),
             Err(_) => {
-                let job = self.job;
+                let job = self.shared.job;
                 let memo = self.local.get_or_insert_with(|| SfaMemo::new(job));
-                derive_mapping(memo, &mut self.scratch, ctx, range)
+                derive_mapping(memo, first, &mut self.scratch, ctx, range)
             }
         }
     }
@@ -400,8 +609,8 @@ impl<'m, 'a> Walker<'m, 'a> {
 /// Per-chunk host state of the walk, reused across a block's chunks.
 #[derive(Default)]
 struct WalkScratch {
-    /// `root[q]`: the path start state `q` rides after the first step.
-    root: Vec<u32>,
+    /// Per byte class: the window stamp of its [`FirstStep`]'s segments.
+    stamps: Vec<WindowEpoch>,
     /// `ptr[j]`: the live path that first-step path `j` rides now.
     ptr: Vec<u32>,
     /// `offset[j] + matches[ptr[j]]` = accepting visits of first-step path
@@ -422,58 +631,72 @@ struct WalkScratch {
 /// rewrite, and the chunk ends with one |Q|-entry write-back of the
 /// assembled mapping.
 ///
-/// On the host, each byte is one [`SfaMemo`] lookup whose charges are
-/// replayed as sums; only bytes where paths merge touch per-path state, and
-/// that indirection spans the paths alive after the first step, not |Q|.
+/// On the host, the |Q|-wide first step is the run's [`FirstStep`] for the
+/// chunk's first byte class, replayed as sums and word masks; each later
+/// byte is one [`SfaMemo`] lookup whose charges are replayed as sums, and
+/// once one live path is left the rest of the chunk is the table's
+/// one-path walk. Only bytes where paths merge touch per-path state. That
+/// indirection, like the returned [`Derived`], is sized by the paths alive
+/// after the first step; no host loop or allocation per chunk is sized by
+/// |Q|.
 fn derive_mapping(
     memo: &mut SfaMemo<'_>,
+    first: &FirstSteps,
     w: &mut WalkScratch,
     ctx: &mut ThreadCtx<'_>,
     range: Range<usize>,
 ) -> Derived {
     let job = memo.job;
     let table = job.table;
-    let n = table.dfa().n_states();
+    let dfa = table.dfa();
+    let n = dfa.n_states();
     let count = job.config.count_matches;
-    if range.is_empty() {
-        ctx.alu(u64::from(n));
-        let counts = if count { vec![0; n as usize] } else { Vec::new() };
-        return Derived { map: (0..n).collect(), counts, eff_width: n };
-    }
-    let first_pos = range.start;
-    let mut t = memo.start();
-    if count {
-        w.matches.clear();
-        w.matches.resize(n as usize, 0);
-    }
+    let (&b0, rest) = job.input[range.clone()]
+        .split_first()
+        .expect("Job::new admits no more chunks than input bytes, so no chunk is empty");
     ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
-    for (pos, &b) in range.clone().zip(&job.input[range]) {
-        let id = memo.step(&mut t, table.dfa().classes().class(b));
+    let c0 = dfa.classes().class(b0);
+    let (root, mut t) = first.with(job, c0, |step| {
+        step.replay(ctx, &mut w.stamps[c0 as usize]);
+        (step.root.clone(), memo.first_tuple(c0, &step.next))
+    });
+    memo.reserved = first.bytes();
+    // The paths alive after the first step start with identity pointers,
+    // zero offsets and, when counting, one visit each if they accept.
+    let mut live = memo.spans[t as usize].1 as usize;
+    w.ptr.clear();
+    w.ptr.extend(0..live as u32);
+    if count {
+        w.offset.clear();
+        w.offset.resize(live, 0);
+        w.matches.clear();
+        w.matches.extend(memo.tuple(t).iter().map(|&s| u64::from(dfa.is_accepting(s))));
+    }
+    let mut tail = None;
+    for (i, &b) in rest.iter().enumerate() {
+        if live == 1 {
+            // One live path: every first-step path rides it, so the rest of
+            // the chunk is the table's one-path walk, charged the same.
+            let mut end = [memo.tuple(t)[0]];
+            let mut visits = [0];
+            table.step_paths(ctx, &rest[i..], &mut end, &mut visits, count);
+            if count {
+                w.matches[0] += visits[0];
+            }
+            tail = Some(end);
+            break;
+        }
+        let id = memo.step(&mut t, dfa.classes().class(b));
         memo.replay(id, ctx);
-        let live = memo.spans[t as usize].1 as usize;
         let step = &memo.steps[id as usize];
-        let next_live = memo.spans[step.next as usize].1 as usize;
+        let next_live = step.next_live as usize;
         if count {
             for &i in &memo.accepts[step.accept_start as usize..][..step.n_accepts as usize] {
                 w.matches[i as usize] += 1;
             }
         }
-        let new_idx = (step.merge != NONE).then(|| &memo.merges[step.merge as usize..][..live]);
-        if pos == first_pos {
-            // Before the first step every counter is zero, so the paths
-            // alive after it start with identity pointers and zero offsets;
-            // `root` records which of them each start state rides.
-            w.root.clear();
-            match new_idx {
-                Some(new_idx) => w.root.extend_from_slice(new_idx),
-                None => w.root.extend(0..n),
-            }
-            w.ptr.clear();
-            w.ptr.extend(0..next_live as u32);
-            w.offset.clear();
-            w.offset.resize(if count { next_live } else { 0 }, 0);
-        }
-        if let Some(new_idx) = new_idx {
+        if step.merge != NONE {
+            let new_idx = &memo.merges[step.merge as usize..][..live];
             if count {
                 // Riders keep `offset + matches(path) = true matches` by
                 // absorbing the counter difference to their merge target.
@@ -492,52 +715,48 @@ fn derive_mapping(
                 }
                 w.matches.truncate(next_live);
             }
-            if pos != first_pos {
-                for (j, p) in w.ptr.iter_mut().enumerate() {
-                    if count {
-                        w.offset[j] += w.delta[*p as usize];
-                    }
-                    *p = new_idx[*p as usize];
+            for (j, p) in w.ptr.iter_mut().enumerate() {
+                if count {
+                    w.offset[j] += w.delta[*p as usize];
                 }
+                *p = new_idx[*p as usize];
             }
         }
         t = step.next;
+        live = next_live;
     }
 
-    // Final write-back: assemble the per-start-state mapping from the
-    // surviving paths through the indirection.
+    // Final write-back: the device assembles the per-start-state mapping
+    // from the surviving paths; the host keeps it per first-step path.
     ctx.alu(u64::from(n));
-    let paths = memo.tuple(t);
-    let map: Vec<StateId> = w.root.iter().map(|&j| paths[w.ptr[j as usize] as usize]).collect();
-    let counts: Vec<u64> = if count {
-        w.root
+    let paths = match &tail {
+        Some(end) => &end[..],
+        None => memo.tuple(t),
+    };
+    let counts = if count {
+        w.ptr
             .iter()
-            .map(|&j| {
-                let j = j as usize;
-                (w.offset[j] + w.matches[w.ptr[j] as usize] as i64) as u64
-            })
+            .zip(&w.offset)
+            .map(|(&p, &o)| (o + w.matches[p as usize] as i64) as u64)
             .collect()
     } else {
         Vec::new()
     };
-    Derived { map, counts, eff_width: paths.len() as u32 }
+    let ends = w.ptr.iter().map(|&p| paths[p as usize]).collect();
+    Derived { root, ends, counts, eff_width: paths.len() as u32, poisoned: false }
 }
 
 pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     let chunks = job.chunks();
     let n = chunks.len();
-    let n_states = job.table.dfa().n_states();
-    // One memo for every walk of the run: the exec grid's blocks and the
+    // What every walk of the run shares: the exec grid's blocks and the
     // fault path's re-derivations.
-    let memo = Mutex::new(SfaMemo::new(job));
+    let shared = SfaShared::new(job);
 
     let mut exec = SfaExecKernel {
-        job,
+        shared: &shared,
         chunks: &chunks,
-        memo: &memo,
-        maps: vec![Vec::new(); n],
-        counts: vec![Vec::new(); n],
-        widths: vec![0; n],
+        maps: (0..n).map(|_| Derived::default()).collect(),
     };
     let grid = launch_grid(job.spec, n, &mut exec).unwrap_or_else(|e| panic!("launch_grid: {e}"));
     let dims = block_dims_width(grid.width as usize, n);
@@ -567,7 +786,7 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
                 overlay.fault_watchdog_kills += c.kills;
                 if c.degraded {
                     let mut k = SfaRederiveWindow {
-                        walker: Walker::new(job, &memo),
+                        walker: Walker::new(&shared),
                         chunks: &chunks,
                         cursor: dims[b].tids.start,
                         end: dims[b].tids.end,
@@ -584,8 +803,6 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
         }
     }
     let mut maps = exec.maps;
-    let mut count_maps = exec.counts;
-    let mut widths = exec.widths;
 
     let mut verify = KernelStats::default();
 
@@ -597,15 +814,13 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     if let Some(plan) = job.config.faults {
         if plan.corrupt_permille > 0 {
             let mut rederives: Vec<(usize, SfaRederive<'_, '_>)> = Vec::new();
-            for cid in 0..n {
+            for (cid, map) in maps.iter_mut().enumerate() {
                 if plan.corrupts(cid) {
-                    maps[cid].clear();
-                    maps[cid].resize(n_states as usize, StateId::MAX);
-                    count_maps[cid].fill(u64::MAX);
+                    map.poison();
                     rederives.push((
                         1,
                         SfaRederive {
-                            walker: Walker::new(job, &memo),
+                            walker: Walker::new(&shared),
                             cid,
                             range: chunks[cid].clone(),
                             out: None,
@@ -620,16 +835,14 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
                         .fold(),
                 );
                 for (_, k) in rederives {
-                    let d = k.out.expect("re-derivation ran");
-                    maps[k.cid] = d.map;
-                    count_maps[k.cid] = d.counts;
-                    widths[k.cid] = d.eff_width;
+                    maps[k.cid] = k.out.expect("re-derivation ran");
                 }
             }
         }
     }
-    // Every mapping is derived: the memo has served its purpose.
-    drop(memo);
+    // Every mapping is derived: the memo and the first steps have served
+    // their purpose.
+    drop(shared);
 
     // Seam composition: the tree stitch generalized from states to
     // mappings. In-block chunk mappings fold pair-wise (log2(width)
@@ -642,7 +855,7 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
             .iter()
             .filter(|d| d.len() > 1)
             .map(|d| {
-                let w = block_width(&widths, d);
+                let w = block_width(&maps[d.tids.clone()]);
                 (d.len(), SfaComposeKernel { w, rounds_left: d.len().next_power_of_two().ilog2() })
             })
             .collect();
@@ -655,7 +868,7 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
         }
         let b = dims.len();
         if b > 1 {
-            let w = widths.iter().copied().max().unwrap_or(1).max(1) as u64;
+            let w = block_width(&maps);
             match job.config.stitch {
                 StitchPolicy::Tree => {
                     let mut span = 1usize;
@@ -685,11 +898,11 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     let mut ends = Vec::with_capacity(n);
     let mut cur = job.table.dfa().start();
     let mut total_matches = 0u64;
-    for (cid, map) in maps.iter().enumerate() {
+    for map in &maps {
         if job.config.count_matches {
-            total_matches += count_maps[cid][cur as usize];
+            total_matches += map.count(cur);
         }
-        cur = map[cur as usize];
+        cur = map.map(cur);
         ends.push(cur);
     }
 
@@ -710,43 +923,34 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     }
 }
 
-/// Effective composition width of one block: the widest surviving mapping
-/// among its chunks (composition walks the left operand's live paths).
-fn block_width(widths: &[u32], dim: &BlockDim) -> u64 {
-    widths[dim.tids.clone()].iter().copied().max().unwrap_or(1).max(1) as u64
+/// Effective composition width of a run of chunks: the widest surviving
+/// mapping among them (composition walks the left operand's live paths).
+fn block_width(maps: &[Derived]) -> u64 {
+    maps.iter().map(|m| m.eff_width).max().unwrap_or(1).max(1) as u64
 }
 
 struct SfaExecKernel<'m, 'a> {
-    job: &'a Job<'a>,
+    shared: &'m SfaShared<'a>,
     chunks: &'m [Range<usize>],
-    memo: &'m Mutex<SfaMemo<'a>>,
-    maps: Vec<Vec<StateId>>,
-    counts: Vec<Vec<u64>>,
-    widths: Vec<u32>,
+    maps: Vec<Derived>,
 }
 
 /// One grid block of the SFA execution: chunks are independent, so a block
-/// is a disjoint window of the per-chunk function tables.
+/// is a disjoint window of the per-chunk mappings.
 struct SfaExecBlock<'s, 'a> {
     walker: Walker<'s, 'a>,
     chunks: &'s [Range<usize>],
     base: usize,
-    maps: &'s mut [Vec<StateId>],
-    counts: &'s mut [Vec<u64>],
-    widths: &'s mut [u32],
+    maps: &'s mut [Derived],
 }
 
 impl RoundKernel for SfaExecBlock<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.walker.job.sfa_requirements(threads)
+        self.walker.shared.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        let rel = tid - self.base;
-        let d = self.walker.derive(ctx, self.chunks[tid].clone());
-        self.maps[rel] = d.map;
-        self.counts[rel] = d.counts;
-        self.widths[rel] = d.eff_width;
+        self.maps[tid - self.base] = self.walker.derive(ctx, self.chunks[tid].clone());
         RoundOutcome::ACTIVE
     }
 
@@ -762,28 +966,20 @@ impl<'m, 'a> GridKernel for SfaExecKernel<'m, 'a> {
         Self: 's;
 
     fn requirements(&self, width: u32) -> BlockRequirements {
-        self.job.sfa_requirements(width)
+        self.shared.job.sfa_requirements(width)
     }
 
     fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<SfaExecBlock<'s, 'a>> {
-        let mut maps: &'s mut [Vec<StateId>] = &mut self.maps;
-        let mut counts: &'s mut [Vec<u64>] = &mut self.counts;
-        let mut widths: &'s mut [u32] = &mut self.widths;
+        let mut maps: &'s mut [Derived] = &mut self.maps;
         let mut out = Vec::with_capacity(dims.len());
         for dim in dims {
-            let (m, m_rest) = maps.split_at_mut(dim.len());
-            let (c, c_rest) = counts.split_at_mut(dim.len());
-            let (w, w_rest) = widths.split_at_mut(dim.len());
-            maps = m_rest;
-            counts = c_rest;
-            widths = w_rest;
+            let (m, rest) = maps.split_at_mut(dim.len());
+            maps = rest;
             out.push(SfaExecBlock {
-                walker: Walker::new(self.job, self.memo),
+                walker: Walker::new(self.shared),
                 chunks: self.chunks,
                 base: dim.tids.start,
                 maps: m,
-                counts: c,
-                widths: w,
             });
         }
         out
@@ -801,7 +997,7 @@ struct SfaRederive<'m, 'a> {
 
 impl RoundKernel for SfaRederive<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.walker.job.sfa_requirements(threads)
+        self.walker.shared.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
@@ -835,7 +1031,7 @@ struct SfaRederiveWindow<'m, 'a> {
 
 impl RoundKernel for SfaRederiveWindow<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.walker.job.sfa_requirements(threads)
+        self.walker.shared.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
@@ -932,8 +1128,26 @@ mod tests {
     use gspecpal_fsm::examples::{div7, fig4_dfa};
     use gspecpal_fsm::random::{random_dfa, random_input};
     use gspecpal_fsm::{ByteClasses, Dfa, DfaBuilder, FrequencyProfile};
-    use gspecpal_gpu::DeviceSpec;
+    use gspecpal_gpu::{DeviceSpec, FaultPlan};
     use proptest::prelude::*;
+
+    /// A chunk's full state→state mapping, every entry materialized.
+    #[derive(Debug, PartialEq)]
+    struct FullMapping {
+        map: Vec<StateId>,
+        counts: Vec<u64>,
+        eff_width: u32,
+    }
+
+    /// Reads every entry of a lazy mapping: `map(q)` and, when counting,
+    /// `count(q)` for every state `q`.
+    fn expand(d: &Derived, n: u32, count_matches: bool) -> FullMapping {
+        FullMapping {
+            map: (0..n).map(|q| d.map(q)).collect(),
+            counts: if count_matches { (0..n).map(|q| d.count(q)).collect() } else { Vec::new() },
+            eff_width: d.eff_width,
+        }
+    }
 
     /// The uncached walk the memo replaces, kept as the oracle the memoized
     /// walk is tested against.
@@ -943,7 +1157,7 @@ mod tests {
         input: &[u8],
         range: Range<usize>,
         count_matches: bool,
-    ) -> Derived {
+    ) -> FullMapping {
         let n = table.dfa().n_states() as usize;
         // Distinct live paths (state + matches since the path's creation).
         let mut paths: Vec<StateId> = (0..n as StateId).collect();
@@ -1022,7 +1236,7 @@ mod tests {
         } else {
             Vec::new()
         };
-        Derived { map, counts, eff_width: paths.len() as u32 }
+        FullMapping { map, counts, eff_width: paths.len() as u32 }
     }
 
     #[test]
@@ -1143,28 +1357,38 @@ mod tests {
     }
 
     /// Derives chunk `tid` of the job in every one of `rounds_left` rounds,
-    /// through the memoized walk or, without a walker, the uncached oracle.
+    /// through the memoized walk or, without a walker, the uncached oracle,
+    /// and keeps every entry of its mapping.
     struct DeriveChunks<'m, 'a> {
         job: &'a Job<'a>,
         chunks: &'m [Range<usize>],
         walker: Option<Walker<'m, 'a>>,
-        out: Vec<Option<Derived>>,
+        out: Vec<Option<FullMapping>>,
         rounds_left: u32,
+    }
+
+    impl<'m, 'a> DeriveChunks<'m, 'a> {
+        fn new(
+            job: &'a Job<'a>,
+            chunks: &'m [Range<usize>],
+            walker: Option<Walker<'m, 'a>>,
+            rounds: u32,
+        ) -> Self {
+            let out = (0..chunks.len()).map(|_| None).collect();
+            DeriveChunks { job, chunks, walker, out, rounds_left: rounds }
+        }
     }
 
     impl RoundKernel for DeriveChunks<'_, '_> {
         fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
             let range = self.chunks[tid].clone();
             let job = self.job;
+            let count = job.config.count_matches;
             self.out[tid] = Some(match &mut self.walker {
-                Some(walker) => walker.derive(ctx, range),
-                None => derive_mapping_uncached(
-                    job.table,
-                    ctx,
-                    job.input,
-                    range,
-                    job.config.count_matches,
-                ),
+                Some(walker) => {
+                    expand(&walker.derive(ctx, range), job.table.dfa().n_states(), count)
+                }
+                None => derive_mapping_uncached(job.table, ctx, job.input, range, count),
             });
             RoundOutcome::ACTIVE
         }
@@ -1175,33 +1399,22 @@ mod tests {
         }
     }
 
+    type Walk = (KernelStats, Vec<Option<FullMapping>>);
+
     /// Runs both walks over every chunk of `job` on one block and returns
     /// (memoized, oracle) stats and outputs. `contended` holds the job
     /// memo for the launch, so the walk runs on its block-local fallback.
-    #[allow(clippy::type_complexity)]
-    fn both_walks<'a>(
-        job: &'a Job<'a>,
-        rounds: u32,
-        contended: bool,
-    ) -> ((KernelStats, Vec<Option<Derived>>), (KernelStats, Vec<Option<Derived>>)) {
+    fn both_walks<'a>(job: &'a Job<'a>, rounds: u32, contended: bool) -> (Walk, Walk) {
         let chunks = job.chunks();
-        let memo = Mutex::new(SfaMemo::new(job));
+        let shared = SfaShared::new(job);
         let run = |walker: Option<Walker<'_, 'a>>| {
-            let mut k = DeriveChunks {
-                job,
-                chunks: &chunks,
-                walker,
-                out: (0..chunks.len()).map(|_| None).collect(),
-                rounds_left: rounds,
-            };
+            let mut k = DeriveChunks::new(job, &chunks, walker, rounds);
             let stats = launch(job.spec, chunks.len(), &mut k);
             (stats, k.out)
         };
-        let memoized = if contended {
-            let _held = memo.lock().unwrap();
-            run(Some(Walker::new(job, &memo)))
-        } else {
-            run(Some(Walker::new(job, &memo)))
+        let memoized = {
+            let _held = contended.then(|| shared.memo.lock().unwrap());
+            run(Some(Walker::new(&shared)))
         };
         (memoized, run(None))
     }
@@ -1209,13 +1422,15 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The memoized walk is the uncached walk: the same mappings, match
-        /// counts and widths, and the same `KernelStats` field for field —
-        /// clocks, coalescing, per-phase counters — on random and
-        /// permutation machines, both layouts, any hot-row count, with and
-        /// without match counting, over random partitions, across barriers
-        /// (a second round re-derives every chunk) and on the block-local
-        /// fallback memo.
+        /// The memoized walk is the uncached walk: the same mapping and
+        /// match count for every start state, the same widths, and the same
+        /// `KernelStats` field for field — clocks, coalescing, per-phase
+        /// counters — on random and permutation machines, both layouts, any
+        /// hot-row count, with and without match counting, over random
+        /// partitions, across barriers (a second round re-derives every
+        /// chunk), on the block-local fallback memo, and on 4-byte and on
+        /// 32-byte segments (where several states' column entries share one
+        /// segment of the first step's cold set).
         #[test]
         fn memoized_walk_equals_uncached_walk(
             seed in 0u64..1_000_000,
@@ -1229,6 +1444,7 @@ mod tests {
             n_chunks in 1usize..65,
             rounds in 1u32..3,
             contended in 0u8..2,
+            rtx in 0u8..2,
         ) {
             let d = if permutation == 0 {
                 permutation_dfa(seed, n_states, n_classes)
@@ -1243,7 +1459,7 @@ mod tests {
             } else {
                 DeviceTable::transformed(&d, hot)
             };
-            let spec = DeviceSpec::test_unit();
+            let spec = if rtx == 1 { DeviceSpec::rtx3090() } else { DeviceSpec::test_unit() };
             let config = SchemeConfig {
                 n_chunks: n_chunks.min(len),
                 count_matches: count_matches == 1,
@@ -1269,35 +1485,31 @@ mod tests {
         let config = SchemeConfig { n_chunks: 4, ..SchemeConfig::default() };
         let job = Job::new(&spec, &table, &input, config).unwrap();
         let chunks = job.chunks();
-        let memo = Mutex::new(SfaMemo::new(&job));
+        let shared = SfaShared::new(&job);
         struct Checked<'m, 'a> {
-            walker: Walker<'m, 'a>,
-            chunks: &'m [Range<usize>],
-            out: Vec<Option<Derived>>,
+            inner: DeriveChunks<'m, 'a>,
         }
         impl RoundKernel for Checked<'_, '_> {
             fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-                self.out[tid] = Some(self.walker.derive(ctx, self.chunks[tid].clone()));
-                let bytes = self.walker.shared.lock().unwrap().bytes();
+                self.inner.round(tid, ctx);
+                let walker = self.inner.walker.as_ref().unwrap();
+                let bytes = walker.shared.memo.lock().unwrap().bytes();
                 assert!(bytes <= MEMO_BUDGET_BYTES, "{bytes} bytes");
                 RoundOutcome::ACTIVE
             }
-            fn after_sync(&mut self, _round: u64) -> bool {
-                false
+            fn after_sync(&mut self, round: u64) -> bool {
+                self.inner.after_sync(round)
             }
         }
-        let mut k = Checked {
-            walker: Walker::new(&job, &memo),
-            chunks: &chunks,
-            out: (0..chunks.len()).map(|_| None).collect(),
-        };
+        let mut k =
+            Checked { inner: DeriveChunks::new(&job, &chunks, Some(Walker::new(&shared)), 1) };
         let stats = launch(&spec, chunks.len(), &mut k);
-        assert!(memo.lock().unwrap().flushes > 0, "the input must overflow the budget");
+        assert!(shared.memo.lock().unwrap().flushes > 0, "the input must overflow the budget");
         let (_, oracle) = both_walks(&job, 1, false);
-        assert_eq!(k.out, oracle.1);
+        assert_eq!(k.inner.out, oracle.1);
         assert_eq!(stats, oracle.0);
         for (cid, r) in chunks.iter().enumerate() {
-            let out = k.out[cid].as_ref().unwrap();
+            let out = k.inner.out[cid].as_ref().unwrap();
             assert_eq!(out.eff_width, 256, "a permutation machine never merges");
             for q in [0, 17, 255] {
                 assert_eq!(out.map[q as usize], d.run_from(q, &input[r.clone()]));
@@ -1314,11 +1526,75 @@ mod tests {
         for count_matches in [false, true] {
             let config = SchemeConfig { n_chunks: 8, count_matches, ..SchemeConfig::default() };
             let job = Job::new(&spec, &table, &input, config).unwrap();
-            let ((_, out), _) = both_walks(&job, 1, false);
-            for d in out.iter().map(|o| o.as_ref().unwrap()) {
-                assert_eq!(d.counts.len(), if count_matches { 7 } else { 0 });
+            let chunks = job.chunks();
+            let shared = SfaShared::new(&job);
+            struct Counts<'m, 'a> {
+                walker: Walker<'m, 'a>,
+                chunks: &'m [Range<usize>],
+                empty: Vec<bool>,
             }
+            impl RoundKernel for Counts<'_, '_> {
+                fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+                    let d = self.walker.derive(ctx, self.chunks[tid].clone());
+                    self.empty.push(d.counts.is_empty());
+                    RoundOutcome::ACTIVE
+                }
+                fn after_sync(&mut self, _round: u64) -> bool {
+                    false
+                }
+            }
+            let mut k = Counts { walker: Walker::new(&shared), chunks: &chunks, empty: Vec::new() };
+            launch(&spec, chunks.len(), &mut k);
+            assert_eq!(k.empty, vec![!count_matches; chunks.len()]);
         }
+    }
+
+    /// The |Q|-wide first step is one column scan per (run, byte class):
+    /// however many chunks start on a class, across barriers and on the
+    /// block-local memos of contended blocks, each class is scanned once.
+    #[test]
+    fn first_step_scans_once_per_run_and_class() {
+        let d = random_dfa(3, 30, 6);
+        let input = random_input(5, 4000);
+        let table = DeviceTable::transformed(&d, 4);
+        let spec = DeviceSpec::test_unit();
+        let config = SchemeConfig { n_chunks: 64, ..SchemeConfig::default() };
+        let job = Job::new(&spec, &table, &input, config).unwrap();
+        let chunks = job.chunks();
+        let classes: std::collections::BTreeSet<u16> =
+            chunks.iter().map(|r| d.classes().class(input[r.start])).collect();
+        assert!(classes.len() > 1, "chunks must start on several classes");
+        let shared = SfaShared::new(&job);
+        for contended in [false, true] {
+            let _held = contended.then(|| shared.memo.lock().unwrap());
+            let mut k = DeriveChunks::new(&job, &chunks, Some(Walker::new(&shared)), 2);
+            launch(&spec, chunks.len(), &mut k);
+        }
+        assert_eq!(shared.first.scans.load(Ordering::Relaxed), classes.len());
+    }
+
+    /// Corrupting every chunk's mapping poisons all of them; re-derivation
+    /// restores the fault-free answers exactly, and since reading a
+    /// poisoned mapping panics, the composition never read one.
+    #[test]
+    fn corrupting_every_mapping_rederives_the_fault_free_answers() {
+        let d = keyword_dfa(&[b"abc", b"bca"]).unwrap();
+        let spec = DeviceSpec::test_unit();
+        let table = DeviceTable::transformed(&d, 2);
+        let input = b"abcabcxxbcabca".repeat(31);
+        let clean = SchemeConfig { n_chunks: 37, count_matches: true, ..SchemeConfig::default() };
+        let plan = FaultPlan { seed: 9, corrupt_permille: 1000, ..FaultPlan::default() };
+        let faulty = SchemeConfig { faults: Some(plan), ..clean };
+        let run = |config| {
+            let job = Job::new(&spec, &table, &input, config).unwrap();
+            run_scheme(SchemeKind::Sfa, &job)
+        };
+        let (clean, faulty) = (run(clean), run(faulty));
+        assert_eq!(faulty.end_state, clean.end_state);
+        assert_eq!(faulty.chunk_ends, clean.chunk_ends);
+        assert_eq!(faulty.match_count, clean.match_count);
+        assert_eq!(faulty.match_count, Some(d.count_matches(&input)));
+        assert_eq!(faulty.recovery_runs(), 37, "every chunk is re-derived");
     }
 
     #[test]

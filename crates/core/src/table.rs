@@ -217,9 +217,22 @@ impl<'a> DeviceTable<'a> {
         counts: &mut [u64],
         count_matches: bool,
     ) {
-        debug_assert_eq!(states.len(), counts.len());
         ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
-        let bytes = &input[range];
+        self.step_paths(ctx, &input[range], states, counts, count_matches);
+    }
+
+    /// The table steps of [`Self::run_chunk_multi_with`] over `bytes`, whose
+    /// input loads the caller has charged: the SFA walk finishes a chunk
+    /// with it once one live path is left.
+    pub(crate) fn step_paths(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        bytes: &[u8],
+        states: &mut [StateId],
+        counts: &mut [u64],
+        count_matches: bool,
+    ) {
+        debug_assert_eq!(states.len(), counts.len());
         let classes = self.dfa.classes();
         // One loop-bookkeeping ALU op per byte.
         let mut tally = StepTally { alu: bytes.len() as u64, probes: 0, shared: 0 };

@@ -34,6 +34,84 @@ pub struct WindowEpoch {
     gen: u64,
 }
 
+/// A list of single-segment accesses of one region, as
+/// [`ThreadCtx::global_batch`] charges it.
+#[derive(Clone, Copy, Debug)]
+pub enum Segments<'a> {
+    /// One segment id per access, duplicates included, in any order.
+    List(&'a [u64]),
+    /// The same list as 64-bit word masks: the cheaper replay for a long list
+    /// that is charged many times.
+    Masks(&'a SegmentMasks),
+}
+
+impl Segments<'_> {
+    /// Accesses in the list, duplicates included.
+    fn len(self) -> u64 {
+        match self {
+            Segments::List(segs) => segs.len() as u64,
+            Segments::Masks(masks) => masks.len,
+        }
+    }
+}
+
+impl<'a> From<&'a [u64]> for Segments<'a> {
+    fn from(segs: &'a [u64]) -> Self {
+        Segments::List(segs)
+    }
+}
+
+impl<'a> From<&'a SegmentMasks> for Segments<'a> {
+    fn from(masks: &'a SegmentMasks) -> Self {
+        Segments::Masks(masks)
+    }
+}
+
+/// A list of single-segment accesses kept as the set of its segments, one
+/// 64-bit mask per aligned run of 64 segment ids, plus its length. A warp
+/// window charges a mask against its bitmap word with one OR and a popcount
+/// (see [`ThreadCtx::global_batch`]), so replaying the list costs one step
+/// per word, not per access. Charges do not depend on the order of a list,
+/// so the set and its length are all a replay needs.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SegmentMasks {
+    /// `(w, mask)`: bit `i` of `mask` marks segment `64 * w + i`. A word may
+    /// repeat (pushes in no particular order); every mask is non-zero.
+    words: Vec<(u64, u64)>,
+    /// Accesses pushed, duplicates included.
+    len: u64,
+}
+
+impl SegmentMasks {
+    /// Appends one access to segment `seg`. Consecutive accesses within one
+    /// 64-segment word share its entry, so pushing in ascending order keeps
+    /// one entry per touched word.
+    #[inline]
+    pub fn push(&mut self, seg: u64) {
+        let (w, bit) = (seg / 64, 1u64 << (seg % 64));
+        match self.words.last_mut() {
+            Some((last, mask)) if *last == w => *mask |= bit,
+            _ => self.words.push((w, bit)),
+        }
+        self.len += 1;
+    }
+
+    /// Accesses in the list, duplicates included.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Host bytes the masks hold.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<(u64, u64)>()
+    }
+}
+
 /// A warp's coalescing window: the set of `(region, segment)` pairs touched
 /// since the last barrier.
 ///
@@ -127,6 +205,40 @@ impl SegmentWindow {
             }
         }
         self.insert_hashed(region, seg)
+    }
+
+    /// Inserts every segment of `masks`; returns how many were not yet
+    /// present — what inserting them one by one would count as fresh. A
+    /// dense word is one OR into its bitmap word; any other word takes the
+    /// per-segment path.
+    pub(crate) fn insert_masks(&mut self, region: u32, masks: &SegmentMasks) -> u64 {
+        let mut fresh = 0;
+        for &(w, mask) in &masks.words {
+            match self.dense.get_mut(region as usize) {
+                Some(words) if w < Self::DENSE_SEGMENTS / 64 => {
+                    let w = w as usize;
+                    if w >= words.len() {
+                        words.resize(w + 1, [0, 0]);
+                    }
+                    let [stamp, bits] = &mut words[w];
+                    if *stamp != self.gen {
+                        *stamp = self.gen;
+                        *bits = 0;
+                    }
+                    fresh += u64::from((mask & !*bits).count_ones());
+                    *bits |= mask;
+                }
+                _ => {
+                    let mut m = mask;
+                    while m != 0 {
+                        let seg = w * 64 + u64::from(m.trailing_zeros());
+                        fresh += u64::from(self.insert_hashed(region, seg));
+                        m &= m - 1;
+                    }
+                }
+            }
+        }
+        fresh
     }
 
     fn insert_hashed(&mut self, region: u32, seg: u64) -> bool {
@@ -299,7 +411,7 @@ impl<'a> ThreadCtx<'a> {
             return;
         }
         let segs = self.spec.segments(offset, len);
-        let hits = len - (segs.end() - segs.start() + 1);
+        let hits = len - (segs.end - segs.start);
         for seg in segs {
             self.segment(region, seg);
         }
@@ -308,29 +420,44 @@ impl<'a> ThreadCtx<'a> {
     }
 
     /// Charges one single-segment global access per entry of `segs` (segment
-    /// ids of `region`, as [`DeviceSpec::segments`] numbers them) — exactly
-    /// what that many [`ThreadCtx::global`] calls charge, in any order.
+    /// ids of `region`, as [`DeviceSpec::segments`] numbers them, given as a
+    /// [`Segments::List`] or as [`SegmentMasks`]) — exactly what that many
+    /// [`ThreadCtx::global`] calls charge, in any order: each segment new to
+    /// the warp's window is a transaction, every other access a coalesced
+    /// hit.
     ///
     /// `stamp` belongs to this one `(region, segs)` list and lets a replayed
     /// list cost O(1): if it equals the warp window's current epoch, every
     /// segment was inserted earlier in this epoch and, the window only
     /// growing within one, each access is a coalesced hit. Otherwise the
-    /// segments take the per-access path and `stamp` is set to the epoch.
-    /// Clocks and counters are sums, so charging the batch at once instead
-    /// of interleaved with the thread's other accesses changes nothing.
+    /// segments go into the window — a list one by one, masks a word at a
+    /// time — and `stamp` is set to the epoch. Clocks and counters are sums,
+    /// so charging the batch at once instead of interleaved with the
+    /// thread's other accesses changes nothing.
     #[inline]
-    pub fn global_batch(&mut self, region: u32, segs: &[u64], stamp: &mut WindowEpoch) {
+    pub fn global_batch<'s>(
+        &mut self,
+        region: u32,
+        segs: impl Into<Segments<'s>>,
+        stamp: &mut WindowEpoch,
+    ) {
+        let segs = segs.into();
         let epoch = self.window.epoch();
-        if *stamp == epoch {
-            let n = segs.len() as u64;
-            self.clock += n * self.spec.shared_latency;
-            self.stats.global_coalesced_hits += n;
+        let fresh = if *stamp == epoch {
+            0
         } else {
-            for &seg in segs {
-                self.segment(region, seg);
-            }
             *stamp = epoch;
-        }
+            match segs {
+                Segments::List(list) => {
+                    list.iter().map(|&seg| u64::from(self.window.insert(region, seg))).sum()
+                }
+                Segments::Masks(masks) => self.window.insert_masks(region, masks),
+            }
+        };
+        let hits = segs.len() - fresh;
+        self.clock += fresh * self.spec.global_latency + hits * self.spec.shared_latency;
+        self.stats.global_transactions += fresh;
+        self.stats.global_coalesced_hits += hits;
     }
 
     /// Charges `n` shared-memory hash-table probes (each counted as a
@@ -868,34 +995,66 @@ mod tests {
         }
     }
 
+    /// How a [`Script`] charges its records and spans.
+    #[derive(Clone, Copy, PartialEq)]
+    enum Charge {
+        /// One [`ThreadCtx::global`] call per segment or byte.
+        PerAccess,
+        /// Records through [`ThreadCtx::global_batch`] as segment lists,
+        /// spans through [`ThreadCtx::global_span`].
+        List,
+        /// Like `List`, but two records in three as [`SegmentMasks`], so
+        /// both forms meet in one window.
+        Masks,
+    }
+
     /// A script of global accesses, run once per round by every thread:
     /// `(0, pos)` loads one input byte (region 0), `(3, a)` loads the span
-    /// [`span_of`]`(a)`, and `(_, r)` replays record `r % records.len()` of
-    /// region-1 segments. `batched` charges records through
-    /// [`ThreadCtx::global_batch`] with one stamp per record shared by every
-    /// thread and round, and spans through [`ThreadCtx::global_span`];
-    /// otherwise both take one [`ThreadCtx::global`] call per segment or
-    /// byte.
+    /// [`span_of`]`(a)`, and `(_, r)` replays record `r % records.len()`,
+    /// whose segments are in region 1 (dense) for even `r` and region 2
+    /// (never dense) for odd `r`. The bulk modes charge a record with one
+    /// stamp per record shared by every thread and round. `clocks` collects
+    /// every thread's clock at the end of each of its rounds.
     struct Script<'a> {
         ops: &'a [(u8, u64)],
         records: &'a [Vec<u64>],
+        masks: &'a [SegmentMasks],
         stamps: Vec<WindowEpoch>,
-        batched: bool,
+        mode: Charge,
         rounds_left: u64,
         /// Launch a one-thread kernel replaying the same records, stamps
         /// and all, from inside thread 0's round.
         nested: bool,
+        clocks: Vec<u64>,
     }
 
-    impl Script<'_> {
+    impl<'a> Script<'a> {
+        fn new(records: &'a [Vec<u64>], masks: &'a [SegmentMasks], mode: Charge) -> Self {
+            Script {
+                ops: &[],
+                records,
+                masks,
+                stamps: vec![WindowEpoch::default(); records.len()],
+                mode,
+                rounds_left: 1,
+                nested: false,
+                clocks: Vec::new(),
+            }
+        }
+
         fn replay(&mut self, ctx: &mut ThreadCtx<'_>, r: usize) {
+            let region = 1 + (r % 2) as u32;
             let segs = &self.records[r];
-            if self.batched {
-                ctx.global_batch(1, segs, &mut self.stamps[r]);
-            } else {
-                for &seg in segs {
-                    ctx.global(1, seg * ctx.spec().global_segment_bytes, 1);
+            match self.mode {
+                Charge::PerAccess => {
+                    for &seg in segs {
+                        ctx.global(region, seg * ctx.spec().global_segment_bytes, 1);
+                    }
                 }
+                Charge::Masks if r % 3 != 2 => {
+                    ctx.global_batch(region, &self.masks[r], &mut self.stamps[r])
+                }
+                _ => ctx.global_batch(region, segs.as_slice(), &mut self.stamps[r]),
             }
         }
     }
@@ -908,12 +1067,12 @@ mod tests {
                     ctx.global(0, arg, 1);
                 } else if op == 3 {
                     let (region, offset, len) = span_of(arg, ctx.spec());
-                    if self.batched {
-                        ctx.global_span(region, offset, len);
-                    } else {
+                    if self.mode == Charge::PerAccess {
                         for pos in offset..offset + len {
                             ctx.global(region, pos, 1);
                         }
+                    } else {
+                        ctx.global_span(region, offset, len);
                     }
                 } else {
                     self.replay(ctx, arg as usize % self.records.len());
@@ -922,11 +1081,8 @@ mod tests {
             if self.nested && tid == 0 {
                 let mut inner = Script {
                     ops: self.ops,
-                    records: self.records,
                     stamps: std::mem::take(&mut self.stamps),
-                    batched: self.batched,
-                    rounds_left: 1,
-                    nested: false,
+                    ..Script::new(self.records, self.masks, self.mode)
                 };
                 let stats = launch(ctx.spec(), 1, &mut inner);
                 self.stamps = inner.stamps;
@@ -937,6 +1093,7 @@ mod tests {
                     self.replay(ctx, r);
                 }
             }
+            self.clocks.push(ctx.cycles());
             RoundOutcome::ACTIVE
         }
         fn after_sync(&mut self, _round: u64) -> bool {
@@ -950,6 +1107,28 @@ mod tests {
     const SEGS: std::ops::Range<u64> =
         SegmentWindow::DENSE_SEGMENTS - 800..SegmentWindow::DENSE_SEGMENTS + 800;
 
+    /// A record segment drawn as `(kind, x)`: packed near zero (many share a
+    /// bitmap word, and small `x` repeat), straddling the dense limit (the
+    /// last dense word, the limit itself and past it), one per bitmap word,
+    /// or far past the limit.
+    fn record_seg((kind, x): (u8, u64)) -> u64 {
+        match kind {
+            0 => x % 100,
+            1 => SegmentWindow::DENSE_SEGMENTS - 100 + x,
+            2 => x * 64 + x % 3,
+            _ => (1 << 40) - x,
+        }
+    }
+
+    /// `segs` as [`SegmentMasks`], pushed in list order.
+    fn masks_of(segs: &[u64]) -> SegmentMasks {
+        let mut masks = SegmentMasks::default();
+        for &seg in segs {
+            masks.push(seg);
+        }
+        masks
+    }
+
     /// The span script op `(3, a)` loads: in region 0 (shared with the
     /// single-byte loads) or region 2, starting in segment `a` at an
     /// unaligned byte, 0 to 40 bytes long — empty, inside one segment, or
@@ -962,15 +1141,19 @@ mod tests {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(64))]
 
         /// The bulk charges are the per-access charges: for random segment
-        /// lists (duplicates included) and byte spans, in any interleaving
-        /// with single-byte loads and with each other, by several warps,
-        /// across barriers (`clear`), across window growth (hundreds of
-        /// distinct segments per round) and through a nested launch's
-        /// scratch windows, every counter and clock of the launch is
-        /// identical — on 4-byte and on 32-byte segments.
+        /// lists (duplicates included, in a dense and a never-dense region,
+        /// on both sides of the dense limit) charged as lists or as word
+        /// masks, and byte spans, in any interleaving with single-byte loads
+        /// and with each other, by several warps, across barriers (`clear`),
+        /// across window growth (hundreds of distinct segments per round),
+        /// replayed again in an already-stamped epoch, and through a nested
+        /// launch's scratch windows, every counter of the launch and every
+        /// thread's clock after every round are identical — on 4-byte and on
+        /// 32-byte segments.
         #[test]
         fn bulk_charges_equal_per_access_globals(
-            records in proptest::collection::vec(proptest::collection::vec(SEGS, 0..12), 1..8),
+            records in proptest::collection::vec(
+                proptest::collection::vec((0u8..4, 0u64..200), 0..24), 1..8),
             ops in proptest::collection::vec((0u8..4, SEGS), 1..200),
             threads in 1usize..10,
             rounds in 1u64..4,
@@ -978,18 +1161,22 @@ mod tests {
             rtx in 0u8..2,
         ) {
             let spec = if rtx == 1 { DeviceSpec::rtx3090() } else { DeviceSpec::test_unit() };
-            let run = |batched: bool| {
+            let records: Vec<Vec<u64>> =
+                records.into_iter().map(|r| r.into_iter().map(record_seg).collect()).collect();
+            let masks: Vec<SegmentMasks> = records.iter().map(|r| masks_of(r)).collect();
+            let run = |mode: Charge| {
                 let mut k = Script {
                     ops: &ops,
-                    records: &records,
-                    stamps: vec![WindowEpoch::default(); records.len()],
-                    batched,
                     rounds_left: rounds,
                     nested: nested == 1,
+                    ..Script::new(&records, &masks, mode)
                 };
-                launch(&spec, threads, &mut k)
+                let stats = launch(&spec, threads, &mut k);
+                (stats, k.clocks)
             };
-            proptest::prop_assert_eq!(run(true), run(false));
+            let per_access = run(Charge::PerAccess);
+            proptest::prop_assert_eq!(&run(Charge::List), &per_access);
+            proptest::prop_assert_eq!(&run(Charge::Masks), &per_access);
         }
     }
 
@@ -1024,18 +1211,14 @@ mod tests {
         // A record stamped in one round is charged as fresh transactions in
         // the next: the barrier cleared the window, so the stamp is stale.
         let records = vec![vec![3, 4, 5]];
+        let masks = vec![masks_of(&records[0])];
         let ops = [(1, 0)];
-        let mut k = Script {
-            ops: &ops,
-            records: &records,
-            stamps: vec![WindowEpoch::default()],
-            batched: true,
-            rounds_left: 2,
-            nested: false,
-        };
-        let stats = launch(&DeviceSpec::test_unit(), 1, &mut k);
-        assert_eq!(stats.global_transactions, 6);
-        assert_eq!(stats.global_coalesced_hits, 0);
+        for mode in [Charge::List, Charge::Masks] {
+            let mut k = Script { ops: &ops, rounds_left: 2, ..Script::new(&records, &masks, mode) };
+            let stats = launch(&DeviceSpec::test_unit(), 1, &mut k);
+            assert_eq!(stats.global_transactions, 6);
+            assert_eq!(stats.global_coalesced_hits, 0);
+        }
     }
 
     #[test]

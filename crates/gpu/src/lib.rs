@@ -50,7 +50,9 @@ pub use error::LaunchError;
 pub use event::{EventTimer, KernelSpan};
 pub use fault::{backoff_cycles, fault_coord, FaultDomain, FaultPlan};
 pub use grid::{block_dims_width, launch_blocks, launch_grid, BlockDim, GridKernel, GridStats};
-pub use kernel::{launch, RoundKernel, RoundOutcome, ThreadCtx, WindowEpoch};
+pub use kernel::{
+    launch, RoundKernel, RoundOutcome, SegmentMasks, Segments, ThreadCtx, WindowEpoch,
+};
 pub use occupancy::{fit_block_width, max_resident_blocks, occupancy, BlockRequirements};
 pub use spec::{DeviceSpec, LinkSpec, SpecError};
 pub use stats::{KernelStats, LaunchShape, Phase, PhaseCounters, PhaseProfile};

@@ -283,11 +283,20 @@ impl DeviceSpec {
     /// The coalescing segments a global access of `bytes` bytes at `offset`
     /// touches: what [`crate::ThreadCtx::global`] charges one transaction or
     /// hit each for, and what a [`crate::ThreadCtx::global_batch`] list is
-    /// made of.
+    /// made of. Never empty: a zero-byte access touches its offset's
+    /// segment.
     #[inline]
-    pub fn segments(&self, offset: u64, bytes: u64) -> std::ops::RangeInclusive<u64> {
+    pub fn segments(&self, offset: u64, bytes: u64) -> std::ops::Range<u64> {
         let seg_size = self.global_segment_bytes;
-        offset / seg_size..=(offset + bytes.max(1) - 1) / seg_size
+        let last = offset + bytes.max(1) - 1;
+        // Every shipped device has power-of-two segments: shift, not divide,
+        // on the simulator's hottest path.
+        if seg_size.is_power_of_two() {
+            let shift = seg_size.trailing_zeros();
+            offset >> shift..(last >> shift) + 1
+        } else {
+            offset / seg_size..last / seg_size + 1
+        }
     }
 }
 
@@ -393,6 +402,23 @@ mod tests {
         let r = DeviceSpec::rtx3090();
         assert!(a.shared_mem_bytes > r.shared_mem_bytes);
         assert!(a.n_sms > r.n_sms);
+    }
+
+    #[test]
+    fn segments_are_the_division_of_the_byte_range() {
+        for seg_size in [1, 3, 4, 24, 32, 33, 64] {
+            let spec = DeviceSpec { global_segment_bytes: seg_size, ..DeviceSpec::test_unit() };
+            for offset in 0..200 {
+                for bytes in 0..40 {
+                    let last = offset + u64::max(bytes, 1) - 1;
+                    assert_eq!(
+                        spec.segments(offset, bytes),
+                        offset / seg_size..last / seg_size + 1,
+                        "{seg_size}-byte segments, {bytes} bytes at {offset}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

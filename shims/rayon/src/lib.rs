@@ -11,7 +11,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 pub mod iter;
 
@@ -24,15 +24,20 @@ thread_local! {
     static POOL_SIZE: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
+/// The width used outside any [`ThreadPool::install`]: `RAYON_NUM_THREADS`
+/// if set to a positive number, else the host's available parallelism. Read
+/// once per process, as upstream reads it once when its global pool starts:
+/// `available_parallelism` costs a system call, and this is asked at every
+/// parallel map.
 fn default_num_threads() -> usize {
-    if let Ok(v) = std::env::var("RAYON_NUM_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static WIDTH: OnceLock<usize> = OnceLock::new();
+    *WIDTH.get_or_init(|| {
+        std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+    })
 }
 
 /// Number of worker threads parallel operations will currently use.
@@ -151,6 +156,20 @@ mod tests {
                 pool.install(|| input.clone().into_par_iter().map(|x| x * 3).collect());
             assert_eq!(got, expect, "workers = {workers}");
         }
+    }
+
+    #[test]
+    fn default_width_is_stable_and_install_overrides_it() {
+        let width = current_num_threads();
+        assert!(width >= 1);
+        for _ in 0..3 {
+            assert_eq!(current_num_threads(), width, "read once per process");
+        }
+        let other = width + 2;
+        let pool = ThreadPoolBuilder::new().num_threads(other).build().unwrap();
+        assert_eq!(pool.install(current_num_threads), other);
+        assert_eq!(ThreadPoolBuilder::new().build().unwrap().current_num_threads(), width);
+        assert_eq!(current_num_threads(), width);
     }
 
     #[test]
