@@ -14,7 +14,7 @@ use crate::records::{VrRecord, VrSlice, VrStore};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
 use crate::schemes::Job;
 use crate::specq::SpecQueue;
-use crate::table::DeviceTable;
+use crate::table::{DeviceTable, WalkBatch};
 
 /// Result of the common prediction + speculative execution phases.
 pub struct ExecPhase {
@@ -121,6 +121,11 @@ struct ExecKernel<'a> {
 /// One grid block of the speculative execution: chunks are one-to-one with
 /// threads and share nothing, so a block is just a disjoint window of the
 /// job's state, addressed by global thread id.
+///
+/// The block's one round is planned in `begin_round`: every thread's
+/// dequeues, in thread order, then all of the block's walks stepped together
+/// ([`DeviceTable::step_walks`]). `round` charges each thread what its
+/// dequeues and its walk cost and records its paths.
 struct ExecBlock<'s> {
     table: &'s DeviceTable<'s>,
     input: &'s [u8],
@@ -133,36 +138,45 @@ struct ExecBlock<'s> {
     ends: &'s mut [StateId],
     spec_starts: &'s mut [StateId],
     counts: &'s mut [u64],
+    /// Per thread: the dequeue calls it made, one atomic each.
+    dequeues: Vec<u64>,
+    /// Walk `rel` is thread `rel`'s chunk from its dequeued starts.
+    walks: WalkBatch,
 }
 
 impl RoundKernel for ExecBlock<'_> {
+    fn begin_round(&mut self, _round: u64) {
+        self.walks.clear();
+        self.dequeues.clear();
+        for (rel, q) in self.queues.iter_mut().enumerate() {
+            // Dequeue up to k speculative start states (chunk 0 has exactly
+            // one, the machine's certain start state); the call that finds
+            // the queue empty costs its atomic too.
+            let mut calls = 0;
+            let starts = std::iter::from_fn(|| {
+                (calls < self.k).then(|| {
+                    calls += 1;
+                    q.dequeue_host()
+                })?
+            });
+            self.walks.push(self.chunks[self.base + rel].clone(), starts);
+            debug_assert!(!self.walks.starts(rel).is_empty(), "the lookback queue is never empty");
+            self.dequeues.push(calls as u64);
+        }
+        self.table.step_walks(self.input, &mut self.walks, self.count_matches);
+    }
+
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let rel = tid - self.base;
-        // Dequeue up to k speculative start states (chunk 0 has exactly one,
-        // the machine's certain start state).
-        let mut starts: Vec<StateId> = Vec::with_capacity(self.k);
-        for _ in 0..self.k {
-            match self.queues[rel].dequeue(ctx) {
-                Some(s) => starts.push(s),
-                None => break,
-            }
-        }
-        debug_assert!(!starts.is_empty(), "the lookback queue is never empty");
-        let mut states = starts.clone();
-        let mut counts = vec![0u64; starts.len()];
-        self.table.run_chunk_multi_with(
-            ctx,
-            self.input,
-            self.chunks[tid].clone(),
-            &mut states,
-            &mut counts,
-            self.count_matches,
-        );
-        for ((s0, s1), m) in starts.iter().zip(states.iter()).zip(counts.iter()) {
-            self.vr.push_own(tid, VrRecord { start: *s0, end: *s1, matches: *m });
+        ctx.atomic(self.dequeues[rel]);
+        self.table.charge_walk(ctx, self.input, &mut self.walks, rel, self.count_matches);
+        let (starts, ends, counts) =
+            (self.walks.starts(rel), self.walks.ends(rel), self.walks.matches(rel));
+        for ((&start, &end), &matches) in starts.iter().zip(ends).zip(counts) {
+            self.vr.push_own(tid, VrRecord { start, end, matches });
         }
         self.spec_starts[rel] = starts[0];
-        self.ends[rel] = states[0];
+        self.ends[rel] = ends[0];
         self.counts[rel] = counts[0];
         RoundOutcome::ACTIVE
     }
@@ -211,6 +225,8 @@ impl GridKernel for ExecKernel<'_> {
                 ends: e,
                 spec_starts: s,
                 counts: c,
+                dequeues: Vec::with_capacity(dim.len()),
+                walks: WalkBatch::default(),
             });
         }
         out

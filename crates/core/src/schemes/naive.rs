@@ -24,7 +24,7 @@ use crate::records::{VrRecord, VrSlice};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::common::exec_phase;
-use crate::schemes::stitch::stitch_blocks;
+use crate::schemes::stitch::{block_incomings, stitch_blocks};
 use crate::schemes::Job;
 
 pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
@@ -42,8 +42,7 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
 
     if n > 1 {
         let dims = job.vr_dims(n);
-        let incomings: Vec<StateId> =
-            dims.iter().map(|d| if d.index == 0 { 0 } else { ends[d.tids.start - 1] }).collect();
+        let incomings = block_incomings(job, &dims, &ends);
         let lens: Vec<usize> = dims.iter().map(BlockDim::len).collect();
         {
             let vr_slices = vr.split_lens(&lens);

@@ -33,7 +33,7 @@ use gspecpal_gpu::{
 use crate::records::{VrRecord, VrSlice};
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::common::{exec_phase, ExecPhase};
-use crate::schemes::stitch::stitch_blocks;
+use crate::schemes::stitch::{block_incomings, stitch_blocks};
 use crate::schemes::Job;
 
 pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
@@ -49,8 +49,7 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
 
     if n > 1 {
         let dims = job.vr_dims(n);
-        let incomings: Vec<StateId> =
-            dims.iter().map(|d| if d.index == 0 { 0 } else { ends[d.tids.start - 1] }).collect();
+        let incomings = block_incomings(job, &dims, &ends);
 
         // Phase 2: parallel tree-like merge, one per block — log2(B) rounds,
         // every thread forwarding k end states and checking k received ones.

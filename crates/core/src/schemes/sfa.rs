@@ -679,7 +679,8 @@ fn derive_mapping(
             // the chunk is the table's one-path walk, charged the same.
             let mut end = [memo.tuple(t)[0]];
             let mut visits = [0];
-            table.step_paths(ctx, &rest[i..], &mut end, &mut visits, count);
+            let tail_range = range.start + 1 + i..range.end;
+            table.step_paths(ctx, job.input, tail_range, &mut end, &mut visits, count);
             if count {
                 w.matches[0] += visits[0];
             }

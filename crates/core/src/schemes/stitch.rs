@@ -53,6 +53,15 @@ pub(crate) struct StitchOutcome {
     pub matches: u64,
 }
 
+/// The incoming state each block of `dims` starts its first chunk from:
+/// the machine's start state for block 0, and for every other block the
+/// exec-phase end of its predecessor chunk (block-level speculation, which
+/// [`stitch_blocks`] validates afterwards).
+pub(crate) fn block_incomings(job: &Job<'_>, dims: &[BlockDim], ends: &[StateId]) -> Vec<StateId> {
+    let start = job.table.dfa().start();
+    dims.iter().map(|d| if d.index == 0 { start } else { ends[d.tids.start - 1] }).collect()
+}
+
 /// Validates every block boundary under the job's [`StitchPolicy`].
 /// `incomings[b]` is the state block `b` speculated as its incoming;
 /// `ends`/`counts` hold the per-chunk results the blocks produced under that

@@ -39,9 +39,10 @@ use crate::records::{VrRecord, VrSlice};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
 use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::common::{exec_phase, ExecPhase};
-use crate::schemes::stitch::stitch_blocks;
+use crate::schemes::stitch::{block_incomings, stitch_blocks};
 use crate::schemes::Job;
 use crate::specq::SpecQueue;
+use crate::table::WalkBatch;
 
 /// Which recovery scheduling heuristic the kernel applies.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -90,8 +91,7 @@ pub(crate) fn run_with_policy(job: &Job<'_>, policy: RecoveryPolicy) -> RunOutco
         // Block-level speculation: each block assumes the exec-phase end of
         // its predecessor chunk as incoming (snapshot *before* any block
         // rewrites its window).
-        let incomings: Vec<StateId> =
-            dims.iter().map(|d| if d.index == 0 { 0 } else { ends[d.tids.start - 1] }).collect();
+        let incomings = block_incomings(job, &dims, &ends);
         let lens: Vec<usize> = dims.iter().map(BlockDim::len).collect();
         {
             let vr_slices = vr.split_lens(&lens);
@@ -207,6 +207,10 @@ struct VrBlock<'a, 'j> {
     /// drained (they never refill, so the scan is amortized O(1) — on
     /// hardware this is a shared first-non-empty pointer).
     nf_cursor: usize,
+    /// The current recover round's plan, one entry per thread.
+    plan: Vec<Planned>,
+    /// The current recover round's walks.
+    walks: WalkBatch,
     checks: u64,
     matches: u64,
     frontier_trace: Vec<u32>,
@@ -246,6 +250,8 @@ impl<'a, 'j> VrBlock<'a, 'j> {
             phase: VrPhase::Verify,
             policy,
             nf_cursor: 0,
+            plan: Vec::with_capacity(n_local),
+            walks: WalkBatch::default(),
             checks: 0,
             matches: 0,
             frontier_trace: Vec::new(),
@@ -288,89 +294,55 @@ impl<'a, 'j> VrBlock<'a, 'j> {
         RoundOutcome::ACTIVE
     }
 
-    fn recover_round(&mut self, rel: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+    /// Plans thread `rel`'s recover round. Rear threads follow the SRE
+    /// strategy: re-execute the own chunk from the forwarded end state. The
+    /// frontier's recovery is must-be-done; other rear threads recover
+    /// speculatively, at most `spec_budget` times, and only when no record
+    /// already covers their forwarded state. A rear thread with nothing
+    /// useful to do on its own chunk, like a non-rear (already verified)
+    /// thread, idles under SRE (the one-to-one binding, and the thread
+    /// under-utilization the paper attacks) and is reassigned by the
+    /// aggressive schemes ([`Self::plan_seed`]) — §III-A: "when thread i
+    /// finishes ... it may be assigned to any other chunk j for a
+    /// speculative recovery".
+    fn plan_recover(&mut self, rel: usize) -> Planned {
         let f = self.f;
-        let rear = rel >= f;
-        if rear {
-            // Rear threads follow the SRE strategy: re-execute the own chunk
-            // from the forwarded end state. The frontier's recovery is
-            // must-be-done; other rear threads recover speculatively, at most
-            // `spec_budget` times, and only when no record already covers
-            // their forwarded state.
-            if rel != f {
-                if self.found[rel] || self.spec_budget[rel] == 0 {
-                    // Nothing useful to do on the own chunk. Under SRE the
-                    // thread idles (the one-to-one binding); the aggressive
-                    // schemes reassign it like a verified thread — §III-A:
-                    // "when thread i finishes ... it may be assigned to any
-                    // other chunk j for a speculative recovery".
-                    return match self.policy {
-                        RecoveryPolicy::Sre => RoundOutcome::IDLE,
-                        RecoveryPolicy::RoundRobin | RecoveryPolicy::NearestFirst => {
-                            self.seed_round(rel, ctx)
-                        }
-                    };
-                }
-                self.spec_budget[rel] -= 1;
-            }
-            let st = self.endp[rel];
-            let t0 = ctx.cycles();
-            let run = self.job.table.run_chunk_with(
-                ctx,
-                self.job.input,
-                self.chunks[self.base + rel].clone(),
-                st,
-                self.job.config.count_matches,
-            );
-            ctx.credit_recovery(t0);
-            self.vr.push_own(
-                self.base + rel,
-                VrRecord { start: st, end: run.end, matches: run.matches },
-            );
-            if !self.found[rel] {
-                self.ends_cur[rel] = run.end;
-                self.counts_cur[rel] = run.matches;
-            }
-            RoundOutcome::RECOVERING
-        } else {
-            // Non-rear (already verified) threads: only the aggressive
-            // schemes reassign them; under SRE they idle — the thread
-            // under-utilization the paper attacks.
-            match self.policy {
-                RecoveryPolicy::Sre => RoundOutcome::IDLE,
-                RecoveryPolicy::RoundRobin | RecoveryPolicy::NearestFirst => {
-                    self.seed_round(rel, ctx)
-                }
-            }
+        if rel < f || (rel != f && (self.found[rel] || self.spec_budget[rel] == 0)) {
+            return self.plan_seed(rel);
         }
+        if rel != f {
+            self.spec_budget[rel] -= 1;
+        }
+        let w = self.walks.push(self.chunks[self.base + rel].clone(), [self.endp[rel]]);
+        Planned { atomics: 0, probes: 0, walk: Some((Target::Own, w)) }
     }
 
-    /// One speculative-recovery seeding step by a verified thread: pick a
-    /// chunk past the frontier (RR: round-robin, Algorithm 4 line 23; NF:
-    /// nearest non-drained queue, Algorithm 5 lines 29-33), dequeue the next
-    /// speculative state, execute the chunk, and forward the record into the
-    /// owner's `VR^others` window. All candidates are block-local: the
-    /// speculation queues live in the block's shared memory.
-    fn seed_round(&mut self, rel: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+    /// Plans one speculative-recovery seeding step by a reassigned thread:
+    /// pick a chunk past the frontier (RR: round-robin, Algorithm 4 line
+    /// 23; NF: nearest non-drained queue, Algorithm 5 lines 29-33) and
+    /// dequeue its next speculative state; the thread then executes the
+    /// chunk and forwards the record into the owner's `VR^others` window.
+    /// All candidates are block-local: the speculation queues live in the
+    /// block's shared memory.
+    fn plan_seed(&mut self, rel: usize) -> Planned {
         let f = self.f;
         let n = self.n_local;
         debug_assert!(f < n);
-        let (cid, st) = match self.policy {
-            RecoveryPolicy::Sre => return RoundOutcome::IDLE,
-            RecoveryPolicy::RoundRobin => {
-                let avail = n.saturating_sub(f + 1);
-                if avail == 0 {
-                    return RoundOutcome::IDLE;
+        let mut plan = Planned { atomics: 0, probes: 0, walk: None };
+        let pick = match self.policy {
+            RecoveryPolicy::Sre => None,
+            RecoveryPolicy::RoundRobin => match n.saturating_sub(f + 1) {
+                0 => None,
+                avail => {
+                    let cid = f + 1 + rel % avail;
+                    if self.seeding_exhausted(cid) {
+                        None
+                    } else {
+                        plan.atomics = 1;
+                        self.queues[cid].dequeue_host().map(|st| (cid, st))
+                    }
                 }
-                let cid = f + 1 + (rel % avail);
-                if self.seeding_exhausted(cid) {
-                    return RoundOutcome::IDLE;
-                }
-                match self.queues[cid].dequeue(ctx) {
-                    Some(st) => (cid, st),
-                    None => return RoundOutcome::IDLE,
-                }
-            }
+            },
             RecoveryPolicy::NearestFirst => {
                 // The shared first-non-empty hint makes the scan amortized
                 // O(1); drained queues never refill.
@@ -378,40 +350,100 @@ impl<'a, 'j> VrBlock<'a, 'j> {
                 let mut pick = None;
                 while self.nf_cursor < n {
                     let cid = self.nf_cursor;
-                    ctx.shared(1); // queue-size probe
+                    plan.probes += 1; // queue-size probe
                     if !self.seeding_exhausted(cid) && self.queues[cid].remaining() > 0 {
-                        pick = self.queues[cid].dequeue(ctx).map(|st| (cid, st));
+                        plan.atomics = 1;
+                        pick = self.queues[cid].dequeue_host().map(|st| (cid, st));
                         break;
                     }
                     self.nf_cursor += 1;
                 }
-                match pick {
-                    Some(p) => p,
-                    None => return RoundOutcome::IDLE,
-                }
+                pick
             }
         };
+        if let Some((cid, st)) = pick {
+            let w = self.walks.push(self.chunks[self.base + cid].clone(), [st]);
+            plan.walk = Some((Target::Other(cid), w));
+        }
+        plan
+    }
+
+    /// Thread `rel`'s planned recover round, charged on its own context:
+    /// its dequeue and queue probes, then its walk (credited as recovery),
+    /// then its record.
+    fn recover_round(&mut self, rel: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+        let Planned { atomics, probes, walk } = self.plan[rel];
+        ctx.atomic(atomics);
+        ctx.shared(probes);
+        let Some((target, w)) = walk else {
+            return RoundOutcome::IDLE;
+        };
         let t0 = ctx.cycles();
-        let run = self.job.table.run_chunk_with(
-            ctx,
-            self.job.input,
-            self.chunks[self.base + cid].clone(),
-            st,
-            self.job.config.count_matches,
-        );
+        let (input, count) = (self.job.input, self.job.config.count_matches);
+        self.job.table.charge_walk(ctx, input, &mut self.walks, w, count);
         ctx.credit_recovery(t0);
-        self.vr.push_other(
-            ctx,
-            self.base + cid,
-            VrRecord { start: st, end: run.end, matches: run.matches },
-        );
+        let rec = VrRecord {
+            start: self.walks.starts(w)[0],
+            end: self.walks.ends(w)[0],
+            matches: self.walks.matches(w)[0],
+        };
+        match target {
+            Target::Own => {
+                self.vr.push_own(self.base + rel, rec);
+                if !self.found[rel] {
+                    self.ends_cur[rel] = rec.end;
+                    self.counts_cur[rel] = rec.matches;
+                }
+            }
+            Target::Other(cid) => self.vr.push_other(ctx, self.base + cid, rec),
+        }
         RoundOutcome::RECOVERING
     }
+}
+
+/// One thread's recover round, as [`VrBlock::plan_recover`] planned it.
+#[derive(Clone, Copy)]
+struct Planned {
+    /// Speculation-queue dequeues, one atomic each.
+    atomics: u64,
+    /// NF's queue-size probes, one shared access each.
+    probes: u64,
+    /// The chunk the thread re-executes and its walk in the round's batch;
+    /// `None` idles the thread.
+    walk: Option<(Target, usize)>,
+}
+
+/// Whose chunk a recovery walk re-executes.
+#[derive(Clone, Copy)]
+enum Target {
+    /// The thread's own chunk: the record is the owner's.
+    Own,
+    /// Block-local chunk `cid`, seeded into its owner's `VR^others` window.
+    Other(usize),
 }
 
 impl RoundKernel for VrBlock<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
         self.job.vr_requirements(threads)
+    }
+
+    /// A recover round is planned whole before any thread runs: every
+    /// thread's action in thread order — its spec budget, RR's target chunk,
+    /// NF's cursor and probes, its dequeue — then all planned walks stepped
+    /// together. Planning reads and writes only the budgets, the queues and
+    /// the cursor, which no thread's `round` touches, so each plan is what
+    /// the thread would have decided in turn.
+    fn begin_round(&mut self, _round: u64) {
+        if self.phase != VrPhase::Recover {
+            return;
+        }
+        self.walks.clear();
+        self.plan.clear();
+        for rel in 0..self.n_local {
+            let plan = self.plan_recover(rel);
+            self.plan.push(plan);
+        }
+        self.job.table.step_walks(self.job.input, &mut self.walks, self.job.config.count_matches);
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {

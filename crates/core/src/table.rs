@@ -50,12 +50,14 @@ impl<'a> DeviceTable<'a> {
     /// A transformed-layout table over a frequency-permuted DFA with the
     /// given number of resident hot rows.
     pub fn transformed(dfa: &'a Dfa, hot_rows: u32) -> Self {
+        assert_entries_fit(dfa);
         DeviceTable { dfa, layout: TableLayout::Transformed, hot_rows, hot_set: Vec::new() }
     }
 
     /// A hashed-layout table: the `hot_rows` most frequent states (per
     /// `profile`) are resident, tested through a shared-memory hash table.
     pub fn hashed(dfa: &'a Dfa, profile: &FrequencyProfile, hot_rows: u32) -> Self {
+        assert_entries_fit(dfa);
         let mut hot_set = vec![false; dfa.n_states() as usize];
         for &s in profile.ranked_states().iter().take(hot_rows as usize) {
             hot_set[s as usize] = true;
@@ -145,21 +147,28 @@ impl<'a> DeviceTable<'a> {
         }
     }
 
+    /// ALU ops and hash probes of every table step, whatever its row: one
+    /// ALU op for the transition; for the hashed layout, one Hots[hash(s)]
+    /// probe (a shared access that pipelines with the row fetch; its
+    /// effective extra latency is the device's probe cost).
+    #[inline]
+    fn step_ops(&self) -> (u64, u64) {
+        match self.layout {
+            TableLayout::Transformed => (1, 0),
+            TableLayout::Hashed => (1, 1),
+        }
+    }
+
     /// The device cost of one transition `Table[s][class]` under this
     /// layout — the one definition of what a step costs. The chunk walk
-    /// tallies it per path; the SFA walk's memo sums it over live paths.
+    /// charges it as sums per path; the SFA walk's memo sums it over live
+    /// paths.
     #[inline]
     pub(crate) fn step_charge(&self, s: StateId, class: u16) -> StepCharge {
-        // Transformed: the `state < H` test. Hashed: hash(state) plus a
-        // Hots[hash(state)] probe, a shared access that pipelines with the
-        // row fetch; its effective extra latency is the device's probe cost.
-        let probes = match self.layout {
-            TableLayout::Transformed => 0,
-            TableLayout::Hashed => 1,
-        };
+        let (alu, probes) = self.step_ops();
         let cold = (!self.is_hot(s))
             .then(|| (u64::from(s) * self.dfa.stride() as u64 + u64::from(class)) * ENTRY_BYTES);
-        StepCharge { alu: 1, probes, cold }
+        StepCharge { alu, probes, cold }
     }
 
     /// Runs one chunk on the device from `start`. This is the device-side
@@ -199,15 +208,8 @@ impl<'a> DeviceTable<'a> {
     /// `count_matches` each path's accepting-state visits are added to its
     /// entry of `counts`.
     ///
-    /// The device cost is what loading each byte and stepping each path
-    /// access by access charges, applied as sums: the chunk's input as one
-    /// [`ThreadCtx::global_span`], and the ALU ops, hash probes and hot-row
-    /// shared accesses of every step (`step_charge`, the one price of a
-    /// step) as one tally at the end. Only cold-row fetches go to the warp
-    /// window one by one, since they dedup against each other and the rest
-    /// of the warp. Clocks and counters are sums and no other thread touches
-    /// the window during the walk, so the totals are those of the
-    /// per-access walk.
+    /// This is the chunk's input span and a walk batch of one walk: the
+    /// walk is stepped, then its steps are charged as sums.
     pub fn run_chunk_multi_with(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -218,69 +220,312 @@ impl<'a> DeviceTable<'a> {
         count_matches: bool,
     ) {
         ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
-        self.step_paths(ctx, &input[range], states, counts, count_matches);
+        self.step_paths(ctx, input, range, states, counts, count_matches);
     }
 
-    /// The table steps of [`Self::run_chunk_multi_with`] over `bytes`, whose
-    /// input loads the caller has charged: the SFA walk finishes a chunk
-    /// with it once one live path is left.
+    /// The table steps of [`Self::run_chunk_multi_with`] over `range`, whose
+    /// input loads the caller has charged: a batch of one walk, in this host
+    /// thread's reused batch, stepped by [`Self::step_walks`] and charged by
+    /// [`Self::charge_steps`]. The SFA walk finishes a chunk with it once
+    /// one live path is left.
     pub(crate) fn step_paths(
         &self,
         ctx: &mut ThreadCtx<'_>,
-        bytes: &[u8],
+        input: &[u8],
+        range: Range<usize>,
         states: &mut [StateId],
         counts: &mut [u64],
         count_matches: bool,
     ) {
         debug_assert_eq!(states.len(), counts.len());
-        let classes = self.dfa.classes();
-        // One loop-bookkeeping ALU op per byte.
-        let mut tally = StepTally { alu: bytes.len() as u64, probes: 0, shared: 0 };
-        match states {
-            // One uncounted path, the recovery walk: keep its state in a
-            // register.
-            [s] if !count_matches => {
-                *s = bytes
-                    .iter()
-                    .fold(*s, |s, &b| self.tally_step(ctx, &mut tally, s, classes.class(b)));
+        ONE_WALK.with_borrow_mut(|batch| {
+            batch.clear();
+            batch.push(range, states.iter().copied());
+            self.step_walks(input, batch, count_matches);
+            self.charge_steps(ctx, input, batch, 0, count_matches);
+            states.copy_from_slice(batch.ends(0));
+            for (c, m) in counts.iter_mut().zip(batch.matches(0)) {
+                *c += m;
             }
-            _ => {
-                for &b in bytes {
-                    let class = classes.class(b);
-                    for (s, c) in states.iter_mut().zip(counts.iter_mut()) {
-                        *s = self.tally_step(ctx, &mut tally, *s, class);
-                        if count_matches {
-                            tally.alu += 1; // accept test
-                            *c += u64::from(self.dfa.is_accepting(*s));
-                        }
-                    }
+        });
+    }
+
+    /// Steps every path of every walk of `batch` to its end, [`LANES`] paths
+    /// at a time in lockstep: each step of each lane is a dependent table
+    /// load, and stepping independent lanes side by side lets the host
+    /// overlap their latencies. Records each path's end state, its accepting
+    /// visits (with `count_matches`) and the table entries of its cold
+    /// steps, for [`DeviceTable::charge_walk`]. Charges nothing.
+    ///
+    /// A batch of one path has no other lane to overlap with. It is
+    /// stepped by its charge instead, in registers, each cold entry charged
+    /// as it is stepped, so that the charging overlaps the walk's chain of
+    /// loads as it did in the register walk.
+    pub(crate) fn step_walks(&self, input: &[u8], batch: &mut WalkBatch, count_matches: bool) {
+        let n_paths = batch.starts.len();
+        batch.ends.clear();
+        batch.ends.extend_from_slice(&batch.starts);
+        batch.matches.clear();
+        batch.matches.resize(n_paths, 0);
+        batch.cold_spans.clear();
+        batch.cold_spans.resize(n_paths, (0, 0));
+        batch.cold.clear();
+        if n_paths == 1 {
+            return;
+        }
+        match (self.layout, count_matches) {
+            (TableLayout::Transformed, false) => {
+                let h = self.hot_rows;
+                self.step_lockstep::<false>(input, batch, |s| s < h);
+            }
+            (TableLayout::Transformed, true) => {
+                let h = self.hot_rows;
+                self.step_lockstep::<true>(input, batch, |s| s < h);
+            }
+            (TableLayout::Hashed, false) => {
+                let hot = &self.hot_set[..];
+                self.step_lockstep::<false>(input, batch, |s| hot[s as usize]);
+            }
+            (TableLayout::Hashed, true) => {
+                let hot = &self.hot_set[..];
+                self.step_lockstep::<true>(input, batch, |s| hot[s as usize]);
+            }
+        }
+    }
+
+    /// The lone path of a one-path batch, stepped by its charge (see
+    /// [`Self::step_walks`]): returns its end state and accepting visits.
+    fn step_lone(
+        &self,
+        input: &[u8],
+        range: Range<usize>,
+        start: StateId,
+        count_matches: bool,
+        cold: &mut ChargeCold<'_, '_>,
+    ) -> (StateId, u64) {
+        let (mut end, mut visits) = ([start], [0]);
+        let (pos, steps) = ([range.start], range.len());
+        let (e, v) = (&mut end, &mut visits);
+        match (self.layout, count_matches) {
+            (TableLayout::Transformed, false) => {
+                let h = self.hot_rows;
+                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| s < h);
+            }
+            (TableLayout::Transformed, true) => {
+                let h = self.hot_rows;
+                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| s < h);
+            }
+            (TableLayout::Hashed, false) => {
+                let hot = &self.hot_set[..];
+                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| {
+                    hot[s as usize]
+                });
+            }
+            (TableLayout::Hashed, true) => {
+                let hot = &self.hot_set[..];
+                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| hot[s as usize]);
+            }
+        }
+        (end[0], visits[0])
+    }
+
+    /// The scheduler of [`Self::step_walks`]: lanes take paths in batch
+    /// order; each pass steps the widest power-of-two group of busy lanes
+    /// until the first of them finishes, then finished lanes hand their
+    /// results to the batch and take the next paths.
+    fn step_lockstep<const COUNT: bool>(
+        &self,
+        input: &[u8],
+        batch: &mut WalkBatch,
+        hot: impl Fn(StateId) -> bool + Copy,
+    ) {
+        let WalkBatch { walks, starts, ends, matches, cold_spans, cold, lane_cold } = batch;
+        let mut pending = walks
+            .iter()
+            .flat_map(|(range, paths)| paths.clone().map(move |p| (range.clone(), p)))
+            .filter(|(range, _)| !range.is_empty());
+        let mut lanes = Lanes::default();
+        loop {
+            while lanes.busy < LANES {
+                let Some((range, p)) = pending.next() else { break };
+                let l = lanes.busy;
+                lanes.path[l] = p;
+                lanes.pos[l] = range.start;
+                lanes.end[l] = range.end;
+                lanes.state[l] = starts[p];
+                lanes.matches[l] = 0;
+                lanes.busy += 1;
+            }
+            let width = match lanes.busy {
+                0 => break,
+                1 => 1,
+                2 | 3 => 2,
+                4..LANES => 4,
+                _ => LANES,
+            };
+            let steps = (0..width).map(|l| lanes.end[l] - lanes.pos[l]).min().unwrap_or(0);
+            match width {
+                1 => lanes.step::<1, COUNT>(self, input, lane_cold, steps, hot),
+                2 => lanes.step::<2, COUNT>(self, input, lane_cold, steps, hot),
+                4 => lanes.step::<4, COUNT>(self, input, lane_cold, steps, hot),
+                _ => lanes.step::<LANES, COUNT>(self, input, lane_cold, steps, hot),
+            }
+            let mut l = 0;
+            while l < width.min(lanes.busy) {
+                if lanes.pos[l] < lanes.end[l] {
+                    l += 1;
+                    continue;
+                }
+                let p = lanes.path[l];
+                ends[p] = lanes.state[l];
+                matches[p] = lanes.matches[l];
+                let first = cold.len() as u32;
+                cold.extend_from_slice(&lane_cold[l]);
+                cold_spans[p] = (first, cold.len() as u32);
+                lane_cold[l].clear();
+                lanes.busy -= 1;
+                lanes.swap(l, lanes.busy);
+                lane_cold.swap(l, lanes.busy);
+            }
+        }
+    }
+
+    /// Steps `L` paths by `steps` bytes each, in lockstep: path `l` from
+    /// state `state[l]` over the input from `pos[l]`, adding its accepting
+    /// visits to `visits[l]` (with `COUNT`) and its cold steps' table
+    /// entries to `cold[l]`.
+    // Lane-indexed on purpose: every step touches lane `l` of each array.
+    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[inline(always)]
+    fn step_lanes<const L: usize, const COUNT: bool, C: ColdSink>(
+        &self,
+        input: &[u8],
+        pos: [usize; L],
+        steps: usize,
+        state: &mut [StateId; L],
+        visits: &mut [u64; L],
+        cold: [&mut C; L],
+        hot: impl Fn(StateId) -> bool,
+    ) {
+        let table = self.dfa.table();
+        let stride = self.dfa.stride();
+        let classes = self.dfa.classes();
+        let bytes: [&[u8]; L] = pos.map(|p| &input[p..][..steps]);
+        let (mut s, mut m) = (*state, *visits);
+        for i in 0..steps {
+            for l in 0..L {
+                let entry = s[l] as usize * stride + usize::from(classes.class(bytes[l][i]));
+                if !hot(s[l]) {
+                    cold[l].push(entry as u32);
+                }
+                s[l] = table[entry];
+                if COUNT {
+                    m[l] += u64::from(self.dfa.is_accepting(s[l]));
                 }
             }
         }
-        ctx.alu(tally.alu);
-        ctx.probes(tally.probes);
-        ctx.shared(tally.shared);
+        (*state, *visits) = (s, m);
     }
 
-    /// One transition of a walk: adds its [`Self::step_charge`] to `tally`,
-    /// except a cold-row fetch, which goes to the warp window now.
-    #[inline(always)]
-    fn tally_step(
+    /// Charges walk `w` of a stepped `batch` over `input` to `ctx`: the
+    /// walk's input as one [`ThreadCtx::global_span`], then its steps
+    /// ([`Self::charge_steps`]).
+    pub(crate) fn charge_walk(
         &self,
         ctx: &mut ThreadCtx<'_>,
-        tally: &mut StepTally,
-        s: StateId,
-        class: u16,
-    ) -> StateId {
-        let charge = self.step_charge(s, class);
-        tally.alu += charge.alu;
-        tally.probes += charge.probes;
-        match charge.cold {
-            None => tally.shared += 1,
-            Some(offset) => ctx.global(REGION_TABLE, offset, ENTRY_BYTES),
-        }
-        self.dfa.next_by_class(s, class)
+        input: &[u8],
+        batch: &mut WalkBatch,
+        w: usize,
+        count_matches: bool,
+    ) {
+        let range = &batch.walks[w].0;
+        ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
+        self.charge_steps(ctx, input, batch, w, count_matches);
     }
+
+    /// Charges the table steps of walk `w` of a stepped `batch` to `ctx`:
+    /// every cold entry through the warp window, one by one, since they
+    /// dedup against each other and the rest of the warp; then, as sums,
+    /// the ALU ops and hash probes [`Self::step_charge`] prices for every
+    /// step, one shared access per hot step, one loop-bookkeeping ALU op
+    /// per byte and, with `count_matches`, one accept-test ALU op per step.
+    /// A one-path batch's path is stepped here (see [`Self::step_walks`]),
+    /// so a walk's results are read after its charge.
+    ///
+    /// These are exactly the charges of stepping each path access by
+    /// access: clocks and counters are sums, and the warp window — the one
+    /// state shared across threads — sees each thread's accesses when that
+    /// thread charges, so charging in thread order keeps every transaction
+    /// and coalesced hit where it was.
+    pub(crate) fn charge_steps(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        input: &[u8],
+        batch: &mut WalkBatch,
+        w: usize,
+        count_matches: bool,
+    ) {
+        let (range, paths) = batch.walks[w].clone();
+        let bytes = range.len() as u64;
+        let steps = bytes * paths.len() as u64;
+        let mut sink = ChargeCold { ctx: &mut *ctx, charged: 0 };
+        if batch.starts.len() == 1 {
+            let (end, visits) =
+                self.step_lone(input, range, batch.starts[0], count_matches, &mut sink);
+            (batch.ends[0], batch.matches[0]) = (end, visits);
+        } else {
+            for &(first, last) in &batch.cold_spans[paths] {
+                for &entry in &batch.cold[first as usize..last as usize] {
+                    sink.push(entry);
+                }
+            }
+        }
+        let cold = sink.charged;
+        let (alu, probes) = self.step_ops();
+        let accept_tests = if count_matches { steps } else { 0 };
+        ctx.alu(bytes + steps * alu + accept_tests);
+        ctx.probes(steps * probes);
+        ctx.shared(steps - cold);
+    }
+}
+
+/// Where a lane's cold steps go: recorded in the batch for a later charge,
+/// or charged as they are stepped.
+trait ColdSink {
+    /// Takes the table entry of one cold step.
+    fn push(&mut self, entry: u32);
+}
+
+impl ColdSink for Vec<u32> {
+    #[inline(always)]
+    fn push(&mut self, entry: u32) {
+        Vec::push(self, entry);
+    }
+}
+
+/// Charges each cold entry to a thread's context as one global fetch of
+/// [`ENTRY_BYTES`] bytes, through the warp window.
+struct ChargeCold<'c, 'a> {
+    ctx: &'c mut ThreadCtx<'a>,
+    /// Cold entries charged so far.
+    charged: u64,
+}
+
+impl ColdSink for ChargeCold<'_, '_> {
+    #[inline(always)]
+    fn push(&mut self, entry: u32) {
+        self.charged += 1;
+        self.ctx.global(REGION_TABLE, u64::from(entry) * ENTRY_BYTES, ENTRY_BYTES);
+    }
+}
+
+/// A walk records its cold steps by table entry index in a `u32`, so a
+/// device table holds at most 2^32 entries (a 16 GiB table).
+fn assert_entries_fit(dfa: &Dfa) {
+    assert!(
+        u32::try_from(dfa.table().len().saturating_sub(1)).is_ok(),
+        "a device table holds at most 2^32 entries"
+    );
 }
 
 /// Bytes of one transition-table entry.
@@ -300,12 +545,134 @@ pub(crate) struct StepCharge {
     pub(crate) cold: Option<u64>,
 }
 
-/// A walk's sums of the step charges that need no warp window: ALU ops,
-/// hash probes and hot-row shared accesses.
-struct StepTally {
-    alu: u64,
-    probes: u64,
-    shared: u64,
+/// Paths [`DeviceTable::step_walks`] steps side by side: enough independent
+/// chains of dependent table loads to hide most of the host's memory
+/// latency.
+const LANES: usize = 8;
+
+thread_local! {
+    /// The batch behind the one-walk calls
+    /// ([`DeviceTable::run_chunk_multi_with`], [`DeviceTable::step_paths`]),
+    /// reused so that a walk allocates nothing once it has warmed up.
+    static ONE_WALK: std::cell::RefCell<WalkBatch> = const { std::cell::RefCell::new(WalkBatch::new()) };
+}
+
+/// Chunk walks stepped together by [`DeviceTable::step_walks`] and then
+/// charged walk by walk, each on its own thread's context, by
+/// [`DeviceTable::charge_walk`]. A walk is one input range stepped from one
+/// or more start states, its paths. The buffers are reused from batch to
+/// batch.
+#[derive(Debug, Default)]
+pub(crate) struct WalkBatch {
+    /// Per walk: its input range and its paths, a range of `starts`.
+    walks: Vec<(Range<usize>, Range<usize>)>,
+    /// Per path: the start state.
+    starts: Vec<StateId>,
+    /// Per path, once stepped: the end state.
+    ends: Vec<StateId>,
+    /// Per path, once stepped: accepting-state visits (0 when not counting).
+    matches: Vec<u64>,
+    /// Per path, once stepped: its entries of `cold`.
+    cold_spans: Vec<(u32, u32)>,
+    /// The table entry (`state * stride + class`) of every step from a row
+    /// outside shared memory, grouped by path, in step order.
+    cold: Vec<u32>,
+    /// Per lane: the cold entries of the path the lane is stepping.
+    lane_cold: [Vec<u32>; LANES],
+}
+
+impl WalkBatch {
+    const fn new() -> Self {
+        WalkBatch {
+            walks: Vec::new(),
+            starts: Vec::new(),
+            ends: Vec::new(),
+            matches: Vec::new(),
+            cold_spans: Vec::new(),
+            cold: Vec::new(),
+            lane_cold: [const { Vec::new() }; LANES],
+        }
+    }
+
+    /// Empties the batch, keeping its buffers.
+    pub(crate) fn clear(&mut self) {
+        self.walks.clear();
+        self.starts.clear();
+    }
+
+    /// Adds a walk of `range` from each of `starts` and returns its index.
+    pub(crate) fn push(
+        &mut self,
+        range: Range<usize>,
+        starts: impl IntoIterator<Item = StateId>,
+    ) -> usize {
+        let first = self.starts.len();
+        self.starts.extend(starts);
+        self.walks.push((range, first..self.starts.len()));
+        self.walks.len() - 1
+    }
+
+    /// Walk `w`'s start states.
+    pub(crate) fn starts(&self, w: usize) -> &[StateId] {
+        &self.starts[self.walks[w].1.clone()]
+    }
+
+    /// Walk `w`'s end states, once stepped.
+    pub(crate) fn ends(&self, w: usize) -> &[StateId] {
+        &self.ends[self.walks[w].1.clone()]
+    }
+
+    /// Walk `w`'s accepting-state visits per path, once stepped.
+    pub(crate) fn matches(&self, w: usize) -> &[u64] {
+        &self.matches[self.walks[w].1.clone()]
+    }
+}
+
+/// The paths the lanes of [`DeviceTable::step_walks`] are stepping: lanes
+/// `0..busy` hold one each, at input position `pos` of `pos..end`.
+#[derive(Default)]
+struct Lanes {
+    busy: usize,
+    path: [usize; LANES],
+    pos: [usize; LANES],
+    end: [usize; LANES],
+    state: [StateId; LANES],
+    matches: [u64; LANES],
+}
+
+impl Lanes {
+    /// Steps lanes `0..L` by `steps` bytes ([`DeviceTable::step_lanes`]).
+    #[inline(always)]
+    fn step<const L: usize, const COUNT: bool>(
+        &mut self,
+        table: &DeviceTable<'_>,
+        input: &[u8],
+        lane_cold: &mut [Vec<u32>; LANES],
+        steps: usize,
+        hot: impl Fn(StateId) -> bool,
+    ) {
+        let pos: &mut [usize; L] = self.pos.first_chunk_mut().expect("L <= LANES");
+        table.step_lanes::<L, COUNT, _>(
+            input,
+            *pos,
+            steps,
+            self.state.first_chunk_mut().expect("L <= LANES"),
+            self.matches.first_chunk_mut().expect("L <= LANES"),
+            lane_cold.first_chunk_mut::<L>().expect("L <= LANES").each_mut(),
+            hot,
+        );
+        for p in pos {
+            *p += steps;
+        }
+    }
+
+    fn swap(&mut self, a: usize, b: usize) {
+        self.path.swap(a, b);
+        self.pos.swap(a, b);
+        self.end.swap(a, b);
+        self.state.swap(a, b);
+        self.matches.swap(a, b);
+    }
 }
 
 /// Result of executing one chunk on the device.
@@ -507,55 +874,88 @@ mod tests {
         assert!(quad.cycles > single.cycles);
     }
 
-    /// Every thread of every round walks two of `walks` — consecutive
-    /// entries, so the threads of a warp share its window and a thread may
-    /// re-walk bytes already in it — through the bulk-charged walk
-    /// ([`DeviceTable::run_chunk_with`] for one path) or the per-access
-    /// oracle, recording each walk's end states and match counts.
+    /// How [`Walks`] walks: the per-access oracle, one
+    /// [`DeviceTable::run_chunk_multi_with`] call per walk, or every
+    /// round's walks stepped together in `begin_round` and charged by each
+    /// thread in `round`.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    enum WalkMode {
+        PerAccess,
+        OneWalk,
+        Batched,
+    }
+
+    /// Thread `tid` walks one or two of `walks` per round, alternating with
+    /// the round — consecutive entries, so the threads of a warp share its
+    /// window and a thread may re-walk bytes already in it — recording each
+    /// walk's end states and match counts, and its clock after the round.
     struct Walks<'t> {
         table: &'t DeviceTable<'t>,
         input: &'t [u8],
         walks: &'t [(Range<usize>, Vec<StateId>)],
         count: bool,
-        per_access: bool,
+        mode: WalkMode,
+        threads: usize,
         rounds: usize,
         round: usize,
-        results: Vec<(Vec<StateId>, Vec<u64>)>,
+        batch: WalkBatch,
+        next: usize,
+        results: Vec<(usize, Vec<StateId>, Vec<u64>)>,
+        clocks: Vec<(usize, u64)>,
+    }
+
+    impl Walks<'_> {
+        /// Thread `tid`'s walks this round.
+        fn of(&self, tid: usize) -> impl Iterator<Item = &(Range<usize>, Vec<StateId>)> {
+            let n = 1 + (tid + self.round) % 2;
+            (0..n).map(move |j| &self.walks[(tid + 3 * self.round + j) % self.walks.len()])
+        }
     }
 
     impl RoundKernel for Walks<'_> {
+        fn begin_round(&mut self, _round: u64) {
+            if self.mode != WalkMode::Batched {
+                return;
+            }
+            let mut batch = std::mem::take(&mut self.batch);
+            batch.clear();
+            for tid in 0..self.threads {
+                for (range, starts) in self.of(tid) {
+                    batch.push(range.clone(), starts.iter().copied());
+                }
+            }
+            self.table.step_walks(self.input, &mut batch, self.count);
+            self.batch = batch;
+            self.next = 0;
+        }
+
         fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-            for j in 0..2 {
-                let (range, starts) = &self.walks[(tid + 3 * self.round + j) % self.walks.len()];
-                let (t, input, count) = (self.table, self.input, self.count);
+            let (t, input, count) = (self.table, self.input, self.count);
+            let mine: Vec<_> = self.of(tid).cloned().collect();
+            for (range, starts) in mine {
                 let mut states = starts.clone();
                 let mut counts = vec![0; states.len()];
-                if self.per_access {
-                    t.run_chunk_per_access(
-                        ctx,
-                        input,
-                        range.clone(),
-                        &mut states,
-                        &mut counts,
-                        count,
-                    );
-                } else if let [start] = states[..] {
-                    let run = t.run_chunk_with(ctx, input, range.clone(), start, count);
-                    (states, counts) = (vec![run.end], vec![run.matches]);
-                } else {
-                    t.run_chunk_multi_with(
-                        ctx,
-                        input,
-                        range.clone(),
-                        &mut states,
-                        &mut counts,
-                        count,
-                    );
+                match self.mode {
+                    WalkMode::PerAccess => {
+                        t.run_chunk_per_access(ctx, input, range, &mut states, &mut counts, count)
+                    }
+                    WalkMode::OneWalk => {
+                        t.run_chunk_multi_with(ctx, input, range, &mut states, &mut counts, count)
+                    }
+                    WalkMode::Batched => {
+                        let w = self.next;
+                        self.next += 1;
+                        t.charge_walk(ctx, input, &mut self.batch, w, count);
+                        states.copy_from_slice(self.batch.ends(w));
+                        counts.copy_from_slice(self.batch.matches(w));
+                    }
                 }
-                self.results.push((states, counts));
+                self.results.push((tid, states, counts));
             }
+            self.clocks.push((tid, ctx.cycles()));
             RoundOutcome::ACTIVE
         }
+
         fn after_sync(&mut self, _round: u64) -> bool {
             self.round += 1;
             self.round < self.rounds
@@ -565,14 +965,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
-        /// The bulk-charged walk is the per-access walk: over random
-        /// machines, hot-row counts from none to all, both layouts,
-        /// counting on and off, and 1–4 paths, on ranges that are empty,
-        /// shorter than a segment, unaligned or many segments long, walked
-        /// by several threads per warp over 1–3 rounds on 4-byte and
-        /// 32-byte segments, every end state, match count and statistic of
-        /// the launch — per-round vectors and phase counters included — is
-        /// identical.
+        /// The bulk-charged walk, alone or stepped in lockstep with the rest
+        /// of its round, is the per-access walk: over random machines,
+        /// hot-row counts from none to all, both layouts, counting on and
+        /// off, and 1–4 paths, on ranges that are empty, shorter than a
+        /// segment, unaligned or many segments long, walked by 1–11 threads
+        /// (batches of 1 to 17 walks) over 1–3 rounds on 4-byte and 32-byte
+        /// segments, every end state, match count, per-thread clock and
+        /// statistic of the launch — per-round vectors and phase counters
+        /// included — is identical.
         #[test]
         fn bulk_walk_equals_per_access_walk(
             seed in 0u64..1000,
@@ -585,7 +986,7 @@ mod tests {
                 ((0usize..300, 0u8..4, 0usize..300), (1usize..5, 0u64..1000)),
                 1..6,
             ),
-            threads in 1usize..10,
+            threads in 1usize..12,
             rounds in 1usize..4,
             rtx in 0u8..2,
         ) {
@@ -614,21 +1015,27 @@ mod tests {
                     (start..end, starts)
                 })
                 .collect();
-            let run = |per_access: bool| {
+            let run = |mode: WalkMode| {
                 let mut k = Walks {
                     table: &table,
                     input: &input,
                     walks: &walks,
                     count: count == 1,
-                    per_access,
+                    mode,
+                    threads,
                     rounds,
                     round: 0,
+                    batch: WalkBatch::default(),
+                    next: 0,
                     results: Vec::new(),
+                    clocks: Vec::new(),
                 };
                 let stats = launch(&spec, threads, &mut k);
-                (k.results, stats)
+                (k.results, k.clocks, stats)
             };
-            proptest::prop_assert_eq!(run(false), run(true));
+            let oracle = run(WalkMode::PerAccess);
+            proptest::prop_assert_eq!(&run(WalkMode::OneWalk), &oracle);
+            proptest::prop_assert_eq!(&run(WalkMode::Batched), &oracle);
         }
     }
 

@@ -493,6 +493,13 @@ impl<'a> ThreadCtx<'a> {
 
 /// A kernel expressed as barrier-delimited rounds.
 pub trait RoundKernel {
+    /// Called once at the start of each round, before any thread's
+    /// [`RoundKernel::round`]. A kernel may plan the whole round here — pick
+    /// every thread's work and compute its host-side results together — as
+    /// long as each thread's device cost is still charged on its own
+    /// [`ThreadCtx`] in `round`. The default does nothing.
+    fn begin_round(&mut self, _round: u64) {}
+
     /// Executes thread `tid`'s work for the current round.
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome;
 
@@ -612,6 +619,7 @@ fn run_block_in<K: RoundKernel + ?Sized>(
         let atomics_before = stats.atomics;
         let mut active = 0u32;
         let mut recovering = 0u32;
+        kernel.begin_round(round);
         // Indexing is deliberate: each warp's window is reused across its
         // threads' contexts, and clocks are written back per thread.
         #[allow(clippy::needless_range_loop)]
@@ -728,6 +736,33 @@ mod tests {
         assert_eq!(stats.rounds, 3);
         // Each round: 1 ALU + 1 barrier.
         assert_eq!(stats.cycles, 3 * 2);
+    }
+
+    #[test]
+    fn begin_round_runs_once_before_each_rounds_threads() {
+        /// Logs `(round, None)` at each round's start and `(round, Some(tid))`
+        /// for every thread.
+        struct Logged {
+            round: u64,
+            log: Vec<(u64, Option<usize>)>,
+        }
+        impl RoundKernel for Logged {
+            fn begin_round(&mut self, round: u64) {
+                self.round = round;
+                self.log.push((round, None));
+            }
+            fn round(&mut self, tid: usize, _ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+                self.log.push((self.round, Some(tid)));
+                RoundOutcome::ACTIVE
+            }
+            fn after_sync(&mut self, round: u64) -> bool {
+                round < 1
+            }
+        }
+        let mut k = Logged { round: u64::MAX, log: Vec::new() };
+        launch(&DeviceSpec::test_unit(), 2, &mut k);
+        let expect = [(0, None), (0, Some(0)), (0, Some(1)), (1, None), (1, Some(0)), (1, Some(1))];
+        assert_eq!(k.log, expect);
     }
 
     /// Kernel: all threads of a warp read the same global segment.
