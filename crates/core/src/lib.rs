@@ -13,7 +13,7 @@
 //!   (speculative recovery from predecessor end states, Algorithm 3), RR
 //!   (round-robin aggressive recovery, Algorithm 4) and NF (nearest-first,
 //!   Algorithm 5) — plus sequential, naive-speculative (Algorithm 2) and
-//!   fully-enumerative references ([`schemes`]);
+//!   SFA mapping references ([`schemes`]);
 //! * the **decision-tree scheme selector** (§IV-D Fig 6, [`selector`]);
 //! * the **latency-sensitive framework** tying profiling, transformation,
 //!   selection and execution together ([`framework`]);

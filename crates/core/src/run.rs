@@ -11,9 +11,6 @@ pub enum SchemeKind {
     Sequential,
     /// Algorithm 2: spec-1 + sequential verification and recovery.
     Naive,
-    /// Full enumeration of all states per chunk (Mytkowicz-style
-    /// data-parallel FSM), as an upper-bound-redundancy reference.
-    Enumerative,
     /// Parallel Merge \[19\]: enumerative speculation (spec-k) + tree merge +
     /// delayed sequential recovery. The paper's baseline (spec-4).
     Pm,
@@ -38,7 +35,6 @@ impl SchemeKind {
         match self {
             SchemeKind::Sequential => "Seq",
             SchemeKind::Naive => "NaiveSpec",
-            SchemeKind::Enumerative => "Enum",
             SchemeKind::Pm => "PM",
             SchemeKind::Sre => "SRE",
             SchemeKind::Rr => "RR",
@@ -53,11 +49,10 @@ impl SchemeKind {
     }
 
     /// Every implemented engine.
-    pub fn all() -> [SchemeKind; 8] {
+    pub fn all() -> [SchemeKind; 7] {
         [
             SchemeKind::Sequential,
             SchemeKind::Naive,
-            SchemeKind::Enumerative,
             SchemeKind::Pm,
             SchemeKind::Sre,
             SchemeKind::Rr,
@@ -102,7 +97,7 @@ pub struct RunOutcome {
     /// the observable trajectory of the frontier walk: PM/naive advance one
     /// mismatch at a time, SRE crawls on non-convergent machines, RR/NF
     /// jump through pre-seeded regions. Empty for schemes without a
-    /// round-based verification phase (sequential, enumerative).
+    /// round-based verification phase (sequential, SFA).
     pub frontier_trace: Vec<u32>,
 }
 

@@ -10,7 +10,6 @@
 //! the property tests in `tests/`).
 
 mod common;
-mod enumerative;
 mod naive;
 mod nf;
 mod pm;
@@ -129,29 +128,17 @@ impl<'a> Job<'a> {
         }
     }
 
-    /// Per-block resources of the enumerative kernels: the hot table in
-    /// shared memory and a register per live state mapping entry (clamped —
-    /// big machines spill the map to local memory rather than registers).
-    pub fn enumerative_requirements(&self, threads: u32) -> BlockRequirements {
-        let live = (self.table.dfa().n_states() as usize).min(120);
-        BlockRequirements {
-            threads,
-            shared_bytes: self.table.shared_footprint_bytes(),
-            regs_per_thread: (16 + 2 * live).min(255) as u32,
-        }
-    }
-
     /// Per-block resources of the SFA mapping kernels: the hot table in
     /// shared memory plus one live-path slot set per thread — 4 bytes per
     /// distinct live state (clamped at 64; wider mappings spill to local
     /// memory) and a 16-byte epoch/indirection header. Registers hold the
-    /// dedup cursor set, clamped like the enumerative map.
+    /// dedup cursor set, two per slot.
     pub fn sfa_requirements(&self, threads: u32) -> BlockRequirements {
         let width = (self.table.dfa().n_states() as usize).min(64);
         BlockRequirements {
             threads,
             shared_bytes: self.table.shared_footprint_bytes() + threads as usize * (4 * width + 16),
-            regs_per_thread: (16 + 2 * width.min(120)).min(255) as u32,
+            regs_per_thread: (16 + 2 * width) as u32,
         }
     }
 
@@ -170,7 +157,6 @@ pub fn run_scheme(kind: SchemeKind, job: &Job<'_>) -> RunOutcome {
     match kind {
         SchemeKind::Sequential => sequential::run(job),
         SchemeKind::Naive => naive::run(job),
-        SchemeKind::Enumerative => enumerative::run(job),
         SchemeKind::Pm => pm::run(job),
         SchemeKind::Sre => sre::run(job),
         SchemeKind::Rr => rr::run(job),

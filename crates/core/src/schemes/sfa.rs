@@ -5,8 +5,8 @@
 //! connecting chunks is pure function composition — no misprediction, no
 //! recovery phase, at the price of up-to-|Q|-fold execution work.
 //!
-//! Two things separate this from the enumerative reference engine
-//! ([`crate::schemes::enumerative`]):
+//! Two things separate this from plain enumeration (Mytkowicz et al.),
+//! which walks all |Q| start states of every chunk to its end:
 //!
 //! * **Effective-width shrinking.** The |Q| simultaneous paths of a chunk
 //!   merge whenever two of them reach the same state — merged paths share
@@ -677,14 +677,12 @@ fn derive_mapping(
         if live == 1 {
             // One live path: every first-step path rides it, so the rest of
             // the chunk is the table's one-path walk, charged the same.
-            let mut end = [memo.tuple(t)[0]];
-            let mut visits = [0];
             let tail_range = range.start + 1 + i..range.end;
-            table.step_paths(ctx, job.input, tail_range, &mut end, &mut visits, count);
+            let run = table.step_path(ctx, job.input, tail_range, memo.tuple(t)[0], count);
             if count {
-                w.matches[0] += visits[0];
+                w.matches[0] += run.matches;
             }
-            tail = Some(end);
+            tail = Some(run.end);
             break;
         }
         let id = memo.step(&mut t, dfa.classes().class(b));
@@ -731,7 +729,7 @@ fn derive_mapping(
     // from the surviving paths; the host keeps it per first-step path.
     ctx.alu(u64::from(n));
     let paths = match &tail {
-        Some(end) => &end[..],
+        Some(end) => std::slice::from_ref(end),
         None => memo.tuple(t),
     };
     let counts = if count {

@@ -307,12 +307,12 @@ impl Selector {
     ///
     /// This is a coarse integer surface, not a simulation: redundant
     /// execution is charged linearly (spec-k paths for PM, the live mapping
-    /// width for SFA, |Q| for the enumerative reference) and expected
-    /// recovery is the miss probability at depth `spec_k` times a
-    /// per-scheme re-execution factor (sequential recovery is the most
-    /// expensive, aggressive round-robin/nearest-first spread the cheapest,
-    /// convergent end-state forwarding nearly free). Deterministic: pure
-    /// integer rounding of the profile's measured ratios.
+    /// width for SFA) and expected recovery is the miss probability at
+    /// depth `spec_k` times a per-scheme re-execution factor (sequential
+    /// recovery is the most expensive, aggressive round-robin/nearest-first
+    /// spread the cheapest, convergent end-state forwarding nearly free).
+    /// Deterministic: pure integer rounding of the profile's measured
+    /// ratios.
     pub fn speck_cost_surface(
         &self,
         p: &SelectorProfile,
@@ -327,7 +327,6 @@ impl Selector {
             SchemeKind::Sequential => BASE,
             // Sequential recovery re-walks every missed chunk, one at a time.
             SchemeKind::Naive => BASE + miss1 * 4.0 * BASE,
-            SchemeKind::Enumerative => BASE * f64::from(p.n_states.min(120)),
             // spec-k redundant paths: each extra lane adds a small linear
             // verification cost, while recovery is only paid for the
             // residual misses the enumeration did not cover — so deeper

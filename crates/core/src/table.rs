@@ -185,8 +185,8 @@ impl<'a> DeviceTable<'a> {
 
     /// Like [`DeviceTable::run_chunk`], optionally counting accepting-state
     /// visits (the match-reporting output function φ — one extra ALU op per
-    /// transition when enabled): the one-path case of
-    /// [`DeviceTable::run_chunk_multi_with`].
+    /// transition when enabled): the chunk's input span, then the one-path
+    /// table walk (`step_path`).
     pub fn run_chunk_with(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -195,59 +195,53 @@ impl<'a> DeviceTable<'a> {
         start: StateId,
         count_matches: bool,
     ) -> ChunkRun {
-        let mut end = [start];
-        let mut matches = [0];
-        self.run_chunk_multi_with(ctx, input, range, &mut end, &mut matches, count_matches);
-        ChunkRun { end: end[0], matches: matches[0] }
-    }
-
-    /// Runs `states.len()` paths over the same chunk in one thread (PM's
-    /// spec-k execution; one path is [`DeviceTable::run_chunk_with`]): the
-    /// input is loaded once and every path takes its table lookups on it.
-    /// `states` is updated in place to the per-path end states, and with
-    /// `count_matches` each path's accepting-state visits are added to its
-    /// entry of `counts`.
-    ///
-    /// This is the chunk's input span and a walk batch of one walk: the
-    /// walk is stepped, then its steps are charged as sums.
-    pub fn run_chunk_multi_with(
-        &self,
-        ctx: &mut ThreadCtx<'_>,
-        input: &[u8],
-        range: Range<usize>,
-        states: &mut [StateId],
-        counts: &mut [u64],
-        count_matches: bool,
-    ) {
         ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
-        self.step_paths(ctx, input, range, states, counts, count_matches);
+        self.step_path(ctx, input, range, start, count_matches)
     }
 
-    /// The table steps of [`Self::run_chunk_multi_with`] over `range`, whose
-    /// input loads the caller has charged: a batch of one walk, in this host
-    /// thread's reused batch, stepped by [`Self::step_walks`] and charged by
-    /// [`Self::charge_steps`]. The SFA walk finishes a chunk with it once
-    /// one live path is left.
-    pub(crate) fn step_paths(
+    /// The table steps of one path over `range` from `start`, whose input
+    /// loads the caller has charged. The path is stepped in registers and
+    /// each cold entry charged as it is stepped, so that the charging
+    /// overlaps the walk's chain of loads; then the rest is charged as sums
+    /// ([`Self::charge_step_sums`]). The SFA walk finishes a chunk with it
+    /// once one live path is left, and a one-path [`WalkBatch`] is charged
+    /// with it.
+    pub(crate) fn step_path(
         &self,
         ctx: &mut ThreadCtx<'_>,
         input: &[u8],
         range: Range<usize>,
-        states: &mut [StateId],
-        counts: &mut [u64],
+        start: StateId,
         count_matches: bool,
-    ) {
-        debug_assert_eq!(states.len(), counts.len());
-        ONE_WALK.with_borrow_mut(|batch| {
-            batch.clear();
-            batch.push(range, states.iter().copied());
-            self.step_walks(input, batch, count_matches);
-            self.charge_steps(ctx, input, batch, 0, count_matches);
-            states.copy_from_slice(batch.ends(0));
-            for (c, m) in counts.iter_mut().zip(batch.matches(0)) {
-                *c += m;
+    ) -> ChunkRun {
+        let (mut end, mut visits) = ([start], [0]);
+        let (pos, steps) = ([range.start], range.len());
+        let (e, v) = (&mut end, &mut visits);
+        let mut sink = ChargeCold { ctx: &mut *ctx, charged: 0 };
+        let cold = &mut sink;
+        match (self.layout, count_matches) {
+            (TableLayout::Transformed, false) => {
+                let h = self.hot_rows;
+                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| s < h);
             }
-        });
+            (TableLayout::Transformed, true) => {
+                let h = self.hot_rows;
+                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| s < h);
+            }
+            (TableLayout::Hashed, false) => {
+                let hot = &self.hot_set[..];
+                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| {
+                    hot[s as usize]
+                });
+            }
+            (TableLayout::Hashed, true) => {
+                let hot = &self.hot_set[..];
+                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| hot[s as usize]);
+            }
+        }
+        let cold = sink.charged;
+        self.charge_step_sums(ctx, steps as u64, 1, cold, count_matches);
+        ChunkRun { end: end[0], matches: visits[0] }
     }
 
     /// Steps every path of every walk of `batch` to its end, [`LANES`] paths
@@ -258,9 +252,7 @@ impl<'a> DeviceTable<'a> {
     /// steps, for [`DeviceTable::charge_walk`]. Charges nothing.
     ///
     /// A batch of one path has no other lane to overlap with. It is
-    /// stepped by its charge instead, in registers, each cold entry charged
-    /// as it is stepped, so that the charging overlaps the walk's chain of
-    /// loads as it did in the register walk.
+    /// stepped by its charge instead, by [`DeviceTable::step_path`].
     pub(crate) fn step_walks(&self, input: &[u8], batch: &mut WalkBatch, count_matches: bool) {
         let n_paths = batch.starts.len();
         batch.ends.clear();
@@ -291,42 +283,6 @@ impl<'a> DeviceTable<'a> {
                 self.step_lockstep::<true>(input, batch, |s| hot[s as usize]);
             }
         }
-    }
-
-    /// The lone path of a one-path batch, stepped by its charge (see
-    /// [`Self::step_walks`]): returns its end state and accepting visits.
-    fn step_lone(
-        &self,
-        input: &[u8],
-        range: Range<usize>,
-        start: StateId,
-        count_matches: bool,
-        cold: &mut ChargeCold<'_, '_>,
-    ) -> (StateId, u64) {
-        let (mut end, mut visits) = ([start], [0]);
-        let (pos, steps) = ([range.start], range.len());
-        let (e, v) = (&mut end, &mut visits);
-        match (self.layout, count_matches) {
-            (TableLayout::Transformed, false) => {
-                let h = self.hot_rows;
-                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| s < h);
-            }
-            (TableLayout::Transformed, true) => {
-                let h = self.hot_rows;
-                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| s < h);
-            }
-            (TableLayout::Hashed, false) => {
-                let hot = &self.hot_set[..];
-                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| {
-                    hot[s as usize]
-                });
-            }
-            (TableLayout::Hashed, true) => {
-                let hot = &self.hot_set[..];
-                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| hot[s as usize]);
-            }
-        }
-        (end[0], visits[0])
     }
 
     /// The scheduler of [`Self::step_walks`]: lanes take paths in batch
@@ -445,12 +401,10 @@ impl<'a> DeviceTable<'a> {
 
     /// Charges the table steps of walk `w` of a stepped `batch` to `ctx`:
     /// every cold entry through the warp window, one by one, since they
-    /// dedup against each other and the rest of the warp; then, as sums,
-    /// the ALU ops and hash probes [`Self::step_charge`] prices for every
-    /// step, one shared access per hot step, one loop-bookkeeping ALU op
-    /// per byte and, with `count_matches`, one accept-test ALU op per step.
-    /// A one-path batch's path is stepped here (see [`Self::step_walks`]),
-    /// so a walk's results are read after its charge.
+    /// dedup against each other and the rest of the warp; then the sums of
+    /// [`Self::charge_step_sums`]. A one-path batch's path is stepped here
+    /// by [`Self::step_path`] (see [`Self::step_walks`]), so a walk's
+    /// results are read after its charge.
     ///
     /// These are exactly the charges of stepping each path access by
     /// access: clocks and counters are sums, and the warp window — the one
@@ -466,21 +420,35 @@ impl<'a> DeviceTable<'a> {
         count_matches: bool,
     ) {
         let (range, paths) = batch.walks[w].clone();
-        let bytes = range.len() as u64;
-        let steps = bytes * paths.len() as u64;
-        let mut sink = ChargeCold { ctx: &mut *ctx, charged: 0 };
         if batch.starts.len() == 1 {
-            let (end, visits) =
-                self.step_lone(input, range, batch.starts[0], count_matches, &mut sink);
-            (batch.ends[0], batch.matches[0]) = (end, visits);
-        } else {
-            for &(first, last) in &batch.cold_spans[paths] {
-                for &entry in &batch.cold[first as usize..last as usize] {
-                    sink.push(entry);
-                }
+            let run = self.step_path(ctx, input, range, batch.starts[0], count_matches);
+            (batch.ends[0], batch.matches[0]) = (run.end, run.matches);
+            return;
+        }
+        let mut sink = ChargeCold { ctx: &mut *ctx, charged: 0 };
+        for &(first, last) in &batch.cold_spans[paths.clone()] {
+            for &entry in &batch.cold[first as usize..last as usize] {
+                sink.push(entry);
             }
         }
         let cold = sink.charged;
+        self.charge_step_sums(ctx, range.len() as u64, paths.len() as u64, cold, count_matches);
+    }
+
+    /// Charges, as sums, `paths` paths' steps over `bytes` input bytes of
+    /// which `cold` were cold: the ALU ops and hash probes
+    /// [`Self::step_charge`] prices for every step, one shared access per
+    /// hot step, one loop-bookkeeping ALU op per byte and, with
+    /// `count_matches`, one accept-test ALU op per step.
+    fn charge_step_sums(
+        &self,
+        ctx: &mut ThreadCtx<'_>,
+        bytes: u64,
+        paths: u64,
+        cold: u64,
+        count_matches: bool,
+    ) {
+        let steps = bytes * paths;
         let (alu, probes) = self.step_ops();
         let accept_tests = if count_matches { steps } else { 0 };
         ctx.alu(bytes + steps * alu + accept_tests);
@@ -550,13 +518,6 @@ pub(crate) struct StepCharge {
 /// latency.
 const LANES: usize = 8;
 
-thread_local! {
-    /// The batch behind the one-walk calls
-    /// ([`DeviceTable::run_chunk_multi_with`], [`DeviceTable::step_paths`]),
-    /// reused so that a walk allocates nothing once it has warmed up.
-    static ONE_WALK: std::cell::RefCell<WalkBatch> = const { std::cell::RefCell::new(WalkBatch::new()) };
-}
-
 /// Chunk walks stepped together by [`DeviceTable::step_walks`] and then
 /// charged walk by walk, each on its own thread's context, by
 /// [`DeviceTable::charge_walk`]. A walk is one input range stepped from one
@@ -582,18 +543,6 @@ pub(crate) struct WalkBatch {
 }
 
 impl WalkBatch {
-    const fn new() -> Self {
-        WalkBatch {
-            walks: Vec::new(),
-            starts: Vec::new(),
-            ends: Vec::new(),
-            matches: Vec::new(),
-            cold_spans: Vec::new(),
-            cold: Vec::new(),
-            lane_cold: [const { Vec::new() }; LANES],
-        }
-    }
-
     /// Empties the batch, keeping its buffers.
     pub(crate) fn clear(&mut self) {
         self.walks.clear();
@@ -709,8 +658,8 @@ impl DeviceTable<'_> {
         input[pos]
     }
 
-    /// The walk [`Self::run_chunk_multi_with`] charges in bulk, with every
-    /// byte loaded and every path stepped one access at a time.
+    /// The walk [`Self::charge_walk`] charges in bulk, with every byte
+    /// loaded and every path stepped one access at a time.
     pub(crate) fn run_chunk_per_access(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -836,17 +785,28 @@ mod tests {
         assert_eq!(end, d.run(input));
     }
 
+    /// A batch of one walk of `range` from each of `starts`, stepped.
+    fn one_walk(
+        t: &DeviceTable<'_>,
+        input: &[u8],
+        range: Range<usize>,
+        starts: &[StateId],
+    ) -> WalkBatch {
+        let mut batch = WalkBatch::default();
+        batch.push(range, starts.iter().copied());
+        t.step_walks(input, &mut batch, false);
+        batch
+    }
+
     #[test]
-    fn run_chunk_multi_matches_individual_runs() {
+    fn batched_paths_match_individual_runs() {
         let d = div7();
         let t = DeviceTable::transformed(&d, 7);
         let input = b"1011010101";
-        let mut states = [0, 3, 5];
-        on_device(|ctx| {
-            t.run_chunk_multi_with(ctx, input, 2..8, &mut states, &mut [0; 3], false);
-        });
+        let mut batch = one_walk(&t, input, 2..8, &[0, 3, 5]);
+        on_device(|ctx| t.charge_walk(ctx, input, &mut batch, 0, false));
         for (i, &s0) in [0, 3, 5].iter().enumerate() {
-            assert_eq!(states[i], d.run_from(s0, &input[2..8]));
+            assert_eq!(batch.ends(0)[i], d.run_from(s0, &input[2..8]));
         }
     }
 
@@ -858,10 +818,8 @@ mod tests {
         let single = on_device(|ctx| {
             t.run_chunk(ctx, &input, 0..64, 0);
         });
-        let mut states = [0, 1, 2, 3];
-        let quad = on_device(|ctx| {
-            t.run_chunk_multi_with(ctx, &input, 0..64, &mut states, &mut [0; 4], false);
-        });
+        let mut batch = one_walk(&t, &input, 0..64, &[0, 1, 2, 3]);
+        let quad = on_device(|ctx| t.charge_walk(ctx, &input, &mut batch, 0, false));
         // Input transactions identical; table work roughly 4x.
         assert_eq!(
             single.global_transactions, quad.global_transactions,
@@ -875,9 +833,9 @@ mod tests {
     }
 
     /// How [`Walks`] walks: the per-access oracle, one
-    /// [`DeviceTable::run_chunk_multi_with`] call per walk, or every
-    /// round's walks stepped together in `begin_round` and charged by each
-    /// thread in `round`.
+    /// [`DeviceTable::run_chunk_with`] call per walk (one-path walks only),
+    /// or every round's walks stepped together in `begin_round` and charged
+    /// by each thread in `round`.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     enum WalkMode {
         PerAccess,
@@ -940,7 +898,8 @@ mod tests {
                         t.run_chunk_per_access(ctx, input, range, &mut states, &mut counts, count)
                     }
                     WalkMode::OneWalk => {
-                        t.run_chunk_multi_with(ctx, input, range, &mut states, &mut counts, count)
+                        let run = t.run_chunk_with(ctx, input, range, states[0], count);
+                        (states, counts) = (vec![run.end], vec![run.matches]);
                     }
                     WalkMode::Batched => {
                         let w = self.next;
@@ -965,15 +924,15 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(96))]
 
-        /// The bulk-charged walk, alone or stepped in lockstep with the rest
-        /// of its round, is the per-access walk: over random machines,
-        /// hot-row counts from none to all, both layouts, counting on and
-        /// off, and 1–4 paths, on ranges that are empty, shorter than a
-        /// segment, unaligned or many segments long, walked by 1–11 threads
-        /// (batches of 1 to 17 walks) over 1–3 rounds on 4-byte and 32-byte
-        /// segments, every end state, match count, per-thread clock and
-        /// statistic of the launch — per-round vectors and phase counters
-        /// included — is identical.
+        /// The bulk-charged walk, stepped in lockstep with the rest of its
+        /// round (1–4 paths per walk) or alone (one path), is the
+        /// per-access walk: over random machines, hot-row counts from none
+        /// to all, both layouts, counting on and off, on ranges that are
+        /// empty, shorter than a segment, unaligned or many segments long,
+        /// walked by 1–11 threads (batches of 1 to 17 walks) over 1–3
+        /// rounds on 4-byte and 32-byte segments, every end state, match
+        /// count, per-thread clock and statistic of the launch — per-round
+        /// vectors and phase counters included — is identical.
         #[test]
         fn bulk_walk_equals_per_access_walk(
             seed in 0u64..1000,
@@ -1015,11 +974,11 @@ mod tests {
                     (start..end, starts)
                 })
                 .collect();
-            let run = |mode: WalkMode| {
+            let run = |walks: &[(Range<usize>, Vec<StateId>)], mode: WalkMode| {
                 let mut k = Walks {
                     table: &table,
                     input: &input,
-                    walks: &walks,
+                    walks,
                     count: count == 1,
                     mode,
                     threads,
@@ -1033,9 +992,15 @@ mod tests {
                 let stats = launch(&spec, threads, &mut k);
                 (k.results, k.clocks, stats)
             };
-            let oracle = run(WalkMode::PerAccess);
-            proptest::prop_assert_eq!(&run(WalkMode::OneWalk), &oracle);
-            proptest::prop_assert_eq!(&run(WalkMode::Batched), &oracle);
+            proptest::prop_assert_eq!(
+                &run(&walks, WalkMode::Batched),
+                &run(&walks, WalkMode::PerAccess)
+            );
+            let lone: Vec<_> = walks.iter().map(|(r, s)| (r.clone(), s[..1].to_vec())).collect();
+            proptest::prop_assert_eq!(
+                &run(&lone, WalkMode::OneWalk),
+                &run(&lone, WalkMode::PerAccess)
+            );
         }
     }
 

@@ -14,7 +14,7 @@ pub enum Phase {
     /// lookback walk and queue ranking).
     Predict,
     /// Speculative chunk execution (`T_par`): spec-1/spec-k forward scans,
-    /// including the enumerative all-state scans and plain stream scans.
+    /// SFA's mapping walks and plain stream scans.
     SpecExec,
     /// Verification: record scans, end-state communication, tree-merge and
     /// compose rounds — everything that *checks* speculation without

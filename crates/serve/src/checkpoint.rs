@@ -363,10 +363,11 @@ macro_rules! wire_tags {
 
 // Tag tables: declaration order of the source enums.
 
+// Tag 2 named a scheme that no longer exists; it stays reserved, so
+// VERSION 1 bytes keep their meaning and decode it as corrupt.
 wire_tags!(SchemeKind {
     Sequential = 0,
     Naive = 1,
-    Enumerative = 2,
     Pm = 3,
     Sre = 4,
     Rr = 5,
@@ -1134,6 +1135,34 @@ mod tests {
 
     fn cfg() -> ServeConfig {
         ServeConfig { policy: BatchPolicy::Fifo { batch: 4 }, ..ServeConfig::default() }
+    }
+
+    #[test]
+    fn scheme_tags_are_pinned_and_retired_tags_are_corrupt() {
+        let table = [
+            (0, SchemeKind::Sequential),
+            (1, SchemeKind::Naive),
+            (3, SchemeKind::Pm),
+            (4, SchemeKind::Sre),
+            (5, SchemeKind::Rr),
+            (6, SchemeKind::Nf),
+            (7, SchemeKind::Sfa),
+        ];
+        assert_eq!(table.len(), SchemeKind::all().len());
+        for (tag, kind) in table {
+            let mut w = Writer::new();
+            kind.put(&mut w);
+            assert_eq!(w, [tag], "{kind} encodes to its tag");
+            assert_eq!(SchemeKind::get(&mut Reader::new(&[tag]), "scheme").unwrap(), kind);
+        }
+        for tag in [2u8, 8] {
+            let err = SchemeKind::get(&mut Reader::new(&[tag]), "scheme").unwrap_err();
+            assert_eq!(
+                err,
+                ServeError::CorruptCheckpoint { offset: 1, what: "scheme" },
+                "tag {tag}"
+            );
+        }
     }
 
     #[test]

@@ -63,9 +63,6 @@ proptest! {
         // Hot-row coverage varies from nothing resident to everything.
         let hot = (seed % u64::from(n_states + 1)) as u32;
         for scheme in SchemeKind::all() {
-            if scheme == SchemeKind::Enumerative && n_states > 24 {
-                continue; // keep the all-states reference cheap
-            }
             check_scheme_exact(&dfa, &input, config, hot, scheme);
         }
     }

@@ -42,15 +42,7 @@ fn one_byte_inputs_run_every_scheme() {
     for input in [&b"0"[..], b"1"] {
         let config = SchemeConfig { n_chunks: 1, ..SchemeConfig::default() };
         let job = Job::new(&spec, &table, input, config).unwrap();
-        for kind in [
-            SchemeKind::Sequential,
-            SchemeKind::Naive,
-            SchemeKind::Enumerative,
-            SchemeKind::Pm,
-            SchemeKind::Sre,
-            SchemeKind::Rr,
-            SchemeKind::Nf,
-        ] {
+        for kind in SchemeKind::all() {
             let out = run_scheme(kind, &job);
             assert_eq!(out.end_state, d.run(input), "{kind:?} on {input:?}");
         }
