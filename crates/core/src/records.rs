@@ -106,35 +106,6 @@ impl VrStore {
         self.chunks.len()
     }
 
-    /// Pushes a record produced by chunk `cid`'s own thread (register write;
-    /// negligible device cost). If the window is full the oldest own record
-    /// is overwritten — registers are a fixed file, not a growable buffer.
-    pub fn push_own(&mut self, cid: usize, rec: VrRecord) {
-        self.chunks[cid].push_own(self.own_cap, rec);
-    }
-
-    /// Pushes a record produced by a *different* thread: the writer stores it
-    /// to shared memory (charged on `ctx`), and it lands in chunk `cid`'s
-    /// register window if a slot is free. Records that do not fit are lost
-    /// for verification purposes (the Fig 7 "too few registers" failure
-    /// mode) and counted in [`VrStore::dropped`].
-    pub fn push_other(&mut self, ctx: &mut ThreadCtx<'_>, cid: usize, rec: VrRecord) {
-        self.chunks[cid].push_other(ctx, self.others_cap, rec);
-    }
-
-    /// Scans chunk `cid`'s records for one whose `start` equals `target`,
-    /// charging the verification cost: one ALU compare per own record
-    /// (registers) and one shared load + compare per cross-thread record
-    /// (the owner re-reads the staging area every round to see new records).
-    pub fn scan(&self, ctx: &mut ThreadCtx<'_>, cid: usize, target: StateId) -> Option<VrRecord> {
-        self.chunks[cid].scan(ctx, target)
-    }
-
-    /// Host-side lookup without device cost.
-    pub fn find(&self, cid: usize, target: StateId) -> Option<VrRecord> {
-        self.chunks[cid].find(target)
-    }
-
     /// Splits the store into disjoint contiguous views, one per entry of
     /// `lens` (which must sum to the chunk count). Each view keeps *global*
     /// chunk-id indexing, so a grid block operating on chunks `lo..hi` can
@@ -205,24 +176,33 @@ impl VrSlice<'_> {
         &mut self.chunks[cid - self.base]
     }
 
-    /// [`VrStore::push_own`] restricted to this view's chunk range.
+    /// Pushes a record produced by chunk `cid`'s own thread (register write;
+    /// negligible device cost). If the window is full the oldest own record
+    /// is overwritten — registers are a fixed file, not a growable buffer.
     pub fn push_own(&mut self, cid: usize, rec: VrRecord) {
         let cap = self.own_cap;
         self.chunk(cid).push_own(cap, rec);
     }
 
-    /// [`VrStore::push_other`] restricted to this view's chunk range.
+    /// Pushes a record produced by a *different* thread: the writer stores it
+    /// to shared memory (charged on `ctx`), and it lands in chunk `cid`'s
+    /// register window if a slot is free. Records that do not fit are lost
+    /// for verification purposes (the Fig 7 "too few registers" failure
+    /// mode) and counted in [`VrStore::dropped`].
     pub fn push_other(&mut self, ctx: &mut ThreadCtx<'_>, cid: usize, rec: VrRecord) {
         let cap = self.others_cap;
         self.chunk(cid).push_other(ctx, cap, rec);
     }
 
-    /// [`VrStore::scan`] restricted to this view's chunk range.
+    /// Scans chunk `cid`'s records for one whose `start` equals `target`,
+    /// charging the verification cost: one ALU compare per own record
+    /// (registers) and one shared load + compare per cross-thread record
+    /// (the owner re-reads the staging area every round to see new records).
     pub fn scan(&self, ctx: &mut ThreadCtx<'_>, cid: usize, target: StateId) -> Option<VrRecord> {
         self.chunks[cid - self.base].scan(ctx, target)
     }
 
-    /// [`VrStore::find`] restricted to this view's chunk range.
+    /// Host-side lookup without device cost.
     pub fn find(&self, cid: usize, target: StateId) -> Option<VrRecord> {
         self.chunks[cid - self.base].find(target)
     }
@@ -247,60 +227,71 @@ mod tests {
         launch(&DeviceSpec::test_unit(), 1, &mut K(f))
     }
 
+    /// One view over the whole store.
+    fn whole(vr: &mut VrStore) -> VrSlice<'_> {
+        let n = vr.n_chunks();
+        vr.split_lens(&[n]).remove(0)
+    }
+
     #[test]
     fn own_records_found_first() {
         let mut vr = VrStore::new(2, 16, 16);
-        vr.push_own(0, VrRecord::new(1, 5));
-        assert_eq!(vr.find(0, 1).map(|r| r.end), Some(5));
-        assert!(vr.find(0, 2).is_none());
-        assert!(vr.find(1, 1).is_none());
+        let mut all = whole(&mut vr);
+        all.push_own(0, VrRecord::new(1, 5));
+        assert_eq!(all.find(0, 1).map(|r| r.end), Some(5));
+        assert!(all.find(0, 2).is_none());
+        assert!(all.find(1, 1).is_none());
     }
 
     #[test]
     fn duplicate_starts_are_deduped() {
         let mut vr = VrStore::new(1, 16, 16);
-        vr.push_own(0, VrRecord::new(1, 5));
-        vr.push_own(0, VrRecord::new(1, 5));
+        let mut all = whole(&mut vr);
+        all.push_own(0, VrRecord::new(1, 5));
+        all.push_own(0, VrRecord::new(1, 5));
         assert_eq!(vr.len(0), 1);
     }
 
     #[test]
     fn others_overflow_is_dropped_and_counted() {
         let mut vr = VrStore::new(1, 16, 2);
+        let mut all = whole(&mut vr);
         on_device(|ctx| {
-            vr.push_other(ctx, 0, VrRecord::new(1, 1));
-            vr.push_other(ctx, 0, VrRecord::new(2, 2));
-            vr.push_other(ctx, 0, VrRecord::new(3, 3));
+            all.push_other(ctx, 0, VrRecord::new(1, 1));
+            all.push_other(ctx, 0, VrRecord::new(2, 2));
+            all.push_other(ctx, 0, VrRecord::new(3, 3));
         });
+        assert!(all.find(0, 3).is_none(), "dropped record is not visible");
         assert_eq!(vr.len(0), 2);
         assert_eq!(vr.dropped(), 1);
-        assert!(vr.find(0, 3).is_none(), "dropped record is not visible");
     }
 
     #[test]
     fn own_overflow_evicts_oldest() {
         let mut vr = VrStore::new(1, 2, 0);
-        vr.push_own(0, VrRecord::new(1, 1));
-        vr.push_own(0, VrRecord::new(2, 2));
-        vr.push_own(0, VrRecord::new(3, 3));
-        assert!(vr.find(0, 1).is_none(), "oldest evicted");
-        assert_eq!(vr.find(0, 2).map(|r| r.end), Some(2));
-        assert_eq!(vr.find(0, 3).map(|r| r.end), Some(3));
+        let mut all = whole(&mut vr);
+        all.push_own(0, VrRecord::new(1, 1));
+        all.push_own(0, VrRecord::new(2, 2));
+        all.push_own(0, VrRecord::new(3, 3));
+        assert!(all.find(0, 1).is_none(), "oldest evicted");
+        assert_eq!(all.find(0, 2).map(|r| r.end), Some(2));
+        assert_eq!(all.find(0, 3).map(|r| r.end), Some(3));
     }
 
     #[test]
     fn scan_cost_scales_with_held_records() {
         let mut vr = VrStore::new(1, 16, 16);
+        let mut all = whole(&mut vr);
         let baseline = on_device(|ctx| {
-            vr.scan(ctx, 0, 0);
+            all.scan(ctx, 0, 0);
         });
         on_device(|ctx| {
             for i in 0..8 {
-                vr.push_other(ctx, 0, VrRecord::new(i, i));
+                all.push_other(ctx, 0, VrRecord::new(i, i));
             }
         });
         let loaded = on_device(|ctx| {
-            vr.scan(ctx, 0, 0);
+            all.scan(ctx, 0, 0);
         });
         assert!(loaded.shared_accesses > baseline.shared_accesses);
         assert!(loaded.alu_ops > baseline.alu_ops);
@@ -309,8 +300,9 @@ mod tests {
     #[test]
     fn push_other_charges_shared_store() {
         let mut vr = VrStore::new(1, 16, 16);
+        let mut all = whole(&mut vr);
         let stats = on_device(|ctx| {
-            vr.push_other(ctx, 0, VrRecord::new(1, 2));
+            all.push_other(ctx, 0, VrRecord::new(1, 2));
         });
         assert_eq!(stats.shared_accesses, 2);
     }
@@ -318,33 +310,47 @@ mod tests {
     #[test]
     fn scan_sees_cross_thread_records() {
         let mut vr = VrStore::new(4, 16, 16);
+        let mut all = whole(&mut vr);
         on_device(|ctx| {
-            vr.push_other(ctx, 3, VrRecord::new(7, 9));
-            assert_eq!(vr.scan(ctx, 3, 7).map(|r| r.end), Some(9));
-            assert!(vr.scan(ctx, 3, 8).is_none());
+            all.push_other(ctx, 3, VrRecord::new(7, 9));
+            assert_eq!(all.scan(ctx, 3, 7).map(|r| r.end), Some(9));
+            assert!(all.scan(ctx, 3, 8).is_none());
         });
+    }
+
+    #[test]
+    fn views_address_chunks_by_global_id() {
+        let mut vr = VrStore::new(4, 16, 16);
+        let mut views = vr.split_lens(&[1, 3]);
+        views[1].push_own(2, VrRecord::new(1, 5));
+        assert_eq!(views[1].find(2, 1).map(|r| r.end), Some(5));
+        assert_eq!(vr.len(2), 1);
+        assert!(vr.is_empty(1));
     }
 
     #[test]
     fn poisoned_chunks_never_match_a_scan() {
         let mut vr = VrStore::new(2, 16, 16);
-        vr.push_own(0, VrRecord::new(1, 5));
-        vr.push_own(1, VrRecord::new(1, 6));
+        let mut all = whole(&mut vr);
+        all.push_own(0, VrRecord::new(1, 5));
+        all.push_own(1, VrRecord::new(1, 6));
         on_device(|ctx| {
-            vr.push_other(ctx, 0, VrRecord::new(2, 7));
+            all.push_other(ctx, 0, VrRecord::new(2, 7));
         });
         vr.poison_chunk(0, StateId::MAX);
-        assert!(vr.find(0, 1).is_none(), "own record unmatchable");
-        assert!(vr.find(0, 2).is_none(), "cross-thread record unmatchable");
+        let all = whole(&mut vr);
+        assert!(all.find(0, 1).is_none(), "own record unmatchable");
+        assert!(all.find(0, 2).is_none(), "cross-thread record unmatchable");
+        assert_eq!(all.find(1, 1).map(|r| r.end), Some(6), "other chunks untouched");
         assert_eq!(vr.len(0), 2, "records still occupy their registers");
-        assert_eq!(vr.find(1, 1).map(|r| r.end), Some(6), "other chunks untouched");
     }
 
     #[test]
     fn zero_others_capacity_drops_everything() {
         let mut vr = VrStore::new(1, 16, 0);
+        let mut all = whole(&mut vr);
         on_device(|ctx| {
-            vr.push_other(ctx, 0, VrRecord::new(1, 2));
+            all.push_other(ctx, 0, VrRecord::new(1, 2));
         });
         assert!(vr.is_empty(0));
         assert_eq!(vr.dropped(), 1);

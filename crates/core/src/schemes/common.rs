@@ -1,17 +1,20 @@
 //! Machinery shared by the speculative schemes: the prediction + parallel
-//! speculative execution phases (Algorithm 2 lines 2-7).
+//! speculative execution phases (Algorithm 2 lines 2-7), and the
+//! verification & recovery driver of the five walk schemes.
 
 use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    block_dims_width, launch_grid, BlockDim, BlockRequirements, FaultDomain, GridKernel,
-    KernelStats, RoundKernel, RoundOutcome, ThreadCtx,
+    block_dims_width, launch_blocks, launch_grid, BlockDim, BlockRequirements, FaultDomain,
+    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::predict::{predict, Prediction};
 use crate::records::{VrRecord, VrSlice, VrStore};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
+use crate::run::{RunOutcome, SchemeKind};
+use crate::schemes::stitch::{block_incomings, stitch_blocks};
 use crate::schemes::Job;
 use crate::specq::SpecQueue;
 use crate::table::{DeviceTable, WalkBatch};
@@ -233,6 +236,260 @@ impl GridKernel for ExecKernel<'_> {
     }
 }
 
+/// The verification & recovery phase of Naive, PM, SRE, RR and NF, and the
+/// run's outcome.
+///
+/// The verification kernel's blocks each walk their own [`Window`] from a
+/// block-level speculated incoming state ([`block_incomings`]); only shared
+/// memory and barriers inside a block are cooperative. `make` builds each
+/// block's kernel, in block order, and returns `None` for a block that has
+/// no work left (PM settles merge-verified blocks host-side). The blocks with
+/// work run as one grid, the fault overlay strikes them as verification
+/// blocks ([`apply_grid_recovery`]), and the boundary stitch validates the
+/// block seams ([`stitch_blocks`]). `verify` is what verification cost before
+/// the walk (PM's tree merge).
+pub(crate) fn verify_phase<K: WindowKernel>(
+    job: &Job<'_>,
+    phase: ExecPhase,
+    scheme: SchemeKind,
+    mut verify: KernelStats,
+    mut make: impl FnMut(&mut Window<'_>) -> Option<K>,
+) -> RunOutcome {
+    let ExecPhase { chunks, mut vr, mut ends, mut counts, predict_stats, exec_stats, .. } = phase;
+    let n = chunks.len();
+    let mut checks = 0u64;
+    let mut matches = 0u64;
+    let mut frontier_trace = Vec::new();
+
+    if n > 1 {
+        let dims = job.vr_dims(n);
+        // Snapshot the incomings before any block rewrites its window.
+        let incomings = block_incomings(job, &dims, &ends);
+        let segments: Vec<(Range<usize>, StateId)> =
+            dims.iter().map(|d| (d.tids.clone(), incomings[d.index])).collect();
+        {
+            let mut windows = windows(job, &chunks, &segments, &mut vr, &mut ends, &mut counts);
+            let mut blocks: Vec<(usize, OnWindow<'_, '_, K>)> = windows
+                .iter_mut()
+                .filter_map(|w| {
+                    let k = make(w)?;
+                    Some((w.len(), OnWindow { w, k }))
+                })
+                .collect();
+            if !blocks.is_empty() {
+                let mut grid = launch_blocks(job.spec, &mut blocks)
+                    .unwrap_or_else(|e| panic!("launch_blocks: {e}"));
+                // Fault overlay: a struck block retries with backoff and, on
+                // exhaustion (or a tripped misspeculation ladder), degrades
+                // to a sequential re-walk of its window from its incoming
+                // state.
+                let ctxs: Vec<BlockRecoveryCtx> =
+                    blocks.iter().map(|(_, b)| b.w.recovery_ctx()).collect();
+                apply_grid_recovery(job, FaultDomain::Verify, &mut grid, &ctxs);
+                verify.merge_sequential(&grid.fold());
+            }
+            for w in &windows {
+                checks += w.checks;
+                matches += w.matches;
+                frontier_trace.extend_from_slice(&w.frontier_trace);
+            }
+        }
+        let stitched =
+            stitch_blocks(job, &chunks, &dims, &incomings, &mut vr, &mut ends, &mut counts);
+        verify.merge_sequential(&stitched.stats);
+        checks += stitched.checks;
+        matches += stitched.matches;
+    }
+
+    let end_state = *ends.last().expect("at least one chunk");
+    RunOutcome {
+        scheme,
+        end_state,
+        accepted: job.table.dfa().is_accepting(end_state),
+        match_count: job.config.count_matches.then(|| counts.iter().sum()),
+        frontier_trace,
+        chunk_ends: ends,
+        predict: predict_stats,
+        execute: exec_stats,
+        verify,
+        verification_checks: checks,
+        verification_matches: matches,
+    }
+}
+
+/// One block's window of the job's verification state: its chunks' records,
+/// end states and match counts, the state its first chunk is entered from,
+/// and the checks, matches and frontier advances made on it. Records are
+/// addressed by global chunk id, end states and counts by local index.
+pub(crate) struct Window<'a> {
+    pub job: &'a Job<'a>,
+    pub chunks: &'a [Range<usize>],
+    /// Global id of the window's first chunk.
+    pub base: usize,
+    /// The state the first chunk is entered from: the machine's start state
+    /// in block 0, block-level speculation in the others, the true boundary
+    /// state in a stitch fix-up.
+    pub incoming: StateId,
+    pub vr: VrSlice<'a>,
+    pub ends: &'a mut [StateId],
+    pub counts: &'a mut [u64],
+    pub checks: u64,
+    pub matches: u64,
+    pub frontier_trace: Vec<u32>,
+}
+
+impl Window<'_> {
+    /// Chunks in the window.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The state local chunk `rel` is entered from: its predecessor's end.
+    pub fn entering(&self, rel: usize) -> StateId {
+        if rel == 0 {
+            self.incoming
+        } else {
+            self.ends[rel - 1]
+        }
+    }
+
+    /// One verification check of local chunk `rel` against its verified
+    /// incoming `state`, received from the predecessor by a shuffle: a
+    /// record starting at `state` is reused, a miss re-executes the chunk.
+    pub fn resolve(&mut self, ctx: &mut ThreadCtx<'_>, rel: usize, state: StateId) -> RoundOutcome {
+        ctx.shuffle(1);
+        self.checks += 1;
+        match self.vr.scan(ctx, self.base + rel, state) {
+            Some(rec) => {
+                self.matches += 1;
+                self.ends[rel] = rec.end;
+                self.counts[rel] = rec.matches;
+                RoundOutcome::ACTIVE
+            }
+            None => self.recover(ctx, rel, state),
+        }
+    }
+
+    /// Must-be-done recovery: re-executes local chunk `rel` from the
+    /// verified `state`, credited as recovery, and keeps its record.
+    pub fn recover(&mut self, ctx: &mut ThreadCtx<'_>, rel: usize, state: StateId) -> RoundOutcome {
+        let cid = self.base + rel;
+        let t0 = ctx.cycles();
+        let run = self.job.table.run_chunk_with(
+            ctx,
+            self.job.input,
+            self.chunks[cid].clone(),
+            state,
+            self.job.config.count_matches,
+        );
+        ctx.credit_recovery(t0);
+        self.vr.push_own(cid, VrRecord { start: state, end: run.end, matches: run.matches });
+        self.ends[rel] = run.end;
+        self.counts[rel] = run.matches;
+        RoundOutcome::RECOVERING
+    }
+
+    /// What the fault overlay needs to strike this window's block.
+    fn recovery_ctx(&self) -> BlockRecoveryCtx {
+        BlockRecoveryCtx {
+            window: self.chunks[self.base].start..self.chunks[self.base + self.len() - 1].end,
+            start: self.incoming,
+            checks: self.checks,
+            matches: self.matches,
+        }
+    }
+}
+
+/// Splits the per-chunk state into one [`Window`] per `(chunks, incoming)`
+/// segment. Segments are ascending and disjoint; chunks between them belong
+/// to no window.
+pub(crate) fn windows<'a>(
+    job: &'a Job<'a>,
+    chunks: &'a [Range<usize>],
+    segments: &[(Range<usize>, StateId)],
+    vr: &'a mut VrStore,
+    mut ends: &'a mut [StateId],
+    mut counts: &'a mut [u64],
+) -> Vec<Window<'a>> {
+    // Cover every chunk with alternating gap and window pieces, so the record
+    // store and the result arrays split into disjoint views.
+    let mut pieces: Vec<(usize, Option<StateId>)> = Vec::with_capacity(2 * segments.len() + 1);
+    let mut pos = 0;
+    for (range, incoming) in segments {
+        if range.start > pos {
+            pieces.push((range.start - pos, None));
+        }
+        pieces.push((range.len(), Some(*incoming)));
+        pos = range.end;
+    }
+    if pos < ends.len() {
+        pieces.push((ends.len() - pos, None));
+    }
+    let lens: Vec<usize> = pieces.iter().map(|p| p.0).collect();
+    let mut out = Vec::with_capacity(segments.len());
+    let mut base = 0;
+    for ((len, incoming), vr) in pieces.into_iter().zip(vr.split_lens(&lens)) {
+        let (e, e_rest) = ends.split_at_mut(len);
+        let (c, c_rest) = counts.split_at_mut(len);
+        ends = e_rest;
+        counts = c_rest;
+        if let Some(incoming) = incoming {
+            out.push(Window {
+                job,
+                chunks,
+                base,
+                incoming,
+                vr,
+                ends: e,
+                counts: c,
+                checks: 0,
+                matches: 0,
+                frontier_trace: Vec::new(),
+            });
+        }
+        base += len;
+    }
+    out
+}
+
+/// A block kernel's own control flow over a [`Window`] that holds the job's
+/// state: [`RoundKernel`]'s methods with the window passed in.
+pub(crate) trait WindowKernel: Send {
+    fn begin_round(&mut self, _w: &mut Window<'_>) {}
+    fn round(&mut self, w: &mut Window<'_>, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome;
+    fn after_sync(&mut self, w: &mut Window<'_>) -> bool;
+    fn phase(&self) -> Phase;
+}
+
+/// A [`WindowKernel`] launched on its window, with the verification
+/// kernel's per-block resources.
+pub(crate) struct OnWindow<'w, 'a, K> {
+    pub w: &'w mut Window<'a>,
+    pub k: K,
+}
+
+impl<K: WindowKernel> RoundKernel for OnWindow<'_, '_, K> {
+    fn begin_round(&mut self, _round: u64) {
+        self.k.begin_round(self.w);
+    }
+
+    fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+        self.k.round(self.w, tid, ctx)
+    }
+
+    fn after_sync(&mut self, _round: u64) -> bool {
+        self.k.after_sync(self.w)
+    }
+
+    fn requirements(&self, threads: u32) -> BlockRequirements {
+        self.w.job.vr_requirements(threads)
+    }
+
+    fn phase(&self) -> Phase {
+        self.k.phase()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,9 +512,11 @@ mod tests {
         let truth0 = d.run(&input[phase.chunks[0].clone()]);
         assert_eq!(phase.ends[0], truth0);
         // Every chunk has exactly one record matching its speculation.
+        let mut vr = phase.vr.clone();
+        let all = vr.split_lens(&[8]).remove(0);
         for i in 0..8 {
             assert_eq!(phase.vr.len(i), 1);
-            assert_eq!(phase.vr.find(i, phase.spec_starts[i]).map(|r| r.end), Some(phase.ends[i]));
+            assert_eq!(all.find(i, phase.spec_starts[i]).map(|r| r.end), Some(phase.ends[i]));
         }
         assert!(phase.exec_stats.cycles > 0);
     }

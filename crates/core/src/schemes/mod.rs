@@ -11,12 +11,9 @@
 
 mod common;
 mod naive;
-mod nf;
 mod pm;
-mod rr;
 mod sequential;
 mod sfa;
-mod sre;
 mod stitch;
 mod vr_kernel;
 
@@ -34,6 +31,7 @@ use crate::config::SchemeConfig;
 use crate::partition::partition;
 use crate::run::{RunOutcome, SchemeKind};
 use crate::table::DeviceTable;
+use vr_kernel::{run_with_policy, RecoveryPolicy};
 
 /// One FSM-processing job: a device, a device-resident table, an input
 /// stream, and the scheme configuration.
@@ -158,9 +156,9 @@ pub fn run_scheme(kind: SchemeKind, job: &Job<'_>) -> RunOutcome {
         SchemeKind::Sequential => sequential::run(job),
         SchemeKind::Naive => naive::run(job),
         SchemeKind::Pm => pm::run(job),
-        SchemeKind::Sre => sre::run(job),
-        SchemeKind::Rr => rr::run(job),
-        SchemeKind::Nf => nf::run(job),
+        SchemeKind::Sre => run_with_policy(job, RecoveryPolicy::Sre),
+        SchemeKind::Rr => run_with_policy(job, RecoveryPolicy::RoundRobin),
+        SchemeKind::Nf => run_with_policy(job, RecoveryPolicy::NearestFirst),
         SchemeKind::Sfa => sfa::run(job),
     }
 }

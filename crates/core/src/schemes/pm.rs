@@ -17,136 +17,48 @@
 //!    thread idles — Equation 2's `Σ P_i × (T_comm + T_ver + T_p1)` term and
 //!    the bottleneck this paper attacks.
 //!
-//! Both the merge (shuffles/shared memory) and the walk are block-scoped, so
-//! at grid scale every block merges and walks its own chunk window from a
-//! block-level speculated incoming state, and the boundary stitch of
-//! [`crate::schemes::stitch`] validates the seams afterwards.
+//! The merge and the walk are block-scoped: every block merges and walks
+//! its own window, and [`verify_phase`] runs the walk's blocks and stitches
+//! their seams.
 
-use std::ops::Range;
-
-use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch_blocks, BlockDim, BlockRequirements, KernelStats, Phase, RoundKernel, RoundOutcome,
-    ThreadCtx,
+    launch_blocks, BlockRequirements, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
-use crate::records::{VrRecord, VrSlice};
 use crate::run::{RunOutcome, SchemeKind};
-use crate::schemes::common::{exec_phase, ExecPhase};
-use crate::schemes::stitch::{block_incomings, stitch_blocks};
+use crate::schemes::common::{exec_phase, verify_phase, Window, WindowKernel};
 use crate::schemes::Job;
 
 pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
-    let k = job.config.spec_k;
-    let ExecPhase { chunks, mut vr, mut ends, mut counts, predict_stats, exec_stats, .. } =
-        exec_phase(job, k);
-    let n = chunks.len();
+    let k = job.config.spec_k as u64;
+    let phase = exec_phase(job, job.config.spec_k);
+    let merge = merge_cost(job, phase.chunks.len(), k);
+    verify_phase(job, phase, SchemeKind::Pm, merge, |w| {
+        let mut walk = PmWalk { k, cursor: usize::from(w.base == 0) };
+        // Advance through merge-verified chunks before deciding whether the
+        // block needs a walker at all.
+        walk.skip_matches(w);
+        (walk.cursor < w.len()).then_some(walk)
+    })
+}
 
-    let mut verify = KernelStats::default();
-    let mut checks = 0u64;
-    let mut matches = 0u64;
-    let mut frontier_trace = Vec::new();
-
-    if n > 1 {
-        let dims = job.vr_dims(n);
-        let incomings = block_incomings(job, &dims, &ends);
-
-        // Phase 2: parallel tree-like merge, one per block — log2(B) rounds,
-        // every thread forwarding k end states and checking k received ones.
-        // (A one-chunk trailing block has nothing to merge.)
-        let mut merges: Vec<(usize, MergeKernel)> = dims
-            .iter()
-            .filter(|d| d.len() > 1)
-            .map(|d| {
-                (
-                    d.len(),
-                    MergeKernel { k: k as u64, rounds_left: d.len().next_power_of_two().ilog2() },
-                )
-            })
-            .collect();
-        if !merges.is_empty() {
-            verify.merge_sequential(
-                &launch_blocks(job.spec, &mut merges)
-                    .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
-                    .fold(),
-            );
-        }
-
-        // Phase 3: per-block sequential verification and recovery along each
-        // block's speculated ground truth.
-        let lens: Vec<usize> = dims.iter().map(BlockDim::len).collect();
-        {
-            let vr_slices = vr.split_lens(&lens);
-            let mut e_rest: &mut [StateId] = &mut ends;
-            let mut c_rest: &mut [u64] = &mut counts;
-            let mut idle: Vec<PmBlock<'_, '_>> = Vec::new();
-            let mut pending: Vec<(usize, PmBlock<'_, '_>)> = Vec::new();
-            for (dim, vr_slice) in dims.iter().zip(vr_slices) {
-                let (e, er) = e_rest.split_at_mut(dim.len());
-                let (c, cr) = c_rest.split_at_mut(dim.len());
-                e_rest = er;
-                c_rest = cr;
-                let mut block = PmBlock {
-                    job,
-                    chunks: &chunks,
-                    base: dim.tids.start,
-                    n_local: dim.len(),
-                    incoming: incomings[dim.index],
-                    vr: vr_slice,
-                    k: k as u64,
-                    ends: e,
-                    counts: c,
-                    cursor: usize::from(dim.index == 0),
-                    checks: 0,
-                    matches: 0,
-                    frontier_trace: Vec::new(),
-                };
-                // Advance through merge-verified chunks before deciding
-                // whether the block needs a walker kernel at all.
-                block.skip_matches();
-                if block.cursor < block.n_local {
-                    pending.push((dim.len(), block));
-                } else {
-                    idle.push(block);
-                }
-            }
-            if !pending.is_empty() {
-                verify.merge_sequential(
-                    &launch_blocks(job.spec, &mut pending)
-                        .unwrap_or_else(|e| panic!("launch_blocks: {e}"))
-                        .fold(),
-                );
-            }
-            let mut blocks: Vec<PmBlock<'_, '_>> =
-                idle.into_iter().chain(pending.into_iter().map(|(_, b)| b)).collect();
-            blocks.sort_by_key(|b| b.base);
-            for block in blocks {
-                checks += block.checks;
-                matches += block.matches;
-                frontier_trace.extend_from_slice(&block.frontier_trace);
-            }
-        }
-        let stitched =
-            stitch_blocks(job, &chunks, &dims, &incomings, &mut vr, &mut ends, &mut counts);
-        verify.merge_sequential(&stitched.stats);
-        checks += stitched.checks;
-        matches += stitched.matches;
+/// Phase 2: the parallel tree-like merge, one per verification block —
+/// log2(B) rounds, every thread forwarding k end states and checking k
+/// received ones. (A one-chunk block has nothing to merge.)
+fn merge_cost(job: &Job<'_>, n: usize, k: u64) -> KernelStats {
+    if n <= 1 {
+        return KernelStats::default();
     }
-
-    let end_state = *ends.last().expect("at least one chunk");
-    RunOutcome {
-        scheme: SchemeKind::Pm,
-        end_state,
-        accepted: job.table.dfa().is_accepting(end_state),
-        chunk_ends: ends,
-        predict: predict_stats,
-        execute: exec_stats,
-        verify,
-        verification_checks: checks,
-        verification_matches: matches,
-        match_count: job.config.count_matches.then(|| counts.iter().sum()),
-        frontier_trace,
+    let mut merges: Vec<(usize, MergeKernel)> = job
+        .vr_dims(n)
+        .iter()
+        .filter(|d| d.len() > 1)
+        .map(|d| (d.len(), MergeKernel { k, rounds_left: d.len().next_power_of_two().ilog2() }))
+        .collect();
+    if merges.is_empty() {
+        return KernelStats::default();
     }
+    launch_blocks(job.spec, &mut merges).unwrap_or_else(|e| panic!("launch_blocks: {e}")).fold()
 }
 
 /// Cost model of the tree merge: the bookkeeping itself is data-independent
@@ -189,93 +101,49 @@ impl RoundKernel for MergeKernel {
     }
 }
 
-/// One block of the sequential stage: walks the block's speculated ground
-/// truth chunk by chunk. Chunks whose k-path record set contains the
-/// incoming verified state cost nothing here (already verified and composed
-/// in the merge); every miss runs a one-thread recovery round.
-struct PmBlock<'a, 'j> {
-    job: &'a Job<'j>,
-    chunks: &'a [Range<usize>],
-    base: usize,
-    n_local: usize,
-    /// Verified (block 0) or block-speculated incoming end state for the
-    /// block's first chunk.
-    incoming: StateId,
-    vr: VrSlice<'a>,
+/// Phase 3 in one block: walks the block's speculated ground truth chunk by
+/// chunk. Chunks whose k-path record set contains the incoming verified
+/// state cost nothing here (already verified and composed in the merge);
+/// every miss runs a one-thread recovery round.
+struct PmWalk {
     k: u64,
-    ends: &'a mut [StateId],
-    counts: &'a mut [u64],
     cursor: usize,
-    checks: u64,
-    matches: u64,
-    frontier_trace: Vec<u32>,
 }
 
-impl PmBlock<'_, '_> {
-    fn prev_end(&self) -> StateId {
-        if self.cursor == 0 {
-            self.incoming
-        } else {
-            self.ends[self.cursor - 1]
-        }
-    }
-
+impl PmWalk {
     /// Consumes the run of chunks (starting at `cursor`) whose records cover
     /// the incoming verified end state. Host-side: the device already paid
     /// for these checks in the merge rounds.
-    fn skip_matches(&mut self) {
-        while self.cursor < self.n_local {
-            let prev = self.prev_end();
-            match self.vr.find(self.base + self.cursor, prev) {
-                Some(rec) => {
-                    self.checks += 1;
-                    self.matches += 1;
-                    self.ends[self.cursor] = rec.end;
-                    self.counts[self.cursor] = rec.matches;
-                    self.cursor += 1;
-                }
-                None => break,
-            }
+    fn skip_matches(&mut self, w: &mut Window<'_>) {
+        while self.cursor < w.len() {
+            let Some(rec) = w.vr.find(w.base + self.cursor, w.entering(self.cursor)) else {
+                break;
+            };
+            w.checks += 1;
+            w.matches += 1;
+            w.ends[self.cursor] = rec.end;
+            w.counts[self.cursor] = rec.matches;
+            self.cursor += 1;
         }
     }
 }
 
-impl RoundKernel for PmBlock<'_, '_> {
-    fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.job.vr_requirements(threads)
-    }
-
-    fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+impl WindowKernel for PmWalk {
+    fn round(&mut self, w: &mut Window<'_>, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         if tid != self.cursor {
             return RoundOutcome::IDLE;
         }
-        let prev = self.prev_end();
         ctx.shuffle(1);
         ctx.alu(self.k); // re-check the k paths against the verified state
-        self.checks += 1;
-        let t0 = ctx.cycles();
-        let run = self.job.table.run_chunk_with(
-            ctx,
-            self.job.input,
-            self.chunks[self.base + tid].clone(),
-            prev,
-            self.job.config.count_matches,
-        );
-        ctx.credit_recovery(t0);
-        self.vr.push_own(
-            self.base + tid,
-            VrRecord { start: prev, end: run.end, matches: run.matches },
-        );
-        self.ends[tid] = run.end;
-        self.counts[tid] = run.matches;
-        RoundOutcome::RECOVERING
+        w.checks += 1;
+        w.recover(ctx, tid, w.entering(tid))
     }
 
-    fn after_sync(&mut self, _round: u64) -> bool {
+    fn after_sync(&mut self, w: &mut Window<'_>) -> bool {
         self.cursor += 1;
-        self.skip_matches();
-        self.frontier_trace.push((self.base + self.cursor) as u32);
-        self.cursor < self.n_local
+        self.skip_matches(w);
+        w.frontier_trace.push((w.base + self.cursor) as u32);
+        self.cursor < w.len()
     }
 
     /// Every walker round re-executes a chunk (merge-verified chunks are

@@ -37,12 +37,13 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch, launch_blocks, launch_grid, BlockDim, BlockRequirements, GridKernel, KernelStats,
-    Phase, RoundKernel, RoundOutcome, ThreadCtx,
+    launch, launch_blocks, launch_grid, BlockDim, GridKernel, KernelStats, Phase, RoundKernel,
+    RoundOutcome, ThreadCtx,
 };
 
 use crate::config::StitchPolicy;
-use crate::records::{VrRecord, VrSlice, VrStore};
+use crate::records::VrStore;
+use crate::schemes::common::{windows, OnWindow, Window, WindowKernel};
 use crate::schemes::Job;
 
 /// What the boundary stitch did: its simulated cost plus the verification
@@ -100,26 +101,15 @@ fn stitch_sequential(
 ) -> StitchOutcome {
     let mut out = StitchOutcome { stats: KernelStats::default(), checks: 0, matches: 0 };
     for dim in &dims[1..] {
-        let lo = dim.tids.start;
-        let true_in = ends[lo - 1];
+        let true_in = ends[dim.tids.start - 1];
         if true_in == incomings[dim.index] {
             continue; // Block speculation verified: results already exact.
         }
-        let mut kernel = StitchKernel {
-            job,
-            chunks,
-            vr,
-            end: dim.tids.end,
-            cursor: lo,
-            state: true_in,
-            ends,
-            counts,
-            checks: 0,
-            matches: 0,
-        };
-        let stats = launch(job.spec, 1, &mut kernel);
-        out.checks += kernel.checks;
-        out.matches += kernel.matches;
+        let segment = [(dim.tids.clone(), true_in)];
+        let mut w = windows(job, chunks, &segment, vr, ends, counts).remove(0);
+        let stats = launch(job.spec, 1, &mut OnWindow { w: &mut w, k: Fixup::new(false) });
+        out.checks += w.checks;
+        out.matches += w.matches;
         out.stats.merge_sequential(&stats);
     }
     out
@@ -137,7 +127,6 @@ fn stitch_tree(
     counts: &mut [u64],
 ) -> StitchOutcome {
     let b = dims.len();
-    let n = chunks.len();
     let mut out = StitchOutcome { stats: KernelStats::default(), checks: 0, matches: 0 };
     let mut span = 1usize;
     while span < b {
@@ -151,8 +140,9 @@ fn stitch_tree(
 
         // Host-side mirror of the seam comparisons: a cluster whose leader
         // speculated the (now known) true boundary state is composed for
-        // free; the rest are re-resolved from the true state.
-        let mut fixups: Vec<(usize, usize, StateId)> = Vec::new();
+        // free; the rest are re-resolved from the true state. Mismatched
+        // clusters are disjoint chunk ranges.
+        let mut fixups: Vec<(Range<usize>, StateId)> = Vec::new();
         for &right in &seams {
             let lo = dims[right].tids.start;
             let true_in = ends[lo - 1];
@@ -160,66 +150,19 @@ fn stitch_tree(
                 continue;
             }
             let last_block = (right + span).min(b) - 1;
-            fixups.push((lo, dims[last_block].tids.end, true_in));
+            fixups.push((lo..dims[last_block].tids.end, true_in));
         }
 
         if !fixups.is_empty() {
-            // Mismatched clusters are disjoint chunk ranges; cover `0..n`
-            // with alternating gap/fix-up segments so the record store and
-            // result arrays split into disjoint views.
-            let mut lens: Vec<usize> = Vec::new();
-            let mut is_fix: Vec<bool> = Vec::new();
-            let mut pos = 0usize;
-            for &(lo, hi, _) in &fixups {
-                if lo > pos {
-                    lens.push(lo - pos);
-                    is_fix.push(false);
-                }
-                lens.push(hi - lo);
-                is_fix.push(true);
-                pos = hi;
-            }
-            if pos < n {
-                lens.push(n - pos);
-                is_fix.push(false);
-            }
-            let vr_slices = vr.split_lens(&lens);
-            let mut e_rest: &mut [StateId] = ends;
-            let mut c_rest: &mut [u64] = counts;
-            let mut fix_iter = fixups.iter();
-            let mut blocks: Vec<(usize, TreeFixup<'_, '_>)> = Vec::with_capacity(fixups.len());
-            for ((&len, &fix), vr_slice) in lens.iter().zip(&is_fix).zip(vr_slices) {
-                let (e, er) = e_rest.split_at_mut(len);
-                let (c, cr) = c_rest.split_at_mut(len);
-                e_rest = er;
-                c_rest = cr;
-                if fix {
-                    let &(lo, _, true_in) = fix_iter.next().expect("one fixup per fix segment");
-                    blocks.push((
-                        1,
-                        TreeFixup {
-                            job,
-                            chunks,
-                            vr: vr_slice,
-                            base: lo,
-                            len,
-                            state: true_in,
-                            ends: e,
-                            counts: c,
-                            cursor: 0,
-                            done: false,
-                            checks: 0,
-                            matches: 0,
-                        },
-                    ));
-                }
-            }
+            let mut windows = windows(job, chunks, &fixups, vr, ends, counts);
+            let mut blocks: Vec<(usize, OnWindow<'_, '_, Fixup>)> =
+                windows.iter_mut().map(|w| (1, OnWindow { w, k: Fixup::new(true) })).collect();
             let grid = launch_blocks(job.spec, &mut blocks)
                 .unwrap_or_else(|e| panic!("launch_blocks: {e}"));
             out.stats.merge_sequential(&grid.fold());
-            for (_, k) in blocks {
-                out.checks += k.checks;
-                out.matches += k.matches;
+            for w in &windows {
+                out.checks += w.checks;
+                out.matches += w.matches;
             }
         }
         span *= 2;
@@ -258,149 +201,39 @@ impl GridKernel for SeamGrid {
     }
 }
 
-/// One-thread re-resolution of a mispredicted cluster's chunks from the true
-/// incoming state (tree policy): record hits are reused, misses re-executed
-/// (recovery), and the walk stops early once the rewritten end state equals
-/// the previous one — everything downstream already chains from it.
-/// `ends`/`counts` are the cluster's slices (relative indexing); record
-/// accesses go through the disjoint [`VrSlice`] by global chunk id.
-struct TreeFixup<'a, 'j> {
-    job: &'a Job<'j>,
-    chunks: &'a [Range<usize>],
-    vr: VrSlice<'a>,
-    base: usize,
-    len: usize,
-    state: StateId,
-    ends: &'a mut [StateId],
-    counts: &'a mut [u64],
+/// One-thread re-resolution of a mispredicted block's (sequential policy)
+/// or cluster's (tree policy) chunks from the true incoming state: record
+/// hits are reused, misses re-executed. The tree's fix-up stops early once a
+/// rewritten end state equals the previous one — everything downstream
+/// already chains from it.
+struct Fixup {
     cursor: usize,
+    /// Stop at the first chunk whose end state does not change.
+    converge: bool,
     done: bool,
-    checks: u64,
-    matches: u64,
 }
 
-impl RoundKernel for TreeFixup<'_, '_> {
-    fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.job.vr_requirements(threads)
+impl Fixup {
+    fn new(converge: bool) -> Self {
+        Fixup { cursor: 0, converge, done: false }
     }
+}
 
-    fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+impl WindowKernel for Fixup {
+    fn round(&mut self, w: &mut Window<'_>, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let rel = self.cursor;
-        let cid = self.base + rel;
-        // Receive the verified end state of the predecessor chunk.
-        ctx.shuffle(1);
-        self.checks += 1;
-        let old_end = self.ends[rel];
-        let outcome = match self.vr.scan(ctx, cid, self.state) {
-            Some(rec) => {
-                self.matches += 1;
-                self.ends[rel] = rec.end;
-                self.counts[rel] = rec.matches;
-                RoundOutcome::ACTIVE
-            }
-            None => {
-                // Must-be-done recovery from the verified state.
-                let t0 = ctx.cycles();
-                let run = self.job.table.run_chunk_with(
-                    ctx,
-                    self.job.input,
-                    self.chunks[cid].clone(),
-                    self.state,
-                    self.job.config.count_matches,
-                );
-                ctx.credit_recovery(t0);
-                self.vr.push_own(
-                    cid,
-                    VrRecord { start: self.state, end: run.end, matches: run.matches },
-                );
-                self.ends[rel] = run.end;
-                self.counts[rel] = run.matches;
-                RoundOutcome::RECOVERING
-            }
-        };
-        self.state = self.ends[rel];
-        if self.state == old_end {
-            // Converged: downstream chunks already chain from this state.
-            self.done = true;
-        }
+        let old_end = w.ends[rel];
+        let outcome = w.resolve(ctx, rel, w.entering(rel));
+        self.done = self.converge && w.ends[rel] == old_end;
         outcome
     }
 
-    fn after_sync(&mut self, _round: u64) -> bool {
+    fn after_sync(&mut self, w: &mut Window<'_>) -> bool {
         self.cursor += 1;
-        !self.done && self.cursor < self.len
+        !self.done && self.cursor < w.len()
     }
 
     /// All fix-up work — record reuse and re-execution alike — is stitch
-    /// time: it exists only because block seams must be validated.
-    fn phase(&self) -> Phase {
-        Phase::Stitch
-    }
-}
-
-/// One-thread re-resolution of a mispredicted block's chunks from the true
-/// incoming state (sequential policy): record hits are reused, misses
-/// re-executed (recovery).
-struct StitchKernel<'a, 'j> {
-    job: &'a Job<'j>,
-    chunks: &'a [Range<usize>],
-    vr: &'a mut VrStore,
-    end: usize,
-    cursor: usize,
-    state: StateId,
-    ends: &'a mut [StateId],
-    counts: &'a mut [u64],
-    checks: u64,
-    matches: u64,
-}
-
-impl RoundKernel for StitchKernel<'_, '_> {
-    fn requirements(&self, threads: u32) -> BlockRequirements {
-        self.job.vr_requirements(threads)
-    }
-
-    fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        let cid = self.cursor;
-        // Receive the verified end state of the predecessor chunk.
-        ctx.shuffle(1);
-        self.checks += 1;
-        let outcome = match self.vr.scan(ctx, cid, self.state) {
-            Some(rec) => {
-                self.matches += 1;
-                self.ends[cid] = rec.end;
-                self.counts[cid] = rec.matches;
-                RoundOutcome::ACTIVE
-            }
-            None => {
-                // Must-be-done recovery from the verified state.
-                let t0 = ctx.cycles();
-                let run = self.job.table.run_chunk_with(
-                    ctx,
-                    self.job.input,
-                    self.chunks[cid].clone(),
-                    self.state,
-                    self.job.config.count_matches,
-                );
-                ctx.credit_recovery(t0);
-                self.vr.push_own(
-                    cid,
-                    VrRecord { start: self.state, end: run.end, matches: run.matches },
-                );
-                self.ends[cid] = run.end;
-                self.counts[cid] = run.matches;
-                RoundOutcome::RECOVERING
-            }
-        };
-        self.state = self.ends[cid];
-        outcome
-    }
-
-    fn after_sync(&mut self, _round: u64) -> bool {
-        self.cursor += 1;
-        self.cursor < self.end
-    }
-
-    /// All seam-walk work — record reuse and re-execution alike — is stitch
     /// time: it exists only because block seams must be validated.
     fn phase(&self) -> Phase {
         Phase::Stitch

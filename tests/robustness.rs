@@ -307,3 +307,40 @@ fn watchdog_below_one_round_degrades_every_block_and_stays_exact() {
         );
     }
 }
+
+/// Aborts strike the verification grid of every walk scheme, PM's
+/// sequential walk included: each scheme's verification stats show the
+/// retries or degraded blocks, its answer stays exact and its phases still
+/// partition its cycles.
+#[test]
+fn verify_faults_strike_every_walk_scheme_and_stay_exact() {
+    use gspecpal::FaultPlan;
+    let d = div7();
+    let spec = DeviceSpec::test_unit();
+    let table = DeviceTable::transformed(&d, d.n_states());
+    let input = random_input(5, 2048);
+    let config = SchemeConfig {
+        n_chunks: 256,
+        spec_k: 1,
+        faults: Some(FaultPlan { seed: 11, abort_permille: 1000, ..FaultPlan::default() }),
+        ..SchemeConfig::default()
+    };
+    let job = Job::new(&spec, &table, &input, config).unwrap();
+    // div7 defeats spec-1 prediction, so PM's walk has chunks to recover and
+    // launches walker blocks.
+    let clean = SchemeConfig { faults: None, ..config };
+    let pm = run_scheme(SchemeKind::Pm, &Job::new(&spec, &table, &input, clean).unwrap());
+    assert!(pm.verify.profile.get(gspecpal_gpu::Phase::Recovery).cycles > 0, "PM walks");
+    let truth = d.run(&input);
+    for kind in [SchemeKind::Naive, SchemeKind::Pm, SchemeKind::Sre, SchemeKind::Rr, SchemeKind::Nf]
+    {
+        let out = run_scheme(kind, &job);
+        assert!(
+            out.verify.fault_retries + out.verify.fault_degraded_blocks > 0,
+            "{kind:?}: the verification grid is struck"
+        );
+        assert_eq!(out.end_state, truth, "{kind:?}");
+        let profile = out.phase_profile();
+        assert_eq!(profile.total_cycles(), out.total_cycles(), "{kind:?}: exact partition");
+    }
+}
