@@ -319,22 +319,19 @@ fn validate(
 }
 
 /// Prepares every fleet machine for every device: entry `[d][m]` is
-/// machine `m`'s table and selector pick sized for device `d`. Arrivals
-/// keep their global machine ids on every device, so the demux never
-/// renumbers anything.
+/// machine `m`'s table and selector pick sized for device `d`. Each
+/// machine is profiled once; only its hot rows are sized per device.
+/// Arrivals keep their global machine ids on every device, so the demux
+/// never renumbers anything.
 fn prepare_all<'a>(
     devices: &[ClusterDevice],
     fleet: &[FleetMachine<'a>],
 ) -> Vec<Vec<ServeMachine<'a>>> {
-    devices
+    let profiled: Vec<ServeMachine<'a>> = fleet
         .iter()
-        .map(|d| {
-            fleet
-                .iter()
-                .map(|m| ServeMachine::prepare(&d.spec, m.dfa, m.training).with_class(m.class))
-                .collect()
-        })
-        .collect()
+        .map(|m| ServeMachine::prepare(&devices[0].spec, m.dfa, m.training).with_class(m.class))
+        .collect();
+    devices.iter().map(|d| profiled.iter().map(|m| m.on_device(&d.spec)).collect()).collect()
 }
 
 /// Serves `trace` on the fleet: [`run_cluster_source`] replaying it.
@@ -608,14 +605,14 @@ impl<'a, 'f, S: TraceSource> Demux<'a, 'f, S> {
         let (v, fo) = (f.outage.device, self.cfg.failover.expect("failover is configured"));
         f.report.checkpoints_taken = crash.checkpoints_taken;
         f.report.checkpoint_bytes = crash.checkpoint_bytes;
-        let mut blob = Vec::new();
+        let mut blob_len = 0;
         f.victim = Some(match crash.completed {
             // The crash struck an idle device after its whole share
             // finished: nothing in flight, nothing to migrate.
             Some(done) => *done,
             None => {
                 let ck = crash.checkpoint.expect("the batch-0 checkpoint always survives");
-                blob = ck.encode();
+                blob_len = ck.encoded_len();
                 let (machines, serve_cfg) = (&self.machines[v], &self.cfg.serve);
                 let (durable, window) =
                     finalize_checkpoint(&self.devices[v].spec, machines, serve_cfg, &ck)?;
@@ -639,7 +636,7 @@ impl<'a, 'f, S: TraceSource> Demux<'a, 'f, S> {
             let dev = &self.devices[d];
             let (mut delta, mut attempt) = (0u64, 0u32);
             loop {
-                let stats = link_transfer_stats(&dev.link, &dev.spec, blob.len());
+                let stats = link_transfer_stats(&dev.link, &dev.spec, blob_len);
                 delta += stats.cycles;
                 f.charges[d].merge_sequential(&stats);
                 let failed =
@@ -671,5 +668,43 @@ impl<'a, 'f, S: TraceSource> Demux<'a, 'f, S> {
         }
         hub.flush_pending();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gspecpal_fsm::examples::div7;
+    use gspecpal_fsm::random::random_dfa;
+
+    /// Profiling each machine once changes nothing: every `[d][m]` entry
+    /// equals machine `m` prepared on device `d` alone, also for a machine
+    /// large enough that each device holds a different number of hot rows.
+    #[test]
+    fn shared_profiles_equal_per_device_preparation() {
+        let dfas = [div7(), random_dfa(7, 300, 256), random_dfa(11, 40, 3)];
+        let training: Vec<u8> =
+            (0..2048u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 7) as u8).collect();
+        let classes = [PriorityClass::Bulk, PriorityClass::Deadline, PriorityClass::Bulk];
+        let fleet: Vec<FleetMachine<'_>> = dfas
+            .iter()
+            .zip(classes)
+            .map(|(dfa, class)| FleetMachine { dfa, training: &training, class })
+            .collect();
+        let devices = [
+            ClusterDevice::test_unit(),
+            ClusterDevice::t4_pcie(),
+            ClusterDevice::rtx3090_pcie(),
+            ClusterDevice::a100_nvlink(),
+        ];
+        let prepared = prepare_all(&devices, &fleet);
+        for (d, row) in devices.iter().zip(&prepared) {
+            for (m, got) in fleet.iter().zip(row) {
+                let alone = ServeMachine::prepare(&d.spec, m.dfa, m.training).with_class(m.class);
+                assert_eq!(*got, alone, "{} machine of {} states", d.spec.name, m.dfa.n_states());
+            }
+        }
+        let hot: Vec<u32> = prepared.iter().map(|row| row[1].table().hot_rows()).collect();
+        assert!(hot.windows(2).all(|w| w[0] < w[1]), "hot rows grow with shared memory: {hot:?}");
     }
 }

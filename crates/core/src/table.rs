@@ -35,7 +35,7 @@ pub enum TableLayout {
 }
 
 /// A transition table as seen by device kernels, with cost accounting.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DeviceTable<'a> {
     dfa: &'a Dfa,
     layout: TableLayout,
@@ -124,7 +124,7 @@ impl<'a> DeviceTable<'a> {
     }
 
     /// The underlying machine.
-    pub fn dfa(&self) -> &Dfa {
+    pub fn dfa(&self) -> &'a Dfa {
         self.dfa
     }
 

@@ -33,17 +33,19 @@
 //! Every persisted type's layout is written once — a field list in wire
 //! order (`wire_struct!`) or a one-byte tag table (`wire_tags!`) — and one
 //! `Wire` impl per type serves both directions, so encoder and decoder
-//! cannot drift apart. Integers are fixed-width little-endian (`usize` as
-//! `u64`), `bool` and `Option` tags are one byte, and a `Vec` is a `u64`
-//! length then its elements. A type's `MIN_BYTES`, summed from its field
-//! list, bounds every decoded length against the bytes actually present
-//! before any allocation, and decoding failures name the `Type.field`
-//! being read. The types needing more than their fields' own checks are
-//! hand-written impls holding the validators: `Span` (`end >= start`),
-//! the sparse `LatencySketch`, window `StreamArrival`s (arrival-ordered,
-//! non-empty payloads), depth-tracker events (kind ±1, written sorted) and
-//! `PhaseProfile` ([`Phase::ALL`] order). The engine state is a
-//! `wire_struct!` of its components, each with its own field list, so a
+//! cannot drift apart — nor can [`EngineCheckpoint::encoded_len`], which
+//! runs the encoder into a byte counter instead of a buffer. Integers are
+//! fixed-width little-endian (`usize` as `u64`), `bool` and `Option` tags
+//! are one byte, and a `Vec` is a `u64` length then its elements. A type's
+//! `MIN_BYTES`, summed from its field list, bounds every decoded length
+//! against the bytes actually present before any allocation, and decoding
+//! failures name the `Type.field` being read. The types needing more than
+//! their fields' own checks are hand-written impls holding the validators:
+//! `Span` (`end >= start`), the sparse `LatencySketch`, window
+//! `StreamArrival`s (arrival-ordered, non-empty payloads), depth-tracker
+//! events (kind ±1, written sorted), `PhaseProfile` ([`Phase::ALL`] order)
+//! and the release ring (rebuilds its derived minimum). The engine state is
+//! a `wire_struct!` of its components, each with its own field list, so a
 //! persisted engine field is named in its struct and its wire list only.
 //! Decoded state is then validated against the resuming configuration by
 //! `ServeRun::restore`. Corruption of any kind surfaces as a structured
@@ -109,8 +111,28 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 // Byte writer / bounds-checked reader
 // ---------------------------------------------------------------------------
 
-/// The encoder's output: bytes appended in wire order.
-type Writer = Vec<u8>;
+/// Where an encoding goes: bytes appended in wire order, or only counted.
+trait ByteSink {
+    /// Whether the bytes are kept; a counter needs their number only.
+    const KEEPS_BYTES: bool = true;
+    fn write(&mut self, bytes: &[u8]);
+}
+
+impl ByteSink for Vec<u8> {
+    fn write(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// Sizes an encoding without writing it.
+struct ByteCount(usize);
+
+impl ByteSink for ByteCount {
+    const KEEPS_BYTES: bool = false;
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
 
 /// A cursor over untrusted bytes: every read is bounds-checked and every
 /// failure carries the byte offset it happened at.
@@ -159,7 +181,7 @@ trait Wire: Sized {
     const MIN_BYTES: usize;
 
     /// Appends the encoding.
-    fn put(&self, w: &mut Writer);
+    fn put<W: ByteSink>(&self, w: &mut W);
 
     /// Decodes and validates one value; `what` labels failures.
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError>;
@@ -177,8 +199,8 @@ macro_rules! wire_int {
         impl Wire for $t {
             const MIN_BYTES: usize = std::mem::size_of::<$t>();
 
-            fn put(&self, w: &mut Writer) {
-                w.extend_from_slice(&self.to_le_bytes());
+            fn put<W: ByteSink>(&self, w: &mut W) {
+                w.write(&self.to_le_bytes());
             }
 
             fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
@@ -194,7 +216,7 @@ wire_int!(u8, u32, u64, i64);
 impl Wire for usize {
     const MIN_BYTES: usize = 8;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         (*self as u64).put(w);
     }
 
@@ -206,7 +228,7 @@ impl Wire for usize {
 impl Wire for bool {
     const MIN_BYTES: usize = 1;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         u8::from(*self).put(w);
     }
 
@@ -220,7 +242,7 @@ impl Wire for bool {
 }
 
 /// A sequence's layout: its `u64` length, then its elements.
-fn put_slice<T: Wire>(items: &[T], w: &mut Writer) {
+fn put_seq<'a, T: Wire + 'a, W: ByteSink>(items: impl ExactSizeIterator<Item = &'a T>, w: &mut W) {
     items.len().put(w);
     for x in items {
         x.put(w);
@@ -230,8 +252,8 @@ fn put_slice<T: Wire>(items: &[T], w: &mut Writer) {
 impl<T: Wire> Wire for Vec<T> {
     const MIN_BYTES: usize = 8;
 
-    fn put(&self, w: &mut Writer) {
-        put_slice(self, w);
+    fn put<W: ByteSink>(&self, w: &mut W) {
+        put_seq(self.iter(), w);
     }
 
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
@@ -251,11 +273,8 @@ impl<T: Wire> Wire for Vec<T> {
 impl<T: Wire> Wire for VecDeque<T> {
     const MIN_BYTES: usize = 8;
 
-    fn put(&self, w: &mut Writer) {
-        self.len().put(w);
-        for x in self {
-            x.put(w);
-        }
+    fn put<W: ByteSink>(&self, w: &mut W) {
+        put_seq(self.iter(), w);
     }
 
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
@@ -266,7 +285,7 @@ impl<T: Wire> Wire for VecDeque<T> {
 impl<T: Wire> Wire for Option<T> {
     const MIN_BYTES: usize = 1;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         self.is_some().put(w);
         if let Some(x) = self {
             x.put(w);
@@ -285,7 +304,7 @@ impl<T: Wire> Wire for Option<T> {
 impl<A: Wire, B: Wire> Wire for (A, B) {
     const MIN_BYTES: usize = A::MIN_BYTES + B::MIN_BYTES;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         self.0.put(w);
         self.1.put(w);
     }
@@ -298,7 +317,7 @@ impl<A: Wire, B: Wire> Wire for (A, B) {
 impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
     const MIN_BYTES: usize = N * T::MIN_BYTES;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         for x in self {
             x.put(w);
         }
@@ -321,7 +340,7 @@ macro_rules! wire_struct {
         impl Wire for $ty {
             const MIN_BYTES: usize = 0 $(+ <$fty as Wire>::MIN_BYTES)*;
 
-            fn put(&self, w: &mut Writer) {
+            fn put<W: ByteSink>(&self, w: &mut W) {
                 $(<$fty as Wire>::put(&self.$field, w);)*
             }
 
@@ -344,7 +363,7 @@ macro_rules! wire_tags {
         impl Wire for $ty {
             const MIN_BYTES: usize = 1;
 
-            fn put(&self, w: &mut Writer) {
+            fn put<W: ByteSink>(&self, w: &mut W) {
                 let tag: u8 = match self {
                     $(Self::$variant $(($inner))? => $tag,)*
                 };
@@ -545,8 +564,6 @@ wire_struct!(PullCursor { pulled: usize, last_cycle: u64 });
 
 wire_struct!(ComputeCursor { free: u64, horizon: u64 });
 
-wire_struct!(ReleaseRing { released: usize, recent: VecDeque<u64> });
-
 wire_struct!(DepthTracker {
     pending: DepthEvents,
     depth: i64,
@@ -577,7 +594,7 @@ wire_struct!(LatencyAcc { exact: Vec<u64>, sketch: Option<LatencySketch> });
 impl Wire for Span {
     const MIN_BYTES: usize = 16;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         (self.start, self.end).put(w);
     }
 
@@ -590,11 +607,26 @@ impl Wire for Span {
     }
 }
 
+/// The release count and window; the derived minimum is rebuilt.
+impl Wire for ReleaseRing {
+    const MIN_BYTES: usize = 16;
+
+    fn put<W: ByteSink>(&self, w: &mut W) {
+        self.released.put(w);
+        self.recent.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>, _what: &'static str) -> Result<Self, ServeError> {
+        let released = usize::get(r, "ReleaseRing.released")?;
+        Ok(ReleaseRing::new(released, Wire::get(r, "ReleaseRing.recent")?))
+    }
+}
+
 /// The phases' counters in [`Phase::ALL`] order.
 impl Wire for PhaseProfile {
     const MIN_BYTES: usize = Phase::ALL.len() * PhaseCounters::MIN_BYTES;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         for (_, c) in self.iter() {
             c.put(w);
         }
@@ -616,11 +648,13 @@ impl Wire for PhaseProfile {
 impl Wire for LatencySketch {
     const MIN_BYTES: usize = Vec::<(usize, u64)>::MIN_BYTES + 3 * 8;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         let (counts, total, min, max) = self.raw_parts();
-        let buckets: Vec<(usize, u64)> =
-            counts.iter().copied().enumerate().filter(|&(_, c)| c != 0).collect();
-        buckets.put(w);
+        let buckets = || counts.iter().copied().enumerate().filter(|&(_, c)| c != 0);
+        buckets().count().put(w);
+        for bucket in buckets() {
+            bucket.put(w);
+        }
         [total, min, max].put(w);
     }
 
@@ -645,11 +679,11 @@ impl Wire for LatencySketch {
 impl Wire for StreamArrival {
     const MIN_BYTES: usize = 8 + 8 + 8 + 1;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         self.arrival_cycle.put(w);
         self.machine.put(w);
         self.bytes.len().put(w);
-        w.extend_from_slice(&self.bytes);
+        w.write(&self.bytes);
     }
 
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
@@ -673,7 +707,7 @@ impl Wire for StreamArrival {
 impl Wire for (u64, i8) {
     const MIN_BYTES: usize = 9;
 
-    fn put(&self, w: &mut Writer) {
+    fn put<W: ByteSink>(&self, w: &mut W) {
         self.0.put(w);
         (self.1 as u8).put(w);
     }
@@ -696,8 +730,13 @@ impl Wire for (u64, i8) {
 impl Wire for DepthEvents {
     const MIN_BYTES: usize = Vec::<(u64, i8)>::MIN_BYTES;
 
-    fn put(&self, w: &mut Writer) {
-        put_slice(&self.sorted(), w);
+    fn put<W: ByteSink>(&self, w: &mut W) {
+        if W::KEEPS_BYTES {
+            put_seq(self.sorted().iter(), w);
+        } else {
+            // Every event has one width, so sizing needs no sort.
+            put_seq(self.0.iter().map(|Reverse(event)| event), w);
+        }
     }
 
     fn get(r: &mut Reader<'_>, what: &'static str) -> Result<Self, ServeError> {
@@ -722,7 +761,7 @@ pub(crate) fn run_fingerprint(
     machines: &[ServeMachine<'_>],
     cfg: &ServeConfig,
 ) -> u64 {
-    let w = &mut Writer::new();
+    let w = &mut Vec::new();
     // Device cost model (the name and the cycles→wall clock factor never
     // influence engine arithmetic).
     spec.n_sms.put(w);
@@ -752,7 +791,7 @@ pub(crate) fn run_fingerprint(
         m.table_footprint_bytes().put(w);
         m.class().put(w);
         m.chunk_work_factor().put(w);
-        put_slice(m.arms(), w);
+        put_seq(m.arms().iter(), w);
     }
     // Serve configuration.
     match cfg.policy {
@@ -857,13 +896,27 @@ impl EngineCheckpoint {
     /// Serializes the checkpoint: magic, version, fingerprint, engine
     /// state, FNV-1a-64 checksum. Byte-deterministic.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::from(MAGIC);
-        VERSION.put(&mut w);
-        self.fingerprint.put(&mut w);
-        self.state.put(&mut w);
+        let mut w = Vec::new();
+        self.put_body(&mut w);
         let checksum = fnv1a(&w);
         checksum.put(&mut w);
         w
+    }
+
+    /// `encode().len()`, from the same layout without writing a byte: what
+    /// `checkpoint_bytes` counts and what a failover ships.
+    pub fn encoded_len(&self) -> usize {
+        let mut n = ByteCount(0);
+        self.put_body(&mut n);
+        n.0 + u64::MIN_BYTES
+    }
+
+    /// Everything [`EngineCheckpoint::encode`] writes before the checksum.
+    fn put_body<W: ByteSink>(&self, w: &mut W) {
+        w.write(&MAGIC);
+        VERSION.put(w);
+        self.fingerprint.put(w);
+        self.state.put(w);
     }
 
     /// Deserializes a checkpoint, verifying the checksum before touching
@@ -1042,7 +1095,7 @@ impl<'e, 'm, S: TraceSource> CrashRun<'e, 'm, S> {
         if run.quiescent() && run.horizon() <= self.crash_cycle && run.batches_formed() >= due {
             let ck = EngineCheckpoint { fingerprint: self.fingerprint, state: run.snapshot() };
             out.checkpoints_taken += 1;
-            out.checkpoint_bytes += ck.encode().len() as u64;
+            out.checkpoint_bytes += ck.encoded_len() as u64;
             out.checkpoint = Some(Box::new(ck));
         }
         if run.horizon() > self.crash_cycle {
@@ -1150,7 +1203,7 @@ mod tests {
         ];
         assert_eq!(table.len(), SchemeKind::all().len());
         for (tag, kind) in table {
-            let mut w = Writer::new();
+            let mut w = Vec::new();
             kind.put(&mut w);
             assert_eq!(w, [tag], "{kind} encodes to its tag");
             assert_eq!(SchemeKind::get(&mut Reader::new(&[tag]), "scheme").unwrap(), kind);

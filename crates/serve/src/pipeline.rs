@@ -100,7 +100,7 @@ use crate::trace::{StreamArrival, Trace};
 /// One servable machine: its device-resident table, the scheme the
 /// selector picked for it, and the scored candidate arms the adaptive
 /// controller may re-select among.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ServeMachine<'a> {
     table: DeviceTable<'a>,
     scheme: SchemeKind,
@@ -152,6 +152,15 @@ impl<'a> ServeMachine<'a> {
             arms,
             class: PriorityClass::Bulk,
         }
+    }
+
+    /// The machine with its hot rows re-sized for `spec`: equal to preparing
+    /// it on `spec`, without profiling again (only the hot rows depend on
+    /// the device).
+    pub fn on_device(&self, spec: &DeviceSpec) -> Self {
+        let dfa = self.table.dfa();
+        let hot = DeviceTable::hot_rows_for_device(dfa, TableLayout::Transformed, spec);
+        ServeMachine { table: DeviceTable::transformed(dfa, hot), arms: self.arms.clone(), ..*self }
     }
 
     /// Like [`ServeMachine::prepare`] with the scheme pinned — for tests
@@ -728,14 +737,31 @@ pub(crate) struct ReleaseRing {
     pub(crate) released: usize,
     /// The retained release cycles, oldest first.
     pub(crate) recent: VecDeque<u64>,
+    /// `recent`'s suffix minima, oldest first (the front is the floor).
+    /// Derived from `recent` and rebuilt on decode; never persisted.
+    mins: VecDeque<u64>,
 }
 
 impl ReleaseRing {
+    /// A ring of `released` releases retaining `recent`.
+    pub(crate) fn new(released: usize, recent: VecDeque<u64>) -> Self {
+        let mut ring = ReleaseRing::default();
+        recent.into_iter().for_each(|t| ring.push(t, usize::MAX));
+        ReleaseRing { released, ..ring }
+    }
+
     fn push(&mut self, t: u64, depth: usize) {
         self.recent.push_back(t);
         self.released += 1;
+        while self.mins.back().is_some_and(|&m| m > t) {
+            self.mins.pop_back();
+        }
+        self.mins.push_back(t);
         if self.recent.len() > depth {
-            self.recent.pop_front();
+            let oldest = self.recent.pop_front();
+            if self.mins.front() == oldest.as_ref() {
+                self.mins.pop_front();
+            }
         }
     }
 
@@ -755,7 +781,7 @@ impl ReleaseRing {
     /// arrival monotonicity bounds the future).
     fn floor(&self, depth: usize) -> Option<u64> {
         if self.released >= depth {
-            self.recent.iter().copied().min()
+            self.mins.front().copied()
         } else {
             None
         }
@@ -2019,6 +2045,7 @@ mod tests {
     use super::*;
     use crate::source::{IterSource, SyntheticSource};
     use gspecpal_fsm::examples::div7;
+    use proptest::prelude::*;
 
     /// The historical sort-everything queue-depth sampler, kept as the
     /// reference the incremental [`DepthTracker`] is checked against.
@@ -2043,6 +2070,30 @@ mod tests {
             }
         }
         samples
+    }
+
+    proptest! {
+        /// The ring's sliding minimum is the scan of its window after every
+        /// push, also after the ring is rebuilt from its persisted parts
+        /// (release count and window) mid-sequence.
+        #[test]
+        fn release_floor_equals_the_window_scan(
+            depth in 1usize..40,
+            pushes in prop::collection::vec(0u64..64, 0..200),
+            rebuild_at in 0usize..200,
+        ) {
+            let scan = |r: &ReleaseRing| {
+                if r.released >= depth { r.recent.iter().copied().min() } else { None }
+            };
+            let mut ring = ReleaseRing::default();
+            for (i, &t) in pushes.iter().enumerate() {
+                if i == rebuild_at {
+                    ring = ReleaseRing::new(ring.released, ring.recent.clone());
+                }
+                ring.push(t, depth);
+                prop_assert_eq!(ring.floor(depth), scan(&ring));
+            }
+        }
     }
 
     /// The historical quadratic overlap metric, kept as the reference for

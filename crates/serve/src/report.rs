@@ -14,7 +14,7 @@ use crate::controller::DecisionRecord;
 use crate::policy::PolicyKind;
 use crate::sketch::LatencySketch;
 
-/// Largest latency set summarized by an exact sort. Above this,
+/// Largest latency set summarized exactly. Above this,
 /// [`LatencySummary::from_latencies`] routes through a [`LatencySketch`]
 /// (error bound [`LatencySketch::ERROR_PERMILLE`]) so summary cost and
 /// memory stay bounded at million-stream scale. The threshold comfortably
@@ -62,8 +62,8 @@ impl LatencySummary {
     /// zeros). Uses the nearest-rank method on integer cycles — no floats,
     /// no interpolation, bit-stable.
     ///
-    /// Sets of at most [`EXACT_SUMMARY_MAX`] values are sorted and
-    /// summarized exactly; larger sets go through a [`LatencySketch`], whose
+    /// Sets of at most [`EXACT_SUMMARY_MAX`] values are summarized exactly,
+    /// by selection; larger sets go through a [`LatencySketch`], whose
     /// percentiles follow the same nearest-rank rule within the sketch's
     /// documented error bound (`max` stays exact either way).
     pub fn from_latencies(latencies: &[u64]) -> Self {
@@ -77,19 +77,20 @@ impl LatencySummary {
             }
             return LatencySummary::from_sketch(&sketch);
         }
-        let mut sorted = latencies.to_vec();
-        sorted.sort_unstable();
-        let rank = |pct: u64| {
-            let n = sorted.len() as u64;
-            let idx = (pct * n).div_ceil(100).max(1) - 1;
-            sorted[idx as usize]
-        };
-        LatencySummary {
-            p50: rank(50),
-            p95: rank(95),
-            p99: rank(99),
-            max: sorted[sorted.len() - 1],
-        }
+        // Top rank first: each selection leaves only smaller values before
+        // its rank, so the next (lower) rank is selected in that prefix.
+        let n = latencies.len();
+        let (mut values, mut end) = (latencies.to_vec(), n);
+        let nearest_rank = |pct: usize| (pct * n).div_ceil(100).max(1) - 1;
+        let ranks = [n - 1, nearest_rank(99), nearest_rank(95), nearest_rank(50)];
+        let [max, p99, p95, p50] = ranks.map(|rank| {
+            if rank < end {
+                values[..end].select_nth_unstable(rank);
+                end = rank;
+            }
+            values[rank]
+        });
+        LatencySummary { p50, p95, p99, max }
     }
 
     /// Summarizes a [`LatencySketch`]: nearest-rank percentiles within the
@@ -356,6 +357,39 @@ impl ServeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The full-sort summary that selection replaced: the reference.
+    fn sorted_summary(latencies: &[u64]) -> LatencySummary {
+        let mut sorted = latencies.to_vec();
+        sorted.sort_unstable();
+        let n = sorted.len() as u64;
+        let rank = |pct: u64| sorted[((pct * n).div_ceil(100).max(1) - 1) as usize];
+        LatencySummary { p50: rank(50), p95: rank(95), p99: rank(99), max: sorted[n as usize - 1] }
+    }
+
+    proptest! {
+        /// Selection on nested ranges gives exactly the sorted reference's
+        /// percentiles: one value, every exact-path size up to
+        /// `EXACT_SUMMARY_MAX`, and value spans from all-equal to wide.
+        #[test]
+        fn selected_percentiles_equal_the_sorted_reference(
+            n in prop_oneof![Just(1usize), Just(EXACT_SUMMARY_MAX), 1usize..=EXACT_SUMMARY_MAX],
+            span in prop_oneof![Just(1u64), 2u64..8, 8u64..u64::MAX],
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut x = seed;
+            let latencies: Vec<u64> = (0..n)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6_364_136_223_846_793_005)
+                        .wrapping_add(1_442_695_040_888_963_407);
+                    (x >> 11) % span
+                })
+                .collect();
+            prop_assert_eq!(LatencySummary::from_latencies(&latencies), sorted_summary(&latencies));
+        }
+    }
 
     #[test]
     fn percentiles_use_nearest_rank() {

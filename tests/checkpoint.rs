@@ -11,8 +11,8 @@ use gspecpal_fsm::Dfa;
 use gspecpal_gpu::{DeviceSpec, FaultPlan};
 use gspecpal_serve::{
     serve, serve_checkpoint, serve_resume, serve_until_crash, BatchPolicy, CheckpointOutcome,
-    ControllerConfig, EngineCheckpoint, PriorityClass, ReportDetail, ResidencyConfig, ServeConfig,
-    ServeError, ServeMachine, ServeReport, StreamArrival, Trace,
+    ControllerConfig, CrashRun, EngineCheckpoint, PriorityClass, ReportDetail, ResidencyConfig,
+    ServeConfig, ServeError, ServeMachine, ServeReport, StreamArrival, Trace,
 };
 use proptest::prelude::*;
 
@@ -162,6 +162,72 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `encoded_len` sizes exactly what `encode` writes, at any quiescent
+    /// boundary of any trace, under Full and Bounded detail, with and
+    /// without the controller and a fault plan.
+    #[test]
+    fn checkpoint_encoded_len_equals_the_encoding_length(
+        seed in 0u64..1_000,
+        n_streams in 8usize..48,
+        at_batch in 0usize..12,
+        policy in 0u8..3,
+        faults in 0u8..2,
+        controller in 0u8..2,
+        bounded in 0u8..2,
+    ) {
+        let spec = DeviceSpec::test_unit();
+        let dfas = serve_dfas();
+        let machines = serve_machines(&spec, &dfas);
+        let cfg = config_at(policy, faults == 1, controller == 1, bounded == 1, seed % 2 == 0);
+        let trace = Trace::synthetic(seed, n_streams, dfas.len(), 35, 8..80, b"01");
+        let outcome = serve_checkpoint(&spec, &machines, trace.source(), &cfg, at_batch).unwrap();
+        if let CheckpointOutcome::Checkpoint(ck) = outcome {
+            prop_assert_eq!(ck.encoded_len(), ck.encode().len());
+        }
+    }
+
+    /// A crashing run's `checkpoint_bytes` is the summed encoding length of
+    /// every checkpoint it took, each observed as it became the latest.
+    #[test]
+    fn crash_run_checkpoint_bytes_sum_the_encodings(
+        seed in 0u64..1_000,
+        crash_cycle in 0u64..400_000,
+        every_batches in 1usize..4,
+        faults in 0u8..2,
+        bounded in 0u8..2,
+    ) {
+        let spec = DeviceSpec::test_unit();
+        let dfas = serve_dfas();
+        let machines = serve_machines(&spec, &dfas);
+        let cfg = config_at(seed as u8, faults == 1, seed % 3 == 0, bounded == 1, false);
+        let trace = Trace::synthetic(seed, 28, dfas.len(), 30, 8..64, b"01");
+        let mut run =
+            CrashRun::new(&spec, &machines, trace.source(), &cfg, every_batches, crash_cycle)
+                .unwrap();
+        let (mut taken, mut bytes, mut last) = (0u64, 0u64, None);
+        loop {
+            let alive = run.step().unwrap();
+            if let Some(ck) = run.checkpoint() {
+                // Successive checkpoints are at least one batch apart.
+                if last != Some(ck.batches_formed()) {
+                    last = Some(ck.batches_formed());
+                    taken += 1;
+                    bytes += ck.encode().len() as u64;
+                }
+            }
+            if !alive {
+                break;
+            }
+        }
+        let crash = run.finish().unwrap();
+        prop_assert_eq!(crash.checkpoints_taken, taken);
+        prop_assert_eq!(crash.checkpoint_bytes, bytes);
+    }
+}
+
 /// Acceptance criterion: checkpoint/resume is bit-identical across host
 /// thread counts (`RAYON_NUM_THREADS ∈ {1, 4}`) — the restored engine
 /// inherits the same determinism contract as the uninterrupted path.
@@ -286,6 +352,7 @@ fn check_golden_checkpoint(
         panic!("the golden setup must checkpoint mid-trace");
     };
     let bytes = ck.encode();
+    assert_eq!(ck.encoded_len(), blob.len(), "sizing disagrees with the golden blob");
     let first_diff = bytes.iter().zip(blob).position(|(a, b)| a != b);
     assert!(
         bytes == blob,

@@ -686,14 +686,14 @@ fn fleet_oracle(
         .unwrap();
         failover.checkpoints_taken = crash.checkpoints_taken;
         failover.checkpoint_bytes = crash.checkpoint_bytes;
-        let (report, orphans, blob) = match crash.completed {
-            Some(report) => (*report, Vec::new(), Vec::new()),
+        let (report, orphans, blob_len) = match crash.completed {
+            Some(report) => (*report, Vec::new(), 0),
             None => {
                 let ck = crash.checkpoint.unwrap();
                 let (durable, mut orphans) =
                     finalize_checkpoint(&devices[v].spec, &machines[v], &cfg.serve, &ck).unwrap();
                 orphans.extend(share[ck.streams_pulled()..].iter().cloned());
-                (durable, orphans, ck.encode())
+                (durable, orphans, ck.encoded_len())
             }
         };
         let admitted = share[..report.streams].to_vec();
@@ -710,7 +710,7 @@ fn fleet_oracle(
             }
             let (mut delta, mut attempt, mut charge) = (0u64, 0u32, KernelStats::default());
             loop {
-                let stats = link_transfer_stats(&devices[d].link, &devices[d].spec, blob.len());
+                let stats = link_transfer_stats(&devices[d].link, &devices[d].spec, blob_len);
                 delta += stats.cycles;
                 charge.merge_sequential(&stats);
                 let failed =
