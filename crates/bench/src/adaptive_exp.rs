@@ -200,7 +200,7 @@ fn summarize(label: String, report: &ServeReport, n_machines: usize) -> Adaptive
         label,
         makespan_cycles: report.makespan_cycles,
         busy_cycles: report.stats.cycles,
-        profile: report.stats.profile.clone(),
+        profile: report.stats.profile,
         batches: report.batches.len() as u64,
         segment_cycles: segment_cycles(report, n_machines),
         decisions_made: report.decisions_made,

@@ -180,7 +180,7 @@ pub fn run_serve(cfg: &ExperimentConfig) -> ServeExperimentReport {
                 overlap: report.overlap,
                 makespan_cycles: report.makespan_cycles,
                 busy_cycles: report.stats.cycles,
-                profile: report.stats.profile.clone(),
+                profile: report.stats.profile,
                 batches: report.batches.len() as u64,
                 p50: report.delivery.p50,
                 p95: report.delivery.p95,

@@ -172,8 +172,11 @@ impl Default for ClusterConfig {
 /// reproduce the demux and verify per-device composability.
 #[derive(Clone, Debug)]
 pub struct Router {
-    ring: HashRing,
-    survivors: Option<HashRing>,
+    /// Per machine, its device on the fleet's ring ([`HashRing::route`],
+    /// computed once: the binary search is not paid per arrival).
+    home: Vec<usize>,
+    /// Per machine, its device on the ring without the outage device.
+    survivors: Option<Vec<usize>>,
     outage: Option<DeviceOutage>,
     rebalance: Option<RebalanceConfig>,
     links: Vec<LinkSpec>,
@@ -194,10 +197,10 @@ impl Router {
     /// under `cfg`.
     pub fn new(devices: &[ClusterDevice], footprints: Vec<u64>, cfg: &ClusterConfig) -> Router {
         let ring = HashRing::new(devices.len(), cfg.vnodes);
-        let survivors = cfg.outage.map(|o| ring.without(o.device));
+        let homes = |ring: &HashRing| (0..footprints.len()).map(|m| ring.route(m)).collect();
         Router {
-            ring,
-            survivors,
+            home: homes(&ring),
+            survivors: cfg.outage.map(|o| homes(&ring.without(o.device))),
             outage: cfg.outage,
             rebalance: cfg.rebalance,
             links: devices.iter().map(|d| d.link.clone()).collect(),
@@ -223,11 +226,11 @@ impl Router {
         }
         let mut device = match self.overrides[machine] {
             Some(d) => d,
-            None => self.ring.route(machine),
+            None => self.home[machine],
         };
         if let (Some(outage), Some(survivors)) = (self.outage, &self.survivors) {
             if cycle >= outage.at_cycle && device == outage.device {
-                device = survivors.route(machine);
+                device = survivors[machine];
                 self.stats.rerouted_streams += 1;
             } else if device == outage.device {
                 // Routed onto the device that is going to die: lost on
@@ -238,6 +241,12 @@ impl Router {
         device
     }
 
+    /// Where `machine` goes once the outage device is gone. Panics without
+    /// an outage.
+    fn survivor(&self, machine: usize) -> usize {
+        self.survivors.as_ref().expect("an outage has survivors")[machine]
+    }
+
     /// The greedy epoch rebalance: repeatedly move the heaviest machine
     /// that fits from the most loaded device to the least loaded one,
     /// while doing so strictly shrinks the spread. Each move is charged a
@@ -246,8 +255,7 @@ impl Router {
         self.rebalanced = true;
         let n = self.links.len();
         let mut device_load = vec![0u64; n];
-        let mut placed: Vec<usize> =
-            (0..self.machine_bytes.len()).map(|m| self.ring.route(m)).collect();
+        let mut placed = self.home.clone();
         for (m, &b) in self.machine_bytes.iter().enumerate() {
             device_load[placed[m]] += b;
         }
@@ -426,8 +434,6 @@ pub fn run_cluster_source<S: TraceSource>(
         None => (router.doomed_streams, FailoverReport::default()),
         Some(f) => {
             reports[f.outage.device] = f.victim;
-            // Link copies carry no per-round event streams, so this merge
-            // is the same under every detail.
             for (report, charge) in reports.iter_mut().flatten().zip(&f.charges) {
                 report.stats.merge_sequential(charge);
             }
@@ -619,9 +625,8 @@ impl<'a, 'f, S: TraceSource> Demux<'a, 'f, S> {
                 // Orphans (its window, then every arrival it had not
                 // pulled) re-shard like post-outage arrivals do.
                 let unseen = f.journal.drain(ck.streams_pulled() - f.journal_base..);
-                let survivors = hub.router.survivors.as_ref().expect("an outage has survivors");
                 for a in window.into_iter().chain(unseen).chain(hub.backlogs[v].drain(..)) {
-                    hub.pending[survivors.route(a.machine)].push_back(a);
+                    hub.pending[hub.router.survivor(a.machine)].push_back(a);
                 }
                 durable
             }
@@ -706,5 +711,38 @@ mod tests {
         }
         let hot: Vec<u32> = prepared.iter().map(|row| row[1].table().hot_rows()).collect();
         assert!(hot.windows(2).all(|w| w[0] < w[1]), "hot rows grow with shared memory: {hot:?}");
+    }
+
+    /// The router's per-machine placements are `HashRing::route` on the
+    /// fleet's ring and on the ring without the outage device, over random
+    /// device counts, point counts and outages.
+    #[test]
+    fn router_memo_equals_ring_routes() {
+        let mut seed = 0u64;
+        let mut draw = |n: u64| {
+            seed += 1;
+            (crate::ring::splitmix64(seed) % n) as usize
+        };
+        for _ in 0..200 {
+            let n_devices = 1 + draw(8);
+            let cfg = ClusterConfig {
+                vnodes: 1 + draw(64),
+                outage: (n_devices > 1 && draw(4) > 0)
+                    .then(|| DeviceOutage { device: draw(n_devices as u64), at_cycle: 0 }),
+                ..ClusterConfig::default()
+            };
+            let machines = 1 + draw(300);
+            let devices = vec![ClusterDevice::test_unit(); n_devices];
+            let router = Router::new(&devices, vec![0; machines], &cfg);
+            let ring = HashRing::new(n_devices, cfg.vnodes);
+            let survivors = cfg.outage.map(|o| ring.without(o.device));
+            for m in 0..machines {
+                assert_eq!(router.home[m], ring.route(m), "machine {m} of {n_devices} devices");
+                if let Some(s) = &survivors {
+                    assert_eq!(router.survivor(m), s.route(m), "survivor of machine {m}");
+                }
+            }
+            assert_eq!(router.survivors.is_some(), survivors.is_some());
+        }
     }
 }

@@ -133,7 +133,7 @@ impl RunOutcome {
     /// exactly, so the phase split is an exact decomposition of Equation 1's
     /// `T = C + T_par + T_v&r`.
     pub fn phase_profile(&self) -> PhaseProfile {
-        let mut profile = self.predict.profile.clone();
+        let mut profile = self.predict.profile;
         profile.merge_sequential(&self.execute.profile);
         profile.merge_sequential(&self.verify.profile);
         profile

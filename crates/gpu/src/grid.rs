@@ -22,7 +22,6 @@
 //! blocks into one [`KernelStats`]:
 //!
 //! * counters (ALU, memory, atomics, recovery) are summed;
-//! * per-round event streams are concatenated in block order;
 //! * `cycles` is the wave model's completion time, and per-phase cycles come
 //!   from each wave's gating block.
 //!
@@ -463,9 +462,9 @@ mod tests {
         let stats = launch_grid(&spec, n, &mut kernel).unwrap().fold();
         assert_eq!(kernel.slots, (0..n).collect::<Vec<_>>());
         assert_eq!(stats.alu_ops, (0..n as u64).map(|t| t % 7).sum::<u64>());
-        // 1000 threads over 64-thread blocks: 16 blocks.
-        assert_eq!(stats.active_per_round.len(), 16);
-        assert_eq!(stats.active_per_round.iter().sum::<u32>(), 1000);
+        // 1000 threads over 64-thread blocks: 16 one-round blocks.
+        assert_eq!(stats.rounds, 16);
+        assert_eq!(stats.profile.get(Phase::SpecExec).active_thread_rounds, 1000);
     }
 
     #[test]
@@ -568,8 +567,8 @@ mod tests {
         // Light: 2 blocks of 64. Heavy: 4 blocks of 32 (4096/128 = 32).
         assert_eq!((light.width, light.blocks.len()), (64, 2));
         assert_eq!((heavy.width, heavy.blocks.len()), (32, 4));
-        assert_eq!(light.fold().active_per_round.len(), 2);
-        assert_eq!(heavy.fold().active_per_round.len(), 4);
+        assert_eq!(light.fold().rounds, 2);
+        assert_eq!(heavy.fold().rounds, 4);
         assert_eq!(heavy.resident_per_sm, 1);
     }
 

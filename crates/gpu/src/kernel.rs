@@ -650,9 +650,11 @@ fn run_block_in<K: RoundKernel + ?Sized>(
         let max = compute_max.max(bw_floor) + spec.barrier_latency;
         clocks.fill(max);
         stats.rounds += 1;
-        stats.active_per_round.push(active);
-        stats.recovering_per_round.push(recovering);
-        stats.round_durations.push(max - round_start);
+        if recovering > 0 {
+            stats.recovery_rounds += 1;
+            stats.recovering_thread_rounds += u64::from(recovering);
+            stats.recovery_round_cycles += max - round_start;
+        }
         // Attribute the whole round — duration, traffic deltas, divergence —
         // to the kernel's current phase, *before* after_sync can flip it.
         let d_txn = stats.global_transactions - txns_before;
@@ -710,7 +712,7 @@ mod tests {
         assert_eq!(stats.cycles, 8 + 1);
         assert_eq!(stats.rounds, 1);
         assert_eq!(stats.alu_ops, (1..=8).sum::<u64>());
-        assert_eq!(stats.active_per_round, vec![8]);
+        assert_eq!(stats.profile.get(Phase::SpecExec).active_thread_rounds, 8);
     }
 
     /// Kernel: runs `n` rounds of one ALU op each.
@@ -866,8 +868,9 @@ mod tests {
         let stats = launch(&spec, 4, &mut Recover);
         assert_eq!(stats.recovery_cycles, 10);
         assert_eq!(stats.recovery_runs, 1);
-        assert_eq!(stats.recovering_per_round, vec![1]);
-        assert_eq!(stats.active_per_round, vec![1]);
+        assert_eq!((stats.recovery_rounds, stats.recovering_thread_rounds), (1, 1));
+        assert_eq!(stats.recovery_round_cycles, stats.cycles);
+        assert_eq!(stats.profile.get(Phase::SpecExec).active_thread_rounds, 1);
         assert!((stats.avg_active_threads_during_recovery() - 1.0).abs() < 1e-12);
     }
 
@@ -899,7 +902,8 @@ mod tests {
         let stats = launch(&spec, 4, &mut ManyLoads);
         // Compute bound would be 10 cycles; the 40 transactions need 80.
         assert_eq!(stats.global_transactions, 40);
-        assert_eq!(stats.round_durations, vec![80 + 1]);
+        assert_eq!(stats.rounds, 1);
+        assert_eq!(stats.profile.get(Phase::SpecExec).cycles, 80 + 1);
         assert_eq!(stats.cycles, 81);
     }
 

@@ -17,7 +17,8 @@
 //! * **barrier-aligned round time = max over threads** — warp divergence at
 //!   chunk granularity, and why a single must-be-done recovery stalls a
 //!   whole verification round;
-//! * **per-round active-thread counts** — Table III's utilization metric.
+//! * **per-round active and recovering thread counts**, summed as the
+//!   kernel runs — Table III's utilization metric.
 //!
 //! There are three launch functions, one per kind of kernel: [`launch`] runs
 //! one block; [`launch_grid`] partitions a [`GridKernel`]'s threads into

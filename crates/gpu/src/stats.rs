@@ -158,7 +158,7 @@ impl PhaseCounters {
 /// profiles as concurrent blocks (event counters sum, cycles are the grid
 /// scheduler's job), [`PhaseProfile::merge_sequential`] as back-to-back
 /// kernels (everything sums).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseProfile {
     counters: [PhaseCounters; 6],
 }
@@ -232,7 +232,7 @@ pub struct LaunchShape {
 /// clock after the final barrier, which is what a CUDA event pair around the
 /// kernel launch would measure (§V-A reports GPU kernel time from CUDA
 /// events).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct KernelStats {
     /// Simulated kernel time in cycles.
     pub cycles: u64,
@@ -251,14 +251,14 @@ pub struct KernelStats {
     pub shuffles: u64,
     /// Atomic operations.
     pub atomics: u64,
-    /// Per-round count of threads that reported doing work.
-    pub active_per_round: Vec<u32>,
-    /// Per-round count of threads that reported doing *recovery* work
-    /// (re-executing a chunk). Feeds Table III.
-    pub recovering_per_round: Vec<u32>,
-    /// Wall-clock duration of each round in cycles (including the
+    /// Rounds in which at least one thread reported doing *recovery* work
+    /// (re-executing a chunk) — the denominator of both recovery averages.
+    pub recovery_rounds: u64,
+    /// Recovering threads summed over those rounds. Feeds Table III.
+    pub recovering_thread_rounds: u64,
+    /// Wall-clock cycles of those rounds (each including the
     /// memory-bandwidth roofline and the barrier). Feeds Fig 9.
-    pub round_durations: Vec<u64>,
+    pub recovery_round_cycles: u64,
     /// Cycles attributable to chunk re-execution (recovery work), summed
     /// over threads. Feeds Fig 9's per-chunk recovery cost.
     pub recovery_cycles: u64,
@@ -291,37 +291,22 @@ impl KernelStats {
     /// performed recovery work — the paper's Table III "Average #Active
     /// Threads" during recovery. Returns 0.0 when no recovery ever happened.
     pub fn avg_active_threads_during_recovery(&self) -> f64 {
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for &r in &self.recovering_per_round {
-            if r > 0 {
-                sum += u64::from(r);
-                n += 1;
-            }
-        }
-        if n == 0 {
-            0.0
-        } else {
-            sum as f64 / n as f64
-        }
+        self.per_recovery_round(self.recovering_thread_rounds)
     }
 
     /// Mean wall duration of rounds in which at least one thread recovered —
     /// the "recovery execution time per chunk" of Fig 9: under contention a
     /// chunk re-execution round takes longer than a solo one.
     pub fn avg_recovery_round_duration(&self) -> f64 {
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        for (i, &r) in self.recovering_per_round.iter().enumerate() {
-            if r > 0 {
-                sum += self.round_durations.get(i).copied().unwrap_or(0);
-                n += 1;
-            }
-        }
-        if n == 0 {
+        self.per_recovery_round(self.recovery_round_cycles)
+    }
+
+    /// `sum` averaged over the recovery rounds (0.0 when there were none).
+    fn per_recovery_round(&self, sum: u64) -> f64 {
+        if self.recovery_rounds == 0 {
             0.0
         } else {
-            sum as f64 / n as f64
+            sum as f64 / self.recovery_rounds as f64
         }
     }
 
@@ -339,14 +324,11 @@ impl KernelStats {
     }
 
     /// Merges another *block's* counters into this one, treating the two as
-    /// concurrent blocks of a single grid launch: every counter sums and the
-    /// per-round event streams concatenate (block order), but `cycles` is
-    /// left untouched — concurrent blocks do not serialize, so grid time is
-    /// the scheduler's job (the occupancy wave model in [`crate::grid`]).
+    /// concurrent blocks of a single grid launch: every counter sums, but
+    /// `cycles` is left untouched — concurrent blocks do not serialize, so
+    /// grid time is the scheduler's job (the occupancy wave model in
+    /// [`crate::grid`]).
     pub fn absorb_block(&mut self, other: &KernelStats) {
-        self.active_per_round.extend_from_slice(&other.active_per_round);
-        self.recovering_per_round.extend_from_slice(&other.recovering_per_round);
-        self.round_durations.extend_from_slice(&other.round_durations);
         self.rounds += other.rounds;
         self.global_transactions += other.global_transactions;
         self.global_coalesced_hits += other.global_coalesced_hits;
@@ -354,6 +336,9 @@ impl KernelStats {
         self.alu_ops += other.alu_ops;
         self.shuffles += other.shuffles;
         self.atomics += other.atomics;
+        self.recovery_rounds += other.recovery_rounds;
+        self.recovering_thread_rounds += other.recovering_thread_rounds;
+        self.recovery_round_cycles += other.recovery_round_cycles;
         self.recovery_cycles += other.recovery_cycles;
         self.recovery_runs += other.recovery_runs;
         self.fault_retries += other.fault_retries;
@@ -381,14 +366,24 @@ mod tests {
 
     #[test]
     fn avg_active_ignores_quiet_rounds() {
-        let s = KernelStats { recovering_per_round: vec![0, 4, 0, 2, 0], ..KernelStats::default() };
+        // Five rounds, two of them recovering (4 and 2 threads, 30 and 50
+        // cycles): quiet rounds are not in the sums.
+        let s = KernelStats {
+            rounds: 5,
+            recovery_rounds: 2,
+            recovering_thread_rounds: 6,
+            recovery_round_cycles: 80,
+            ..KernelStats::default()
+        };
         assert!((s.avg_active_threads_during_recovery() - 3.0).abs() < 1e-12);
+        assert!((s.avg_recovery_round_duration() - 40.0).abs() < 1e-12);
     }
 
     #[test]
     fn avg_active_zero_when_no_recovery() {
-        let s = KernelStats { recovering_per_round: vec![0, 0], ..KernelStats::default() };
+        let s = KernelStats { rounds: 2, ..KernelStats::default() };
         assert_eq!(s.avg_active_threads_during_recovery(), 0.0);
+        assert_eq!(s.avg_recovery_round_duration(), 0.0);
     }
 
     #[test]

@@ -235,16 +235,27 @@ mod tests {
         assert_eq!(s.profile.total_cycles(), s.cycles, "profile invariant holds for copies");
     }
 
-    /// Copies record no per-round event streams, so merging them with or
-    /// without those streams gives the same stats.
+    /// Copies recover nothing, so merging one into a run's stats leaves both
+    /// recovery averages where they were.
     #[test]
-    fn copy_stats_carry_no_round_streams() {
+    fn copy_stats_carry_no_recovery_rounds() {
         let spec = DeviceSpec::test_unit();
         let link = LinkSpec::test_unit();
+        let run = KernelStats {
+            recovery_rounds: 2,
+            recovering_thread_rounds: 5,
+            recovery_round_cycles: 30,
+            ..KernelStats::default()
+        };
         for s in [transfer_stats(&spec, 1000), link_transfer_stats(&link, &spec, 1000)] {
-            assert!(s.active_per_round.is_empty());
-            assert!(s.recovering_per_round.is_empty());
-            assert!(s.round_durations.is_empty());
+            assert_eq!(
+                (s.recovery_rounds, s.recovering_thread_rounds, s.recovery_round_cycles),
+                (0, 0, 0)
+            );
+            let mut merged = run;
+            merged.merge_sequential(&s);
+            assert_eq!(merged.avg_active_threads_during_recovery(), 2.5);
+            assert_eq!(merged.avg_recovery_round_duration(), 15.0);
         }
     }
 

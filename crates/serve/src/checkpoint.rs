@@ -93,7 +93,7 @@ use crate::trace::StreamArrival;
 const MAGIC: [u8; 4] = *b"GSCK";
 
 /// Wire-format version this build writes and the only one it reads.
-const VERSION: u32 = 1;
+const VERSION: u32 = 2;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -382,8 +382,8 @@ macro_rules! wire_tags {
 
 // Tag tables: declaration order of the source enums.
 
-// Tag 2 named a scheme that no longer exists; it stays reserved, so
-// VERSION 1 bytes keep their meaning and decode it as corrupt.
+// Tag 2 named a scheme that no longer exists; it stays reserved: it is
+// never reused and decodes as corrupt.
 wire_tags!(SchemeKind {
     Sequential = 0,
     Naive = 1,
@@ -444,9 +444,9 @@ wire_struct!(KernelStats {
     alu_ops: u64,
     shuffles: u64,
     atomics: u64,
-    active_per_round: Vec<u32>,
-    recovering_per_round: Vec<u32>,
-    round_durations: Vec<u64>,
+    recovery_rounds: u64,
+    recovering_thread_rounds: u64,
+    recovery_round_cycles: u64,
     recovery_cycles: u64,
     recovery_runs: u64,
     fault_retries: u64,

@@ -66,9 +66,8 @@
 //! byte-identical to the historical one. Under [`ReportDetail::Bounded`]
 //! those vectors stay empty and the report's memory is O(1) in the stream
 //! count: summaries come from [`LatencySketch`]es past
-//! [`crate::report::EXACT_SUMMARY_MAX`] served streams, the merged kernel
-//! stats' per-round event streams are emptied after every step, and the
-//! queue-depth peak is tracked without the samples.
+//! [`crate::report::EXACT_SUMMARY_MAX`] served streams, and the queue-depth
+//! peak is tracked without the samples.
 //!
 //! [`ServeReport::backpressure_events`]: crate::ServeReport::backpressure_events
 //! [`backpressure_wait_cycles`]: crate::ServeReport::backpressure_wait_cycles
@@ -293,11 +292,11 @@ pub enum ReportDetail {
     #[default]
     Full,
     /// Bounded memory, independent of the stream count: per-stream vectors
-    /// (`latencies`, `end_states`, `accepted`, `outcomes`), batch records,
-    /// queue-depth samples, and the merged stats' per-round event streams
-    /// are all dropped. Summaries, sketches, the queue-depth peak
-    /// ([`ServeReport::peak_queue`]) and every scalar counter are kept, and
-    /// remain bit-identical to what the `Full` report would aggregate to.
+    /// (`latencies`, `end_states`, `accepted`, `outcomes`), batch records
+    /// and queue-depth samples are all dropped. Summaries, sketches, the
+    /// queue-depth peak ([`ServeReport::peak_queue`]), the kernel stats and
+    /// every scalar counter are kept, and remain bit-identical to what the
+    /// `Full` report would aggregate to.
     Bounded,
 }
 
@@ -1074,18 +1073,6 @@ impl Collector {
         }
         self.report.recovery.shed_streams += 1;
     }
-
-    /// Under bounded detail, empties the merged stats' per-round event
-    /// streams; called after every step, so they never hold more than one
-    /// step's kernels.
-    fn bound_stats(&mut self, full: bool) {
-        if !full {
-            let stats = &mut self.report.stats;
-            stats.active_per_round.clear();
-            stats.recovering_per_round.clear();
-            stats.round_durations.clear();
-        }
-    }
 }
 
 /// The outcome of one table-residency lookup.
@@ -1614,7 +1601,6 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         let mut timeline = DeviceTimeline::from_frontiers(self.cfg.overlap, self.state.frontiers);
         let more = self.dispatch(&mut timeline);
         self.state.frontiers = timeline.queue_frontiers();
-        self.state.col.bound_stats(self.cfg.full_detail());
         more
     }
 
@@ -1939,7 +1925,6 @@ impl<'e, 'm, S: TraceSource> ServeRun<'e, 'm, S> {
         }
         sink.flush(&mut col, &mut meter);
         debug_assert!(sink.buf.is_empty(), "every buffered report effect must have flushed");
-        col.bound_stats(sink.full);
 
         let Collector { mut report, delivery, kernel } = col;
         report.makespan_cycles = timeline.horizon().max(cq.horizon);
@@ -2326,8 +2311,6 @@ mod tests {
         assert!(bounded.outcomes.is_empty());
         assert!(bounded.batches.is_empty());
         assert!(bounded.queue_depth.is_empty());
-        assert!(bounded.stats.active_per_round.is_empty());
-        assert!(bounded.stats.round_durations.is_empty());
         // ...and every aggregate matches the full run exactly.
         assert_eq!(bounded.streams, full.streams);
         assert_eq!(bounded.total_bytes, full.total_bytes);
@@ -2335,9 +2318,8 @@ mod tests {
         assert_eq!(bounded.delivery, full.delivery);
         assert_eq!(bounded.kernel_latency, full.kernel_latency);
         assert_eq!(bounded.latency_error_permille, full.latency_error_permille);
-        assert_eq!(bounded.stats.cycles, full.stats.cycles);
-        assert_eq!(bounded.stats.rounds, full.stats.rounds);
-        assert_eq!(bounded.stats.profile, full.stats.profile);
+        // Bounded and Full detail report equal kernel stats.
+        assert_eq!(bounded.stats, full.stats);
         assert_eq!(bounded.overlap_efficiency_permille, full.overlap_efficiency_permille);
         assert_eq!(bounded.backpressure_events, full.backpressure_events);
         assert_eq!(bounded.backpressure_wait_cycles, full.backpressure_wait_cycles);

@@ -281,18 +281,25 @@ fn checkpoint_fingerprint_pins_the_machine_fleet() {
 }
 
 // ---------------------------------------------------------------------------
-// Golden VERSION-1 blobs
+// Golden VERSION-2 blobs
 // ---------------------------------------------------------------------------
 
 /// A Full-detail checkpoint taken mid-trace with every optional subsystem
 /// live: the adaptive controller, the residency LRU, a fault plan, and
 /// preemptive deadline classes. Its report carries batches, decisions,
 /// outcomes and queue-depth samples.
-const GOLDEN_FULL: &[u8] = include_bytes!("data/checkpoint_v1_full.bin");
+const GOLDEN_FULL: &[u8] = include_bytes!("data/checkpoint_v2_full.bin");
 
 /// A Bounded-detail checkpoint taken after more than `EXACT_SUMMARY_MAX`
 /// served streams, so both latency accumulators have spilled into sketches.
-const GOLDEN_BOUNDED: &[u8] = include_bytes!("data/checkpoint_v1_bounded.bin");
+const GOLDEN_BOUNDED: &[u8] = include_bytes!("data/checkpoint_v2_bounded.bin");
+
+/// The same two setups' VERSION 1 blobs, whose kernel stats carried three
+/// per-round vectors where VERSION 2 carries three sums.
+const V1_BLOBS: [&[u8]; 2] = [
+    include_bytes!("data/checkpoint_v1_full.bin"),
+    include_bytes!("data/checkpoint_v1_bounded.bin"),
+];
 
 /// The setup behind [`GOLDEN_FULL`]. Under preemption a dispatched bulk
 /// kernel stays open (and the engine unquiesced) for the rest of the run,
@@ -338,7 +345,7 @@ fn golden_bounded_setup(dfas: &[Dfa]) -> (Vec<ServeMachine<'_>>, ServeConfig, Tr
     (machines, cfg, trace, 132)
 }
 
-/// Re-takes a golden checkpoint and holds the committed VERSION-1 bytes to
+/// Re-takes a golden checkpoint and holds the committed VERSION-2 bytes to
 /// it: identical encoding, lossless decoding, a bit-identical resume, and an
 /// unchanged setup fingerprint.
 fn check_golden_checkpoint(
@@ -356,7 +363,7 @@ fn check_golden_checkpoint(
     let first_diff = bytes.iter().zip(blob).position(|(a, b)| a != b);
     assert!(
         bytes == blob,
-        "encoding drifted from VERSION 1: {} vs {} bytes, first difference at {:?}",
+        "encoding drifted from VERSION 2: {} vs {} bytes, first difference at {:?}",
         bytes.len(),
         blob.len(),
         first_diff
@@ -372,17 +379,31 @@ fn check_golden_checkpoint(
 }
 
 #[test]
-fn checkpoint_golden_v1_full_blob_is_stable() {
+fn checkpoint_golden_v2_full_blob_is_stable() {
     let dfas = serve_dfas();
     let report = check_golden_checkpoint(GOLDEN_FULL, golden_full_setup(&dfas));
     assert!(report.preemptions > 0, "the resumed run must preempt a bulk kernel");
 }
 
 #[test]
-fn checkpoint_golden_v1_bounded_blob_is_stable() {
+fn checkpoint_golden_v2_bounded_blob_is_stable() {
     let dfas = serve_dfas();
     let report = check_golden_checkpoint(GOLDEN_BOUNDED, golden_bounded_setup(&dfas));
     assert!(report.latency_error_permille > 0, "the summaries must come from sketches");
+}
+
+#[test]
+fn checkpoint_golden_v1_blobs_are_unsupported_versions() {
+    for blob in V1_BLOBS {
+        assert_eq!(u32::from_le_bytes(blob[4..8].try_into().unwrap()), 1);
+        assert_eq!(
+            EngineCheckpoint::decode(blob),
+            Err(ServeError::CorruptCheckpoint {
+                offset: 4,
+                what: "unsupported checkpoint version"
+            })
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
