@@ -27,8 +27,7 @@ use std::ops::Range;
 
 use gspecpal_fsm::{Dfa, StateId};
 use gspecpal_gpu::{
-    launch_grid, BlockDim, DeviceSpec, GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome,
-    ThreadCtx,
+    launch_grid, DeviceSpec, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::specq::SpecQueue;
@@ -171,6 +170,8 @@ impl Tally {
     }
 }
 
+/// The prediction cost model: read-only per thread, and global thread ids
+/// address `queue_sizes` directly.
 struct PredictCost {
     n_threads: usize,
     states_per_lane: u64,
@@ -178,22 +179,16 @@ struct PredictCost {
     queue_sizes: Vec<u64>,
 }
 
-/// One block's view of the prediction cost model. The kernel is read-only
-/// per thread, so every block shares the same description; global thread ids
-/// address `queue_sizes` directly.
-struct PredictCostBlock<'s>(&'s PredictCost);
-
-impl RoundKernel for PredictCostBlock<'_> {
+impl RoundKernel for PredictCost {
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        let cost = self.0;
-        if tid == 0 || tid >= cost.n_threads {
+        if tid == 0 || tid >= self.n_threads {
             return RoundOutcome::IDLE; // Chunk 0 needs no prediction.
         }
-        let steps = cost.states_per_lane * cost.lookback;
+        let steps = self.states_per_lane * self.lookback;
         ctx.shared(steps);
         ctx.alu(steps);
         // Frequency ranking of the end-state set.
-        ctx.alu(cost.queue_sizes.get(tid).copied().unwrap_or(0) * 2);
+        ctx.alu(self.queue_sizes.get(tid).copied().unwrap_or(0) * 2);
         RoundOutcome::ACTIVE
     }
 
@@ -203,15 +198,6 @@ impl RoundKernel for PredictCostBlock<'_> {
 
     fn phase(&self) -> Phase {
         Phase::Predict
-    }
-}
-
-impl GridKernel for PredictCost {
-    type Block<'s> = PredictCostBlock<'s>;
-
-    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<PredictCostBlock<'s>> {
-        let shared: &'s PredictCost = self;
-        dims.iter().map(|_| PredictCostBlock(shared)).collect()
     }
 }
 

@@ -7,7 +7,7 @@ use std::ops::Range;
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
     block_dims_width, launch_blocks, launch_grid, BlockDim, BlockRequirements, FaultDomain,
-    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
+    KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::predict::{predict, Prediction};
@@ -17,7 +17,7 @@ use crate::run::{RunOutcome, SchemeKind};
 use crate::schemes::stitch::{block_incomings, stitch_blocks};
 use crate::schemes::Job;
 use crate::specq::SpecQueue;
-use crate::table::{DeviceTable, WalkBatch};
+use crate::table::WalkBatch;
 
 /// Result of the common prediction + speculative execution phases.
 pub struct ExecPhase {
@@ -54,16 +54,16 @@ pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
     let mut vr = VrStore::new(chunks.len(), own_cap, job.config.vr_others_registers);
     let mut kernel = ExecKernel {
         job,
-        table: job.table,
-        input: job.input,
         chunks: &chunks,
         queues: &mut queues,
-        vr: &mut vr,
+        vr: vr.split_lens(&[chunks.len()]).remove(0),
         k,
-        count_matches: job.config.count_matches,
+        tids: 0..0,
         ends: vec![0; chunks.len()],
         spec_starts: vec![0; chunks.len()],
         counts: vec![0; chunks.len()],
+        dequeues: Vec::new(),
+        walks: WalkBatch::default(),
     };
     let mut grid = launch_grid(job.spec, chunks.len(), &mut kernel)
         .unwrap_or_else(|e| panic!("launch_grid: {e}"));
@@ -107,51 +107,40 @@ pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
     ExecPhase { chunks, queues, vr, ends, spec_starts, counts, predict_stats, exec_stats }
 }
 
+/// The speculative execution grid: chunks are one-to-one with threads and
+/// share nothing, so each thread writes its results by global id.
+///
+/// A block's one round is planned in `begin_round`: every thread's
+/// dequeues, in thread order, then all of the block's walks stepped
+/// together ([`crate::table::DeviceTable::step_walks`]). `round` charges
+/// each thread what its dequeues and its walk cost and records its paths.
 struct ExecKernel<'a> {
     job: &'a Job<'a>,
-    table: &'a DeviceTable<'a>,
-    input: &'a [u8],
     chunks: &'a [Range<usize>],
     queues: &'a mut [SpecQueue],
-    vr: &'a mut VrStore,
+    vr: VrSlice<'a>,
     k: usize,
-    count_matches: bool,
+    /// The global ids of the block being simulated.
+    tids: Range<usize>,
     ends: Vec<StateId>,
     spec_starts: Vec<StateId>,
     counts: Vec<u64>,
-}
-
-/// One grid block of the speculative execution: chunks are one-to-one with
-/// threads and share nothing, so a block is just a disjoint window of the
-/// job's state, addressed by global thread id.
-///
-/// The block's one round is planned in `begin_round`: every thread's
-/// dequeues, in thread order, then all of the block's walks stepped together
-/// ([`DeviceTable::step_walks`]). `round` charges each thread what its
-/// dequeues and its walk cost and records its paths.
-struct ExecBlock<'s> {
-    table: &'s DeviceTable<'s>,
-    input: &'s [u8],
-    chunks: &'s [Range<usize>],
-    base: usize,
-    queues: &'s mut [SpecQueue],
-    vr: VrSlice<'s>,
-    k: usize,
-    count_matches: bool,
-    ends: &'s mut [StateId],
-    spec_starts: &'s mut [StateId],
-    counts: &'s mut [u64],
-    /// Per thread: the dequeue calls it made, one atomic each.
+    /// Per thread of the block: the dequeue calls it made, one atomic each.
     dequeues: Vec<u64>,
-    /// Walk `rel` is thread `rel`'s chunk from its dequeued starts.
+    /// Walk `rel` is the block's thread `rel`'s chunk from its dequeued
+    /// starts.
     walks: WalkBatch,
 }
 
-impl RoundKernel for ExecBlock<'_> {
+impl RoundKernel for ExecKernel<'_> {
+    fn begin_block(&mut self, dim: &BlockDim) {
+        self.tids = dim.tids.clone();
+    }
+
     fn begin_round(&mut self, _round: u64) {
         self.walks.clear();
         self.dequeues.clear();
-        for (rel, q) in self.queues.iter_mut().enumerate() {
+        for (rel, q) in self.queues[self.tids.clone()].iter_mut().enumerate() {
             // Dequeue up to k speculative start states (chunk 0 has exactly
             // one, the machine's certain start state); the call that finds
             // the queue empty costs its atomic too.
@@ -162,77 +151,36 @@ impl RoundKernel for ExecBlock<'_> {
                     q.dequeue_host()
                 })?
             });
-            self.walks.push(self.chunks[self.base + rel].clone(), starts);
+            self.walks.push(self.chunks[self.tids.start + rel].clone(), starts);
             debug_assert!(!self.walks.starts(rel).is_empty(), "the lookback queue is never empty");
             self.dequeues.push(calls as u64);
         }
-        self.table.step_walks(self.input, &mut self.walks, self.count_matches);
+        let count = self.job.config.count_matches;
+        self.job.table.step_walks(self.job.input, &mut self.walks, count);
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        let rel = tid - self.base;
+        let rel = tid - self.tids.start;
         ctx.atomic(self.dequeues[rel]);
-        self.table.charge_walk(ctx, self.input, &mut self.walks, rel, self.count_matches);
+        let (table, count) = (self.job.table, self.job.config.count_matches);
+        table.charge_walk(ctx, self.job.input, &mut self.walks, rel, count);
         let (starts, ends, counts) =
             (self.walks.starts(rel), self.walks.ends(rel), self.walks.matches(rel));
         for ((&start, &end), &matches) in starts.iter().zip(ends).zip(counts) {
             self.vr.push_own(tid, VrRecord { start, end, matches });
         }
-        self.spec_starts[rel] = starts[0];
-        self.ends[rel] = ends[0];
-        self.counts[rel] = counts[0];
+        self.spec_starts[tid] = starts[0];
+        self.ends[tid] = ends[0];
+        self.counts[tid] = counts[0];
         RoundOutcome::ACTIVE
     }
 
     fn after_sync(&mut self, _round: u64) -> bool {
         false
     }
-}
 
-impl GridKernel for ExecKernel<'_> {
-    type Block<'s>
-        = ExecBlock<'s>
-    where
-        Self: 's;
-
-    fn requirements(&self, width: u32) -> BlockRequirements {
-        self.job.exec_requirements(width)
-    }
-
-    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<ExecBlock<'s>> {
-        let lens: Vec<usize> = dims.iter().map(BlockDim::len).collect();
-        let vr_slices = self.vr.split_lens(&lens);
-        let mut queues: &'s mut [SpecQueue] = self.queues;
-        let mut ends: &'s mut [StateId] = &mut self.ends;
-        let mut spec_starts: &'s mut [StateId] = &mut self.spec_starts;
-        let mut counts: &'s mut [u64] = &mut self.counts;
-        let mut out = Vec::with_capacity(dims.len());
-        for (dim, vr) in dims.iter().zip(vr_slices) {
-            let (q, q_rest) = queues.split_at_mut(dim.len());
-            let (e, e_rest) = ends.split_at_mut(dim.len());
-            let (s, s_rest) = spec_starts.split_at_mut(dim.len());
-            let (c, c_rest) = counts.split_at_mut(dim.len());
-            queues = q_rest;
-            ends = e_rest;
-            spec_starts = s_rest;
-            counts = c_rest;
-            out.push(ExecBlock {
-                table: self.table,
-                input: self.input,
-                chunks: self.chunks,
-                base: dim.tids.start,
-                queues: q,
-                vr,
-                k: self.k,
-                count_matches: self.count_matches,
-                ends: e,
-                spec_starts: s,
-                counts: c,
-                dequeues: Vec::with_capacity(dim.len()),
-                walks: WalkBatch::default(),
-            });
-        }
-        out
+    fn requirements(&self, threads: u32) -> BlockRequirements {
+        self.job.exec_requirements(threads)
     }
 }
 
@@ -454,7 +402,7 @@ pub(crate) fn windows<'a>(
 
 /// A block kernel's own control flow over a [`Window`] that holds the job's
 /// state: [`RoundKernel`]'s methods with the window passed in.
-pub(crate) trait WindowKernel: Send {
+pub(crate) trait WindowKernel {
     fn begin_round(&mut self, _w: &mut Window<'_>) {}
     fn round(&mut self, w: &mut Window<'_>, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome;
     fn after_sync(&mut self, w: &mut Window<'_>) -> bool;

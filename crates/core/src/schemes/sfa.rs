@@ -34,16 +34,15 @@
 //! (table, chunk bytes), so recomputing it restores the exact result, and
 //! the re-derivation cost lands in [`Phase::Recovery`].
 
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::rc::Rc;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    block_dims_width, launch, launch_blocks, launch_grid, BlockDim, BlockRequirements, FaultDomain,
-    GridKernel, KernelStats, Phase, RoundKernel, RoundOutcome, SegmentMasks, ThreadCtx,
-    WindowEpoch,
+    block_dims_width, launch, launch_blocks, launch_grid, BlockRequirements, FaultDomain,
+    KernelStats, Phase, RoundKernel, RoundOutcome, SegmentMasks, ThreadCtx, WindowEpoch,
 };
 
 use crate::config::StitchPolicy;
@@ -69,7 +68,7 @@ pub fn compose_mappings(inner: &[StateId], outer: &[StateId]) -> Vec<StateId> {
 struct Derived {
     /// The first step's index map (see [`FirstStep::root`]); `None` when
     /// `root(q) = q`.
-    root: Option<Arc<[u32]>>,
+    root: Option<Rc<[u32]>>,
     /// Per first-step path: the chunk's end state.
     ends: Vec<StateId>,
     /// Per first-step path: accepting-state visits; empty when match
@@ -129,7 +128,7 @@ struct FirstStep {
     /// `root[q]`: the index in `next` of `q`'s successor, shared by every
     /// chunk starting on this class; `None` when nothing merged, so that
     /// `root[q] = q`.
-    root: Option<Arc<[u32]>>,
+    root: Option<Rc<[u32]>>,
     /// Device charges of the whole step, as [`MemoStep`] sums them.
     alu: u64,
     shared: u64,
@@ -208,41 +207,35 @@ impl FirstStep {
 /// and shared by every walk of the run.
 struct FirstSteps {
     /// `None` inside a slot: the step did not fit the budget.
-    steps: Vec<OnceLock<Option<FirstStep>>>,
+    steps: Vec<OnceCell<Option<FirstStep>>>,
     /// Host bytes of the cached steps.
-    bytes: AtomicUsize,
+    bytes: Cell<usize>,
     /// Column scans run.
-    scans: AtomicUsize,
+    scans: Cell<usize>,
 }
 
 impl FirstSteps {
     fn new(n_classes: usize) -> Self {
         FirstSteps {
-            steps: (0..n_classes).map(|_| OnceLock::new()).collect(),
-            bytes: AtomicUsize::new(0),
-            scans: AtomicUsize::new(0),
+            steps: (0..n_classes).map(|_| OnceCell::new()).collect(),
+            bytes: Cell::new(0),
+            scans: Cell::new(0),
         }
-    }
-
-    fn bytes(&self) -> usize {
-        self.bytes.load(Ordering::Relaxed)
     }
 
     /// Runs `f` on the first step of `class`, scanning it if no walk of the
     /// run has yet.
     fn with<R>(&self, job: &Job<'_>, class: u16, f: impl FnOnce(&FirstStep) -> R) -> R {
         let scan = || {
-            self.scans.fetch_add(1, Ordering::Relaxed);
+            self.scans.set(self.scans.get() + 1);
             FirstStep::scan(job, class)
         };
         let mut uncached = None;
         let cached = self.steps[class as usize].get_or_init(|| {
             let step = scan();
-            let bytes = step.bytes();
-            let fits = self.bytes.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
-                (held + bytes <= FIRST_STEPS_BUDGET_BYTES).then_some(held + bytes)
-            });
-            if fits.is_ok() {
+            let bytes = self.bytes.get() + step.bytes();
+            if bytes <= FIRST_STEPS_BUDGET_BYTES {
+                self.bytes.set(bytes);
                 Some(step)
             } else {
                 uncached = Some(step);
@@ -564,7 +557,7 @@ impl<'a> SfaMemo<'a> {
 struct SfaShared<'a> {
     job: &'a Job<'a>,
     first: FirstSteps,
-    memo: Mutex<SfaMemo<'a>>,
+    memo: RefCell<SfaMemo<'a>>,
 }
 
 impl<'a> SfaShared<'a> {
@@ -572,41 +565,31 @@ impl<'a> SfaShared<'a> {
         SfaShared {
             job,
             first: FirstSteps::new(job.table.dfa().stride()),
-            memo: Mutex::new(SfaMemo::new(job)),
+            memo: RefCell::new(SfaMemo::new(job)),
         }
     }
 }
 
-/// A block's handle on the walk: the job-wide memo when it is free, a
-/// block-local one when another block holds it, and the walk's per-chunk
-/// scratch. Either memo gives the same answer and the same charges, so the
-/// choice never shows in any output.
+/// A kernel's handle on the walk: the run's shared memo and first steps,
+/// and the walk's per-chunk scratch.
 struct Walker<'m, 'a> {
     shared: &'m SfaShared<'a>,
-    local: Option<SfaMemo<'a>>,
     scratch: WalkScratch,
 }
 
 impl<'m, 'a> Walker<'m, 'a> {
     fn new(shared: &'m SfaShared<'a>) -> Self {
         let stamps = vec![WindowEpoch::default(); shared.first.steps.len()];
-        Walker { shared, local: None, scratch: WalkScratch { stamps, ..WalkScratch::default() } }
+        Walker { shared, scratch: WalkScratch { stamps, ..WalkScratch::default() } }
     }
 
     fn derive(&mut self, ctx: &mut ThreadCtx<'_>, range: Range<usize>) -> Derived {
-        let first = &self.shared.first;
-        match self.shared.memo.try_lock() {
-            Ok(mut memo) => derive_mapping(&mut memo, first, &mut self.scratch, ctx, range),
-            Err(_) => {
-                let job = self.shared.job;
-                let memo = self.local.get_or_insert_with(|| SfaMemo::new(job));
-                derive_mapping(memo, first, &mut self.scratch, ctx, range)
-            }
-        }
+        let memo = &mut self.shared.memo.borrow_mut();
+        derive_mapping(memo, &self.shared.first, &mut self.scratch, ctx, range)
     }
 }
 
-/// Per-chunk host state of the walk, reused across a block's chunks.
+/// Per-chunk host state of the walk, reused across a walker's chunks.
 #[derive(Default)]
 struct WalkScratch {
     /// Per byte class: the window stamp of its [`FirstStep`]'s segments.
@@ -660,7 +643,7 @@ fn derive_mapping(
         step.replay(ctx, &mut w.stamps[c0 as usize]);
         (step.root.clone(), memo.first_tuple(c0, &step.next))
     });
-    memo.reserved = first.bytes();
+    memo.reserved = first.bytes.get();
     // The paths alive after the first step start with identity pointers,
     // zero offsets and, when counting, one visit each if they accept.
     let mut live = memo.spans[t as usize].1 as usize;
@@ -753,7 +736,7 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     let shared = SfaShared::new(job);
 
     let mut exec = SfaExecKernel {
-        shared: &shared,
+        walker: Walker::new(&shared),
         chunks: &chunks,
         maps: (0..n).map(|_| Derived::default()).collect(),
     };
@@ -928,60 +911,26 @@ fn block_width(maps: &[Derived]) -> u64 {
     maps.iter().map(|m| m.eff_width).max().unwrap_or(1).max(1) as u64
 }
 
+/// The SFA execution grid: chunks are independent, so each thread derives
+/// its chunk's mapping and writes it by global id.
 struct SfaExecKernel<'m, 'a> {
-    shared: &'m SfaShared<'a>,
+    walker: Walker<'m, 'a>,
     chunks: &'m [Range<usize>],
     maps: Vec<Derived>,
 }
 
-/// One grid block of the SFA execution: chunks are independent, so a block
-/// is a disjoint window of the per-chunk mappings.
-struct SfaExecBlock<'s, 'a> {
-    walker: Walker<'s, 'a>,
-    chunks: &'s [Range<usize>],
-    base: usize,
-    maps: &'s mut [Derived],
-}
-
-impl RoundKernel for SfaExecBlock<'_, '_> {
+impl RoundKernel for SfaExecKernel<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
         self.walker.shared.job.sfa_requirements(threads)
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        self.maps[tid - self.base] = self.walker.derive(ctx, self.chunks[tid].clone());
+        self.maps[tid] = self.walker.derive(ctx, self.chunks[tid].clone());
         RoundOutcome::ACTIVE
     }
 
     fn after_sync(&mut self, _round: u64) -> bool {
         false
-    }
-}
-
-impl<'m, 'a> GridKernel for SfaExecKernel<'m, 'a> {
-    type Block<'s>
-        = SfaExecBlock<'s, 'a>
-    where
-        Self: 's;
-
-    fn requirements(&self, width: u32) -> BlockRequirements {
-        self.shared.job.sfa_requirements(width)
-    }
-
-    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<SfaExecBlock<'s, 'a>> {
-        let mut maps: &'s mut [Derived] = &mut self.maps;
-        let mut out = Vec::with_capacity(dims.len());
-        for dim in dims {
-            let (m, rest) = maps.split_at_mut(dim.len());
-            maps = rest;
-            out.push(SfaExecBlock {
-                walker: Walker::new(self.shared),
-                chunks: self.chunks,
-                base: dim.tids.start,
-                maps: m,
-            });
-        }
-        out
     }
 }
 
@@ -1087,11 +1036,7 @@ struct SeamComposeGrid {
     w: u64,
 }
 
-struct SeamComposeBlock {
-    w: u64,
-}
-
-impl RoundKernel for SeamComposeBlock {
+impl RoundKernel for SeamComposeGrid {
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         ctx.shuffle(1);
         ctx.shared(self.w);
@@ -1105,14 +1050,6 @@ impl RoundKernel for SeamComposeBlock {
 
     fn phase(&self) -> Phase {
         Phase::Stitch
-    }
-}
-
-impl GridKernel for SeamComposeGrid {
-    type Block<'s> = SeamComposeBlock;
-
-    fn split(&mut self, dims: &[BlockDim]) -> Vec<SeamComposeBlock> {
-        dims.iter().map(|_| SeamComposeBlock { w: self.w }).collect()
     }
 }
 
@@ -1401,9 +1338,8 @@ mod tests {
     type Walk = (KernelStats, Vec<Option<FullMapping>>);
 
     /// Runs both walks over every chunk of `job` on one block and returns
-    /// (memoized, oracle) stats and outputs. `contended` holds the job
-    /// memo for the launch, so the walk runs on its block-local fallback.
-    fn both_walks<'a>(job: &'a Job<'a>, rounds: u32, contended: bool) -> (Walk, Walk) {
+    /// (memoized, oracle) stats and outputs.
+    fn both_walks<'a>(job: &'a Job<'a>, rounds: u32) -> (Walk, Walk) {
         let chunks = job.chunks();
         let shared = SfaShared::new(job);
         let run = |walker: Option<Walker<'_, 'a>>| {
@@ -1411,11 +1347,7 @@ mod tests {
             let stats = launch(job.spec, chunks.len(), &mut k);
             (stats, k.out)
         };
-        let memoized = {
-            let _held = contended.then(|| shared.memo.lock().unwrap());
-            run(Some(Walker::new(&shared)))
-        };
-        (memoized, run(None))
+        (run(Some(Walker::new(&shared))), run(None))
     }
 
     proptest! {
@@ -1427,8 +1359,7 @@ mod tests {
         /// counters — on random and permutation machines, both layouts, any
         /// hot-row count, with and without match counting, over random
         /// partitions, across barriers (a second round re-derives every
-        /// chunk), on the block-local fallback memo, and on 4-byte and on
-        /// 32-byte segments (where several states' column entries share one
+        /// chunk), and on 4-byte and on 32-byte segments (where several states' column entries share one
         /// segment of the first step's cold set).
         #[test]
         fn memoized_walk_equals_uncached_walk(
@@ -1442,7 +1373,6 @@ mod tests {
             len in 1usize..400,
             n_chunks in 1usize..65,
             rounds in 1u32..3,
-            contended in 0u8..2,
             rtx in 0u8..2,
         ) {
             let d = if permutation == 0 {
@@ -1465,7 +1395,7 @@ mod tests {
                 ..SchemeConfig::default()
             };
             let job = Job::new(&spec, &table, &input, config).unwrap();
-            let (memoized, oracle) = both_walks(&job, rounds, contended == 1);
+            let (memoized, oracle) = both_walks(&job, rounds);
             prop_assert_eq!(memoized.1, oracle.1);
             prop_assert_eq!(memoized.0, oracle.0);
         }
@@ -1492,7 +1422,7 @@ mod tests {
             fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
                 self.inner.round(tid, ctx);
                 let walker = self.inner.walker.as_ref().unwrap();
-                let bytes = walker.shared.memo.lock().unwrap().bytes();
+                let bytes = walker.shared.memo.borrow().bytes();
                 assert!(bytes <= MEMO_BUDGET_BYTES, "{bytes} bytes");
                 RoundOutcome::ACTIVE
             }
@@ -1503,8 +1433,8 @@ mod tests {
         let mut k =
             Checked { inner: DeriveChunks::new(&job, &chunks, Some(Walker::new(&shared)), 1) };
         let stats = launch(&spec, chunks.len(), &mut k);
-        assert!(shared.memo.lock().unwrap().flushes > 0, "the input must overflow the budget");
-        let (_, oracle) = both_walks(&job, 1, false);
+        assert!(shared.memo.borrow().flushes > 0, "the input must overflow the budget");
+        let (_, oracle) = both_walks(&job, 1);
         assert_eq!(k.inner.out, oracle.1);
         assert_eq!(stats, oracle.0);
         for (cid, r) in chunks.iter().enumerate() {
@@ -1549,8 +1479,8 @@ mod tests {
     }
 
     /// The |Q|-wide first step is one column scan per (run, byte class):
-    /// however many chunks start on a class, across barriers and on the
-    /// block-local memos of contended blocks, each class is scanned once.
+    /// however many chunks start on a class, and across barriers, each class
+    /// is scanned once.
     #[test]
     fn first_step_scans_once_per_run_and_class() {
         let d = random_dfa(3, 30, 6);
@@ -1564,12 +1494,9 @@ mod tests {
             chunks.iter().map(|r| d.classes().class(input[r.start])).collect();
         assert!(classes.len() > 1, "chunks must start on several classes");
         let shared = SfaShared::new(&job);
-        for contended in [false, true] {
-            let _held = contended.then(|| shared.memo.lock().unwrap());
-            let mut k = DeriveChunks::new(&job, &chunks, Some(Walker::new(&shared)), 2);
-            launch(&spec, chunks.len(), &mut k);
-        }
-        assert_eq!(shared.first.scans.load(Ordering::Relaxed), classes.len());
+        let mut k = DeriveChunks::new(&job, &chunks, Some(Walker::new(&shared)), 2);
+        launch(&spec, chunks.len(), &mut k);
+        assert_eq!(shared.first.scans.get(), classes.len());
     }
 
     /// Corrupting every chunk's mapping poisons all of them; re-derivation

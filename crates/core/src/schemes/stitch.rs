@@ -37,8 +37,8 @@ use std::ops::Range;
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch, launch_blocks, launch_grid, BlockDim, GridKernel, KernelStats, Phase, RoundKernel,
-    RoundOutcome, ThreadCtx,
+    launch, launch_blocks, launch_grid, BlockDim, KernelStats, Phase, RoundKernel, RoundOutcome,
+    ThreadCtx,
 };
 
 use crate::config::StitchPolicy;
@@ -175,9 +175,7 @@ fn stitch_tree(
 /// leader's speculation.
 struct SeamGrid;
 
-struct SeamBlock;
-
-impl RoundKernel for SeamBlock {
+impl RoundKernel for SeamGrid {
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         ctx.shuffle(1);
         ctx.alu(1);
@@ -190,14 +188,6 @@ impl RoundKernel for SeamBlock {
 
     fn phase(&self) -> Phase {
         Phase::Stitch
-    }
-}
-
-impl GridKernel for SeamGrid {
-    type Block<'s> = SeamBlock;
-
-    fn split(&mut self, dims: &[BlockDim]) -> Vec<SeamBlock> {
-        dims.iter().map(|_| SeamBlock).collect()
     }
 }
 

@@ -11,8 +11,7 @@
 
 use gspecpal_fsm::StateId;
 use gspecpal_gpu::{
-    launch_grid, BlockDim, BlockRequirements, DeviceSpec, GridKernel, KernelStats, RoundKernel,
-    RoundOutcome, ThreadCtx,
+    launch_grid, BlockRequirements, DeviceSpec, KernelStats, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
 use crate::table::DeviceTable;
@@ -118,62 +117,21 @@ struct StreamKernel<'a, 'j> {
     scan_cycles: Vec<u64>,
 }
 
-/// One grid block's slice of a [`StreamKernel`]: streams `base..base+len`,
-/// addressed by global thread id.
-struct StreamBlock<'s> {
-    table: &'s DeviceTable<'s>,
-    base: usize,
-    streams: &'s [&'s [u8]],
-    end_states: &'s mut [StateId],
-    scan_cycles: &'s mut [u64],
-}
-
-impl RoundKernel for StreamBlock<'_> {
+impl RoundKernel for StreamKernel<'_, '_> {
     fn requirements(&self, threads: u32) -> BlockRequirements {
         stream_requirements(self.table, threads)
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-        let stream = self.streams[tid - self.base];
-        self.end_states[tid - self.base] =
+        let stream = self.streams[tid];
+        self.end_states[tid] =
             self.table.run_chunk(ctx, stream, 0..stream.len(), self.table.dfa().start());
-        self.scan_cycles[tid - self.base] = ctx.cycles();
+        self.scan_cycles[tid] = ctx.cycles();
         RoundOutcome::ACTIVE
     }
 
     fn after_sync(&mut self, _round: u64) -> bool {
         false
-    }
-}
-
-impl GridKernel for StreamKernel<'_, '_> {
-    type Block<'s>
-        = StreamBlock<'s>
-    where
-        Self: 's;
-
-    fn requirements(&self, width: u32) -> BlockRequirements {
-        stream_requirements(self.table, width)
-    }
-
-    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<StreamBlock<'s>> {
-        let mut ends: &'s mut [StateId] = &mut self.end_states;
-        let mut scans: &'s mut [u64] = &mut self.scan_cycles;
-        let mut out = Vec::with_capacity(dims.len());
-        for dim in dims {
-            let (mine, rest) = ends.split_at_mut(dim.len());
-            ends = rest;
-            let (my_scans, rest) = scans.split_at_mut(dim.len());
-            scans = rest;
-            out.push(StreamBlock {
-                table: self.table,
-                base: dim.tids.start,
-                streams: &self.streams[dim.tids.start..dim.tids.end],
-                end_states: mine,
-                scan_cycles: my_scans,
-            });
-        }
-        out
     }
 }
 

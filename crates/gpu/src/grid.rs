@@ -5,31 +5,29 @@
 //! block is not a GPU: the RTX 3090 has 82 SMs. Two launchers scale a
 //! round-based kernel past that limit:
 //!
-//! * [`launch_grid`] partitions a [`GridKernel`]'s threads into blocks of an
-//!   occupancy-fitted width; block kernels see *global* thread ids;
+//! * [`launch_grid`] partitions one [`RoundKernel`]'s threads into blocks of
+//!   an occupancy-fitted width; the kernel sees *global* thread ids and
+//!   learns each block's range from [`RoundKernel::begin_block`];
 //! * [`launch_blocks`] takes a caller-built list of heterogeneous blocks
 //!   (one kernel and thread count each); block kernels see *local* thread
 //!   ids `0..n`.
 //!
-//! Both simulate their blocks **concurrently on host worker threads** (a
-//! rayon pool — blocks never communicate, so they are embarrassingly
-//! parallel) through one runner and return the unfolded [`GridStats`]. The
-//! SM-occupancy wave model (see [`mod@crate::occupancy`]) lives on that type
-//! alone: blocks are scheduled `resident × n_sms` at a time, each wave lasts
-//! as long as its slowest block, and waves serialize.
-//! [`GridStats::reschedule`] computes the waves, [`GridStats::wave_starts`]
-//! places them on the launch timeline, and [`GridStats::fold`] merges the
-//! blocks into one [`KernelStats`]:
+//! Both simulate their blocks one after another, in submission order, on
+//! the calling thread, and return the unfolded [`GridStats`]. Blocks never
+//! communicate, so the order in which the host simulates them cannot show
+//! in any statistic. The SM-occupancy wave model (see
+//! [`mod@crate::occupancy`]) lives on that type alone: blocks are scheduled
+//! `resident × n_sms` at a time, each wave lasts as long as its slowest
+//! block, and waves serialize. [`GridStats::reschedule`] computes the waves,
+//! [`GridStats::wave_starts`] places them on the launch timeline, and
+//! [`GridStats::fold`] merges the blocks into one [`KernelStats`]:
 //!
 //! * counters (ALU, memory, atomics, recovery) are summed;
 //! * `cycles` is the wave model's completion time, and per-phase cycles come
 //!   from each wave's gating block.
 //!
-//! The result depends only on block boundaries and kernel behaviour — never
-//! on host scheduling — so it is bit-identical for every rayon worker count,
-//! including 1 (the sequential reference).
-
-use rayon::prelude::*;
+//! The result depends only on block boundaries and kernel behaviour, so it
+//! is bit-identical for every host thread pool.
 
 use crate::error::LaunchError;
 use crate::kernel::{run_block, RoundKernel};
@@ -64,41 +62,17 @@ impl BlockDim {
 /// [`crate::occupancy::fit_block_width`]): every block full except possibly
 /// the last.
 pub fn block_dims_width(width: usize, n_threads: usize) -> Vec<BlockDim> {
-    assert!(n_threads > 0, "kernel needs at least one thread");
-    assert!(width > 0, "blocks need at least one thread");
-    (0..n_threads.div_ceil(width))
-        .map(|index| {
-            let lo = index * width;
-            BlockDim { index, tids: lo..((lo + width).min(n_threads)) }
-        })
-        .collect()
+    block_dims(width, n_threads).collect()
 }
 
-/// A kernel that can hand out its state as per-block [`RoundKernel`]s.
-///
-/// `split` receives the grid's block dims and must return one block kernel
-/// per dim. Each block kernel sees the *global* thread ids of its dim in
-/// `round`, and borrows a disjoint slice of the parent's state — mirroring
-/// how a CUDA grid partitions its working set, and exactly what lets the
-/// simulator run blocks on concurrent host threads. Results written through
-/// those borrows land in the parent when the blocks drop.
-pub trait GridKernel {
-    /// The per-block kernel, borrowing from `self` for `'s`.
-    type Block<'s>: RoundKernel + Send
-    where
-        Self: 's;
-
-    /// Splits `self` into one block kernel per entry of `dims`.
-    fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<Self::Block<'s>>;
-
-    /// Per-block resource requirements at block width `width`. Defaults to
-    /// the light shape; implementors report their true shared-memory and
-    /// register footprint so [`launch_grid`] can pick the block width and
-    /// wave size from the occupancy calculator instead of assuming a light
-    /// kernel (see [`RoundKernel::requirements`]).
-    fn requirements(&self, width: u32) -> BlockRequirements {
-        BlockRequirements::light(width)
-    }
+/// [`block_dims_width`] without the `Vec`.
+fn block_dims(width: usize, n_threads: usize) -> impl Iterator<Item = BlockDim> {
+    assert!(n_threads > 0, "kernel needs at least one thread");
+    assert!(width > 0, "blocks need at least one thread");
+    (0..n_threads.div_ceil(width)).map(move |index| {
+        let lo = index * width;
+        BlockDim { index, tids: lo..((lo + width).min(n_threads)) }
+    })
 }
 
 /// Launches `kernel` with `n_threads` threads as a grid of blocks and
@@ -106,21 +80,21 @@ pub trait GridKernel {
 /// docs); [`GridStats::fold`] merges them into one [`KernelStats`].
 ///
 /// The block width comes from [`fit_block_width`] over the kernel's
-/// [`GridKernel::requirements`], and waves are sized from the resulting
+/// [`RoundKernel::requirements`], and waves are sized from the resulting
 /// occupancy — a kernel hogging shared memory or registers gets narrower
 /// blocks and fewer resident blocks per SM, exactly as on real hardware.
-/// Block `b` hosts global threads `b × width ..` ([`block_dims_width`]).
-/// A single-block grid folds to exactly what [`crate::launch`] reports,
-/// plus the occupancy shape.
+/// Block `b` hosts global threads `b × width ..` ([`block_dims_width`]);
+/// the kernel's [`RoundKernel::begin_block`] receives each block's dim
+/// before that block's first round, so per-block scratch can be reused
+/// across blocks. A single-block grid folds to exactly what
+/// [`crate::launch`] reports, plus the occupancy shape.
 ///
 /// Returns [`LaunchError::EmptyGrid`] for zero threads and
 /// [`LaunchError::UnlaunchableShape`] when no block shape of the kernel fits
 /// on an SM.
 ///
 /// ```
-/// use gspecpal_gpu::{
-///     launch_grid, BlockDim, DeviceSpec, GridKernel, RoundKernel, RoundOutcome, ThreadCtx,
-/// };
+/// use gspecpal_gpu::{launch_grid, DeviceSpec, RoundKernel, RoundOutcome, ThreadCtx};
 ///
 /// /// Every thread does ten ALU ops in a single round.
 /// struct Burn;
@@ -132,38 +106,31 @@ pub trait GridKernel {
 ///     fn after_sync(&mut self, _round: u64) -> bool { false }
 /// }
 ///
-/// /// Stateless kernel: every block is another `Burn`.
-/// struct BurnGrid;
-/// impl GridKernel for BurnGrid {
-///     type Block<'s> = Burn;
-///     fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<Burn> {
-///         dims.iter().map(|_| Burn).collect()
-///     }
-/// }
-///
 /// // 8192 threads on a 64-thread-block device: a 128-block grid.
 /// let spec = DeviceSpec::test_unit();
-/// let grid = launch_grid(&spec, 8192, &mut BurnGrid).unwrap();
+/// let grid = launch_grid(&spec, 8192, &mut Burn).unwrap();
 /// assert_eq!((grid.width, grid.blocks.len()), (64, 128));
 /// assert_eq!(grid.fold().alu_ops, 81_920);
 /// ```
-pub fn launch_grid<G: GridKernel>(
+pub fn launch_grid<K: RoundKernel>(
     spec: &DeviceSpec,
     n_threads: usize,
-    kernel: &mut G,
+    kernel: &mut K,
 ) -> Result<GridStats, LaunchError> {
     if n_threads == 0 {
         return Err(LaunchError::EmptyGrid);
     }
     let width = fit_block_width(spec, |w| kernel.requirements(w))?;
-    let dims = block_dims_width(width as usize, n_threads);
     // The tail (or sole) block may be narrower than the fitted width; the
     // wave model schedules by the widest block's footprint.
-    let resident = resident_per_sm(spec, kernel.requirements(dims[0].len() as u32))?;
-    let mut blocks = kernel.split(&dims);
-    assert_eq!(blocks.len(), dims.len(), "GridKernel::split must return one block kernel per dim");
-    let work = dims.iter().zip(&mut blocks).map(|(d, k)| (d.tids.start, d.len(), k)).collect();
-    Ok(run_waves(spec, work, resident, width))
+    let widest = (width as usize).min(n_threads) as u32;
+    let resident = resident_per_sm(spec, kernel.requirements(widest))?;
+    let mut blocks = Vec::with_capacity(n_threads.div_ceil(width as usize));
+    for dim in block_dims(width as usize, n_threads) {
+        kernel.begin_block(&dim);
+        blocks.push(run_block(spec, dim.tids.start, dim.len(), kernel));
+    }
+    Ok(GridStats::scheduled(spec, blocks, resident, width))
 }
 
 /// Launches one block per entry of `blocks` (each a thread count and its
@@ -175,7 +142,7 @@ pub fn launch_grid<G: GridKernel>(
 ///
 /// Returns [`LaunchError::EmptyGrid`] for an empty list and
 /// [`LaunchError::UnlaunchableShape`] when some block fits on no SM.
-pub fn launch_blocks<K: RoundKernel + Send>(
+pub fn launch_blocks<K: RoundKernel>(
     spec: &DeviceSpec,
     blocks: &mut [(usize, K)],
 ) -> Result<GridStats, LaunchError> {
@@ -188,8 +155,8 @@ pub fn launch_blocks<K: RoundKernel + Send>(
         resident = resident.min(resident_per_sm(spec, kernel.requirements(*n_threads as u32))?);
         width = width.max(*n_threads as u32);
     }
-    let work = blocks.iter_mut().map(|(n_threads, k)| (0, *n_threads, k)).collect();
-    Ok(run_waves(spec, work, resident, width))
+    let stats = blocks.iter_mut().map(|(n_threads, k)| run_block(spec, 0, *n_threads, k)).collect();
+    Ok(GridStats::scheduled(spec, stats, resident, width))
 }
 
 /// Resident blocks of shape `req` per SM, or the launch error when none fit.
@@ -198,33 +165,6 @@ fn resident_per_sm(spec: &DeviceSpec, req: BlockRequirements) -> Result<u32, Lau
         0 => Err(LaunchError::UnlaunchableShape { req }),
         resident => Ok(resident),
     }
-}
-
-/// The one block runner behind both launchers: simulates every
-/// `(first thread id, thread count, kernel)` block concurrently and schedules
-/// the results `resident` per SM.
-fn run_waves<K: RoundKernel + Send>(
-    spec: &DeviceSpec,
-    work: Vec<(usize, usize, &mut K)>,
-    resident: u32,
-    width: u32,
-) -> GridStats {
-    let blocks = work
-        .into_par_iter()
-        .map(|(base, n_threads, k)| run_block(spec, base, n_threads, k))
-        .collect();
-    let mut grid = GridStats {
-        blocks,
-        waves: 0,
-        cycles: 0,
-        resident_per_sm: resident,
-        // Saturating: a product past u32 already exceeds any grid's block
-        // count, so one wave holds them all either way.
-        blocks_per_wave: resident.saturating_mul(spec.n_sms.max(1)),
-        width,
-    };
-    grid.reschedule();
-    grid
 }
 
 /// Statistics of a grid launch, per block and under the wave model.
@@ -248,6 +188,22 @@ pub struct GridStats {
 }
 
 impl GridStats {
+    /// The simulated `blocks` scheduled `resident` per SM.
+    fn scheduled(spec: &DeviceSpec, blocks: Vec<KernelStats>, resident: u32, width: u32) -> Self {
+        let mut grid = GridStats {
+            blocks,
+            waves: 0,
+            cycles: 0,
+            resident_per_sm: resident,
+            // Saturating: a product past u32 already exceeds any grid's block
+            // count, so one wave holds them all either way.
+            blocks_per_wave: resident.saturating_mul(spec.n_sms.max(1)),
+            width,
+        };
+        grid.reschedule();
+        grid
+    }
+
     /// Aggregate global transactions across all blocks.
     pub fn total_global_transactions(&self) -> u64 {
         self.blocks.iter().map(|b| b.global_transactions).sum()
@@ -418,39 +374,20 @@ mod tests {
     }
 
     /// Grid kernel: thread `tid` writes `tid` into its slot and charges
-    /// `tid % 7` ALU ops — verifies global tids, disjoint splitting, and
-    /// result write-back through the block borrows.
+    /// `tid % 7` ALU ops — verifies global tids and result write-back by
+    /// global id.
     struct SlotGrid {
         slots: Vec<usize>,
     }
 
-    struct SlotBlock<'s> {
-        base: usize,
-        slots: &'s mut [usize],
-    }
-
-    impl RoundKernel for SlotBlock<'_> {
+    impl RoundKernel for SlotGrid {
         fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
             ctx.alu((tid % 7) as u64);
-            self.slots[tid - self.base] = tid;
+            self.slots[tid] = tid;
             RoundOutcome::ACTIVE
         }
         fn after_sync(&mut self, _round: u64) -> bool {
             false
-        }
-    }
-
-    impl GridKernel for SlotGrid {
-        type Block<'s> = SlotBlock<'s>;
-        fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<SlotBlock<'s>> {
-            let mut rest: &mut [usize] = &mut self.slots;
-            let mut out = Vec::with_capacity(dims.len());
-            for dim in dims {
-                let (mine, tail) = rest.split_at_mut(dim.len());
-                out.push(SlotBlock { base: dim.tids.start, slots: mine });
-                rest = tail;
-            }
-            out
         }
     }
 
@@ -471,20 +408,12 @@ mod tests {
     fn single_block_grid_equals_launch() {
         let spec = DeviceSpec::test_unit();
         let direct = launch(&spec, 48, &mut Work(13));
-        let mut via_grid = launch_grid(&spec, 48, &mut WorkGrid(13)).unwrap().fold();
+        let mut via_grid = launch_grid(&spec, 48, &mut Work(13)).unwrap().fold();
         // The grid launch also reports its occupancy shape; everything else
         // (cycles included) must match the single-block launch bit-for-bit.
         let shape = via_grid.shape.take().expect("grid launches report a shape");
         assert_eq!(shape.waves, 1);
         assert_eq!(via_grid, direct);
-    }
-
-    struct WorkGrid(u64);
-    impl GridKernel for WorkGrid {
-        type Block<'s> = Work;
-        fn split(&mut self, dims: &[BlockDim]) -> Vec<Work> {
-            dims.iter().map(|_| Work(self.0)).collect()
-        }
     }
 
     #[test]
@@ -493,21 +422,23 @@ mod tests {
         spec.max_threads_per_sm = spec.max_threads_per_block;
         // 5 full blocks on 2 SMs, one resident each: 3 waves.
         let n = 5 * spec.max_threads_per_block as usize;
-        let grid = launch_grid(&spec, n, &mut WorkGrid(7)).unwrap();
+        let grid = launch_grid(&spec, n, &mut Work(7)).unwrap();
         let one_block = launch(&spec, spec.max_threads_per_block as usize, &mut Work(7));
         assert_eq!(grid.cycles, 3 * one_block.cycles);
     }
 
-    /// A grid kernel that declares a huge shared-memory footprint at every
+    /// A kernel that declares a huge shared-memory footprint at every
     /// width: unlaunchable on any device.
     struct HogGrid;
-    impl GridKernel for HogGrid {
-        type Block<'s> = Work;
-        fn split(&mut self, dims: &[BlockDim]) -> Vec<Work> {
-            dims.iter().map(|_| Work(1)).collect()
+    impl RoundKernel for HogGrid {
+        fn round(&mut self, _tid: usize, _ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            RoundOutcome::ACTIVE
         }
-        fn requirements(&self, width: u32) -> BlockRequirements {
-            BlockRequirements { threads: width, shared_bytes: usize::MAX / 2, regs_per_thread: 32 }
+        fn after_sync(&mut self, _round: u64) -> bool {
+            false
+        }
+        fn requirements(&self, threads: u32) -> BlockRequirements {
+            BlockRequirements { threads, shared_bytes: usize::MAX / 2, regs_per_thread: 32 }
         }
     }
 
@@ -523,19 +454,7 @@ mod tests {
         };
         assert_eq!(req.shared_bytes, usize::MAX / 2);
         // Block-list launches reject the same shape the same way.
-        struct HogBlock;
-        impl RoundKernel for HogBlock {
-            fn round(&mut self, _tid: usize, _ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-                RoundOutcome::ACTIVE
-            }
-            fn after_sync(&mut self, _round: u64) -> bool {
-                false
-            }
-            fn requirements(&self, threads: u32) -> BlockRequirements {
-                BlockRequirements { threads, shared_bytes: usize::MAX / 2, regs_per_thread: 32 }
-            }
-        }
-        let mut blocks = vec![(2usize, HogBlock)];
+        let mut blocks = vec![(2usize, HogGrid)];
         let err = launch_blocks(&spec, &mut blocks).unwrap_err();
         assert!(matches!(err, LaunchError::UnlaunchableShape { .. }), "{err:?}");
         // So is a block wider than the device's block capacity.
@@ -544,13 +463,16 @@ mod tests {
         assert!(matches!(err, LaunchError::UnlaunchableShape { .. }), "{err:?}");
     }
 
-    /// A register-hungry grid kernel gets a narrower fitted block width, so
-    /// the same thread count spreads across more blocks.
+    /// A register-hungry kernel gets a narrower fitted block width, so the
+    /// same thread count spreads across more blocks.
     struct HeavyGrid;
-    impl GridKernel for HeavyGrid {
-        type Block<'s> = Work;
-        fn split(&mut self, dims: &[BlockDim]) -> Vec<Work> {
-            dims.iter().map(|_| Work(1)).collect()
+    impl RoundKernel for HeavyGrid {
+        fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            ctx.alu(1);
+            RoundOutcome::ACTIVE
+        }
+        fn after_sync(&mut self, _round: u64) -> bool {
+            false
         }
         fn requirements(&self, width: u32) -> BlockRequirements {
             // test_unit has 4096 registers per SM: 128 regs/thread caps a
@@ -562,7 +484,7 @@ mod tests {
     #[test]
     fn requirements_narrow_the_fitted_block_width() {
         let spec = DeviceSpec::test_unit(); // 64-thread blocks, 4096 regs/SM
-        let light = launch_grid(&spec, 128, &mut WorkGrid(1)).unwrap();
+        let light = launch_grid(&spec, 128, &mut Work(1)).unwrap();
         let heavy = launch_grid(&spec, 128, &mut HeavyGrid).unwrap();
         // Light: 2 blocks of 64. Heavy: 4 blocks of 32 (4096/128 = 32).
         assert_eq!((light.width, light.blocks.len()), (64, 2));
@@ -578,7 +500,7 @@ mod tests {
         spec.max_threads_per_sm = spec.max_threads_per_block;
         // 5 full blocks on 2 SMs: 3 waves, all work in SpecExec.
         let n = 5 * spec.max_threads_per_block as usize;
-        let stats = launch_grid(&spec, n, &mut WorkGrid(7)).unwrap().fold();
+        let stats = launch_grid(&spec, n, &mut Work(7)).unwrap().fold();
         assert_eq!(stats.profile.total_cycles(), stats.cycles);
         assert_eq!(stats.profile.get(Phase::SpecExec).cycles, stats.cycles);
         // Event counters still sum over every block, not just the gates.
@@ -610,7 +532,7 @@ mod tests {
         spec.max_threads_per_sm = spec.max_threads_per_block;
         // 5 full blocks on 2 SMs, one resident each: 3 waves of 2 blocks.
         let n = 5 * spec.max_threads_per_block as usize;
-        let grid = launch_grid(&spec, n, &mut WorkGrid(7)).unwrap();
+        let grid = launch_grid(&spec, n, &mut Work(7)).unwrap();
         assert_eq!(grid.blocks.len(), 5);
         assert_eq!(grid.width, spec.max_threads_per_block);
         let per_block = grid.blocks[0].cycles;
@@ -628,7 +550,7 @@ mod tests {
         let spec = DeviceSpec::test_unit();
         let mut blocks: Vec<(usize, Work)> = vec![];
         assert_eq!(launch_blocks(&spec, &mut blocks).unwrap_err(), LaunchError::EmptyGrid);
-        assert_eq!(launch_grid(&spec, 0, &mut WorkGrid(1)).unwrap_err(), LaunchError::EmptyGrid);
+        assert_eq!(launch_grid(&spec, 0, &mut Work(1)).unwrap_err(), LaunchError::EmptyGrid);
     }
 
     #[test]
@@ -671,19 +593,74 @@ mod tests {
         }
     }
 
-    /// Thread `i` of a block charges `work[i]` ALU ops under a fixed
-    /// register footprint; `base` maps the ids it is handed to `work`
-    /// (the first global id under [`launch_grid`], 0 under
-    /// [`launch_blocks`]).
+    /// Thread `tid` charges `3 × work[tid] + round + 1` ALU ops over two
+    /// rounds, planned for the whole block in `begin_round` into scratch that
+    /// one instance keeps across the blocks of a grid. `tids` are the ids
+    /// the block's threads see; `dims` logs every `begin_block`.
+    struct Planned<'w> {
+        work: &'w [u64],
+        tids: std::ops::Range<usize>,
+        plan: Vec<u64>,
+        dims: Vec<BlockDim>,
+    }
+
+    impl<'w> Planned<'w> {
+        fn new(work: &'w [u64]) -> Self {
+            Planned { work, tids: 0..work.len(), plan: Vec::new(), dims: Vec::new() }
+        }
+    }
+
+    impl RoundKernel for Planned<'_> {
+        fn begin_block(&mut self, dim: &BlockDim) {
+            self.tids = dim.tids.clone();
+            self.dims.push(dim.clone());
+        }
+        fn begin_round(&mut self, round: u64) {
+            self.plan.clear();
+            self.plan.extend(self.work[self.tids.clone()].iter().map(|w| 3 * w + round + 1));
+        }
+        fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+            ctx.alu(self.plan[tid - self.tids.start]);
+            RoundOutcome::ACTIVE
+        }
+        fn after_sync(&mut self, round: u64) -> bool {
+            round == 0
+        }
+    }
+
+    #[test]
+    fn begin_block_hands_each_block_its_global_tids_in_order() {
+        let spec = one_resident(2);
+        let work: Vec<u64> = (0..300).map(|i| i * 7 % 11).collect();
+        let mut kernel = Planned::new(&work);
+        let grid = launch_grid(&spec, work.len(), &mut kernel).unwrap();
+        let dims = block_dims_width(grid.width as usize, work.len());
+        assert_eq!(dims.len(), 5, "300 threads over 64-thread blocks");
+        assert_eq!(kernel.dims, dims, "once per block, in block order, with global tids");
+
+        // Fresh instances, one per block, see the same work with local ids
+        // and never get a `begin_block`: the scratch carried across blocks
+        // leaks nothing from one block into the next.
+        let mut fresh: Vec<(usize, Planned<'_>)> =
+            dims.iter().map(|d| (d.len(), Planned::new(&work[d.tids.clone()]))).collect();
+        let list = launch_blocks(&spec, &mut fresh).unwrap();
+        assert!(fresh.iter().all(|(_, k)| k.dims.is_empty()));
+        assert_eq!(grid.blocks, list.blocks);
+        assert_eq!(grid.fold(), list.fold());
+    }
+
+    /// Thread `tid` charges `work[tid]` ALU ops under a fixed register
+    /// footprint: over the whole list with the global ids of
+    /// [`launch_grid`], over a block's window of it with the local ids of
+    /// [`launch_blocks`].
     struct Slice<'s> {
-        base: usize,
         work: &'s [u64],
         regs: u32,
     }
 
     impl RoundKernel for Slice<'_> {
         fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-            ctx.alu(self.work[tid - self.base]);
+            ctx.alu(self.work[tid]);
             RoundOutcome::ACTIVE
         }
         fn after_sync(&mut self, _round: u64) -> bool {
@@ -691,24 +668,6 @@ mod tests {
         }
         fn requirements(&self, threads: u32) -> BlockRequirements {
             BlockRequirements { threads, shared_bytes: 0, regs_per_thread: self.regs }
-        }
-    }
-
-    struct SliceGrid {
-        work: Vec<u64>,
-        regs: u32,
-    }
-
-    impl GridKernel for SliceGrid {
-        type Block<'s> = Slice<'s>;
-        fn split<'s>(&'s mut self, dims: &[BlockDim]) -> Vec<Slice<'s>> {
-            let (work, regs) = (&self.work, self.regs);
-            dims.iter()
-                .map(|d| Slice { base: d.tids.start, work: &work[d.tids.clone()], regs })
-                .collect()
-        }
-        fn requirements(&self, width: u32) -> BlockRequirements {
-            BlockRequirements { threads: width, shared_bytes: 0, regs_per_thread: self.regs }
         }
     }
 
@@ -729,10 +688,10 @@ mod tests {
             spec.n_sms = n_sms;
             spec.max_blocks_per_sm = max_blocks_per_sm;
             let n = work.len();
-            let grid = launch_grid(&spec, n, &mut SliceGrid { work: work.clone(), regs }).unwrap();
+            let grid = launch_grid(&spec, n, &mut Slice { work: &work, regs }).unwrap();
             let mut blocks: Vec<(usize, Slice<'_>)> = block_dims_width(grid.width as usize, n)
                 .into_iter()
-                .map(|d| (d.len(), Slice { base: 0, work: &work[d.tids], regs }))
+                .map(|d| (d.len(), Slice { work: &work[d.tids], regs }))
                 .collect();
             let list = launch_blocks(&spec, &mut blocks).unwrap();
             let cycles = |g: &GridStats| g.blocks.iter().map(|b| b.cycles).collect::<Vec<_>>();

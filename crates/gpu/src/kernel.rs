@@ -16,6 +16,7 @@
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use crate::grid::BlockDim;
 use crate::spec::DeviceSpec;
 use crate::stats::{KernelStats, Phase};
 
@@ -290,10 +291,10 @@ impl SegmentWindow {
     }
 }
 
-/// Per-block simulation scratch, reused across blocks and waves on each
-/// host worker thread: a grid launch runs thousands of blocks, and
-/// reallocating clocks and warp windows per block dominated the host-side
-/// cost of small kernels.
+/// Per-block simulation scratch, reused across blocks, waves and launches on
+/// the host thread: a grid launch runs thousands of blocks, and reallocating
+/// clocks and warp windows per block dominated the host-side cost of small
+/// kernels.
 #[derive(Default)]
 struct BlockScratch {
     clocks: Vec<u64>,
@@ -493,6 +494,14 @@ impl<'a> ThreadCtx<'a> {
 
 /// A kernel expressed as barrier-delimited rounds.
 pub trait RoundKernel {
+    /// Called by [`crate::grid::launch_grid`] before each block's first
+    /// round, in block order, with the block's global thread ids: one kernel
+    /// serves every block of the grid, and this is where it learns which
+    /// block comes next (and may reset per-block scratch it keeps across
+    /// blocks). [`launch`] and [`crate::grid::launch_blocks`] never call it.
+    /// The default does nothing.
+    fn begin_block(&mut self, _dim: &BlockDim) {}
+
     /// Called once at the start of each round, before any thread's
     /// [`RoundKernel::round`]. A kernel may plan the whole round here — pick
     /// every thread's work and compute its host-side results together — as
@@ -570,8 +579,8 @@ pub fn launch<K: RoundKernel>(spec: &DeviceSpec, n_threads: usize, kernel: &mut 
 }
 
 /// Simulates one block whose threads carry *global* ids
-/// `tid_base .. tid_base + n_threads`. This is the primitive behind both
-/// [`launch`] (`tid_base = 0`) and the grid launchers' block runner; warps,
+/// `tid_base .. tid_base + n_threads`. This is the primitive behind
+/// [`launch`] (`tid_base = 0`) and both grid launchers; warps,
 /// coalescing windows, and barriers are all block-local, exactly as on
 /// hardware.
 pub(crate) fn run_block<K: RoundKernel + ?Sized>(

@@ -21,18 +21,18 @@
 //!   kernel runs — Table III's utilization metric.
 //!
 //! There are three launch functions, one per kind of kernel: [`launch`] runs
-//! one block; [`launch_grid`] partitions a [`GridKernel`]'s threads into
-//! blocks of an occupancy-fitted width; [`launch_blocks`] runs a list of
-//! caller-built blocks. The two grid launchers simulate their blocks
-//! concurrently on host worker threads and return a [`GridStats`] that
-//! schedules them under the SM-occupancy wave model and folds them into one
+//! one block; [`launch_grid`] partitions one kernel's threads into blocks
+//! of an occupancy-fitted width; [`launch_blocks`] runs a list of
+//! caller-built blocks. The two grid launchers simulate their blocks in
+//! order on the calling thread and return a [`GridStats`] that schedules
+//! them under the SM-occupancy wave model and folds them into one
 //! [`KernelStats`] — so multi-block scheduling *is* modelled, at block
 //! granularity.
 //!
 //! What is deliberately not modelled: instruction-level warp divergence,
 //! DRAM banking, L2, and intra-wave block preemption — none of which the
 //! paper's analysis (§III-C) depends on. All counts are deterministic
-//! (including across host worker counts), so every experiment in
+//! (including across host thread pools), so every experiment in
 //! EXPERIMENTS.md reproduces bit-for-bit.
 
 #![warn(missing_docs)]
@@ -50,7 +50,7 @@ pub mod transfer;
 pub use error::LaunchError;
 pub use event::{EventTimer, KernelSpan};
 pub use fault::{backoff_cycles, fault_coord, FaultDomain, FaultPlan};
-pub use grid::{block_dims_width, launch_blocks, launch_grid, BlockDim, GridKernel, GridStats};
+pub use grid::{block_dims_width, launch_blocks, launch_grid, BlockDim, GridStats};
 pub use kernel::{
     launch, RoundKernel, RoundOutcome, SegmentMasks, Segments, ThreadCtx, WindowEpoch,
 };

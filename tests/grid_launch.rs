@@ -1,4 +1,4 @@
-//! Multi-block grid launches: determinism across host worker counts,
+//! Multi-block grid launches: determinism across host thread pools,
 //! cost-model scaling past one block, and scheme exactness at grid scale.
 
 use gspecpal::config::{SchemeConfig, StitchPolicy};
@@ -10,8 +10,8 @@ use gspecpal_fsm::combinators::keyword_dfa;
 use gspecpal_fsm::examples::div7;
 use gspecpal_gpu::DeviceSpec;
 
-/// Simulated kernel statistics must be bit-identical regardless of how many
-/// host workers simulate the blocks.
+/// Simulated kernel statistics must be bit-identical in every host thread
+/// pool: no width-dependent host path may creep into the launch.
 #[test]
 fn grid_stats_identical_across_rayon_pool_sizes() {
     let d = div7();
@@ -48,9 +48,9 @@ fn grid_stats_identical_across_rayon_pool_sizes() {
 }
 
 /// Both stitch policies must produce bit-identical outcomes — results *and*
-/// simulated statistics — no matter how many host workers simulate the
-/// blocks. The tree stitch's concurrent fix-up launches are the interesting
-/// case: their stats merge must be block-ordered, not completion-ordered.
+/// simulated statistics — in every host thread pool. The tree stitch's
+/// concurrent fix-up launches are the interesting case: their stats merge
+/// must be block-ordered.
 #[test]
 fn stitch_policies_deterministic_across_pool_sizes() {
     let d = div7();

@@ -1,11 +1,14 @@
 //! A kernel's statistics are a fixed-size value: how many rounds it runs
-//! does not change how often a launch allocates. A counting global allocator
-//! (this test binary's only one) observes two warmed launches.
+//! does not change how often a launch allocates, and how many blocks a grid
+//! has does not change how often its launch allocates. A counting global
+//! allocator (this test binary's only one) observes warmed launches.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use gspecpal_gpu::{launch, DeviceSpec, RoundKernel, RoundOutcome, ThreadCtx};
+use gspecpal_gpu::{
+    launch, launch_grid, BlockDim, DeviceSpec, RoundKernel, RoundOutcome, ThreadCtx,
+};
 
 /// The system allocator, counting allocations made on each thread.
 struct Counting;
@@ -82,4 +85,50 @@ fn launch_allocations_do_not_grow_with_rounds() {
         thousand, one,
         "a 1,000-round launch allocated {thousand} times, a 1-round one {one}"
     );
+}
+
+/// Thread `tid` does `tid % 3 + 1` ALU ops, planned per block in
+/// `begin_block` into scratch the kernel keeps across blocks and launches.
+#[derive(Default)]
+struct PerBlockScratch {
+    base: usize,
+    plan: Vec<u64>,
+}
+
+impl RoundKernel for PerBlockScratch {
+    fn begin_block(&mut self, dim: &BlockDim) {
+        self.base = dim.tids.start;
+        self.plan.clear();
+        self.plan.extend(dim.tids.clone().map(|tid| tid as u64 % 3 + 1));
+    }
+
+    fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
+        ctx.alu(self.plan[tid - self.base]);
+        RoundOutcome::ACTIVE
+    }
+
+    fn after_sync(&mut self, _round: u64) -> bool {
+        false
+    }
+}
+
+/// Allocations made by one grid launch of `blocks` full blocks.
+fn grid_allocations(spec: &DeviceSpec, kernel: &mut PerBlockScratch, blocks: usize) -> u64 {
+    let width = spec.max_threads_per_block as usize;
+    let before = ALLOCATIONS.with(Cell::get);
+    let grid = launch_grid(spec, blocks * width, kernel).unwrap();
+    let made = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!((grid.width as usize, grid.blocks.len()), (width, blocks));
+    made
+}
+
+#[test]
+fn grid_allocations_do_not_grow_with_blocks() {
+    let spec = DeviceSpec::test_unit();
+    let mut kernel = PerBlockScratch::default();
+    // Warm the launch path and the kernel's scratch first.
+    grid_allocations(&spec, &mut kernel, 64);
+    let one = grid_allocations(&spec, &mut kernel, 1);
+    let many = grid_allocations(&spec, &mut kernel, 64);
+    assert_eq!(many, one, "a 64-block grid allocated {many} times, a 1-block one {one}");
 }
