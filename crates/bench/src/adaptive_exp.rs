@@ -117,33 +117,6 @@ impl AdaptiveExperimentReport {
         self.adaptive.makespan_cycles
             + self.static_runs.iter().map(|r| r.makespan_cycles).sum::<u64>()
     }
-
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Adaptive serving A/B ({} streams, {} bytes)\n",
-            self.streams, self.total_bytes
-        );
-        for r in self.static_runs.iter().chain([&self.adaptive]) {
-            out.push_str(&format!(
-                "  {:<9} makespan={:>9}cy batches={:<3} decisions={} (explore {})\n",
-                r.label, r.makespan_cycles, r.batches, r.decisions_made, r.explore_decisions
-            ));
-        }
-        out.push_str(&format!(
-            "  adaptive beats every static: {} | mean segment speedup vs best static ({}): {:.2}x\n",
-            self.adaptive_beats_every_static(),
-            self.best_static().label,
-            self.mean_speedup_adaptive_vs_best_static(),
-        ));
-        for s in &self.segments {
-            out.push_str(&format!(
-                "    segment {} {:<10} [{}]: adaptive={}cy best-static={}cy\n",
-                s.machine, s.fsm, s.tier, s.adaptive_cycles, s.best_static_cycles
-            ));
-        }
-        out
-    }
 }
 
 /// One benchmark per tier, families rotated so the segments differ in
@@ -330,13 +303,5 @@ mod tests {
         for s in &r.segments {
             assert_eq!(s.decisions.first().map(|d| d.arm), Some(0), "{}", s.fsm);
         }
-    }
-
-    #[test]
-    fn render_mentions_the_headline() {
-        let r = run_adaptive(&small_cfg());
-        let text = r.render();
-        assert!(text.contains("adaptive beats every static"));
-        assert!(text.contains("segment 0"));
     }
 }

@@ -16,8 +16,9 @@
 //! - `--write-baseline`: write to `benches/baseline` instead of `--out`
 //!   (run from the repo root to regenerate the committed baselines).
 //! - `--check DIR`: after writing, compare each report's `total_cycles`
-//!   against `DIR/BENCH_<experiment>.json`; exit non-zero if any experiment
-//!   regressed by more than the gate tolerance or a baseline is missing.
+//!   against `DIR/BENCH_<experiment>.json`; print a `FAIL` line and exit
+//!   with status 1 if any experiment regressed by more than the gate
+//!   tolerance, or a baseline is missing or has no `total_cycles`.
 //! - `--inflate-percent P`: inflate each report's headline total by `P`%
 //!   before writing/checking — the CI self-test that proves the gate trips.
 //! - `--hostperf [STREAMS]`: additionally run the host-throughput
@@ -26,9 +27,10 @@
 //!   report carries wall-clock numbers, so it is never part of `--check` —
 //!   CI keeps it as a warn-only artifact.
 //!
-//! A bad flag or value prints one line and exits with status 2.
+//! A bad flag or value, or a report that cannot be written under `--out`,
+//! prints one line and exits with status 2.
 
-use gspecpal_bench::cli::{Args, CliError};
+use gspecpal_bench::cli::{write_file, Args, CliError};
 use gspecpal_bench::perf::{
     ablation_json, adaptive_json, chaos_json, cluster_json, extract_total_cycles, failover_json,
     fig8_json, hostperf_json, inflate_total, motivation_json, regression_check, serve_json, Json,
@@ -90,6 +92,30 @@ fn parse_args(mut args: Args) -> Result<Options, CliError> {
     Ok(opts)
 }
 
+/// Compares a report's headline total with the one in
+/// `dir/BENCH_{name}.json`. `Ok` holds the `OK` line to print, `Err` the
+/// `FAIL` line: the total regressed past the gate tolerance, or the
+/// baseline is missing or has no `total_cycles`.
+fn check(name: &str, current: u64, dir: &str) -> Result<String, String> {
+    let baseline_path = format!("{dir}/BENCH_{name}.json");
+    let Ok(baseline_text) = std::fs::read_to_string(&baseline_path) else {
+        return Err(format!("{name}: FAIL — no baseline at {baseline_path}"));
+    };
+    let Some(baseline) = extract_total_cycles(&baseline_text) else {
+        return Err(format!("{name}: FAIL — {baseline_path} has no total_cycles"));
+    };
+    if regression_check(current, baseline, GATE_TOLERANCE_PERCENT) {
+        Ok(format!(
+            "{name}: OK — {current} vs baseline {baseline} (tolerance {GATE_TOLERANCE_PERCENT}%)"
+        ))
+    } else {
+        Err(format!(
+            "{name}: FAIL — {current} regressed more than \
+             {GATE_TOLERANCE_PERCENT}% over baseline {baseline}"
+        ))
+    }
+}
+
 fn main() {
     let Options { cfg, out_dir, check_dir, inflate_percent, hostperf_streams } =
         parse_args(Args::from_env()).unwrap_or_else(|e| e.exit());
@@ -137,35 +163,21 @@ fn main() {
         }
     }
 
-    std::fs::create_dir_all(&out_dir).expect("create output dir");
     let mut failed = false;
     for (name, (doc, wall_ms)) in &reports {
         let text = doc.render();
         let current = extract_total_cycles(&text).expect("report has a headline total");
-        let path = format!("{out_dir}/BENCH_{name}.json");
-        std::fs::write(&path, &text).expect("write report");
+        let path =
+            write_file(&out_dir, &format!("BENCH_{name}.json"), &text).unwrap_or_else(|e| e.exit());
         println!("{name}: total_cycles = {current} [wrote {path}], host wall {wall_ms:.0} ms");
 
         if let Some(dir) = &check_dir {
-            let baseline_path = format!("{dir}/BENCH_{name}.json");
-            let Ok(baseline_text) = std::fs::read_to_string(&baseline_path) else {
-                println!("{name}: FAIL — no baseline at {baseline_path}");
-                failed = true;
-                continue;
-            };
-            let baseline = extract_total_cycles(&baseline_text)
-                .unwrap_or_else(|| panic!("{baseline_path} has no total_cycles"));
-            if regression_check(current, baseline, GATE_TOLERANCE_PERCENT) {
-                println!(
-                    "{name}: OK — {current} vs baseline {baseline} \
-                     (tolerance {GATE_TOLERANCE_PERCENT}%)"
-                );
-            } else {
-                println!(
-                    "{name}: FAIL — {current} regressed more than \
-                     {GATE_TOLERANCE_PERCENT}% over baseline {baseline}"
-                );
-                failed = true;
+            match check(name, current, dir) {
+                Ok(line) => println!("{line}"),
+                Err(line) => {
+                    println!("{line}");
+                    failed = true;
+                }
             }
         }
     }
@@ -178,9 +190,8 @@ fn main() {
         let hreport = throughput_exp(&hcfg);
         eprintln!("[hostperf fleet row: {streams} streams across the heterogeneous cluster]");
         let freport = fleet_throughput_exp(&hcfg);
-        let path = format!("{out_dir}/BENCH_hostperf.json");
-        std::fs::write(&path, hostperf_json(&hcfg, &hreport, &freport).render())
-            .expect("write report");
+        let json = hostperf_json(&hcfg, &hreport, &freport).render();
+        let path = write_file(&out_dir, "BENCH_hostperf.json", &json).unwrap_or_else(|e| e.exit());
         println!(
             "hostperf: {:.0} streams/s, {:.1} MiB/s, peak RSS {} KiB, \
              makespan {} cycles [wrote {path}]",
@@ -202,5 +213,27 @@ fn main() {
     eprintln!("[perfdump finished in {:.1}s]", t0.elapsed().as_secs_f64());
     if failed {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn baselines_without_a_total_fail_the_check() {
+        let dir = std::env::temp_dir().join(format!("perfdump-check-{}", std::process::id()));
+        let dir = dir.to_str().unwrap();
+        write_file(dir, "BENCH_bare.json", "{\"schema\": 1}\n").unwrap();
+        write_file(dir, "BENCH_gated.json", "{\"total_cycles\": 100}\n").unwrap();
+        let bare = check("bare", 100, dir);
+        let gated = check("gated", 105, dir);
+        let regressed = check("gated", 106, dir);
+        let missing = check("absent", 100, dir);
+        std::fs::remove_dir_all(dir).unwrap();
+        assert_eq!(bare, Err(format!("bare: FAIL — {dir}/BENCH_bare.json has no total_cycles")));
+        assert_eq!(gated.as_deref(), Ok("gated: OK — 105 vs baseline 100 (tolerance 5%)"));
+        assert!(regressed.unwrap_err().starts_with("gated: FAIL — 106 regressed"));
+        assert_eq!(missing, Err(format!("absent: FAIL — no baseline at {dir}/BENCH_absent.json")));
     }
 }

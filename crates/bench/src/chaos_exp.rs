@@ -85,29 +85,6 @@ impl ChaosExperimentReport {
     pub fn total_clean_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.clean_cycles).sum()
     }
-
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Recovery overhead at {}‰ injected faults ({} bytes)\n",
-            self.fault_permille, self.input_bytes
-        );
-        for r in &self.runs {
-            out.push_str(&format!(
-                "  {:<9} clean={:>9}cy faulted={:>9}cy overhead={:>4}‰ \
-                 retries={} watchdog={} degraded={} fault_cycles={}\n",
-                r.scheme.name(),
-                r.clean_cycles,
-                r.faulted_cycles,
-                r.overhead_permille,
-                r.block_retries,
-                r.watchdog_kills,
-                r.degraded_blocks,
-                r.fault_cycles,
-            ));
-        }
-        out
-    }
 }
 
 /// Runs the chaos experiment: a rule-set machine over a seeded network
@@ -217,14 +194,6 @@ mod tests {
                 "{:?}: partition holds under faults",
                 r.scheme
             );
-        }
-    }
-
-    #[test]
-    fn chaos_render_mentions_every_scheme() {
-        let text = run_chaos(&small_cfg()).render();
-        for scheme in SchemeKind::gspecpal_schemes() {
-            assert!(text.contains(scheme.name()), "{text}");
         }
     }
 }

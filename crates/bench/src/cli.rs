@@ -4,7 +4,8 @@
 //! `--chunks N` and `--device rtx3090|a100`, which
 //! [`Args::experiment_flag`] applies to an [`ExperimentConfig`]. A missing
 //! or bad value is a [`CliError`]: the binary prints its one line and
-//! exits with status 2, never a panic.
+//! exits with status 2, never a panic. So is an output file that cannot be
+//! written ([`write_file`]).
 
 use std::fmt;
 use std::iter::Peekable;
@@ -112,6 +113,16 @@ impl Args {
     }
 }
 
+/// Writes `contents` to `dir/file`, creating `dir` first. Returns the path
+/// written, or the one line a binary prints when the write fails.
+pub fn write_file(dir: &str, file: &str, contents: &str) -> Result<String, CliError> {
+    let path = format!("{dir}/{file}");
+    std::fs::create_dir_all(dir)
+        .and_then(|()| std::fs::write(&path, contents))
+        .map_err(|e| CliError(format!("cannot write {path}: {e}")))?;
+    Ok(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,5 +176,14 @@ mod tests {
         assert_eq!(args.optional::<usize>(), Some(12));
         assert_eq!(args.optional::<usize>(), None);
         assert_eq!(args.next().as_deref(), Some("--out"));
+    }
+
+    #[test]
+    fn unwritable_output_is_a_one_line_error() {
+        // A directory cannot be created under a regular file.
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");
+        let err = write_file(dir, "x.csv", "a\n").unwrap_err().0;
+        assert!(err.starts_with(&format!("cannot write {dir}/x.csv: ")), "{err}");
+        assert!(!err.contains('\n'), "{err}");
     }
 }

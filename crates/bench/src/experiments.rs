@@ -8,7 +8,8 @@ use gspecpal_fsm::{Dfa, FrequencyProfile, TransformedDfa};
 use gspecpal_gpu::{DeviceSpec, PhaseProfile};
 use gspecpal_workloads::{build_suite, Benchmark, Family, Tier};
 
-use crate::report::{f2, mean, pct, render_table};
+use crate::cli::CliError;
+use crate::report::{f2, mean, pct, Cell, Table};
 
 /// Shared experiment configuration.
 #[derive(Clone, Debug)]
@@ -116,24 +117,26 @@ pub fn run_fig3(cfg: &ExperimentConfig) -> Fig3Report {
 }
 
 impl Fig3Report {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut header = vec!["Family".to_string()];
-        header.extend(self.ks.iter().map(|k| format!("spec-{k}")));
-        let mut rows = Vec::new();
-        for (f, v) in &self.per_family {
-            let mut row = vec![f.to_string()];
-            row.extend(v.iter().map(|x| f2(*x)));
-            rows.push(row);
-        }
-        let mut row = vec!["mean".to_string()];
-        row.extend(self.overall.iter().map(|x| f2(*x)));
-        rows.push(row);
-        format!(
+    /// The figure: one row per family, one column per k, and a text-only
+    /// `mean` row.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
             "Figure 3: execution time of spec-k normalized to spec-1 \
-             (verification and recovery ignored)\n{}",
-            render_table(&header, &rows)
-        )
+             (verification and recovery ignored)",
+        );
+        t.column("Family", "family");
+        for k in &self.ks {
+            t.column(format!("spec-{k}"), format!("spec_{k}"));
+        }
+        for (f, v) in &self.per_family {
+            let mut row = vec![Cell::text(f)];
+            row.extend(v.iter().map(|&x| Cell::Ratio(x)));
+            t.row(row);
+        }
+        let mut mean_row = vec![Cell::text("mean")];
+        mean_row.extend(self.overall.iter().map(|&x| Cell::Ratio(x)));
+        t.summary_row(mean_row);
+        t
     }
 }
 
@@ -226,44 +229,43 @@ pub fn run_table2(cfg: &ExperimentConfig) -> Table2Report {
 }
 
 impl Table2Report {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> = [
-            "Source",
-            "#States range",
-            "mean",
-            "spec-1 range %",
-            "mean %",
-            "spec-4 range %",
-            "mean %",
-            "#input-sens.",
-            "#uniq(10) range",
-            "mean",
-            "Profiling (s)",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.family.to_string(),
-                    format!("[{}, {}]", r.states_range.0, r.states_range.1),
-                    format!("{:.0}", r.states_mean),
-                    format!("[{}, {}]", pct(r.spec1_range.0), pct(r.spec1_range.1)),
-                    pct(r.spec1_mean),
-                    format!("[{}, {}]", pct(r.spec4_range.0), pct(r.spec4_range.1)),
-                    pct(r.spec4_mean),
-                    r.input_sensitive.to_string(),
-                    format!("[{:.1}, {:.1}]", r.uniq_range.0, r.uniq_range.1),
-                    f2(r.uniq_mean),
-                    format!("{:.2}", r.profiling_seconds),
-                ]
-            })
-            .collect();
-        format!("Table II: benchmark characteristics\n{}", render_table(&header, &rows))
+    /// The table. Ranges are text-only and their bounds CSV-only; the
+    /// host-timed profiling column has 2 decimals in text and 3 in CSV.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new("Table II: benchmark characteristics");
+        t.column("Source", "family")
+            .text_column("#States range")
+            .csv_column("states_min")
+            .csv_column("states_max")
+            .column("mean", "states_mean")
+            .text_column("spec-1 range %")
+            .column("mean %", "spec1_mean_pct")
+            .text_column("spec-4 range %")
+            .column("mean %", "spec4_mean_pct")
+            .column("#input-sens.", "input_sensitive")
+            .text_column("#uniq(10) range")
+            .column("mean", "uniq10_mean")
+            .text_column("Profiling (s)")
+            .csv_column("profiling_s");
+        for r in &self.rows {
+            t.row(vec![
+                Cell::text(r.family),
+                Cell::text(format!("[{}, {}]", r.states_range.0, r.states_range.1)),
+                Cell::text(r.states_range.0),
+                Cell::text(r.states_range.1),
+                Cell::text(format!("{:.0}", r.states_mean)),
+                Cell::text(format!("[{}, {}]", pct(r.spec1_range.0), pct(r.spec1_range.1))),
+                Cell::text(pct(r.spec1_mean)),
+                Cell::text(format!("[{}, {}]", pct(r.spec4_range.0), pct(r.spec4_range.1))),
+                Cell::text(pct(r.spec4_mean)),
+                Cell::text(r.input_sensitive),
+                Cell::text(format!("[{:.1}, {:.1}]", r.uniq_range.0, r.uniq_range.1)),
+                Cell::text(f2(r.uniq_mean)),
+                Cell::text(format!("{:.2}", r.profiling_seconds)),
+                Cell::text(format!("{:.3}", r.profiling_seconds)),
+            ]);
+        }
+        t
     }
 }
 
@@ -444,35 +446,32 @@ impl Fig8Report {
         )
     }
 
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> =
-            ["FSM", "tier", "SRE", "RR", "NF", "SFA", "Selected", "Sel.speedup"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    r.tier.name().to_string(),
-                    f2(r.speedup(SchemeKind::Sre)),
-                    f2(r.speedup(SchemeKind::Rr)),
-                    f2(r.speedup(SchemeKind::Nf)),
-                    f2(r.speedup(SchemeKind::Sfa)),
-                    r.selected.to_string(),
-                    f2(r.selected_speedup()),
-                ]
-            })
-            .collect();
-        format!(
-            "Figure 8: speedups over PM(spec-4)\n{}\n\
+    /// The figure: per FSM, the cycle totals (CSV only), the speedups over
+    /// PM and the selector's pick; the mean, maximum and selector lines
+    /// follow the text view.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new("Figure 8: speedups over PM(spec-4)");
+        let rivals = [SchemeKind::Sre, SchemeKind::Rr, SchemeKind::Nf, SchemeKind::Sfa];
+        t.column("FSM", "fsm").column("tier", "tier");
+        for s in ["pm", "sre", "rr", "nf", "sfa"] {
+            t.csv_column(format!("{s}_cycles"));
+        }
+        for s in rivals {
+            t.column(s.name(), format!("{}_speedup", s.name().to_lowercase()));
+        }
+        t.column("Selected", "selected").column("Sel.speedup", "selected_speedup");
+        for r in &self.rows {
+            let mut row = vec![Cell::text(&r.name), Cell::text(r.tier.name())];
+            row.extend([r.pm, r.sre, r.rr, r.nf, r.sfa].map(Cell::text));
+            row.extend(rivals.map(|s| Cell::Ratio(r.speedup(s))));
+            row.extend([Cell::text(r.selected), Cell::Ratio(r.selected_speedup())]);
+            t.row(row);
+        }
+        t.footer(format!(
+            "\n\
              mean speedup: SRE {} / RR {} / NF {} / SFA {} / Selector {}\n\
              max speedup over PM: {}\n\
              selector accuracy: {} ({}/{}), mean loss vs oracle: {}%\n",
-            render_table(&header, &rows),
             f2(self.mean_speedup(SchemeKind::Sre)),
             f2(self.mean_speedup(SchemeKind::Rr)),
             f2(self.mean_speedup(SchemeKind::Nf)),
@@ -483,14 +482,34 @@ impl Fig8Report {
             self.rows.iter().filter(|r| r.selector_optimal()).count(),
             self.rows.len(),
             f2(self.selector_loss() * 100.0),
-        )
+        ));
+        t
     }
-}
 
-/// Selector evaluation (§V-C): accuracy and loss versus the oracle. This is
-/// a view over the Fig 8 data.
-pub fn run_selector_eval(cfg: &ExperimentConfig) -> Fig8Report {
-    run_fig8(cfg)
+    /// Phase-level CSV (no text view): one row per (FSM, scheme, phase)
+    /// with the full counter set, the long-format companion of the
+    /// `BENCH_fig8.json` perf report, for plotting phase stacks.
+    pub fn phases_table(&self) -> Table {
+        let mut t = Table::new("");
+        let header = "fsm,scheme,scheme_cycles,phase,cycles,rounds,divergent_rounds,\
+                      global_transactions,shared_accesses,utilization,coalesced_fraction";
+        for name in header.split(',') {
+            t.csv_column(name);
+        }
+        for r in &self.rows {
+            for (scheme, total, profile) in r.scheme_profiles() {
+                for (phase, c) in profile.iter() {
+                    let mut row = vec![Cell::text(&r.name), Cell::text(scheme), Cell::text(total)];
+                    row.push(Cell::text(phase.name()));
+                    row.extend([c.cycles, c.rounds, c.divergent_rounds].map(Cell::text));
+                    row.extend([c.global_transactions, c.shared_accesses].map(Cell::text));
+                    row.extend([c.utilization(), c.coalesced_fraction()].map(Cell::Ratio));
+                    t.row(row);
+                }
+            }
+        }
+        t
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -546,30 +565,28 @@ pub fn run_table3(cfg: &ExperimentConfig) -> Table3Report {
 }
 
 impl Table3Report {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> = [
-            "Snort", "tier", "PM acc%", "SRE acc%", "RR acc%", "NF acc%", "PM act", "SRE act",
-            "RR act", "NF act",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                let mut row = vec![r.index.to_string(), r.tier.name().to_string()];
-                row.extend(r.per_scheme.iter().map(|(a, _)| pct(*a)));
-                row.extend(r.per_scheme.iter().map(|(_, t)| format!("{t:.1}")));
-                row
-            })
-            .collect();
-        format!(
+    /// The table: per Snort FSM, each scheme's accuracy, then each
+    /// scheme's active threads.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
             "Table III: runtime speculation accuracy and average #active \
-             threads during recovery (Snort)\n{}",
-            render_table(&header, &rows)
-        )
+             threads during recovery (Snort)",
+        );
+        t.column("Snort", "snort").column("tier", "tier");
+        let schemes = ["PM", "SRE", "RR", "NF"];
+        for s in schemes {
+            t.column(format!("{s} acc%"), format!("{}_acc_pct", s.to_lowercase()));
+        }
+        for s in schemes {
+            t.column(format!("{s} act"), format!("{}_active", s.to_lowercase()));
+        }
+        for r in &self.rows {
+            let mut row = vec![Cell::text(r.index), Cell::text(r.tier.name())];
+            row.extend(r.per_scheme.iter().map(|(a, _)| Cell::text(pct(*a))));
+            row.extend(r.per_scheme.iter().map(|(_, act)| Cell::text(format!("{act:.1}"))));
+            t.row(row);
+        }
+        t
     }
 }
 
@@ -632,24 +649,22 @@ impl Fig7Report {
         self.registers[best]
     }
 
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut header = vec!["Family".to_string()];
-        header.extend(self.registers.iter().map(|r| format!("R={r}")));
-        let rows: Vec<Vec<String>> = self
-            .per_family
-            .iter()
-            .map(|(f, v)| {
-                let mut row = vec![f.to_string()];
-                row.extend(v.iter().map(|x| f2(*x)));
-                row
-            })
-            .collect();
-        format!(
+    /// The figure: one row per family, one column per register budget.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
             "Figure 7: RR time vs. #registers for VR_others (normalized to \
-             each family's best)\n{}",
-            render_table(&header, &rows)
-        )
+             each family's best)",
+        );
+        t.column("Family", "family");
+        for r in &self.registers {
+            t.column(format!("R={r}"), format!("r{r}"));
+        }
+        for (f, v) in &self.per_family {
+            let mut row = vec![Cell::text(f)];
+            row.extend(v.iter().map(|&x| Cell::Ratio(x)));
+            t.row(row);
+        }
+        t
     }
 }
 
@@ -704,31 +719,28 @@ impl Fig9Report {
         )
     }
 
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> =
-            ["FSM", "RR / SRE", "NF / SRE"].iter().map(|s| s.to_string()).collect();
-        let rows: Vec<Vec<String>> =
-            self.rows.iter().map(|(n, rr, nf)| vec![n.clone(), f2(*rr), f2(*nf)]).collect();
+    /// The figure, with the mean ratios after the text view.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new("Figure 9: recovery execution time per chunk, normalized to SRE");
+        t.column("FSM", "fsm").column("RR / SRE", "rr_over_sre").column("NF / SRE", "nf_over_sre");
+        for (n, rr, nf) in &self.rows {
+            t.row(vec![Cell::text(n), Cell::Ratio(*rr), Cell::Ratio(*nf)]);
+        }
         let (mrr, mnf) = self.means();
-        format!(
-            "Figure 9: recovery execution time per chunk, normalized to SRE\n{}\
-             mean: RR {} / NF {}\n",
-            render_table(&header, &rows),
-            f2(mrr),
-            f2(mnf),
-        )
+        t.footer(format!("mean: RR {} / NF {}\n", f2(mrr), f2(mnf)));
+        t
     }
 }
 
 /// Diagnostic: detailed per-phase numbers for one benchmark (not part of the
-/// paper; used to understand where cycles go).
-pub fn debug_benchmark(cfg: &ExperimentConfig, name: &str) -> String {
+/// paper; used to understand where cycles go). A name outside the suite is
+/// a one-line error.
+pub fn debug_benchmark(cfg: &ExperimentConfig, name: &str) -> Result<String, CliError> {
     let suite = build_suite(cfg.seed);
     let b = suite
         .iter()
         .find(|b| b.name() == name)
-        .unwrap_or_else(|| panic!("unknown benchmark {name}"));
+        .ok_or_else(|| CliError(format!("unknown benchmark {name} (try Snort1 … PowerEN12)")))?;
     let input = b.generate_input(cfg.input_len, 0);
     let fw = cfg.framework();
     let mut out = format!(
@@ -766,7 +778,7 @@ pub fn debug_benchmark(cfg: &ExperimentConfig, name: &str) -> String {
             o.runtime_accuracy(),
         );
     }
-    out
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------
@@ -863,19 +875,23 @@ impl AblationReport {
         mean(&self.rows.iter().map(|r| r.2 - 1.0).collect::<Vec<_>>())
     }
 
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> =
-            ["FSM", "scheme", "hashed / transformed"].iter().map(|s| s.to_string()).collect();
-        let rows: Vec<Vec<String>> =
-            self.rows.iter().map(|(n, s, r)| vec![n.clone(), s.to_string(), f2(*r)]).collect();
-        format!(
+    /// The ablation, with the mean improvement after the text view.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
             "DFA-transformation ablation (§V-C): hashed-layout time over \
-             transformed-layout time\n{}\
-             mean improvement from the transformation: {}%\n",
-            render_table(&header, &rows),
-            f2(self.mean_improvement() * 100.0),
-        )
+             transformed-layout time",
+        );
+        t.column("FSM", "fsm")
+            .column("scheme", "scheme")
+            .column("hashed / transformed", "hashed_over_transformed");
+        for (n, s, r) in &self.rows {
+            t.row(vec![Cell::text(n), Cell::text(s), Cell::Ratio(*r)]);
+        }
+        t.footer(format!(
+            "mean improvement from the transformation: {}%\n",
+            f2(self.mean_improvement() * 100.0)
+        ));
+        t
     }
 }
 
@@ -915,7 +931,7 @@ mod tests {
             assert!(row.input_sensitive <= 12);
             assert!(row.uniq_mean >= 1.0);
         }
-        assert!(!r.render().is_empty());
+        assert!(r.table().text().is_some());
     }
 
     #[test]
@@ -927,7 +943,7 @@ mod tests {
             assert!((v[0] - worst).abs() < 1e-9 || v[0] > 1.1, "{f}: R=8 should hurt: {v:?}");
         }
         let _ = r.best_registers(Family::Snort);
-        assert!(!r.render().is_empty());
+        assert!(r.table().text().is_some());
     }
 
     #[test]
@@ -943,7 +959,7 @@ mod tests {
                 assert!(nf_act >= pm_act, "NF activates at least as many threads");
             }
         }
-        assert!(!r.render().is_empty());
+        assert!(r.table().text().is_some());
     }
 
     /// The reproduction's headline shape, pinned in coarse bands: if a code

@@ -16,7 +16,7 @@ use gspecpal_regex::{compile_set, parse, CompileConfig};
 use gspecpal_workloads::{build_suite, inputs, Tier};
 
 use crate::experiments::ExperimentConfig;
-use crate::report::{f2, mean, render_table};
+use crate::report::{f2, mean, Cell, Table};
 
 // ---------------------------------------------------------------------------
 // Motivation (§II-B): why latency-sensitive DFA parallelization at all?
@@ -93,11 +93,11 @@ pub fn run_motivation(cfg: &ExperimentConfig) -> MotivationReport {
 }
 
 impl MotivationReport {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        format!(
-            "Motivation (§II-B), quantified\n\
-             stream-level parallelism (256 copies): batch done in {} cycles, \
+    /// The two contrasts, as prose under a title (a table without columns).
+    pub fn table(&self) -> Table {
+        let mut t = Table::new("Motivation (§II-B), quantified");
+        t.footer(format!(
+            "stream-level parallelism (256 copies): batch done in {} cycles, \
              {:.3} B/cy aggregate — but per-stream response = {} cycles\n\
              chunk-level speculation (GSpecPal/NF): per-stream response = {} \
              cycles ({:.1}x faster response), {:.3} B/cy single-stream\n\
@@ -117,7 +117,8 @@ impl MotivationReport {
             self.dfa_seq_cycles,
             self.dfa_gspecpal_cycles,
             self.nfa_cycles as f64 / self.dfa_gspecpal_cycles as f64,
-        )
+        ));
+        t
     }
 }
 
@@ -206,23 +207,19 @@ pub fn run_model_validation(cfg: &ExperimentConfig) -> ModelValidationReport {
 }
 
 impl ModelValidationReport {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> = ["FSM", "Eq.2 model / sim (PM)", "Eq.3 model / sim (RR)"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let rows: Vec<Vec<String>> =
-            self.rows.iter().map(|(n, a, b)| vec![n.clone(), f2(*a), f2(*b)]).collect();
+    /// The model-over-simulation ratios (text only), with their means.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new("§III-C analytical model vs. simulation (ratios near 1 = good)");
+        t.text_column("FSM")
+            .text_column("Eq.2 model / sim (PM)")
+            .text_column("Eq.3 model / sim (RR)");
+        for (n, a, b) in &self.rows {
+            t.row(vec![Cell::text(n), Cell::Ratio(*a), Cell::Ratio(*b)]);
+        }
         let pm_mean = mean(&self.rows.iter().map(|r| r.1).collect::<Vec<_>>());
         let sr_mean = mean(&self.rows.iter().map(|r| r.2).collect::<Vec<_>>());
-        format!(
-            "§III-C analytical model vs. simulation (ratios near 1 = good)\n{}\
-             mean ratios: PM {} / RR {}\n",
-            render_table(&header, &rows),
-            f2(pm_mean),
-            f2(sr_mean),
-        )
+        t.footer(format!("mean ratios: PM {} / RR {}\n", f2(pm_mean), f2(sr_mean)));
+        t
     }
 }
 
@@ -277,32 +274,24 @@ pub fn run_cpu_scaling(cfg: &ExperimentConfig) -> CpuScalingReport {
 }
 
 impl CpuScalingReport {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> =
-            ["FSM", "tier", "threads", "naive recov.", "SRE recov.", "naive ms", "SRE ms"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|(n, t, th, nr, sr, nms, sms)| {
-                vec![
-                    n.clone(),
-                    t.to_string(),
-                    th.to_string(),
-                    nr.to_string(),
-                    sr.to_string(),
-                    format!("{nms:.2}"),
-                    format!("{sms:.2}"),
-                ]
-            })
-            .collect();
-        format!(
-            "Multicore engines (scoped threads; SRE lineage [21])\n{}",
-            render_table(&header, &rows)
-        )
+    /// The scaling rows (text only).
+    pub fn table(&self) -> Table {
+        let mut t = Table::new("Multicore engines (scoped threads; SRE lineage [21])");
+        for h in ["FSM", "tier", "threads", "naive recov.", "SRE recov.", "naive ms", "SRE ms"] {
+            t.text_column(h);
+        }
+        for (n, tier, th, nr, sr, nms, sms) in &self.rows {
+            t.row(vec![
+                Cell::text(n),
+                Cell::text(tier),
+                Cell::text(th),
+                Cell::text(nr),
+                Cell::text(sr),
+                Cell::text(format!("{nms:.2}")),
+                Cell::text(format!("{sms:.2}")),
+            ]);
+        }
+        t
     }
 }
 
@@ -381,24 +370,22 @@ impl SensitivityReport {
         self.rows.iter().all(|(_, nf, sre, pm)| *nf > 1.0 && *sre > 1.0 && *pm > 0.8)
     }
 
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let header: Vec<String> = [
-            "device variant",
-            "NF speedup (deep FSM)",
-            "SRE speedup (convergent FSM)",
-            "PM speedup (spec-k FSM)",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let rows: Vec<Vec<String>> =
-            self.rows.iter().map(|(n, a, b, c)| vec![n.clone(), f2(*a), f2(*b), f2(*c)]).collect();
-        format!(
-            "Cost-model sensitivity: tier winners under perturbed device              constants (all ratios > 1 = conclusions stable)\n{}stable: {}\n",
-            render_table(&header, &rows),
-            self.conclusions_stable(),
-        )
+    /// The speedups per device variant (text only), and whether every
+    /// variant keeps the winners.
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
+            "Cost-model sensitivity: tier winners under perturbed device \
+             constants (all ratios > 1 = conclusions stable)",
+        );
+        t.text_column("device variant")
+            .text_column("NF speedup (deep FSM)")
+            .text_column("SRE speedup (convergent FSM)")
+            .text_column("PM speedup (spec-k FSM)");
+        for (n, a, b, c) in &self.rows {
+            t.row(vec![Cell::text(n), Cell::Ratio(*a), Cell::Ratio(*b), Cell::Ratio(*c)]);
+        }
+        t.footer(format!("stable: {}\n", self.conclusions_stable()));
+        t
     }
 }
 
@@ -421,7 +408,7 @@ mod tests {
         // NFAs are smaller but slower per character than the DFA pipeline.
         assert!(r.nfa_states < r.dfa_states * 10);
         assert!(r.nfa_cycles > r.dfa_gspecpal_cycles);
-        assert!(!r.render().is_empty());
+        assert!(r.table().text().is_some());
     }
 
     #[test]
@@ -510,24 +497,22 @@ pub fn run_budget_ablation(cfg: &ExperimentConfig) -> BudgetAblationReport {
 }
 
 impl BudgetAblationReport {
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut header = vec!["FSM".to_string(), "tier".to_string()];
-        header.extend(self.budgets.iter().map(|b| format!("budget={b}")));
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|(n, t, cells)| {
-                let mut row = vec![n.clone(), t.to_string()];
-                let best = cells.iter().map(|&(_, c)| c).min().unwrap_or(1) as f64;
-                row.extend(cells.iter().map(|&(_, c)| f2(c as f64 / best)));
-                row
-            })
-            .collect();
-        format!(
+    /// SRE cycles per budget, normalized to each FSM's best (text only).
+    pub fn table(&self) -> Table {
+        let mut t = Table::new(
             "Speculative-recovery budget ablation (SRE; normalized to each \
-             FSM's best)\n{}",
-            render_table(&header, &rows)
-        )
+             FSM's best)",
+        );
+        t.text_column("FSM").text_column("tier");
+        for b in &self.budgets {
+            t.text_column(format!("budget={b}"));
+        }
+        for (n, tier, cells) in &self.rows {
+            let best = cells.iter().map(|&(_, c)| c).min().unwrap_or(1) as f64;
+            let mut row = vec![Cell::text(n), Cell::text(tier)];
+            row.extend(cells.iter().map(|&(_, c)| Cell::Ratio(c as f64 / best)));
+            t.row(row);
+        }
+        t
     }
 }

@@ -1,8 +1,10 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
 //! Each `run_*` function reproduces one experiment from §V and returns a
-//! structured report; the `figures` binary prints them in the paper's
-//! format. All experiments are deterministic in `(seed, input_len)`.
+//! structured report. Each report renders through one [`report::Table`]:
+//! the `figures` binary prints its text view in the paper's format and
+//! writes its CSV view. All experiments are deterministic in
+//! `(seed, input_len)`.
 
 #![warn(missing_docs)]
 
@@ -10,7 +12,6 @@ pub mod adaptive_exp;
 pub mod chaos_exp;
 pub mod cli;
 pub mod cluster_exp;
-pub mod csv;
 pub mod experiments;
 pub mod extras;
 pub mod failover_exp;
@@ -27,8 +28,7 @@ pub use cluster_exp::{
     run_cluster_exp, ClusterExperimentConfig, ClusterExperimentReport, ClusterScenario,
 };
 pub use experiments::{
-    run_ablation, run_fig3, run_fig7, run_fig8, run_fig9, run_selector_eval, run_table2,
-    run_table3, ExperimentConfig,
+    run_ablation, run_fig3, run_fig7, run_fig8, run_fig9, run_table2, run_table3, ExperimentConfig,
 };
 pub use extras::{
     run_budget_ablation, run_cpu_scaling, run_device_sensitivity, run_model_validation,

@@ -76,30 +76,6 @@ impl ServeExperimentReport {
     pub fn total_transfer_cycles(&self) -> u64 {
         self.runs.iter().map(|r| r.profile.get(Phase::Transfer).cycles).sum()
     }
-
-    /// Paper-style text rendering.
-    pub fn render(&self) -> String {
-        let mut out = format!(
-            "Serving a stream trace ({} streams, {} bytes)\n",
-            self.streams, self.total_bytes
-        );
-        for r in &self.runs {
-            out.push_str(&format!(
-                "  {:<9} overlap={:<5} makespan={:>9}cy p50={:>7} p99={:>8} \
-                 {:.4} B/cy transfer={}cy hidden={}‰ backpressure={}\n",
-                r.policy.name(),
-                r.overlap,
-                r.makespan_cycles,
-                r.p50,
-                r.p99,
-                r.bytes_per_cycle,
-                r.profile.get(Phase::Transfer).cycles,
-                r.overlap_efficiency_permille,
-                r.backpressure_events,
-            ));
-        }
-        out
-    }
 }
 
 /// Deterministic arrival trace over two rule-set machines: payload bytes
