@@ -38,8 +38,7 @@ use gspecpal_bench::perf::{
 };
 use gspecpal_bench::{
     fleet_throughput_exp, run_ablation, run_adaptive, run_chaos, run_cluster_exp, run_failover_exp,
-    run_fig8, run_motivation, run_serve, throughput_exp, ClusterExperimentConfig, ExperimentConfig,
-    FailoverExperimentConfig, HostPerfConfig,
+    run_fig8, run_motivation, run_serve, throughput_exp, ExperimentConfig, HostPerfConfig,
 };
 
 /// Runs one experiment and returns its report with the host wall-ms it
@@ -138,23 +137,11 @@ fn main() {
         // The cluster experiment shapes its own fleet workload (skew and
         // priority traces engineered against the router's placement), so
         // it does not take the single-device ExperimentConfig.
-        (
-            "cluster",
-            timed(|| {
-                let ccfg = ClusterExperimentConfig::default();
-                cluster_json(&ccfg, &run_cluster_exp(&ccfg))
-            }),
-        ),
+        ("cluster", timed(|| cluster_json(&run_cluster_exp()))),
         // Likewise the failover experiment: it engineers its own outage
         // scenario (victim choice, crash cycle) against the fleet's
         // routing, independent of the single-device knobs.
-        (
-            "failover",
-            timed(|| {
-                let fcfg = FailoverExperimentConfig::default();
-                failover_json(&fcfg, &run_failover_exp(&fcfg))
-            }),
-        ),
+        ("failover", timed(|| failover_json(&run_failover_exp()))),
     ];
     if inflate_percent > 0 {
         eprintln!("[inflating headline totals by {inflate_percent}% — gate self-test]");
@@ -185,7 +172,7 @@ fn main() {
     // wall-clock (machine-dependent), so its report is written but never
     // checked against a baseline.
     if let Some(streams) = hostperf_streams {
-        let hcfg = HostPerfConfig { streams, device: cfg.device.clone(), ..Default::default() };
+        let hcfg = HostPerfConfig { streams, device: cfg.device.clone() };
         eprintln!("[hostperf: {streams} streams through the streaming serve engine]");
         let hreport = throughput_exp(&hcfg);
         eprintln!("[hostperf fleet row: {streams} streams across the heterogeneous cluster]");

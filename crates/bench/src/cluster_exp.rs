@@ -33,23 +33,13 @@ use gspecpal_serve::{
     BatchPolicy, PriorityClass, ResidencyConfig, ServeConfig, StreamArrival, Trace,
 };
 
-/// Workload shape for [`run_cluster_exp`].
-#[derive(Clone, Debug)]
-pub struct ClusterExperimentConfig {
-    /// Ring points per device.
-    pub vnodes: usize,
-    /// Machines (FSMs) on the fleet; hot pairs are chosen among them by
-    /// where the ring actually places them.
-    pub n_machines: usize,
-    /// Device global-memory budget for resident tables, per device.
-    pub residency_bytes: usize,
-}
-
-impl Default for ClusterExperimentConfig {
-    fn default() -> Self {
-        ClusterExperimentConfig { vnodes: 32, n_machines: 8, residency_bytes: 24 * 1024 }
-    }
-}
+/// Ring points per device.
+pub(crate) const VNODES: usize = 32;
+/// Machines (FSMs) on the fleet; hot pairs are chosen among them by where
+/// the ring actually places them.
+pub(crate) const N_MACHINES: usize = 8;
+/// Device global-memory budget for resident tables, per device.
+pub(crate) const RESIDENCY_BYTES: usize = 24 * 1024;
 
 /// One named scenario's full fleet report.
 #[derive(Clone, Debug)]
@@ -96,7 +86,7 @@ fn co_located_pair(ring: &HashRing, n_machines: usize) -> (usize, usize) {
 
 /// A distinct small DFA per machine id (5–12 states), so tables differ in
 /// footprint and the residency LRU has real decisions to make.
-fn fleet_dfas(n: usize) -> Vec<Dfa> {
+pub(crate) fn fleet_dfas(n: usize) -> Vec<Dfa> {
     (0..n).map(|m| mod_counter(5 + (m as u32 % 8), &[0])).collect()
 }
 
@@ -181,21 +171,21 @@ fn uniform_trace(n_machines: usize) -> Trace {
     Trace::synthetic(11, 96, n_machines, 40, 32..160, b"01")
 }
 
-fn serve_cfg(residency_bytes: usize, preempt: bool) -> ServeConfig {
+fn serve_cfg(preempt: bool) -> ServeConfig {
     ServeConfig {
         policy: BatchPolicy::Fifo { batch: 8 },
-        residency: Some(ResidencyConfig { capacity_bytes: residency_bytes }),
+        residency: Some(ResidencyConfig { capacity_bytes: RESIDENCY_BYTES }),
         preempt,
         ..ServeConfig::default()
     }
 }
 
-/// Runs all five scenarios. Deterministic in `cfg` alone: traces are
-/// engineered against the ring the config produces, so the skew scenarios
-/// always have their collision and the priority scenarios always have a
-/// deadline stream arriving under an open bulk kernel.
-pub fn run_cluster_exp(cfg: &ClusterExperimentConfig) -> ClusterExperimentReport {
-    let dfas = fleet_dfas(cfg.n_machines);
+/// Runs all five scenarios. Deterministic: traces are engineered against
+/// the ring, so the skew scenarios always have their collision and the
+/// priority scenarios always have a deadline stream arriving under an open
+/// bulk kernel.
+pub fn run_cluster_exp() -> ClusterExperimentReport {
+    let dfas = fleet_dfas(N_MACHINES);
     let mut scenarios = Vec::new();
 
     // -- Skew pair: three equal workstation devices, two hot machines the
@@ -206,14 +196,14 @@ pub fn run_cluster_exp(cfg: &ClusterExperimentConfig) -> ClusterExperimentReport
         ClusterDevice::rtx3090_pcie(),
         ClusterDevice::rtx3090_pcie(),
     ];
-    let ring = HashRing::new(skew_devices.len(), cfg.vnodes);
-    let hot = co_located_pair(&ring, cfg.n_machines);
+    let ring = HashRing::new(skew_devices.len(), VNODES);
+    let hot = co_located_pair(&ring, N_MACHINES);
     const EPOCH: u64 = 48_000;
     let machines = machines_with_deadline(&dfas, None);
-    let trace = skew_trace(hot, cfg.n_machines, EPOCH);
+    let trace = skew_trace(hot, N_MACHINES, EPOCH);
     let base = ClusterConfig {
-        vnodes: cfg.vnodes,
-        serve: serve_cfg(cfg.residency_bytes, false),
+        vnodes: VNODES,
+        serve: serve_cfg(false),
         rebalance: None,
         outage: None,
         failover: None,
@@ -235,13 +225,13 @@ pub fn run_cluster_exp(cfg: &ClusterExperimentConfig) -> ClusterExperimentReport
     // machine (again by ring construction), so its batches land exactly
     // where the long bulk kernels run.
     let prio_devices = vec![ClusterDevice::test_unit(), ClusterDevice::test_unit()];
-    let prio_ring = HashRing::new(prio_devices.len(), cfg.vnodes);
-    let (bulk_m, deadline_m) = co_located_pair(&prio_ring, cfg.n_machines);
+    let prio_ring = HashRing::new(prio_devices.len(), VNODES);
+    let (bulk_m, deadline_m) = co_located_pair(&prio_ring, N_MACHINES);
     let prio_machines = machines_with_deadline(&dfas, Some(deadline_m));
     let prio_trace = priority_trace(bulk_m, deadline_m);
     let fifo = ClusterConfig {
-        vnodes: cfg.vnodes,
-        serve: serve_cfg(cfg.residency_bytes, false),
+        vnodes: VNODES,
+        serve: serve_cfg(false),
         rebalance: None,
         outage: None,
         failover: None,
@@ -251,7 +241,7 @@ pub fn run_cluster_exp(cfg: &ClusterExperimentConfig) -> ClusterExperimentReport
         report: run_cluster(&prio_devices, &prio_machines, &prio_trace, &fifo)
             .expect("priority trace is servable"),
     });
-    let preempt = ClusterConfig { serve: serve_cfg(cfg.residency_bytes, true), ..fifo.clone() };
+    let preempt = ClusterConfig { serve: serve_cfg(true), ..fifo.clone() };
     scenarios.push(ClusterScenario {
         name: "priority_preempt",
         report: run_cluster(&prio_devices, &prio_machines, &prio_trace, &preempt)
@@ -263,15 +253,15 @@ pub fn run_cluster_exp(cfg: &ClusterExperimentConfig) -> ClusterExperimentReport
     let hetero_devices =
         vec![ClusterDevice::a100_nvlink(), ClusterDevice::rtx3090_pcie(), ClusterDevice::t4_pcie()];
     let hetero = ClusterConfig {
-        vnodes: cfg.vnodes,
-        serve: serve_cfg(cfg.residency_bytes, false),
+        vnodes: VNODES,
+        serve: serve_cfg(false),
         rebalance: None,
         outage: None,
         failover: None,
     };
     scenarios.push(ClusterScenario {
         name: "hetero_fleet",
-        report: run_cluster(&hetero_devices, &machines, &uniform_trace(cfg.n_machines), &hetero)
+        report: run_cluster(&hetero_devices, &machines, &uniform_trace(N_MACHINES), &hetero)
             .expect("uniform trace is servable"),
     });
 
@@ -284,7 +274,7 @@ mod tests {
 
     #[test]
     fn rebalancing_beats_static_sharding_on_the_skewed_trace() {
-        let r = run_cluster_exp(&ClusterExperimentConfig::default());
+        let r = run_cluster_exp();
         let stat = r.scenario("skew_static");
         let reb = r.scenario("skew_rebalanced");
         assert_eq!(stat.router.migrations, 0);
@@ -301,7 +291,7 @@ mod tests {
 
     #[test]
     fn preemption_cuts_deadline_p99_without_starving_bulk() {
-        let r = run_cluster_exp(&ClusterExperimentConfig::default());
+        let r = run_cluster_exp();
         let fifo = r.scenario("priority_fifo");
         let pre = r.scenario("priority_preempt");
         assert_eq!(fifo.preemptions, 0);
@@ -320,7 +310,7 @@ mod tests {
 
     #[test]
     fn residency_lru_sees_hits_and_is_reported() {
-        let r = run_cluster_exp(&ClusterExperimentConfig::default());
+        let r = run_cluster_exp();
         for s in &r.scenarios {
             let res = &s.report.residency;
             assert!(res.hits + res.misses > 0, "{}: residency never consulted", s.name);
@@ -334,9 +324,8 @@ mod tests {
 
     #[test]
     fn the_experiment_is_deterministic() {
-        let cfg = ClusterExperimentConfig::default();
-        let a = run_cluster_exp(&cfg);
-        let b = run_cluster_exp(&cfg);
+        let a = run_cluster_exp();
+        let b = run_cluster_exp();
         assert_eq!(a.total_makespan(), b.total_makespan());
         for (x, y) in a.scenarios.iter().zip(&b.scenarios) {
             assert_eq!(x.name, y.name);

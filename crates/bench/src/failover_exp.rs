@@ -24,36 +24,15 @@ use gspecpal_cluster::{
     run_cluster, ClusterConfig, ClusterDevice, ClusterReport, DeviceOutage, FailoverConfig,
     FleetMachine,
 };
-use gspecpal_fsm::examples::mod_counter;
 use gspecpal_fsm::Dfa;
 use gspecpal_serve::{PriorityClass, ResidencyConfig, ServeConfig, Trace};
 
-/// Workload shape for [`run_failover_exp`].
-#[derive(Clone, Debug)]
-pub struct FailoverExperimentConfig {
-    /// Ring points per device.
-    pub vnodes: usize,
-    /// Machines (FSMs) on the fleet.
-    pub n_machines: usize,
-    /// Streams in the synthetic trace.
-    pub streams: usize,
-    /// Checkpoint cadence on the doomed device, in formed batches.
-    pub checkpoint_every_batches: usize,
-    /// Device global-memory budget for resident tables, per device.
-    pub residency_bytes: usize,
-}
+use crate::cluster_exp::{fleet_dfas, N_MACHINES, RESIDENCY_BYTES, VNODES};
 
-impl Default for FailoverExperimentConfig {
-    fn default() -> Self {
-        FailoverExperimentConfig {
-            vnodes: 32,
-            n_machines: 8,
-            streams: 72,
-            checkpoint_every_batches: 3,
-            residency_bytes: 24 * 1024,
-        }
-    }
-}
+/// Streams in the synthetic trace.
+pub(crate) const STREAMS: usize = 72;
+/// Checkpoint cadence on the doomed device, in formed batches.
+pub(crate) const CHECKPOINT_EVERY_BATCHES: usize = 3;
 
 /// One named scenario's full fleet report.
 #[derive(Clone, Debug)]
@@ -93,21 +72,15 @@ impl FailoverExperimentReport {
     }
 }
 
-/// A distinct small DFA per machine id, mirroring the cluster experiment,
-/// so tables differ in footprint and the residency LRU works for a living.
-fn fleet_dfas(n: usize) -> Vec<Dfa> {
-    (0..n).map(|m| mod_counter(5 + (m as u32 % 8), &[0])).collect()
-}
-
 fn fleet_machines(dfas: &[Dfa]) -> Vec<FleetMachine<'_>> {
     dfas.iter()
         .map(|dfa| FleetMachine { dfa, training: b"0110", class: PriorityClass::Bulk })
         .collect()
 }
 
-fn serve_cfg(residency_bytes: usize, faults: Option<FaultPlan>) -> ServeConfig {
+fn serve_cfg(faults: Option<FaultPlan>) -> ServeConfig {
     ServeConfig {
-        residency: Some(ResidencyConfig { capacity_bytes: residency_bytes }),
+        residency: Some(ResidencyConfig { capacity_bytes: RESIDENCY_BYTES }),
         scheme_config: SchemeConfig { faults, ..SchemeConfig::default() },
         ..ServeConfig::default()
     }
@@ -115,20 +88,21 @@ fn serve_cfg(residency_bytes: usize, faults: Option<FaultPlan>) -> ServeConfig {
 
 /// Runs the failover experiment: a healthy reference, a mid-trace device
 /// kill recovered through checkpoint failover, and the same kill with the
-/// migration path under fault injection.
-pub fn run_failover_exp(cfg: &FailoverExperimentConfig) -> FailoverExperimentReport {
-    let dfas = fleet_dfas(cfg.n_machines);
+/// migration path under fault injection. The fleet's machines, ring and
+/// residency budget are the cluster experiment's.
+pub fn run_failover_exp() -> FailoverExperimentReport {
+    let dfas = fleet_dfas(N_MACHINES);
     let machines = fleet_machines(&dfas);
     let devices = vec![
         ClusterDevice::rtx3090_pcie(),
         ClusterDevice::rtx3090_pcie(),
         ClusterDevice::rtx3090_pcie(),
     ];
-    let trace = Trace::synthetic(51, cfg.streams, cfg.n_machines, 220, 24..160, b"01");
+    let trace = Trace::synthetic(51, STREAMS, N_MACHINES, 220, 24..160, b"01");
 
     let healthy_cfg = ClusterConfig {
-        vnodes: cfg.vnodes,
-        serve: serve_cfg(cfg.residency_bytes, None),
+        vnodes: VNODES,
+        serve: serve_cfg(None),
         rebalance: None,
         outage: None,
         failover: None,
@@ -143,7 +117,7 @@ pub fn run_failover_exp(cfg: &FailoverExperimentConfig) -> FailoverExperimentRep
         .expect("nonempty fleet");
     let at_cycle = trace.arrivals()[trace.len() / 2].arrival_cycle;
     let failover = FailoverConfig {
-        checkpoint_every_batches: cfg.checkpoint_every_batches,
+        checkpoint_every_batches: CHECKPOINT_EVERY_BATCHES,
         ..FailoverConfig::default()
     };
     let mid_cfg = ClusterConfig {
@@ -158,10 +132,7 @@ pub fn run_failover_exp(cfg: &FailoverExperimentConfig) -> FailoverExperimentRep
     // migration itself roll against the plan, so the replay bill includes
     // retries and backoff.
     let faulty_plan = FaultPlan { copy_fail_permille: 400, ..FaultPlan::chaos(51, 60) };
-    let faulty_cfg = ClusterConfig {
-        serve: serve_cfg(cfg.residency_bytes, Some(faulty_plan)),
-        ..mid_cfg.clone()
-    };
+    let faulty_cfg = ClusterConfig { serve: serve_cfg(Some(faulty_plan)), ..mid_cfg.clone() };
     let faulty = run_cluster(&devices, &machines, &trace, &faulty_cfg)
         .expect("faulty failover recovery completes");
 
@@ -180,7 +151,7 @@ mod tests {
 
     #[test]
     fn failover_scenarios_lose_nothing_and_pay_a_measured_price() {
-        let r = run_failover_exp(&FailoverExperimentConfig::default());
+        let r = run_failover_exp();
         let healthy = r.scenario("crash_free");
         assert_eq!(healthy.lost_streams, 0);
         assert_eq!(healthy.failover.checkpoints_taken, 0, "no failover, no checkpoints");
@@ -202,9 +173,8 @@ mod tests {
 
     #[test]
     fn failover_experiment_is_deterministic() {
-        let cfg = FailoverExperimentConfig::default();
-        let a = run_failover_exp(&cfg);
-        let b = run_failover_exp(&cfg);
+        let a = run_failover_exp();
+        let b = run_failover_exp();
         assert_eq!(a.total_makespan(), b.total_makespan());
         for (x, y) in a.scenarios.iter().zip(&b.scenarios) {
             assert_eq!(x.report, y.report, "{}", x.name);

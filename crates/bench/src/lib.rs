@@ -24,9 +24,7 @@ pub use adaptive_exp::{
     run_adaptive, AdaptiveExperimentReport, AdaptiveRunSummary, SegmentSummary,
 };
 pub use chaos_exp::{run_chaos, ChaosExperimentReport, ChaosRunSummary};
-pub use cluster_exp::{
-    run_cluster_exp, ClusterExperimentConfig, ClusterExperimentReport, ClusterScenario,
-};
+pub use cluster_exp::{run_cluster_exp, ClusterExperimentReport, ClusterScenario};
 pub use experiments::{
     run_ablation, run_fig3, run_fig7, run_fig8, run_fig9, run_table2, run_table3, ExperimentConfig,
 };
@@ -34,9 +32,7 @@ pub use extras::{
     run_budget_ablation, run_cpu_scaling, run_device_sensitivity, run_model_validation,
     run_motivation,
 };
-pub use failover_exp::{
-    run_failover_exp, FailoverExperimentConfig, FailoverExperimentReport, FailoverScenario,
-};
+pub use failover_exp::{run_failover_exp, FailoverExperimentReport, FailoverScenario};
 pub use hostperf::{
     fleet_throughput_exp, peak_rss_kb, throughput_exp, FleetPerfReport, HostPerfConfig,
     HostPerfReport,

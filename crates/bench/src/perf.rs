@@ -31,11 +31,11 @@ use gspecpal_gpu::{PhaseCounters, PhaseProfile};
 
 use crate::adaptive_exp::{AdaptiveExperimentReport, AdaptiveRunSummary};
 use crate::chaos_exp::ChaosExperimentReport;
-use crate::cluster_exp::{ClusterExperimentConfig, ClusterExperimentReport};
+use crate::cluster_exp::{self, ClusterExperimentReport};
 use crate::experiments::{AblationReport, ExperimentConfig, Fig8Report};
 use crate::extras::MotivationReport;
-use crate::failover_exp::{FailoverExperimentConfig, FailoverExperimentReport};
-use crate::hostperf::{FleetPerfReport, HostPerfConfig, HostPerfReport};
+use crate::failover_exp::{self, FailoverExperimentReport};
+use crate::hostperf::{self, FleetPerfReport, HostPerfConfig, HostPerfReport};
 use crate::serve_exp::ServeExperimentReport;
 
 /// Version stamped into every report; bump on any schema change.
@@ -430,7 +430,7 @@ fn latency_summary_json(s: &gspecpal_serve::LatencySummary) -> Json {
 /// is the summed makespan of all scenarios, so the 5% gate trips on a
 /// regression in routing, residency charging, migration pricing, or
 /// preemption scheduling.
-pub fn cluster_json(cfg: &ClusterExperimentConfig, r: &ClusterExperimentReport) -> Json {
+pub fn cluster_json(r: &ClusterExperimentReport) -> Json {
     let scenarios: Vec<Json> = r
         .scenarios
         .iter()
@@ -492,9 +492,9 @@ pub fn cluster_json(cfg: &ClusterExperimentConfig, r: &ClusterExperimentReport) 
         (
             "config",
             obj(vec![
-                ("vnodes", Json::U64(cfg.vnodes as u64)),
-                ("n_machines", Json::U64(cfg.n_machines as u64)),
-                ("residency_bytes", Json::U64(cfg.residency_bytes as u64)),
+                ("vnodes", Json::U64(cluster_exp::VNODES as u64)),
+                ("n_machines", Json::U64(cluster_exp::N_MACHINES as u64)),
+                ("residency_bytes", Json::U64(cluster_exp::RESIDENCY_BYTES as u64)),
             ]),
         ),
         ("total_cycles", Json::U64(r.total_makespan())),
@@ -529,7 +529,7 @@ pub fn cluster_json(cfg: &ClusterExperimentConfig, r: &ClusterExperimentReport) 
 /// trips when checkpointing, migration pricing, or orphan replay gets more
 /// expensive; the summary carries the recovery-overhead permille and the
 /// replayed-cycle counters.
-pub fn failover_json(cfg: &FailoverExperimentConfig, r: &FailoverExperimentReport) -> Json {
+pub fn failover_json(r: &FailoverExperimentReport) -> Json {
     let scenarios: Vec<Json> = r
         .scenarios
         .iter()
@@ -564,11 +564,14 @@ pub fn failover_json(cfg: &FailoverExperimentConfig, r: &FailoverExperimentRepor
         (
             "config",
             obj(vec![
-                ("vnodes", Json::U64(cfg.vnodes as u64)),
-                ("n_machines", Json::U64(cfg.n_machines as u64)),
-                ("streams", Json::U64(cfg.streams as u64)),
-                ("checkpoint_every_batches", Json::U64(cfg.checkpoint_every_batches as u64)),
-                ("residency_bytes", Json::U64(cfg.residency_bytes as u64)),
+                ("vnodes", Json::U64(cluster_exp::VNODES as u64)),
+                ("n_machines", Json::U64(cluster_exp::N_MACHINES as u64)),
+                ("streams", Json::U64(failover_exp::STREAMS as u64)),
+                (
+                    "checkpoint_every_batches",
+                    Json::U64(failover_exp::CHECKPOINT_EVERY_BATCHES as u64),
+                ),
+                ("residency_bytes", Json::U64(cluster_exp::RESIDENCY_BYTES as u64)),
             ]),
         ),
         ("total_cycles", Json::U64(r.total_makespan())),
@@ -625,10 +628,10 @@ pub fn hostperf_json(cfg: &HostPerfConfig, r: &HostPerfReport, fleet: &FleetPerf
             "config",
             obj(vec![
                 ("streams", Json::U64(cfg.streams as u64)),
-                ("seed", Json::U64(cfg.seed)),
-                ("mean_gap", Json::U64(cfg.mean_gap)),
-                ("len_min", Json::U64(cfg.len_range.start as u64)),
-                ("len_max", Json::U64(cfg.len_range.end as u64)),
+                ("seed", Json::U64(hostperf::SEED)),
+                ("mean_gap", Json::U64(hostperf::MEAN_GAP)),
+                ("len_min", Json::U64(hostperf::LEN_RANGE.start as u64)),
+                ("len_max", Json::U64(hostperf::LEN_RANGE.end as u64)),
                 ("device", Json::Str(cfg.device.name.to_string())),
             ]),
         ),

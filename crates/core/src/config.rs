@@ -22,7 +22,10 @@ pub enum StitchPolicy {
     Tree,
 }
 
-/// Parameters shared by all parallel schemes.
+/// Parameters shared by all parallel schemes. The predictor's lookback is
+/// the constant [`crate::predict::LOOKBACK`]. A run answers with the final
+/// state and the accept decision (the paper's void output function φ,
+/// §II-A); match counts come from the host's `Dfa::count_matches`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SchemeConfig {
     /// Number of chunks = number of GPU threads (`N` in Table I). The paper's
@@ -38,17 +41,6 @@ pub struct SchemeConfig {
     /// Register budget for `VR_i^end` — records produced by the owning
     /// thread itself (fixed to 16 in the paper's experiments).
     pub vr_end_registers: usize,
-    /// How many lookback bytes the predictor uses (the paper uses
-    /// all-state lookback-2).
-    pub lookback: usize,
-    /// Count accepting-state visits while executing (match reporting for
-    /// search DFAs). The paper's setting treats the per-step output function
-    /// φ as void (§II-A) and only reports the final accept decision; with
-    /// this flag the φ of pattern-matching workloads — "report a match at
-    /// every accepting visit" — is folded into every speculative path and
-    /// recovery at one extra ALU op per transition, and the verified total
-    /// appears in `RunOutcome::match_count`.
-    pub count_matches: bool,
     /// How many *speculative* (non-frontier) recoveries each rear thread may
     /// execute from forwarded end states — the order of the "higher-order
     /// speculation" \[21\] that SRE generalizes. 1 reproduces the paper's SRE
@@ -79,8 +71,6 @@ impl Default for SchemeConfig {
             spec_k: 4,
             vr_others_registers: 16,
             vr_end_registers: 16,
-            lookback: 2,
-            count_matches: false,
             spec_recovery_budget: 1,
             stitch: StitchPolicy::Tree,
             faults: None,
@@ -108,7 +98,6 @@ impl SchemeConfig {
         positive("n_chunks", self.n_chunks)?;
         positive("spec_k", self.spec_k)?;
         positive("vr_end_registers", self.vr_end_registers)?;
-        positive("lookback", self.lookback)?;
         if input_len == 0 {
             return Err(CoreError::EmptyInput { n_chunks: self.n_chunks });
         }
@@ -129,7 +118,6 @@ mod tests {
         assert_eq!(c.n_chunks, 256);
         assert_eq!(c.spec_k, 4);
         assert_eq!(c.vr_others_registers, 16);
-        assert_eq!(c.lookback, 2);
         assert_eq!(c.stitch, StitchPolicy::Tree);
     }
 

@@ -15,9 +15,8 @@ use std::time::{Duration, Instant};
 
 use gspecpal_fsm::{Dfa, StateId};
 
-use crate::config::SchemeConfig;
 use crate::partition::partition;
-use crate::predict::boundary_queues;
+use crate::predict::{boundary_queues, LOOKBACK};
 
 /// Result of a multicore speculative run.
 #[derive(Clone, Debug)]
@@ -87,7 +86,7 @@ fn run_rounds(dfa: &Dfa, input: &[u8], n_threads: usize, policy: Policy) -> CpuR
     assert!(n_threads > 0, "need at least one thread");
     let n = n_threads.min(input.len().max(1));
     let chunks = partition(input.len(), n);
-    let mut queues = boundary_queues(dfa, input, &chunks, SchemeConfig::default().lookback);
+    let mut queues = boundary_queues(dfa, input, &chunks, LOOKBACK);
 
     let t0 = Instant::now();
     let mut jobs: Vec<Job> =

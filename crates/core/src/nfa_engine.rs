@@ -147,12 +147,12 @@ mod tests {
         b.add_range(s0, 0, 255, s0);
         let a1 = b.add_state(false);
         let a2 = b.add_state(true);
-        b.add_byte(s0, b'a', a1);
-        b.add_byte(a1, b'b', a2);
+        b.add_range(s0, b'a', b'a', a1);
+        b.add_range(a1, b'b', b'b', a2);
         let b1 = b.add_state(false);
         let b2 = b.add_state(true);
-        b.add_byte(s0, b'b', b1);
-        b.add_byte(b1, b'a', b2);
+        b.add_range(s0, b'b', b'b', b1);
+        b.add_range(b1, b'a', b'a', b2);
         b.build(s0)
     }
 
@@ -188,8 +188,8 @@ mod tests {
         for _ in 0..16 {
             let m = b.add_state(false);
             let e = b.add_state(true);
-            b.add_byte(s0, b'x', m);
-            b.add_byte(m, b'y', e);
+            b.add_range(s0, b'x', b'x', m);
+            b.add_range(m, b'y', b'y', e);
         }
         let n = b.build(s0);
         let input = b"xyxyxyxyxyxyxyxy".repeat(8);
@@ -210,7 +210,7 @@ mod tests {
         let mut b = NfaBuilder::new();
         let s0 = b.add_state(false);
         let s1 = b.add_state(true);
-        b.add_byte(s0, b'a', s1);
+        b.add_range(s0, b'a', b'a', s1);
         let n = b.build(s0);
         let out = run_nfa_device(&DeviceSpec::test_unit(), &n, b"bcd", 2);
         assert!(out.final_set.is_empty());

@@ -32,6 +32,11 @@ use gspecpal_gpu::{
 
 use crate::specq::SpecQueue;
 
+/// Lookback bytes of the all-state predictor, for every scheme, the
+/// selector's profile and the cpu engine (the paper's all-state
+/// lookback-2).
+pub const LOOKBACK: usize = 2;
+
 /// The output of the prediction phase: one ranked queue per chunk, plus the
 /// simulated cost of producing them.
 #[derive(Clone, Debug)]

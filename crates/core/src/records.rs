@@ -13,22 +13,19 @@ use gspecpal_fsm::StateId;
 use gspecpal_gpu::ThreadCtx;
 
 /// One speculative execution/recovery record: the chunk was run from
-/// `start`, ended in `end`, and visited `matches` accepting states along the
-/// way (0 when match counting is disabled).
+/// `start` and ended in `end`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct VrRecord {
     /// Start state the chunk was executed from.
     pub start: StateId,
     /// Resulting end state.
     pub end: StateId,
-    /// Accepting-state visits observed during the run.
-    pub matches: u64,
 }
 
 impl VrRecord {
-    /// A record without match information.
+    /// A record of a run from `start` that ended in `end`.
     pub fn new(start: StateId, end: StateId) -> Self {
-        VrRecord { start, end, matches: 0 }
+        VrRecord { start, end }
     }
 }
 
@@ -55,8 +52,7 @@ impl ChunkRecords {
     }
 
     fn push_other(&mut self, ctx: &mut ThreadCtx<'_>, others_cap: usize, rec: VrRecord) {
-        // Store {start, end, matches} to shared memory for the owner to
-        // pick up.
+        // Store {start, end} to shared memory for the owner to pick up.
         ctx.shared(2);
         if self.others.iter().any(|r| r.start == rec.start)
             || self.own.iter().any(|r| r.start == rec.start)

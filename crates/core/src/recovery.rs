@@ -247,13 +247,7 @@ impl RoundKernel for DegradedWalk<'_> {
 
     fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let t0 = ctx.cycles();
-        let _ = self.job.table.run_chunk_with(
-            ctx,
-            self.job.input,
-            self.window.clone(),
-            self.start,
-            self.job.config.count_matches,
-        );
+        self.job.table.run_chunk(ctx, self.job.input, self.window.clone(), self.start);
         ctx.credit_recovery(t0);
         RoundOutcome::RECOVERING
     }
@@ -369,45 +363,38 @@ mod tests {
         let d = d.permute(&[3, 0, 1, 2, 4, 5, 6]).unwrap();
         assert_eq!(d.start(), 3);
         let table = DeviceTable::transformed(&d, d.n_states() / 2);
-        for count_matches in [false, true] {
-            // One verification block; a 0‰ ladder degrades it.
-            let config = |misspec_degrade_permille| SchemeConfig {
-                n_chunks: 16,
-                count_matches,
-                recovery: RecoveryConfig { misspec_degrade_permille, ..RecoveryConfig::default() },
-                ..SchemeConfig::default()
-            };
-            let clean = Job::new(&spec, &table, &input, config(u32::MAX)).unwrap();
-            let degraded = Job::new(&spec, &table, &input, config(0)).unwrap();
-            let walk = launch(
-                &spec,
-                1,
-                &mut DegradedWalk { job: &clean, window: 0..input.len(), start: d.start() },
-            );
-            let oracle = launch(&spec, 1, &mut OneWalk(&table, &input, d.start(), count_matches));
-            assert_eq!(walk, oracle, "the degraded walk is one run_chunk_with from the start");
-            for kind in [SchemeKind::Sre, SchemeKind::Rr, SchemeKind::Nf, SchemeKind::Naive] {
-                let mut expect = run_scheme(kind, &clean).verify;
-                expect.merge_sequential(&walk);
-                expect.fault_cycles += walk.cycles;
-                expect.fault_degraded_blocks += 1;
-                assert_eq!(
-                    run_scheme(kind, &degraded).verify,
-                    expect,
-                    "{kind:?}, counting {count_matches}"
-                );
-            }
+        // One verification block; a 0‰ ladder degrades it.
+        let config = |misspec_degrade_permille| SchemeConfig {
+            n_chunks: 16,
+            recovery: RecoveryConfig { misspec_degrade_permille, ..RecoveryConfig::default() },
+            ..SchemeConfig::default()
+        };
+        let clean = Job::new(&spec, &table, &input, config(u32::MAX)).unwrap();
+        let degraded = Job::new(&spec, &table, &input, config(0)).unwrap();
+        let walk = launch(
+            &spec,
+            1,
+            &mut DegradedWalk { job: &clean, window: 0..input.len(), start: d.start() },
+        );
+        let oracle = launch(&spec, 1, &mut OneWalk(&table, &input, d.start()));
+        assert_eq!(walk, oracle, "the degraded walk is one run_chunk from the start");
+        for kind in [SchemeKind::Sre, SchemeKind::Rr, SchemeKind::Nf, SchemeKind::Naive] {
+            let mut expect = run_scheme(kind, &clean).verify;
+            expect.merge_sequential(&walk);
+            expect.fault_cycles += walk.cycles;
+            expect.fault_degraded_blocks += 1;
+            assert_eq!(run_scheme(kind, &degraded).verify, expect, "{kind:?}");
         }
     }
 
     /// One thread walks all of `input` from a state with
-    /// [`DeviceTable::run_chunk_with`], credited as recovery.
-    struct OneWalk<'a>(&'a DeviceTable<'a>, &'a [u8], StateId, bool);
+    /// [`DeviceTable::run_chunk`], credited as recovery.
+    struct OneWalk<'a>(&'a DeviceTable<'a>, &'a [u8], StateId);
 
     impl RoundKernel for OneWalk<'_> {
         fn round(&mut self, _tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
             let t0 = ctx.cycles();
-            self.0.run_chunk_with(ctx, self.1, 0..self.1.len(), self.2, self.3);
+            self.0.run_chunk(ctx, self.1, 0..self.1.len(), self.2);
             ctx.credit_recovery(t0);
             RoundOutcome::RECOVERING
         }

@@ -89,10 +89,6 @@ pub struct RunOutcome {
     pub verification_checks: u64,
     /// How many of those checks found a matching record.
     pub verification_matches: u64,
-    /// Total accepting-state visits across the verified execution, when the
-    /// job ran with [`crate::SchemeConfig::count_matches`] (the
-    /// match-reporting output function); `None` otherwise.
-    pub match_count: Option<u64>,
     /// The verified frontier's position after every verification round —
     /// the observable trajectory of the frontier walk: PM/naive advance one
     /// mismatch at a time, SRE crawls on non-convergent machines, RR/NF
@@ -204,7 +200,6 @@ mod tests {
             verify: KernelStats { cycles: 50, ..KernelStats::default() },
             verification_checks: 8,
             verification_matches: 6,
-            match_count: None,
             frontier_trace: vec![1, 3],
         }
     }

@@ -10,7 +10,7 @@ use gspecpal_gpu::{
     KernelStats, Phase, RoundKernel, RoundOutcome, ThreadCtx,
 };
 
-use crate::predict::{predict, Prediction};
+use crate::predict::{predict, Prediction, LOOKBACK};
 use crate::records::{VrRecord, VrSlice, VrStore};
 use crate::recovery::{apply_grid_recovery, BlockRecoveryCtx};
 use crate::run::{RunOutcome, SchemeKind};
@@ -32,9 +32,6 @@ pub struct ExecPhase {
     pub ends: Vec<StateId>,
     /// The start state each chunk's primary path speculated.
     pub spec_starts: Vec<StateId>,
-    /// Accepting-state visits along each chunk's primary path (all zero when
-    /// match counting is disabled).
-    pub counts: Vec<u64>,
     /// Prediction kernel cost (`C`).
     pub predict_stats: KernelStats,
     /// Speculative execution kernel cost (`T_par`, with the spec-k
@@ -47,7 +44,7 @@ pub struct ExecPhase {
 pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
     let chunks = job.chunks();
     let Prediction { mut queues, stats: predict_stats } =
-        predict(job.table.dfa(), job.input, &chunks, job.config.lookback, job.spec);
+        predict(job.table.dfa(), job.input, &chunks, LOOKBACK, job.spec);
     // PM stores its k speculative paths in the thread's own registers, so the
     // own-record window must fit them.
     let own_cap = job.config.vr_end_registers.max(k);
@@ -61,7 +58,6 @@ pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
         tids: 0..0,
         ends: vec![0; chunks.len()],
         spec_starts: vec![0; chunks.len()],
-        counts: vec![0; chunks.len()],
         dequeues: Vec::new(),
         walks: WalkBatch::default(),
     };
@@ -85,7 +81,6 @@ pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
     let exec_stats = grid.fold();
     let mut ends = kernel.ends;
     let spec_starts = kernel.spec_starts;
-    let counts = kernel.counts;
     // Speculative-state corruption: poison the struck chunk's records (their
     // starts become unmatchable, so every verification scan misses) and skew
     // its speculated end (so any consumer trusting it — block incomings —
@@ -104,7 +99,7 @@ pub fn exec_phase(job: &Job<'_>, k: usize) -> ExecPhase {
             }
         }
     }
-    ExecPhase { chunks, queues, vr, ends, spec_starts, counts, predict_stats, exec_stats }
+    ExecPhase { chunks, queues, vr, ends, spec_starts, predict_stats, exec_stats }
 }
 
 /// The speculative execution grid: chunks are one-to-one with threads and
@@ -124,7 +119,6 @@ struct ExecKernel<'a> {
     tids: Range<usize>,
     ends: Vec<StateId>,
     spec_starts: Vec<StateId>,
-    counts: Vec<u64>,
     /// Per thread of the block: the dequeue calls it made, one atomic each.
     dequeues: Vec<u64>,
     /// Walk `rel` is the block's thread `rel`'s chunk from its dequeued
@@ -155,23 +149,19 @@ impl RoundKernel for ExecKernel<'_> {
             debug_assert!(!self.walks.starts(rel).is_empty(), "the lookback queue is never empty");
             self.dequeues.push(calls as u64);
         }
-        let count = self.job.config.count_matches;
-        self.job.table.step_walks(self.job.input, &mut self.walks, count);
+        self.job.table.step_walks(self.job.input, &mut self.walks);
     }
 
     fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
         let rel = tid - self.tids.start;
         ctx.atomic(self.dequeues[rel]);
-        let (table, count) = (self.job.table, self.job.config.count_matches);
-        table.charge_walk(ctx, self.job.input, &mut self.walks, rel, count);
-        let (starts, ends, counts) =
-            (self.walks.starts(rel), self.walks.ends(rel), self.walks.matches(rel));
-        for ((&start, &end), &matches) in starts.iter().zip(ends).zip(counts) {
-            self.vr.push_own(tid, VrRecord { start, end, matches });
+        self.job.table.charge_walk(ctx, self.job.input, &mut self.walks, rel);
+        let (starts, ends) = (self.walks.starts(rel), self.walks.ends(rel));
+        for (&start, &end) in starts.iter().zip(ends) {
+            self.vr.push_own(tid, VrRecord::new(start, end));
         }
         self.spec_starts[tid] = starts[0];
         self.ends[tid] = ends[0];
-        self.counts[tid] = counts[0];
         RoundOutcome::ACTIVE
     }
 
@@ -203,7 +193,7 @@ pub(crate) fn verify_phase<K: WindowKernel>(
     mut verify: KernelStats,
     mut make: impl FnMut(&mut Window<'_>) -> Option<K>,
 ) -> RunOutcome {
-    let ExecPhase { chunks, mut vr, mut ends, mut counts, predict_stats, exec_stats, .. } = phase;
+    let ExecPhase { chunks, mut vr, mut ends, predict_stats, exec_stats, .. } = phase;
     let n = chunks.len();
     let mut checks = 0u64;
     let mut matches = 0u64;
@@ -216,7 +206,7 @@ pub(crate) fn verify_phase<K: WindowKernel>(
         let segments: Vec<(Range<usize>, StateId)> =
             dims.iter().map(|d| (d.tids.clone(), incomings[d.index])).collect();
         {
-            let mut windows = windows(job, &chunks, &segments, &mut vr, &mut ends, &mut counts);
+            let mut windows = windows(job, &chunks, &segments, &mut vr, &mut ends);
             let mut blocks: Vec<(usize, OnWindow<'_, '_, K>)> = windows
                 .iter_mut()
                 .filter_map(|w| {
@@ -242,8 +232,7 @@ pub(crate) fn verify_phase<K: WindowKernel>(
                 frontier_trace.extend_from_slice(&w.frontier_trace);
             }
         }
-        let stitched =
-            stitch_blocks(job, &chunks, &dims, &incomings, &mut vr, &mut ends, &mut counts);
+        let stitched = stitch_blocks(job, &chunks, &dims, &incomings, &mut vr, &mut ends);
         verify.merge_sequential(&stitched.stats);
         checks += stitched.checks;
         matches += stitched.matches;
@@ -254,7 +243,6 @@ pub(crate) fn verify_phase<K: WindowKernel>(
         scheme,
         end_state,
         accepted: job.table.dfa().is_accepting(end_state),
-        match_count: job.config.count_matches.then(|| counts.iter().sum()),
         frontier_trace,
         chunk_ends: ends,
         predict: predict_stats,
@@ -265,10 +253,10 @@ pub(crate) fn verify_phase<K: WindowKernel>(
     }
 }
 
-/// One block's window of the job's verification state: its chunks' records,
-/// end states and match counts, the state its first chunk is entered from,
-/// and the checks, matches and frontier advances made on it. Records are
-/// addressed by global chunk id, end states and counts by local index.
+/// One block's window of the job's verification state: its chunks' records
+/// and end states, the state its first chunk is entered from, and the
+/// checks, matches and frontier advances made on it. Records are addressed
+/// by global chunk id, end states by local index.
 pub(crate) struct Window<'a> {
     pub job: &'a Job<'a>,
     pub chunks: &'a [Range<usize>],
@@ -280,7 +268,6 @@ pub(crate) struct Window<'a> {
     pub incoming: StateId,
     pub vr: VrSlice<'a>,
     pub ends: &'a mut [StateId],
-    pub counts: &'a mut [u64],
     pub checks: u64,
     pub matches: u64,
     pub frontier_trace: Vec<u32>,
@@ -311,7 +298,6 @@ impl Window<'_> {
             Some(rec) => {
                 self.matches += 1;
                 self.ends[rel] = rec.end;
-                self.counts[rel] = rec.matches;
                 RoundOutcome::ACTIVE
             }
             None => self.recover(ctx, rel, state),
@@ -323,17 +309,10 @@ impl Window<'_> {
     pub fn recover(&mut self, ctx: &mut ThreadCtx<'_>, rel: usize, state: StateId) -> RoundOutcome {
         let cid = self.base + rel;
         let t0 = ctx.cycles();
-        let run = self.job.table.run_chunk_with(
-            ctx,
-            self.job.input,
-            self.chunks[cid].clone(),
-            state,
-            self.job.config.count_matches,
-        );
+        let end = self.job.table.run_chunk(ctx, self.job.input, self.chunks[cid].clone(), state);
         ctx.credit_recovery(t0);
-        self.vr.push_own(cid, VrRecord { start: state, end: run.end, matches: run.matches });
-        self.ends[rel] = run.end;
-        self.counts[rel] = run.matches;
+        self.vr.push_own(cid, VrRecord::new(state, end));
+        self.ends[rel] = end;
         RoundOutcome::RECOVERING
     }
 
@@ -357,7 +336,6 @@ pub(crate) fn windows<'a>(
     segments: &[(Range<usize>, StateId)],
     vr: &'a mut VrStore,
     mut ends: &'a mut [StateId],
-    mut counts: &'a mut [u64],
 ) -> Vec<Window<'a>> {
     // Cover every chunk with alternating gap and window pieces, so the record
     // store and the result arrays split into disjoint views.
@@ -378,9 +356,7 @@ pub(crate) fn windows<'a>(
     let mut base = 0;
     for ((len, incoming), vr) in pieces.into_iter().zip(vr.split_lens(&lens)) {
         let (e, e_rest) = ends.split_at_mut(len);
-        let (c, c_rest) = counts.split_at_mut(len);
         ends = e_rest;
-        counts = c_rest;
         if let Some(incoming) = incoming {
             out.push(Window {
                 job,
@@ -389,7 +365,6 @@ pub(crate) fn windows<'a>(
                 incoming,
                 vr,
                 ends: e,
-                counts: c,
                 checks: 0,
                 matches: 0,
                 frontier_trace: Vec::new(),

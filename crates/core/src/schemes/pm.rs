@@ -122,7 +122,6 @@ impl PmWalk {
             w.checks += 1;
             w.matches += 1;
             w.ends[self.cursor] = rec.end;
-            w.counts[self.cursor] = rec.matches;
             self.cursor += 1;
         }
     }

@@ -12,7 +12,7 @@ use crate::schemes::Job;
 
 pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
     let chunks = job.chunks();
-    let mut kernel = SeqKernel { job, chunk_ends: Vec::with_capacity(chunks.len()), matches: 0 };
+    let mut kernel = SeqKernel { job, chunk_ends: Vec::with_capacity(chunks.len()) };
     let exec = launch(job.spec, 1, &mut kernel);
     let end_state = *kernel.chunk_ends.last().expect("at least one chunk");
     RunOutcome {
@@ -25,7 +25,6 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
         verify: KernelStats::default(),
         verification_checks: 0,
         verification_matches: 0,
-        match_count: job.config.count_matches.then_some(kernel.matches),
         frontier_trace: Vec::new(),
     }
 }
@@ -33,7 +32,6 @@ pub(crate) fn run(job: &Job<'_>) -> RunOutcome {
 struct SeqKernel<'a, 'j> {
     job: &'a Job<'j>,
     chunk_ends: Vec<StateId>,
-    matches: u64,
 }
 
 impl RoundKernel for SeqKernel<'_, '_> {
@@ -41,15 +39,7 @@ impl RoundKernel for SeqKernel<'_, '_> {
         debug_assert_eq!(tid, 0);
         let mut s = self.job.table.dfa().start();
         for range in self.job.chunks() {
-            let run = self.job.table.run_chunk_with(
-                ctx,
-                self.job.input,
-                range,
-                s,
-                self.job.config.count_matches,
-            );
-            s = run.end;
-            self.matches += run.matches;
+            s = self.job.table.run_chunk(ctx, self.job.input, range, s);
             self.chunk_ends.push(s);
         }
         RoundOutcome::ACTIVE

@@ -62,8 +62,8 @@ pub fn compose_mappings(inner: &[StateId], outer: &[StateId]) -> Vec<StateId> {
 
 /// One chunk's derived transition function, kept as the walk left it: start
 /// state `q` rides first-step path `root(q)`, which ends in
-/// `ends[root(q)]` after `counts[root(q)]` accepting visits. Only the
-/// entries the composition reads are ever looked up.
+/// `ends[root(q)]`. Only the entries the composition reads are ever looked
+/// up.
 #[derive(Debug, Default)]
 struct Derived {
     /// The first step's index map (see [`FirstStep::root`]); `None` when
@@ -71,9 +71,6 @@ struct Derived {
     root: Option<Rc<[u32]>>,
     /// Per first-step path: the chunk's end state.
     ends: Vec<StateId>,
-    /// Per first-step path: accepting-state visits; empty when match
-    /// counting is off.
-    counts: Vec<u64>,
     /// Distinct live paths surviving at the chunk's end — the effective
     /// mapping width the composition kernels pay for.
     eff_width: u32,
@@ -92,17 +89,10 @@ impl Derived {
         self.ends[self.root(q)]
     }
 
-    /// Accepting-state visits along the path entered in state `q`
-    /// (counting only).
-    fn count(&self, q: StateId) -> u64 {
-        self.counts[self.root(q)]
-    }
-
     /// Corrupts the mapping: every entry becomes garbage and any read
     /// panics until it is replaced by a re-derivation.
     fn poison(&mut self) {
         self.ends.fill(StateId::MAX);
-        self.counts.fill(u64::MAX);
         self.poisoned = true;
     }
 }
@@ -176,12 +166,9 @@ impl FirstStep {
         }
         let n = u64::from(n);
         let merged = (next.len() as u64) < n;
-        // Accept tests, loop bookkeeping, the convergence compares and, on
-        // a merge, the |Q|-entry indirection rewrite.
-        alu += if job.config.count_matches { n } else { 0 }
-            + 1
-            + if n > 1 { n } else { 0 }
-            + if merged { n } else { 0 };
+        // Loop bookkeeping, the convergence compares and, on a merge, the
+        // |Q|-entry indirection rewrite.
+        alu += 1 + if n > 1 { n } else { 0 } + if merged { n } else { 0 };
         next.shrink_to_fit();
         FirstStep { next, root: merged.then(|| root.into()), alu, shared, probes, segs }
     }
@@ -255,9 +242,9 @@ struct MemoStep {
     /// Tuple id of the surviving paths after the step, and their number.
     next: u32,
     next_live: u32,
-    /// Device charges of the whole step: ALU ops (table steps, match
-    /// counting, loop bookkeeping, convergence check, merge-epoch rewrite),
-    /// hot-row shared accesses and hash probes.
+    /// Device charges of the whole step: ALU ops (table steps, loop
+    /// bookkeeping, convergence check, merge-epoch rewrite), hot-row shared
+    /// accesses and hash probes.
     alu: u32,
     shared: u32,
     probes: u32,
@@ -268,20 +255,15 @@ struct MemoStep {
     epoch: WindowEpoch,
     /// `NONE` when no paths merged; otherwise `merges[merge..]` holds
     /// `new_idx` (one entry per path of `t`: its index among the
-    /// survivors), followed, when counting, by `first` (the index of the
-    /// path it merged into, itself for survivors).
+    /// survivors).
     merge: u32,
-    /// Indices of the paths of `t` whose successor accepts (counting only),
-    /// `accepts[accept_start..][..n_accepts]`.
-    accept_start: u32,
-    n_accepts: u32,
 }
 
 /// Job-wide memo of the mapping walk after its first step: Sin'ya &
 /// Matsuzaki's SFA construction used as a host cache. Each live-path tuple
 /// the walk reaches is interned as a state, and `(tuple, byte class)` maps
-/// to a [`MemoStep`] holding the successor tuple, the merge compaction, the
-/// accept bits and the step's device charges, so a repeated step costs one
+/// to a [`MemoStep`] holding the successor tuple, the merge compaction and
+/// the step's device charges, so a repeated step costs one
 /// lookup instead of one table step per live path. The memo is exact: the
 /// walk replays every charge through [`ThreadCtx`], cold segments through
 /// [`ThreadCtx::global_batch`]. Its size, with the run's [`FirstSteps`], is
@@ -302,7 +284,6 @@ struct SfaMemo<'a> {
     steps: Vec<MemoStep>,
     segs: Vec<u64>,
     merges: Vec<u32>,
-    accepts: Vec<u32>,
     /// `first[c]`: the tuple id of [`FirstStep::next`] for class `c`, or
     /// `NONE` until interned.
     first: Vec<u32>,
@@ -332,7 +313,6 @@ impl<'a> SfaMemo<'a> {
             steps: Vec::new(),
             segs: Vec::new(),
             merges: Vec::new(),
-            accepts: Vec::new(),
             first: vec![NONE; n_classes],
             reserved: 0,
             next: Vec::with_capacity(n),
@@ -356,7 +336,6 @@ impl<'a> SfaMemo<'a> {
             + self.steps.len() * size_of::<MemoStep>()
             + self.segs.len() * 8
             + self.merges.len() * 4
-            + self.accepts.len() * 4
             + self.first.len() * 4
             + self.stamp.len() * 8
             + self.seen.len() * 4
@@ -369,8 +348,7 @@ impl<'a> SfaMemo<'a> {
     fn worst_case_bytes(&self, len: usize) -> usize {
         let per_path = std::mem::size_of::<StateId>() // successor tuple
             + 8 * ENTRY_BYTES as usize // cold segments: at most one per entry byte
-            + 4 // accept index
-            + 8; // new_idx and first
+            + 4; // new_idx
         let per_tuple = 8 + 16 + 4 + self.n_classes * 4; // span, index, chain, trans row
         len * per_path + per_tuple + std::mem::size_of::<MemoStep>()
     }
@@ -390,7 +368,6 @@ impl<'a> SfaMemo<'a> {
         self.steps.clear();
         self.segs.clear();
         self.merges.clear();
-        self.accepts.clear();
         self.first.fill(NONE);
         self.flushes += 1;
     }
@@ -459,18 +436,16 @@ impl<'a> SfaMemo<'a> {
         }
         let table = self.job.table;
         let dfa = table.dfa();
-        let count = self.job.config.count_matches;
         self.generation += 1;
         let gen = self.generation;
-        let (seg_start, merge_start, accept_start) =
-            (self.segs.len(), self.merges.len(), self.accepts.len());
+        let (seg_start, merge_start) = (self.segs.len(), self.merges.len());
         let (mut alu, mut shared, mut probes) = (0u64, 0u64, 0u64);
         let mut merged = false;
-        let SfaMemo { job, states, spans, segs, merges, accepts, next, stamp, seen, .. } = self;
+        let SfaMemo { job, states, spans, segs, merges, next, stamp, seen, .. } = self;
         let from = &states[spans[*t as usize].0 as usize..][..len];
         next.clear();
-        merges.resize(merge_start + len * (1 + usize::from(count)), 0);
-        let (new_idx, first) = merges[merge_start..].split_at_mut(len);
+        merges.resize(merge_start + len, 0);
+        let new_idx = &mut merges[merge_start..];
         for (i, &s) in from.iter().enumerate() {
             let c = table.step_charge(s, class);
             alu += c.alu;
@@ -480,12 +455,6 @@ impl<'a> SfaMemo<'a> {
                 Some(offset) => segs.extend(job.spec.segments(offset, ENTRY_BYTES)),
             }
             let succ = dfa.next_by_class(s, class);
-            if count {
-                alu += 1;
-                if dfa.is_accepting(succ) {
-                    accepts.push(i as u32);
-                }
-            }
             // Paths that reach the same state merge into the first one;
             // survivors keep their order.
             let f = if stamp[succ as usize] == gen {
@@ -498,9 +467,6 @@ impl<'a> SfaMemo<'a> {
                 i
             };
             new_idx[i] = if f == i { next.len() as u32 - 1 } else { new_idx[f] };
-            if count {
-                first[i] = f as u32;
-            }
         }
         // Loop bookkeeping; with more than one live path, one convergence
         // compare per path; on a merge, the |Q|-entry indirection rewrite.
@@ -527,8 +493,6 @@ impl<'a> SfaMemo<'a> {
             n_segs: (self.segs.len() - seg_start) as u32,
             epoch: WindowEpoch::default(),
             merge: if merged { merge_start as u32 } else { NONE },
-            accept_start: accept_start as u32,
-            n_accepts: (self.accepts.len() - accept_start) as u32,
         });
         self.trans[*t as usize * self.n_classes + class as usize] = id;
         debug_assert!(
@@ -596,13 +560,6 @@ struct WalkScratch {
     stamps: Vec<WindowEpoch>,
     /// `ptr[j]`: the live path that first-step path `j` rides now.
     ptr: Vec<u32>,
-    /// `offset[j] + matches[ptr[j]]` = accepting visits of first-step path
-    /// `j` (counting only).
-    offset: Vec<i64>,
-    /// Accepting visits per live path since its creation (counting only).
-    matches: Vec<u64>,
-    /// Per live path: its match count minus its merge target's.
-    delta: Vec<i64>,
 }
 
 /// Walks `range` once, maintaining the full state→state mapping with
@@ -633,7 +590,6 @@ fn derive_mapping(
     let table = job.table;
     let dfa = table.dfa();
     let n = dfa.n_states();
-    let count = job.config.count_matches;
     let (&b0, rest) = job.input[range.clone()]
         .split_first()
         .expect("Job::new admits no more chunks than input bytes, so no chunk is empty");
@@ -644,68 +600,30 @@ fn derive_mapping(
         (step.root.clone(), memo.first_tuple(c0, &step.next))
     });
     memo.reserved = first.bytes.get();
-    // The paths alive after the first step start with identity pointers,
-    // zero offsets and, when counting, one visit each if they accept.
+    // The paths alive after the first step start with identity pointers.
     let mut live = memo.spans[t as usize].1 as usize;
     w.ptr.clear();
     w.ptr.extend(0..live as u32);
-    if count {
-        w.offset.clear();
-        w.offset.resize(live, 0);
-        w.matches.clear();
-        w.matches.extend(memo.tuple(t).iter().map(|&s| u64::from(dfa.is_accepting(s))));
-    }
     let mut tail = None;
     for (i, &b) in rest.iter().enumerate() {
         if live == 1 {
             // One live path: every first-step path rides it, so the rest of
             // the chunk is the table's one-path walk, charged the same.
             let tail_range = range.start + 1 + i..range.end;
-            let run = table.step_path(ctx, job.input, tail_range, memo.tuple(t)[0], count);
-            if count {
-                w.matches[0] += run.matches;
-            }
-            tail = Some(run.end);
+            tail = Some(table.step_path(ctx, job.input, tail_range, memo.tuple(t)[0]));
             break;
         }
         let id = memo.step(&mut t, dfa.classes().class(b));
         memo.replay(id, ctx);
         let step = &memo.steps[id as usize];
-        let next_live = step.next_live as usize;
-        if count {
-            for &i in &memo.accepts[step.accept_start as usize..][..step.n_accepts as usize] {
-                w.matches[i as usize] += 1;
-            }
-        }
         if step.merge != NONE {
             let new_idx = &memo.merges[step.merge as usize..][..live];
-            if count {
-                // Riders keep `offset + matches(path) = true matches` by
-                // absorbing the counter difference to their merge target.
-                let first = &memo.merges[step.merge as usize + live..][..live];
-                w.delta.clear();
-                w.delta.extend(
-                    first
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &f)| w.matches[i] as i64 - w.matches[f as usize] as i64),
-                );
-                for (i, &f) in first.iter().enumerate() {
-                    if f as usize == i {
-                        w.matches[new_idx[i] as usize] = w.matches[i];
-                    }
-                }
-                w.matches.truncate(next_live);
-            }
-            for (j, p) in w.ptr.iter_mut().enumerate() {
-                if count {
-                    w.offset[j] += w.delta[*p as usize];
-                }
+            for p in w.ptr.iter_mut() {
                 *p = new_idx[*p as usize];
             }
         }
         t = step.next;
-        live = next_live;
+        live = step.next_live as usize;
     }
 
     // Final write-back: the device assembles the per-start-state mapping
@@ -715,17 +633,8 @@ fn derive_mapping(
         Some(end) => std::slice::from_ref(end),
         None => memo.tuple(t),
     };
-    let counts = if count {
-        w.ptr
-            .iter()
-            .zip(&w.offset)
-            .map(|(&p, &o)| (o + w.matches[p as usize] as i64) as u64)
-            .collect()
-    } else {
-        Vec::new()
-    };
     let ends = w.ptr.iter().map(|&p| paths[p as usize]).collect();
-    Derived { root, ends, counts, eff_width: paths.len() as u32, poisoned: false }
+    Derived { root, ends, eff_width: paths.len() as u32, poisoned: false }
 }
 
 pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
@@ -879,11 +788,7 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
     // device paid for it in the composition rounds above).
     let mut ends = Vec::with_capacity(n);
     let mut cur = job.table.dfa().start();
-    let mut total_matches = 0u64;
     for map in &maps {
-        if job.config.count_matches {
-            total_matches += map.count(cur);
-        }
         cur = map.map(cur);
         ends.push(cur);
     }
@@ -900,7 +805,6 @@ pub(crate) fn run<'a>(job: &'a Job<'a>) -> RunOutcome {
         verify,
         verification_checks: checks,
         verification_matches: checks,
-        match_count: job.config.count_matches.then_some(total_matches),
         frontier_trace: Vec::new(),
     }
 }
@@ -1071,18 +975,12 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct FullMapping {
         map: Vec<StateId>,
-        counts: Vec<u64>,
         eff_width: u32,
     }
 
-    /// Reads every entry of a lazy mapping: `map(q)` and, when counting,
-    /// `count(q)` for every state `q`.
-    fn expand(d: &Derived, n: u32, count_matches: bool) -> FullMapping {
-        FullMapping {
-            map: (0..n).map(|q| d.map(q)).collect(),
-            counts: if count_matches { (0..n).map(|q| d.count(q)).collect() } else { Vec::new() },
-            eff_width: d.eff_width,
-        }
+    /// Reads every entry of a lazy mapping: `map(q)` for every state `q`.
+    fn expand(d: &Derived, n: u32) -> FullMapping {
+        FullMapping { map: (0..n).map(|q| d.map(q)).collect(), eff_width: d.eff_width }
     }
 
     /// The uncached walk the memo replaces, kept as the oracle the memoized
@@ -1092,31 +990,22 @@ mod tests {
         ctx: &mut ThreadCtx<'_>,
         input: &[u8],
         range: Range<usize>,
-        count_matches: bool,
     ) -> FullMapping {
         let n = table.dfa().n_states() as usize;
-        // Distinct live paths (state + matches since the path's creation).
+        // Distinct live paths.
         let mut paths: Vec<StateId> = (0..n as StateId).collect();
-        let mut path_matches: Vec<u64> = vec![0; n];
-        // Per original start state: which live path it rides, and its match
-        // offset relative to that path's own counter.
+        // Per original start state: which live path it rides.
         let mut ptr: Vec<u32> = (0..n as u32).collect();
-        let mut offset: Vec<i64> = vec![0; n];
         // Generation-stamped duplicate detector (no per-byte clearing).
         let mut seen: Vec<u32> = vec![0; n];
         let mut stamp: Vec<u64> = vec![0; n];
         let mut generation = 0u64;
         let mut new_idx: Vec<u32> = vec![0; n];
-        let mut delta: Vec<i64> = vec![0; n];
 
         for pos in range {
             let b = table.load_input(ctx, input, pos);
-            for (s, m) in paths.iter_mut().zip(path_matches.iter_mut()) {
+            for s in paths.iter_mut() {
                 *s = table.step(ctx, *s, b);
-                if count_matches {
-                    ctx.alu(1);
-                    *m += u64::from(table.dfa().is_accepting(*s));
-                }
             }
             ctx.alu(1); // loop bookkeeping
 
@@ -1141,22 +1030,15 @@ mod tests {
                         if first == i {
                             new_idx[i] = w as u32;
                             paths[w] = paths[i];
-                            path_matches[w] = path_matches[i];
-                            delta[i] = 0;
                             w += 1;
                         } else {
                             new_idx[i] = new_idx[first];
-                            delta[i] = path_matches[i] as i64
-                                - path_matches[new_idx[first] as usize] as i64;
                         }
                     }
                     paths.truncate(w);
-                    path_matches.truncate(w);
                     ctx.alu(n as u64);
-                    for q in 0..n {
-                        let p = ptr[q] as usize;
-                        offset[q] += delta[p];
-                        ptr[q] = new_idx[p];
+                    for p in ptr.iter_mut() {
+                        *p = new_idx[*p as usize];
                     }
                 }
             }
@@ -1164,15 +1046,7 @@ mod tests {
 
         ctx.alu(n as u64);
         let map: Vec<StateId> = ptr.iter().map(|&p| paths[p as usize]).collect();
-        let counts: Vec<u64> = if count_matches {
-            ptr.iter()
-                .zip(&offset)
-                .map(|(&p, &off)| (off + path_matches[p as usize] as i64) as u64)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        FullMapping { map, counts, eff_width: paths.len() as u32 }
+        FullMapping { map, eff_width: paths.len() as u32 }
     }
 
     #[test]
@@ -1212,18 +1086,6 @@ mod tests {
                 assert_eq!(out.chunk_ends[i], s, "{stitch:?} chunk {i}");
             }
         }
-    }
-
-    #[test]
-    fn sfa_counts_matches_exactly() {
-        let d = keyword_dfa(&[b"abc", b"bca"]).unwrap();
-        let spec = DeviceSpec::test_unit();
-        let table = DeviceTable::transformed(&d, d.n_states());
-        let input = b"abcabcxxbcabca".repeat(31);
-        let config = SchemeConfig { n_chunks: 37, count_matches: true, ..SchemeConfig::default() };
-        let job = Job::new(&spec, &table, &input, config).unwrap();
-        let out = run_scheme(SchemeKind::Sfa, &job);
-        assert_eq!(out.match_count, Some(d.count_matches(&input)));
     }
 
     /// Converged paths stop costing: on a keyword machine (collapses to a
@@ -1319,12 +1181,9 @@ mod tests {
         fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
             let range = self.chunks[tid].clone();
             let job = self.job;
-            let count = job.config.count_matches;
             self.out[tid] = Some(match &mut self.walker {
-                Some(walker) => {
-                    expand(&walker.derive(ctx, range), job.table.dfa().n_states(), count)
-                }
-                None => derive_mapping_uncached(job.table, ctx, job.input, range, count),
+                Some(walker) => expand(&walker.derive(ctx, range), job.table.dfa().n_states()),
+                None => derive_mapping_uncached(job.table, ctx, job.input, range),
             });
             RoundOutcome::ACTIVE
         }
@@ -1353,14 +1212,14 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The memoized walk is the uncached walk: the same mapping and
-        /// match count for every start state, the same widths, and the same
-        /// `KernelStats` field for field — clocks, coalescing, per-phase
-        /// counters — on random and permutation machines, both layouts, any
-        /// hot-row count, with and without match counting, over random
-        /// partitions, across barriers (a second round re-derives every
-        /// chunk), and on 4-byte and on 32-byte segments (where several states' column entries share one
-        /// segment of the first step's cold set).
+        /// The memoized walk is the uncached walk: the same mapping for
+        /// every start state, the same widths, and the same `KernelStats`
+        /// field for field — clocks, coalescing, per-phase counters — on
+        /// random and permutation machines, both layouts, any hot-row count,
+        /// over random partitions, across barriers (a second round
+        /// re-derives every chunk), and on 4-byte and on 32-byte segments
+        /// (where several states' column entries share one segment of the
+        /// first step's cold set).
         #[test]
         fn memoized_walk_equals_uncached_walk(
             seed in 0u64..1_000_000,
@@ -1369,7 +1228,6 @@ mod tests {
             permutation in 0u8..3,
             hot in 0u32..41,
             hashed in 0u8..2,
-            count_matches in 0u8..2,
             len in 1usize..400,
             n_chunks in 1usize..65,
             rounds in 1u32..3,
@@ -1389,11 +1247,7 @@ mod tests {
                 DeviceTable::transformed(&d, hot)
             };
             let spec = if rtx == 1 { DeviceSpec::rtx3090() } else { DeviceSpec::test_unit() };
-            let config = SchemeConfig {
-                n_chunks: n_chunks.min(len),
-                count_matches: count_matches == 1,
-                ..SchemeConfig::default()
-            };
+            let config = SchemeConfig { n_chunks: n_chunks.min(len), ..SchemeConfig::default() };
             let job = Job::new(&spec, &table, &input, config).unwrap();
             let (memoized, oracle) = both_walks(&job, rounds);
             prop_assert_eq!(memoized.1, oracle.1);
@@ -1446,38 +1300,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn counts_are_empty_without_match_counting() {
-        let d = div7();
-        let spec = DeviceSpec::test_unit();
-        let table = DeviceTable::transformed(&d, d.n_states());
-        let input: Vec<u8> = b"110101011001".repeat(8);
-        for count_matches in [false, true] {
-            let config = SchemeConfig { n_chunks: 8, count_matches, ..SchemeConfig::default() };
-            let job = Job::new(&spec, &table, &input, config).unwrap();
-            let chunks = job.chunks();
-            let shared = SfaShared::new(&job);
-            struct Counts<'m, 'a> {
-                walker: Walker<'m, 'a>,
-                chunks: &'m [Range<usize>],
-                empty: Vec<bool>,
-            }
-            impl RoundKernel for Counts<'_, '_> {
-                fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-                    let d = self.walker.derive(ctx, self.chunks[tid].clone());
-                    self.empty.push(d.counts.is_empty());
-                    RoundOutcome::ACTIVE
-                }
-                fn after_sync(&mut self, _round: u64) -> bool {
-                    false
-                }
-            }
-            let mut k = Counts { walker: Walker::new(&shared), chunks: &chunks, empty: Vec::new() };
-            launch(&spec, chunks.len(), &mut k);
-            assert_eq!(k.empty, vec![!count_matches; chunks.len()]);
-        }
-    }
-
     /// The |Q|-wide first step is one column scan per (run, byte class):
     /// however many chunks start on a class, and across barriers, each class
     /// is scanned once.
@@ -1508,7 +1330,7 @@ mod tests {
         let spec = DeviceSpec::test_unit();
         let table = DeviceTable::transformed(&d, 2);
         let input = b"abcabcxxbcabca".repeat(31);
-        let clean = SchemeConfig { n_chunks: 37, count_matches: true, ..SchemeConfig::default() };
+        let clean = SchemeConfig { n_chunks: 37, ..SchemeConfig::default() };
         let plan = FaultPlan { seed: 9, corrupt_permille: 1000, ..FaultPlan::default() };
         let faulty = SchemeConfig { faults: Some(plan), ..clean };
         let run = |config| {
@@ -1518,8 +1340,6 @@ mod tests {
         let (clean, faulty) = (run(clean), run(faulty));
         assert_eq!(faulty.end_state, clean.end_state);
         assert_eq!(faulty.chunk_ends, clean.chunk_ends);
-        assert_eq!(faulty.match_count, clean.match_count);
-        assert_eq!(faulty.match_count, Some(d.count_matches(&input)));
         assert_eq!(faulty.recovery_runs(), 37, "every chunk is re-derived");
     }
 

@@ -65,8 +65,8 @@ pub(crate) fn block_incomings(job: &Job<'_>, dims: &[BlockDim], ends: &[StateId]
 
 /// Validates every block boundary under the job's [`StitchPolicy`].
 /// `incomings[b]` is the state block `b` speculated as its incoming;
-/// `ends`/`counts` hold the per-chunk results the blocks produced under that
-/// speculation and are rewritten in place for blocks whose speculation
+/// `ends` holds the per-chunk results the blocks produced under that
+/// speculation and is rewritten in place for blocks whose speculation
 /// missed.
 pub(crate) fn stitch_blocks(
     job: &Job<'_>,
@@ -75,16 +75,13 @@ pub(crate) fn stitch_blocks(
     incomings: &[StateId],
     vr: &mut VrStore,
     ends: &mut [StateId],
-    counts: &mut [u64],
 ) -> StitchOutcome {
     if dims.len() <= 1 {
         return StitchOutcome { stats: KernelStats::default(), checks: 0, matches: 0 };
     }
     match job.config.stitch {
-        StitchPolicy::Sequential => {
-            stitch_sequential(job, chunks, dims, incomings, vr, ends, counts)
-        }
-        StitchPolicy::Tree => stitch_tree(job, chunks, dims, incomings, vr, ends, counts),
+        StitchPolicy::Sequential => stitch_sequential(job, chunks, dims, incomings, vr, ends),
+        StitchPolicy::Tree => stitch_tree(job, chunks, dims, incomings, vr, ends),
     }
 }
 
@@ -97,7 +94,6 @@ fn stitch_sequential(
     incomings: &[StateId],
     vr: &mut VrStore,
     ends: &mut [StateId],
-    counts: &mut [u64],
 ) -> StitchOutcome {
     let mut out = StitchOutcome { stats: KernelStats::default(), checks: 0, matches: 0 };
     for dim in &dims[1..] {
@@ -106,7 +102,7 @@ fn stitch_sequential(
             continue; // Block speculation verified: results already exact.
         }
         let segment = [(dim.tids.clone(), true_in)];
-        let mut w = windows(job, chunks, &segment, vr, ends, counts).remove(0);
+        let mut w = windows(job, chunks, &segment, vr, ends).remove(0);
         let stats = launch(job.spec, 1, &mut OnWindow { w: &mut w, k: Fixup::new(false) });
         out.checks += w.checks;
         out.matches += w.matches;
@@ -124,7 +120,6 @@ fn stitch_tree(
     incomings: &[StateId],
     vr: &mut VrStore,
     ends: &mut [StateId],
-    counts: &mut [u64],
 ) -> StitchOutcome {
     let b = dims.len();
     let mut out = StitchOutcome { stats: KernelStats::default(), checks: 0, matches: 0 };
@@ -154,7 +149,7 @@ fn stitch_tree(
         }
 
         if !fixups.is_empty() {
-            let mut windows = windows(job, chunks, &fixups, vr, ends, counts);
+            let mut windows = windows(job, chunks, &fixups, vr, ends);
             let mut blocks: Vec<(usize, OnWindow<'_, '_, Fixup>)> =
                 windows.iter_mut().map(|w| (1, OnWindow { w, k: Fixup::new(true) })).collect();
             let grid = launch_blocks(job.spec, &mut blocks)
@@ -245,15 +240,14 @@ mod tests {
     /// ends are what each block would have produced chaining from `wrong`
     /// (block 0 chains from the true start), and the stitch must rewrite
     /// them to the true chain. Returns the dims and the fabricated
-    /// (incomings, ends, counts).
-    #[allow(clippy::type_complexity)]
+    /// (incomings, ends).
     fn wrong_block_scenario(
         d: &Dfa,
         input: &[u8],
         chunks: &[Range<usize>],
         width: usize,
         wrong: StateId,
-    ) -> (Vec<BlockDim>, Vec<StateId>, Vec<StateId>, Vec<u64>) {
+    ) -> (Vec<BlockDim>, Vec<StateId>, Vec<StateId>) {
         let dims = block_dims_width(width, chunks.len());
         let mut ends = vec![0; chunks.len()];
         for dim in &dims {
@@ -265,8 +259,7 @@ mod tests {
         }
         let incomings: Vec<StateId> =
             dims.iter().map(|d| if d.index == 0 { 0 } else { wrong }).collect();
-        let counts = vec![0u64; chunks.len()];
-        (dims, incomings, ends, counts)
+        (dims, incomings, ends)
     }
 
     fn truth_chain(d: &Dfa, input: &[u8], chunks: &[Range<usize>]) -> Vec<StateId> {
@@ -294,10 +287,9 @@ mod tests {
         let config =
             SchemeConfig { n_chunks: chunks.len(), stitch: policy, ..SchemeConfig::default() };
         let job = Job::new(spec, table, input, config).unwrap();
-        let (dims, incomings, mut ends, mut counts) =
-            wrong_block_scenario(d, input, chunks, width, wrong);
+        let (dims, incomings, mut ends) = wrong_block_scenario(d, input, chunks, width, wrong);
         let mut vr = VrStore::new(chunks.len(), 16, 16);
-        let out = stitch_blocks(&job, chunks, &dims, &incomings, &mut vr, &mut ends, &mut counts);
+        let out = stitch_blocks(&job, chunks, &dims, &incomings, &mut vr, &mut ends);
         (ends, out)
     }
 
@@ -316,7 +308,7 @@ mod tests {
         let wrong = 3;
         let truth = truth_chain(&d, &input, &chunks);
         // Sanity: the scenario is a real mispredict, not accidental truth.
-        let (_, _, fabricated, _) = wrong_block_scenario(&d, &input, &chunks, 8, wrong);
+        let (_, _, fabricated) = wrong_block_scenario(&d, &input, &chunks, 8, wrong);
         assert_ne!(fabricated, truth, "scenario must corrupt the chain");
         for policy in [StitchPolicy::Sequential, StitchPolicy::Tree] {
             let (ends, out) = stitch_with(policy, &d, &table, &spec, &input, &chunks, 8, wrong);
@@ -355,10 +347,8 @@ mod tests {
             // Convergent machine: the blocks' results are exact despite the
             // wrong speculation — the stitch still has to prove it.
             let mut ends = truth.clone();
-            let mut counts = vec![0u64; n_chunks];
             let mut vr = VrStore::new(n_chunks, 16, 16);
-            let out =
-                stitch_blocks(&job, &chunks, &dims, &incomings, &mut vr, &mut ends, &mut counts);
+            let out = stitch_blocks(&job, &chunks, &dims, &incomings, &mut vr, &mut ends);
             assert_eq!(ends, truth, "{policy:?} {n_blocks} blocks");
             out.stats.cycles
         };
@@ -393,10 +383,8 @@ mod tests {
                 .map(|d| if d.index == 0 { 0 } else { truth[d.tids.start - 1] })
                 .collect();
             let mut ends = truth.clone();
-            let mut counts = vec![0u64; 32];
             let mut vr = VrStore::new(32, 16, 16);
-            let out =
-                stitch_blocks(&job, &chunks, &dims, &incomings, &mut vr, &mut ends, &mut counts);
+            let out = stitch_blocks(&job, &chunks, &dims, &incomings, &mut vr, &mut ends);
             assert_eq!(ends, truth, "{policy:?}");
             assert_eq!(out.stats.recovery_runs, 0, "{policy:?}");
         }

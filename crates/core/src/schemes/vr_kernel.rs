@@ -148,7 +148,6 @@ impl VrBlock {
             Some(rec) => {
                 self.found[rel] = true;
                 w.ends[rel] = rec.end;
-                w.counts[rel] = rec.matches;
             }
             None => {
                 self.found[rel] = false;
@@ -247,20 +246,14 @@ impl VrBlock {
             return RoundOutcome::IDLE;
         };
         let t0 = ctx.cycles();
-        let (input, count) = (w.job.input, w.job.config.count_matches);
-        w.job.table.charge_walk(ctx, input, &mut self.walks, walk, count);
+        w.job.table.charge_walk(ctx, w.job.input, &mut self.walks, walk);
         ctx.credit_recovery(t0);
-        let rec = VrRecord {
-            start: self.walks.starts(walk)[0],
-            end: self.walks.ends(walk)[0],
-            matches: self.walks.matches(walk)[0],
-        };
+        let rec = VrRecord::new(self.walks.starts(walk)[0], self.walks.ends(walk)[0]);
         match target {
             Target::Own => {
                 w.vr.push_own(w.base + rel, rec);
                 if !self.found[rel] {
                     w.ends[rel] = rec.end;
-                    w.counts[rel] = rec.matches;
                 }
             }
             Target::Other(cid) => w.vr.push_other(ctx, w.base + cid, rec),
@@ -307,7 +300,7 @@ impl WindowKernel for VrBlock {
             let plan = self.plan_recover(w, rel);
             self.plan.push(plan);
         }
-        w.job.table.step_walks(w.job.input, &mut self.walks, w.job.config.count_matches);
+        w.job.table.step_walks(w.job.input, &mut self.walks);
     }
 
     /// `launch_blocks` hands each block kernel block-local thread ids.

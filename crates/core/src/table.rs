@@ -172,7 +172,8 @@ impl<'a> DeviceTable<'a> {
     }
 
     /// Runs one chunk on the device from `start`. This is the device-side
-    /// `FSM_Processing(fsm, Π(i), state)` primitive every scheme builds on.
+    /// `FSM_Processing(fsm, Π(i), state)` primitive every scheme builds on:
+    /// the chunk's input span, then the one-path table walk (`step_path`).
     pub fn run_chunk(
         &self,
         ctx: &mut ThreadCtx<'_>,
@@ -180,23 +181,8 @@ impl<'a> DeviceTable<'a> {
         range: Range<usize>,
         start: StateId,
     ) -> StateId {
-        self.run_chunk_with(ctx, input, range, start, false).end
-    }
-
-    /// Like [`DeviceTable::run_chunk`], optionally counting accepting-state
-    /// visits (the match-reporting output function φ — one extra ALU op per
-    /// transition when enabled): the chunk's input span, then the one-path
-    /// table walk (`step_path`).
-    pub fn run_chunk_with(
-        &self,
-        ctx: &mut ThreadCtx<'_>,
-        input: &[u8],
-        range: Range<usize>,
-        start: StateId,
-        count_matches: bool,
-    ) -> ChunkRun {
         ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
-        self.step_path(ctx, input, range, start, count_matches)
+        self.step_path(ctx, input, range, start)
     }
 
     /// The table steps of one path over `range` from `start`, whose input
@@ -212,75 +198,53 @@ impl<'a> DeviceTable<'a> {
         input: &[u8],
         range: Range<usize>,
         start: StateId,
-        count_matches: bool,
-    ) -> ChunkRun {
-        let (mut end, mut visits) = ([start], [0]);
+    ) -> StateId {
+        let mut end = [start];
         let (pos, steps) = ([range.start], range.len());
-        let (e, v) = (&mut end, &mut visits);
         let mut sink = ChargeCold { ctx: &mut *ctx, charged: 0 };
-        let cold = &mut sink;
-        match (self.layout, count_matches) {
-            (TableLayout::Transformed, false) => {
+        let cold = [&mut sink];
+        match self.layout {
+            TableLayout::Transformed => {
                 let h = self.hot_rows;
-                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| s < h);
+                self.step_lanes(input, pos, steps, &mut end, cold, |s| s < h);
             }
-            (TableLayout::Transformed, true) => {
-                let h = self.hot_rows;
-                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| s < h);
-            }
-            (TableLayout::Hashed, false) => {
+            TableLayout::Hashed => {
                 let hot = &self.hot_set[..];
-                self.step_lanes::<1, false, _>(input, pos, steps, e, v, [cold], |s| {
-                    hot[s as usize]
-                });
-            }
-            (TableLayout::Hashed, true) => {
-                let hot = &self.hot_set[..];
-                self.step_lanes::<1, true, _>(input, pos, steps, e, v, [cold], |s| hot[s as usize]);
+                self.step_lanes(input, pos, steps, &mut end, cold, |s| hot[s as usize]);
             }
         }
         let cold = sink.charged;
-        self.charge_step_sums(ctx, steps as u64, 1, cold, count_matches);
-        ChunkRun { end: end[0], matches: visits[0] }
+        self.charge_step_sums(ctx, steps as u64, 1, cold);
+        end[0]
     }
 
     /// Steps every path of every walk of `batch` to its end, [`LANES`] paths
     /// at a time in lockstep: each step of each lane is a dependent table
     /// load, and stepping independent lanes side by side lets the host
-    /// overlap their latencies. Records each path's end state, its accepting
-    /// visits (with `count_matches`) and the table entries of its cold
-    /// steps, for [`DeviceTable::charge_walk`]. Charges nothing.
+    /// overlap their latencies. Records each path's end state and the table
+    /// entries of its cold steps, for [`DeviceTable::charge_walk`]. Charges
+    /// nothing.
     ///
     /// A batch of one path has no other lane to overlap with. It is
     /// stepped by its charge instead, by [`DeviceTable::step_path`].
-    pub(crate) fn step_walks(&self, input: &[u8], batch: &mut WalkBatch, count_matches: bool) {
+    pub(crate) fn step_walks(&self, input: &[u8], batch: &mut WalkBatch) {
         let n_paths = batch.starts.len();
         batch.ends.clear();
         batch.ends.extend_from_slice(&batch.starts);
-        batch.matches.clear();
-        batch.matches.resize(n_paths, 0);
         batch.cold_spans.clear();
         batch.cold_spans.resize(n_paths, (0, 0));
         batch.cold.clear();
         if n_paths == 1 {
             return;
         }
-        match (self.layout, count_matches) {
-            (TableLayout::Transformed, false) => {
+        match self.layout {
+            TableLayout::Transformed => {
                 let h = self.hot_rows;
-                self.step_lockstep::<false>(input, batch, |s| s < h);
+                self.step_lockstep(input, batch, |s| s < h);
             }
-            (TableLayout::Transformed, true) => {
-                let h = self.hot_rows;
-                self.step_lockstep::<true>(input, batch, |s| s < h);
-            }
-            (TableLayout::Hashed, false) => {
+            TableLayout::Hashed => {
                 let hot = &self.hot_set[..];
-                self.step_lockstep::<false>(input, batch, |s| hot[s as usize]);
-            }
-            (TableLayout::Hashed, true) => {
-                let hot = &self.hot_set[..];
-                self.step_lockstep::<true>(input, batch, |s| hot[s as usize]);
+                self.step_lockstep(input, batch, |s| hot[s as usize]);
             }
         }
     }
@@ -289,13 +253,13 @@ impl<'a> DeviceTable<'a> {
     /// order; each pass steps the widest power-of-two group of busy lanes
     /// until the first of them finishes, then finished lanes hand their
     /// results to the batch and take the next paths.
-    fn step_lockstep<const COUNT: bool>(
+    fn step_lockstep(
         &self,
         input: &[u8],
         batch: &mut WalkBatch,
         hot: impl Fn(StateId) -> bool + Copy,
     ) {
-        let WalkBatch { walks, starts, ends, matches, cold_spans, cold, lane_cold } = batch;
+        let WalkBatch { walks, starts, ends, cold_spans, cold, lane_cold } = batch;
         let mut pending = walks
             .iter()
             .flat_map(|(range, paths)| paths.clone().map(move |p| (range.clone(), p)))
@@ -309,7 +273,6 @@ impl<'a> DeviceTable<'a> {
                 lanes.pos[l] = range.start;
                 lanes.end[l] = range.end;
                 lanes.state[l] = starts[p];
-                lanes.matches[l] = 0;
                 lanes.busy += 1;
             }
             let width = match lanes.busy {
@@ -321,10 +284,10 @@ impl<'a> DeviceTable<'a> {
             };
             let steps = (0..width).map(|l| lanes.end[l] - lanes.pos[l]).min().unwrap_or(0);
             match width {
-                1 => lanes.step::<1, COUNT>(self, input, lane_cold, steps, hot),
-                2 => lanes.step::<2, COUNT>(self, input, lane_cold, steps, hot),
-                4 => lanes.step::<4, COUNT>(self, input, lane_cold, steps, hot),
-                _ => lanes.step::<LANES, COUNT>(self, input, lane_cold, steps, hot),
+                1 => lanes.step::<1>(self, input, lane_cold, steps, hot),
+                2 => lanes.step::<2>(self, input, lane_cold, steps, hot),
+                4 => lanes.step::<4>(self, input, lane_cold, steps, hot),
+                _ => lanes.step::<LANES>(self, input, lane_cold, steps, hot),
             }
             let mut l = 0;
             while l < width.min(lanes.busy) {
@@ -334,7 +297,6 @@ impl<'a> DeviceTable<'a> {
                 }
                 let p = lanes.path[l];
                 ends[p] = lanes.state[l];
-                matches[p] = lanes.matches[l];
                 let first = cold.len() as u32;
                 cold.extend_from_slice(&lane_cold[l]);
                 cold_spans[p] = (first, cold.len() as u32);
@@ -347,19 +309,17 @@ impl<'a> DeviceTable<'a> {
     }
 
     /// Steps `L` paths by `steps` bytes each, in lockstep: path `l` from
-    /// state `state[l]` over the input from `pos[l]`, adding its accepting
-    /// visits to `visits[l]` (with `COUNT`) and its cold steps' table
-    /// entries to `cold[l]`.
+    /// state `state[l]` over the input from `pos[l]`, adding its cold steps'
+    /// table entries to `cold[l]`.
     // Lane-indexed on purpose: every step touches lane `l` of each array.
-    #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+    #[allow(clippy::needless_range_loop)]
     #[inline(always)]
-    fn step_lanes<const L: usize, const COUNT: bool, C: ColdSink>(
+    fn step_lanes<const L: usize, C: ColdSink>(
         &self,
         input: &[u8],
         pos: [usize; L],
         steps: usize,
         state: &mut [StateId; L],
-        visits: &mut [u64; L],
         cold: [&mut C; L],
         hot: impl Fn(StateId) -> bool,
     ) {
@@ -367,7 +327,7 @@ impl<'a> DeviceTable<'a> {
         let stride = self.dfa.stride();
         let classes = self.dfa.classes();
         let bytes: [&[u8]; L] = pos.map(|p| &input[p..][..steps]);
-        let (mut s, mut m) = (*state, *visits);
+        let mut s = *state;
         for i in 0..steps {
             for l in 0..L {
                 let entry = s[l] as usize * stride + usize::from(classes.class(bytes[l][i]));
@@ -375,12 +335,9 @@ impl<'a> DeviceTable<'a> {
                     cold[l].push(entry as u32);
                 }
                 s[l] = table[entry];
-                if COUNT {
-                    m[l] += u64::from(self.dfa.is_accepting(s[l]));
-                }
             }
         }
-        (*state, *visits) = (s, m);
+        *state = s;
     }
 
     /// Charges walk `w` of a stepped `batch` over `input` to `ctx`: the
@@ -392,11 +349,10 @@ impl<'a> DeviceTable<'a> {
         input: &[u8],
         batch: &mut WalkBatch,
         w: usize,
-        count_matches: bool,
     ) {
         let range = &batch.walks[w].0;
         ctx.global_span(REGION_INPUT, range.start as u64, range.len() as u64);
-        self.charge_steps(ctx, input, batch, w, count_matches);
+        self.charge_steps(ctx, input, batch, w);
     }
 
     /// Charges the table steps of walk `w` of a stepped `batch` to `ctx`:
@@ -417,12 +373,10 @@ impl<'a> DeviceTable<'a> {
         input: &[u8],
         batch: &mut WalkBatch,
         w: usize,
-        count_matches: bool,
     ) {
         let (range, paths) = batch.walks[w].clone();
         if batch.starts.len() == 1 {
-            let run = self.step_path(ctx, input, range, batch.starts[0], count_matches);
-            (batch.ends[0], batch.matches[0]) = (run.end, run.matches);
+            batch.ends[0] = self.step_path(ctx, input, range, batch.starts[0]);
             return;
         }
         let mut sink = ChargeCold { ctx: &mut *ctx, charged: 0 };
@@ -432,26 +386,17 @@ impl<'a> DeviceTable<'a> {
             }
         }
         let cold = sink.charged;
-        self.charge_step_sums(ctx, range.len() as u64, paths.len() as u64, cold, count_matches);
+        self.charge_step_sums(ctx, range.len() as u64, paths.len() as u64, cold);
     }
 
     /// Charges, as sums, `paths` paths' steps over `bytes` input bytes of
     /// which `cold` were cold: the ALU ops and hash probes
     /// [`Self::step_charge`] prices for every step, one shared access per
-    /// hot step, one loop-bookkeeping ALU op per byte and, with
-    /// `count_matches`, one accept-test ALU op per step.
-    fn charge_step_sums(
-        &self,
-        ctx: &mut ThreadCtx<'_>,
-        bytes: u64,
-        paths: u64,
-        cold: u64,
-        count_matches: bool,
-    ) {
+    /// hot step and one loop-bookkeeping ALU op per byte.
+    fn charge_step_sums(&self, ctx: &mut ThreadCtx<'_>, bytes: u64, paths: u64, cold: u64) {
         let steps = bytes * paths;
         let (alu, probes) = self.step_ops();
-        let accept_tests = if count_matches { steps } else { 0 };
-        ctx.alu(bytes + steps * alu + accept_tests);
+        ctx.alu(bytes + steps * alu);
         ctx.probes(steps * probes);
         ctx.shared(steps - cold);
     }
@@ -531,8 +476,6 @@ pub(crate) struct WalkBatch {
     starts: Vec<StateId>,
     /// Per path, once stepped: the end state.
     ends: Vec<StateId>,
-    /// Per path, once stepped: accepting-state visits (0 when not counting).
-    matches: Vec<u64>,
     /// Per path, once stepped: its entries of `cold`.
     cold_spans: Vec<(u32, u32)>,
     /// The table entry (`state * stride + class`) of every step from a row
@@ -570,11 +513,6 @@ impl WalkBatch {
     pub(crate) fn ends(&self, w: usize) -> &[StateId] {
         &self.ends[self.walks[w].1.clone()]
     }
-
-    /// Walk `w`'s accepting-state visits per path, once stepped.
-    pub(crate) fn matches(&self, w: usize) -> &[u64] {
-        &self.matches[self.walks[w].1.clone()]
-    }
 }
 
 /// The paths the lanes of [`DeviceTable::step_walks`] are stepping: lanes
@@ -586,13 +524,12 @@ struct Lanes {
     pos: [usize; LANES],
     end: [usize; LANES],
     state: [StateId; LANES],
-    matches: [u64; LANES],
 }
 
 impl Lanes {
     /// Steps lanes `0..L` by `steps` bytes ([`DeviceTable::step_lanes`]).
     #[inline(always)]
-    fn step<const L: usize, const COUNT: bool>(
+    fn step<const L: usize>(
         &mut self,
         table: &DeviceTable<'_>,
         input: &[u8],
@@ -601,12 +538,11 @@ impl Lanes {
         hot: impl Fn(StateId) -> bool,
     ) {
         let pos: &mut [usize; L] = self.pos.first_chunk_mut().expect("L <= LANES");
-        table.step_lanes::<L, COUNT, _>(
+        table.step_lanes(
             input,
             *pos,
             steps,
             self.state.first_chunk_mut().expect("L <= LANES"),
-            self.matches.first_chunk_mut().expect("L <= LANES"),
             lane_cold.first_chunk_mut::<L>().expect("L <= LANES").each_mut(),
             hot,
         );
@@ -620,17 +556,7 @@ impl Lanes {
         self.pos.swap(a, b);
         self.end.swap(a, b);
         self.state.swap(a, b);
-        self.matches.swap(a, b);
     }
-}
-
-/// Result of executing one chunk on the device.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChunkRun {
-    /// End state.
-    pub end: StateId,
-    /// Accepting-state visits along the way (0 when counting is off).
-    pub matches: u64,
 }
 
 /// The per-access reference of the bulk-charged walk: one [`ThreadCtx`]
@@ -666,17 +592,11 @@ impl DeviceTable<'_> {
         input: &[u8],
         range: Range<usize>,
         states: &mut [StateId],
-        counts: &mut [u64],
-        count_matches: bool,
     ) {
         for pos in range {
             let b = self.load_input(ctx, input, pos);
-            for (s, c) in states.iter_mut().zip(counts.iter_mut()) {
+            for s in states.iter_mut() {
                 *s = self.step(ctx, *s, b);
-                if count_matches {
-                    ctx.alu(1);
-                    *c += u64::from(self.dfa.is_accepting(*s));
-                }
             }
             ctx.alu(1);
         }
@@ -794,7 +714,7 @@ mod tests {
     ) -> WalkBatch {
         let mut batch = WalkBatch::default();
         batch.push(range, starts.iter().copied());
-        t.step_walks(input, &mut batch, false);
+        t.step_walks(input, &mut batch);
         batch
     }
 
@@ -804,7 +724,7 @@ mod tests {
         let t = DeviceTable::transformed(&d, 7);
         let input = b"1011010101";
         let mut batch = one_walk(&t, input, 2..8, &[0, 3, 5]);
-        on_device(|ctx| t.charge_walk(ctx, input, &mut batch, 0, false));
+        on_device(|ctx| t.charge_walk(ctx, input, &mut batch, 0));
         for (i, &s0) in [0, 3, 5].iter().enumerate() {
             assert_eq!(batch.ends(0)[i], d.run_from(s0, &input[2..8]));
         }
@@ -819,7 +739,7 @@ mod tests {
             t.run_chunk(ctx, &input, 0..64, 0);
         });
         let mut batch = one_walk(&t, &input, 0..64, &[0, 1, 2, 3]);
-        let quad = on_device(|ctx| t.charge_walk(ctx, &input, &mut batch, 0, false));
+        let quad = on_device(|ctx| t.charge_walk(ctx, &input, &mut batch, 0));
         // Input transactions identical; table work roughly 4x.
         assert_eq!(
             single.global_transactions, quad.global_transactions,
@@ -833,7 +753,7 @@ mod tests {
     }
 
     /// How [`Walks`] walks: the per-access oracle, one
-    /// [`DeviceTable::run_chunk_with`] call per walk (one-path walks only),
+    /// [`DeviceTable::run_chunk`] call per walk (one-path walks only),
     /// or every round's walks stepped together in `begin_round` and charged
     /// by each thread in `round`.
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -846,19 +766,18 @@ mod tests {
     /// Thread `tid` walks one or two of `walks` per round, alternating with
     /// the round — consecutive entries, so the threads of a warp share its
     /// window and a thread may re-walk bytes already in it — recording each
-    /// walk's end states and match counts, and its clock after the round.
+    /// walk's end states, and its clock after the round.
     struct Walks<'t> {
         table: &'t DeviceTable<'t>,
         input: &'t [u8],
         walks: &'t [(Range<usize>, Vec<StateId>)],
-        count: bool,
         mode: WalkMode,
         threads: usize,
         rounds: usize,
         round: usize,
         batch: WalkBatch,
         next: usize,
-        results: Vec<(usize, Vec<StateId>, Vec<u64>)>,
+        results: Vec<(usize, Vec<StateId>)>,
         clocks: Vec<(usize, u64)>,
     }
 
@@ -882,34 +801,27 @@ mod tests {
                     batch.push(range.clone(), starts.iter().copied());
                 }
             }
-            self.table.step_walks(self.input, &mut batch, self.count);
+            self.table.step_walks(self.input, &mut batch);
             self.batch = batch;
             self.next = 0;
         }
 
         fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-            let (t, input, count) = (self.table, self.input, self.count);
+            let (t, input) = (self.table, self.input);
             let mine: Vec<_> = self.of(tid).cloned().collect();
             for (range, starts) in mine {
                 let mut states = starts.clone();
-                let mut counts = vec![0; states.len()];
                 match self.mode {
-                    WalkMode::PerAccess => {
-                        t.run_chunk_per_access(ctx, input, range, &mut states, &mut counts, count)
-                    }
-                    WalkMode::OneWalk => {
-                        let run = t.run_chunk_with(ctx, input, range, states[0], count);
-                        (states, counts) = (vec![run.end], vec![run.matches]);
-                    }
+                    WalkMode::PerAccess => t.run_chunk_per_access(ctx, input, range, &mut states),
+                    WalkMode::OneWalk => states = vec![t.run_chunk(ctx, input, range, states[0])],
                     WalkMode::Batched => {
                         let w = self.next;
                         self.next += 1;
-                        t.charge_walk(ctx, input, &mut self.batch, w, count);
+                        t.charge_walk(ctx, input, &mut self.batch, w);
                         states.copy_from_slice(self.batch.ends(w));
-                        counts.copy_from_slice(self.batch.matches(w));
                     }
                 }
-                self.results.push((tid, states, counts));
+                self.results.push((tid, states));
             }
             self.clocks.push((tid, ctx.cycles()));
             RoundOutcome::ACTIVE
@@ -927,12 +839,12 @@ mod tests {
         /// The bulk-charged walk, stepped in lockstep with the rest of its
         /// round (1–4 paths per walk) or alone (one path), is the
         /// per-access walk: over random machines, hot-row counts from none
-        /// to all, both layouts, counting on and off, on ranges that are
-        /// empty, shorter than a segment, unaligned or many segments long,
-        /// walked by 1–11 threads (batches of 1 to 17 walks) over 1–3
-        /// rounds on 4-byte and 32-byte segments, every end state, match
-        /// count, per-thread clock and statistic of the launch — per-round
-        /// vectors and phase counters included — is identical.
+        /// to all, both layouts, on ranges that are empty, shorter than a
+        /// segment, unaligned or many segments long, walked by 1–11 threads
+        /// (batches of 1 to 17 walks) over 1–3 rounds on 4-byte and 32-byte
+        /// segments, every end state, per-thread clock and statistic of the
+        /// launch — per-round vectors and phase counters included — is
+        /// identical.
         #[test]
         fn bulk_walk_equals_per_access_walk(
             seed in 0u64..1000,
@@ -940,7 +852,6 @@ mod tests {
             n_classes in 1u16..6,
             hot in 0u32..25,
             hashed in 0u8..2,
-            count in 0u8..2,
             walks in proptest::collection::vec(
                 ((0usize..300, 0u8..4, 0usize..300), (1usize..5, 0u64..1000)),
                 1..6,
@@ -979,7 +890,6 @@ mod tests {
                     table: &table,
                     input: &input,
                     walks,
-                    count: count == 1,
                     mode,
                     threads,
                     rounds,

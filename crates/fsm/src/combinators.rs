@@ -264,46 +264,6 @@ pub fn sliding_window_dfa(alphabet: &[u8], k: usize, accept_word: &[u8]) -> Resu
     builder.build(start_id as StateId)
 }
 
-/// A "long chain" machine: it hunts for `needle` (Aho-Corasick style) but
-/// resets only through a slow ladder — on a mismatch the state retreats by
-/// `retreat` rungs instead of falling all the way to the root. States still
-/// merge eventually, but only after ~`needle.len() / retreat` characters, so
-/// 2-byte lookback prediction is inaccurate while whole-chunk convergence
-/// holds. This is the Tier-B ("SRE wins") construction.
-pub fn slow_chain_dfa(needle: &[u8], retreat: usize) -> Result<Dfa, FsmError> {
-    assert!(needle.len() >= 2, "needle too short for a chain");
-    let retreat = retreat.max(1);
-    let mut used = [false; 256];
-    for &b in needle {
-        used[b as usize] = true;
-    }
-    let classes = ByteClasses::refine(|x, y| {
-        let ux = used[x as usize];
-        let uy = used[y as usize];
-        ux != uy || (ux && x != y)
-    });
-    let n = needle.len();
-    let mut builder = DfaBuilder::new(classes.clone());
-    for i in 0..=n {
-        builder.add_state(i == n);
-    }
-    for i in 0..=n {
-        let fallback = i.saturating_sub(retreat) as StateId;
-        for c in 0..classes.len() {
-            builder.set_transition(i as StateId, c, fallback)?;
-        }
-        if i < n {
-            let c = classes.class(needle[i]);
-            builder.set_transition(i as StateId, c, (i + 1) as StateId)?;
-        } else {
-            // Accepting state: restart hunting (stay near the top briefly).
-            let c = classes.class(needle[0]);
-            builder.set_transition(i as StateId, c, 1)?;
-        }
-    }
-    builder.build(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,26 +382,6 @@ mod tests {
         // Consuming two foreign bytes returns to the start state.
         assert_eq!(d.run(b"zz"), d.start());
         assert_ne!(d.run(b"az"), d.start());
-    }
-
-    #[test]
-    fn slow_chain_converges_slowly() {
-        let needle = b"abcdefghijklmnopqrst";
-        let d = slow_chain_dfa(needle, 1).unwrap();
-        // Two steps of junk only retreat two rungs: many states remain.
-        let two = unique_states_after(&d, b"zz");
-        // Twenty steps of junk collapse everything to the root.
-        let twenty = unique_states_after(&d, &[b'z'; 20]);
-        assert!(two > twenty, "two-step {two} vs twenty-step {twenty}");
-        assert_eq!(twenty, 1);
-    }
-
-    #[test]
-    fn slow_chain_still_finds_needle() {
-        let d = slow_chain_dfa(b"abcd", 4).unwrap();
-        assert!(d.accepts(b"abcd"));
-        assert!(d.accepts(b"zzabcd"));
-        assert!(!d.accepts(b"abc"));
     }
 
     #[test]

@@ -151,11 +151,6 @@ impl NfaBuilder {
         self.states[from as usize].ranges.push(ByteRange { lo, hi, target: to });
     }
 
-    /// Adds a single-byte transition.
-    pub fn add_byte(&mut self, from: StateId, b: u8, to: StateId) {
-        self.add_range(from, b, b, to);
-    }
-
     /// Adds an epsilon transition.
     pub fn add_epsilon(&mut self, from: StateId, to: StateId) {
         self.states[from as usize].epsilons.push(to);
@@ -188,8 +183,8 @@ mod tests {
         let s1 = b.add_state(false);
         let s2 = b.add_state(true);
         b.add_range(s0, 0, 255, s0);
-        b.add_byte(s0, b'a', s1);
-        b.add_byte(s1, b'b', s2);
+        b.add_range(s0, b'a', b'a', s1);
+        b.add_range(s1, b'b', b'b', s2);
         b.build(s0)
     }
 
@@ -233,7 +228,7 @@ mod tests {
         let mut b = NfaBuilder::new();
         let s0 = b.add_state(false);
         let s1 = b.add_state(true);
-        b.add_byte(s0, b'a', s1);
+        b.add_range(s0, b'a', b'a', s1);
         let n = b.build(s0);
         assert!(n.simulate(b"ba").is_empty());
         assert!(!n.accepts(b"ba"));

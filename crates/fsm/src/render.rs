@@ -1,41 +1,7 @@
-//! Human-readable renderings of machines: Graphviz dot (the transition
-//! graph of Figure 1(a)) and ASCII transition tables (Figure 1(b)).
+//! Human-readable rendering of machines: ASCII transition tables
+//! (Figure 1(b)).
 
 use crate::dfa::Dfa;
-use crate::nfa::Nfa;
-
-/// Renders the machine as a Graphviz `digraph`. Transitions that share a
-/// source and target are merged into one edge labelled with their class
-/// representatives; the start state gets an incoming arrow and accepting
-/// states double circles, matching the paper's Figure 1(a) conventions.
-pub fn to_dot(dfa: &Dfa) -> String {
-    let reps = dfa.classes().representatives();
-    let mut out = String::from("digraph dfa {\n    rankdir=LR;\n    node [shape=circle];\n");
-    out.push_str("    __start [shape=point];\n");
-    for s in 0..dfa.n_states() {
-        if dfa.is_accepting(s) {
-            out.push_str(&format!("    s{s} [shape=doublecircle];\n"));
-        }
-    }
-    out.push_str(&format!("    __start -> s{};\n", dfa.start()));
-    for s in 0..dfa.n_states() {
-        // Group classes by target.
-        let mut by_target: Vec<(u32, Vec<String>)> = Vec::new();
-        for (c, &rep) in reps.iter().enumerate() {
-            let t = dfa.next_by_class(s, c as u16);
-            let label = printable(rep);
-            match by_target.iter_mut().find(|(tt, _)| *tt == t) {
-                Some((_, labels)) => labels.push(label),
-                None => by_target.push((t, vec![label])),
-            }
-        }
-        for (t, labels) in by_target {
-            out.push_str(&format!("    s{s} -> s{t} [label=\"{}\"];\n", labels.join(",")));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
 
 /// Renders the dense transition table in the style of Figure 1(b). Machines
 /// larger than `max_states` are truncated with an ellipsis row.
@@ -69,33 +35,6 @@ pub fn to_table(dfa: &Dfa, max_states: usize) -> String {
     out
 }
 
-/// Renders an NFA as a Graphviz `digraph`; epsilon edges are dashed.
-pub fn nfa_to_dot(nfa: &Nfa) -> String {
-    let mut out = String::from("digraph nfa {\n    rankdir=LR;\n    node [shape=circle];\n");
-    out.push_str("    __start [shape=point];\n");
-    for (id, st) in nfa.states() {
-        if st.accepting {
-            out.push_str(&format!("    s{id} [shape=doublecircle];\n"));
-        }
-    }
-    out.push_str(&format!("    __start -> s{};\n", nfa.start()));
-    for (id, st) in nfa.states() {
-        for r in &st.ranges {
-            let label = if r.lo == r.hi {
-                printable(r.lo)
-            } else {
-                format!("{}-{}", printable(r.lo), printable(r.hi))
-            };
-            out.push_str(&format!("    s{id} -> s{} [label=\"{label}\"];\n", r.target));
-        }
-        for &e in &st.epsilons {
-            out.push_str(&format!("    s{id} -> s{e} [style=dashed, label=\"ε\"];\n"));
-        }
-    }
-    out.push_str("}\n");
-    out
-}
-
 fn printable(b: u8) -> String {
     match b {
         b'"' => "\\\"".to_string(),
@@ -112,27 +51,6 @@ mod tests {
     use crate::examples::{div7, fig4_dfa};
 
     #[test]
-    fn dot_contains_all_states_and_marks() {
-        let dot = to_dot(&div7());
-        assert!(dot.starts_with("digraph dfa {"));
-        assert!(dot.contains("__start -> s0;"));
-        assert!(dot.contains("s0 [shape=doublecircle];"), "accepting state marked");
-        for s in 0..7 {
-            assert!(dot.contains(&format!("s{s} ->")), "state {s} has edges");
-        }
-        assert!(dot.ends_with("}\n"));
-    }
-
-    #[test]
-    fn dot_merges_parallel_edges() {
-        // div7 has 3 classes ('0', '1', other); transitions on distinct
-        // classes to the same target share one labelled edge.
-        let dot = to_dot(&div7());
-        // State 0 on 'other' stays at 0; only one edge s0 -> s0.
-        assert_eq!(dot.matches("s0 -> s0 ").count(), 1);
-    }
-
-    #[test]
     fn table_matches_fig4() {
         let t = to_table(&fig4_dfa(), 10);
         // Start marker on s0, accepting marker on s2.
@@ -146,21 +64,6 @@ mod tests {
     fn table_truncates_large_machines() {
         let t = to_table(&div7(), 3);
         assert!(t.contains("… (4 more states)"));
-    }
-
-    #[test]
-    fn nfa_dot_renders_epsilons_dashed() {
-        use crate::nfa::NfaBuilder;
-        let mut b = NfaBuilder::new();
-        let s0 = b.add_state(false);
-        let s1 = b.add_state(true);
-        b.add_epsilon(s0, s1);
-        b.add_range(s0, b'a', b'c', s0);
-        let n = b.build(s0);
-        let dot = nfa_to_dot(&n);
-        assert!(dot.contains("style=dashed"));
-        assert!(dot.contains("a-c"));
-        assert!(dot.contains("s1 [shape=doublecircle];"));
     }
 
     #[test]

@@ -106,8 +106,8 @@ mod tests {
         let s1 = b.add_state(false);
         let s2 = b.add_state(true);
         b.add_range(s0, 0, 255, s0);
-        b.add_byte(s0, b'a', s1);
-        b.add_byte(s1, b'b', s2);
+        b.add_range(s0, b'a', b'a', s1);
+        b.add_range(s1, b'b', b'b', s2);
         b.build(s0)
     }
 
@@ -134,7 +134,7 @@ mod tests {
         let mut b = NfaBuilder::new();
         let s0 = b.add_state(false);
         let s1 = b.add_state(true);
-        b.add_byte(s0, b'a', s1);
+        b.add_range(s0, b'a', b'a', s1);
         let n = b.build(s0);
         let d = determinize(&n).unwrap();
         assert!(d.accepts(b"a"));
@@ -164,7 +164,7 @@ mod tests {
         let s0 = b.add_state(false);
         b.add_range(s0, 0, 255, s0);
         let mut prev = b.add_state(false);
-        b.add_byte(s0, b'a', prev);
+        b.add_range(s0, b'a', b'a', prev);
         for _ in 0..7 {
             let nx = b.add_state(false);
             b.add_range(prev, 0, 255, nx);

@@ -204,16 +204,6 @@ impl GridStats {
         grid
     }
 
-    /// Aggregate global transactions across all blocks.
-    pub fn total_global_transactions(&self) -> u64 {
-        self.blocks.iter().map(|b| b.global_transactions).sum()
-    }
-
-    /// The slowest single block.
-    pub fn max_block_cycles(&self) -> u64 {
-        self.blocks.iter().map(|b| b.cycles).max().unwrap_or(0)
-    }
-
     /// The occupancy shape of this launch, for embedding into merged
     /// [`KernelStats`].
     pub fn shape(&self) -> LaunchShape {
@@ -336,7 +326,7 @@ mod tests {
         let mut blocks = vec![(1usize, Work(5)), (1usize, Work(500))];
         let g = launch_blocks(&spec, &mut blocks).unwrap();
         assert_eq!(g.waves, 1);
-        assert_eq!(g.cycles, g.max_block_cycles());
+        assert_eq!(Some(g.cycles), g.blocks.iter().map(|b| b.cycles).max());
         assert!(g.cycles >= 500);
     }
 
@@ -353,24 +343,6 @@ mod tests {
         let naive = launch_blocks(&one_resident(1), &mut blocks).unwrap();
         assert_eq!(naive.waves, 8);
         assert!(g.cycles < naive.cycles);
-    }
-
-    #[test]
-    fn aggregate_counters_sum_blocks() {
-        struct Loader;
-        impl RoundKernel for Loader {
-            fn round(&mut self, tid: usize, ctx: &mut ThreadCtx<'_>) -> RoundOutcome {
-                ctx.global(0, tid as u64 * 64, 1);
-                RoundOutcome::ACTIVE
-            }
-            fn after_sync(&mut self, _round: u64) -> bool {
-                false
-            }
-        }
-        let spec = DeviceSpec::test_unit();
-        let mut blocks = vec![(3usize, Loader), (3usize, Loader)];
-        let g = launch_blocks(&spec, &mut blocks).unwrap();
-        assert_eq!(g.total_global_transactions(), 6);
     }
 
     /// Grid kernel: thread `tid` writes `tid` into its slot and charges
@@ -518,7 +490,10 @@ mod tests {
         assert_eq!(folded.cycles, g.cycles);
         assert_eq!(folded.shape, Some(g.shape()));
         assert_eq!(folded.profile.total_cycles(), folded.cycles);
-        assert_eq!(folded.global_transactions, g.total_global_transactions());
+        assert_eq!(
+            folded.global_transactions,
+            g.blocks.iter().map(|b| b.global_transactions).sum::<u64>()
+        );
         assert_eq!(
             folded.alu_ops,
             g.blocks.iter().map(|b| b.alu_ops).sum::<u64>(),

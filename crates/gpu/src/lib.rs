@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod error;
-pub mod event;
 pub mod fault;
 pub mod grid;
 pub mod kernel;
@@ -48,7 +47,6 @@ pub mod stats;
 pub mod transfer;
 
 pub use error::LaunchError;
-pub use event::{EventTimer, KernelSpan};
 pub use fault::{backoff_cycles, fault_coord, FaultDomain, FaultPlan};
 pub use grid::{block_dims_width, launch_blocks, launch_grid, BlockDim, GridStats};
 pub use kernel::{

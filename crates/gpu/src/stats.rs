@@ -310,19 +310,6 @@ impl KernelStats {
         }
     }
 
-    /// A one-line summary for logs.
-    pub fn brief(&self) -> String {
-        format!(
-            "{} cycles over {} rounds ({} global txns, {} coalesced, {} shared, {} alu)",
-            self.cycles,
-            self.rounds,
-            self.global_transactions,
-            self.global_coalesced_hits,
-            self.shared_accesses,
-            self.alu_ops
-        )
-    }
-
     /// Merges another *block's* counters into this one, treating the two as
     /// concurrent blocks of a single grid launch: every counter sums, but
     /// `cycles` is left untouched — concurrent blocks do not serialize, so
@@ -384,14 +371,6 @@ mod tests {
         let s = KernelStats { rounds: 2, ..KernelStats::default() };
         assert_eq!(s.avg_active_threads_during_recovery(), 0.0);
         assert_eq!(s.avg_recovery_round_duration(), 0.0);
-    }
-
-    #[test]
-    fn brief_mentions_cycles_and_rounds() {
-        let s = KernelStats { cycles: 42, rounds: 3, ..KernelStats::default() };
-        let b = s.brief();
-        assert!(b.contains("42 cycles"));
-        assert!(b.contains("3 rounds"));
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl ClassSet {
         &self.ranges
     }
 
-    /// Whether the class matches no byte.
-    pub fn is_empty_class(&self) -> bool {
-        self.ranges.is_empty()
-    }
-
     /// Whether `b` is in the class.
     pub fn contains(&self, b: u8) -> bool {
         self.ranges.iter().any(|&(lo, hi)| lo <= b && b <= hi)
@@ -124,11 +119,6 @@ impl Ast {
     /// Single literal byte.
     pub fn literal(b: u8) -> Ast {
         Ast::Class(ClassSet::byte(b))
-    }
-
-    /// Literal byte string.
-    pub fn literal_bytes(bs: &[u8]) -> Ast {
-        Ast::Concat(bs.iter().map(|&b| Ast::literal(b)).collect())
     }
 
     /// Renders the AST back to pattern syntax. `parse(ast.to_pattern())`
@@ -251,11 +241,6 @@ mod tests {
             assert_eq!(c.contains(b), !n.contains(b), "byte {b}");
         }
         assert_eq!(n.negate(), c);
-    }
-
-    #[test]
-    fn negate_full_range_is_empty() {
-        assert!(ClassSet::any().negate().is_empty_class());
     }
 
     #[test]

@@ -319,7 +319,7 @@ mod tests {
     #[test]
     fn literal_concat() {
         let ast = parse("abc").unwrap();
-        assert_eq!(ast, Ast::literal_bytes(b"abc"));
+        assert_eq!(ast, Ast::Concat(b"abc".iter().map(|&b| Ast::literal(b)).collect()));
     }
 
     #[test]

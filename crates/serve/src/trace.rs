@@ -252,6 +252,63 @@ mod tests {
         assert_eq!(t.len(), 3, "equal-cycle bursts are valid and keep their order");
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Over random arrival lists — cycles starting at 0 or just below
+        /// [`super::MAX_ARRIVAL_CYCLE`], steps that rise, fall or jump
+        /// toward `u64::MAX`, and some empty payloads — the trace is
+        /// accepted exactly when the reference finds no offending stream,
+        /// and otherwise the error names the first offending stream with
+        /// the reference's variant: overflow before order, order before
+        /// emptiness.
+        #[test]
+        fn try_from_arrivals_matches_the_reference(
+            near_max in 0u8..2,
+            steps in proptest::collection::vec((0u8..10, 0u64..1500, 0u8..12), 0..24),
+        ) {
+            use crate::error::ServeError;
+            let max = super::MAX_ARRIVAL_CYCLE;
+            let mut cycle = if near_max == 1 { max - 4000 } else { 0 };
+            let arrivals: Vec<StreamArrival> = steps
+                .iter()
+                .enumerate()
+                .map(|(i, &(kind, delta, empty))| {
+                    cycle = match kind {
+                        0 => cycle.saturating_sub(delta + 1),
+                        1 => u64::MAX - delta,
+                        2 => max + delta % 2,
+                        _ => cycle.saturating_add(delta),
+                    };
+                    let bytes = if empty == 0 { Vec::new() } else { vec![i as u8] };
+                    StreamArrival { arrival_cycle: cycle, machine: 0, bytes }
+                })
+                .collect();
+            let cycles: Vec<u64> = arrivals.iter().map(|a| a.arrival_cycle).collect();
+            let first_bad = (0..arrivals.len()).find(|&i| {
+                cycles[i] > max
+                    || (i > 0 && cycles[i] < cycles[i - 1])
+                    || arrivals[i].bytes.is_empty()
+            });
+            let expected = first_bad.map(|i| {
+                if cycles[i] > max {
+                    ServeError::ArrivalOverflow { stream: i, cycle: cycles[i], max }
+                } else if i > 0 && cycles[i] < cycles[i - 1] {
+                    ServeError::NonMonotonicTrace { stream: i, cycle: cycles[i], prev: cycles[i - 1] }
+                } else {
+                    ServeError::EmptyStream { stream: i }
+                }
+            });
+            match Trace::try_from_arrivals(arrivals.clone()) {
+                Ok(t) => {
+                    proptest::prop_assert_eq!(expected, None);
+                    proptest::prop_assert_eq!(t.arrivals(), &arrivals[..]);
+                }
+                Err(e) => proptest::prop_assert_eq!(Some(e), expected),
+            }
+        }
+    }
+
     #[test]
     fn empty_traces_are_fine() {
         let t = Trace::default();

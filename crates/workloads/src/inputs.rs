@@ -132,30 +132,6 @@ pub fn pattern_text(seed: u64, len: usize, words: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// A stream dominated by bytes from `alphabet` (probability
-/// `alphabet_ratio`), the rest drawn from foreign filler bytes. Feeding a
-/// slow-retreat chain machine an alphabet-rich stream keeps its states
-/// spread out at 2-byte range while still converging over a chunk.
-pub fn chain_mix(seed: u64, len: usize, alphabet: &[u8], alphabet_ratio: f64) -> Vec<u8> {
-    assert!(!alphabet.is_empty(), "alphabet must be non-empty");
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x0063_6861_696e);
-    (0..len)
-        .map(|_| {
-            if rng.random_bool(alphabet_ratio) {
-                alphabet[rng.random_range(0..alphabet.len())]
-            } else {
-                // Foreign filler outside the alphabet.
-                let b = rng.random_range(b'0'..=b'9');
-                if alphabet.contains(&b) {
-                    b'~'
-                } else {
-                    b
-                }
-            }
-        })
-        .collect()
-}
-
 /// Letter stream for the sliding-window (Tier B) machines: the first four
 /// bytes of `alphabet` carry `skew` of the probability mass (so
 /// frequency-informed speculation covers roughly `skew` of boundaries with
@@ -256,7 +232,6 @@ mod tests {
             assert_eq!(network_trace(1, len, &[]).len(), len);
             assert_eq!(executable_blob(1, len, &[]).len(), len);
             assert_eq!(pattern_text(1, len, &[]).len(), len);
-            assert_eq!(chain_mix(1, len, b"abc", 0.8).len(), len);
         }
     }
 
@@ -277,25 +252,6 @@ mod tests {
     fn executable_blob_has_zero_runs() {
         let t = executable_blob(5, 10_000, &[]);
         assert!(t.windows(4).any(|w| w == [0, 0, 0, 0]));
-    }
-
-    #[test]
-    fn chain_mix_respects_ratio() {
-        let t = chain_mix(9, 10_000, b"abcdef", 0.9);
-        let in_alpha = t.iter().filter(|b| b"abcdef".contains(b)).count();
-        let ratio = in_alpha as f64 / t.len() as f64;
-        assert!((0.85..=0.95).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn chain_mix_foreign_bytes_stay_foreign() {
-        let t = chain_mix(9, 10_000, b"0123", 0.5);
-        // Digits overlap the alphabet; fillers must have been remapped.
-        for &b in &t {
-            if !b"0123".contains(&b) {
-                assert!(b == b'~' || (b'4'..=b'9').contains(&b));
-            }
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Randomized differential harness: every scheme, under both stitch
 //! policies, must agree bit-for-bit with the sequential reference — end
-//! state, accept decision, per-chunk end states, and match counts — over
+//! state, accept decision and per-chunk end states — over
 //! random machines, random and adversarial inputs, and chunk counts from a
 //! single chunk up to dozens of thread blocks.
 //!
@@ -26,12 +26,7 @@ use proptest::prelude::*;
 fn check_all(d: &Dfa, table: &DeviceTable<'_>, input: &[u8], n_chunks: usize, spec: &DeviceSpec) {
     let truth_end = d.run(input);
     for policy in [StitchPolicy::Sequential, StitchPolicy::Tree] {
-        let config = SchemeConfig {
-            n_chunks,
-            count_matches: true,
-            stitch: policy,
-            ..SchemeConfig::default()
-        };
+        let config = SchemeConfig { n_chunks, stitch: policy, ..SchemeConfig::default() };
         let job = Job::new(spec, table, input, config).unwrap();
         let reference = run_scheme(SchemeKind::Sequential, &job);
         assert_eq!(reference.end_state, truth_end, "sequential reference must match the DFA");
@@ -41,7 +36,6 @@ fn check_all(d: &Dfa, table: &DeviceTable<'_>, input: &[u8], n_chunks: usize, sp
             assert_eq!(out.end_state, reference.end_state, "end state: {ctx}");
             assert_eq!(out.accepted, reference.accepted, "accept bit: {ctx}");
             assert_eq!(out.chunk_ends, reference.chunk_ends, "chunk ends: {ctx}");
-            assert_eq!(out.match_count, reference.match_count, "match count: {ctx}");
         }
     }
 }
@@ -92,12 +86,7 @@ fn check_all_chaos(
 ) {
     let truth_end = d.run(input);
     for policy in [StitchPolicy::Sequential, StitchPolicy::Tree] {
-        let clean_config = SchemeConfig {
-            n_chunks,
-            count_matches: true,
-            stitch: policy,
-            ..SchemeConfig::default()
-        };
+        let clean_config = SchemeConfig { n_chunks, stitch: policy, ..SchemeConfig::default() };
         let chaos_config = SchemeConfig { faults: Some(plan), recovery, ..clean_config };
         let clean_job = Job::new(spec, table, input, clean_config).unwrap();
         let chaos_job = Job::new(spec, table, input, chaos_config).unwrap();
@@ -110,7 +99,6 @@ fn check_all_chaos(
             assert_eq!(out.end_state, reference.end_state, "end state: {ctx}");
             assert_eq!(out.accepted, reference.accepted, "accept bit: {ctx}");
             assert_eq!(out.chunk_ends, reference.chunk_ends, "chunk ends: {ctx}");
-            assert_eq!(out.match_count, reference.match_count, "match count: {ctx}");
             // Aborts/watchdogs only ever add cycles. Corruption can shift
             // the verification path itself (a skewed block incoming may by
             // luck match where the clean one missed), so the monotonicity
@@ -208,7 +196,6 @@ fn chaos_outcomes_are_pool_size_invariant() {
     let table = DeviceTable::transformed(&d, d.n_states());
     let config = SchemeConfig {
         n_chunks: 1024,
-        count_matches: true,
         faults: Some(FaultPlan { watchdog_cycles: 20_000, ..FaultPlan::chaos(99, 200) }),
         ..SchemeConfig::default()
     };

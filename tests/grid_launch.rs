@@ -101,7 +101,7 @@ fn fault_free_1024_chunk_grid_is_pool_size_invariant() {
     let d = div7();
     let table = DeviceTable::transformed(&d, d.n_states());
     let input: Vec<u8> = b"1101010110010111".repeat(256); // 4096 bytes
-    let config = SchemeConfig { n_chunks: 1024, count_matches: true, ..SchemeConfig::default() };
+    let config = SchemeConfig { n_chunks: 1024, ..SchemeConfig::default() };
     let job = Job::new(&spec, &table, &input, config).unwrap();
     let truth = d.run(&input);
     for kind in SchemeKind::all() {
@@ -120,7 +120,6 @@ fn fault_free_1024_chunk_grid_is_pool_size_invariant() {
             let ctx = format!("{kind:?} @ {workers} workers");
             assert_eq!(out.end_state, reference.end_state, "{ctx}");
             assert_eq!(out.chunk_ends, reference.chunk_ends, "{ctx}");
-            assert_eq!(out.match_count, reference.match_count, "{ctx} matches");
             assert_eq!(out.predict, reference.predict, "{ctx} predict stats");
             assert_eq!(out.execute, reference.execute, "{ctx} exec stats");
             assert_eq!(out.verify, reference.verify, "{ctx} verify stats");
