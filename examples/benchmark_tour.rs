@@ -11,7 +11,7 @@ use gspecpal_workloads::build_suite;
 fn main() {
     let kib: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(64);
     let suite = build_suite(1);
-    let selector = Selector::default();
+    let selector = Selector;
 
     println!(
         "{:<10} {:<10} {:>7} {:>8} {:>8} {:>8} {:>7}  {:<4}",

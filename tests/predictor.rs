@@ -188,7 +188,7 @@ fn selector_profile_is_unchanged() {
         fixed_machines().into_iter().zip(expected)
     {
         assert_eq!(name, want);
-        let p = Selector::default().profile(&dfa, &input);
+        let p = Selector.profile(&dfa, &input);
         assert_eq!(
             (p.spec1_accuracy, p.spec4_accuracy, p.worst_truth_rank, p.accuracy_spread),
             (spec1, spec4, worst, spread),

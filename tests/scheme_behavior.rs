@@ -173,7 +173,7 @@ fn selector_picks_sfa_on_poweren_nonconvergent_tiers() {
     use gspecpal::Selector;
     use gspecpal_workloads::{build_suite, Family, Tier};
 
-    let selector = Selector::default();
+    let selector = Selector;
     let suite = build_suite(1);
     let targets: Vec<_> = suite
         .iter()
@@ -207,7 +207,7 @@ fn selector_rejects_sfa_outside_its_window() {
     use gspecpal::Selector;
     use gspecpal_workloads::{build_suite, Family, Tier};
 
-    let selector = Selector::default();
+    let selector = Selector;
 
     // Small convergent machine: div7 has 7 states, below the SFA floor.
     let d = div7();
@@ -253,7 +253,7 @@ fn selector_decision_is_deterministic() {
     use gspecpal::Selector;
     use gspecpal_workloads::{build_suite, Family, Tier};
 
-    let selector = Selector::default();
+    let selector = Selector;
     let suite = build_suite(1);
     let b = suite
         .iter()

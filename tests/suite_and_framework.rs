@@ -45,7 +45,7 @@ fn hashed_layout_is_exact_across_the_suite() {
 fn selector_tracks_tiers() {
     // On large-enough inputs the decision tree should map tiers to their
     // designed winners (modulo RR/NF near-ties).
-    let selector = Selector::default();
+    let selector = Selector;
     let mut agreements = 0usize;
     let mut total = 0usize;
     for b in suite() {
@@ -100,7 +100,7 @@ fn input_variants_are_equivalent_workloads() {
 fn profiles_are_deterministic() {
     let b = &suite()[0];
     let input = b.generate_input(32 * 1024, 0);
-    let sel = Selector::default();
+    let sel = Selector;
     let p1 = sel.profile(&b.dfa, &input);
     let p2 = sel.profile(&b.dfa, &input);
     assert_eq!(p1.spec1_accuracy, p2.spec1_accuracy);

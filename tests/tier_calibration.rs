@@ -21,7 +21,7 @@ const INPUT: usize = 96 * 1024;
 /// survive).
 #[test]
 fn spec_k_tier_has_shallow_queues() {
-    let selector = Selector::default();
+    let selector = Selector;
     for b in suite().iter().filter(|b| b.tier == Tier::SpecKFriendly) {
         let input = b.generate_input(INPUT, 0);
         let p = selector.profile(&b.dfa, &input);
@@ -64,7 +64,7 @@ fn convergence_tier_converges_totally_but_predicts_poorly() {
 /// aggressive recovery is both necessary and sufficient.
 #[test]
 fn deep_tier_defeats_lookback_and_forwarding() {
-    let selector = Selector::default();
+    let selector = Selector;
     for b in suite().iter().filter(|b| b.tier == Tier::NonConvergent) {
         let input = b.generate_input(INPUT, 0);
         let p = selector.profile(&b.dfa, &input);
@@ -87,7 +87,7 @@ fn deep_tier_defeats_lookback_and_forwarding() {
 /// (easy regimes pin the counter, hard regimes churn it).
 #[test]
 fn sensitive_tier_shows_regime_spread() {
-    let selector = Selector::default();
+    let selector = Selector;
     let mut spreads = Vec::new();
     for b in suite().iter().filter(|b| b.tier == Tier::InputSensitive) {
         let input = b.generate_input(INPUT, 0);
