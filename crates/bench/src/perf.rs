@@ -8,11 +8,20 @@
 //! - `schema_version` (integer): currently `1`. Consumers must reject
 //!   versions they do not know.
 //! - `experiment` (string): `"fig8"`, `"ablation"`, `"motivation"`,
-//!   `"serve"`, `"chaos"`, `"adaptive"`, or `"cluster"`.
-//! - `config` (object): `seed`, `input_bytes`, `n_chunks`, `device` — the
-//!   [`ExperimentConfig`] the numbers were produced with.
+//!   `"serve"`, `"chaos"`, `"adaptive"`, `"cluster"`, `"failover"`, or
+//!   `"hostperf"`.
+//! - `config` (object): the settings the numbers were produced with. Each
+//!   builder writes its own:
+//!   - `fig8`, `ablation`, `motivation`, `serve`, `chaos`, `adaptive`: the
+//!     [`ExperimentConfig`]'s `seed`, `input_bytes`, `n_chunks`, `device`;
+//!   - `cluster`: `vnodes`, `n_machines`, `residency_bytes`;
+//!   - `failover`: `vnodes`, `n_machines`, `streams`,
+//!     `checkpoint_every_batches`, `residency_bytes`;
+//!   - `hostperf`: `streams`, `seed`, `mean_gap`, `len_min`, `len_max`,
+//!     `device`.
 //! - `total_cycles` (integer): the experiment's headline cycle total, the
 //!   single number the CI perf gate compares against the committed baseline.
+//!   `hostperf` is a wall-clock artifact, never gated, and has none.
 //! - experiment-specific payload (see the builder functions below). Wherever
 //!   a scheme run appears it carries a `phases` object keyed by
 //!   [`gspecpal_gpu::Phase::name`] in [`gspecpal_gpu::Phase::ALL`] order; each phase holds the

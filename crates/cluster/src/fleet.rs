@@ -32,7 +32,7 @@ use gspecpal_serve::{
 };
 
 use crate::report::{assemble, ClusterReport, FailoverReport, RouterStats};
-use crate::ring::HashRing;
+use crate::ring::{HashRing, MAX_VNODES};
 
 /// One device in the fleet: its compute model and how it attaches to the
 /// interconnect.
@@ -301,8 +301,8 @@ fn validate(
     for d in devices {
         d.spec.validate().map_err(ServeError::InvalidDevice)?;
     }
-    if cfg.vnodes == 0 {
-        return invalid("vnodes", "needs at least one ring point per device");
+    if !(1..=MAX_VNODES).contains(&cfg.vnodes) {
+        return invalid("vnodes", &format!("needs 1 to {MAX_VNODES} ring points per device"));
     }
     if let Some(o) = cfg.outage {
         if o.device >= devices.len() {

@@ -33,9 +33,9 @@
 //!   model that silently completes a dead device's in-flight work.
 //!
 //! Everything is exact integer arithmetic over the same cost model as the
-//! rest of the repo: a [`ClusterReport`] is bit-identical across host
-//! thread counts and reruns, and each device's slice of it equals serving
-//! that device's sub-trace standalone. [`run_cluster_source`] is the one
+//! rest of the repo: a [`ClusterReport`] is bit-identical across reruns,
+//! and each device's slice of it equals serving that device's sub-trace
+//! standalone. [`run_cluster_source`] is the one
 //! fleet path, a single-threaded streaming demux (see [`fleet`]) with
 //! memory bounded at million-stream scale under
 //! [`gspecpal_serve::ReportDetail::Bounded`]; [`run_cluster`] replays a

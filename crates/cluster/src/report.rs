@@ -4,8 +4,8 @@
 //!
 //! Everything is integer-valued and assembled by deterministic folds over
 //! the (already bit-identical) per-device reports, so a [`ClusterReport`]
-//! is bit-identical across host thread counts and reruns — `PartialEq` on
-//! the whole struct is the test.
+//! is bit-identical across reruns — `PartialEq` on the whole struct is the
+//! test.
 
 use gspecpal_serve::{LatencySummary, PriorityClass, ResidencyReport, ServeReport};
 

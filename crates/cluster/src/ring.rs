@@ -28,6 +28,10 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
+/// Most ring points per device: a point's replica index fills the low 16
+/// bits of its hash input, so more would reuse the next device's inputs.
+pub const MAX_VNODES: usize = 1 << 16;
+
 /// A consistent-hash ring over device indices.
 ///
 /// Each device contributes `vnodes` points at
@@ -46,7 +50,7 @@ pub struct HashRing {
 
 impl HashRing {
     /// Builds a ring over devices `0..n_devices`, each with `vnodes`
-    /// points. Panics if either is zero.
+    /// points. Panics if either is zero or `vnodes` exceeds [`MAX_VNODES`].
     pub fn new(n_devices: usize, vnodes: usize) -> Self {
         Self::over((0..n_devices).collect(), vnodes)
     }
@@ -54,6 +58,7 @@ impl HashRing {
     fn over(devices: Vec<usize>, vnodes: usize) -> Self {
         assert!(!devices.is_empty(), "a ring needs at least one device");
         assert!(vnodes > 0, "a ring needs at least one point per device");
+        assert!(vnodes <= MAX_VNODES, "at most {MAX_VNODES} points per device");
         let mut points: Vec<(u64, usize)> = devices
             .iter()
             .flat_map(|&d| {

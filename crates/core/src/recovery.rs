@@ -21,7 +21,7 @@
 //! end states stay bit-identical to the fault-free run. It only adds cycles,
 //! and it adds them block-locally (then re-applies the wave model via
 //! [`gspecpal_gpu::GridStats::reschedule`]), so the per-phase cycle
-//! partition and cross-pool-size determinism both survive.
+//! partition and rerun determinism both survive.
 
 use std::ops::Range;
 

@@ -6,9 +6,8 @@
 //! a block trips the per-kernel watchdog budget. Because every decision is a
 //! hash of `(seed, domain, coordinate, attempt)` and never consults ambient
 //! state (no clocks, no RNG, no thread ids), the same plan produces the same
-//! faults on every host, at every rayon pool size, in every run — which is
-//! what lets the recovery layers above assert bit-identical reports under
-//! chaos.
+//! faults on every host and in every run — which is what lets the recovery
+//! layers above assert bit-identical reports under chaos.
 //!
 //! The plan only *decides*; it never mutates anything. The recovery policies
 //! (retry with capped exponential backoff, graceful degradation, load

@@ -592,7 +592,7 @@ pub(crate) fn run_block<K: RoundKernel + ?Sized>(
     BLOCK_SCRATCH.with(|cell| match cell.try_borrow_mut() {
         Ok(mut scratch) => run_block_in(spec, tid_base, n_threads, kernel, &mut scratch),
         // A kernel that launches nested blocks from inside `round` re-enters
-        // this worker's scratch; give the inner launch its own rather than
+        // this thread's scratch; give the inner launch its own rather than
         // aliasing the outer block's state.
         Err(_) => run_block_in(spec, tid_base, n_threads, kernel, &mut BlockScratch::default()),
     })

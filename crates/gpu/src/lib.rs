@@ -31,9 +31,8 @@
 //!
 //! What is deliberately not modelled: instruction-level warp divergence,
 //! DRAM banking, L2, and intra-wave block preemption — none of which the
-//! paper's analysis (§III-C) depends on. All counts are deterministic
-//! (including across host thread pools), so every experiment in
-//! EXPERIMENTS.md reproduces bit-for-bit.
+//! paper's analysis (§III-C) depends on. All counts are deterministic, so
+//! every experiment in EXPERIMENTS.md reproduces bit-for-bit.
 
 #![warn(missing_docs)]
 

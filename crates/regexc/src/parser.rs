@@ -29,14 +29,19 @@ impl std::error::Error for ParseError {}
 /// Maximum expansion of a bounded repetition, to keep NFA sizes sane.
 pub const MAX_REPEAT: u32 = 256;
 
+/// Maximum depth of nested groups: parsing, NFA construction and dropping
+/// the AST recurse once per level, so deeper is an error, not an overflow.
+pub const MAX_NESTING: usize = 256;
+
 struct Parser<'a> {
     pat: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 /// Parses a pattern into an [`Ast`].
 pub fn parse(pattern: &str) -> Result<Ast, ParseError> {
-    let mut p = Parser { pat: pattern.as_bytes(), pos: 0 };
+    let mut p = Parser { pat: pattern.as_bytes(), pos: 0, depth: 0 };
     let ast = p.alternation()?;
     if p.pos != p.pat.len() {
         return Err(p.err("unexpected trailing input"));
@@ -170,6 +175,10 @@ impl<'a> Parser<'a> {
         match self.bump() {
             None => Err(self.err("expected an atom")),
             Some(b'(') => {
+                if self.depth == MAX_NESTING {
+                    self.pos -= 1;
+                    return Err(self.err("groups nested too deeply"));
+                }
                 // Non-capturing group marker `(?:` is accepted and ignored;
                 // captures are irrelevant for DFA construction.
                 if self.peek() == Some(b'?') {
@@ -178,10 +187,12 @@ impl<'a> Parser<'a> {
                         return Err(self.err("only (?: groups are supported"));
                     }
                 }
+                self.depth += 1;
                 let inner = self.alternation()?;
                 if !self.eat(b')') {
                     return Err(self.err("expected ')'"));
                 }
+                self.depth -= 1;
                 Ok(inner)
             }
             Some(b'[') => Ok(Ast::Class(self.class()?)),
@@ -453,6 +464,20 @@ mod tests {
         assert_eq!(parse(r"\^").unwrap(), Ast::literal(b'^'));
         let err = parse("a$").unwrap_err();
         assert!(err.message.contains("end anchors"), "{err}");
+    }
+
+    /// Runs on a default-sized test thread, so a limit too high for the
+    /// recursion shows up here as a stack overflow.
+    #[test]
+    fn nesting_past_the_limit_is_an_error_at_the_offending_paren() {
+        let nested = |depth: usize| "(a".repeat(depth) + &")".repeat(depth);
+        let at_limit = nested(MAX_NESTING);
+        assert!(parse(&at_limit).is_ok());
+        crate::compile(&at_limit, crate::CompileConfig::default()).unwrap();
+        let err = parse(&nested(MAX_NESTING + 1)).unwrap_err();
+        assert_eq!(err.at, 2 * MAX_NESTING, "the first '(' past the limit");
+        let deep = "(".repeat(100_000) + "a" + &")".repeat(100_000);
+        assert_eq!(parse(&deep).unwrap_err().at, MAX_NESTING);
     }
 
     #[test]

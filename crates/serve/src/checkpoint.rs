@@ -12,8 +12,8 @@
 //! > machines, configuration, and device, produces a [`ServeReport`]
 //! > **bit-identical** to the uninterrupted run,
 //!
-//! for every batch policy, fault plan, report detail, controller /
-//! residency / recovery configuration, and host thread count. The
+//! for every batch policy, fault plan, report detail, and controller /
+//! residency / recovery configuration. The
 //! guarantee is structural rather than aspirational: `serve` itself runs
 //! the same resumable engine ([`ServeRun`] stepped to dry, then `finish`), so
 //! a restore is not a parallel implementation that could drift — it is
@@ -1010,7 +1010,7 @@ pub fn serve_checkpoint<S: TraceSource>(
 
 /// Resumes a checkpointed run over a fresh instance of the *same* source
 /// and finishes it. The report is bit-identical to the uninterrupted
-/// run's for every policy, fault plan, detail level, and thread count.
+/// run's for every policy, fault plan, and detail level.
 ///
 /// `source` must replay the same arrival sequence the original run
 /// consumed (the checkpoint records how many arrivals to skip); a source

@@ -33,7 +33,7 @@
 //! The controller is a pure fold over the machine's decision/observation
 //! history: integer arithmetic only, no clocks, no randomness, and the
 //! serve engine drives it from its single sequential forward pass — so
-//! decisions are bit-identical for any rayon pool size. Each exported
+//! decisions are bit-identical on every rerun. Each exported
 //! [`DecisionRecord`] carries the full [`BatchObservation`] that was fed
 //! back, so the decision log on [`crate::ServeReport`] is *auditable by
 //! replay*: reconstruct a controller from the same config and arm lists,

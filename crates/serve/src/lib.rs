@@ -49,7 +49,7 @@
 //!
 //! Everything is integer cycle arithmetic over deterministic simulations:
 //! two runs of the same trace and configuration produce bit-identical
-//! reports at any host thread count.
+//! reports.
 //!
 //! # Example
 //!

@@ -3,8 +3,8 @@
 //!
 //! Everything in a [`ServeReport`] is integer-valued and derived from the
 //! deterministic timeline, so reports from the same trace and configuration
-//! are bit-identical regardless of host thread count — `PartialEq` on the
-//! whole report is the determinism test.
+//! are bit-identical on every rerun — `PartialEq` on the whole report is the
+//! determinism test.
 
 use gspecpal::SchemeKind;
 use gspecpal_fsm::StateId;
@@ -143,7 +143,7 @@ impl StreamOutcome {
 /// `degraded_blocks`) are folded out of the merged [`KernelStats`]; the
 /// copy / shedding / breaker counters come from the pipeline itself. Like
 /// the rest of the report it is integer-valued and bit-identical across
-/// host thread counts.
+/// reruns.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoveryReport {
     /// Kernel block launches retried after an injected abort or watchdog

@@ -18,7 +18,7 @@
 //! A t-digest reaches a similar budget/accuracy point with mergeable
 //! centroids, but centroid positions depend on insertion and merge order —
 //! poison for this repo's bit-determinism invariant (reports must be
-//! byte-identical across rayon pool sizes). Bucket counters are plain
+//! byte-identical across reruns). Bucket counters are plain
 //! integer sums: insertion order, merge order, and merge tree shape are
 //! all invisible by construction, which is the determinism argument in
 //! one sentence. The budget is fixed at [`LatencySketch::BUCKETS`] `u64`
@@ -133,8 +133,7 @@ impl LatencySketch {
 
     /// Merges another sketch into this one. Pure counter addition:
     /// commutative and associative, so any merge tree over any partition of
-    /// the data yields the identical sketch — the property that keeps
-    /// reports bit-identical across rayon pool sizes.
+    /// the data yields the identical sketch.
     pub fn merge(&mut self, other: &LatencySketch) {
         for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
             *mine += *theirs;

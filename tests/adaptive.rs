@@ -1,9 +1,8 @@
-//! Deterministic-replay coverage of the online autotuning controller
-//! (ISSUE 8): controller decisions are a pure function of the prior
-//! observation stream — bit-identical across host thread pools and reruns,
-//! auditable by replaying the exported decision log through a fresh
-//! controller, and perturbed by injected faults *only* through the
-//! observed counters.
+//! Deterministic-replay coverage of the online autotuning controller:
+//! controller decisions are a pure function of the prior observation
+//! stream — bit-identical across reruns, auditable by replaying the
+//! exported decision log through a fresh controller, and perturbed by
+//! injected faults *only* through the observed counters.
 
 use gspecpal::{FaultPlan, SchemeConfig, SchemeKind, StitchPolicy};
 use gspecpal_fsm::examples::{div7, mod_counter};
@@ -43,21 +42,13 @@ fn adaptive_config() -> ServeConfig {
     }
 }
 
-fn run_adaptive_serve(
-    spec: &DeviceSpec,
-    dfas: [&Dfa; 2],
-    cfg: &ServeConfig,
-    workers: usize,
-) -> ServeReport {
-    let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-    pool.install(|| {
-        let training = b"110100".repeat(256);
-        let machines = [
-            ServeMachine::prepare(spec, dfas[0], &training),
-            ServeMachine::prepare(spec, dfas[1], &training),
-        ];
-        serve(spec, &machines, &mixed_trace(), cfg).unwrap()
-    })
+fn run_adaptive_serve(spec: &DeviceSpec, dfas: [&Dfa; 2], cfg: &ServeConfig) -> ServeReport {
+    let training = b"110100".repeat(256);
+    let machines = [
+        ServeMachine::prepare(spec, dfas[0], &training),
+        ServeMachine::prepare(spec, dfas[1], &training),
+    ];
+    serve(spec, &machines, &mixed_trace(), cfg).unwrap()
 }
 
 /// Replays a report's decision log through a fresh controller built from
@@ -85,15 +76,13 @@ fn machine_arms(spec: &DeviceSpec, dfas: [&Dfa; 2]) -> Vec<Vec<LaunchChoice>> {
 }
 
 #[test]
-fn adaptive_decisions_are_bit_identical_across_thread_pools_and_reruns() {
+fn adaptive_decisions_are_bit_identical_across_reruns() {
     let spec = DeviceSpec::test_unit();
     let (d0, d1) = (div7(), mod_counter(5, &[0]));
     let cfg = adaptive_config();
-    let baseline = run_adaptive_serve(&spec, [&d0, &d1], &cfg, 1);
-    for workers in [1usize, 4] {
-        let report = run_adaptive_serve(&spec, [&d0, &d1], &cfg, workers);
-        assert_eq!(baseline, report, "workers = {workers}: full reports must match bit for bit");
-    }
+    let baseline = run_adaptive_serve(&spec, [&d0, &d1], &cfg);
+    let rerun = run_adaptive_serve(&spec, [&d0, &d1], &cfg);
+    assert_eq!(baseline, rerun, "full reports must match bit for bit");
     // The controller actually steered: every batch carries a decision.
     assert_eq!(baseline.decisions_made, baseline.batches.len() as u64);
     // Answers still match host-side reference scans.
@@ -109,7 +98,7 @@ fn decision_log_replays_through_a_fresh_controller() {
     let spec = DeviceSpec::test_unit();
     let (d0, d1) = (div7(), mod_counter(5, &[0]));
     let cfg = adaptive_config();
-    let report = run_adaptive_serve(&spec, [&d0, &d1], &cfg, 4);
+    let report = run_adaptive_serve(&spec, [&d0, &d1], &cfg);
     let ctrl = cfg.controller.as_ref().unwrap();
     assert_log_replays(&report, ctrl, machine_arms(&spec, [&d0, &d1]));
 }
@@ -126,10 +115,10 @@ fn fault_injected_batches_perturb_decisions_only_through_observed_counters() {
         },
         ..clean_cfg.clone()
     };
-    // Chaos under the controller is still pool-independent and rerunnable.
-    let faulted = run_adaptive_serve(&spec, [&d0, &d1], &faulted_cfg, 1);
-    let faulted4 = run_adaptive_serve(&spec, [&d0, &d1], &faulted_cfg, 4);
-    assert_eq!(faulted, faulted4, "faulted adaptive runs must not depend on the host pool");
+    // Chaos under the controller is still rerunnable.
+    let faulted = run_adaptive_serve(&spec, [&d0, &d1], &faulted_cfg);
+    let rerun = run_adaptive_serve(&spec, [&d0, &d1], &faulted_cfg);
+    assert_eq!(faulted, rerun, "faulted adaptive runs must not depend on the run");
     // Faults reach the controller only through the recorded observations:
     // a fresh controller fed the faulted observations reproduces the
     // faulted decisions exactly — no hidden fault channel.
@@ -137,7 +126,7 @@ fn fault_injected_batches_perturb_decisions_only_through_observed_counters() {
     assert_log_replays(&faulted, ctrl, machine_arms(&spec, [&d0, &d1]));
     // And the injected faults did change what the controller saw (they
     // showed up in the counters, the only place they are allowed to).
-    let clean = run_adaptive_serve(&spec, [&d0, &d1], &clean_cfg, 1);
+    let clean = run_adaptive_serve(&spec, [&d0, &d1], &clean_cfg);
     let clean_costs: Vec<u64> =
         clean.decisions.iter().map(|d| d.observation.compute_cycles).collect();
     let faulted_costs: Vec<u64> =

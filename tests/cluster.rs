@@ -1,8 +1,9 @@
 //! Fleet-level integration tests: consistent-hash routing laws, cluster
-//! report bit-identity across host pools and reruns, whole-device failure
-//! re-sharding, and per-device fault-plan composability.
+//! report bit-identity across reruns, whole-device failure re-sharding, and
+//! per-device fault-plan composability.
 
 use gspecpal::{FaultPlan, SchemeConfig};
+use gspecpal_cluster::ring::MAX_VNODES;
 use gspecpal_cluster::{
     run_cluster, run_cluster_source, ClusterConfig, ClusterDevice, ClusterReport, DeviceOutage,
     FailoverConfig, FailoverReport, FleetMachine, HashRing, RebalanceConfig, Router, RouterStats,
@@ -111,7 +112,7 @@ proptest! {
 }
 
 #[test]
-fn cluster_reports_are_bit_identical_across_rayon_pools_and_reruns() {
+fn cluster_reports_are_bit_identical_across_reruns() {
     let dfas = fleet_dfas();
     let trace = Trace::synthetic(13, 48, dfas.len(), 30, 8..96, b"01");
     let cfg = ClusterConfig {
@@ -121,19 +122,12 @@ fn cluster_reports_are_bit_identical_across_rayon_pools_and_reruns() {
         },
         ..ClusterConfig::default()
     };
-    let run = |workers: usize| {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-        pool.install(|| {
-            let dfas = fleet_dfas();
-            let machines = fleet_machines(&dfas);
-            run_cluster(&test_devices(3), &machines, &trace, &cfg).unwrap()
-        })
+    let run = || {
+        let dfas = fleet_dfas();
+        let machines = fleet_machines(&dfas);
+        run_cluster(&test_devices(3), &machines, &trace, &cfg).unwrap()
     };
-    let one = run(1);
-    let four = run(4);
-    let rerun = run(1);
-    assert_eq!(one, four, "cluster reports must not depend on the host pool");
-    assert_eq!(one, rerun, "cluster reports must not depend on the run");
+    assert_eq!(run(), run(), "cluster reports must not depend on the run");
 }
 
 #[test]
@@ -872,6 +866,72 @@ proptest! {
         )
         .unwrap();
         prop_assert_eq!(FleetParts::from(&batch), oracle);
+        prop_assert_eq!(batch, streamed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Adversarial fleet configs on a small trace: ring sizes at and past
+    /// the cap, outage devices past the end, outages at cycle 0 and
+    /// `u64::MAX`, zero failover cadences, and rebalance epochs at both
+    /// extremes. Both entry points return the same `Ok` report or the same
+    /// structured error, never a panic, and reject exactly the configs
+    /// fleet validation names.
+    #[test]
+    fn adversarial_cluster_configs_are_structured_errors_never_panics(
+        seed in 0u64..1_000,
+        n_devices in 1usize..5,
+        vnodes in prop_oneof![
+            Just(0usize),
+            Just(1usize),
+            Just(MAX_VNODES),
+            Just(MAX_VNODES + 1),
+            Just(usize::MAX),
+            2usize..64,
+        ],
+        outage_device in 0usize..6,
+        at_cycle in prop_oneof![Just(0u64), Just(u64::MAX), 0u64..4_000],
+        with_outage in 0u8..2,
+        cadence in 0usize..4,
+        with_failover in 0u8..2,
+        epoch in prop_oneof![Just(0u64), Just(u64::MAX)],
+        with_rebalance in 0u8..2,
+    ) {
+        let dfas = fleet_dfas();
+        let machines = fleet_machines(&dfas);
+        let devices = test_devices(n_devices);
+        let trace = Trace::synthetic(seed, 12, dfas.len(), 30, 8..40, b"01");
+        let outage = (with_outage == 1).then_some(DeviceOutage { device: outage_device, at_cycle });
+        let failover = (with_failover == 1).then_some(FailoverConfig {
+            checkpoint_every_batches: cadence,
+            ..FailoverConfig::default()
+        });
+        let cfg = ClusterConfig {
+            vnodes,
+            rebalance: (with_rebalance == 1).then_some(RebalanceConfig { epoch_cycles: epoch }),
+            outage,
+            failover,
+            ..ClusterConfig::default()
+        };
+        let valid = (1..=MAX_VNODES).contains(&vnodes)
+            && outage.is_none_or(|o| o.device < n_devices && n_devices > 1)
+            && failover.is_none_or(|f| f.checkpoint_every_batches > 0);
+        let batch = run_cluster(&devices, &machines, &trace, &cfg);
+        let streamed = run_cluster_source(
+            &devices,
+            &machines,
+            IterSource(trace.arrivals().iter().cloned()),
+            &cfg,
+        );
+        match &batch {
+            Ok(_) => prop_assert!(valid, "accepted an invalid config"),
+            Err(e) => {
+                prop_assert!(!valid, "rejected a valid config: {e:?}");
+                prop_assert!(matches!(e, ServeError::InvalidConfig { .. }), "{e:?}");
+            }
+        }
         prop_assert_eq!(batch, streamed);
     }
 }

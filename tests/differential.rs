@@ -185,43 +185,6 @@ proptest! {
     }
 }
 
-/// Chaos runs are bit-identical at every rayon pool size: the fault overlay
-/// is a pure function of the plan and launch coordinates, never of thread
-/// scheduling.
-#[test]
-fn chaos_outcomes_are_pool_size_invariant() {
-    let spec = DeviceSpec::test_unit();
-    let d = random_dfa(13, 10, 4);
-    let input = random_input(13, 4096);
-    let table = DeviceTable::transformed(&d, d.n_states());
-    let config = SchemeConfig {
-        n_chunks: 1024,
-        faults: Some(FaultPlan { watchdog_cycles: 20_000, ..FaultPlan::chaos(99, 200) }),
-        ..SchemeConfig::default()
-    };
-    let job = Job::new(&spec, &table, &input, config).unwrap();
-    for kind in SchemeKind::all() {
-        let reference = rayon::ThreadPoolBuilder::new()
-            .num_threads(1)
-            .build()
-            .unwrap()
-            .install(|| run_scheme(kind, &job));
-        for threads in [2usize, 4, 8] {
-            let out = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap()
-                .install(|| run_scheme(kind, &job));
-            let ctx = format!("{kind:?} / {threads} threads");
-            assert_eq!(out.end_state, reference.end_state, "{ctx}");
-            assert_eq!(out.chunk_ends, reference.chunk_ends, "{ctx}");
-            assert_eq!(out.predict, reference.predict, "predict stats: {ctx}");
-            assert_eq!(out.execute, reference.execute, "execute stats: {ctx}");
-            assert_eq!(out.verify, reference.verify, "verify stats: {ctx}");
-        }
-    }
-}
-
 /// Deterministic large-grid leg of the harness: ≥64 thread blocks, both
 /// stitch paths, every scheme bit-exact against the sequential reference.
 #[test]

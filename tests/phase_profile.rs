@@ -1,8 +1,7 @@
 //! Phase-level profiling invariants: the per-phase cycle split is an exact
-//! partition of every kernel's total cycles, it is bit-deterministic across
-//! host worker counts and stitch policies, and the phases the paper argues
-//! about (verification, recovery, stitch, predict) are actually visible in
-//! the schemes that incur them.
+//! partition of every kernel's total cycles under both stitch policies, and
+//! the phases the paper argues about (verification, recovery, stitch,
+//! predict) are actually visible in the schemes that incur them.
 
 use gspecpal::config::{SchemeConfig, StitchPolicy};
 use gspecpal::run::{RunOutcome, SchemeKind};
@@ -60,36 +59,6 @@ fn phase_cycles_partition_totals_for_every_scheme() {
                 out.total_cycles(),
                 "{kind:?}/{policy:?}: run profile must decompose Equation 1 exactly"
             );
-        }
-    }
-}
-
-/// Per-phase counters are bit-identical across rayon pool sizes (the CI
-/// matrix runs `RAYON_NUM_THREADS ∈ {1,4}`) and for both stitch policies.
-#[test]
-fn phase_profiles_bit_identical_across_pool_sizes_and_policies() {
-    for policy in [StitchPolicy::Tree, StitchPolicy::Sequential] {
-        // Every registered scheme, from the registry: a scheme added to
-        // `SchemeKind::all()` is pinned by the CI pool-size matrix with no
-        // edit here.
-        for kind in SchemeKind::all() {
-            let reference = rayon::ThreadPoolBuilder::new()
-                .num_threads(1)
-                .build()
-                .unwrap()
-                .install(|| grid_scale_outcome(kind, policy));
-            for workers in [2, 4] {
-                let out = rayon::ThreadPoolBuilder::new()
-                    .num_threads(workers)
-                    .build()
-                    .unwrap()
-                    .install(|| grid_scale_outcome(kind, policy));
-                let ctx = format!("{kind:?} / {policy:?} @ {workers} workers");
-                assert_eq!(out.predict.profile, reference.predict.profile, "{ctx} predict");
-                assert_eq!(out.execute.profile, reference.execute.profile, "{ctx} execute");
-                assert_eq!(out.verify.profile, reference.verify.profile, "{ctx} verify");
-                assert_eq!(out.phase_profile(), reference.phase_profile(), "{ctx} run profile");
-            }
         }
     }
 }

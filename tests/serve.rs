@@ -1,7 +1,6 @@
-//! Serve-scheduler edge cases and determinism (ISSUE 4 satellite
-//! coverage): empty traces, single streams, oversized streams as
-//! structured errors, backpressure under bursts, and bit-identical
-//! reports across host thread counts for every policy.
+//! Serve-scheduler edge cases: empty traces, single streams, oversized
+//! streams as structured errors, backpressure under bursts, execution-mode
+//! routing, and fault handling (retries, the breaker, deadline shedding).
 
 use gspecpal_fsm::examples::{div7, mod_counter};
 use gspecpal_fsm::Dfa;
@@ -119,38 +118,6 @@ fn bursts_beyond_the_queue_bound_backpressure_admission() {
     // Depth samples are taken after all same-cycle events: the burst's 12
     // admissions minus the first batch's 3 instant dispatches.
     assert_eq!(report.peak_queue, 9);
-}
-
-#[test]
-fn reports_are_bit_identical_across_rayon_pools_for_all_policies() {
-    let spec = DeviceSpec::test_unit();
-    let dfa = div7();
-    let dfa2 = mod_counter(5, &[0, 2]);
-    let trace = Trace::synthetic(11, 24, 2, 40, 8..120, b"01");
-    for policy in [
-        BatchPolicy::Fifo { batch: 4 },
-        BatchPolicy::Deadline { batch: 4, max_wait: 60 },
-        BatchPolicy::Adaptive { max_batch: 16 },
-    ] {
-        for overlap in [true, false] {
-            let cfg = ServeConfig { policy, overlap, ..ServeConfig::default() };
-            let run = |workers: usize| {
-                let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-                pool.install(|| {
-                    let machines = [machine(&spec, &dfa), machine(&spec, &dfa2)];
-                    serve(&spec, &machines, &trace, &cfg).unwrap()
-                })
-            };
-            let one = run(1);
-            let four = run(4);
-            assert_eq!(
-                one,
-                four,
-                "{} overlap={overlap}: reports must not depend on the host pool",
-                policy.name()
-            );
-        }
-    }
 }
 
 #[test]
@@ -297,43 +264,6 @@ fn chaos_serving_stays_exact_for_served_streams_and_reports_recovery() {
     assert!(report.recovery.fault_cycles > 0, "{:?}", report.recovery);
     // The engine-busy phase partition survives retries and recovery.
     assert_eq!(report.stats.profile.total_cycles(), report.stats.cycles);
-}
-
-#[test]
-fn chaos_reports_are_bit_identical_across_rayon_pools() {
-    use gspecpal::FaultPlan;
-    use gspecpal::SchemeConfig;
-
-    let spec = DeviceSpec::test_unit();
-    let dfa = div7();
-    let dfa2 = mod_counter(5, &[0, 2]);
-    let mut trace_arrivals: Vec<StreamArrival> =
-        Trace::synthetic(17, 20, 2, 40, 8..120, b"01").arrivals().to_vec();
-    trace_arrivals.push(StreamArrival {
-        arrival_cycle: 2_000,
-        machine: 0,
-        bytes: b"110101".repeat(400),
-    });
-    let trace = Trace::from_arrivals(trace_arrivals);
-    let cfg = ServeConfig {
-        policy: BatchPolicy::Fifo { batch: 4 },
-        scheme_config: SchemeConfig {
-            faults: Some(FaultPlan { watchdog_cycles: 50_000, ..FaultPlan::chaos(23, 120) }),
-            ..SchemeConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let run = |workers: usize| {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-        pool.install(|| {
-            let machines = [machine(&spec, &dfa), machine(&spec, &dfa2)];
-            serve(&spec, &machines, &trace, &cfg).unwrap()
-        })
-    };
-    let one = run(1);
-    let four = run(4);
-    assert_eq!(one, four, "chaos reports must not depend on the host pool");
-    assert_eq!(one.recovery, four.recovery);
 }
 
 #[test]

