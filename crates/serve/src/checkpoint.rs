@@ -13,11 +13,11 @@
 //! > **bit-identical** to the uninterrupted run,
 //!
 //! for every batch policy, fault plan, report detail, and controller /
-//! residency / recovery configuration. The
-//! guarantee is structural rather than aspirational: `serve` itself runs
-//! the same resumable engine ([`ServeRun`] stepped to dry, then `finish`), so
-//! a restore is not a parallel implementation that could drift — it is
-//! the production engine handed its own state back.
+//! residency / recovery configuration. The guarantee is structural rather
+//! than aspirational: `serve` itself runs the same resumable engine
+//! ([`ServeRun`] stepped to dry, then `finish`), so a restore is not a
+//! parallel implementation that could drift — it is the production engine
+//! handed its own state back.
 //!
 //! # Wire format
 //!

@@ -17,11 +17,11 @@
 //!
 //! A t-digest reaches a similar budget/accuracy point with mergeable
 //! centroids, but centroid positions depend on insertion and merge order —
-//! poison for this repo's bit-determinism invariant (reports must be
-//! byte-identical across reruns). Bucket counters are plain
-//! integer sums: insertion order, merge order, and merge tree shape are
-//! all invisible by construction, which is the determinism argument in
-//! one sentence. The budget is fixed at [`LatencySketch::BUCKETS`] `u64`
+//! poison for this repo's bit-determinism invariant (a report must not
+//! depend on the order latencies are recorded or merged in). Bucket
+//! counters are plain integer sums: insertion order, merge order, and
+//! merge tree shape are all invisible by construction, which is the
+//! determinism argument in one sentence. The budget is fixed at [`LatencySketch::BUCKETS`] `u64`
 //! counters (~114 KiB), independent of the stream count.
 //!
 //! # Error bound
